@@ -7,7 +7,7 @@ that extract the Haar state from spectral data.
 
 __version__ = "0.1.0"
 
-from .qarith import DeformationParameter, HalfInteger, QArithError, cg_half, half, q_number
+from .qarith import HalfInteger, QArithError, cg_half, half, q_number
 from .peterweyl import (Basis, HilbertVector, PWIndex, SparseOperator, Truncation,
                         basis_enumerate, normalization_factor, pw_inner_unnormalized,
                         rho_weight)

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .qarith import QArithError, _cg_doubled, q_number
-from .peterweyl import Basis, SparseOperator, Truncation
+from .peterweyl import Basis, SparseOperator, Truncation, pw_position
 
 LETTERS = "aAgG"
 _ADJOINT = {"a": "A", "A": "a", "g": "G", "G": "g"}
@@ -137,27 +137,60 @@ def normal_order(p: NCPolynomial, q: float, rng: np.random.Generator | None = No
     return NCPolynomial(result)
 
 
+def cg_table(m1d: int, lmax_doubled: int, q: float) -> np.ndarray:
+    """_cg_doubled(m1d, branch, ld, md, q) stored at [(1 - branch) // 2, ld, (md + ld) // 2].
+
+    One scalar call per (branch, ld, md) with |md| <= ld <= lmax_doubled;
+    unused slots (md > ld) hold 0.
+    """
+    table = np.zeros((2, lmax_doubled + 1, lmax_doubled + 1))
+    for b, branch in enumerate((1, -1)):
+        for ld in range(lmax_doubled + 1):
+            for k in range(ld + 1):
+                table[b, ld, k] = _cg_doubled(m1d, branch, ld, 2 * k - ld, q)
+    return table
+
+
+def pairs_to_csr(rows: list, vals: list, keep: list, shape: tuple) -> sp.csr_matrix:
+    """CSR matrix from two candidate entries per column.
+
+    rows, vals and keep each hold two arrays indexed by column, one per
+    candidate.  Kept entries are emitted in (column, candidate) order, which
+    fixes the CSR layout and the stored values bit for bit.
+    """
+    keep = np.stack(keep, axis=1).ravel()
+    rows = np.stack(rows, axis=1).ravel()[keep]
+    vals = np.stack(vals, axis=1).ravel()[keep]
+    cols = np.repeat(np.arange(len(keep) // 2), 2)[keep]
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+
+
 def _gen_matrix(rd: int, sd: int, basis: Basis, q: float) -> sp.csr_matrix:
-    """Left multiplication by the normalized spin-1/2 element with weight shift (rd/2, sd/2)."""
+    """Left multiplication by the normalized spin-1/2 element with weight shift (rd/2, sd/2).
+
+    The entry taking (n, i, j) to (n + branch/2, i + rd/2, j + sd/2) is
+    C(rd, i) C(sd, j) nu(n), gathered from per-shell scalar tables; the
+    branches +1, -1 are the two candidates per column.
+    """
     Ld = basis.trunc.lmax.doubled
-    rows, cols, vals = [], [], []
+    nd, id_, jd = basis.nd, basis.id, basis.jd
+    cr = cg_table(rd, Ld, q)
+    cs = cr if sd == rd else cg_table(sd, Ld, q)
     q2 = q_number(2, q)
-    for k in range(basis.dim):
-        ld = int(basis.nd[k])
-        id_, jd = int(basis.id[k]), int(basis.jd[k])
-        for branch in (1, -1):
-            md = ld + branch
-            if md < 0 or md > Ld or abs(id_ + rd) > md or abs(jd + sd) > md:
-                continue
-            c1 = _cg_doubled(rd, branch, ld, id_, q)
-            c2 = _cg_doubled(sd, branch, ld, jd, q)
-            if c1 == 0.0 or c2 == 0.0:
-                continue
-            nu = math.sqrt(q2 * q_number(ld + 1, q) / q_number(md + 1, q))
-            rows.append(basis.position_doubled(md, id_ + rd, jd + sd))
-            cols.append(k)
-            vals.append(c1 * c2 * nu)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
+    rows, vals, keep = [], [], []
+    for b, branch in enumerate((1, -1)):
+        nu = np.zeros(Ld + 1)
+        for ld in range(Ld + 1):
+            if 0 <= ld + branch <= Ld:
+                nu[ld] = math.sqrt(q2 * q_number(ld + 1, q) / q_number(ld + branch + 1, q))
+        md = nd + branch
+        c1 = cr[b, nd, (id_ + nd) // 2]
+        c2 = cs[b, nd, (jd + nd) // 2]
+        keep.append((md >= 0) & (md <= Ld) & (np.abs(id_ + rd) <= md)
+                    & (np.abs(jd + sd) <= md) & (c1 != 0.0) & (c2 != 0.0))
+        rows.append(pw_position(md, id_ + rd, jd + sd))
+        vals.append(c1 * c2 * nu[nd])
+    return pairs_to_csr(rows, vals, keep, (basis.dim, basis.dim))
 
 
 class GeneratorTable:
@@ -219,9 +252,6 @@ class GeneratorTable:
         """Left multiplication by ttilde^{1/2}_{rd/2, sd/2}."""
         return SparseOperator(self._t[(rd, sd)], 1, self.basis)
 
-    def generator_operator(self, sym: str) -> SparseOperator:
-        return self.ops[sym]
-
     def _relation_residuals(self) -> dict:
         q = self.q
         a, A = self.ops["a"].mat, self.ops["A"].mat
@@ -256,8 +286,8 @@ def mult_operator(p: NCPolynomial, table: GeneratorTable) -> SparseOperator:
                            % (deg, table.trunc.lmax))
     out = sp.csr_matrix((table.basis.dim, table.basis.dim))
     for word, coeff in p.terms.items():
-        m = sp.identity(table.basis.dim, format="csr")
-        for ch in word:
+        m = table.ops[word[0]].mat if word else sp.identity(table.basis.dim, format="csr")
+        for ch in word[1:]:
             m = m @ table.ops[ch].mat
         out = out + coeff * m
     return SparseOperator(out, deg, table.basis)

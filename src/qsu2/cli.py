@@ -22,7 +22,7 @@ from . import __version__
 from .qarith import HalfInteger, QArithError, cg_half, q_number
 from .peterweyl import Basis, Truncation, normalization_factor, pw_inner_unnormalized
 from .algebra import (GeneratorTable, NCPolynomial, ValidationError, haar_state,
-                      is_normal_word, mult_operator, normal_order)
+                      is_normal_word)
 from .gns_oracle import oracle_haar
 from .dirac import DiracContext
 from . import spectral
@@ -91,6 +91,28 @@ def _word_label(w: str) -> str:
 
 # ---------------------------------------------------------------- experiments
 
+_TABLE_MEMO = {}
+
+
+def generator_table(cfg: RunConfig) -> GeneratorTable:
+    """The validated GeneratorTable of cfg, shared by the experiments of one run.
+
+    A one-entry memo keyed by (q, lmax_doubled), so `all` builds it once;
+    main() empties it when the invocation ends.  A ValidationError
+    propagates and nothing is stored.
+    """
+    key = (cfg.q, cfg.lmax_doubled)
+    if key not in _TABLE_MEMO:
+        table = GeneratorTable(cfg.q, cfg.trunc)
+        _TABLE_MEMO.clear()
+        _TABLE_MEMO[key] = table
+    return _TABLE_MEMO[key]
+
+
+def _rho_multiplier(n: float) -> float:
+    return math.exp(-n * (n + 1))
+
+
 def run_validate(cfg: RunConfig):
     rows = []
     q = cfg.q
@@ -132,7 +154,7 @@ def run_validate(cfg: RunConfig):
 
     # algebra relation battery
     try:
-        table = GeneratorTable(q, cfg.trunc)
+        table = generator_table(cfg)
         for name, residual in table._relation_residuals().items():
             record("algebra.relation[%s]" % name, residual)
     except ValidationError as exc:
@@ -154,8 +176,9 @@ def run_validate(cfg: RunConfig):
 
 
 def run_haar(cfg: RunConfig):
-    table = GeneratorTable(cfg.q, cfg.trunc)
+    table = generator_table(cfg)
     dctx = DiracContext(cfg.q, cfg.trunc, table.basis)
+    phi1 = spectral.rho_trace_functional(NCPolynomial.one(), _rho_multiplier, table)
     rows = []
     for w in OBSERVABLES:
         p = NCPolynomial.word(w)
@@ -166,9 +189,7 @@ def run_haar(cfg: RunConfig):
             rows.append(["heat", _word_label(w), t, ratio.real, psi.real, err, tail,
                          "PASS" if err < cfg.tolerance else "FAIL"])
         # same ratio with an unrelated diagonal multiplier in place of the heat kernel
-        phi = spectral.rho_trace_functional(p, lambda n: math.exp(-n * (n + 1)), table)
-        phi1 = spectral.rho_trace_functional(NCPolynomial.one(),
-                                             lambda n: math.exp(-n * (n + 1)), table)
+        phi = spectral.rho_trace_functional(p, _rho_multiplier, table)
         err = abs(phi / phi1 - psi)
         rows.append(["rho_multiplier", _word_label(w), 0.0, (phi / phi1).real,
                      psi.real, err, 0.0, "PASS" if err < cfg.tolerance else "FAIL"])
@@ -178,7 +199,7 @@ def run_haar(cfg: RunConfig):
 
 
 def run_commutators(cfg: RunConfig):
-    table = GeneratorTable(cfg.q, cfg.trunc)
+    table = generator_table(cfg)
     dctx = DiracContext(cfg.q, cfg.trunc, table.basis)
     a = spectral.witness_polynomial(table)
     lmax = cfg.lmax_doubled // 2
@@ -234,7 +255,7 @@ def run_heat(cfg: RunConfig):
 
 
 def run_modular(cfg: RunConfig):
-    table = GeneratorTable(cfg.q, cfg.trunc)
+    table = generator_table(cfg)
     words = [w for n in range(3) for w in
              ("".join(t) for t in itertools.product("aAgG", repeat=n))
              if is_normal_word(w)]
@@ -362,23 +383,26 @@ def main(argv=None) -> int:
 
     names = list(EXPERIMENTS) if args.command == "all" else [args.command]
     overall_fail = False
-    for name in names:
-        try:
-            rows, cols = EXPERIMENTS[name](cfg)
-        except Exception as exc:  # surfaced as a failed experiment, not a crash
-            print("%s: ERROR %s" % (name, exc), file=sys.stderr)
-            overall_fail = True
-            continue
-        n_fail = sum(1 for r in rows if r[-1] == "FAIL")
-        overall_fail = overall_fail or n_fail > 0
-        print("%s: %s (%d rows, %d failures)"
-              % (name, "FAIL" if n_fail else "PASS", len(rows), n_fail))
-        out = cfg.out
-        if out:
-            if args.command == "all":
-                root, ext = os.path.splitext(out)
-                out = "%s_%s%s" % (root, name, ext or ".csv")
-            write_rows(out, cfg.format, cols, rows, cfg.provenance())
+    try:
+        for name in names:
+            try:
+                rows, cols = EXPERIMENTS[name](cfg)
+            except Exception as exc:  # surfaced as a failed experiment, not a crash
+                print("%s: ERROR %s" % (name, exc), file=sys.stderr)
+                overall_fail = True
+                continue
+            n_fail = sum(1 for r in rows if r[-1] == "FAIL")
+            overall_fail = overall_fail or n_fail > 0
+            print("%s: %s (%d rows, %d failures)"
+                  % (name, "FAIL" if n_fail else "PASS", len(rows), n_fail))
+            out = cfg.out
+            if out:
+                if args.command == "all":
+                    root, ext = os.path.splitext(out)
+                    out = "%s_%s%s" % (root, name, ext or ".csv")
+                write_rows(out, cfg.format, cols, rows, cfg.provenance())
+    finally:
+        _TABLE_MEMO.clear()  # the shared table lives for one invocation
     return 1 if overall_fail else 0
 
 

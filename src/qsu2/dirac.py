@@ -16,7 +16,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .qarith import HalfInteger, QArithError, _cg_doubled, half, q_number
-from .peterweyl import Basis, HilbertVector, SparseOperator, Truncation, rho_weights
+from .peterweyl import (Basis, HilbertVector, SparseOperator, Truncation, pw_position,
+                        rho_weights)
+from .algebra import cg_table, pairs_to_csr
 
 
 class VIndex(NamedTuple):
@@ -60,11 +62,6 @@ class SpinorVector:
 
     def to_array(self) -> np.ndarray:
         return np.concatenate([self.plus.data, self.minus.data])
-
-    @classmethod
-    def from_array(cls, basis: Basis, arr: np.ndarray) -> "SpinorVector":
-        n = basis.dim
-        return cls(HilbertVector(basis, arr[:n]), HilbertVector(basis, arr[n:]))
 
     def norm(self) -> float:
         return math.hypot(self.plus.norm(), self.minus.norm())
@@ -123,32 +120,55 @@ class DiracContext:
         return v_enumerate(self.trunc)
 
     @cached_property
+    def v_doubled(self) -> tuple:
+        """(2l, 2i, 2j, sign) integer arrays of the coupled labels, in v_enumerate order."""
+        parts = []
+        for ld in range(self.trunc.lmax.doubled + 1):
+            for sign in (1, -1):
+                jmax = ld + sign
+                if jmax < 0:
+                    continue
+                size = (ld + 1) * (jmax + 1)
+                parts.append((np.full(size, ld), np.repeat(np.arange(-ld, ld + 1, 2), jmax + 1),
+                              np.tile(np.arange(-jmax, jmax + 1, 2), ld + 1),
+                              np.full(size, sign)))
+        return tuple(np.concatenate(column) for column in zip(*parts))
+
+    @cached_property
     def change_of_basis(self) -> SparseOperator:
-        """Columns are the coupled vectors, in v_enumerate order (orthogonal)."""
-        rows, cols, vals = [], [], []
+        """Columns are the coupled vectors, in v_enumerate order (orthogonal).
+
+        Column v^{l,sign}_{ij} holds C(1/2; l, j - 1/2) on e_+ (n, i, j - 1/2)
+        and C(-1/2; l, j + 1/2) on e_- (n, i, j + 1/2), gathered from
+        per-shell scalar tables; the components e_+, e_- are the two candidates
+        per column.
+        """
+        ld, id_, jd, sign = self.v_doubled
         n = self.basis.dim
-        for col, idx in enumerate(self.v_labels):
-            for (comp, key), c in _v_entries(idx.l.doubled, idx.i.doubled,
-                                             idx.j.doubled, idx.sign, self.q):
-                rows.append(comp * n + self.basis.position_doubled(*key))
-                cols.append(col)
-                vals.append(c)
-        m = sp.csr_matrix((vals, (rows, cols)), shape=(self.spinor.dim, self.spinor.dim))
+        rows, vals, keep = [], [], []
+        for comp, m1d in enumerate((1, -1)):
+            md = jd - m1d
+            inside = np.abs(md) <= ld
+            c = cg_table(m1d, self.trunc.lmax.doubled, self.q)[
+                (1 - sign) // 2, ld, np.where(inside, (md + ld) // 2, 0)]
+            keep.append(inside & (c != 0.0))
+            rows.append(comp * n + pw_position(ld, id_, md))
+            vals.append(c)
+        m = pairs_to_csr(rows, vals, keep, (self.spinor.dim, self.spinor.dim))
         return SparseOperator(m, 0, self.spinor)
 
     def eigenvalues(self, kind: str) -> np.ndarray:
         """Eigenvalue per v_enumerate label for the true or naive operator."""
-        out = np.empty(len(self.v_labels))
-        for k, idx in enumerate(self.v_labels):
-            l = idx.l.doubled / 2.0
-            if kind == "true":
-                out[k] = (l + 0.5) * idx.sign
-            elif kind == "naive":
-                out[k] = q_number(l, self.q ** 2) if idx.sign > 0 \
-                    else -q_number(l + 1, self.q ** 2)
-            else:
-                raise QArithError("kind must be 'true' or 'naive'")
-        return out
+        ld, _, _, sign = self.v_doubled
+        if kind == "true":
+            return (ld / 2.0 + 0.5) * sign
+        if kind == "naive":
+            q2 = self.q ** 2
+            shells = range(self.trunc.lmax.doubled + 1)
+            plus = np.array([q_number(k / 2.0, q2) for k in shells])
+            minus = np.array([-q_number(k / 2.0 + 1, q2) for k in shells])
+            return np.where(sign > 0, plus[ld], minus[ld])
+        raise QArithError("kind must be 'true' or 'naive'")
 
     @cached_property
     def absd_diagonal(self) -> np.ndarray:
@@ -167,18 +187,8 @@ class DiracContext:
         d = sp.diags(self.eigenvalues(kind))
         return SparseOperator((v.mat @ d @ v.mat.T).tocsr(), 0, self.spinor)
 
-    def R_operator(self) -> SparseOperator:
-        return SparseOperator(sp.diags(self.r_diagonal), 0, self.spinor)
-
     def rho_operator(self) -> SparseOperator:
         return SparseOperator(sp.diags(rho_weights(self.basis, self.q)), 0, self.basis)
-
-    def dirac_apply(self, kind: str, v: SpinorVector) -> SpinorVector:
-        arr = self.dirac_operator(kind).mat @ v.to_array()
-        return SpinorVector.from_array(self.basis, arr)
-
-    def R_apply(self, v: SpinorVector) -> SpinorVector:
-        return SpinorVector.from_array(self.basis, self.r_diagonal * v.to_array())
 
     def rho_apply(self, v: HilbertVector) -> HilbertVector:
         return HilbertVector(self.basis, rho_weights(self.basis, self.q) * v.data)

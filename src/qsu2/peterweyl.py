@@ -51,36 +51,44 @@ class Truncation:
         return sum((nd + 1) ** 2 for nd in range(self.lmax.doubled + 1))
 
 
+def pw_position(nd, id_, jd):
+    """Closed-form position of (n, i, j) in the enumeration order, on doubled labels.
+
+    Shells 2m < 2n hold sum (m+1)^2 = n(n+1)(2n+1)/6 elements (n doubled);
+    inside a shell the order is row-major in ((i+n)/2, (j+n)/2).  Works
+    elementwise on integer arrays; labels are not checked.
+    """
+    return nd * (nd + 1) * (2 * nd + 1) // 6 + (id_ + nd) // 2 * (nd + 1) + (jd + nd) // 2
+
+
 class Basis:
     """Deterministic enumeration of the truncated Peter-Weyl basis.
 
     Order: ascending 2n, then i, then j.  Index arrays are kept as doubled
-    integers for vectorized weight computations.
+    integers for vectorized weight computations; positions follow the
+    closed form pw_position.
     """
 
     def __init__(self, trunc: Truncation):
         self.trunc = trunc
-        nd_list, id_list, jd_list = [], [], []
-        for nd in range(trunc.lmax.doubled + 1):
-            for id_ in range(-nd, nd + 1, 2):
-                for jd in range(-nd, nd + 1, 2):
-                    nd_list.append(nd)
-                    id_list.append(id_)
-                    jd_list.append(jd)
-        self.nd = np.array(nd_list, dtype=np.int64)
-        self.id = np.array(id_list, dtype=np.int64)
-        self.jd = np.array(jd_list, dtype=np.int64)
-        self.dim = len(nd_list)
-        self._pos = {t: k for k, t in enumerate(zip(nd_list, id_list, jd_list))}
+        shells = np.arange(trunc.lmax.doubled + 1, dtype=np.int64)
+        self.nd = np.repeat(shells, (shells + 1) ** 2)
+        self.dim = len(self.nd)
+        # offset inside the shell = position minus that of (n, -n, -n)
+        row, col = np.divmod(np.arange(self.dim, dtype=np.int64)
+                             - pw_position(self.nd, -self.nd, -self.nd), self.nd + 1)
+        self.id = 2 * row - self.nd
+        self.jd = 2 * col - self.nd
 
     def position(self, idx: PWIndex) -> int:
-        return self._pos[(idx.n.doubled, idx.i.doubled, idx.j.doubled)]
+        return self.position_doubled(idx.n.doubled, idx.i.doubled, idx.j.doubled)
 
     def position_doubled(self, nd: int, id_: int, jd: int) -> int:
-        return self._pos[(nd, id_, jd)]
-
-    def contains_doubled(self, nd: int, id_: int, jd: int) -> bool:
-        return (nd, id_, jd) in self._pos
+        if (not 0 <= nd <= self.trunc.lmax.doubled or abs(id_) > nd or abs(jd) > nd
+                or (nd - id_) % 2 or (nd - jd) % 2):
+            raise QArithError("doubled label (%d, %d, %d) is not in the truncation"
+                              % (nd, id_, jd))
+        return pw_position(nd, id_, jd)
 
     @cached_property
     def indices(self) -> list:

@@ -6,7 +6,6 @@ doubled integers so that index arithmetic never touches floating point.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 
@@ -59,24 +58,6 @@ def half(x) -> HalfInteger:
     if float(d) != int(d):
         raise QArithError("%r is not on the half-integer grid" % (x,))
     return HalfInteger(int(d))
-
-
-@dataclass(frozen=True)
-class DeformationParameter:
-    """The deformation q > 0, q != 1, plus the working binary precision."""
-
-    q: float
-    precision_bits: int = 53
-
-    def __post_init__(self):
-        if self.q <= 0 or self.q == 1:
-            raise QArithError("q must be positive and different from 1, got %r" % (self.q,))
-        if 0 < self.q < 1:
-            # The standing assumption downstream is q > 1; everything still
-            # works for 0 < q < 1 but has had far less exercise.
-            warnings.warn("q = %g < 1: supported but less tested than q > 1" % self.q)
-        if self.precision_bits < 24:
-            raise QArithError("precision_bits must be at least 24")
 
 
 def q_number(r, base: float) -> float:

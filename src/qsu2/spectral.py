@@ -270,12 +270,15 @@ def rho_trace_functional(a: NCPolynomial, multiplier: Callable[[float], float],
                          table: GeneratorTable, tail_tol: float = 1e-6) -> complex:
     """Tr(a rho B) on h for B diagonal across spin shells: B = multiplier(n).
 
+    multiplier is evaluated once per retained shell.
+
     Raises TailTooLargeError when the top retained shell still contributes
     more than tail_tol of the trace-normalizing sum (trace-class proxy).
     """
     q = table.q
     basis = table.basis
-    lam = np.array([multiplier(nd / 2.0) for nd in basis.nd])
+    shell = np.array([multiplier(nd / 2.0) for nd in range(table.trunc.lmax.doubled + 1)])
+    lam = shell[basis.nd]
     weights = rho_weights(basis, q) * lam
     shell_sums = np.bincount(basis.nd, weights=np.abs(weights))
     total = shell_sums.sum()

@@ -1,14 +1,16 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qsu2.qarith import HalfInteger
-from qsu2.peterweyl import Truncation
-from qsu2.algebra import (AlgebraError, GeneratorTable, NCPolynomial, adjoint_word,
-                          apply_word, haar_state, is_normal_word, mult_operator,
-                          normal_order)
+from qsu2 import algebra
+from qsu2.qarith import HalfInteger, _cg_doubled, q_number
+from qsu2.peterweyl import Basis, Truncation
+from qsu2.algebra import (AlgebraError, GeneratorTable, NCPolynomial, _gen_matrix,
+                          adjoint_word, apply_word, haar_state, is_normal_word,
+                          mult_operator, normal_order)
 from qsu2.gns_oracle import oracle_haar
 
 Q = 1.2
@@ -90,6 +92,62 @@ class TestGeneratorTable:
         resid = a.conj().T @ a + g.conj().T @ g - eye
         safe = sp.diags((table.basis.nd <= table.trunc.lmax.doubled - 2).astype(float))
         assert abs(resid @ safe).max() < 1e-12
+
+
+def scalar_loop_gen_matrix(rd, sd, basis, q):
+    """Reference assembly: one scalar CG evaluation per basis element and branch,
+    positions from a dict over the enumeration."""
+    Ld = basis.trunc.lmax.doubled
+    pos = {t: k for k, t in enumerate(zip(basis.nd.tolist(), basis.id.tolist(),
+                                          basis.jd.tolist()))}
+    rows, cols, vals = [], [], []
+    q2 = q_number(2, q)
+    for k in range(basis.dim):
+        ld = int(basis.nd[k])
+        id_, jd = int(basis.id[k]), int(basis.jd[k])
+        for branch in (1, -1):
+            md = ld + branch
+            if md < 0 or md > Ld or abs(id_ + rd) > md or abs(jd + sd) > md:
+                continue
+            c1 = _cg_doubled(rd, branch, ld, id_, q)
+            c2 = _cg_doubled(sd, branch, ld, jd, q)
+            if c1 == 0.0 or c2 == 0.0:
+                continue
+            nu = math.sqrt(q2 * q_number(ld + 1, q) / q_number(md + 1, q))
+            rows.append(pos[(md, id_ + rd, jd + sd)])
+            cols.append(k)
+            vals.append(c1 * c2 * nu)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("q", [1.2, 3.0, 0.7])
+    @pytest.mark.parametrize("lmax_d", [2, 7, 16])
+    def test_table_driven_matches_scalar_loop_bitwise(self, lmax_d, q):
+        basis = Basis(Truncation(HalfInteger(lmax_d)))
+        for rd in (1, -1):
+            for sd in (1, -1):
+                new = _gen_matrix(rd, sd, basis, q)
+                ref = scalar_loop_gen_matrix(rd, sd, basis, q)
+                assert np.array_equal(new.indptr, ref.indptr)
+                assert np.array_equal(new.indices, ref.indices)
+                assert new.data.dtype == ref.data.dtype
+                assert new.data.tobytes() == ref.data.tobytes(), (rd, sd)
+
+    @pytest.mark.parametrize("lmax_d", [24, 40])
+    def test_scalar_cg_calls_grow_like_lmax_squared(self, lmax_d, monkeypatch):
+        # a guard on work, not time: the per-element loop made 78 400 calls at
+        # lmax_doubled 24 (dim 5525); per-shell tables need O(lmax^2)
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return _cg_doubled(*args)
+
+        monkeypatch.setattr(algebra, "_cg_doubled", counted)
+        t = GeneratorTable(Q, Truncation(HalfInteger(lmax_d)))
+        assert 0 < calls[0] < t.basis.dim
+        assert calls[0] <= 6 * (lmax_d + 1) * (lmax_d + 2)
 
 
 class TestMultOperator:

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from qsu2 import cli
+from qsu2.algebra import GeneratorTable, ValidationError
 from qsu2.qarith import QArithError
 from qsu2.cli import (EXPERIMENTS, RunConfig, build_config, main, parse_t_grid,
                       read_config_file)
@@ -132,6 +134,32 @@ class TestMain:
         assert rc == 0
         for name in EXPERIMENTS:
             assert (tmp_path / ("run_%s.csv" % name)).exists()
+
+    def test_all_builds_one_generator_table(self, monkeypatch, capsys):
+        builds = []
+        init = GeneratorTable.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GeneratorTable, "__init__", counting_init)
+        monkeypatch.setattr(cli, "_TABLE_MEMO", {})
+        assert main(["all", "--lmax", "16"]) == 0
+        assert len(builds) == 1
+        assert cli._TABLE_MEMO == {}  # nothing outlives the invocation
+        assert main(["all", "--lmax", "16"]) == 0
+        assert len(builds) == 2
+
+    def test_validation_failure_is_a_fail_row(self, monkeypatch):
+        def failing_validate(self):
+            raise ValidationError("G g = g G", 1.0)
+
+        monkeypatch.setattr(GeneratorTable, "validate", failing_validate)
+        monkeypatch.setattr(cli, "_TABLE_MEMO", {})
+        rows, _ = cli.run_validate(RunConfig(lmax_doubled=8))
+        assert rows[-1] == ["algebra.relation[G g = g G]", 1.0, 1e-9, "FAIL"]
+        assert cli._TABLE_MEMO == {}
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qsu2.qarith import HalfInteger, QArithError, half, q_number
 from qsu2.peterweyl import Truncation
 from qsu2.algebra import GeneratorTable
-from qsu2.dirac import (DiracContext, VIndex, b_coefficient, b_minus_closed,
+from qsu2.dirac import (DiracContext, VIndex, _v_entries, b_coefficient, b_minus_closed,
                         v_enumerate, validate_v_index)
 from qsu2.spectral import spinor_mult, witness_polynomial
 
@@ -45,6 +46,52 @@ class TestLabels:
     def test_all_labels_valid(self, ctx):
         for v in v_enumerate(ctx.trunc):
             validate_v_index(v)
+
+
+def scalar_loop_change_of_basis(c):
+    """Reference assembly: one column per coupled label, positions from a dict."""
+    basis = c.basis
+    pos = {t: k for k, t in enumerate(zip(basis.nd.tolist(), basis.id.tolist(),
+                                          basis.jd.tolist()))}
+    rows, cols, vals = [], [], []
+    for col, idx in enumerate(c.v_labels):
+        for (comp, key), coeff in _v_entries(idx.l.doubled, idx.i.doubled,
+                                             idx.j.doubled, idx.sign, c.q):
+            rows.append(comp * basis.dim + pos[key])
+            cols.append(col)
+            vals.append(coeff)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(c.spinor.dim, c.spinor.dim))
+
+
+def scalar_loop_eigenvalues(c, kind):
+    out = np.empty(len(c.v_labels))
+    for k, idx in enumerate(c.v_labels):
+        l = idx.l.doubled / 2.0
+        if kind == "true":
+            out[k] = (l + 0.5) * idx.sign
+        else:
+            out[k] = q_number(l, c.q ** 2) if idx.sign > 0 else -q_number(l + 1, c.q ** 2)
+    return out
+
+
+class TestTableDrivenAssembly:
+    @pytest.mark.parametrize("q", [1.2, 3.0, 0.7])
+    @pytest.mark.parametrize("lmax_d", [0, 2, 7, 16])
+    def test_matches_scalar_loop_bitwise(self, lmax_d, q):
+        c = DiracContext(q, Truncation(HalfInteger(lmax_d)))
+        new, ref = c.change_of_basis.mat, scalar_loop_change_of_basis(c)
+        assert np.array_equal(new.indptr, ref.indptr)
+        assert np.array_equal(new.indices, ref.indices)
+        assert new.data.tobytes() == ref.data.tobytes()
+        for kind in ("true", "naive"):
+            ev = c.eigenvalues(kind)
+            assert ev.dtype == np.float64
+            assert ev.tobytes() == scalar_loop_eigenvalues(c, kind).tobytes(), kind
+
+    def test_label_arrays_follow_v_enumerate(self, ctx):
+        ld, id_, jd, sign = ctx.v_doubled
+        assert list(zip(ld.tolist(), id_.tolist(), jd.tolist(), sign.tolist())) == [
+            (v.l.doubled, v.i.doubled, v.j.doubled, v.sign) for v in ctx.v_labels]
 
 
 class TestCoupledBasis:

@@ -4,7 +4,7 @@ import pytest
 from qsu2.qarith import HalfInteger, QArithError, half, q_number
 from qsu2.peterweyl import (Basis, HilbertVector, PWIndex, SparseOperator, Truncation,
                             basis_enumerate, normalization_factor,
-                            pw_inner_unnormalized, rho_weight, rho_weights)
+                            pw_inner_unnormalized, pw_position, rho_weight, rho_weights)
 
 
 def pw(n, i, j):
@@ -31,6 +31,37 @@ class TestEnumeration:
         basis = Basis(Truncation(HalfInteger(3)))
         for k, idx in enumerate(basis.indices):
             assert basis.position(idx) == k
+
+    @pytest.mark.parametrize("lmax_d", [0, 1, 2, 7, 24])
+    def test_closed_form_position_matches_enumeration(self, lmax_d):
+        basis = Basis(Truncation(HalfInteger(lmax_d)))
+        labels = [(nd, id_, jd) for nd in range(lmax_d + 1)
+                  for id_ in range(-nd, nd + 1, 2) for jd in range(-nd, nd + 1, 2)]
+        assert basis.dim == len(labels)
+        assert list(zip(basis.nd.tolist(), basis.id.tolist(), basis.jd.tolist())) == labels
+        for k, label in enumerate(labels):
+            assert basis.position_doubled(*label) == k
+        assert np.array_equal(pw_position(basis.nd, basis.id, basis.jd), np.arange(basis.dim))
+
+    @pytest.mark.parametrize("label", [
+        (8, 0, 0),    # spin 4 beyond lmax 7/2
+        (-1, 0, 0),   # negative spin
+        (2, 4, 0),    # |i| > n
+        (2, 0, -4),   # |j| > n
+        (2, 1, 0),    # i off the grid of n
+        (3, 1, 0),    # j off the grid of n
+    ])
+    def test_position_rejects_labels_outside(self, label):
+        basis = Basis(Truncation(HalfInteger(7)))
+        with pytest.raises(QArithError):
+            basis.position_doubled(*label)
+
+    def test_position_rejects_pwindex_outside(self):
+        basis = Basis(Truncation(HalfInteger(3)))
+        with pytest.raises(QArithError):
+            basis.position(pw(2, 0, 0))
+        with pytest.raises(QArithError):
+            basis.position(PWIndex(HalfInteger(2), HalfInteger(1), HalfInteger(0)))
 
     def test_negative_lmax_rejected(self):
         with pytest.raises(QArithError):

@@ -3,8 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from qsu2.qarith import (DeformationParameter, HalfInteger, QArithError, cg_half,
-                         half, q_number)
+from qsu2.qarith import HalfInteger, QArithError, cg_half, half, q_number
 
 
 def brute_q_number(r, q):
@@ -36,21 +35,6 @@ class TestHalfInteger:
         assert HalfInteger(1) < HalfInteger(2)
         assert str(HalfInteger(3)) == "3/2"
         assert str(HalfInteger(4)) == "2"
-
-
-class TestDeformationParameter:
-    def test_rejects_bad_q(self):
-        with pytest.raises(QArithError):
-            DeformationParameter(1.0)
-        with pytest.raises(QArithError):
-            DeformationParameter(-2.0)
-
-    def test_warns_below_one(self):
-        with pytest.warns(UserWarning):
-            DeformationParameter(0.5)
-
-    def test_accepts(self):
-        assert DeformationParameter(1.2).precision_bits == 53
 
 
 class TestQNumber:

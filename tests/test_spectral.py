@@ -139,6 +139,18 @@ class TestRhoTraceFunctional:
             num = rho_trace_functional(p, lam, table)
             assert abs(num / den - haar_state(p, table)) < 1e-10
 
+    def test_multiplier_evaluated_once_per_shell(self, table):
+        seen = []
+
+        def lam(n):
+            seen.append(n)
+            return math.exp(-n * (n + 1))
+
+        rho_trace_functional(NCPolynomial.word("Gg"), lam, table)
+        Ld = table.trunc.lmax.doubled
+        assert len(seen) == Ld + 1
+        assert seen == [nd / 2.0 for nd in range(Ld + 1)]
+
     def test_slow_multiplier_rejected(self, table):
         with pytest.raises(TailTooLargeError):
             rho_trace_functional(NCPolynomial.one(), lambda n: 1.0, table)

@@ -12,13 +12,13 @@ alpha/alpha* words through the defining relations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .qarith import QArithError, _cg_doubled, q_number
-from .peterweyl import Basis, SparseOperator, Truncation, pw_position
+from .qarith import HalfInteger, QArithError, _cg_doubled, q_number
+from .peterweyl import Basis, SparseOperator, Truncation, pw_position, rho_weights
 
 LETTERS = "aAgG"
 _ADJOINT = {"a": "A", "A": "a", "g": "G", "G": "g"}
@@ -137,17 +137,20 @@ def normal_order(p: NCPolynomial, q: float, rng: np.random.Generator | None = No
     return NCPolynomial(result)
 
 
+@lru_cache(maxsize=16)
 def cg_table(m1d: int, lmax_doubled: int, q: float) -> np.ndarray:
     """_cg_doubled(m1d, branch, ld, md, q) stored at [(1 - branch) // 2, ld, (md + ld) // 2].
 
     One scalar call per (branch, ld, md) with |md| <= ld <= lmax_doubled;
-    unused slots (md > ld) hold 0.
+    unused slots (md > ld) hold 0.  Computed once per argument tuple and
+    shared, so the array is read-only.
     """
     table = np.zeros((2, lmax_doubled + 1, lmax_doubled + 1))
     for b, branch in enumerate((1, -1)):
         for ld in range(lmax_doubled + 1):
             for k in range(ld + 1):
                 table[b, ld, k] = _cg_doubled(m1d, branch, ld, 2 * k - ld, q)
+    table.setflags(write=False)
     return table
 
 
@@ -245,6 +248,8 @@ class GeneratorTable:
         alpha = SparseOperator(self.alpha_scalar * tpp, depth, self.basis)
         gamma = SparseOperator(self.gamma_scalar * tmp, depth, self.basis)
         self.ops = {"a": alpha, "A": alpha.H, "g": gamma, "G": gamma.H}
+        self._leading = {}
+        self._diagonals = {}
         if validate:
             self.validate()
 
@@ -252,23 +257,76 @@ class GeneratorTable:
         """Left multiplication by ttilde^{1/2}_{rd/2, sd/2}."""
         return SparseOperator(self._t[(rd, sd)], 1, self.basis)
 
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """The modular weights q^{-2i-2j} over the basis."""
+        return rho_weights(self.basis, self.q)
+
+    def leading(self, deg: int) -> "GeneratorTable":
+        """This table restricted to the spins 2n <= max(deg, 2), memoized per shell.
+
+        A word of length <= deg moves e0 only within those spins, so every
+        matrix element <e0, w e0> computed on the restriction takes the same
+        terms, in the same order, as on the full table.  The generator
+        matrices are the leading [:k, :k] blocks and the fitted scalars are
+        shared: nothing is re-fitted or re-validated.
+        """
+        nd = max(deg, 2)
+        if nd >= self.trunc.lmax.doubled:
+            return self
+        if nd not in self._leading:
+            k = pw_position(nd + 1, -nd - 1, -nd - 1)
+            view = object.__new__(GeneratorTable)
+            view.q = self.q
+            view.trunc = Truncation(HalfInteger(nd))
+            view.basis = Basis(view.trunc)
+            view._t = {key: m[:k, :k] for key, m in self._t.items()}
+            view.alpha_scalar = self.alpha_scalar
+            view.gamma_scalar = self.gamma_scalar
+            view.ops = {ch: SparseOperator(op.mat[:k, :k], op.shell_depth_doubled, view.basis)
+                        for ch, op in self.ops.items()}
+            view._leading = {}
+            view._diagonals = {}
+            self._leading[nd] = view
+        return self._leading[nd]
+
+    def diagonal(self, p: "NCPolynomial") -> tuple:
+        """(diagonal of mult_operator(p), its doubled shell depth).
+
+        A one-entry memo keyed by the polynomial's terms: the trace
+        functionals read one polynomial at several t before moving on.
+        """
+        key = tuple(p.terms.items())
+        if key not in self._diagonals:
+            op = mult_operator(p, self)
+            self._diagonals.clear()
+            self._diagonals[key] = (op.mat.diagonal(), op.shell_depth_doubled)
+        return self._diagonals[key]
+
     def _relation_residuals(self) -> dict:
+        """Largest residual of each defining relation on the safe columns.
+
+        A relation is a word of length 2 (depth 1), exact on the spins
+        2n <= 2 lmax - 2: the column prefix [0, s).  Only the right factors
+        are cut to it, so each entry sums the same terms in the same order
+        as the full product; one residual matrix is alive at a time.
+        """
         q = self.q
+        Ld = self.trunc.lmax.doubled
+        s = pw_position(Ld - 1, 1 - Ld, 1 - Ld)
         a, A = self.ops["a"].mat, self.ops["A"].mat
         g, G = self.ops["g"].mat, self.ops["G"].mat
-        eye = sp.identity(self.basis.dim, format="csr")
+        a_s, A_s, g_s, G_s = a[:, :s], A[:, :s], g[:, :s], G[:, :s]
+        eye = sp.eye(self.basis.dim, s, format="csr")
         rel = {
-            "A a + G g = 1": A @ a + G @ g - eye,
-            "a A + q^2 G g = 1": a @ A + q * q * G @ g - eye,
-            "G g = g G": G @ g - g @ G,
-            "a g = q g a": a @ g - q * g @ a,
-            "a G = q G a": a @ G - q * G @ a,
+            "A a + G g = 1": lambda: A @ a_s + G @ g_s - eye,
+            "a A + q^2 G g = 1": lambda: a @ A_s + q * q * G @ g_s - eye,
+            "G g = g G": lambda: G @ g_s - g @ G_s,
+            "a g = q g a": lambda: a @ g_s - q * g @ a_s,
+            "a G = q G a": lambda: a @ G_s - q * G @ a_s,
         }
-        # word length 2 -> depth 1: exact on spins <= lmax - 1
-        safe = self.basis.nd <= self.trunc.lmax.doubled - 2
-        proj = sp.diags(safe.astype(float))
-        return {name: float(abs((m @ proj)).max()) if m.nnz else 0.0
-                for name, m in rel.items()}
+        return {name: float(np.abs(residual().data).max(initial=0.0))
+                for name, residual in rel.items()}
 
     def validate(self) -> None:
         residuals = self._relation_residuals()
@@ -303,11 +361,13 @@ def apply_word(word: str, vec: np.ndarray, table: GeneratorTable) -> np.ndarray:
 def haar_state(p: NCPolynomial, table: GeneratorTable) -> complex:
     """psi(p) via the GNS matrix element at the cyclic vector.
 
-    Truncation-exact whenever the word length fits inside the truncation.
+    Truncation-exact whenever the word length fits inside the truncation;
+    evaluated on the leading shells that the words reach.
     """
     Ld = table.trunc.lmax.doubled
     if p.degree() > Ld:
         raise AlgebraError("degree %d exceeds lmax; no exact value available" % p.degree())
+    table = table.leading(p.degree())
     e0 = np.zeros(table.basis.dim, dtype=complex)
     e0[0] = 1.0
     total = 0.0 + 0.0j

@@ -230,14 +230,10 @@ def run_heat(cfg: RunConfig):
     rows = []
     svals = []
     band = []
-    b = max(cfg.q, 1.0 / cfg.q)
-    k = 4 * math.log(b) ** 2
     for t in sorted(cfg.t_grid):
         rep = spectral.heat_trace(t, cfg.q, cfg.trunc, precision_bits=cfg.precision_bits)
         try:
-            pts = spectral.asymptotic_band(cfg.q, [t], cfg.trunc,
-                                           precision_bits=cfg.precision_bits)
-            s = pts[0][1]
+            s = spectral.band_value(cfg.q, t, cfg.trunc, rep.operator_trace)
         except spectral.PeakOutsideTruncationError:
             s = float("nan")
         band.append((t, rep, s))

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.special import erfc, logsumexp
 
 from .qarith import HalfInteger, QArithError, half, q_number
-from .peterweyl import Basis, SparseOperator, Truncation, rho_weights
+from .peterweyl import Basis, SparseOperator, Truncation
 from .algebra import GeneratorTable, NCPolynomial, haar_state, mult_operator
 from .dirac import DiracContext, VIndex
 
@@ -252,16 +252,17 @@ def haar_via_heat(a: NCPolynomial, t: float, table: GeneratorTable,
         raise QArithError("t must be positive")
     q = table.q
     basis = table.basis
-    op = mult_operator(a, table)
-    weights = rho_weights(basis, q) * np.exp(-t * ((basis.nd + 1) / 2.0) ** 2)
-    diag = op.mat.diagonal()
+    Ld = table.trunc.lmax.doubled
+    diag, depth = table.diagonal(a)
+    heat = np.exp(-t * ((np.arange(Ld + 1) + 1) / 2.0) ** 2)  # per shell 2n
+    weights = table.rho * heat[basis.nd]
     num = complex(np.sum(diag * weights))
     den = float(np.sum(weights))
     ratio = num / den
 
     a_bound = polynomial_norm_bound(a, q)
     series_tail = heat_trace_tail(t, q, table.trunc) / 2.0  # per spinor component
-    corrupted = weights[basis.nd > basis.trunc.lmax.doubled - op.shell_depth_doubled].sum()
+    corrupted = weights[basis.nd > Ld - depth].sum()
     tail_bound = 2.0 * (a_bound + 1.0) * (series_tail + corrupted) / den
     return ratio, tail_bound
 
@@ -275,11 +276,10 @@ def rho_trace_functional(a: NCPolynomial, multiplier: Callable[[float], float],
     Raises TailTooLargeError when the top retained shell still contributes
     more than tail_tol of the trace-normalizing sum (trace-class proxy).
     """
-    q = table.q
     basis = table.basis
     shell = np.array([multiplier(nd / 2.0) for nd in range(table.trunc.lmax.doubled + 1)])
     lam = shell[basis.nd]
-    weights = rho_weights(basis, q) * lam
+    weights = table.rho * lam
     shell_sums = np.bincount(basis.nd, weights=np.abs(weights))
     total = shell_sums.sum()
     if total > 0 and shell_sums[-1] > tail_tol * total:
@@ -287,16 +287,22 @@ def rho_trace_functional(a: NCPolynomial, multiplier: Callable[[float], float],
             "top shell carries %.3e of the weight (tolerance %.1e); "
             "multiplier decays too slowly for this truncation"
             % (shell_sums[-1] / total, tail_tol))
-    op = mult_operator(a, table)
-    return complex(np.sum(op.mat.diagonal() * weights))
+    diag, _ = table.diagonal(a)
+    return complex(np.sum(diag * weights))
 
 
 def modular_check(a: NCPolynomial, b: NCPolynomial, table: GeneratorTable) -> float:
-    """Defect |psi(ab) - psi(b Psi(a))| with Psi the modular conjugation by rho."""
+    """Defect |psi(ab) - psi(b Psi(a))| with Psi the modular conjugation by rho.
+
+    Evaluated on the leading shells that a and b reach from e0.
+    """
     if a.degree() + b.degree() > table.trunc.lmax.doubled:
         raise QArithError("combined word length exceeds the truncation")
+    table = table.leading(a.degree() + b.degree())
     psi_ab = haar_state(a * b, table)
-    rho = rho_weights(table.basis, table.q)
+    rho = table.rho
+    # products of generator matrices, not words applied to e0 letter by letter:
+    # the association order fixes the bits of the defect
     op_a = mult_operator(a, table).mat
     op_b = mult_operator(b, table).mat
     e0 = np.zeros(table.basis.dim, dtype=complex)
@@ -310,32 +316,37 @@ def modular_check(a: NCPolynomial, b: NCPolynomial, table: GeneratorTable) -> fl
 def modular_generator_scaling(rd: int, sd: int, table: GeneratorTable) -> float:
     """Residual of Psi(ttilde^{1/2}_{r,s}) = q^{-2r-2s} ttilde^{1/2}_{r,s} as operators."""
     q = table.q
-    rho = rho_weights(table.basis, q)
+    rho = table.rho
     m = table.t_half(rd, sd).mat
     conj = sp.diags(rho) @ m @ sp.diags(1.0 / rho)
     diff = conj - q ** float(-rd - sd) * m
     return float(abs(diff).max()) if diff.nnz else 0.0
 
 
-def asymptotic_band(q: float, t_grid: Sequence[float], trunc: Truncation,
-                    precision_bits: int = 53):
-    """(t, s(t)) with s(t) = sqrt(t) e^{-k/t} Tr(R e^{-tD^2}), k = 4 (ln q)^2.
+def band_value(q: float, t: float, trunc: Truncation, operator_trace: float) -> float:
+    """s(t) = sqrt(t) e^{-k/t} Tr(R e^{-tD^2}), k = 4 (ln q)^2, from a computed trace.
 
     k is the Laplace stationary value of the summand exponent
-    2 m ln q - t (m/2)^2 (peak at m* = 4 ln q / t); each grid point must
-    have the peak well inside the truncation.
+    2 m ln q - t (m/2)^2 (peak at m* = 4 ln q / t); raises
+    PeakOutsideTruncationError unless the peak is well inside the truncation.
     """
+    if t <= 0:
+        raise QArithError("t must be positive")
     b = max(q, 1.0 / q)
+    peak_m = 4 * math.log(b) / t
+    if trunc.lmax.doubled < 2 * peak_m - 2:
+        raise PeakOutsideTruncationError(
+            "t = %g puts the Laplace peak at m = %.1f; need 2*lmax >= %.1f"
+            % (t, peak_m, 2 * peak_m - 2))
     k = 4 * math.log(b) ** 2
+    return math.sqrt(t) * math.exp(-k / t) * operator_trace
+
+
+def asymptotic_band(q: float, t_grid: Sequence[float], trunc: Truncation,
+                    precision_bits: int = 53):
+    """(t, s(t)) over the grid, sorted by t; see band_value."""
     out = []
     for t in sorted(t_grid):
-        if t <= 0:
-            raise QArithError("t must be positive")
-        peak_m = 4 * math.log(b) / t
-        if trunc.lmax.doubled < 2 * peak_m - 2:
-            raise PeakOutsideTruncationError(
-                "t = %g puts the Laplace peak at m = %.1f; need 2*lmax >= %.1f"
-                % (t, peak_m, 2 * peak_m - 2))
         rep = heat_trace(t, q, trunc, precision_bits=precision_bits)
-        out.append((t, math.sqrt(t) * math.exp(-k / t) * rep.operator_trace))
+        out.append((t, band_value(q, t, trunc, rep.operator_trace)))
     return out

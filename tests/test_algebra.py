@@ -7,10 +7,11 @@ import scipy.sparse as sp
 
 from qsu2 import algebra
 from qsu2.qarith import HalfInteger, _cg_doubled, q_number
-from qsu2.peterweyl import Basis, Truncation
-from qsu2.algebra import (AlgebraError, GeneratorTable, NCPolynomial, _gen_matrix,
-                          adjoint_word, apply_word, haar_state, is_normal_word,
-                          mult_operator, normal_order)
+from qsu2.peterweyl import Basis, Truncation, pw_position
+from qsu2.algebra import (AlgebraError, GeneratorTable, NCPolynomial, ValidationError,
+                          _gen_matrix, adjoint_word, apply_word, cg_table, haar_state,
+                          is_normal_word, mult_operator, normal_order)
+from qsu2.dirac import DiracContext
 from qsu2.gns_oracle import oracle_haar
 
 Q = 1.2
@@ -145,9 +146,128 @@ class TestAssembly:
             return _cg_doubled(*args)
 
         monkeypatch.setattr(algebra, "_cg_doubled", counted)
+        cg_table.cache_clear()  # count a cold build
         t = GeneratorTable(Q, Truncation(HalfInteger(lmax_d)))
         assert 0 < calls[0] < t.basis.dim
         assert calls[0] <= 6 * (lmax_d + 1) * (lmax_d + 2)
+
+    def test_cg_table_computed_once_per_arguments(self, monkeypatch):
+        # the generator matrices and the change of basis read two tables (m1 = +-1/2)
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return _cg_doubled(*args)
+
+        monkeypatch.setattr(algebra, "_cg_doubled", counted)
+        cg_table.cache_clear()
+        t = GeneratorTable(Q, Truncation(HalfInteger(16)))
+        DiracContext(Q, t.trunc, t.basis).change_of_basis
+        assert calls[0] == 2 * 2 * sum(ld + 1 for ld in range(17))
+        with pytest.raises(ValueError):
+            cg_table(1, 16, Q)[0, 0, 0] = 0.0
+
+
+def full_dimension_haar_state(p, table):
+    """Reference: <e0, p e0> with every word applied at the table's full dimension."""
+    e0 = np.zeros(table.basis.dim, dtype=complex)
+    e0[0] = 1.0
+    total = 0.0 + 0.0j
+    for word, coeff in p.terms.items():
+        total += coeff * apply_word(word, e0, table)[0]
+    return total
+
+
+def full_column_residuals(table):
+    """Reference battery: full products, then a diagonal projection onto the safe columns."""
+    q = table.q
+    a, A = table.ops["a"].mat, table.ops["A"].mat
+    g, G = table.ops["g"].mat, table.ops["G"].mat
+    eye = sp.identity(table.basis.dim, format="csr")
+    rel = {
+        "A a + G g = 1": A @ a + G @ g - eye,
+        "a A + q^2 G g = 1": a @ A + q * q * G @ g - eye,
+        "G g = g G": G @ g - g @ G,
+        "a g = q g a": a @ g - q * g @ a,
+        "a G = q G a": a @ G - q * G @ a,
+    }
+    safe = table.basis.nd <= table.trunc.lmax.doubled - 2
+    proj = sp.diags(safe.astype(float))
+    return {name: float(abs((m @ proj)).max()) if m.nnz else 0.0
+            for name, m in rel.items()}
+
+
+ALL_WORDS_TO_4 = ["".join(w) for n in range(5) for w in itertools.product("aAgG", repeat=n)]
+
+
+class TestLeadingShells:
+    @pytest.mark.parametrize("q", [1.2, 3.0, 0.7])
+    @pytest.mark.parametrize("lmax_d", [4, 7, 16, 24])
+    def test_haar_state_matches_full_dimension_bitwise(self, lmax_d, q):
+        t = GeneratorTable(q, Truncation(HalfInteger(lmax_d)))
+        polys = [NCPolynomial.word(w) for w in ALL_WORDS_TO_4]
+        polys.append(NCPolynomial({"": 0.5, "Gg": -1.0, "aAgG": 2.0j, "AAaa": 0.25}))
+        new = np.array([haar_state(p, t) for p in polys])
+        ref = np.array([full_dimension_haar_state(p, t) for p in polys])
+        assert new.tobytes() == ref.tobytes()
+
+    def test_view_is_the_leading_block(self, table):
+        view = table.leading(3)
+        k = pw_position(4, -4, -4)
+        assert view.trunc.lmax.doubled == 3 and view.basis.dim == k
+        assert (view.alpha_scalar, view.gamma_scalar) == (table.alpha_scalar,
+                                                          table.gamma_scalar)
+        for ch, op in table.ops.items():
+            assert view.ops[ch].shell_depth_doubled == op.shell_depth_doubled
+            assert abs(view.ops[ch].mat - op.mat[:k, :k]).nnz == 0
+        for key, m in table._t.items():
+            assert abs(view._t[key] - m[:k, :k]).nnz == 0
+        assert np.array_equal(view.rho, table.rho[:k])
+
+    def test_view_memoized_without_a_table_build(self, monkeypatch):
+        t = GeneratorTable(Q, Truncation(HalfInteger(10)))
+        builds = []
+        init = GeneratorTable.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GeneratorTable, "__init__", counting_init)
+        assert t.leading(0) is t.leading(1) is t.leading(2)  # spins 2n <= 2 at least
+        assert t.leading(2).trunc.lmax.doubled == 2
+        assert t.leading(4) is t.leading(4) is not t.leading(2)
+        assert t.leading(10) is t and t.leading(12) is t
+        assert builds == []
+
+
+class TestRelationBattery:
+    @pytest.mark.parametrize("lmax_d", [2, 7, 24])
+    def test_prefix_residuals_match_full_columns(self, lmax_d):
+        for q in (1.2, 0.7):
+            t = GeneratorTable(q, Truncation(HalfInteger(lmax_d)))
+            assert t._relation_residuals() == full_column_residuals(t)
+
+    @staticmethod
+    def _perturbed(column_shell):
+        """An unvalidated ld 7 table with one stored entry of alpha off by 1e-6."""
+        t = GeneratorTable(Q, Truncation(HalfInteger(7)), validate=False)
+        m = t.ops["a"].mat
+        cols = m.indices
+        k = np.flatnonzero(t.basis.nd[cols] == column_shell)[0]
+        m.data[k] += 1e-6
+        return t
+
+    def test_perturbed_safe_column_raises(self):
+        t = self._perturbed(5)  # 2n = lmax_doubled - 2: the last safe shell
+        assert max(full_column_residuals(t).values()) > GeneratorTable.RELATION_TOL
+        with pytest.raises(ValidationError):
+            t.validate()
+
+    def test_perturbed_column_beyond_prefix_ignored(self):
+        t = self._perturbed(7)  # the top shell is never a safe column
+        assert max(full_column_residuals(t).values()) < GeneratorTable.RELATION_TOL
+        t.validate()
 
 
 class TestMultOperator:

@@ -1,8 +1,10 @@
+import gc
 import json
+import weakref
 
 import pytest
 
-from qsu2 import cli
+from qsu2 import algebra, cli, spectral
 from qsu2.algebra import GeneratorTable, ValidationError
 from qsu2.qarith import QArithError
 from qsu2.cli import (EXPERIMENTS, RunConfig, build_config, main, parse_t_grid,
@@ -167,3 +169,62 @@ class TestMain:
             assert main(["commutators", "--lmax", "16", "--seed", "7",
                          "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestWorkCounts:
+    """Guards on work, not time: how large the operators are that each experiment builds."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        dims = []
+        orig = algebra.mult_operator
+
+        def counted(p, table):
+            dims.append(table.basis.dim)
+            return orig(p, table)
+
+        monkeypatch.setattr(algebra, "mult_operator", counted)
+        monkeypatch.setattr(spectral, "mult_operator", counted)
+        monkeypatch.setattr(cli, "_TABLE_MEMO", {})
+        return dims
+
+    def test_haar_builds_one_full_operator_per_observable(self, builds):
+        cfg = RunConfig(lmax_doubled=24, t_grid=[0.5, 1.0, 1.5, 2.0])
+        cli.run_haar(cfg)
+        full = cli.generator_table(cfg).basis.dim
+        assert builds.count(full) <= len(cli.OBSERVABLES)  # was 31
+
+    def test_modular_builds_no_full_operator(self, builds):
+        cfg = RunConfig(lmax_doubled=24)
+        cli.run_modular(cfg)
+        assert builds and max(builds) <= 55  # spins 2n <= 4
+        assert cli.generator_table(cfg).basis.dim not in builds
+
+    def test_memo_released_with_the_table(self, monkeypatch):
+        tables = []
+        orig = algebra.mult_operator
+
+        def recording(p, table):
+            tables.append(weakref.ref(table))
+            return orig(p, table)
+
+        monkeypatch.setattr(algebra, "mult_operator", recording)
+        monkeypatch.setattr(spectral, "mult_operator", recording)
+        monkeypatch.setattr(cli, "_TABLE_MEMO", {})
+        assert main(["haar", "--lmax", "16"]) == 0
+        assert tables and cli._TABLE_MEMO == {}
+        gc.collect()
+        assert all(ref() is None for ref in tables)
+
+    def test_heat_computes_each_trace_once(self, monkeypatch, capsys):
+        calls = []
+        orig = spectral.heat_trace
+
+        def counted(t, *args, **kwargs):
+            calls.append(t)
+            return orig(t, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "heat_trace", counted)
+        rows, _ = cli.run_heat(RunConfig(lmax_doubled=16, t_grid=[2.0, 0.5, 1.0]))
+        assert calls == [0.5, 1.0, 2.0]
+        assert [r[0] for r in rows] == calls

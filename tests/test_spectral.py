@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,13 +6,16 @@ import pytest
 import scipy.sparse as sp
 
 from qsu2.qarith import HalfInteger, QArithError, q_number
-from qsu2.peterweyl import Basis, SparseOperator, Truncation
-from qsu2.algebra import GeneratorTable, NCPolynomial, haar_state
+from qsu2.peterweyl import Basis, SparseOperator, Truncation, rho_weights
+from qsu2 import algebra
+from qsu2.algebra import (GeneratorTable, NCPolynomial, apply_word, haar_state,
+                          is_normal_word, mult_operator)
 from qsu2.dirac import DiracContext
 from qsu2 import spectral
 from qsu2.spectral import (GrowthSeries, NormConvergenceError,
                            PeakOutsideTruncationError, TailTooLargeError,
-                           absD_commutator_series, asymptotic_band, haar_via_heat,
+                           absD_commutator_series, asymptotic_band, band_value,
+                           haar_via_heat,
                            heat_trace, heat_trace_tail, modular_check,
                            modular_generator_scaling, polynomial_norm_bound,
                            rho_trace_functional, shell_norm, spinor_mult,
@@ -130,6 +134,72 @@ class TestHaarViaHeat:
         assert polynomial_norm_bound(p, Q) == pytest.approx(3.0)
 
 
+def full_dimension_haar_via_heat(a, t, table):
+    """Reference ratio: a fresh full operator per call, heat kernel per basis element."""
+    q, basis = table.q, table.basis
+    op = mult_operator(a, table)
+    weights = rho_weights(basis, q) * np.exp(-t * ((basis.nd + 1) / 2.0) ** 2)
+    num = complex(np.sum(op.mat.diagonal() * weights))
+    den = float(np.sum(weights))
+    corrupted = weights[basis.nd > basis.trunc.lmax.doubled - op.shell_depth_doubled].sum()
+    tail = 2.0 * (polynomial_norm_bound(a, q) + 1.0) \
+        * (heat_trace_tail(t, q, table.trunc) / 2.0 + corrupted) / den
+    return num / den, tail
+
+
+OBSERVABLES = [NCPolynomial.word(w) for w in ("", "a", "g", "Gg", "Aa", "aG")] \
+    + [NCPolynomial({"Gg": 0.5, "aA": -1.0j, "": 2.0})]
+
+
+class TestTraceDiagonals:
+    def test_haar_via_heat_matches_full_route_bitwise(self, table, dctx):
+        for p in OBSERVABLES:
+            for t in (0.5, 1.0, 1.5, 2.0):
+                new = haar_via_heat(p, t, table, dctx)
+                ref = full_dimension_haar_via_heat(p, t, table)
+                assert np.array(new).tobytes() == np.array(ref).tobytes(), (p, t)
+
+    def test_rho_trace_matches_full_route_bitwise(self, table):
+        lam = lambda n: math.exp(-n * (n + 1))
+        basis = table.basis
+        weights = rho_weights(basis, Q) * np.array(
+            [lam(nd / 2.0) for nd in range(table.trunc.lmax.doubled + 1)])[basis.nd]
+        for p in OBSERVABLES:
+            ref = complex(np.sum(mult_operator(p, table).mat.diagonal() * weights))
+            assert np.array(rho_trace_functional(p, lam, table)).tobytes() \
+                == np.array(ref).tobytes()
+
+    def test_one_operator_build_per_polynomial(self, monkeypatch):
+        t = GeneratorTable(Q, Truncation(HalfInteger(12)))
+        dctx = DiracContext(Q, t.trunc, t.basis)
+        built = []
+
+        def counted(p, table):
+            built.append(p)
+            return mult_operator(p, table)
+
+        monkeypatch.setattr(algebra, "mult_operator", counted)
+        lam = lambda n: math.exp(-n * (n + 1))
+        for p in OBSERVABLES[:3]:
+            for t_ in (0.5, 1.0, 2.0):
+                haar_via_heat(p, t_, t, dctx)
+            rho_trace_functional(p, lam, t)
+        assert built == OBSERVABLES[:3]
+
+
+def full_operator_modular_check(a, b, table):
+    """Reference defect: both operators and psi(ab) at the table's full dimension."""
+    e0 = np.zeros(table.basis.dim, dtype=complex)
+    e0[0] = 1.0
+    psi_ab = 0.0 + 0.0j
+    for word, coeff in (a * b).terms.items():
+        psi_ab += coeff * apply_word(word, e0, table)[0]
+    rho = rho_weights(table.basis, table.q)
+    v = rho * (mult_operator(a, table).mat @ e0)
+    psi_bPsia = complex(np.vdot(e0, mult_operator(b, table).mat @ v))
+    return abs(psi_ab - psi_bPsia)
+
+
 class TestRhoTraceFunctional:
     def test_multiplier_independence(self, table):
         lam = lambda n: math.exp(-n * (n + 1))
@@ -172,6 +242,18 @@ class TestModular:
         a, b = NCPolynomial.word("a"), NCPolynomial.word("A")
         gap = abs(haar_state(a * b, table) - haar_state(b * a, table))
         assert gap > 1e-3
+
+    def test_cli_pairs_match_full_operators_bitwise(self):
+        t = GeneratorTable(Q, Truncation(HalfInteger(24)))
+        words = [w for n in range(3) for w in
+                 ("".join(x) for x in itertools.product("aAgG", repeat=n))
+                 if is_normal_word(w)]
+        pairs = [(NCPolynomial.word(wa), NCPolynomial.word(wb))
+                 for wa in words for wb in words]
+        assert len(pairs) == 196
+        new = np.array([modular_check(a, b, t) for a, b in pairs])
+        ref = np.array([full_operator_modular_check(a, b, t) for a, b in pairs])
+        assert new.tobytes() == ref.tobytes()
 
     def test_degree_guard(self):
         t = GeneratorTable(Q, Truncation(HalfInteger(2)))
@@ -229,3 +311,10 @@ class TestAsymptoticBand:
         (t, s), = asymptotic_band(Q, [0.8], trunc)
         rep = heat_trace(0.8, Q, trunc)
         assert s == pytest.approx(math.sqrt(t) * math.exp(-k / t) * rep.operator_trace)
+        assert s == band_value(Q, 0.8, trunc, rep.operator_trace)
+
+    def test_band_value_guards(self):
+        with pytest.raises(PeakOutsideTruncationError):
+            band_value(Q, 0.01, Truncation(HalfInteger(10)), 1.0)
+        with pytest.raises(QArithError):
+            band_value(Q, 0.0, Truncation(HalfInteger(10)), 1.0)

@@ -250,6 +250,7 @@ class GeneratorTable:
         self.ops = {"a": alpha, "A": alpha.H, "g": gamma, "G": gamma.H}
         self._leading = {}
         self._diagonals = {}
+        self._operators = None  # memo of operator(); leading views only
         if validate:
             self.validate()
 
@@ -287,6 +288,7 @@ class GeneratorTable:
                         for ch, op in self.ops.items()}
             view._leading = {}
             view._diagonals = {}
+            view._operators = {}
             self._leading[nd] = view
         return self._leading[nd]
 
@@ -302,6 +304,19 @@ class GeneratorTable:
             self._diagonals.clear()
             self._diagonals[key] = (op.mat.diagonal(), op.shell_depth_doubled)
         return self._diagonals[key]
+
+    def operator(self, p: "NCPolynomial") -> SparseOperator:
+        """mult_operator(p) on this table, memoized per polynomial on leading views.
+
+        A view from leading() keeps every operator it builds, keyed by the
+        polynomial's terms; views are small, and the full table keeps none.
+        """
+        if self._operators is None:
+            return mult_operator(p, self)
+        key = tuple(p.terms.items())
+        if key not in self._operators:
+            self._operators[key] = mult_operator(p, self)
+        return self._operators[key]
 
     def _relation_residuals(self) -> dict:
         """Largest residual of each defining relation on the safe columns.

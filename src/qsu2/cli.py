@@ -204,8 +204,8 @@ def run_commutators(cfg: RunConfig):
     a = spectral.witness_polynomial(table)
     lmax = cfg.lmax_doubled // 2
     shells = [HalfInteger(2 * s) for s in range(4, min(20, lmax - 1) + 1)]
-    series_abs = spectral.absD_commutator_series(a, shells, table, dctx, seed=cfg.seed)
-    cap = spectral.absD_commutator_cap(a, table, dctx, seed=cfg.seed)
+    series_abs = spectral.absD_commutator_series(a, shells, table, dctx)
+    cap = spectral.absD_commutator_cap(a, table, dctx)
     ls = list(range(5, min(30, lmax - 1) + 1))
     series_true = spectral.trueD_growth(a, ls, table, dctx)
 

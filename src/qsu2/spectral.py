@@ -2,8 +2,10 @@
 
 All heavy series are accumulated in log space (the summands of the heat
 traces span hundreds of orders of magnitude at small t).  Operator norms
-come from seeded power iteration on the Gram operator; results are
-deterministic for a fixed seed.
+are exact: the Gram of a weight-homogeneous operator splits into short
+chains along the spin, one per (spinor component, i, j), and each chain
+block is diagonalized densely.  No iteration and no random start, so
+the norms do not depend on a seed.
 """
 from __future__ import annotations
 
@@ -23,16 +25,6 @@ from .dirac import DiracContext, VIndex
 
 class SpectralError(RuntimeError):
     pass
-
-
-class NormConvergenceError(SpectralError):
-    """Power iteration hit its iteration cap before reaching tolerance."""
-
-    def __init__(self, last_estimate: float, iterations: int):
-        super().__init__("power iteration not converged after %d iterations; "
-                         "last estimate %.12g" % (iterations, last_estimate))
-        self.last_estimate = last_estimate
-        self.iterations = iterations
 
 
 class TailTooLargeError(SpectralError):
@@ -74,39 +66,83 @@ class HeatTraceReport:
     k_exponent: float
 
 
-def shell_norm(op: SparseOperator, shell, tol: float = 1e-8, seed: int = 1234,
-               max_iter: int = 200) -> float:
-    """Largest singular value of op restricted to vectors on spins <= shell.
+def _chains(basis) -> tuple:
+    """Chain numbering of a Basis or SpinorBasis.
 
-    Power iteration on the Gram operator with a seeded start.  Raises
-    NormConvergenceError (carrying the last iterate) if the relative change
-    of the estimate has not dropped below tol within max_iter steps.
+    A chain is a fixed (spinor component, i, j): a weight-homogeneous
+    operator shifts i and j by constants, so its Gram couples only columns
+    of one chain.  Along a chain the spin runs up in unit steps from its
+    first spin s0 = max(|i|, |j|).  Chains are numbered by s0 first: the
+    4 s0 labels with first spin s0 (one for s0 = 0) are the border of the
+    (s0 + 1) x (s0 + 1) grid of (i, j).  Returns (chain, doubled spin,
+    doubled first spin) per basis position, and first[s], the first chain
+    with first spin s, for s = 0 .. 2 lmax + 1.
     """
-    shell_d = half(shell).doubled
+    pw = getattr(basis, "pw", basis)
+    reps = basis.dim // pw.dim
+
+    def first_chain(s0):
+        return np.where(s0 > 0, 2 * s0 * (s0 - 1) + 1, 0) * reps
+
+    s0 = np.maximum(np.abs(pw.id), np.abs(pw.jd))
+    a, b = (pw.id + s0) // 2, (pw.jd + s0) // 2  # grid coordinates, 0 .. s0
+    border = np.where(a == 0, b, np.where(a == s0, s0 + 1 + b, 2 * s0 + 2 * a + (b == s0)))
+    chain = first_chain(s0) + border * reps
+    return (np.concatenate([chain + c for c in range(reps)]), np.tile(pw.nd, reps),
+            np.tile(s0, reps), first_chain(np.arange(pw.trunc.lmax.doubled + 2)))
+
+
+def shell_norms(op: SparseOperator, shells) -> np.ndarray:
+    """Largest singular values of op restricted to vectors on spins <= each shell.
+
+    Exact, with no iteration: the Gram of op on the retained columns is
+    block diagonal over the chains of _chains, and restricting to spins
+    <= shell keeps the leading block of each chain, ordered by spin.
+    Chains with the same first spin have the same block length, so each
+    (first spin, shell) is one batched eigvalsh; the norm is the square
+    root of the largest eigenvalue.  Raises SpectralError if a nonzero
+    Gram entry couples two chains, i.e. op is not weight-graded.
+    """
+    shells_d = [half(s).doubled for s in shells]
+    top = max(shells_d)
     lmax_d = op.basis.trunc.lmax.doubled
-    if shell_d + op.shell_depth_doubled > lmax_d:
+    if top + op.shell_depth_doubled > lmax_d:
         raise QArithError("shell %s + depth %s exceeds lmax %s: restriction not exact"
-                          % (half(shell), op.shell_depth, HalfInteger(lmax_d)))
-    cols = np.flatnonzero(op.basis.spins_doubled() <= shell_d)
+                          % (HalfInteger(top), op.shell_depth, HalfInteger(lmax_d)))
+    chain, nd, s0, first = _chains(op.basis)
+    cols = np.flatnonzero(nd <= top)
+    chain, nd, s0 = chain[cols], nd[cols], s0[cols]
     m = op.mat.tocsc()[:, cols]
-    if m.nnz == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(m.shape[1])
-    x /= np.linalg.norm(x)
-    mh = m.conj().T.tocsr()
-    last = None
-    for it in range(max_iter):
-        z = mh @ (m @ x)
-        lam = np.linalg.norm(z)
-        if lam == 0.0:
-            return 0.0
-        x = z / lam
-        sigma = math.sqrt(lam)
-        if last is not None and abs(sigma - last) <= tol * sigma:
-            return sigma
-        last = sigma
-    raise NormConvergenceError(last, max_iter)
+    if np.iscomplexobj(m.data) and not m.data.imag.any():
+        m = m.real  # halves the dense blocks below
+    gram = (m.conj().T @ m).tocoo()
+    nonzero = gram.data != 0
+    row, col, val = gram.row[nonzero], gram.col[nonzero], gram.data[nonzero]
+    if (chain[row] != chain[col]).any():
+        raise SpectralError("Gram couples different (component, i, j): "
+                            "operator is not weight-graded")
+    # the chains of first spin s hold blocks of side length[s], stored one
+    # after the other in a flat buffer from offset[s]; no padding
+    length = (top - np.arange(top + 1)) // 2 + 1
+    offset = np.concatenate([[0], np.cumsum(np.diff(first[:top + 2]) * length ** 2)])
+    pos = (nd - s0) // 2  # place of a column along its chain
+    r = s0[row]
+    buf = np.zeros(offset[-1], dtype=val.dtype)
+    buf[offset[r] + ((chain[row] - first[r]) * length[r] + pos[row]) * length[r]
+        + pos[col]] = val
+    best = np.zeros(len(shells_d))
+    for s in range(top + 1):
+        blocks = buf[offset[s]:offset[s + 1]].reshape(-1, length[s], length[s])
+        for k, shell in enumerate(shells_d):
+            kept = (shell - s) // 2 + 1
+            if kept > 0:
+                best[k] = max(best[k], np.linalg.eigvalsh(blocks[:, :kept, :kept])[:, -1].max())
+    return np.sqrt(best)
+
+
+def shell_norm(op: SparseOperator, shell) -> float:
+    """Largest singular value of op restricted to vectors on spins <= shell; see shell_norms."""
+    return float(shell_norms(op, [shell])[0])
 
 
 def spinor_mult(a: NCPolynomial, table: GeneratorTable, dctx: DiracContext) -> SparseOperator:
@@ -122,34 +158,30 @@ def witness_polynomial(table: GeneratorTable) -> NCPolynomial:
 
 
 def absD_commutator_series(a: NCPolynomial, shells: Sequence, table: GeneratorTable,
-                           dctx: DiracContext, tol: float = 1e-5,
-                           seed: int = 1234, max_iter: int = 200) -> GrowthSeries:
+                           dctx: DiracContext) -> GrowthSeries:
     """Shell norms of [|D|, I_2 tensor a]; bounded, so the series plateaus.
 
-    The power-iteration tolerance defaults to 1e-5 here: the top of the
-    commutator's singular spectrum is a near-degenerate band on which the
-    library-default 1e-8 cannot be certified within the iteration cap.
+    |D| is n + 1/2 on both spinor components, so the commutator is
+    I_2 tensor [|D|_h, a] and has the norms of its one-component block.
     """
     shells_d = [half(s).doubled for s in shells]
     if any(s2 <= s1 for s1, s2 in zip(shells_d, shells_d[1:])):
         raise QArithError("shells must be strictly increasing")
-    absd = dctx.dirac_operator("abs")
-    aop = spinor_mult(a, table, dctx)
-    comm = absd @ aop - aop @ absd
-    comm.shell_depth_doubled = aop.shell_depth_doubled
-    vals = [shell_norm(comm, HalfInteger(s), tol=tol, seed=seed, max_iter=max_iter)
-            for s in shells_d]
-    return GrowthSeries.fit([s / 2.0 for s in shells_d], vals)
+    absd, h = dctx.absd_diagonal, dctx.basis.dim
+    if not np.array_equal(absd[:h], absd[h:]):
+        raise SpectralError("|D| differs between the spinor components")
+    aop = mult_operator(a, table)
+    n = sp.diags(absd[:h])
+    comm = SparseOperator(n @ aop.mat - aop.mat @ n, aop.shell_depth_doubled, table.basis)
+    return GrowthSeries.fit([s / 2.0 for s in shells_d], shell_norms(comm, shells))
 
 
-def absD_commutator_cap(a: NCPolynomial, table: GeneratorTable, dctx: DiracContext,
-                        tol: float = 1e-5, seed: int = 1234,
-                        max_iter: int = 200) -> float:
+def absD_commutator_cap(a: NCPolynomial, table: GeneratorTable, dctx: DiracContext) -> float:
     """Theoretical bound sqrt(2 n0 + 1) * n0 * ||a|| with n0 = (max word length)/2."""
     n0_d = a.degree()  # doubled n0: each letter shifts spin by 1/2
     op = mult_operator(a, table)
     shell_d = dctx.trunc.lmax.doubled - op.shell_depth_doubled
-    c = shell_norm(op, HalfInteger(shell_d), tol=tol, seed=seed, max_iter=max_iter)
+    c = shell_norm(op, HalfInteger(shell_d))
     n0 = n0_d / 2.0
     return math.sqrt(2 * n0 + 1) * n0 * c
 
@@ -303,8 +335,8 @@ def modular_check(a: NCPolynomial, b: NCPolynomial, table: GeneratorTable) -> fl
     rho = table.rho
     # products of generator matrices, not words applied to e0 letter by letter:
     # the association order fixes the bits of the defect
-    op_a = mult_operator(a, table).mat
-    op_b = mult_operator(b, table).mat
+    op_a = table.operator(a).mat
+    op_b = table.operator(b).mat
     e0 = np.zeros(table.basis.dim, dtype=complex)
     e0[0] = 1.0
     # Psi(a) = rho a rho^{-1}; rho^{-1} e0 = e0

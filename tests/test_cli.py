@@ -1,5 +1,8 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -170,6 +173,31 @@ class TestMain:
                          "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("seed", [2, 17, 26, 41])
+    def test_commutators_do_not_depend_on_the_seed(self, tmp_path, seed, capsys):
+        # these seeds once made an iterative norm fail to converge at shell 4
+        tables = []
+        for s in (1234, seed):
+            out = tmp_path / ("seed%d.csv" % s)
+            assert main(["commutators", "--lmax", "16", "--seed", str(s),
+                         "--out", str(out)]) == 0
+            tables.append([line.split(",") for line in out.read_text().splitlines()])
+        base, other = tables
+        col = base[0].index("seed")
+        assert {row[col] for row in other[1:]} == {str(seed)}
+        for row in base + other:
+            del row[col]
+        assert other == base  # every other byte identical
+
+    def test_import_loads_no_heavy_scipy_module(self):
+        heavy = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+        code = ("import sys, qsu2.cli; "
+                "print([m for m in sys.modules if m.startswith(%r)])" % (heavy,))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert proc.stdout.strip() == "[]"
+
 
 class TestWorkCounts:
     """Guards on work, not time: how large the operators are that each experiment builds."""
@@ -199,6 +227,11 @@ class TestWorkCounts:
         cli.run_modular(cfg)
         assert builds and max(builds) <= 55  # spins 2n <= 4
         assert cli.generator_table(cfg).basis.dim not in builds
+
+    def test_modular_builds_one_operator_per_word_and_view(self, builds):
+        cli.run_modular(RunConfig(lmax_doubled=24))
+        # 14 words on 3 views of dims 14 / 30 / 55; was 392
+        assert len(builds) <= 42
 
     def test_memo_released_with_the_table(self, monkeypatch):
         tables = []

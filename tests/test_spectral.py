@@ -10,10 +10,10 @@ from qsu2.peterweyl import Basis, SparseOperator, Truncation, rho_weights
 from qsu2 import algebra
 from qsu2.algebra import (GeneratorTable, NCPolynomial, apply_word, haar_state,
                           is_normal_word, mult_operator)
-from qsu2.dirac import DiracContext
+from qsu2.dirac import DiracContext, SpinorBasis
 from qsu2 import spectral
-from qsu2.spectral import (GrowthSeries, NormConvergenceError,
-                           PeakOutsideTruncationError, TailTooLargeError,
+from qsu2.spectral import (GrowthSeries, PeakOutsideTruncationError, SpectralError,
+                           TailTooLargeError, absD_commutator_cap,
                            absD_commutator_series, asymptotic_band, band_value,
                            haar_via_heat,
                            heat_trace, heat_trace_tail, modular_check,
@@ -54,8 +54,8 @@ class TestShellNorm:
         vals = (basis.nd + 1).astype(float)
         op = SparseOperator(sp.diags(vals), 0, basis)
         # restricted to spins <= 1 the largest retained value is 3
-        assert shell_norm(op, HalfInteger(2)) == pytest.approx(3.0, rel=1e-6)
-        assert shell_norm(op, HalfInteger(4)) == pytest.approx(5.0, rel=1e-6)
+        assert shell_norm(op, HalfInteger(2)) == 3.0
+        assert shell_norm(op, HalfInteger(4)) == 5.0
 
     def test_depth_guard(self):
         basis = Basis(Truncation(HalfInteger(4)))
@@ -68,14 +68,73 @@ class TestShellNorm:
         op = SparseOperator(sp.csr_matrix((basis.dim, basis.dim)), 0, basis)
         assert shell_norm(op, HalfInteger(2)) == 0.0
 
-    def test_iteration_cap_raises_with_last_estimate(self):
-        basis = Basis(Truncation(HalfInteger(2)))
-        vals = np.linspace(0.5, 1.0, basis.dim)
-        op = SparseOperator(sp.diags(vals), 0, basis)
-        with pytest.raises(NormConvergenceError) as info:
-            shell_norm(op, HalfInteger(2), tol=1e-15, max_iter=3)
-        assert 0.5 < info.value.last_estimate <= 1.0
-        assert info.value.iterations == 3
+    def test_operator_that_is_not_graded_raises(self):
+        basis = Basis(Truncation(HalfInteger(4)))
+        m = sp.random(basis.dim, basis.dim, density=0.05, random_state=1)
+        with pytest.raises(SpectralError):
+            shell_norm(SparseOperator(m, 0, basis), HalfInteger(4))
+
+    @pytest.mark.parametrize("spinor", [False, True])
+    def test_chains_number_each_component_and_weight_once(self, spinor):
+        basis = Basis(Truncation(HalfInteger(9)))
+        chain, nd, s0, first = spectral._chains(SpinorBasis(basis) if spinor else basis)
+        reps = 2 if spinor else 1
+        comp = np.repeat(np.arange(reps), basis.dim)
+        ids, jds = np.tile(basis.id, reps), np.tile(basis.jd, reps)
+        labels = {}
+        for c, i, j, k in zip(comp, ids, jds, chain):
+            assert labels.setdefault((c, i, j), k) == k  # one number per label...
+        assert sorted(labels.values()) == list(range(len(labels)))  # ...and per chain
+        assert (nd == np.tile(basis.nd, reps)).all()
+        assert (s0 == np.maximum(np.abs(ids), np.abs(jds))).all()
+        for s in range(basis.trunc.lmax.doubled + 1):
+            assert first[s] == chain[s0 == s].min() and first[s + 1] == chain[s0 == s].max() + 1
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_random_graded_operator_matches_dense_svd(self, dtype):
+        # random values on the sparsity of two generators, one per spinor component:
+        # weight-graded, with no symmetry between chains to hide a mixed-up block
+        t = GeneratorTable(Q, Truncation(HalfInteger(8)))
+        d = DiracContext(Q, t.trunc, t.basis)
+        rng = np.random.default_rng(5)
+        blocks = []
+        for ch in ("a", "G"):
+            m = t.ops[ch].mat.astype(dtype)
+            m.data = rng.standard_normal(m.nnz) + (1j * rng.standard_normal(m.nnz)
+                                                   if dtype is complex else 0)
+            blocks.append(m)
+        for op in (SparseOperator(blocks[0], 1, t.basis),
+                   SparseOperator(sp.block_diag(blocks, format="csr"), 1, d.spinor)):
+            dense, spins = op.mat.toarray(), op.basis.spins_doubled()
+            for s in range(8):
+                ref = np.linalg.norm(dense[:, spins <= s], 2)
+                assert shell_norm(op, HalfInteger(s)) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("q", [1.2, 3.0, 0.7])
+    @pytest.mark.parametrize("ld", [4, 8, 12])
+    def test_matches_dense_svd(self, ld, q):
+        t = GeneratorTable(q, Truncation(HalfInteger(ld)))
+        d = DiracContext(q, t.trunc, t.basis)
+        a = witness_polynomial(t)
+        aop = spinor_mult(a, t, d)
+        absd = d.dirac_operator("abs")
+        comm = absd @ aop - aop @ absd
+        comm.shell_depth_doubled = aop.shell_depth_doubled
+        dense, spins = comm.mat.toarray(), d.spinor.spins_doubled()
+        # the shells run_commutators picks, and the first three
+        cli_shells = [2 * s for s in range(4, min(20, ld // 2 - 1) + 1)]
+        shells = sorted({0, 1, 2, *cli_shells})
+        series = absD_commutator_series(a, [HalfInteger(s) for s in shells], t, d)
+        for s, from_series in zip(shells, series.values):
+            ref = np.linalg.norm(dense[:, spins <= s], 2)
+            assert shell_norm(comm, HalfInteger(s)) == pytest.approx(ref, rel=1e-12, abs=0)
+            assert from_series == pytest.approx(ref, rel=1e-12, abs=0)
+        # the generator at the cap shell
+        op = mult_operator(a, t)
+        ref = np.linalg.norm(op.mat.toarray()[:, t.basis.nd <= ld - 1], 2)
+        assert shell_norm(op, HalfInteger(ld - 1)) == pytest.approx(ref, rel=1e-12, abs=0)
+        assert absD_commutator_cap(a, t, d) == pytest.approx(
+            math.sqrt(2) * 0.5 * ref, rel=1e-12, abs=0)
 
 
 class TestHeatTrace:
@@ -200,6 +259,23 @@ def full_operator_modular_check(a, b, table):
     return abs(psi_ab - psi_bPsia)
 
 
+def uncached_modular_check(a, b, table):
+    """Reference defect: fresh operators for each pair on the same leading view."""
+    table = table.leading(a.degree() + b.degree())
+    e0 = np.zeros(table.basis.dim, dtype=complex)
+    e0[0] = 1.0
+    v = table.rho * (mult_operator(a, table).mat @ e0)
+    psi_bPsia = complex(np.vdot(e0, mult_operator(b, table).mat @ v))
+    return abs(haar_state(a * b, table) - psi_bPsia)
+
+
+def cli_modular_pairs():
+    words = [w for n in range(3) for w in
+             ("".join(x) for x in itertools.product("aAgG", repeat=n))
+             if is_normal_word(w)]
+    return [(NCPolynomial.word(wa), NCPolynomial.word(wb)) for wa in words for wb in words]
+
+
 class TestRhoTraceFunctional:
     def test_multiplier_independence(self, table):
         lam = lambda n: math.exp(-n * (n + 1))
@@ -245,15 +321,29 @@ class TestModular:
 
     def test_cli_pairs_match_full_operators_bitwise(self):
         t = GeneratorTable(Q, Truncation(HalfInteger(24)))
-        words = [w for n in range(3) for w in
-                 ("".join(x) for x in itertools.product("aAgG", repeat=n))
-                 if is_normal_word(w)]
-        pairs = [(NCPolynomial.word(wa), NCPolynomial.word(wb))
-                 for wa in words for wb in words]
+        pairs = cli_modular_pairs()
         assert len(pairs) == 196
         new = np.array([modular_check(a, b, t) for a, b in pairs])
         ref = np.array([full_operator_modular_check(a, b, t) for a, b in pairs])
         assert new.tobytes() == ref.tobytes()
+
+    def test_cli_pairs_match_uncached_operators_bitwise(self):
+        cached = GeneratorTable(Q, Truncation(HalfInteger(24)))
+        fresh = GeneratorTable(Q, Truncation(HalfInteger(24)))
+        pairs = cli_modular_pairs()
+        new = np.array([modular_check(a, b, cached) for a, b in pairs])
+        ref = np.array([uncached_modular_check(a, b, fresh) for a, b in pairs])
+        assert new.tobytes() == ref.tobytes()
+        assert all(view._operators for view in cached._leading.values())
+        assert not any(view._operators for view in fresh._leading.values())
+
+    def test_full_table_keeps_no_operators(self):
+        t = GeneratorTable(Q, Truncation(HalfInteger(4)))
+        p = NCPolynomial.word("aG")
+        assert t.leading(4) is t
+        assert t.operator(p) is not t.operator(p)
+        view = t.leading(2)
+        assert view.operator(p) is view.operator(p)
 
     def test_degree_guard(self):
         t = GeneratorTable(Q, Truncation(HalfInteger(2)))

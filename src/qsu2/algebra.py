@@ -15,10 +15,10 @@ import math
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .qarith import HalfInteger, QArithError, _cg_doubled, q_number
-from .peterweyl import Basis, SparseOperator, Truncation, pw_position, rho_weights
+from .peterweyl import (DIAGONAL, Basis, BandMatrix, SparseOperator, Truncation, pw_position,
+                        rho_weights)
 
 LETTERS = "aAgG"
 _ADJOINT = {"a": "A", "A": "a", "g": "G", "G": "g"}
@@ -154,33 +154,19 @@ def cg_table(m1d: int, lmax_doubled: int, q: float) -> np.ndarray:
     return table
 
 
-def pairs_to_csr(rows: list, vals: list, keep: list, shape: tuple) -> sp.csr_matrix:
-    """CSR matrix from two candidate entries per column.
-
-    rows, vals and keep each hold two arrays indexed by column, one per
-    candidate.  Kept entries are emitted in (column, candidate) order, which
-    fixes the CSR layout and the stored values bit for bit.
-    """
-    keep = np.stack(keep, axis=1).ravel()
-    rows = np.stack(rows, axis=1).ravel()[keep]
-    vals = np.stack(vals, axis=1).ravel()[keep]
-    cols = np.repeat(np.arange(len(keep) // 2), 2)[keep]
-    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
-
-
-def _gen_matrix(rd: int, sd: int, basis: Basis, q: float) -> sp.csr_matrix:
+def _gen_matrix(rd: int, sd: int, basis: Basis, q: float) -> BandMatrix:
     """Left multiplication by the normalized spin-1/2 element with weight shift (rd/2, sd/2).
 
     The entry taking (n, i, j) to (n + branch/2, i + rd/2, j + sd/2) is
     C(rd, i) C(sd, j) nu(n), gathered from per-shell scalar tables; the
-    branches +1, -1 are the two candidates per column.
+    branches +1, -1 are the two bands.
     """
     Ld = basis.trunc.lmax.doubled
     nd, id_, jd = basis.nd, basis.id, basis.jd
     cr = cg_table(rd, Ld, q)
     cs = cr if sd == rd else cg_table(sd, Ld, q)
     q2 = q_number(2, q)
-    rows, vals, keep = [], [], []
+    bands = {}
     for b, branch in enumerate((1, -1)):
         nu = np.zeros(Ld + 1)
         for ld in range(Ld + 1):
@@ -189,11 +175,10 @@ def _gen_matrix(rd: int, sd: int, basis: Basis, q: float) -> sp.csr_matrix:
         md = nd + branch
         c1 = cr[b, nd, (id_ + nd) // 2]
         c2 = cs[b, nd, (jd + nd) // 2]
-        keep.append((md >= 0) & (md <= Ld) & (np.abs(id_ + rd) <= md)
-                    & (np.abs(jd + sd) <= md) & (c1 != 0.0) & (c2 != 0.0))
-        rows.append(pw_position(md, id_ + rd, jd + sd))
-        vals.append(c1 * c2 * nu[nd])
-    return pairs_to_csr(rows, vals, keep, (basis.dim, basis.dim))
+        keep = ((md >= 0) & (md <= Ld) & (np.abs(id_ + rd) <= md)
+                & (np.abs(jd + sd) <= md) & (c1 != 0.0) & (c2 != 0.0))
+        bands[(branch, rd, sd, 0)] = np.where(keep, c1 * c2 * nu[nd], 0.0)
+    return BandMatrix(basis, bands)
 
 
 class GeneratorTable:
@@ -235,7 +220,7 @@ class GeneratorTable:
         tpp, tmp = self._t[(1, 1)], self._t[(-1, 1)]
         m = np.array([
             [np.linalg.norm(tpp @ e0) ** 2, np.linalg.norm(tmp @ e0) ** 2],
-            [np.linalg.norm(tpp.conj().T @ e0) ** 2,
+            [np.linalg.norm(tpp.H @ e0) ** 2,
              q * q * np.linalg.norm(tmp @ e0) ** 2],
         ])
         sq = np.linalg.solve(m, np.ones(2))
@@ -247,7 +232,8 @@ class GeneratorTable:
         depth = 1  # every generator shifts spin by 1/2
         alpha = SparseOperator(self.alpha_scalar * tpp, depth, self.basis)
         gamma = SparseOperator(self.gamma_scalar * tmp, depth, self.basis)
-        self.ops = {"a": alpha, "A": alpha.H, "g": gamma, "G": gamma.H}
+        self.ops = {"a": alpha, "A": SparseOperator(alpha.mat.H, depth, self.basis),
+                    "g": gamma, "G": SparseOperator(gamma.mat.H, depth, self.basis)}
         self._leading = {}
         self._diagonals = {}
         self._operators = None  # memo of operator(); leading views only
@@ -276,15 +262,15 @@ class GeneratorTable:
         if nd >= self.trunc.lmax.doubled:
             return self
         if nd not in self._leading:
-            k = pw_position(nd + 1, -nd - 1, -nd - 1)
             view = object.__new__(GeneratorTable)
             view.q = self.q
             view.trunc = Truncation(HalfInteger(nd))
             view.basis = Basis(view.trunc)
-            view._t = {key: m[:k, :k] for key, m in self._t.items()}
+            view._t = {key: m.leading(view.basis) for key, m in self._t.items()}
             view.alpha_scalar = self.alpha_scalar
             view.gamma_scalar = self.gamma_scalar
-            view.ops = {ch: SparseOperator(op.mat[:k, :k], op.shell_depth_doubled, view.basis)
+            view.ops = {ch: SparseOperator(op.mat.leading(view.basis), op.shell_depth_doubled,
+                                           view.basis)
                         for ch, op in self.ops.items()}
             view._leading = {}
             view._diagonals = {}
@@ -324,24 +310,25 @@ class GeneratorTable:
         A relation is a word of length 2 (depth 1), exact on the spins
         2n <= 2 lmax - 2: the column prefix [0, s).  Only the right factors
         are cut to it, so each entry sums the same terms in the same order
-        as the full product; one residual matrix is alive at a time.
+        as the full product; G g_s serves two relations, while (q^2 G) g_s
+        is its own product, since scaling first moves its bits.
         """
         q = self.q
         Ld = self.trunc.lmax.doubled
         s = pw_position(Ld - 1, 1 - Ld, 1 - Ld)
         a, A = self.ops["a"].mat, self.ops["A"].mat
         g, G = self.ops["g"].mat, self.ops["G"].mat
-        a_s, A_s, g_s, G_s = a[:, :s], A[:, :s], g[:, :s], G[:, :s]
-        eye = sp.eye(self.basis.dim, s, format="csr")
+        a_s, A_s, g_s, G_s = (m.columns(s) for m in (a, A, g, G))
+        eye = BandMatrix(self.basis, {DIAGONAL: np.ones(s)}, s)
+        Gg = G @ g_s
         rel = {
-            "A a + G g = 1": lambda: A @ a_s + G @ g_s - eye,
+            "A a + G g = 1": lambda: A @ a_s + Gg - eye,
             "a A + q^2 G g = 1": lambda: a @ A_s + q * q * G @ g_s - eye,
-            "G g = g G": lambda: G @ g_s - g @ G_s,
+            "G g = g G": lambda: Gg - g @ G_s,
             "a g = q g a": lambda: a @ g_s - q * g @ a_s,
             "a G = q G a": lambda: a @ G_s - q * G @ a_s,
         }
-        return {name: float(np.abs(residual().data).max(initial=0.0))
-                for name, residual in rel.items()}
+        return {name: residual().max_abs() for name, residual in rel.items()}
 
     def validate(self) -> None:
         residuals = self._relation_residuals()
@@ -357,10 +344,10 @@ def mult_operator(p: NCPolynomial, table: GeneratorTable) -> SparseOperator:
     if deg > Ld:
         raise AlgebraError("word length %d leaves no safe shell at lmax = %s"
                            % (deg, table.trunc.lmax))
-    out = sp.csr_matrix((table.basis.dim, table.basis.dim))
+    out = BandMatrix(table.basis, {})
     for word, coeff in p.terms.items():
-        m = table.ops[word[0]].mat if word else sp.identity(table.basis.dim, format="csr")
-        for ch in word[1:]:
+        m = table.ops[word[0]].mat if word else SparseOperator.identity(table.basis).mat
+        for ch in word[1:]:  # left fold: each entry sums at most two products
             m = m @ table.ops[ch].mat
         out = out + coeff * m
     return SparseOperator(out, deg, table.basis)

@@ -5,6 +5,8 @@ concatenation (e_+ block, e_- block) over the enumerated Peter-Weyl basis.
 The coupled vectors v^{l,+-}_{ij} diagonalize both the naive operator
 (q-integer eigenvalues) and the true one (linear eigenvalues +-(l+1/2));
 |D| is diagonal already in the product basis with eigenvalue n + 1/2.
+D and Q act on the pair e_+ (n, i, j - 1/2), e_- (n, i, j + 1/2) as a
+2x2 block, so they are stored as three bands of the product basis.
 """
 from __future__ import annotations
 
@@ -13,12 +15,11 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .qarith import HalfInteger, QArithError, _cg_doubled, half, q_number
-from .peterweyl import (Basis, HilbertVector, SparseOperator, Truncation, pw_position,
-                        rho_weights)
-from .algebra import cg_table, pairs_to_csr
+from .peterweyl import (DIAGONAL, Basis, BandMatrix, HilbertVector, LabelSpace,
+                        SparseOperator, Truncation, rho_weights)
+from .algebra import cg_table
 
 
 class VIndex(NamedTuple):
@@ -41,13 +42,21 @@ def validate_v_index(idx: VIndex) -> None:
         raise QArithError("j out of range in %s" % (idx,))
 
 
-class SpinorBasis:
+class SpinorBasis(LabelSpace):
     """Product basis of C^2 tensor h: index = component * dim + pw position."""
 
     def __init__(self, basis: Basis):
         self.pw = basis
         self.trunc = basis.trunc
         self.dim = 2 * basis.dim
+        self.block = basis.dim
+
+    @cached_property
+    def labels(self) -> tuple:
+        """(component, 2n, 2i, 2j) per position; built on first use of a spinor operator."""
+        pw = self.pw
+        return (np.repeat(np.arange(2), pw.dim), np.tile(pw.nd, 2), np.tile(pw.id, 2),
+                np.tile(pw.jd, 2))
 
     def spins_doubled(self) -> np.ndarray:
         return np.concatenate([self.pw.nd, self.pw.nd])
@@ -92,6 +101,26 @@ def _v_entries(ld: int, id_: int, jd: int, sign: int, q: float) -> list:
     if c != 0.0 and abs(jd + 1) <= ld:
         out.append(((1, (ld, id_, jd + 1)), c))
     return out
+
+
+def _coefficient(table: np.ndarray, sign, ld, md) -> np.ndarray:
+    """C(m1; l, m) on branch sign, read from a cg_table row of m1; 0 where |m| > l."""
+    inside = np.abs(md) <= ld
+    return np.where(inside, table[(1 - sign) // 2, ld, np.where(inside, (md + ld) // 2, 0)], 0.0)
+
+
+class _CoupledLabels(LabelSpace):
+    """The coupled labels (l, i, j) as the column space of the change of basis.
+
+    Rows are spinor positions, so a band (0, 0, s, c) sends the column
+    v^{l,sign}_{ij} to component c at the product label (l, i, j + s/2).
+    """
+
+    def __init__(self, dctx: "DiracContext", labels: tuple):
+        self.labels = labels
+        self.trunc = dctx.trunc
+        self.block = dctx.basis.dim
+        self.dim = dctx.spinor.dim
 
 
 class DiracContext:
@@ -140,26 +169,17 @@ class DiracContext:
 
         Column v^{l,sign}_{ij} holds C(1/2; l, j - 1/2) on e_+ (n, i, j - 1/2)
         and C(-1/2; l, j + 1/2) on e_- (n, i, j + 1/2), gathered from
-        per-shell scalar tables; the components e_+, e_- are the two candidates
-        per column.
+        per-shell scalar tables; the components e_+, e_- are its two bands.
         """
         ld, id_, jd, sign = self.v_doubled
-        n = self.basis.dim
-        rows, vals, keep = [], [], []
-        for comp, m1d in enumerate((1, -1)):
-            md = jd - m1d
-            inside = np.abs(md) <= ld
-            c = cg_table(m1d, self.trunc.lmax.doubled, self.q)[
-                (1 - sign) // 2, ld, np.where(inside, (md + ld) // 2, 0)]
-            keep.append(inside & (c != 0.0))
-            rows.append(comp * n + pw_position(ld, id_, md))
-            vals.append(c)
-        m = pairs_to_csr(rows, vals, keep, (self.spinor.dim, self.spinor.dim))
-        return SparseOperator(m, 0, self.spinor)
+        bands = {(0, 0, -m1d, comp): _coefficient(cg_table(m1d, self.trunc.lmax.doubled, self.q),
+                                                  sign, ld, jd - m1d)
+                 for comp, m1d in enumerate((1, -1))}
+        columns = _CoupledLabels(self, (0, ld, id_, jd))
+        return SparseOperator(BandMatrix(columns, bands), 0, self.spinor)
 
-    def eigenvalues(self, kind: str) -> np.ndarray:
-        """Eigenvalue per v_enumerate label for the true or naive operator."""
-        ld, _, _, sign = self.v_doubled
+    def _spectrum(self, kind: str, ld, sign) -> np.ndarray:
+        """Eigenvalue of the coupled vectors with doubled spin ld and the given sign."""
         if kind == "true":
             return (ld / 2.0 + 0.5) * sign
         if kind == "naive":
@@ -169,6 +189,11 @@ class DiracContext:
             minus = np.array([-q_number(k / 2.0 + 1, q2) for k in shells])
             return np.where(sign > 0, plus[ld], minus[ld])
         raise QArithError("kind must be 'true' or 'naive'")
+
+    def eigenvalues(self, kind: str) -> np.ndarray:
+        """Eigenvalue per v_enumerate label for the true or naive operator."""
+        ld, _, _, sign = self.v_doubled
+        return self._spectrum(kind, ld, sign)
 
     @cached_property
     def absd_diagonal(self) -> np.ndarray:
@@ -180,15 +205,43 @@ class DiracContext:
         return np.concatenate([w, w])
 
     def dirac_operator(self, kind: str) -> SparseOperator:
-        """D (kind='true'), Q (kind='naive') or |D| (kind='abs') as a sparse operator."""
+        """D (kind='true'), Q (kind='naive') or |D| (kind='abs') as a band operator.
+
+        D and Q are V diag(eigenvalues) V^T, formed block by block: the
+        column e_+ (n, i, j) meets the coupled vectors (n, i, j + 1/2, +-),
+        the column e_- (n, i, j) those of (n, i, j - 1/2, +-).  Each entry
+        sums the same two products (V entry * eigenvalue) * V entry.
+        """
         if kind == "abs":
-            return SparseOperator(sp.diags(self.absd_diagonal), 0, self.spinor)
-        v = self.change_of_basis
-        d = sp.diags(self.eigenvalues(kind))
-        return SparseOperator((v.mat @ d @ v.mat.T).tocsr(), 0, self.spinor)
+            return SparseOperator(BandMatrix(self.spinor, {DIAGONAL: self.absd_diagonal}),
+                                  0, self.spinor)
+        Ld = self.trunc.lmax.doubled
+        nd, jd = self.basis.nd, self.basis.jd
+        up, down = cg_table(1, Ld, self.q), cg_table(-1, Ld, self.q)
+        diag_p = diag_m = to_m = to_p = 0.0
+        for sign in (1, -1):
+            ev = self._spectrum(kind, nd, sign)
+            # e_+ (n, i, j) is the e_+ entry of the coupled vectors at j + 1/2
+            exists = np.abs(jd + 1) <= nd + sign
+            a = np.where(exists, _coefficient(up, sign, nd, jd), 0.0)
+            b = np.where(exists, _coefficient(down, sign, nd, jd + 2), 0.0)
+            diag_p = diag_p + (a * ev) * a
+            to_m = to_m + (b * ev) * a
+            # e_- (n, i, j) is the e_- entry of the coupled vectors at j - 1/2
+            exists = np.abs(jd - 1) <= nd + sign
+            a = np.where(exists, _coefficient(up, sign, nd, jd - 2), 0.0)
+            b = np.where(exists, _coefficient(down, sign, nd, jd), 0.0)
+            diag_m = diag_m + (b * ev) * b
+            to_p = to_p + (a * ev) * b
+        zero = np.zeros(self.basis.dim)
+        bands = {DIAGONAL: np.concatenate([diag_p, diag_m]),
+                 (0, 0, 2, 1): np.concatenate([to_m, zero]),
+                 (0, 0, -2, 1): np.concatenate([zero, to_p])}
+        return SparseOperator(BandMatrix(self.spinor, bands), 0, self.spinor)
 
     def rho_operator(self) -> SparseOperator:
-        return SparseOperator(sp.diags(rho_weights(self.basis, self.q)), 0, self.basis)
+        return SparseOperator(BandMatrix(self.basis, {DIAGONAL: rho_weights(self.basis, self.q)}),
+                              0, self.basis)
 
     def rho_apply(self, v: HilbertVector) -> HilbertVector:
         return HilbertVector(self.basis, rho_weights(self.basis, self.q) * v.data)

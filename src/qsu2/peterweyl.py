@@ -6,15 +6,21 @@ grid.  A truncation keeps all spins n <= lmax.  Operators on the
 truncated space carry a shell depth: the number of top spin shells whose
 image may be corrupted by the truncation.  Action on vectors supported on
 spins n <= lmax - depth is exact.
+
+Operators are stored as BandMatrix: every operator the program builds has
+a fixed weight on the basis (a word in the generators shifts (n, i, j) by
+at most len(word) + 1 spin offsets and one (i, j) shift), so it is kept
+column by column, one value per shift, and each target row is the closed
+form pw_position of the shifted label.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .qarith import HalfInteger, QArithError, half, q_number
 
@@ -61,7 +67,30 @@ def pw_position(nd, id_, jd):
     return nd * (nd + 1) * (2 * nd + 1) // 6 + (id_ + nd) // 2 * (nd + 1) + (jd + nd) // 2
 
 
-class Basis:
+class LabelSpace:
+    """Column labels of band operators, with the row each shift key sends them to.
+
+    A subclass sets labels = (c, nd, id, jd) (component and doubled spin
+    label per column, or scalars), block (row offset of component 1), trunc
+    and dim.  The column labelled (c, n, i, j) reaches (c xor f, n + o/2,
+    i + r/2, j + s/2) under the key (o, r, s, f), all doubled; its row is
+    c' * block + pw_position, or -1 where the label leaves the truncation.
+    """
+
+    def rows(self, key) -> np.ndarray:
+        """Rows under key, one per label: computed once per key and kept."""
+        memo = self.__dict__.setdefault("_rows", {})
+        if key not in memo:
+            comp, nd, id_, jd = self.labels
+            o, r, s, f = key
+            md, mi, mj = nd + o, id_ + r, jd + s
+            inside = ((md >= 0) & (md <= self.trunc.lmax.doubled)
+                      & (np.abs(mi) <= md) & (np.abs(mj) <= md))
+            memo[key] = np.where(inside, (comp ^ f) * self.block + pw_position(md, mi, mj), -1)
+        return memo[key]
+
+
+class Basis(LabelSpace):
     """Deterministic enumeration of the truncated Peter-Weyl basis.
 
     Order: ascending 2n, then i, then j.  Index arrays are kept as doubled
@@ -79,6 +108,8 @@ class Basis:
                              - pw_position(self.nd, -self.nd, -self.nd), self.nd + 1)
         self.id = 2 * row - self.nd
         self.jd = 2 * col - self.nd
+        self.labels = (0, self.nd, self.id, self.jd)
+        self.block = 0
 
     def position(self, idx: PWIndex) -> int:
         return self.position_doubled(idx.n.doubled, idx.i.doubled, idx.j.doubled)
@@ -168,20 +199,122 @@ class HilbertVector:
         return complex(np.vdot(self.data, other.data))
 
 
+DIAGONAL = (0, 0, 0, 0)
+
+
+class BandMatrix:
+    """An operator of fixed weights, stored column by column, one value per band.
+
+    bands maps a shift key (see LabelSpace) to the values of that band over
+    the first ncols columns of space; a value is 0 wherever the shifted
+    label leaves the truncation.  X @ Y needs no index arrays: its band
+    kx + ky collects X's band kx gathered at the rows of Y's band ky.
+    As in CSR arithmetic, every sum of products starts from +0.0, so an
+    entry that sums at most two nonzero terms (left-folded word products,
+    D from its 2x2 blocks) has the same bits as on the CSR route.
+    """
+
+    def __init__(self, space, bands: dict, ncols: int | None = None):
+        self.space = space
+        self.bands = bands
+        self.ncols = space.dim if ncols is None else ncols
+
+    @property
+    def shape(self) -> tuple:
+        return (self.space.dim, self.ncols)
+
+    @property
+    def dtype(self):
+        return np.result_type(float, *self.bands.values())
+
+    @property
+    def nnz(self) -> int:
+        return sum(int(np.count_nonzero(v)) for v in self.bands.values())
+
+    def rows(self, key) -> np.ndarray:
+        return self.space.rows(key)[:self.ncols]
+
+    def __matmul__(self, other):
+        if isinstance(other, np.ndarray):  # matvec; every sum starts from +0.0
+            # row -1 (outside the truncation) lands in a spare last slot
+            out = np.zeros(self.shape[0] + 1, dtype=np.result_type(self.dtype, other))
+            for key, v in self.bands.items():
+                out[self.rows(key)] += v * other
+            return out[:-1]
+        out = {}
+        for ky, vy in other.bands.items():
+            src = other.rows(ky)  # -1 where vy is 0: any gathered value times 0
+            for kx, vx in self.bands.items():
+                key = (kx[0] + ky[0], kx[1] + ky[1], kx[2] + ky[2], kx[3] ^ ky[3])
+                out[key] = out.get(key, 0.0) + vx[src] * vy
+        return BandMatrix(other.space, out, other.ncols)
+
+    def _merge(self, other: "BandMatrix", op) -> "BandMatrix":
+        """op per entry, a band missing on one side read as 0.0 (0 + x, x - 0, ...)."""
+        keys = dict.fromkeys([*self.bands, *other.bands])
+        return BandMatrix(self.space, {k: op(self.bands.get(k, 0.0), other.bands.get(k, 0.0))
+                                       for k in keys}, self.ncols)
+
+    def __add__(self, other: "BandMatrix") -> "BandMatrix":
+        return self._merge(other, operator.add)
+
+    def __sub__(self, other: "BandMatrix") -> "BandMatrix":
+        return self._merge(other, operator.sub)
+
+    def __mul__(self, scalar) -> "BandMatrix":
+        return BandMatrix(self.space, {k: v * scalar for k, v in self.bands.items()},
+                          self.ncols)
+
+    __rmul__ = __mul__
+
+    @property
+    def H(self) -> "BandMatrix":
+        """Conjugate transpose: band (o, r, s, f) becomes (-o, -r, -s, f)."""
+        out = {}
+        for (o, r, s, f), v in self.bands.items():
+            key = (-o, -r, -s, f)
+            src = self.rows(key)
+            out[key] = np.where(src >= 0, v.conj()[src], 0.0)
+        return BandMatrix(self.space, out)
+
+    def max_abs(self) -> float:
+        """Largest |entry|, 0.0 for an operator without entries."""
+        return max((float(np.abs(v).max(initial=0.0)) for v in self.bands.values()), default=0.0)
+
+    def diagonal(self) -> np.ndarray:
+        return self.bands.get(DIAGONAL, np.zeros(self.ncols, dtype=self.dtype))
+
+    def leading(self, space) -> "BandMatrix":
+        """The leading [:k, :k] block, k = space.dim, on the smaller space."""
+        k = space.dim
+        return BandMatrix(space, {key: np.where(space.rows(key) >= 0, v[:k], 0.0)
+                                  for key, v in self.bands.items()})
+
+    def columns(self, k: int) -> "BandMatrix":
+        """The column prefix [:, :k]."""
+        return BandMatrix(self.space, {key: v[:k] for key, v in self.bands.items()}, k)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.dtype)
+        cols = np.arange(self.ncols)
+        for key, v in self.bands.items():
+            rows = self.rows(key)
+            inside = rows >= 0
+            out[rows[inside], cols[inside]] = v[inside]
+        return out
+
+
 @dataclass
 class SparseOperator:
-    """A sparse operator on an enumerated basis with truncation accounting.
+    """An operator on an enumerated basis with truncation accounting.
 
     shell_depth_doubled is twice the largest spin shift of the underlying
     infinite-dimensional operator; depths add under composition.
     """
 
-    mat: sp.spmatrix
+    mat: BandMatrix
     shell_depth_doubled: int
     basis: object  # Basis or SpinorBasis: anything exposing spins_doubled()/dim
-
-    def __post_init__(self):
-        self.mat = sp.csr_matrix(self.mat)
 
     @property
     def shell_depth(self) -> HalfInteger:
@@ -189,35 +322,4 @@ class SparseOperator:
 
     @classmethod
     def identity(cls, basis) -> "SparseOperator":
-        return cls(sp.identity(basis.dim, format="csr"), 0, basis)
-
-    def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self.mat @ other.mat,
-                              self.shell_depth_doubled + other.shell_depth_doubled,
-                              self.basis)
-
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self.mat + other.mat,
-                              max(self.shell_depth_doubled, other.shell_depth_doubled),
-                              self.basis)
-
-    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self.mat - other.mat,
-                              max(self.shell_depth_doubled, other.shell_depth_doubled),
-                              self.basis)
-
-    def __mul__(self, scalar) -> "SparseOperator":
-        return SparseOperator(self.mat * scalar, self.shell_depth_doubled, self.basis)
-
-    __rmul__ = __mul__
-
-    @property
-    def H(self) -> "SparseOperator":
-        return SparseOperator(self.mat.conj().T.tocsr(), self.shell_depth_doubled, self.basis)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.mat @ vec
-
-    def safe_shell_doubled(self) -> int:
-        """Largest 2n such that action on spins <= n is truncation-exact."""
-        return self.basis.trunc.lmax.doubled - self.shell_depth_doubled
+        return cls(BandMatrix(basis, {DIAGONAL: np.ones(basis.dim)}), 0, basis)

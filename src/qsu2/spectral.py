@@ -14,11 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import erfc, logsumexp
 
 from .qarith import HalfInteger, QArithError, half, q_number
-from .peterweyl import Basis, SparseOperator, Truncation
+from .peterweyl import DIAGONAL, BandMatrix, SparseOperator, Truncation
 from .algebra import GeneratorTable, NCPolynomial, haar_state, mult_operator
 from .dirac import DiracContext, VIndex
 
@@ -110,26 +108,26 @@ def shell_norms(op: SparseOperator, shells) -> np.ndarray:
         raise QArithError("shell %s + depth %s exceeds lmax %s: restriction not exact"
                           % (HalfInteger(top), op.shell_depth, HalfInteger(lmax_d)))
     chain, nd, s0, first = _chains(op.basis)
-    cols = np.flatnonzero(nd <= top)
-    chain, nd, s0 = chain[cols], nd[cols], s0[cols]
-    m = op.mat.tocsc()[:, cols]
-    if np.iscomplexobj(m.data) and not m.data.imag.any():
-        m = m.real  # halves the dense blocks below
-    gram = (m.conj().T @ m).tocoo()
-    nonzero = gram.data != 0
-    row, col, val = gram.row[nonzero], gram.col[nonzero], gram.data[nonzero]
-    if (chain[row] != chain[col]).any():
-        raise SpectralError("Gram couples different (component, i, j): "
-                            "operator is not weight-graded")
+    m = op.mat
+    if m.dtype.kind == "c" and not any(v.imag.any() for v in m.bands.values()):
+        m = BandMatrix(m.space, {k: v.real for k, v in m.bands.items()})  # halves the blocks
+    gram = m.H @ m
     # the chains of first spin s hold blocks of side length[s], stored one
     # after the other in a flat buffer from offset[s]; no padding
     length = (top - np.arange(top + 1)) // 2 + 1
     offset = np.concatenate([[0], np.cumsum(np.diff(first[:top + 2]) * length ** 2)])
     pos = (nd - s0) // 2  # place of a column along its chain
-    r = s0[row]
-    buf = np.zeros(offset[-1], dtype=val.dtype)
-    buf[offset[r] + ((chain[row] - first[r]) * length[r] + pos[row]) * length[r]
-        + pos[col]] = val
+    buf = np.zeros(offset[-1], dtype=gram.dtype)
+    for key, v in gram.bands.items():
+        col = np.flatnonzero((v != 0) & (nd <= top))  # a band is 0 where its row is -1
+        row = gram.rows(key)[col]
+        col, row = col[nd[row] <= top], row[nd[row] <= top]
+        if (chain[row] != chain[col]).any():
+            raise SpectralError("Gram couples different (component, i, j): "
+                                "operator is not weight-graded")
+        r = s0[row]
+        buf[offset[r] + ((chain[row] - first[r]) * length[r] + pos[row]) * length[r]
+            + pos[col]] = v[col]
     best = np.zeros(len(shells_d))
     for s in range(top + 1):
         blocks = buf[offset[s]:offset[s + 1]].reshape(-1, length[s], length[s])
@@ -148,8 +146,8 @@ def shell_norm(op: SparseOperator, shell) -> float:
 def spinor_mult(a: NCPolynomial, table: GeneratorTable, dctx: DiracContext) -> SparseOperator:
     """I_2 tensor (left multiplication by a), on the spinor basis."""
     op = mult_operator(a, table)
-    return SparseOperator(sp.block_diag((op.mat, op.mat), format="csr"),
-                          op.shell_depth_doubled, dctx.spinor)
+    bands = {key: np.concatenate([v, v]) for key, v in op.mat.bands.items()}
+    return SparseOperator(BandMatrix(dctx.spinor, bands), op.shell_depth_doubled, dctx.spinor)
 
 
 def witness_polynomial(table: GeneratorTable) -> NCPolynomial:
@@ -171,7 +169,7 @@ def absD_commutator_series(a: NCPolynomial, shells: Sequence, table: GeneratorTa
     if not np.array_equal(absd[:h], absd[h:]):
         raise SpectralError("|D| differs between the spinor components")
     aop = mult_operator(a, table)
-    n = sp.diags(absd[:h])
+    n = BandMatrix(table.basis, {DIAGONAL: absd[:h]})
     comm = SparseOperator(n @ aop.mat - aop.mat @ n, aop.shell_depth_doubled, table.basis)
     return GrowthSeries.fit([s / 2.0 for s in shells_d], shell_norms(comm, shells))
 
@@ -193,14 +191,19 @@ def trueD_growth(a: NCPolynomial, l_list: Sequence, table: GeneratorTable,
     depth = a.degree()
     if max(l.doubled for l in ls) + depth > dctx.trunc.lmax.doubled:
         raise QArithError("largest witness spin plus word depth exceeds the truncation")
-    d = dctx.dirac_operator("true")
-    aop = spinor_mult(a, table, dctx)
-    comm = (d @ aop - aop @ d).mat
+    d = dctx.dirac_operator("true").mat
+    aop = spinor_mult(a, table, dctx).mat
     vals = []
     for l in ls:
         idx = VIndex(l, l, HalfInteger(-l.doubled - 1), +1)
         v = dctx.v_vector(idx).to_array()
-        vals.append(float(np.linalg.norm(comm @ v)))
+        # [D, I_2 tensor a] v from the columns v touches, one column at a time
+        out = np.zeros(len(v), dtype=v.dtype)
+        for j in np.flatnonzero(v):
+            e = np.zeros(len(v))
+            e[j] = 1.0
+            out += (d @ (aop @ e) - aop @ (d @ e)) * v[j]
+        vals.append(float(np.linalg.norm(out)))
     return GrowthSeries.fit([float(l) for l in ls], vals)
 
 
@@ -214,7 +217,22 @@ def _log_qnumber(m: float, q: float) -> float:
 def _gaussian_tail(c: float, t: float, u0: float) -> float:
     """Integral over [u0, inf) of exp(c*u - t*u^2) du."""
     return 0.5 * math.sqrt(math.pi / t) * math.exp(c * c / (4 * t)) \
-        * erfc(math.sqrt(t) * u0 - c / (2 * math.sqrt(t)))
+        * math.erfc(math.sqrt(t) * u0 - c / (2 * math.sqrt(t)))
+
+
+def _logsumexp(x: np.ndarray) -> float:
+    """log(sum(exp(x))) over a 1-d float array, evaluated as scipy.special.logsumexp does.
+
+    The largest terms are set apart from the sum: with M the maximum and m
+    the number of terms equal to it, the value is
+    log1p(sum over the others of exp(x - M) / m) + log(m) + M.
+    """
+    top = np.max(x, keepdims=True)
+    at_top = x == top
+    m = np.sum(at_top.astype(x.dtype), keepdims=True, dtype=x.dtype)
+    s = np.sum(np.exp(np.where(at_top, -np.inf, x) - top), keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return float((np.log1p(s) + np.log(m) + top)[0])
 
 
 def heat_trace_tail(t: float, q: float, trunc: Truncation) -> float:
@@ -256,8 +274,8 @@ def heat_trace(t: float, q: float, trunc: Truncation,
             op_trace, closed = float(op), float(cl)
     else:
         logs = np.array([2 * _log_qnumber(m, q) for m in ms])
-        op_trace = 2.0 * math.exp(logsumexp(logs - t * (ms / 2.0) ** 2))
-        closed = math.exp(logsumexp(logs - t * ((ms + 1) / 2.0) ** 2))
+        op_trace = 2.0 * math.exp(_logsumexp(logs - t * (ms / 2.0) ** 2))
+        closed = math.exp(_logsumexp(logs - t * ((ms + 1) / 2.0) ** 2))
     return HeatTraceReport(t=t, closed_sum=closed, operator_trace=op_trace,
                            tail_bound=heat_trace_tail(t, q, trunc),
                            k_exponent=4 * math.log(max(q, 1.0 / q)) ** 2)
@@ -350,9 +368,10 @@ def modular_generator_scaling(rd: int, sd: int, table: GeneratorTable) -> float:
     q = table.q
     rho = table.rho
     m = table.t_half(rd, sd).mat
-    conj = sp.diags(rho) @ m @ sp.diags(1.0 / rho)
+    conj = BandMatrix(table.basis, {DIAGONAL: rho}) @ m \
+        @ BandMatrix(table.basis, {DIAGONAL: 1.0 / rho})
     diff = conj - q ** float(-rd - sd) * m
-    return float(abs(diff).max()) if diff.nnz else 0.0
+    return diff.max_abs()
 
 
 def band_value(q: float, t: float, trunc: Truncation, operator_trace: float) -> float:

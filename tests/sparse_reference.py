@@ -1,0 +1,85 @@
+"""scipy references for the band operators of qsu2.
+
+to_csr turns a BandMatrix into a canonical scipy CSR matrix, so the tests
+can check the band operators against independent sparse linear algebra.
+The CSR generator assembly and word products below are the routes the
+program used before it stored operators as bands; tests compare against
+them bit for bit.
+"""
+import math
+
+import numpy as np
+import scipy.sparse as sp
+
+from qsu2.algebra import cg_table
+from qsu2.peterweyl import pw_position
+from qsu2.qarith import q_number
+
+
+def to_csr(m) -> sp.csr_matrix:
+    """The nonzero entries of the BandMatrix m as a canonical CSR matrix."""
+    rows, cols, vals = [np.zeros(0, dtype=np.int64)] * 2 + [np.zeros(0, dtype=m.dtype)]
+    for key, v in m.bands.items():
+        keep = v != 0
+        rows = np.concatenate([rows, m.rows(key)[keep]])
+        cols = np.concatenate([cols, np.flatnonzero(keep)])
+        vals = np.concatenate([vals, v[keep]])
+    return sp.csr_matrix((vals, (rows, cols)), shape=m.shape)
+
+
+def pairs_to_csr(rows, vals, keep, shape) -> sp.csr_matrix:
+    """CSR matrix from two candidate entries per column, emitted in (column, candidate) order."""
+    keep = np.stack(keep, axis=1).ravel()
+    rows = np.stack(rows, axis=1).ravel()[keep]
+    vals = np.stack(vals, axis=1).ravel()[keep]
+    cols = np.repeat(np.arange(len(keep) // 2), 2)[keep]
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+
+
+def csr_gen_matrix(rd, sd, basis, q) -> sp.csr_matrix:
+    """The generator matrix ttilde^{1/2}_{rd/2, sd/2} assembled through pairs_to_csr."""
+    Ld = basis.trunc.lmax.doubled
+    nd, id_, jd = basis.nd, basis.id, basis.jd
+    cr = cg_table(rd, Ld, q)
+    cs = cr if sd == rd else cg_table(sd, Ld, q)
+    q2 = q_number(2, q)
+    rows, vals, keep = [], [], []
+    for b, branch in enumerate((1, -1)):
+        nu = np.zeros(Ld + 1)
+        for ld in range(Ld + 1):
+            if 0 <= ld + branch <= Ld:
+                nu[ld] = math.sqrt(q2 * q_number(ld + 1, q) / q_number(ld + branch + 1, q))
+        md = nd + branch
+        c1 = cr[b, nd, (id_ + nd) // 2]
+        c2 = cs[b, nd, (jd + nd) // 2]
+        keep.append((md >= 0) & (md <= Ld) & (np.abs(id_ + rd) <= md)
+                    & (np.abs(jd + sd) <= md) & (c1 != 0.0) & (c2 != 0.0))
+        rows.append(pw_position(md, id_ + rd, jd + sd))
+        vals.append(c1 * c2 * nu[nd])
+    return pairs_to_csr(rows, vals, keep, (basis.dim, basis.dim))
+
+
+def csr_generators(q, basis) -> tuple:
+    """((alpha scalar, gamma scalar), {letter: CSR generator}) by the CSR route."""
+    tpp, tmp = csr_gen_matrix(1, 1, basis, q), csr_gen_matrix(-1, 1, basis, q)
+    e0 = np.zeros(basis.dim)
+    e0[0] = 1.0
+    m = np.array([
+        [np.linalg.norm(tpp @ e0) ** 2, np.linalg.norm(tmp @ e0) ** 2],
+        [np.linalg.norm(tpp.conj().T @ e0) ** 2, q * q * np.linalg.norm(tmp @ e0) ** 2],
+    ])
+    ca, cg = np.sqrt(np.linalg.solve(m, np.ones(2)))
+    a, g = ca * tpp, cg * tmp
+    return (float(ca), float(cg)), {"a": a, "A": a.conj().T.tocsr(),
+                                    "g": g, "G": g.conj().T.tocsr()}
+
+
+def csr_mult_operator(p, ops, dim) -> sp.csr_matrix:
+    """Left multiplication by p: left-folded CSR word products, summed word by word."""
+    out = sp.csr_matrix((dim, dim))
+    for word, coeff in p.terms.items():
+        m = ops[word[0]] if word else sp.identity(dim, format="csr")
+        for ch in word[1:]:
+            m = m @ ops[ch]
+        out = out + coeff * m
+    return out

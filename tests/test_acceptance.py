@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from sparse_reference import to_csr
 from qsu2.qarith import HalfInteger, q_number
 from qsu2.peterweyl import Truncation
 from qsu2.algebra import (GeneratorTable, NCPolynomial, haar_state, is_normal_word)
@@ -75,7 +76,7 @@ def test_02_two_path_haar(table10, capfd):
 
 def test_03_coupled_basis(capfd):
     dctx = DiracContext(Q, Truncation(HalfInteger(10)))
-    v = dctx.change_of_basis.mat
+    v = to_csr(dctx.change_of_basis.mat)
     gram_dev = np.abs((v.T @ v).toarray() - np.eye(v.shape[0])).max()
     counts_ok = all(
         sum(1 for x in v_enumerate(dctx.trunc) if x.l.doubled == ld) == 2 * (ld + 1) ** 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sparse_reference import csr_generators, csr_mult_operator, to_csr
 from qsu2 import algebra
 from qsu2.qarith import HalfInteger, _cg_doubled, q_number
 from qsu2.peterweyl import Basis, Truncation, pw_position
@@ -88,7 +89,7 @@ class TestGeneratorTable:
                 assert np.abs(out).sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_unitary_row(self, table):
-        a, g = table.ops["a"].mat, table.ops["g"].mat
+        a, g = to_csr(table.ops["a"].mat), to_csr(table.ops["g"].mat)
         eye = sp.identity(table.basis.dim)
         resid = a.conj().T @ a + g.conj().T @ g - eye
         safe = sp.diags((table.basis.nd <= table.trunc.lmax.doubled - 2).astype(float))
@@ -128,7 +129,7 @@ class TestAssembly:
         basis = Basis(Truncation(HalfInteger(lmax_d)))
         for rd in (1, -1):
             for sd in (1, -1):
-                new = _gen_matrix(rd, sd, basis, q)
+                new = to_csr(_gen_matrix(rd, sd, basis, q))
                 ref = scalar_loop_gen_matrix(rd, sd, basis, q)
                 assert np.array_equal(new.indptr, ref.indptr)
                 assert np.array_equal(new.indices, ref.indices)
@@ -181,8 +182,7 @@ def full_dimension_haar_state(p, table):
 def full_column_residuals(table):
     """Reference battery: full products, then a diagonal projection onto the safe columns."""
     q = table.q
-    a, A = table.ops["a"].mat, table.ops["A"].mat
-    g, G = table.ops["g"].mat, table.ops["G"].mat
+    a, A, g, G = (to_csr(table.ops[ch].mat) for ch in "aAgG")
     eye = sp.identity(table.basis.dim, format="csr")
     rel = {
         "A a + G g = 1": A @ a + G @ g - eye,
@@ -219,9 +219,9 @@ class TestLeadingShells:
                                                           table.gamma_scalar)
         for ch, op in table.ops.items():
             assert view.ops[ch].shell_depth_doubled == op.shell_depth_doubled
-            assert abs(view.ops[ch].mat - op.mat[:k, :k]).nnz == 0
+            assert abs(to_csr(view.ops[ch].mat) - to_csr(op.mat)[:k, :k]).nnz == 0
         for key, m in table._t.items():
-            assert abs(view._t[key] - m[:k, :k]).nnz == 0
+            assert abs(to_csr(view._t[key]) - to_csr(m)[:k, :k]).nnz == 0
         assert np.array_equal(view.rho, table.rho[:k])
 
     def test_view_memoized_without_a_table_build(self, monkeypatch):
@@ -250,13 +250,13 @@ class TestRelationBattery:
 
     @staticmethod
     def _perturbed(column_shell):
-        """An unvalidated ld 7 table with one stored entry of alpha off by 1e-6."""
+        """An unvalidated ld 7 table with one nonzero entry of alpha off by 1e-6."""
         t = GeneratorTable(Q, Truncation(HalfInteger(7)), validate=False)
-        m = t.ops["a"].mat
-        cols = m.indices
-        k = np.flatnonzero(t.basis.nd[cols] == column_shell)[0]
-        m.data[k] += 1e-6
-        return t
+        for band in t.ops["a"].mat.bands.values():
+            k = np.flatnonzero((t.basis.nd == column_shell) & (band != 0))
+            if k.size:
+                band[k[0]] += 1e-6
+                return t
 
     def test_perturbed_safe_column_raises(self):
         t = self._perturbed(5)  # 2n = lmax_doubled - 2: the last safe shell
@@ -274,12 +274,12 @@ class TestMultOperator:
     def test_identity(self, table):
         op = mult_operator(NCPolynomial.one(), table)
         assert op.shell_depth_doubled == 0
-        assert abs(op.mat - sp.identity(table.basis.dim)).nnz == 0
+        assert abs(to_csr(op.mat) - sp.identity(table.basis.dim)).nnz == 0
 
     def test_gamma_star_gamma_preserves_weights(self, table):
         op = mult_operator(NCPolynomial.word("Gg"), table)
         assert op.shell_depth_doubled == 2
-        coo = op.mat.tocoo()
+        coo = to_csr(op.mat).tocoo()
         b = table.basis
         for r, c in zip(coo.row, coo.col):
             assert b.id[r] == b.id[c] and b.jd[r] == b.jd[c]
@@ -291,7 +291,7 @@ class TestMultOperator:
         opstar = mult_operator(p.adjoint(), table)
         safe = sp.diags((table.basis.nd <= table.trunc.lmax.doubled
                          - 2 * op.shell_depth_doubled).astype(float))
-        resid = safe @ (opstar.mat - op.mat.conj().T) @ safe
+        resid = safe @ (to_csr(opstar.mat) - to_csr(op.mat).conj().T) @ safe
         assert abs(resid).max() < 1e-12
 
     def test_empty_safe_shell_error(self):
@@ -308,6 +308,28 @@ class TestMultOperator:
         vecs = np.array([apply_word(w, e0, table) for w in words])
         gram = vecs.conj() @ vecs.T
         assert np.linalg.matrix_rank(gram, tol=1e-10) == len(words)
+
+
+class TestBandProducts:
+    @pytest.mark.parametrize("q", [1.2, 3.0, 0.7])
+    def test_words_match_csr_products_bitwise(self, q):
+        # scalars, generators and every word of length <= 4 against the CSR route
+        t = GeneratorTable(q, Truncation(HalfInteger(16)))
+        scalars, ops = csr_generators(q, t.basis)
+        assert (t.alpha_scalar, t.gamma_scalar) == scalars
+        polys = [NCPolynomial.word(w) for w in ALL_WORDS_TO_4]
+        polys += [NCPolynomial({"": 0.5, "Gg": -1.0, "aAgG": 2.0j, "AAaa": 0.25}),
+                  NCPolynomial({"ag": 1.0, "G": 0.5j, "gG": -3.0})]
+        for p in polys:
+            new = to_csr(mult_operator(p, t).mat)
+            ref = csr_mult_operator(p, ops, t.basis.dim)
+            ref.sort_indices()
+            assert np.array_equal(new.indptr, ref.indptr), p
+            assert np.array_equal(new.indices, ref.indices), p
+            assert new.data.tobytes() == ref.data.tobytes(), p
+        for ch, m in ops.items():
+            assert to_csr(t.ops[ch].mat).data.tobytes() == m.data.tobytes(), ch
+            assert t.ops[ch].mat.nnz == m.nnz, ch
 
 
 class TestHaarState:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sparse_reference import to_csr
 from qsu2.qarith import HalfInteger, QArithError, half, q_number
 from qsu2.peterweyl import Truncation
 from qsu2.algebra import GeneratorTable
@@ -79,7 +80,7 @@ class TestTableDrivenAssembly:
     @pytest.mark.parametrize("lmax_d", [0, 2, 7, 16])
     def test_matches_scalar_loop_bitwise(self, lmax_d, q):
         c = DiracContext(q, Truncation(HalfInteger(lmax_d)))
-        new, ref = c.change_of_basis.mat, scalar_loop_change_of_basis(c)
+        new, ref = to_csr(c.change_of_basis.mat), scalar_loop_change_of_basis(c)
         assert np.array_equal(new.indptr, ref.indptr)
         assert np.array_equal(new.indices, ref.indices)
         assert new.data.tobytes() == ref.data.tobytes()
@@ -87,6 +88,14 @@ class TestTableDrivenAssembly:
             ev = c.eigenvalues(kind)
             assert ev.dtype == np.float64
             assert ev.tobytes() == scalar_loop_eigenvalues(c, kind).tobytes(), kind
+            # D and Q from their 2x2 blocks equal the product V diag(ev) V^T
+            d = to_csr(c.dirac_operator(kind).mat)
+            prod = (ref @ sp.diags(ev) @ ref.T).tocsr()
+            prod.sort_indices()
+            assert np.array_equal(d.indptr, prod.indptr), kind
+            assert np.array_equal(d.indices, prod.indices), kind
+            assert d.data.tobytes() == prod.data.tobytes(), kind
+            assert c.dirac_operator(kind).mat.nnz == prod.nnz, kind
 
     def test_label_arrays_follow_v_enumerate(self, ctx):
         ld, id_, jd, sign = ctx.v_doubled
@@ -96,7 +105,7 @@ class TestTableDrivenAssembly:
 
 class TestCoupledBasis:
     def test_orthonormal_and_complete(self, ctx):
-        v = ctx.change_of_basis.mat
+        v = to_csr(ctx.change_of_basis.mat)
         gram = (v.T @ v).toarray()
         assert np.abs(gram - np.eye(v.shape[0])).max() < 1e-12
 
@@ -141,8 +150,7 @@ class TestEigenvalues:
             assert np.abs(d @ w - lam * w).max() < 1e-12
 
     def test_absd_consistent_with_true_spectrum(self, ctx):
-        import scipy.sparse as sp
-        v = ctx.change_of_basis.mat
+        v = to_csr(ctx.change_of_basis.mat)
         rebuilt = (v @ sp.diags(np.abs(ctx.eigenvalues("true"))) @ v.T).toarray()
         assert np.abs(rebuilt - np.diag(ctx.absd_diagonal)).max() < 1e-12
 

@@ -127,14 +127,17 @@ class TestVectorsAndOperators:
         assert v.norm() == pytest.approx(5.0)
 
     def test_identity_and_depth_addition(self):
+        from qsu2.algebra import GeneratorTable, NCPolynomial, mult_operator
         basis = Basis(Truncation(HalfInteger(4)))
         eye = SparseOperator.identity(basis)
         assert eye.shell_depth_doubled == 0
-        op = SparseOperator(eye.mat, 1, basis)
-        assert (op @ op).shell_depth_doubled == 2
-        assert (op @ op @ op).shell_depth_doubled == 3
-        assert (op + op).shell_depth_doubled == 1
-        assert op.H.shell_depth_doubled == 1
+        assert np.array_equal(eye.mat.toarray(), np.eye(basis.dim))
+        # depths add under composition: a word's depth is its length, a sum's the largest
+        t = GeneratorTable(1.3, basis.trunc)
+        assert all(op.shell_depth_doubled == 1 for op in t.ops.values())
+        assert mult_operator(NCPolynomial.word("aG"), t).shell_depth_doubled == 2
+        assert mult_operator(NCPolynomial.word("aGg"), t).shell_depth_doubled == 3
+        assert mult_operator(NCPolynomial({"a": 1.0, "gG": 1.0}), t).shell_depth_doubled == 2
 
     def test_truncation_exactness_across_lmax(self):
         # a depth-1 operator applied to a vector inside the safe shell gives

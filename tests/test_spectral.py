@@ -1,16 +1,19 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import logsumexp
 
+from sparse_reference import to_csr
 from qsu2.qarith import HalfInteger, QArithError, q_number
-from qsu2.peterweyl import Basis, SparseOperator, Truncation, rho_weights
+from qsu2.peterweyl import DIAGONAL, BandMatrix, Basis, SparseOperator, Truncation, rho_weights
 from qsu2 import algebra
 from qsu2.algebra import (GeneratorTable, NCPolynomial, apply_word, haar_state,
                           is_normal_word, mult_operator)
-from qsu2.dirac import DiracContext, SpinorBasis
+from qsu2.dirac import DiracContext, SpinorBasis, VIndex
 from qsu2 import spectral
 from qsu2.spectral import (GrowthSeries, PeakOutsideTruncationError, SpectralError,
                            TailTooLargeError, absD_commutator_cap,
@@ -52,27 +55,28 @@ class TestShellNorm:
     def test_diagonal_operator(self):
         basis = Basis(Truncation(HalfInteger(4)))
         vals = (basis.nd + 1).astype(float)
-        op = SparseOperator(sp.diags(vals), 0, basis)
+        op = SparseOperator(BandMatrix(basis, {DIAGONAL: vals}), 0, basis)
         # restricted to spins <= 1 the largest retained value is 3
         assert shell_norm(op, HalfInteger(2)) == 3.0
         assert shell_norm(op, HalfInteger(4)) == 5.0
 
     def test_depth_guard(self):
         basis = Basis(Truncation(HalfInteger(4)))
-        op = SparseOperator(sp.identity(basis.dim, format="csr"), 2, basis)
+        op = SparseOperator(SparseOperator.identity(basis).mat, 2, basis)
         with pytest.raises(QArithError):
             shell_norm(op, HalfInteger(3))
 
     def test_zero_operator(self):
         basis = Basis(Truncation(HalfInteger(2)))
-        op = SparseOperator(sp.csr_matrix((basis.dim, basis.dim)), 0, basis)
+        op = SparseOperator(BandMatrix(basis, {}), 0, basis)
         assert shell_norm(op, HalfInteger(2)) == 0.0
 
     def test_operator_that_is_not_graded_raises(self):
-        basis = Basis(Truncation(HalfInteger(4)))
-        m = sp.random(basis.dim, basis.dim, density=0.05, random_state=1)
+        # alpha + gamma: two weights, so its Gram couples (i, j) with (i - 2, j)
+        t = GeneratorTable(Q, Truncation(HalfInteger(4)))
+        m = t.ops["a"].mat + t.ops["g"].mat
         with pytest.raises(SpectralError):
-            shell_norm(SparseOperator(m, 0, basis), HalfInteger(4))
+            shell_norm(SparseOperator(m, 0, t.basis), HalfInteger(4))
 
     @pytest.mark.parametrize("spinor", [False, True])
     def test_chains_number_each_component_and_weight_once(self, spinor):
@@ -99,13 +103,18 @@ class TestShellNorm:
         rng = np.random.default_rng(5)
         blocks = []
         for ch in ("a", "G"):
-            m = t.ops[ch].mat.astype(dtype)
-            m.data = rng.standard_normal(m.nnz) + (1j * rng.standard_normal(m.nnz)
+            bands = {}
+            for key, v in t.ops[ch].mat.bands.items():
+                r = rng.standard_normal(len(v)) + (1j * rng.standard_normal(len(v))
                                                    if dtype is complex else 0)
-            blocks.append(m)
-        for op in (SparseOperator(blocks[0], 1, t.basis),
-                   SparseOperator(sp.block_diag(blocks, format="csr"), 1, d.spinor)):
-            dense, spins = op.mat.toarray(), op.basis.spins_doubled()
+                bands[key] = np.where(v != 0, r, 0).astype(dtype)
+            blocks.append(bands)
+        zero = np.zeros(t.basis.dim, dtype=dtype)
+        spinor = {**{k: np.concatenate([v, zero]) for k, v in blocks[0].items()},
+                  **{k: np.concatenate([zero, v]) for k, v in blocks[1].items()}}
+        for op in (SparseOperator(BandMatrix(t.basis, blocks[0]), 1, t.basis),
+                   SparseOperator(BandMatrix(d.spinor, spinor), 1, d.spinor)):
+            dense, spins = to_csr(op.mat).toarray(), op.basis.spins_doubled()
             for s in range(8):
                 ref = np.linalg.norm(dense[:, spins <= s], 2)
                 assert shell_norm(op, HalfInteger(s)) == pytest.approx(ref, rel=1e-12, abs=0)
@@ -117,10 +126,11 @@ class TestShellNorm:
         d = DiracContext(q, t.trunc, t.basis)
         a = witness_polynomial(t)
         aop = spinor_mult(a, t, d)
-        absd = d.dirac_operator("abs")
-        comm = absd @ aop - aop @ absd
-        comm.shell_depth_doubled = aop.shell_depth_doubled
-        dense, spins = comm.mat.toarray(), d.spinor.spins_doubled()
+        absd = d.dirac_operator("abs").mat
+        comm = SparseOperator(absd @ aop.mat - aop.mat @ absd, aop.shell_depth_doubled, d.spinor)
+        a_csr, absd_csr = to_csr(aop.mat), to_csr(absd)
+        dense = (absd_csr @ a_csr - a_csr @ absd_csr).toarray()
+        spins = d.spinor.spins_doubled()
         # the shells run_commutators picks, and the first three
         cli_shells = [2 * s for s in range(4, min(20, ld // 2 - 1) + 1)]
         shells = sorted({0, 1, 2, *cli_shells})
@@ -131,7 +141,7 @@ class TestShellNorm:
             assert from_series == pytest.approx(ref, rel=1e-12, abs=0)
         # the generator at the cap shell
         op = mult_operator(a, t)
-        ref = np.linalg.norm(op.mat.toarray()[:, t.basis.nd <= ld - 1], 2)
+        ref = np.linalg.norm(to_csr(op.mat).toarray()[:, t.basis.nd <= ld - 1], 2)
         assert shell_norm(op, HalfInteger(ld - 1)) == pytest.approx(ref, rel=1e-12, abs=0)
         assert absD_commutator_cap(a, t, d) == pytest.approx(
             math.sqrt(2) * 0.5 * ref, rel=1e-12, abs=0)
@@ -167,6 +177,41 @@ class TestHeatTrace:
                        - heat_trace(t, Q, small).operator_trace)
             bound = heat_trace_tail(t, Q, small)
             assert 0 <= dropped <= bound
+
+    def test_tail_matches_mpmath_closed_form(self):
+        # the same closed form at 200 bits; 1e-12 covers rounding the arguments of
+        # exp and erfc (|argument| up to a few hundred) in float64
+        for q in (1.2, 3.0, 0.7):
+            b = max(q, 1.0 / q)
+            for ld in (10, 24, 62, 400):
+                for t in (0.01, 0.05, 0.2, 0.5, 1.0, 2.0):
+                    with mpmath.workprec(200):
+                        T, lnb = mpmath.mpf(t), mpmath.log(mpmath.mpf(b))
+                        u0 = mpmath.mpf(ld + 2) / 2
+
+                        def tail(c):
+                            return (mpmath.sqrt(mpmath.pi / T) / 2 * mpmath.exp(c * c / (4 * T))
+                                    * mpmath.erfc(mpmath.sqrt(T) * u0 - c / (2 * mpmath.sqrt(T))))
+
+                        ref = (4 / (mpmath.mpf(b) - 1 / mpmath.mpf(b)) ** 2
+                               * (tail(4 * lnb) + tail(-4 * lnb) - 2 * tail(0)))
+                    if ref < 1e-300:  # below the normal float64 range
+                        continue
+                    got = heat_trace_tail(t, q, Truncation(HalfInteger(ld)))
+                    assert abs(got - ref) <= 1e-12 * ref, (q, ld, t)
+
+    def test_logsumexp_matches_scipy_bitwise(self):
+        arrays = [np.array([0.5, 2.0, 2.0, -1.0]), np.array([3.0]), np.array([-700.0, 0.0])]
+        for q in (1.2, 2.0, 3.0, 0.7):
+            for ld in (0, 1, 2, 10, 24, 62, 400):
+                ms = np.arange(1, ld + 2, dtype=float)
+                logs = np.array([2 * spectral._log_qnumber(m, q) for m in ms])
+                for t in np.geomspace(0.01, 5.0, 40):
+                    arrays.append(logs - t * (ms / 2.0) ** 2)
+                    arrays.append(logs - t * ((ms + 1) / 2.0) ** 2)
+        for x in arrays:
+            assert np.float64(spectral._logsumexp(x)).tobytes() \
+                == np.float64(logsumexp(x)).tobytes(), x
 
     def test_tail_decreases_with_truncation(self):
         tails = [heat_trace_tail(0.5, Q, Truncation(HalfInteger(d)))
@@ -378,6 +423,21 @@ class TestCommutators:
         series = trueD_growth(witness_polynomial(table), list(range(3, 9)), table, dctx)
         assert series.slope > 0
         assert series.fit_residual / series.values.mean() < 0.05
+
+    def test_trued_growth_matches_full_commutator_bitwise(self):
+        # reference: [D, I_2 tensor a] at spinor dimension, D = V diag V^T, applied to v
+        t = GeneratorTable(Q, Truncation(HalfInteger(24)))
+        d = DiracContext(Q, t.trunc, t.basis)
+        a = witness_polynomial(t)
+        ls = list(range(5, 12))  # the CLI's witness spins at lmax_doubled 24
+        v = to_csr(d.change_of_basis.mat)
+        dmat = v @ sp.diags(d.eigenvalues("true")) @ v.T
+        amat = to_csr(spinor_mult(a, t, d).mat)
+        comm = dmat @ amat - amat @ dmat
+        ref = [np.linalg.norm(comm @ d.v_vector(VIndex(HalfInteger(2 * l), HalfInteger(2 * l),
+                                                        HalfInteger(-2 * l - 1), 1)).to_array())
+               for l in ls]
+        assert trueD_growth(a, ls, t, d).values.tobytes() == np.array(ref).tobytes()
 
     def test_trued_witness_guard(self, table, dctx):
         with pytest.raises(QArithError):

@@ -8,13 +8,12 @@ that extract the Haar state from spectral data.
 __version__ = "0.1.0"
 
 from .qarith import HalfInteger, QArithError, cg_half, half, q_number
-from .peterweyl import (Basis, HilbertVector, PWIndex, SparseOperator, Truncation,
-                        basis_enumerate, normalization_factor, pw_inner_unnormalized,
-                        rho_weight)
+from .peterweyl import (Basis, PWIndex, Truncation, normalization_factor,
+                        pw_inner_unnormalized)
 from .algebra import (GeneratorTable, NCPolynomial, ValidationError, haar_state,
                       mult_operator, normal_order)
 from .gns_oracle import LevelOverflowError, oracle_haar, rep_apply
-from .dirac import DiracContext, SpinorVector, VIndex, b_coefficient, b_minus_closed
+from .dirac import DiracContext, VIndex, b_coefficient, b_minus_closed
 from .spectral import (GrowthSeries, HeatTraceReport, absD_commutator_series,
                        asymptotic_band, haar_via_heat, heat_trace, modular_check,
                        rho_trace_functional, shell_norm, trueD_growth)

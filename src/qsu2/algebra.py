@@ -16,9 +16,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .qarith import HalfInteger, QArithError, _cg_doubled, q_number
-from .peterweyl import (DIAGONAL, Basis, BandMatrix, SparseOperator, Truncation, pw_position,
-                        rho_weights)
+from .qarith import HalfInteger, _cg_doubled, q_number
+from .peterweyl import DIAGONAL, Basis, BandMatrix, Truncation, pw_position, rho_weights
 
 LETTERS = "aAgG"
 _ADJOINT = {"a": "A", "A": "a", "g": "G", "G": "g"}
@@ -200,7 +199,7 @@ class GeneratorTable:
 
     RELATION_TOL = 1e-10
 
-    def __init__(self, q: float, trunc: Truncation, validate: bool = True):
+    def __init__(self, q: float, trunc: Truncation):
         if trunc.lmax.doubled < 2:
             raise AlgebraError("need lmax >= 1 to fit generator scalars")
         self.q = q
@@ -229,20 +228,17 @@ class GeneratorTable:
         self.alpha_scalar = float(np.sqrt(sq[0]))
         self.gamma_scalar = float(np.sqrt(sq[1]))
 
-        depth = 1  # every generator shifts spin by 1/2
-        alpha = SparseOperator(self.alpha_scalar * tpp, depth, self.basis)
-        gamma = SparseOperator(self.gamma_scalar * tmp, depth, self.basis)
-        self.ops = {"a": alpha, "A": SparseOperator(alpha.mat.H, depth, self.basis),
-                    "g": gamma, "G": SparseOperator(gamma.mat.H, depth, self.basis)}
+        alpha = self.alpha_scalar * tpp
+        gamma = self.gamma_scalar * tmp
+        self.ops = {"a": alpha, "A": alpha.H, "g": gamma, "G": gamma.H}
         self._leading = {}
         self._diagonals = {}
         self._operators = None  # memo of operator(); leading views only
-        if validate:
-            self.validate()
+        self.validate()
 
-    def t_half(self, rd: int, sd: int) -> SparseOperator:
+    def t_half(self, rd: int, sd: int) -> BandMatrix:
         """Left multiplication by ttilde^{1/2}_{rd/2, sd/2}."""
-        return SparseOperator(self._t[(rd, sd)], 1, self.basis)
+        return self._t[(rd, sd)]
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -269,9 +265,7 @@ class GeneratorTable:
             view._t = {key: m.leading(view.basis) for key, m in self._t.items()}
             view.alpha_scalar = self.alpha_scalar
             view.gamma_scalar = self.gamma_scalar
-            view.ops = {ch: SparseOperator(op.mat.leading(view.basis), op.shell_depth_doubled,
-                                           view.basis)
-                        for ch, op in self.ops.items()}
+            view.ops = {ch: op.leading(view.basis) for ch, op in self.ops.items()}
             view._leading = {}
             view._diagonals = {}
             view._operators = {}
@@ -288,10 +282,10 @@ class GeneratorTable:
         if key not in self._diagonals:
             op = mult_operator(p, self)
             self._diagonals.clear()
-            self._diagonals[key] = (op.mat.diagonal(), op.shell_depth_doubled)
+            self._diagonals[key] = (op.diagonal(), op.shell_depth_doubled)
         return self._diagonals[key]
 
-    def operator(self, p: "NCPolynomial") -> SparseOperator:
+    def operator(self, p: "NCPolynomial") -> BandMatrix:
         """mult_operator(p) on this table, memoized per polynomial on leading views.
 
         A view from leading() keeps every operator it builds, keyed by the
@@ -316,8 +310,7 @@ class GeneratorTable:
         q = self.q
         Ld = self.trunc.lmax.doubled
         s = pw_position(Ld - 1, 1 - Ld, 1 - Ld)
-        a, A = self.ops["a"].mat, self.ops["A"].mat
-        g, G = self.ops["g"].mat, self.ops["G"].mat
+        a, A, g, G = (self.ops[ch] for ch in "aAgG")
         a_s, A_s, g_s, G_s = (m.columns(s) for m in (a, A, g, G))
         eye = BandMatrix(self.basis, {DIAGONAL: np.ones(s)}, s)
         Gg = G @ g_s
@@ -337,26 +330,27 @@ class GeneratorTable:
             raise ValidationError(worst, residuals[worst])
 
 
-def mult_operator(p: NCPolynomial, table: GeneratorTable) -> SparseOperator:
+def mult_operator(p: NCPolynomial, table: GeneratorTable) -> BandMatrix:
     """The left-multiplication operator of p on the truncated GNS space."""
     Ld = table.trunc.lmax.doubled
     deg = p.degree()
     if deg > Ld:
         raise AlgebraError("word length %d leaves no safe shell at lmax = %s"
                            % (deg, table.trunc.lmax))
-    out = BandMatrix(table.basis, {})
+    basis = table.basis
+    out = BandMatrix(basis, {})
     for word, coeff in p.terms.items():
-        m = table.ops[word[0]].mat if word else SparseOperator.identity(table.basis).mat
+        m = table.ops[word[0]] if word else BandMatrix(basis, {DIAGONAL: np.ones(basis.dim)})
         for ch in word[1:]:  # left fold: each entry sums at most two products
-            m = m @ table.ops[ch].mat
+            m = m @ table.ops[ch]
         out = out + coeff * m
-    return SparseOperator(out, deg, table.basis)
+    return out
 
 
 def apply_word(word: str, vec: np.ndarray, table: GeneratorTable) -> np.ndarray:
     """Apply a generator word to a coefficient vector (rightmost letter first)."""
     for ch in reversed(word):
-        vec = table.ops[ch].mat @ vec
+        vec = table.ops[ch] @ vec
     return vec
 
 

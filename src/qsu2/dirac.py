@@ -1,7 +1,8 @@
-"""Spinor space, coupled eigenbasis, Dirac operators and modular operator.
+"""Spinor space, coupled eigenbasis and Dirac operators.
 
-The spinor space is C^2 tensor h; a coefficient vector is stored as the
-concatenation (e_+ block, e_- block) over the enumerated Peter-Weyl basis.
+The spinor space is C^2 tensor h; a coefficient vector is a plain array,
+the concatenation (e_+ block, e_- block) over the enumerated Peter-Weyl
+basis.
 The coupled vectors v^{l,+-}_{ij} diagonalize both the naive operator
 (q-integer eigenvalues) and the true one (linear eigenvalues +-(l+1/2));
 |D| is diagonal already in the product basis with eigenvalue n + 1/2.
@@ -17,8 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .qarith import HalfInteger, QArithError, _cg_doubled, half, q_number
-from .peterweyl import (DIAGONAL, Basis, BandMatrix, HilbertVector, LabelSpace,
-                        SparseOperator, Truncation, rho_weights)
+from .peterweyl import DIAGONAL, Basis, BandMatrix, LabelSpace, Truncation
 from .algebra import cg_table
 
 
@@ -57,23 +57,6 @@ class SpinorBasis(LabelSpace):
         pw = self.pw
         return (np.repeat(np.arange(2), pw.dim), np.tile(pw.nd, 2), np.tile(pw.id, 2),
                 np.tile(pw.jd, 2))
-
-    def spins_doubled(self) -> np.ndarray:
-        return np.concatenate([self.pw.nd, self.pw.nd])
-
-
-class SpinorVector:
-    """e_+ and e_- components over a Peter-Weyl basis."""
-
-    def __init__(self, plus: HilbertVector, minus: HilbertVector):
-        self.plus = plus
-        self.minus = minus
-
-    def to_array(self) -> np.ndarray:
-        return np.concatenate([self.plus.data, self.minus.data])
-
-    def norm(self) -> float:
-        return math.hypot(self.plus.norm(), self.minus.norm())
 
 
 def v_enumerate(trunc: Truncation) -> list:
@@ -132,17 +115,16 @@ class DiracContext:
         self.basis = basis if basis is not None else Basis(trunc)
         self.spinor = SpinorBasis(self.basis)
 
-    def v_vector(self, idx: VIndex) -> SpinorVector:
+    def v_vector(self, idx: VIndex) -> np.ndarray:
+        """Spinor coefficients (complex) of the coupled vector v^{l,sign}_{ij}."""
         validate_v_index(idx)
         if idx.l.doubled > self.trunc.lmax.doubled:
             raise QArithError("spin %s exceeds truncation" % (idx.l,))
-        plus = HilbertVector(self.basis)
-        minus = HilbertVector(self.basis)
+        v = np.zeros(self.spinor.dim, dtype=complex)
         for (comp, key), c in _v_entries(idx.l.doubled, idx.i.doubled,
                                          idx.j.doubled, idx.sign, self.q):
-            target = plus if comp == 0 else minus
-            target.data[self.basis.position_doubled(*key)] = c
-        return SpinorVector(plus, minus)
+            v[comp * self.basis.dim + self.basis.position_doubled(*key)] = c
+        return v
 
     @cached_property
     def v_labels(self) -> list:
@@ -164,7 +146,7 @@ class DiracContext:
         return tuple(np.concatenate(column) for column in zip(*parts))
 
     @cached_property
-    def change_of_basis(self) -> SparseOperator:
+    def change_of_basis(self) -> BandMatrix:
         """Columns are the coupled vectors, in v_enumerate order (orthogonal).
 
         Column v^{l,sign}_{ij} holds C(1/2; l, j - 1/2) on e_+ (n, i, j - 1/2)
@@ -176,7 +158,7 @@ class DiracContext:
                                                   sign, ld, jd - m1d)
                  for comp, m1d in enumerate((1, -1))}
         columns = _CoupledLabels(self, (0, ld, id_, jd))
-        return SparseOperator(BandMatrix(columns, bands), 0, self.spinor)
+        return BandMatrix(columns, bands)
 
     def _spectrum(self, kind: str, ld, sign) -> np.ndarray:
         """Eigenvalue of the coupled vectors with doubled spin ld and the given sign."""
@@ -197,14 +179,9 @@ class DiracContext:
 
     @cached_property
     def absd_diagonal(self) -> np.ndarray:
-        return (self.spinor.spins_doubled() + 1) / 2.0
+        return (np.tile(self.basis.nd, 2) + 1) / 2.0
 
-    @cached_property
-    def r_diagonal(self) -> np.ndarray:
-        w = rho_weights(self.basis, self.q)
-        return np.concatenate([w, w])
-
-    def dirac_operator(self, kind: str) -> SparseOperator:
+    def dirac_operator(self, kind: str) -> BandMatrix:
         """D (kind='true'), Q (kind='naive') or |D| (kind='abs') as a band operator.
 
         D and Q are V diag(eigenvalues) V^T, formed block by block: the
@@ -213,8 +190,7 @@ class DiracContext:
         sums the same two products (V entry * eigenvalue) * V entry.
         """
         if kind == "abs":
-            return SparseOperator(BandMatrix(self.spinor, {DIAGONAL: self.absd_diagonal}),
-                                  0, self.spinor)
+            return BandMatrix(self.spinor, {DIAGONAL: self.absd_diagonal})
         Ld = self.trunc.lmax.doubled
         nd, jd = self.basis.nd, self.basis.jd
         up, down = cg_table(1, Ld, self.q), cg_table(-1, Ld, self.q)
@@ -237,14 +213,7 @@ class DiracContext:
         bands = {DIAGONAL: np.concatenate([diag_p, diag_m]),
                  (0, 0, 2, 1): np.concatenate([to_m, zero]),
                  (0, 0, -2, 1): np.concatenate([zero, to_p])}
-        return SparseOperator(BandMatrix(self.spinor, bands), 0, self.spinor)
-
-    def rho_operator(self) -> SparseOperator:
-        return SparseOperator(BandMatrix(self.basis, {DIAGONAL: rho_weights(self.basis, self.q)}),
-                              0, self.basis)
-
-    def rho_apply(self, v: HilbertVector) -> HilbertVector:
-        return HilbertVector(self.basis, rho_weights(self.basis, self.q) * v.data)
+        return BandMatrix(self.spinor, bands)
 
     def q_relation_check(self) -> float:
         """Max residual of [D - I/2]_{q^2} = Q over the coupled eigenbasis."""

@@ -2,16 +2,16 @@
 
 The orthonormal basis elements are labelled by (n, i, j) with n a
 nonnegative half-integer spin and i, j in -n..n on the integer-stepped
-grid.  A truncation keeps all spins n <= lmax.  Operators on the
-truncated space carry a shell depth: the number of top spin shells whose
-image may be corrupted by the truncation.  Action on vectors supported on
-spins n <= lmax - depth is exact.
+grid.  A truncation keeps all spins n <= lmax.
 
 Operators are stored as BandMatrix: every operator the program builds has
 a fixed weight on the basis (a word in the generators shifts (n, i, j) by
 at most len(word) + 1 spin offsets and one (i, j) shift), so it is kept
 column by column, one value per shift, and each target row is the closed
-form pw_position of the shifted label.
+form pw_position of the shifted label.  The largest spin shift over the
+bands is the operator's shell depth: the number of top spin shells whose
+image may be corrupted by the truncation.  Action on vectors supported on
+spins n <= lmax - depth is exact.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qarith import HalfInteger, QArithError, half, q_number
+from .qarith import HalfInteger, QArithError, q_number
 
 
 class PWIndex(NamedTuple):
@@ -126,14 +126,6 @@ class Basis(LabelSpace):
         return [PWIndex(HalfInteger(int(n)), HalfInteger(int(i)), HalfInteger(int(j)))
                 for n, i, j in zip(self.nd, self.id, self.jd)]
 
-    def spins_doubled(self) -> np.ndarray:
-        return self.nd
-
-
-def basis_enumerate(trunc: Truncation) -> list:
-    """Ordered list of PWIndex for the truncation (ascending 2n, then i, then j)."""
-    return Basis(trunc).indices
-
 
 def pw_inner_unnormalized(a: PWIndex, b: PWIndex, q: float, side: str = "left") -> float:
     """<t^a, t^b> = psi((t^a)* t^b) = delta * [2n+1]_q^{-1} q^{2i}.
@@ -159,44 +151,9 @@ def normalization_factor(idx: PWIndex, q: float) -> float:
     return np.sqrt(q_number(idx.n.doubled + 1, q)) * q ** (-float(idx.i))
 
 
-def rho_weight(idx: PWIndex, q: float) -> float:
-    """Diagonal modular weight q^{-2i-2j}."""
-    validate_pw_index(idx)
-    return q ** float(-idx.i.doubled - idx.j.doubled)
-
-
 def rho_weights(basis: Basis, q: float) -> np.ndarray:
     """Vector of modular weights over the enumerated basis."""
     return q ** (-(basis.id + basis.jd).astype(float))
-
-
-class HilbertVector:
-    """A coefficient vector over an enumerated basis (orthonormal)."""
-
-    def __init__(self, basis: Basis, data: np.ndarray | None = None):
-        self.basis = basis
-        self.data = np.zeros(basis.dim, dtype=complex) if data is None else np.asarray(data, dtype=complex)
-        if self.data.shape != (basis.dim,):
-            raise QArithError("coefficient vector has wrong length")
-
-    @classmethod
-    def from_components(cls, basis: Basis, components: dict) -> "HilbertVector":
-        v = cls(basis)
-        for idx, c in components.items():
-            v.data[basis.position(idx)] = c
-        return v
-
-    @classmethod
-    def cyclic(cls, basis: Basis) -> "HilbertVector":
-        v = cls(basis)
-        v.data[0] = 1.0
-        return v
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-    def inner(self, other: "HilbertVector") -> complex:
-        return complex(np.vdot(self.data, other.data))
 
 
 DIAGONAL = (0, 0, 0, 0)
@@ -230,6 +187,24 @@ class BandMatrix:
     @property
     def nnz(self) -> int:
         return sum(int(np.count_nonzero(v)) for v in self.bands.values())
+
+    @property
+    def shell_depth_doubled(self) -> int:
+        """Twice the largest spin shift over the bands; 0 without bands.
+
+        A word of length k has bands up to o = +-k, so depths add under
+        composition, and a sum has the depth of its deepest term.
+        """
+        return max((abs(key[0]) for key in self.bands), default=0)
+
+    @property
+    def mat(self) -> "BandMatrix":
+        """This operator itself.
+
+        Read only by perfbench/worker.py, whose trace facts take op.mat.nnz;
+        the in-program stage recorder of ROADMAP item 2 removes it.
+        """
+        return self
 
     def rows(self, key) -> np.ndarray:
         return self.space.rows(key)[:self.ncols]
@@ -303,23 +278,3 @@ class BandMatrix:
             out[rows[inside], cols[inside]] = v[inside]
         return out
 
-
-@dataclass
-class SparseOperator:
-    """An operator on an enumerated basis with truncation accounting.
-
-    shell_depth_doubled is twice the largest spin shift of the underlying
-    infinite-dimensional operator; depths add under composition.
-    """
-
-    mat: BandMatrix
-    shell_depth_doubled: int
-    basis: object  # Basis or SpinorBasis: anything exposing spins_doubled()/dim
-
-    @property
-    def shell_depth(self) -> HalfInteger:
-        return HalfInteger(self.shell_depth_doubled)
-
-    @classmethod
-    def identity(cls, basis) -> "SparseOperator":
-        return cls(BandMatrix(basis, {DIAGONAL: np.ones(basis.dim)}), 0, basis)

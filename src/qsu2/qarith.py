@@ -55,7 +55,7 @@ def half(x) -> HalfInteger:
     if isinstance(x, int):
         return HalfInteger(2 * x)
     d = 2 * x
-    if float(d) != int(d):
+    if not math.isfinite(d) or float(d) != int(d):
         raise QArithError("%r is not on the half-integer grid" % (x,))
     return HalfInteger(int(d))
 

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qarith import HalfInteger, QArithError, half, q_number
-from .peterweyl import DIAGONAL, BandMatrix, SparseOperator, Truncation
+from .qarith import HalfInteger, QArithError, half
+from .peterweyl import DIAGONAL, BandMatrix, Truncation
 from .algebra import GeneratorTable, NCPolynomial, haar_state, mult_operator
 from .dirac import DiracContext, VIndex
 
@@ -31,6 +31,9 @@ class TailTooLargeError(SpectralError):
 
 class PeakOutsideTruncationError(SpectralError):
     pass
+
+
+RHO_TAIL_TOL = 1e-6  # largest share of rho_trace_functional's weight on the top shell
 
 
 @dataclass
@@ -90,7 +93,7 @@ def _chains(basis) -> tuple:
             np.tile(s0, reps), first_chain(np.arange(pw.trunc.lmax.doubled + 2)))
 
 
-def shell_norms(op: SparseOperator, shells) -> np.ndarray:
+def shell_norms(op: BandMatrix, shells) -> np.ndarray:
     """Largest singular values of op restricted to vectors on spins <= each shell.
 
     Exact, with no iteration: the Gram of op on the retained columns is
@@ -102,16 +105,18 @@ def shell_norms(op: SparseOperator, shells) -> np.ndarray:
     Gram entry couples two chains, i.e. op is not weight-graded.
     """
     shells_d = [half(s).doubled for s in shells]
+    if not shells_d:
+        raise QArithError("no shells given: a shell norm needs at least one spin shell")
     top = max(shells_d)
-    lmax_d = op.basis.trunc.lmax.doubled
-    if top + op.shell_depth_doubled > lmax_d:
+    lmax_d = op.space.trunc.lmax.doubled
+    depth_d = op.shell_depth_doubled
+    if top + depth_d > lmax_d:
         raise QArithError("shell %s + depth %s exceeds lmax %s: restriction not exact"
-                          % (HalfInteger(top), op.shell_depth, HalfInteger(lmax_d)))
-    chain, nd, s0, first = _chains(op.basis)
-    m = op.mat
-    if m.dtype.kind == "c" and not any(v.imag.any() for v in m.bands.values()):
-        m = BandMatrix(m.space, {k: v.real for k, v in m.bands.items()})  # halves the blocks
-    gram = m.H @ m
+                          % (HalfInteger(top), HalfInteger(depth_d), HalfInteger(lmax_d)))
+    chain, nd, s0, first = _chains(op.space)
+    if op.dtype.kind == "c" and not any(v.imag.any() for v in op.bands.values()):
+        op = BandMatrix(op.space, {k: v.real for k, v in op.bands.items()})  # halves the blocks
+    gram = op.H @ op
     # the chains of first spin s hold blocks of side length[s], stored one
     # after the other in a flat buffer from offset[s]; no padding
     length = (top - np.arange(top + 1)) // 2 + 1
@@ -138,16 +143,15 @@ def shell_norms(op: SparseOperator, shells) -> np.ndarray:
     return np.sqrt(best)
 
 
-def shell_norm(op: SparseOperator, shell) -> float:
+def shell_norm(op: BandMatrix, shell) -> float:
     """Largest singular value of op restricted to vectors on spins <= shell; see shell_norms."""
     return float(shell_norms(op, [shell])[0])
 
 
-def spinor_mult(a: NCPolynomial, table: GeneratorTable, dctx: DiracContext) -> SparseOperator:
+def spinor_mult(a: NCPolynomial, table: GeneratorTable, dctx: DiracContext) -> BandMatrix:
     """I_2 tensor (left multiplication by a), on the spinor basis."""
-    op = mult_operator(a, table)
-    bands = {key: np.concatenate([v, v]) for key, v in op.mat.bands.items()}
-    return SparseOperator(BandMatrix(dctx.spinor, bands), op.shell_depth_doubled, dctx.spinor)
+    bands = {key: np.concatenate([v, v]) for key, v in mult_operator(a, table).bands.items()}
+    return BandMatrix(dctx.spinor, bands)
 
 
 def witness_polynomial(table: GeneratorTable) -> NCPolynomial:
@@ -170,8 +174,7 @@ def absD_commutator_series(a: NCPolynomial, shells: Sequence, table: GeneratorTa
         raise SpectralError("|D| differs between the spinor components")
     aop = mult_operator(a, table)
     n = BandMatrix(table.basis, {DIAGONAL: absd[:h]})
-    comm = SparseOperator(n @ aop.mat - aop.mat @ n, aop.shell_depth_doubled, table.basis)
-    return GrowthSeries.fit([s / 2.0 for s in shells_d], shell_norms(comm, shells))
+    return GrowthSeries.fit([s / 2.0 for s in shells_d], shell_norms(n @ aop - aop @ n, shells))
 
 
 def absD_commutator_cap(a: NCPolynomial, table: GeneratorTable, dctx: DiracContext) -> float:
@@ -191,12 +194,11 @@ def trueD_growth(a: NCPolynomial, l_list: Sequence, table: GeneratorTable,
     depth = a.degree()
     if max(l.doubled for l in ls) + depth > dctx.trunc.lmax.doubled:
         raise QArithError("largest witness spin plus word depth exceeds the truncation")
-    d = dctx.dirac_operator("true").mat
-    aop = spinor_mult(a, table, dctx).mat
+    d = dctx.dirac_operator("true")
+    aop = spinor_mult(a, table, dctx)
     vals = []
     for l in ls:
-        idx = VIndex(l, l, HalfInteger(-l.doubled - 1), +1)
-        v = dctx.v_vector(idx).to_array()
+        v = dctx.v_vector(VIndex(l, l, HalfInteger(-l.doubled - 1), +1))
         # [D, I_2 tensor a] v from the columns v touches, one column at a time
         out = np.zeros(len(v), dtype=v.dtype)
         for j in np.flatnonzero(v):
@@ -284,8 +286,9 @@ def heat_trace(t: float, q: float, trunc: Truncation,
 def polynomial_norm_bound(a: NCPolynomial, q: float) -> float:
     """Crude operator-norm bound: sum of |coeff| times generator norm bounds.
 
-    ||alpha|| <= 1 and ||gamma|| <= min(q, 1/q)^... <= 1 in either regime,
-    so the product over letters is bounded by 1 per word.
+    The relation alpha* alpha + gamma* gamma = 1 gives ||alpha x||^2 +
+    ||gamma x||^2 = ||x||^2 for every vector x, so ||alpha||, ||gamma|| <= 1,
+    the starred generators have the same norms, and a word has norm <= 1.
     """
     return float(sum(abs(c) for c in a.terms.values()))
 
@@ -318,13 +321,13 @@ def haar_via_heat(a: NCPolynomial, t: float, table: GeneratorTable,
 
 
 def rho_trace_functional(a: NCPolynomial, multiplier: Callable[[float], float],
-                         table: GeneratorTable, tail_tol: float = 1e-6) -> complex:
+                         table: GeneratorTable) -> complex:
     """Tr(a rho B) on h for B diagonal across spin shells: B = multiplier(n).
 
     multiplier is evaluated once per retained shell.
 
     Raises TailTooLargeError when the top retained shell still contributes
-    more than tail_tol of the trace-normalizing sum (trace-class proxy).
+    more than RHO_TAIL_TOL of the trace-normalizing sum (trace-class proxy).
     """
     basis = table.basis
     shell = np.array([multiplier(nd / 2.0) for nd in range(table.trunc.lmax.doubled + 1)])
@@ -332,11 +335,11 @@ def rho_trace_functional(a: NCPolynomial, multiplier: Callable[[float], float],
     weights = table.rho * lam
     shell_sums = np.bincount(basis.nd, weights=np.abs(weights))
     total = shell_sums.sum()
-    if total > 0 and shell_sums[-1] > tail_tol * total:
+    if total > 0 and shell_sums[-1] > RHO_TAIL_TOL * total:
         raise TailTooLargeError(
             "top shell carries %.3e of the weight (tolerance %.1e); "
             "multiplier decays too slowly for this truncation"
-            % (shell_sums[-1] / total, tail_tol))
+            % (shell_sums[-1] / total, RHO_TAIL_TOL))
     diag, _ = table.diagonal(a)
     return complex(np.sum(diag * weights))
 
@@ -353,8 +356,8 @@ def modular_check(a: NCPolynomial, b: NCPolynomial, table: GeneratorTable) -> fl
     rho = table.rho
     # products of generator matrices, not words applied to e0 letter by letter:
     # the association order fixes the bits of the defect
-    op_a = table.operator(a).mat
-    op_b = table.operator(b).mat
+    op_a = table.operator(a)
+    op_b = table.operator(b)
     e0 = np.zeros(table.basis.dim, dtype=complex)
     e0[0] = 1.0
     # Psi(a) = rho a rho^{-1}; rho^{-1} e0 = e0
@@ -367,7 +370,7 @@ def modular_generator_scaling(rd: int, sd: int, table: GeneratorTable) -> float:
     """Residual of Psi(ttilde^{1/2}_{r,s}) = q^{-2r-2s} ttilde^{1/2}_{r,s} as operators."""
     q = table.q
     rho = table.rho
-    m = table.t_half(rd, sd).mat
+    m = table.t_half(rd, sd)
     conj = BandMatrix(table.basis, {DIAGONAL: rho}) @ m \
         @ BandMatrix(table.basis, {DIAGONAL: 1.0 / rho})
     diff = conj - q ** float(-rd - sd) * m

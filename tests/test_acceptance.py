@@ -76,7 +76,7 @@ def test_02_two_path_haar(table10, capfd):
 
 def test_03_coupled_basis(capfd):
     dctx = DiracContext(Q, Truncation(HalfInteger(10)))
-    v = to_csr(dctx.change_of_basis.mat)
+    v = to_csr(dctx.change_of_basis)
     gram_dev = np.abs((v.T @ v).toarray() - np.eye(v.shape[0])).max()
     counts_ok = all(
         sum(1 for x in v_enumerate(dctx.trunc) if x.l.doubled == ld) == 2 * (ld + 1) ** 2
@@ -93,7 +93,7 @@ def test_04_dirac_q_relation(capfd):
 def test_05_transition_coefficients(capfd):
     table = GeneratorTable(Q, Truncation(HalfInteger(14)))
     dctx = DiracContext(Q, table.trunc, table.basis)
-    aop = spectral.spinor_mult(spectral.witness_polynomial(table), table, dctx).mat
+    aop = spectral.spinor_mult(spectral.witness_polynomial(table), table, dctx)
     worst = 0.0
     for ld in range(1, 13):
         for id_ in range(-ld, ld + 1, 2):
@@ -103,7 +103,7 @@ def test_05_transition_coefficients(capfd):
                 c = b_minus_closed(HalfInteger(ld), HalfInteger(id_), HalfInteger(jd), Q)
                 worst = max(worst, abs(s - c))
                 w = aop @ dctx.v_vector(
-                    VIndex(HalfInteger(ld), HalfInteger(id_), HalfInteger(jd), 1)).to_array()
+                    VIndex(HalfInteger(ld), HalfInteger(id_), HalfInteger(jd), 1))
                 for md in (ld - 1, ld + 1):
                     if md < 0 or abs(id_ + 1) > md:
                         continue
@@ -111,7 +111,7 @@ def test_05_transition_coefficients(capfd):
                         if abs(jd + 1) > md + eps:
                             continue
                         tgt = dctx.v_vector(VIndex(HalfInteger(md), HalfInteger(id_ + 1),
-                                                   HalfInteger(jd + 1), eps)).to_array()
+                                                   HalfInteger(jd + 1), eps))
                         ref = b_coefficient(HalfInteger(ld), HalfInteger(id_),
                                             HalfInteger(jd), HalfInteger(md), eps, Q)
                         worst = max(worst, abs(float(np.real(tgt @ w)) - ref))

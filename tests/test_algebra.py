@@ -83,13 +83,13 @@ class TestGeneratorTable:
         e0[0] = 1.0
         for rd in (1, -1):
             for sd in (1, -1):
-                out = table.t_half(rd, sd).mat @ e0
+                out = table.t_half(rd, sd) @ e0
                 k = table.basis.position_doubled(1, rd, sd)
                 assert out[k] == pytest.approx(1.0, abs=1e-14)
                 assert np.abs(out).sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_unitary_row(self, table):
-        a, g = to_csr(table.ops["a"].mat), to_csr(table.ops["g"].mat)
+        a, g = to_csr(table.ops["a"]), to_csr(table.ops["g"])
         eye = sp.identity(table.basis.dim)
         resid = a.conj().T @ a + g.conj().T @ g - eye
         safe = sp.diags((table.basis.nd <= table.trunc.lmax.doubled - 2).astype(float))
@@ -182,7 +182,7 @@ def full_dimension_haar_state(p, table):
 def full_column_residuals(table):
     """Reference battery: full products, then a diagonal projection onto the safe columns."""
     q = table.q
-    a, A, g, G = (to_csr(table.ops[ch].mat) for ch in "aAgG")
+    a, A, g, G = (to_csr(table.ops[ch]) for ch in "aAgG")
     eye = sp.identity(table.basis.dim, format="csr")
     rel = {
         "A a + G g = 1": A @ a + G @ g - eye,
@@ -219,7 +219,7 @@ class TestLeadingShells:
                                                           table.gamma_scalar)
         for ch, op in table.ops.items():
             assert view.ops[ch].shell_depth_doubled == op.shell_depth_doubled
-            assert abs(to_csr(view.ops[ch].mat) - to_csr(op.mat)[:k, :k]).nnz == 0
+            assert abs(to_csr(view.ops[ch]) - to_csr(op)[:k, :k]).nnz == 0
         for key, m in table._t.items():
             assert abs(to_csr(view._t[key]) - to_csr(m)[:k, :k]).nnz == 0
         assert np.array_equal(view.rho, table.rho[:k])
@@ -250,9 +250,9 @@ class TestRelationBattery:
 
     @staticmethod
     def _perturbed(column_shell):
-        """An unvalidated ld 7 table with one nonzero entry of alpha off by 1e-6."""
-        t = GeneratorTable(Q, Truncation(HalfInteger(7)), validate=False)
-        for band in t.ops["a"].mat.bands.values():
+        """A validated ld 7 table, then one nonzero entry of alpha moved by 1e-6."""
+        t = GeneratorTable(Q, Truncation(HalfInteger(7)))
+        for band in t.ops["a"].bands.values():
             k = np.flatnonzero((t.basis.nd == column_shell) & (band != 0))
             if k.size:
                 band[k[0]] += 1e-6
@@ -274,12 +274,12 @@ class TestMultOperator:
     def test_identity(self, table):
         op = mult_operator(NCPolynomial.one(), table)
         assert op.shell_depth_doubled == 0
-        assert abs(to_csr(op.mat) - sp.identity(table.basis.dim)).nnz == 0
+        assert abs(to_csr(op) - sp.identity(table.basis.dim)).nnz == 0
 
     def test_gamma_star_gamma_preserves_weights(self, table):
         op = mult_operator(NCPolynomial.word("Gg"), table)
         assert op.shell_depth_doubled == 2
-        coo = to_csr(op.mat).tocoo()
+        coo = to_csr(op).tocoo()
         b = table.basis
         for r, c in zip(coo.row, coo.col):
             assert b.id[r] == b.id[c] and b.jd[r] == b.jd[c]
@@ -291,7 +291,7 @@ class TestMultOperator:
         opstar = mult_operator(p.adjoint(), table)
         safe = sp.diags((table.basis.nd <= table.trunc.lmax.doubled
                          - 2 * op.shell_depth_doubled).astype(float))
-        resid = safe @ (to_csr(opstar.mat) - to_csr(op.mat).conj().T) @ safe
+        resid = safe @ (to_csr(opstar) - to_csr(op).conj().T) @ safe
         assert abs(resid).max() < 1e-12
 
     def test_empty_safe_shell_error(self):
@@ -321,15 +321,15 @@ class TestBandProducts:
         polys += [NCPolynomial({"": 0.5, "Gg": -1.0, "aAgG": 2.0j, "AAaa": 0.25}),
                   NCPolynomial({"ag": 1.0, "G": 0.5j, "gG": -3.0})]
         for p in polys:
-            new = to_csr(mult_operator(p, t).mat)
+            new = to_csr(mult_operator(p, t))
             ref = csr_mult_operator(p, ops, t.basis.dim)
             ref.sort_indices()
             assert np.array_equal(new.indptr, ref.indptr), p
             assert np.array_equal(new.indices, ref.indices), p
             assert new.data.tobytes() == ref.data.tobytes(), p
         for ch, m in ops.items():
-            assert to_csr(t.ops[ch].mat).data.tobytes() == m.data.tobytes(), ch
-            assert t.ops[ch].mat.nnz == m.nnz, ch
+            assert to_csr(t.ops[ch]).data.tobytes() == m.data.tobytes(), ch
+            assert t.ops[ch].nnz == m.nnz, ch
 
 
 class TestHaarState:

@@ -116,6 +116,12 @@ class TestMain:
     def test_config_error_exit_code(self):
         assert main(["heat", "--q", "1.0"]) == 2
 
+    @pytest.mark.parametrize("lmax", ["6", "8"])
+    def test_commutators_without_shells_report_the_empty_list(self, lmax, capsys):
+        # the shells 4 .. min(20, lmax - 1) are empty below lmax_doubled 10
+        assert main(["commutators", "--lmax", lmax]) == 1
+        assert "commutators: ERROR no shells given" in capsys.readouterr().err
+
     def test_heat_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "heat.csv"
         rc = main(["heat", "--lmax", "16", "--out", str(out)])

@@ -1,14 +1,25 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsu2.qarith import HalfInteger, QArithError, half, q_number
-from qsu2.peterweyl import (Basis, HilbertVector, PWIndex, SparseOperator, Truncation,
-                            basis_enumerate, normalization_factor,
-                            pw_inner_unnormalized, pw_position, rho_weight, rho_weights)
+from qsu2.peterweyl import (Basis, PWIndex, Truncation, normalization_factor,
+                            pw_inner_unnormalized, pw_position, rho_weights,
+                            validate_pw_index)
+from qsu2.algebra import GeneratorTable, NCPolynomial, mult_operator
+from qsu2.dirac import DiracContext
 
 
 def pw(n, i, j):
     return PWIndex(half(n), half(i), half(j))
+
+
+def rho_weight(idx: PWIndex, q: float) -> float:
+    """Scalar reference for rho_weights: the modular weight q^{-2i-2j}."""
+    validate_pw_index(idx)
+    return q ** float(-idx.i.doubled - idx.j.doubled)
 
 
 class TestEnumeration:
@@ -16,12 +27,12 @@ class TestEnumeration:
     def test_dimension(self, lmax_d, dim):
         trunc = Truncation(HalfInteger(lmax_d))
         assert trunc.dimension == dim
-        assert len(basis_enumerate(trunc)) == dim
+        assert len(Basis(trunc).indices) == dim
 
     def test_order_and_stability(self):
         trunc = Truncation(HalfInteger(2))
-        a = basis_enumerate(trunc)
-        b = basis_enumerate(trunc)
+        a = Basis(trunc).indices
+        b = Basis(trunc).indices
         assert a == b
         assert a[0] == pw(0, 0, 0)
         doubled = [(i.n.doubled, i.i.doubled, i.j.doubled) for i in a]
@@ -121,19 +132,12 @@ class TestRhoWeights:
 
 
 class TestVectorsAndOperators:
-    def test_hilbert_vector_norm(self):
-        basis = Basis(Truncation(HalfInteger(1)))
-        v = HilbertVector.from_components(basis, {pw(0, 0, 0): 3, pw(0.5, 0.5, 0.5): 4j})
-        assert v.norm() == pytest.approx(5.0)
-
     def test_identity_and_depth_addition(self):
-        from qsu2.algebra import GeneratorTable, NCPolynomial, mult_operator
-        basis = Basis(Truncation(HalfInteger(4)))
-        eye = SparseOperator.identity(basis)
+        t = GeneratorTable(1.3, Truncation(HalfInteger(4)))
+        eye = mult_operator(NCPolynomial.one(), t)
         assert eye.shell_depth_doubled == 0
-        assert np.array_equal(eye.mat.toarray(), np.eye(basis.dim))
+        assert np.array_equal(eye.toarray(), np.eye(t.basis.dim))
         # depths add under composition: a word's depth is its length, a sum's the largest
-        t = GeneratorTable(1.3, basis.trunc)
         assert all(op.shell_depth_doubled == 1 for op in t.ops.values())
         assert mult_operator(NCPolynomial.word("aG"), t).shell_depth_doubled == 2
         assert mult_operator(NCPolynomial.word("aGg"), t).shell_depth_doubled == 3
@@ -142,7 +146,6 @@ class TestVectorsAndOperators:
     def test_truncation_exactness_across_lmax(self):
         # a depth-1 operator applied to a vector inside the safe shell gives
         # identical coefficients when rebuilt on a larger truncation
-        from qsu2.algebra import GeneratorTable
         q = 1.3
         small = GeneratorTable(q, Truncation(HalfInteger(6)))
         large = GeneratorTable(q, Truncation(HalfInteger(10)))
@@ -150,7 +153,54 @@ class TestVectorsAndOperators:
         vs[small.basis.position_doubled(5, 3, -1)] = 1.0  # spin 5/2 <= 3 - 1/2
         vl = np.zeros(large.basis.dim)
         vl[large.basis.position_doubled(5, 3, -1)] = 1.0
-        outs = small.ops["a"].mat @ vs
-        outl = large.ops["a"].mat @ vl
+        outs = small.ops["a"] @ vs
+        outl = large.ops["a"] @ vl
         for k, idx in enumerate(small.basis.indices):
             assert outs[k] == pytest.approx(outl[large.basis.position(idx)], abs=1e-15)
+
+
+@lru_cache(maxsize=None)
+def _table(q, ld):
+    return GeneratorTable(q, Truncation(HalfInteger(ld)))
+
+
+@lru_cache(maxsize=None)
+def _dirac(q, ld, view_nd):
+    view = _table(q, ld).leading(view_nd)
+    return DiracContext(q, view.trunc, view.basis)
+
+
+_WORDS = st.text(alphabet="aAgG", max_size=4)
+_COEFFS = st.sampled_from([1.0, -1.0, 0.5, 2.0 - 1.0j])
+
+
+def _relations(q):
+    """The defining relations as polynomials: each is 0 in the algebra, of degree 2."""
+    one = NCPolynomial.one()
+    w = NCPolynomial.word
+    return [w("Aa") + w("Gg") - one, w("aA") + q * q * w("Gg") - one, w("Gg") - w("gG"),
+            w("ag") - q * w("ga"), w("aG") - q * w("Ga")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([1.2, 3.0, 0.7]), ld=st.sampled_from([4, 7, 16]),
+       terms=st.dictionaries(_WORDS, _COEFFS, max_size=4),
+       relation=st.integers(-1, 4), drop=st.booleans(), view=st.integers(0, 16))
+def test_shell_depth_is_read_from_band_keys(q, ld, terms, relation, drop, view):
+    # a random polynomial of degree <= 4, plus a relation whose terms cancel
+    # as operators, minus (on drop) its first word: those terms cancel exactly
+    p = NCPolynomial(terms)
+    if relation >= 0:
+        p = p + _relations(q)[relation]
+    if drop and p.terms:
+        w = next(iter(p.terms))
+        p = p - NCPolynomial.word(w, p.terms[w])
+    view_nd = max(view, p.degree())
+    t = _table(q, ld).leading(view_nd)
+    assert mult_operator(p, t).shell_depth_doubled == p.degree()
+    assert all(op.shell_depth_doubled == 1 for op in t.ops.values())
+    assert all(t.t_half(rd, sd).shell_depth_doubled == 1 for rd in (1, -1) for sd in (1, -1))
+    d = _dirac(q, ld, view_nd)
+    for kind in ("true", "naive", "abs"):
+        assert d.dirac_operator(kind).shell_depth_doubled == 0
+    assert d.change_of_basis.shell_depth_doubled == 0

@@ -28,8 +28,9 @@ class TestHalfInteger:
         assert half(3) == HalfInteger(6)
         assert half(0.5) == HalfInteger(1)
         assert half(HalfInteger(7)) == HalfInteger(7)
-        with pytest.raises(QArithError):
-            half(0.3)
+        for bad in (0.3, float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(QArithError):
+                half(bad)
 
     def test_ordering(self):
         assert HalfInteger(1) < HalfInteger(2)

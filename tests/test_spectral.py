@@ -9,7 +9,7 @@ from scipy.special import logsumexp
 
 from sparse_reference import to_csr
 from qsu2.qarith import HalfInteger, QArithError, q_number
-from qsu2.peterweyl import DIAGONAL, BandMatrix, Basis, SparseOperator, Truncation, rho_weights
+from qsu2.peterweyl import DIAGONAL, BandMatrix, Basis, Truncation, rho_weights
 from qsu2 import algebra
 from qsu2.algebra import (GeneratorTable, NCPolynomial, apply_word, haar_state,
                           is_normal_word, mult_operator)
@@ -55,28 +55,36 @@ class TestShellNorm:
     def test_diagonal_operator(self):
         basis = Basis(Truncation(HalfInteger(4)))
         vals = (basis.nd + 1).astype(float)
-        op = SparseOperator(BandMatrix(basis, {DIAGONAL: vals}), 0, basis)
+        op = BandMatrix(basis, {DIAGONAL: vals})
         # restricted to spins <= 1 the largest retained value is 3
         assert shell_norm(op, HalfInteger(2)) == 3.0
         assert shell_norm(op, HalfInteger(4)) == 5.0
 
     def test_depth_guard(self):
-        basis = Basis(Truncation(HalfInteger(4)))
-        op = SparseOperator(SparseOperator.identity(basis).mat, 2, basis)
+        t = GeneratorTable(Q, Truncation(HalfInteger(4)))
+        op = mult_operator(NCPolynomial.word("aG"), t)
+        assert op.shell_depth_doubled == 2
         with pytest.raises(QArithError):
             shell_norm(op, HalfInteger(3))
 
+    def test_empty_shell_list_raises(self):
+        basis = Basis(Truncation(HalfInteger(4)))
+        op = BandMatrix(basis, {DIAGONAL: np.ones(basis.dim)})
+        with pytest.raises(QArithError, match="no shells"):
+            spectral.shell_norms(op, [])
+
     def test_zero_operator(self):
         basis = Basis(Truncation(HalfInteger(2)))
-        op = SparseOperator(BandMatrix(basis, {}), 0, basis)
-        assert shell_norm(op, HalfInteger(2)) == 0.0
+        assert shell_norm(BandMatrix(basis, {}), HalfInteger(2)) == 0.0
 
     def test_operator_that_is_not_graded_raises(self):
-        # alpha + gamma: two weights, so its Gram couples (i, j) with (i - 2, j)
+        # alpha + gamma: two weights, so its Gram couples (i, j) with (i - 2, j);
+        # depth 1, so shell 3 is the largest that passes the depth guard at ld 4
         t = GeneratorTable(Q, Truncation(HalfInteger(4)))
-        m = t.ops["a"].mat + t.ops["g"].mat
+        m = t.ops["a"] + t.ops["g"]
+        assert m.shell_depth_doubled == 1
         with pytest.raises(SpectralError):
-            shell_norm(SparseOperator(m, 0, t.basis), HalfInteger(4))
+            shell_norm(m, HalfInteger(3))
 
     @pytest.mark.parametrize("spinor", [False, True])
     def test_chains_number_each_component_and_weight_once(self, spinor):
@@ -104,7 +112,7 @@ class TestShellNorm:
         blocks = []
         for ch in ("a", "G"):
             bands = {}
-            for key, v in t.ops[ch].mat.bands.items():
+            for key, v in t.ops[ch].bands.items():
                 r = rng.standard_normal(len(v)) + (1j * rng.standard_normal(len(v))
                                                    if dtype is complex else 0)
                 bands[key] = np.where(v != 0, r, 0).astype(dtype)
@@ -112,9 +120,8 @@ class TestShellNorm:
         zero = np.zeros(t.basis.dim, dtype=dtype)
         spinor = {**{k: np.concatenate([v, zero]) for k, v in blocks[0].items()},
                   **{k: np.concatenate([zero, v]) for k, v in blocks[1].items()}}
-        for op in (SparseOperator(BandMatrix(t.basis, blocks[0]), 1, t.basis),
-                   SparseOperator(BandMatrix(d.spinor, spinor), 1, d.spinor)):
-            dense, spins = to_csr(op.mat).toarray(), op.basis.spins_doubled()
+        for op in (BandMatrix(t.basis, blocks[0]), BandMatrix(d.spinor, spinor)):
+            dense, spins = to_csr(op).toarray(), op.space.labels[1]
             for s in range(8):
                 ref = np.linalg.norm(dense[:, spins <= s], 2)
                 assert shell_norm(op, HalfInteger(s)) == pytest.approx(ref, rel=1e-12, abs=0)
@@ -126,11 +133,11 @@ class TestShellNorm:
         d = DiracContext(q, t.trunc, t.basis)
         a = witness_polynomial(t)
         aop = spinor_mult(a, t, d)
-        absd = d.dirac_operator("abs").mat
-        comm = SparseOperator(absd @ aop.mat - aop.mat @ absd, aop.shell_depth_doubled, d.spinor)
-        a_csr, absd_csr = to_csr(aop.mat), to_csr(absd)
+        absd = d.dirac_operator("abs")
+        comm = absd @ aop - aop @ absd
+        a_csr, absd_csr = to_csr(aop), to_csr(absd)
         dense = (absd_csr @ a_csr - a_csr @ absd_csr).toarray()
-        spins = d.spinor.spins_doubled()
+        spins = d.spinor.labels[1]
         # the shells run_commutators picks, and the first three
         cli_shells = [2 * s for s in range(4, min(20, ld // 2 - 1) + 1)]
         shells = sorted({0, 1, 2, *cli_shells})
@@ -141,7 +148,7 @@ class TestShellNorm:
             assert from_series == pytest.approx(ref, rel=1e-12, abs=0)
         # the generator at the cap shell
         op = mult_operator(a, t)
-        ref = np.linalg.norm(to_csr(op.mat).toarray()[:, t.basis.nd <= ld - 1], 2)
+        ref = np.linalg.norm(to_csr(op).toarray()[:, t.basis.nd <= ld - 1], 2)
         assert shell_norm(op, HalfInteger(ld - 1)) == pytest.approx(ref, rel=1e-12, abs=0)
         assert absD_commutator_cap(a, t, d) == pytest.approx(
             math.sqrt(2) * 0.5 * ref, rel=1e-12, abs=0)
@@ -243,7 +250,7 @@ def full_dimension_haar_via_heat(a, t, table):
     q, basis = table.q, table.basis
     op = mult_operator(a, table)
     weights = rho_weights(basis, q) * np.exp(-t * ((basis.nd + 1) / 2.0) ** 2)
-    num = complex(np.sum(op.mat.diagonal() * weights))
+    num = complex(np.sum(op.diagonal() * weights))
     den = float(np.sum(weights))
     corrupted = weights[basis.nd > basis.trunc.lmax.doubled - op.shell_depth_doubled].sum()
     tail = 2.0 * (polynomial_norm_bound(a, q) + 1.0) \
@@ -269,7 +276,7 @@ class TestTraceDiagonals:
         weights = rho_weights(basis, Q) * np.array(
             [lam(nd / 2.0) for nd in range(table.trunc.lmax.doubled + 1)])[basis.nd]
         for p in OBSERVABLES:
-            ref = complex(np.sum(mult_operator(p, table).mat.diagonal() * weights))
+            ref = complex(np.sum(mult_operator(p, table).diagonal() * weights))
             assert np.array(rho_trace_functional(p, lam, table)).tobytes() \
                 == np.array(ref).tobytes()
 
@@ -299,8 +306,8 @@ def full_operator_modular_check(a, b, table):
     for word, coeff in (a * b).terms.items():
         psi_ab += coeff * apply_word(word, e0, table)[0]
     rho = rho_weights(table.basis, table.q)
-    v = rho * (mult_operator(a, table).mat @ e0)
-    psi_bPsia = complex(np.vdot(e0, mult_operator(b, table).mat @ v))
+    v = rho * (mult_operator(a, table) @ e0)
+    psi_bPsia = complex(np.vdot(e0, mult_operator(b, table) @ v))
     return abs(psi_ab - psi_bPsia)
 
 
@@ -309,8 +316,8 @@ def uncached_modular_check(a, b, table):
     table = table.leading(a.degree() + b.degree())
     e0 = np.zeros(table.basis.dim, dtype=complex)
     e0[0] = 1.0
-    v = table.rho * (mult_operator(a, table).mat @ e0)
-    psi_bPsia = complex(np.vdot(e0, mult_operator(b, table).mat @ v))
+    v = table.rho * (mult_operator(a, table) @ e0)
+    psi_bPsia = complex(np.vdot(e0, mult_operator(b, table) @ v))
     return abs(haar_state(a * b, table) - psi_bPsia)
 
 
@@ -399,7 +406,7 @@ class TestModular:
 class TestCommutators:
     def test_spinor_mult_shape_and_depth(self, table, dctx):
         op = spinor_mult(NCPolynomial.word("ag"), table, dctx)
-        assert op.mat.shape == (dctx.spinor.dim, dctx.spinor.dim)
+        assert op.shape == (dctx.spinor.dim, dctx.spinor.dim)
         assert op.shell_depth_doubled == 2
 
     def test_witness_is_normalized_generator(self, table):
@@ -430,12 +437,12 @@ class TestCommutators:
         d = DiracContext(Q, t.trunc, t.basis)
         a = witness_polynomial(t)
         ls = list(range(5, 12))  # the CLI's witness spins at lmax_doubled 24
-        v = to_csr(d.change_of_basis.mat)
+        v = to_csr(d.change_of_basis)
         dmat = v @ sp.diags(d.eigenvalues("true")) @ v.T
-        amat = to_csr(spinor_mult(a, t, d).mat)
+        amat = to_csr(spinor_mult(a, t, d))
         comm = dmat @ amat - amat @ dmat
         ref = [np.linalg.norm(comm @ d.v_vector(VIndex(HalfInteger(2 * l), HalfInteger(2 * l),
-                                                        HalfInteger(-2 * l - 1), 1)).to_array())
+                                                        HalfInteger(-2 * l - 1), 1)))
                for l in ls]
         assert trueD_growth(a, ls, t, d).values.tobytes() == np.array(ref).tobytes()
 

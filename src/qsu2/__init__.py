@@ -12,7 +12,7 @@ from .peterweyl import (Basis, PWIndex, Truncation, normalization_factor,
                         pw_inner_unnormalized)
 from .algebra import (GeneratorTable, NCPolynomial, ValidationError, haar_state,
                       mult_operator, normal_order)
-from .gns_oracle import LevelOverflowError, oracle_haar, rep_apply
+from .gns_oracle import oracle_haar, rep_apply
 from .dirac import DiracContext, VIndex, b_coefficient, b_minus_closed
 from .spectral import (GrowthSeries, HeatTraceReport, absD_commutator_series,
                        asymptotic_band, haar_via_heat, heat_trace, modular_check,

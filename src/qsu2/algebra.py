@@ -153,12 +153,13 @@ def cg_table(m1d: int, lmax_doubled: int, q: float) -> np.ndarray:
     return table
 
 
-def _gen_matrix(rd: int, sd: int, basis: Basis, q: float) -> BandMatrix:
-    """Left multiplication by the normalized spin-1/2 element with weight shift (rd/2, sd/2).
+def t_half(rd: int, sd: int, basis: Basis, q: float) -> BandMatrix:
+    """Left multiplication by the spin-1/2 element ttilde^{1/2}_{rd/2, sd/2} on basis.
 
     The entry taking (n, i, j) to (n + branch/2, i + rd/2, j + sd/2) is
     C(rd, i) C(sd, j) nu(n), gathered from per-shell scalar tables; the
-    branches +1, -1 are the two bands.
+    branches +1, -1 are the two bands.  Each entry is a closed form of its
+    column, so on a smaller truncation it keeps its bits.
     """
     Ld = basis.trunc.lmax.doubled
     nd, id_, jd = basis.nd, basis.id, basis.jd
@@ -194,7 +195,8 @@ class GeneratorTable:
 
     which differs from the textbook corepresentation matrix only by the
     sign automorphism gamma -> -gamma.  The full relation battery is run on
-    construction; a failure raises ValidationError.
+    construction and its residuals are kept; a failure raises
+    ValidationError.
     """
 
     RELATION_TOL = 1e-10
@@ -205,18 +207,16 @@ class GeneratorTable:
         self.q = q
         self.trunc = trunc
         self.basis = Basis(trunc)
-        self._t = {}
-        for rd in (1, -1):
-            for sd in (1, -1):
-                self._t[(rd, sd)] = _gen_matrix(rd, sd, self.basis, q)
+        tpp, tmp = t_half(1, 1, self.basis, q), t_half(-1, 1, self.basis, q)
 
         # Scalar fit: with ca, cg > 0 and stars as adjoints, the relations
         # evaluated at the cyclic vector e0 give
         #   ca^2 * |T++ e0|^2     + cg^2 * |T-+ e0|^2      = 1
         #   ca^2 * |T++^H e0|^2   + q^2 cg^2 * |T-+ e0|^2  = 1
+        # Each vector has one nonzero entry, so the fit is the same on every
+        # truncation.
         e0 = np.zeros(self.basis.dim)
         e0[0] = 1.0
-        tpp, tmp = self._t[(1, 1)], self._t[(-1, 1)]
         m = np.array([
             [np.linalg.norm(tpp @ e0) ** 2, np.linalg.norm(tmp @ e0) ** 2],
             [np.linalg.norm(tpp.H @ e0) ** 2,
@@ -233,12 +233,8 @@ class GeneratorTable:
         self.ops = {"a": alpha, "A": alpha.H, "g": gamma, "G": gamma.H}
         self._leading = {}
         self._diagonals = {}
-        self._operators = None  # memo of operator(); leading views only
+        self._operators = {}
         self.validate()
-
-    def t_half(self, rd: int, sd: int) -> BandMatrix:
-        """Left multiplication by ttilde^{1/2}_{rd/2, sd/2}."""
-        return self._t[(rd, sd)]
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -246,30 +242,19 @@ class GeneratorTable:
         return rho_weights(self.basis, self.q)
 
     def leading(self, deg: int) -> "GeneratorTable":
-        """This table restricted to the spins 2n <= max(deg, 2), memoized per shell.
+        """The table on the spins 2n <= max(deg, 2), memoized per shell.
 
         A word of length <= deg moves e0 only within those spins, so every
-        matrix element <e0, w e0> computed on the restriction takes the same
-        terms, in the same order, as on the full table.  The generator
-        matrices are the leading [:k, :k] blocks and the fitted scalars are
-        shared: nothing is re-fitted or re-validated.
+        matrix element <e0, w e0> computed on the smaller table takes the
+        same terms, in the same order, as on this one.  The smaller table is
+        an ordinary GeneratorTable: its generators are the leading blocks
+        of these, bit for bit, and its fitted scalars are these.
         """
         nd = max(deg, 2)
         if nd >= self.trunc.lmax.doubled:
             return self
         if nd not in self._leading:
-            view = object.__new__(GeneratorTable)
-            view.q = self.q
-            view.trunc = Truncation(HalfInteger(nd))
-            view.basis = Basis(view.trunc)
-            view._t = {key: m.leading(view.basis) for key, m in self._t.items()}
-            view.alpha_scalar = self.alpha_scalar
-            view.gamma_scalar = self.gamma_scalar
-            view.ops = {ch: op.leading(view.basis) for ch, op in self.ops.items()}
-            view._leading = {}
-            view._diagonals = {}
-            view._operators = {}
-            self._leading[nd] = view
+            self._leading[nd] = GeneratorTable(self.q, Truncation(HalfInteger(nd)))
         return self._leading[nd]
 
     def diagonal(self, p: "NCPolynomial") -> tuple:
@@ -286,23 +271,22 @@ class GeneratorTable:
         return self._diagonals[key]
 
     def operator(self, p: "NCPolynomial") -> BandMatrix:
-        """mult_operator(p) on this table, memoized per polynomial on leading views.
+        """mult_operator(p) on this table, memoized by the polynomial's terms.
 
-        A view from leading() keeps every operator it builds, keyed by the
-        polynomial's terms; views are small, and the full table keeps none.
+        modular_check reads it on the small tables from leading(), one
+        operator per word and table across all its pairs.
         """
-        if self._operators is None:
-            return mult_operator(p, self)
         key = tuple(p.terms.items())
         if key not in self._operators:
             self._operators[key] = mult_operator(p, self)
         return self._operators[key]
 
-    def _relation_residuals(self) -> dict:
-        """Largest residual of each defining relation on the safe columns.
+    def validate(self) -> None:
+        """Run the relation battery; raise ValidationError if a residual exceeds RELATION_TOL.
 
-        A relation is a word of length 2 (depth 1), exact on the spins
-        2n <= 2 lmax - 2: the column prefix [0, s).  Only the right factors
+        residuals keeps the largest residual of each defining relation on
+        the safe columns.  A relation is a word of length 2 (depth 1), exact
+        on the spins 2n <= 2 lmax - 2: the column prefix [0, s).  Only the right factors
         are cut to it, so each entry sums the same terms in the same order
         as the full product; G g_s serves two relations, while (q^2 G) g_s
         is its own product, since scaling first moves its bits.
@@ -321,13 +305,10 @@ class GeneratorTable:
             "a g = q g a": lambda: a @ g_s - q * g @ a_s,
             "a G = q G a": lambda: a @ G_s - q * G @ a_s,
         }
-        return {name: residual().max_abs() for name, residual in rel.items()}
-
-    def validate(self) -> None:
-        residuals = self._relation_residuals()
-        worst = max(residuals, key=residuals.get)
-        if residuals[worst] > self.RELATION_TOL:
-            raise ValidationError(worst, residuals[worst])
+        self.residuals = {name: residual().max_abs() for name, residual in rel.items()}
+        worst = max(self.residuals, key=self.residuals.get)
+        if self.residuals[worst] > self.RELATION_TOL:
+            raise ValidationError(worst, self.residuals[worst])
 
 
 def mult_operator(p: NCPolynomial, table: GeneratorTable) -> BandMatrix:

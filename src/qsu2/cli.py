@@ -155,7 +155,7 @@ def run_validate(cfg: RunConfig):
     # algebra relation battery
     try:
         table = generator_table(cfg)
-        for name, residual in table._relation_residuals().items():
+        for name, residual in table.residuals.items():
             record("algebra.relation[%s]" % name, residual)
     except ValidationError as exc:
         rows.append(["algebra.relation[%s]" % exc.identity, exc.residual, 1e-9, "FAIL"])
@@ -177,14 +177,13 @@ def run_validate(cfg: RunConfig):
 
 def run_haar(cfg: RunConfig):
     table = generator_table(cfg)
-    dctx = DiracContext(cfg.q, cfg.trunc, table.basis)
     phi1 = spectral.rho_trace_functional(NCPolynomial.one(), _rho_multiplier, table)
     rows = []
     for w in OBSERVABLES:
         p = NCPolynomial.word(w)
         psi = haar_state(p, table)
         for t in cfg.t_grid:
-            ratio, tail = spectral.haar_via_heat(p, t, table, dctx)
+            ratio, tail = spectral.haar_via_heat(p, t, table)
             err = abs(ratio - psi)
             rows.append(["heat", _word_label(w), t, ratio.real, psi.real, err, tail,
                          "PASS" if err < cfg.tolerance else "FAIL"])
@@ -200,13 +199,13 @@ def run_haar(cfg: RunConfig):
 
 def run_commutators(cfg: RunConfig):
     table = generator_table(cfg)
-    dctx = DiracContext(cfg.q, cfg.trunc, table.basis)
     a = spectral.witness_polynomial(table)
     lmax = cfg.lmax_doubled // 2
     shells = [HalfInteger(2 * s) for s in range(4, min(20, lmax - 1) + 1)]
-    series_abs = spectral.absD_commutator_series(a, shells, table, dctx)
-    cap = spectral.absD_commutator_cap(a, table, dctx)
+    series_abs = spectral.absD_commutator_series(a, shells, table)
+    cap = spectral.absD_commutator_cap(a, table)
     ls = list(range(5, min(30, lmax - 1) + 1))
+    dctx = DiracContext(cfg.q, cfg.trunc, table.basis)
     series_true = spectral.trueD_growth(a, ls, table, dctx)
 
     plateau = abs(series_abs.values[-1] - series_abs.values[-2]) / series_abs.values[-1]

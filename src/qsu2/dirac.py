@@ -177,20 +177,14 @@ class DiracContext:
         ld, _, _, sign = self.v_doubled
         return self._spectrum(kind, ld, sign)
 
-    @cached_property
-    def absd_diagonal(self) -> np.ndarray:
-        return (np.tile(self.basis.nd, 2) + 1) / 2.0
-
     def dirac_operator(self, kind: str) -> BandMatrix:
-        """D (kind='true'), Q (kind='naive') or |D| (kind='abs') as a band operator.
+        """D (kind='true') or Q (kind='naive') as a band operator.
 
         D and Q are V diag(eigenvalues) V^T, formed block by block: the
         column e_+ (n, i, j) meets the coupled vectors (n, i, j + 1/2, +-),
         the column e_- (n, i, j) those of (n, i, j - 1/2, +-).  Each entry
         sums the same two products (V entry * eigenvalue) * V entry.
         """
-        if kind == "abs":
-            return BandMatrix(self.spinor, {DIAGONAL: self.absd_diagonal})
         Ld = self.trunc.lmax.doubled
         nd, jd = self.basis.nd, self.basis.jd
         up, down = cg_table(1, Ld, self.q), cg_table(-1, Ld, self.q)

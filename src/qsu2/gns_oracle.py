@@ -17,11 +17,7 @@ import math
 from .algebra import NCPolynomial
 
 
-class LevelOverflowError(RuntimeError):
-    """A word climbed past the ladder truncation; retry with larger K."""
-
-
-def rep_apply(word: str, k: int, q: float, kmax: int | None = None):
+def rep_apply(word: str, k: int, q: float):
     """Apply a generator word (rightmost letter first) to ladder level k.
 
     Returns (amplitude, k', winding).  An annihilated state comes back with
@@ -36,8 +32,6 @@ def rep_apply(word: str, k: int, q: float, kmax: int | None = None):
         if ch == "a":
             amp *= math.sqrt(1.0 - q ** (-2 * (level + 1)))
             level += 1
-            if kmax is not None and level > kmax:
-                raise LevelOverflowError("word reached level %d > K = %d" % (level, kmax))
         elif ch == "A":
             if level == 0:
                 return 0.0, k, winding
@@ -66,7 +60,7 @@ def oracle_haar(p: NCPolynomial, K: int, q: float) -> complex:
     for word, coeff in p.terms.items():
         acc = 0.0
         for k in range(K + 1):
-            amp, level, winding = rep_apply(word, k, q, kmax=None)
+            amp, level, winding = rep_apply(word, k, q)
             if amp != 0.0 and level == k and winding == 0:
                 acc += q ** (-2 * k) * amp
         total += coeff * (1.0 - q ** -2) * acc

@@ -259,12 +259,6 @@ class BandMatrix:
     def diagonal(self) -> np.ndarray:
         return self.bands.get(DIAGONAL, np.zeros(self.ncols, dtype=self.dtype))
 
-    def leading(self, space) -> "BandMatrix":
-        """The leading [:k, :k] block, k = space.dim, on the smaller space."""
-        k = space.dim
-        return BandMatrix(space, {key: np.where(space.rows(key) >= 0, v[:k], 0.0)
-                                  for key, v in self.bands.items()})
-
     def columns(self, k: int) -> "BandMatrix":
         """The column prefix [:, :k]."""
         return BandMatrix(self.space, {key: v[:k] for key, v in self.bands.items()}, k)

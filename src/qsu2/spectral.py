@@ -2,9 +2,9 @@
 
 All heavy series are accumulated in log space (the summands of the heat
 traces span hundreds of orders of magnitude at small t).  Operator norms
-are exact: the Gram of a weight-homogeneous operator splits into short
-chains along the spin, one per (spinor component, i, j), and each chain
-block is diagonalized densely.  No iteration and no random start, so
+are exact: the Gram of a weight-homogeneous operator on h splits into
+short chains along the spin, one per (i, j), and each chain block is
+diagonalized densely.  No iteration and no random start, so
 the norms do not depend on a seed.
 """
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .qarith import HalfInteger, QArithError, half
 from .peterweyl import DIAGONAL, BandMatrix, Truncation
-from .algebra import GeneratorTable, NCPolynomial, haar_state, mult_operator
+from .algebra import GeneratorTable, NCPolynomial, haar_state, mult_operator, t_half
 from .dirac import DiracContext, VIndex
 
 
@@ -68,33 +68,29 @@ class HeatTraceReport:
 
 
 def _chains(basis) -> tuple:
-    """Chain numbering of a Basis or SpinorBasis.
+    """Chain numbering of a Basis.
 
-    A chain is a fixed (spinor component, i, j): a weight-homogeneous
-    operator shifts i and j by constants, so its Gram couples only columns
-    of one chain.  Along a chain the spin runs up in unit steps from its
-    first spin s0 = max(|i|, |j|).  Chains are numbered by s0 first: the
-    4 s0 labels with first spin s0 (one for s0 = 0) are the border of the
+    A chain is a fixed (i, j): a weight-homogeneous operator shifts i and j
+    by constants, so its Gram couples only columns of one chain.  Along a
+    chain the spin runs up in unit steps from its first spin
+    s0 = max(|i|, |j|).  Chains are numbered by s0 first: the 4 s0 labels
+    with first spin s0 (one for s0 = 0) are the border of the
     (s0 + 1) x (s0 + 1) grid of (i, j).  Returns (chain, doubled spin,
     doubled first spin) per basis position, and first[s], the first chain
     with first spin s, for s = 0 .. 2 lmax + 1.
     """
-    pw = getattr(basis, "pw", basis)
-    reps = basis.dim // pw.dim
-
     def first_chain(s0):
-        return np.where(s0 > 0, 2 * s0 * (s0 - 1) + 1, 0) * reps
+        return np.where(s0 > 0, 2 * s0 * (s0 - 1) + 1, 0)
 
-    s0 = np.maximum(np.abs(pw.id), np.abs(pw.jd))
-    a, b = (pw.id + s0) // 2, (pw.jd + s0) // 2  # grid coordinates, 0 .. s0
+    s0 = np.maximum(np.abs(basis.id), np.abs(basis.jd))
+    a, b = (basis.id + s0) // 2, (basis.jd + s0) // 2  # grid coordinates, 0 .. s0
     border = np.where(a == 0, b, np.where(a == s0, s0 + 1 + b, 2 * s0 + 2 * a + (b == s0)))
-    chain = first_chain(s0) + border * reps
-    return (np.concatenate([chain + c for c in range(reps)]), np.tile(pw.nd, reps),
-            np.tile(s0, reps), first_chain(np.arange(pw.trunc.lmax.doubled + 2)))
+    return (first_chain(s0) + border, basis.nd, s0,
+            first_chain(np.arange(basis.trunc.lmax.doubled + 2)))
 
 
 def shell_norms(op: BandMatrix, shells) -> np.ndarray:
-    """Largest singular values of op restricted to vectors on spins <= each shell.
+    """Largest singular values of op on h restricted to vectors on spins <= each shell.
 
     Exact, with no iteration: the Gram of op on the retained columns is
     block diagonal over the chains of _chains, and restricting to spins
@@ -128,7 +124,7 @@ def shell_norms(op: BandMatrix, shells) -> np.ndarray:
         row = gram.rows(key)[col]
         col, row = col[nd[row] <= top], row[nd[row] <= top]
         if (chain[row] != chain[col]).any():
-            raise SpectralError("Gram couples different (component, i, j): "
+            raise SpectralError("Gram couples different (i, j): "
                                 "operator is not weight-graded")
         r = s0[row]
         buf[offset[r] + ((chain[row] - first[r]) * length[r] + pos[row]) * length[r]
@@ -159,8 +155,8 @@ def witness_polynomial(table: GeneratorTable) -> NCPolynomial:
     return NCPolynomial({"a": 1.0 / table.alpha_scalar})
 
 
-def absD_commutator_series(a: NCPolynomial, shells: Sequence, table: GeneratorTable,
-                           dctx: DiracContext) -> GrowthSeries:
+def absD_commutator_series(a: NCPolynomial, shells: Sequence,
+                           table: GeneratorTable) -> GrowthSeries:
     """Shell norms of [|D|, I_2 tensor a]; bounded, so the series plateaus.
 
     |D| is n + 1/2 on both spinor components, so the commutator is
@@ -169,19 +165,16 @@ def absD_commutator_series(a: NCPolynomial, shells: Sequence, table: GeneratorTa
     shells_d = [half(s).doubled for s in shells]
     if any(s2 <= s1 for s1, s2 in zip(shells_d, shells_d[1:])):
         raise QArithError("shells must be strictly increasing")
-    absd, h = dctx.absd_diagonal, dctx.basis.dim
-    if not np.array_equal(absd[:h], absd[h:]):
-        raise SpectralError("|D| differs between the spinor components")
     aop = mult_operator(a, table)
-    n = BandMatrix(table.basis, {DIAGONAL: absd[:h]})
+    n = BandMatrix(table.basis, {DIAGONAL: (table.basis.nd + 1) / 2.0})
     return GrowthSeries.fit([s / 2.0 for s in shells_d], shell_norms(n @ aop - aop @ n, shells))
 
 
-def absD_commutator_cap(a: NCPolynomial, table: GeneratorTable, dctx: DiracContext) -> float:
+def absD_commutator_cap(a: NCPolynomial, table: GeneratorTable) -> float:
     """Theoretical bound sqrt(2 n0 + 1) * n0 * ||a|| with n0 = (max word length)/2."""
     n0_d = a.degree()  # doubled n0: each letter shifts spin by 1/2
     op = mult_operator(a, table)
-    shell_d = dctx.trunc.lmax.doubled - op.shell_depth_doubled
+    shell_d = table.trunc.lmax.doubled - op.shell_depth_doubled
     c = shell_norm(op, HalfInteger(shell_d))
     n0 = n0_d / 2.0
     return math.sqrt(2 * n0 + 1) * n0 * c
@@ -191,6 +184,9 @@ def trueD_growth(a: NCPolynomial, l_list: Sequence, table: GeneratorTable,
                  dctx: DiracContext) -> GrowthSeries:
     """Norms of [D, I_2 tensor a] on the witness vectors v^{l,+}_{l, -l-1/2}."""
     ls = [half(l) for l in l_list]
+    if not ls:
+        raise QArithError("no witness spins given: a commutator growth needs at least "
+                          "one witness spin")
     depth = a.degree()
     if max(l.doubled for l in ls) + depth > dctx.trunc.lmax.doubled:
         raise QArithError("largest witness spin plus word depth exceeds the truncation")
@@ -293,13 +289,13 @@ def polynomial_norm_bound(a: NCPolynomial, q: float) -> float:
     return float(sum(abs(c) for c in a.terms.values()))
 
 
-def haar_via_heat(a: NCPolynomial, t: float, table: GeneratorTable,
-                  dctx: DiracContext):
+def haar_via_heat(a: NCPolynomial, t: float, table: GeneratorTable):
     """The ratio Tr(a R e^{-tD^2}) / Tr(R e^{-tD^2}) and a tail bound.
 
-    The ratio equals psi(a) exactly at every t > 0 in the untruncated model;
-    on the truncation the two traces are computed over the product basis
-    (the spinor factor cancels, so both sums run over h only).
+    The ratio equals psi(a) exactly at every t > 0 in the untruncated model.
+    No Dirac context is needed: D^2 = (n + 1/2)^2 on both spinor components
+    of each spin shell, so the heat kernel is a function of the shell, the
+    spinor factor cancels and both traces run over h only.
     """
     if t <= 0:
         raise QArithError("t must be positive")
@@ -370,7 +366,7 @@ def modular_generator_scaling(rd: int, sd: int, table: GeneratorTable) -> float:
     """Residual of Psi(ttilde^{1/2}_{r,s}) = q^{-2r-2s} ttilde^{1/2}_{r,s} as operators."""
     q = table.q
     rho = table.rho
-    m = table.t_half(rd, sd)
+    m = t_half(rd, sd, table.basis, q)
     conj = BandMatrix(table.basis, {DIAGONAL: rho}) @ m \
         @ BandMatrix(table.basis, {DIAGONAL: 1.0 / rho})
     diff = conj - q ** float(-rd - sd) * m

@@ -42,11 +42,6 @@ def table16():
 
 
 @pytest.fixture(scope="module")
-def dctx16(table16):
-    return DiracContext(Q, table16.trunc, table16.basis)
-
-
-@pytest.fixture(scope="module")
 def big():
     table = GeneratorTable(Q, Truncation(HalfInteger(61)))
     return table, DiracContext(Q, table.trunc, table.basis)
@@ -62,7 +57,7 @@ def test_01_relation_battery(capfd):
     worst = 0.0
     for q in (1.2, 2.0):
         table = GeneratorTable(q, Truncation(HalfInteger(24)))
-        worst = max(worst, max(table._relation_residuals().values()))
+        worst = max(worst, max(table.residuals.values()))
     report(1, "relation-battery", "%.3e" % worst, worst < 1e-10, capfd)
 
 
@@ -118,13 +113,13 @@ def test_05_transition_coefficients(capfd):
     report(5, "transition-coefficients", "%.3e" % worst, worst < 1e-10, capfd)
 
 
-def test_06_haar_from_heat_trace(table16, dctx16, capfd):
+def test_06_haar_from_heat_trace(table16, capfd):
     worst = worst_tail = 0.0
     for w in OBSERVABLES:
         p = NCPolynomial.word(w)
         psi = haar_state(p, table16)
         for t in (0.5, 1.0, 2.0):
-            ratio, tail = spectral.haar_via_heat(p, t, table16, dctx16)
+            ratio, tail = spectral.haar_via_heat(p, t, table16)
             worst = max(worst, abs(ratio - psi))
             worst_tail = max(worst_tail, tail)
     ok = worst < 1e-8 and worst_tail < 1e-10
@@ -158,8 +153,8 @@ def test_08_modular_property(table10, capfd):
 def test_09_commutator_dichotomy(big, capfd):
     table, dctx = big
     a = spectral.witness_polynomial(table)
-    series_abs = spectral.absD_commutator_series(a, list(range(4, 21)), table, dctx)
-    cap = spectral.absD_commutator_cap(a, table, dctx)
+    series_abs = spectral.absD_commutator_series(a, list(range(4, 21)), table)
+    cap = spectral.absD_commutator_cap(a, table)
     plateau = abs(series_abs.values[-1] - series_abs.values[-2]) / series_abs.values[-1]
     bounded_ok = plateau < 0.01 and (series_abs.values <= cap * (1 + 1e-4)).all()
 

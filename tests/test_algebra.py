@@ -1,17 +1,19 @@
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from sparse_reference import csr_generators, csr_mult_operator, to_csr
 from qsu2 import algebra
 from qsu2.qarith import HalfInteger, _cg_doubled, q_number
 from qsu2.peterweyl import Basis, Truncation, pw_position
 from qsu2.algebra import (AlgebraError, GeneratorTable, NCPolynomial, ValidationError,
-                          _gen_matrix, adjoint_word, apply_word, cg_table, haar_state,
-                          is_normal_word, mult_operator, normal_order)
+                          adjoint_word, apply_word, cg_table, haar_state,
+                          is_normal_word, mult_operator, normal_order, t_half)
 from qsu2.dirac import DiracContext
 from qsu2.gns_oracle import oracle_haar
 
@@ -71,7 +73,7 @@ class TestGeneratorTable:
     @pytest.mark.parametrize("q", [1.2, 2.0])
     def test_relation_battery(self, q):
         t = GeneratorTable(q, Truncation(HalfInteger(24)))
-        for name, res in t._relation_residuals().items():
+        for name, res in t.residuals.items():
             assert res < 1e-10, name
 
     def test_scalars_match_closed_form(self, table):
@@ -83,7 +85,7 @@ class TestGeneratorTable:
         e0[0] = 1.0
         for rd in (1, -1):
             for sd in (1, -1):
-                out = table.t_half(rd, sd) @ e0
+                out = t_half(rd, sd, table.basis, Q) @ e0
                 k = table.basis.position_doubled(1, rd, sd)
                 assert out[k] == pytest.approx(1.0, abs=1e-14)
                 assert np.abs(out).sum() == pytest.approx(1.0, abs=1e-14)
@@ -129,7 +131,7 @@ class TestAssembly:
         basis = Basis(Truncation(HalfInteger(lmax_d)))
         for rd in (1, -1):
             for sd in (1, -1):
-                new = to_csr(_gen_matrix(rd, sd, basis, q))
+                new = to_csr(t_half(rd, sd, basis, q))
                 ref = scalar_loop_gen_matrix(rd, sd, basis, q)
                 assert np.array_equal(new.indptr, ref.indptr)
                 assert np.array_equal(new.indices, ref.indices)
@@ -220,25 +222,51 @@ class TestLeadingShells:
         for ch, op in table.ops.items():
             assert view.ops[ch].shell_depth_doubled == op.shell_depth_doubled
             assert abs(to_csr(view.ops[ch]) - to_csr(op)[:k, :k]).nnz == 0
-        for key, m in table._t.items():
-            assert abs(to_csr(view._t[key]) - to_csr(m)[:k, :k]).nnz == 0
         assert np.array_equal(view.rho, table.rho[:k])
 
     def test_view_memoized_without_a_table_build(self, monkeypatch):
+        # a view is one table build per distinct shell; a repeated call builds nothing
         t = GeneratorTable(Q, Truncation(HalfInteger(10)))
         builds = []
         init = GeneratorTable.__init__
 
-        def counting_init(self, *args, **kwargs):
-            builds.append(args)
-            init(self, *args, **kwargs)
+        def counting_init(self, q, trunc):
+            builds.append(trunc.lmax.doubled)
+            init(self, q, trunc)
 
         monkeypatch.setattr(GeneratorTable, "__init__", counting_init)
         assert t.leading(0) is t.leading(1) is t.leading(2)  # spins 2n <= 2 at least
         assert t.leading(2).trunc.lmax.doubled == 2
         assert t.leading(4) is t.leading(4) is not t.leading(2)
         assert t.leading(10) is t and t.leading(12) is t
-        assert builds == []
+        assert builds == [2, 4]
+
+
+@lru_cache(maxsize=8)
+def _full_table(q, ld):
+    return GeneratorTable(q, Truncation(HalfInteger(ld)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([0.05, 0.7, 1.01, 1.2, 3.0, 25.0]), ld=st.integers(3, 33),
+       data=st.data())
+def test_smaller_table_is_the_leading_block_bitwise(q, ld, data):
+    # every band entry is a closed form of its column and the scalar fit reads
+    # one-entry vectors, so the table on fewer shells is the leading block
+    nd = data.draw(st.integers(2, ld - 1), label="nd")
+    full = _full_table(q, ld)
+    view = GeneratorTable(q, Truncation(HalfInteger(nd)))
+    assert (view.alpha_scalar, view.gamma_scalar) == (full.alpha_scalar, full.gamma_scalar)
+    k = view.basis.dim
+    for ch, op in full.ops.items():
+        assert view.ops[ch].bands.keys() == op.bands.keys()
+        for key, v in op.bands.items():
+            block = np.where(view.basis.rows(key) >= 0, v[:k], 0.0)
+            assert view.ops[ch].bands[key].tobytes() == block.tobytes(), (ch, key)
+    # the view's safe columns are safe columns of the full table, with the same
+    # entries: a view never fails a battery that the full table passes
+    assert view.residuals.keys() == full.residuals.keys()
+    assert all(view.residuals[name] <= full.residuals[name] for name in full.residuals)
 
 
 class TestRelationBattery:
@@ -246,7 +274,7 @@ class TestRelationBattery:
     def test_prefix_residuals_match_full_columns(self, lmax_d):
         for q in (1.2, 0.7):
             t = GeneratorTable(q, Truncation(HalfInteger(lmax_d)))
-            assert t._relation_residuals() == full_column_residuals(t)
+            assert t.residuals == full_column_residuals(t)
 
     @staticmethod
     def _perturbed(column_shell):

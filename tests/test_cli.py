@@ -147,20 +147,44 @@ class TestMain:
             assert (tmp_path / ("run_%s.csv" % name)).exists()
 
     def test_all_builds_one_generator_table(self, monkeypatch, capsys):
+        # one table on the run's truncation, shared by the experiments, plus one
+        # per leading view that the Haar functionals reach (spins 2n <= 2, 3, 4)
         builds = []
         init = GeneratorTable.__init__
 
-        def counting_init(self, *args, **kwargs):
-            builds.append(args)
-            init(self, *args, **kwargs)
+        def counting_init(self, q, trunc):
+            builds.append(trunc.lmax.doubled)
+            init(self, q, trunc)
 
         monkeypatch.setattr(GeneratorTable, "__init__", counting_init)
         monkeypatch.setattr(cli, "_TABLE_MEMO", {})
         assert main(["all", "--lmax", "16"]) == 0
-        assert len(builds) == 1
+        assert builds == [16, 2, 3, 4]
         assert cli._TABLE_MEMO == {}  # nothing outlives the invocation
         assert main(["all", "--lmax", "16"]) == 0
-        assert len(builds) == 2
+        assert builds == [16, 2, 3, 4] * 2
+
+    def test_validate_runs_the_battery_once_per_table(self, monkeypatch):
+        built, validated = [], []
+        init, validate = GeneratorTable.__init__, GeneratorTable.validate
+
+        def counting_init(self, q, trunc):
+            built.append(self)
+            init(self, q, trunc)
+
+        def counting_validate(self):
+            validated.append(self)
+            validate(self)
+
+        monkeypatch.setattr(GeneratorTable, "__init__", counting_init)
+        monkeypatch.setattr(GeneratorTable, "validate", counting_validate)
+        monkeypatch.setattr(cli, "_TABLE_MEMO", {})
+        rows, _ = cli.run_validate(RunConfig(lmax_doubled=8))
+        assert [t.trunc.lmax.doubled for t in built] == [8, 2, 3, 4]
+        assert validated == built  # tables compare by identity
+        relation_rows = {r[0]: r[1] for r in rows if r[0].startswith("algebra.relation")}
+        assert relation_rows == {"algebra.relation[%s]" % name: residual
+                                 for name, residual in built[0].residuals.items()}
 
     def test_validation_failure_is_a_fail_row(self, monkeypatch):
         def failing_validate(self):

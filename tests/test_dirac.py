@@ -154,7 +154,9 @@ class TestEigenvalues:
     def test_absd_consistent_with_true_spectrum(self, ctx):
         v = to_csr(ctx.change_of_basis)
         rebuilt = (v @ sp.diags(np.abs(ctx.eigenvalues("true"))) @ v.T).toarray()
-        assert np.abs(rebuilt - np.diag(ctx.absd_diagonal)).max() < 1e-12
+        # |D| = n + 1/2 on both spinor components
+        absd = (np.tile(ctx.basis.nd, 2) + 1) / 2.0
+        assert np.abs(rebuilt - np.diag(absd)).max() < 1e-12
 
     def test_q_relation(self, ctx):
         assert ctx.q_relation_check() < 1e-12

@@ -6,7 +6,7 @@ import pytest
 from qsu2.qarith import HalfInteger
 from qsu2.peterweyl import Truncation
 from qsu2.algebra import GeneratorTable, NCPolynomial, haar_state, is_normal_word
-from qsu2.gns_oracle import LevelOverflowError, oracle_haar, rep_apply
+from qsu2.gns_oracle import oracle_haar, rep_apply
 
 Q = 1.3
 
@@ -32,10 +32,6 @@ class TestRepApply:
         assert amp == pytest.approx(Q ** -6)
         amp, level, winding = rep_apply("G", 5, Q)
         assert (level, winding) == (5, -1)
-
-    def test_level_cap(self):
-        with pytest.raises(LevelOverflowError):
-            rep_apply("aaa", 0, Q, kmax=2)
 
     def test_bad_input(self):
         with pytest.raises(ValueError):

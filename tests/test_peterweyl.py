@@ -8,7 +8,7 @@ from qsu2.qarith import HalfInteger, QArithError, half, q_number
 from qsu2.peterweyl import (Basis, PWIndex, Truncation, normalization_factor,
                             pw_inner_unnormalized, pw_position, rho_weights,
                             validate_pw_index)
-from qsu2.algebra import GeneratorTable, NCPolynomial, mult_operator
+from qsu2.algebra import GeneratorTable, NCPolynomial, mult_operator, t_half
 from qsu2.dirac import DiracContext
 
 
@@ -199,8 +199,9 @@ def test_shell_depth_is_read_from_band_keys(q, ld, terms, relation, drop, view):
     t = _table(q, ld).leading(view_nd)
     assert mult_operator(p, t).shell_depth_doubled == p.degree()
     assert all(op.shell_depth_doubled == 1 for op in t.ops.values())
-    assert all(t.t_half(rd, sd).shell_depth_doubled == 1 for rd in (1, -1) for sd in (1, -1))
+    assert all(t_half(rd, sd, t.basis, q).shell_depth_doubled == 1
+               for rd in (1, -1) for sd in (1, -1))
     d = _dirac(q, ld, view_nd)
-    for kind in ("true", "naive", "abs"):
+    for kind in ("true", "naive"):
         assert d.dirac_operator(kind).shell_depth_doubled == 0
     assert d.change_of_basis.shell_depth_doubled == 0

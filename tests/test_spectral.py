@@ -13,7 +13,7 @@ from qsu2.peterweyl import DIAGONAL, BandMatrix, Basis, Truncation, rho_weights
 from qsu2 import algebra
 from qsu2.algebra import (GeneratorTable, NCPolynomial, apply_word, haar_state,
                           is_normal_word, mult_operator)
-from qsu2.dirac import DiracContext, SpinorBasis, VIndex
+from qsu2.dirac import DiracContext, VIndex
 from qsu2 import spectral
 from qsu2.spectral import (GrowthSeries, PeakOutsideTruncationError, SpectralError,
                            TailTooLargeError, absD_commutator_cap,
@@ -86,42 +86,32 @@ class TestShellNorm:
         with pytest.raises(SpectralError):
             shell_norm(m, HalfInteger(3))
 
-    @pytest.mark.parametrize("spinor", [False, True])
-    def test_chains_number_each_component_and_weight_once(self, spinor):
+    def test_chains_number_each_weight_once(self):
         basis = Basis(Truncation(HalfInteger(9)))
-        chain, nd, s0, first = spectral._chains(SpinorBasis(basis) if spinor else basis)
-        reps = 2 if spinor else 1
-        comp = np.repeat(np.arange(reps), basis.dim)
-        ids, jds = np.tile(basis.id, reps), np.tile(basis.jd, reps)
+        chain, nd, s0, first = spectral._chains(basis)
         labels = {}
-        for c, i, j, k in zip(comp, ids, jds, chain):
-            assert labels.setdefault((c, i, j), k) == k  # one number per label...
+        for i, j, k in zip(basis.id, basis.jd, chain):
+            assert labels.setdefault((i, j), k) == k  # one number per label...
         assert sorted(labels.values()) == list(range(len(labels)))  # ...and per chain
-        assert (nd == np.tile(basis.nd, reps)).all()
-        assert (s0 == np.maximum(np.abs(ids), np.abs(jds))).all()
+        assert (nd == basis.nd).all()
+        assert (s0 == np.maximum(np.abs(basis.id), np.abs(basis.jd))).all()
         for s in range(basis.trunc.lmax.doubled + 1):
             assert first[s] == chain[s0 == s].min() and first[s + 1] == chain[s0 == s].max() + 1
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_random_graded_operator_matches_dense_svd(self, dtype):
-        # random values on the sparsity of two generators, one per spinor component:
-        # weight-graded, with no symmetry between chains to hide a mixed-up block
+        # random values on the sparsity of two generators: weight-graded, with
+        # no symmetry between chains to hide a mixed-up block
         t = GeneratorTable(Q, Truncation(HalfInteger(8)))
-        d = DiracContext(Q, t.trunc, t.basis)
         rng = np.random.default_rng(5)
-        blocks = []
         for ch in ("a", "G"):
             bands = {}
             for key, v in t.ops[ch].bands.items():
                 r = rng.standard_normal(len(v)) + (1j * rng.standard_normal(len(v))
                                                    if dtype is complex else 0)
                 bands[key] = np.where(v != 0, r, 0).astype(dtype)
-            blocks.append(bands)
-        zero = np.zeros(t.basis.dim, dtype=dtype)
-        spinor = {**{k: np.concatenate([v, zero]) for k, v in blocks[0].items()},
-                  **{k: np.concatenate([zero, v]) for k, v in blocks[1].items()}}
-        for op in (BandMatrix(t.basis, blocks[0]), BandMatrix(d.spinor, spinor)):
-            dense, spins = to_csr(op).toarray(), op.space.labels[1]
+            op = BandMatrix(t.basis, bands)
+            dense, spins = to_csr(op).toarray(), t.basis.nd
             for s in range(8):
                 ref = np.linalg.norm(dense[:, spins <= s], 2)
                 assert shell_norm(op, HalfInteger(s)) == pytest.approx(ref, rel=1e-12, abs=0)
@@ -132,25 +122,23 @@ class TestShellNorm:
         t = GeneratorTable(q, Truncation(HalfInteger(ld)))
         d = DiracContext(q, t.trunc, t.basis)
         a = witness_polynomial(t)
-        aop = spinor_mult(a, t, d)
-        absd = d.dirac_operator("abs")
-        comm = absd @ aop - aop @ absd
-        a_csr, absd_csr = to_csr(aop), to_csr(absd)
-        dense = (absd_csr @ a_csr - a_csr @ absd_csr).toarray()
+        # reference: [|D|, I_2 tensor a] at spinor dimension, |D| = n + 1/2
         spins = d.spinor.labels[1]
+        absd_csr = sp.diags((spins + 1) / 2.0)
+        a_csr = to_csr(spinor_mult(a, t, d))
+        dense = (absd_csr @ a_csr - a_csr @ absd_csr).toarray()
         # the shells run_commutators picks, and the first three
         cli_shells = [2 * s for s in range(4, min(20, ld // 2 - 1) + 1)]
         shells = sorted({0, 1, 2, *cli_shells})
-        series = absD_commutator_series(a, [HalfInteger(s) for s in shells], t, d)
+        series = absD_commutator_series(a, [HalfInteger(s) for s in shells], t)
         for s, from_series in zip(shells, series.values):
             ref = np.linalg.norm(dense[:, spins <= s], 2)
-            assert shell_norm(comm, HalfInteger(s)) == pytest.approx(ref, rel=1e-12, abs=0)
             assert from_series == pytest.approx(ref, rel=1e-12, abs=0)
         # the generator at the cap shell
         op = mult_operator(a, t)
         ref = np.linalg.norm(to_csr(op).toarray()[:, t.basis.nd <= ld - 1], 2)
         assert shell_norm(op, HalfInteger(ld - 1)) == pytest.approx(ref, rel=1e-12, abs=0)
-        assert absD_commutator_cap(a, t, d) == pytest.approx(
+        assert absD_commutator_cap(a, t) == pytest.approx(
             math.sqrt(2) * 0.5 * ref, rel=1e-12, abs=0)
 
 
@@ -227,18 +215,18 @@ class TestHeatTrace:
 
 
 class TestHaarViaHeat:
-    def test_ratio_matches_state(self, table, dctx):
+    def test_ratio_matches_state(self, table):
         for w in ("", "a", "Gg", "Aa"):
             p = NCPolynomial.word(w)
             psi = haar_state(p, table)
             for t in (0.5, 1.0, 2.0):
-                ratio, tail = haar_via_heat(p, t, table, dctx)
+                ratio, tail = haar_via_heat(p, t, table)
                 assert abs(ratio - psi) < 1e-10, (w, t)
                 assert tail >= 0
 
-    def test_rejects_nonpositive_t(self, table, dctx):
+    def test_rejects_nonpositive_t(self, table):
         with pytest.raises(QArithError):
-            haar_via_heat(NCPolynomial.one(), -1.0, table, dctx)
+            haar_via_heat(NCPolynomial.one(), -1.0, table)
 
     def test_norm_bound(self):
         p = NCPolynomial({"ag": 2.0, "": -1.0j})
@@ -263,10 +251,10 @@ OBSERVABLES = [NCPolynomial.word(w) for w in ("", "a", "g", "Gg", "Aa", "aG")] \
 
 
 class TestTraceDiagonals:
-    def test_haar_via_heat_matches_full_route_bitwise(self, table, dctx):
+    def test_haar_via_heat_matches_full_route_bitwise(self, table):
         for p in OBSERVABLES:
             for t in (0.5, 1.0, 1.5, 2.0):
-                new = haar_via_heat(p, t, table, dctx)
+                new = haar_via_heat(p, t, table)
                 ref = full_dimension_haar_via_heat(p, t, table)
                 assert np.array(new).tobytes() == np.array(ref).tobytes(), (p, t)
 
@@ -282,7 +270,6 @@ class TestTraceDiagonals:
 
     def test_one_operator_build_per_polynomial(self, monkeypatch):
         t = GeneratorTable(Q, Truncation(HalfInteger(12)))
-        dctx = DiracContext(Q, t.trunc, t.basis)
         built = []
 
         def counted(p, table):
@@ -293,7 +280,7 @@ class TestTraceDiagonals:
         lam = lambda n: math.exp(-n * (n + 1))
         for p in OBSERVABLES[:3]:
             for t_ in (0.5, 1.0, 2.0):
-                haar_via_heat(p, t_, t, dctx)
+                haar_via_heat(p, t_, t)
             rho_trace_functional(p, lam, t)
         assert built == OBSERVABLES[:3]
 
@@ -389,13 +376,13 @@ class TestModular:
         assert all(view._operators for view in cached._leading.values())
         assert not any(view._operators for view in fresh._leading.values())
 
-    def test_full_table_keeps_no_operators(self):
+    def test_every_table_memoizes_operators(self):
         t = GeneratorTable(Q, Truncation(HalfInteger(4)))
         p = NCPolynomial.word("aG")
         assert t.leading(4) is t
-        assert t.operator(p) is not t.operator(p)
+        assert t.operator(p) is t.operator(p)
         view = t.leading(2)
-        assert view.operator(p) is view.operator(p)
+        assert view.operator(p) is view.operator(p) is not t.operator(p)
 
     def test_degree_guard(self):
         t = GeneratorTable(Q, Truncation(HalfInteger(2)))
@@ -414,17 +401,16 @@ class TestCommutators:
         assert set(p.terms) == {"a"}
         assert p.terms["a"] == pytest.approx(math.sqrt(1 + Q * Q) / Q)
 
-    def test_absd_series_plateaus(self, table, dctx):
+    def test_absd_series_plateaus(self, table):
         a = witness_polynomial(table)
-        series = absD_commutator_series(a, [HalfInteger(2 * s) for s in (4, 6, 8, 9)],
-                                        table, dctx)
+        series = absD_commutator_series(a, [HalfInteger(2 * s) for s in (4, 6, 8, 9)], table)
         assert (np.diff(series.values) >= -1e-4).all()
         assert abs(series.values[-1] - series.values[-2]) < 0.02 * series.values[-1]
 
-    def test_shells_must_increase(self, table, dctx):
+    def test_shells_must_increase(self, table):
         with pytest.raises(QArithError):
             absD_commutator_series(witness_polynomial(table),
-                                   [HalfInteger(4), HalfInteger(4)], table, dctx)
+                                   [HalfInteger(4), HalfInteger(4)], table)
 
     def test_trued_growth_positive_slope(self, table, dctx):
         series = trueD_growth(witness_polynomial(table), list(range(3, 9)), table, dctx)
@@ -449,6 +435,10 @@ class TestCommutators:
     def test_trued_witness_guard(self, table, dctx):
         with pytest.raises(QArithError):
             trueD_growth(witness_polynomial(table), [5, 10], table, dctx)
+
+    def test_trued_empty_witness_list_raises(self, table, dctx):
+        with pytest.raises(QArithError, match="no witness spins"):
+            trueD_growth(witness_polynomial(table), [], table, dctx)
 
 
 class TestAsymptoticBand:

@@ -12,7 +12,7 @@ alpha/alpha* words through the defining relations.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -136,21 +136,32 @@ def normal_order(p: NCPolynomial, q: float, rng: np.random.Generator | None = No
     return NCPolynomial(result)
 
 
-@lru_cache(maxsize=16)
+_CG_TABLES = {}  # (m1d, q) -> the largest cg_table built for them, most recent last
+_CG_TABLES_KEPT = 16
+
+
 def cg_table(m1d: int, lmax_doubled: int, q: float) -> np.ndarray:
     """_cg_doubled(m1d, branch, ld, md, q) stored at [(1 - branch) // 2, ld, (md + ld) // 2].
 
     One scalar call per (branch, ld, md) with |md| <= ld <= lmax_doubled;
-    unused slots (md > ld) hold 0.  Computed once per argument tuple and
-    shared, so the array is read-only.
+    unused slots (md > ld) hold 0.  No entry depends on lmax_doubled, so
+    a smaller table is the leading slice [:, :lmax_doubled + 1,
+    :lmax_doubled + 1] of the largest one built for (m1d, q); that one is
+    kept, for the _CG_TABLES_KEPT most recent (m1d, q), and shared, so the
+    array is read-only.
     """
-    table = np.zeros((2, lmax_doubled + 1, lmax_doubled + 1))
-    for b, branch in enumerate((1, -1)):
-        for ld in range(lmax_doubled + 1):
-            for k in range(ld + 1):
-                table[b, ld, k] = _cg_doubled(m1d, branch, ld, 2 * k - ld, q)
-    table.setflags(write=False)
-    return table
+    table = _CG_TABLES.pop((m1d, q), None)
+    if table is None or table.shape[1] <= lmax_doubled:
+        table = np.zeros((2, lmax_doubled + 1, lmax_doubled + 1))
+        for b, branch in enumerate((1, -1)):
+            for ld in range(lmax_doubled + 1):
+                for k in range(ld + 1):
+                    table[b, ld, k] = _cg_doubled(m1d, branch, ld, 2 * k - ld, q)
+        table.setflags(write=False)
+    _CG_TABLES[(m1d, q)] = table
+    if len(_CG_TABLES) > _CG_TABLES_KEPT:
+        del _CG_TABLES[next(iter(_CG_TABLES))]
+    return table[:, :lmax_doubled + 1, :lmax_doubled + 1]
 
 
 def t_half(rd: int, sd: int, basis: Basis, q: float) -> BandMatrix:
@@ -230,6 +241,7 @@ class GeneratorTable:
 
         alpha = self.alpha_scalar * tpp
         gamma = self.gamma_scalar * tmp
+        del tpp, tmp, e0  # not held while the battery runs
         self.ops = {"a": alpha, "A": alpha.H, "g": gamma, "G": gamma.H}
         self._leading = {}
         self._diagonals = {}
@@ -258,17 +270,45 @@ class GeneratorTable:
         return self._leading[nd]
 
     def diagonal(self, p: "NCPolynomial") -> tuple:
-        """(diagonal of mult_operator(p), its doubled shell depth).
+        """(diagonal of mult_operator(p), its doubled shell depth p.degree()), bit for bit.
 
-        A one-entry memo keyed by the polynomial's terms: the trace
-        functionals read one polynomial at several t before moving on.
+        Formed without the word operators: each word's operator is built
+        from all letters but the last, as mult_operator does, and only the
+        DIAGONAL band of the last product is formed.  The words are summed
+        with mult_operator's own out + coeff * m on that one band; a word
+        without a diagonal band adds nothing.  A one-entry memo keyed by the
+        polynomial's terms: the trace functionals read one polynomial at
+        several t before moving on.
         """
         key = tuple(p.terms.items())
         if key not in self._diagonals:
-            op = mult_operator(p, self)
+            _check_degree(p, self)
             self._diagonals.clear()
-            self._diagonals[key] = (op.diagonal(), op.shell_depth_doubled)
+            diag = 0.0
+            for word, coeff in p.terms.items():
+                band = self._word_diagonal(word)
+                if band is not None:
+                    diag = diag + band * coeff
+            if np.isscalar(diag):  # no diagonal band: mult_operator's dtype, complex or empty
+                diag = np.zeros(self.basis.dim, dtype=complex if p.terms else float)
+            self._diagonals[key] = (diag, p.degree())
         return self._diagonals[key]
+
+    def _word_diagonal(self, word: str):
+        """The DIAGONAL band of the word's operator, None if it has none.
+
+        Each letter shifts the spin by 1/2 up or down, so a word of odd
+        length has no diagonal band.
+        """
+        if len(word) % 2:
+            return None
+        if not word:
+            return np.ones(self.basis.dim)
+        m = self.ops[word[0]]
+        for ch in word[1:-1]:  # left fold, as in mult_operator
+            m = m @ self.ops[ch]
+        return next((band for _, band in m.product_bands(self.ops[word[-1]], (DIAGONAL,))),
+                    None)
 
     def operator(self, p: "NCPolynomial") -> BandMatrix:
         """mult_operator(p) on this table, memoized by the polynomial's terms.
@@ -286,38 +326,54 @@ class GeneratorTable:
 
         residuals keeps the largest residual of each defining relation on
         the safe columns.  A relation is a word of length 2 (depth 1), exact
-        on the spins 2n <= 2 lmax - 2: the column prefix [0, s).  Only the right factors
-        are cut to it, so each entry sums the same terms in the same order
-        as the full product; G g_s serves two relations, while (q^2 G) g_s
-        is its own product, since scaling first moves its bits.
+        on the spins 2n <= 2 lmax - 2: the column prefix [0, s).  Only the
+        right factors are cut to it, so each entry sums the same terms in
+        the same order as the full product.  Each residual is reduced band
+        by band as it is formed, so no product, residual or scaled
+        generator is held whole.  Both sides of a relation are words of
+        length 2 and one weight, so they share their band keys: the left
+        product streams them and the right one is formed at the same key.
+        A scaled side, q^2 G g_s or q g a_s, scales its gathered bands,
+        with the bits of scaling G or g first.
         """
         q = self.q
         Ld = self.trunc.lmax.doubled
         s = pw_position(Ld - 1, 1 - Ld, 1 - Ld)
         a, A, g, G = (self.ops[ch] for ch in "aAgG")
         a_s, A_s, g_s, G_s = (m.columns(s) for m in (a, A, g, G))
-        eye = BandMatrix(self.basis, {DIAGONAL: np.ones(s)}, s)
-        Gg = G @ g_s
+
+        def band(x, y, key, scale=None):
+            return next((v for _, v in x.product_bands(y, (key,), scale)), 0.0)
+
+        def one(key):
+            return 1.0 if key == DIAGONAL else 0.0
+
+        # relation -> (left product, the band of the residual at a key given the left band)
         rel = {
-            "A a + G g = 1": lambda: A @ a_s + Gg - eye,
-            "a A + q^2 G g = 1": lambda: a @ A_s + q * q * G @ g_s - eye,
-            "G g = g G": lambda: Gg - g @ G_s,
-            "a g = q g a": lambda: a @ g_s - q * g @ a_s,
-            "a G = q G a": lambda: a @ G_s - q * G @ a_s,
+            "A a + G g = 1": ((A, a_s), lambda k, v: v + band(G, g_s, k) - one(k)),
+            "a A + q^2 G g = 1": ((a, A_s), lambda k, v: v + band(G, g_s, k, q * q) - one(k)),
+            "G g = g G": ((G, g_s), lambda k, v: v - band(g, G_s, k)),
+            "a g = q g a": ((a, g_s), lambda k, v: v - band(g, a_s, k, q)),
+            "a G = q G a": ((a, G_s), lambda k, v: v - band(G, a_s, k, q)),
         }
-        self.residuals = {name: residual().max_abs() for name, residual in rel.items()}
+        self.residuals = {
+            name: max((float(np.abs(residual(k, v)).max(initial=0.0))
+                       for k, v in x.product_bands(y)), default=0.0)
+            for name, ((x, y), residual) in rel.items()}
         worst = max(self.residuals, key=self.residuals.get)
         if self.residuals[worst] > self.RELATION_TOL:
             raise ValidationError(worst, self.residuals[worst])
 
 
+def _check_degree(p: NCPolynomial, table: GeneratorTable) -> None:
+    if p.degree() > table.trunc.lmax.doubled:
+        raise AlgebraError("word length %d leaves no safe shell at lmax = %s"
+                           % (p.degree(), table.trunc.lmax))
+
+
 def mult_operator(p: NCPolynomial, table: GeneratorTable) -> BandMatrix:
     """The left-multiplication operator of p on the truncated GNS space."""
-    Ld = table.trunc.lmax.doubled
-    deg = p.degree()
-    if deg > Ld:
-        raise AlgebraError("word length %d leaves no safe shell at lmax = %s"
-                           % (deg, table.trunc.lmax))
+    _check_degree(p, table)
     basis = table.basis
     out = BandMatrix(basis, {})
     for word, coeff in p.terms.items():

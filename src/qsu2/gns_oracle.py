@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 
 from .algebra import NCPolynomial
+from .qarith import QArithError
 
 
 def rep_apply(word: str, k: int, q: float):
@@ -54,8 +55,11 @@ def oracle_haar(p: NCPolynomial, K: int, q: float) -> complex:
     """psi(p) as a weighted diagonal sum over ladder levels 0..K.
 
     Converges geometrically in K; the truncation error of the constant
-    term is q^{-2(K+1)}.
+    term is q^{-2(K+1)}.  The ladder amplitudes are real only for q > 1,
+    so other q raise QArithError.
     """
+    if not q > 1:
+        raise QArithError("the ladder oracle needs q > 1, got q = %g" % q)
     total = 0.0 + 0.0j
     for word, coeff in p.terms.items():
         acc = 0.0

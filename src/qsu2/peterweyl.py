@@ -164,11 +164,12 @@ class BandMatrix:
 
     bands maps a shift key (see LabelSpace) to the values of that band over
     the first ncols columns of space; a value is 0 wherever the shifted
-    label leaves the truncation.  X @ Y needs no index arrays: its band
-    kx + ky collects X's band kx gathered at the rows of Y's band ky.
-    As in CSR arithmetic, every sum of products starts from +0.0, so an
-    entry that sums at most two nonzero terms (left-folded word products,
-    D from its 2x2 blocks) has the same bits as on the CSR route.
+    label leaves the truncation.  X @ Y needs no index arrays: it collects
+    product_bands, the one product routine, whose other consumers reduce
+    each band as it is formed.  As in CSR arithmetic, every sum of
+    products starts from +0.0, so an entry that sums at most two nonzero
+    terms (left-folded word products, D from its 2x2 blocks) has the same
+    bits as on the CSR route.
     """
 
     def __init__(self, space, bands: dict, ncols: int | None = None):
@@ -216,13 +217,34 @@ class BandMatrix:
             for key, v in self.bands.items():
                 out[self.rows(key)] += v * other
             return out[:-1]
-        out = {}
-        for ky, vy in other.bands.items():
-            src = other.rows(ky)  # -1 where vy is 0: any gathered value times 0
-            for kx, vx in self.bands.items():
+        return BandMatrix(other.space, dict(self.product_bands(other)), other.ncols)
+
+    def product_bands(self, other: "BandMatrix", keys=None, scale=None):
+        """The bands of (scale * self) @ other, one output key at a time, as (key, band).
+
+        Band kx + ky collects self's band kx gathered at the rows of other's
+        band ky.  A key's terms are summed from +0.0 with ky outer and kx
+        inner, and keys come in the order they first appear in that loop.
+        keys, if given, limits the output to those keys; no other band is
+        formed.  scale multiplies each gathered band (vx[src] * scale has
+        the bits of (scale * vx)[src]), so no scaled copy of self is made.
+        A consumer that reduces each band as it comes never holds the
+        whole product.
+        """
+        terms = {}
+        for ky in other.bands:
+            for kx in self.bands:
                 key = (kx[0] + ky[0], kx[1] + ky[1], kx[2] + ky[2], kx[3] ^ ky[3])
-                out[key] = out.get(key, 0.0) + vx[src] * vy
-        return BandMatrix(other.space, out, other.ncols)
+                if keys is None or key in keys:
+                    terms.setdefault(key, []).append((kx, ky))
+        for key, pairs in terms.items():
+            band = 0.0
+            for kx, ky in pairs:
+                vx = self.bands[kx][other.rows(ky)]  # row -1 where vy is 0: any value times 0
+                if scale is not None:
+                    vx = vx * scale
+                band = band + vx * other.bands[ky]
+            yield key, band
 
     def _merge(self, other: "BandMatrix", op) -> "BandMatrix":
         """op per entry, a band missing on one side read as 0.0 (0 + x, x - 0, ...)."""

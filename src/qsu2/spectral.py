@@ -233,18 +233,32 @@ def _logsumexp(x: np.ndarray) -> float:
     return float((np.log1p(s) + np.log(m) + top)[0])
 
 
+def _beyond_float64(what: str, q: float, t: float) -> SpectralError:
+    """The error for a heat-trace value at (q, t) that float64 cannot hold."""
+    return SpectralError("%s at q = %g, t = %g exceeds float64: its terms grow up to "
+                         "the Laplace peak m* = 4 ln q / t = %.6g"
+                         % (what, q, t, 4 * math.log(max(q, 1.0 / q)) / t))
+
+
 def heat_trace_tail(t: float, q: float, trunc: Truncation) -> float:
     """Upper bound on the spins dropped from Tr(R e^{-t D^2}) by the truncation.
 
     Integral comparison: 2 * integral over x >= 2*lmax+1 of
     [x+1]_q^2 e^{-t((x+1)/2)^2} dx, evaluated in closed form with erfc.
+    Raises SpectralError where the bound exceeds float64 (small t, large q).
     """
     b = max(q, 1.0 / q)
     lnb = math.log(b)
     u0 = (trunc.lmax.doubled + 2) / 2.0
     pref = 4.0 / (b - 1.0 / b) ** 2
-    return pref * (_gaussian_tail(4 * lnb, t, u0) + _gaussian_tail(-4 * lnb, t, u0)
-                   - 2 * _gaussian_tail(0.0, t, u0))
+    try:
+        tail = pref * (_gaussian_tail(4 * lnb, t, u0) + _gaussian_tail(-4 * lnb, t, u0)
+                       - 2 * _gaussian_tail(0.0, t, u0))
+    except OverflowError:
+        tail = math.inf
+    if not math.isfinite(tail):
+        raise _beyond_float64("heat trace tail bound", q, t)
+    return tail
 
 
 def heat_trace(t: float, q: float, trunc: Truncation,
@@ -255,6 +269,7 @@ def heat_trace(t: float, q: float, trunc: Truncation,
     closed_sum follows the printed series sum_m [m]_q^2 e^{-t((m+1)/2)^2},
     which differs by the spinor factor 2 and an index shift in the
     exponent (both are reported; the operator form is ground truth).
+    Raises SpectralError where a trace or the tail bound exceeds float64.
     """
     if t <= 0:
         raise QArithError("t must be positive")
@@ -272,8 +287,13 @@ def heat_trace(t: float, q: float, trunc: Truncation,
             op_trace, closed = float(op), float(cl)
     else:
         logs = np.array([2 * _log_qnumber(m, q) for m in ms])
-        op_trace = 2.0 * math.exp(_logsumexp(logs - t * (ms / 2.0) ** 2))
-        closed = math.exp(_logsumexp(logs - t * ((ms + 1) / 2.0) ** 2))
+        try:
+            op_trace = 2.0 * math.exp(_logsumexp(logs - t * (ms / 2.0) ** 2))
+            closed = math.exp(_logsumexp(logs - t * ((ms + 1) / 2.0) ** 2))
+        except OverflowError:
+            op_trace = closed = math.inf
+    if not (math.isfinite(op_trace) and math.isfinite(closed)):  # mpmath gives inf
+        raise _beyond_float64("heat trace", q, t)
     return HeatTraceReport(t=t, closed_sum=closed, operator_trace=op_trace,
                            tail_bound=heat_trace_tail(t, q, trunc),
                            k_exponent=4 * math.log(max(q, 1.0 / q)) ** 2)
@@ -327,8 +347,7 @@ def rho_trace_functional(a: NCPolynomial, multiplier: Callable[[float], float],
     """
     basis = table.basis
     shell = np.array([multiplier(nd / 2.0) for nd in range(table.trunc.lmax.doubled + 1)])
-    lam = shell[basis.nd]
-    weights = table.rho * lam
+    weights = table.rho * shell[basis.nd]
     shell_sums = np.bincount(basis.nd, weights=np.abs(weights))
     total = shell_sums.sum()
     if total > 0 and shell_sums[-1] > RHO_TAIL_TOL * total:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -149,7 +150,7 @@ class TestAssembly:
             return _cg_doubled(*args)
 
         monkeypatch.setattr(algebra, "_cg_doubled", counted)
-        cg_table.cache_clear()  # count a cold build
+        monkeypatch.setattr(algebra, "_CG_TABLES", {})  # count a cold build
         t = GeneratorTable(Q, Truncation(HalfInteger(lmax_d)))
         assert 0 < calls[0] < t.basis.dim
         assert calls[0] <= 6 * (lmax_d + 1) * (lmax_d + 2)
@@ -163,12 +164,38 @@ class TestAssembly:
             return _cg_doubled(*args)
 
         monkeypatch.setattr(algebra, "_cg_doubled", counted)
-        cg_table.cache_clear()
+        monkeypatch.setattr(algebra, "_CG_TABLES", {})
         t = GeneratorTable(Q, Truncation(HalfInteger(16)))
         DiracContext(Q, t.trunc, t.basis).change_of_basis
         assert calls[0] == 2 * 2 * sum(ld + 1 for ld in range(17))
         with pytest.raises(ValueError):
             cg_table(1, 16, Q)[0, 0, 0] = 0.0
+
+    def test_smaller_cg_table_is_a_slice_of_the_largest(self, monkeypatch):
+        # a leading view reads the full table's scalars: no scalar call, same bits
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return _cg_doubled(*args)
+
+        monkeypatch.setattr(algebra, "_cg_doubled", counted)
+        monkeypatch.setattr(algebra, "_CG_TABLES", {})
+        full = cg_table(-1, 16, Q)
+        before = calls[0]
+        small = cg_table(-1, 5, Q)
+        assert calls[0] == before and np.shares_memory(small, full)
+        monkeypatch.setattr(algebra, "_CG_TABLES", {})
+        assert small.tobytes() == cg_table(-1, 5, Q).tobytes()
+        with pytest.raises(ValueError):
+            small[0, 0, 0] = 0.0
+
+    def test_cg_tables_kept_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(algebra, "_CG_TABLES", {})
+        for k in range(algebra._CG_TABLES_KEPT + 3):
+            cg_table(1, 2, 1.5 + k)
+        assert len(algebra._CG_TABLES) == algebra._CG_TABLES_KEPT
+        assert (1, 1.5) not in algebra._CG_TABLES  # the least recent went first
 
 
 def full_dimension_haar_state(p, table):
@@ -272,7 +299,8 @@ def test_smaller_table_is_the_leading_block_bitwise(q, ld, data):
 class TestRelationBattery:
     @pytest.mark.parametrize("lmax_d", [2, 7, 24])
     def test_prefix_residuals_match_full_columns(self, lmax_d):
-        for q in (1.2, 0.7):
+        # the battery streams its bands; the reference forms every product whole
+        for q in (1.2, 0.7, 2.0):
             t = GeneratorTable(q, Truncation(HalfInteger(lmax_d)))
             assert t.residuals == full_column_residuals(t)
 
@@ -336,6 +364,62 @@ class TestMultOperator:
         vecs = np.array([apply_word(w, e0, table) for w in words])
         gram = vecs.conj() @ vecs.T
         assert np.linalg.matrix_rank(gram, tol=1e-10) == len(words)
+
+
+WORDS_TO_4 = st.text(alphabet="aAgG", max_size=4)
+COEFFS = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([0.7, 1.2, 3.0]), ld=st.sampled_from([4, 7, 16]),
+       terms=st.dictionaries(WORDS_TO_4, COEFFS, max_size=5))
+def test_diagonal_is_the_diagonal_of_mult_operator_bitwise(q, ld, terms):
+    # only the diagonal band of each word's last product is formed, and the
+    # words are summed as mult_operator sums them; odd words have no diagonal
+    t = _full_table(q, ld)
+    p = NCPolynomial(terms)
+    op = mult_operator(p, t)
+    diag, depth = t.diagonal(p)
+    assert diag.dtype == op.diagonal().dtype
+    assert diag.tobytes() == op.diagonal().tobytes()
+    assert depth == op.shell_depth_doubled
+
+
+def test_diagonal_degree_beyond_truncation_raises():
+    t = GeneratorTable(Q, Truncation(HalfInteger(3)))
+    with pytest.raises(AlgebraError):
+        t.diagonal(NCPolynomial.word("aaaa"))
+
+
+class TestTransientMemory:
+    """Guards on memory, not time, at ld 40 (dim 23 821).
+
+    Measured with tracemalloc in units of one float64 array of length
+    basis.dim; the table itself retains about 19 units.
+    """
+
+    @staticmethod
+    def _traced(fn):
+        """(result, memory still held, peak) of allocations made during fn()."""
+        tracemalloc.start()
+        try:
+            result = fn()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, current, peak
+
+    def test_build_peak_over_the_retained_table(self):
+        # the battery reduces each band as it is formed: was 17.4 units
+        t, current, peak = self._traced(lambda: GeneratorTable(Q, Truncation(HalfInteger(40))))
+        assert (peak - current) / (8 * t.basis.dim) <= 8
+
+    def test_diagonal_of_a_degree_2_word(self):
+        # one band of the last product, not the word operator: was 15 units
+        t = _full_table(Q, 40)
+        for w in ("Gg", "Aa", "aG"):
+            _, _, peak = self._traced(lambda: t.diagonal(NCPolynomial.word(w)))
+            assert peak / (8 * t.basis.dim) <= 5, w
 
 
 class TestBandProducts:

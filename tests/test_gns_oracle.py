@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from qsu2.qarith import HalfInteger
+from qsu2.qarith import HalfInteger, QArithError
 from qsu2.peterweyl import Truncation
 from qsu2.algebra import GeneratorTable, NCPolynomial, haar_state, is_normal_word
 from qsu2.gns_oracle import oracle_haar, rep_apply
@@ -63,6 +63,12 @@ class TestOracleHaar:
         p = NCPolynomial({"": 2.0, "Gg": -3.0j})
         expect = 2.0 - 3.0j / (1.0 + Q * Q)
         assert oracle_haar(p, 80, Q) == pytest.approx(expect, abs=1e-10)
+
+    @pytest.mark.parametrize("q", [0.7, 1.0])
+    def test_needs_q_above_one(self, q):
+        # the ladder amplitudes sqrt(1 - q^{-2(k+1)}) are real only for q > 1
+        with pytest.raises(QArithError, match="q > 1"):
+            oracle_haar(NCPolynomial.word("Aa"), 10, q)
 
     def test_agreement_with_gns_route(self):
         table = GeneratorTable(Q, Truncation(HalfInteger(12)))

@@ -10,7 +10,6 @@ from scipy.special import logsumexp
 from sparse_reference import to_csr
 from qsu2.qarith import HalfInteger, QArithError, q_number
 from qsu2.peterweyl import DIAGONAL, BandMatrix, Basis, Truncation, rho_weights
-from qsu2 import algebra
 from qsu2.algebra import (GeneratorTable, NCPolynomial, apply_word, haar_state,
                           is_normal_word, mult_operator)
 from qsu2.dirac import DiracContext, VIndex
@@ -158,6 +157,14 @@ class TestHeatTrace:
         assert rep.closed_sum == pytest.approx(closed, rel=1e-13)
         assert rep.k_exponent == pytest.approx(4 * math.log(Q) ** 2)
 
+    @pytest.mark.parametrize("ld, t, bits", [(24, 0.001, 53), (2000, 0.005, 53),
+                                             (2000, 0.005, 113)])
+    def test_beyond_float64_raises_typed_error(self, ld, t, bits):
+        # q = 5 puts the Laplace peak m* = 4 ln q / t far out: the tail bound
+        # (ld 24) or the trace itself (ld 2000) exceeds float64
+        with pytest.raises(SpectralError, match="q = 5, t = %g .*Laplace peak" % t):
+            heat_trace(t, 5.0, Truncation(HalfInteger(ld)), precision_bits=bits)
+
     def test_high_precision_path_agrees(self):
         trunc = Truncation(HalfInteger(40))
         a = heat_trace(0.3, Q, trunc, precision_bits=53)
@@ -268,21 +275,22 @@ class TestTraceDiagonals:
             assert np.array(rho_trace_functional(p, lam, table)).tobytes() \
                 == np.array(ref).tobytes()
 
-    def test_one_operator_build_per_polynomial(self, monkeypatch):
+    def test_one_diagonal_build_per_polynomial(self, monkeypatch):
         t = GeneratorTable(Q, Truncation(HalfInteger(12)))
         built = []
+        word_diagonal = GeneratorTable._word_diagonal
 
-        def counted(p, table):
-            built.append(p)
-            return mult_operator(p, table)
+        def counted(table, word):
+            built.append(word)
+            return word_diagonal(table, word)
 
-        monkeypatch.setattr(algebra, "mult_operator", counted)
+        monkeypatch.setattr(GeneratorTable, "_word_diagonal", counted)
         lam = lambda n: math.exp(-n * (n + 1))
-        for p in OBSERVABLES[:3]:
+        for p in OBSERVABLES:
             for t_ in (0.5, 1.0, 2.0):
                 haar_via_heat(p, t_, t)
             rho_trace_functional(p, lam, t)
-        assert built == OBSERVABLES[:3]
+        assert built == [w for p in OBSERVABLES for w in p.terms]
 
 
 def full_operator_modular_check(a, b, table):

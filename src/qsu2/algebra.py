@@ -326,21 +326,20 @@ class GeneratorTable:
 
         residuals keeps the largest residual of each defining relation on
         the safe columns.  A relation is a word of length 2 (depth 1), exact
-        on the spins 2n <= 2 lmax - 2: the column prefix [0, s).  Only the
-        right factors are cut to it, so each entry sums the same terms in
-        the same order as the full product.  Each residual is reduced band
-        by band as it is formed, so no product, residual or scaled
-        generator is held whole.  Both sides of a relation are words of
-        length 2 and one weight, so they share their band keys: the left
-        product streams them and the right one is formed at the same key.
-        A scaled side, q^2 G g_s or q g a_s, scales its gathered bands,
-        with the bits of scaling G or g first.
+        on the spins 2n <= 2 lmax - 2: the column prefix [0, s).  Each
+        residual band is formed over all columns and reduced on that prefix
+        as it is formed, so no product, residual or scaled generator is
+        held whole; a product band at column c reads only column c of its
+        right factor.  Both sides of a relation are words of length 2 and
+        one weight, so they share their band keys: the left product streams
+        them and the right one is formed at the same key.  A scaled side,
+        q^2 G g or q g a, scales its gathered bands, with the bits of
+        scaling G or g first.
         """
         q = self.q
         Ld = self.trunc.lmax.doubled
         s = pw_position(Ld - 1, 1 - Ld, 1 - Ld)
         a, A, g, G = (self.ops[ch] for ch in "aAgG")
-        a_s, A_s, g_s, G_s = (m.columns(s) for m in (a, A, g, G))
 
         def band(x, y, key, scale=None):
             return next((v for _, v in x.product_bands(y, (key,), scale)), 0.0)
@@ -350,14 +349,14 @@ class GeneratorTable:
 
         # relation -> (left product, the band of the residual at a key given the left band)
         rel = {
-            "A a + G g = 1": ((A, a_s), lambda k, v: v + band(G, g_s, k) - one(k)),
-            "a A + q^2 G g = 1": ((a, A_s), lambda k, v: v + band(G, g_s, k, q * q) - one(k)),
-            "G g = g G": ((G, g_s), lambda k, v: v - band(g, G_s, k)),
-            "a g = q g a": ((a, g_s), lambda k, v: v - band(g, a_s, k, q)),
-            "a G = q G a": ((a, G_s), lambda k, v: v - band(G, a_s, k, q)),
+            "A a + G g = 1": ((A, a), lambda k, v: v + band(G, g, k) - one(k)),
+            "a A + q^2 G g = 1": ((a, A), lambda k, v: v + band(G, g, k, q * q) - one(k)),
+            "G g = g G": ((G, g), lambda k, v: v - band(g, G, k)),
+            "a g = q g a": ((a, g), lambda k, v: v - band(g, a, k, q)),
+            "a G = q G a": ((a, G), lambda k, v: v - band(G, a, k, q)),
         }
         self.residuals = {
-            name: max((float(np.abs(residual(k, v)).max(initial=0.0))
+            name: max((float(np.abs(residual(k, v)[:s]).max(initial=0.0))
                        for k, v in x.product_bands(y)), default=0.0)
             for name, ((x, y), residual) in rel.items()}
         worst = max(self.residuals, key=self.residuals.get)

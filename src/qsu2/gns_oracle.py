@@ -9,6 +9,10 @@ The circle average is taken symbolically: only winding-0 contributions
 survive.  The state weight (1 - q^{-2}) q^{-2k} is the unique geometric
 weight normalizing the constant; it earns trust through the agreement
 battery against the Peter-Weyl route in the tests.
+
+The amplitudes are real only for q > 1.  For 0 < q < 1 the oracle goes
+through SU_q(2) = SU_{1/q}(2): when (alpha, gamma) satisfies the
+relations at 1/q, (alpha*, gamma/q) satisfies them at q.
 """
 from __future__ import annotations
 
@@ -17,9 +21,11 @@ import math
 from .algebra import NCPolynomial
 from .qarith import QArithError
 
+_SWAP_ALPHA = str.maketrans("aA", "Aa")
+
 
 def rep_apply(word: str, k: int, q: float):
-    """Apply a generator word (rightmost letter first) to ladder level k.
+    """Apply a generator word (rightmost letter first) to ladder level k at q > 1.
 
     Returns (amplitude, k', winding).  An annihilated state comes back with
     amplitude exactly 0.0.
@@ -55,11 +61,17 @@ def oracle_haar(p: NCPolynomial, K: int, q: float) -> complex:
     """psi(p) as a weighted diagonal sum over ladder levels 0..K.
 
     Converges geometrically in K; the truncation error of the constant
-    term is q^{-2(K+1)}.  The ladder amplitudes are real only for q > 1,
-    so other q raise QArithError.
+    term is max(q, 1/q)^{-2(K+1)}.  For 0 < q < 1 the word with a and A
+    swapped, each g or G scaled by 1/q, is evaluated at 1/q with the
+    coefficients kept.  q <= 0 and q = 1 raise QArithError.
     """
-    if not q > 1:
-        raise QArithError("the ladder oracle needs q > 1, got q = %g" % q)
+    if not (q > 0 and q != 1):
+        raise QArithError("the ladder oracle needs q > 0 and q != 1, got q = %g" % q)
+    if q < 1:
+        inv = 1.0 / q
+        mirrored = {w.translate(_SWAP_ALPHA): c * inv ** (w.count("g") + w.count("G"))
+                    for w, c in p.terms.items()}
+        return oracle_haar(NCPolynomial(mirrored), K, inv)
     total = 0.0 + 0.0j
     for word, coeff in p.terms.items():
         acc = 0.0

@@ -7,11 +7,12 @@ grid.  A truncation keeps all spins n <= lmax.
 Operators are stored as BandMatrix: every operator the program builds has
 a fixed weight on the basis (a word in the generators shifts (n, i, j) by
 at most len(word) + 1 spin offsets and one (i, j) shift), so it is kept
-column by column, one value per shift, and each target row is the closed
-form pw_position of the shifted label.  The largest spin shift over the
-bands is the operator's shell depth: the number of top spin shells whose
-image may be corrupted by the truncation.  Action on vectors supported on
-spins n <= lmax - depth is exact.
+as a square operator on its labels, column by column, one value per
+shift, and each target row is the closed form pw_position of the shifted
+label.  The largest spin shift over the bands is the operator's shell
+depth: the number of top spin shells whose image may be corrupted by the
+truncation.  Action on vectors supported on spins n <= lmax - depth is
+exact.
 """
 from __future__ import annotations
 
@@ -162,24 +163,23 @@ DIAGONAL = (0, 0, 0, 0)
 class BandMatrix:
     """An operator of fixed weights, stored column by column, one value per band.
 
-    bands maps a shift key (see LabelSpace) to the values of that band over
-    the first ncols columns of space; a value is 0 wherever the shifted
-    label leaves the truncation.  X @ Y needs no index arrays: it collects
-    product_bands, the one product routine, whose other consumers reduce
-    each band as it is formed.  As in CSR arithmetic, every sum of
-    products starts from +0.0, so an entry that sums at most two nonzero
-    terms (left-folded word products, D from its 2x2 blocks) has the same
-    bits as on the CSR route.
+    The operator is square on the labels of space.  bands maps a shift key
+    (see LabelSpace) to the values of that band, one per column; a value is
+    0 wherever the shifted label leaves the truncation.  X @ Y needs no
+    index arrays: it collects product_bands, the one product routine, whose
+    other consumers reduce each band as it is formed.  As in CSR
+    arithmetic, every sum of products starts from +0.0, so an entry that
+    sums at most two nonzero terms (left-folded word products, D from its
+    2x2 blocks) has the same bits as on the CSR route.
     """
 
-    def __init__(self, space, bands: dict, ncols: int | None = None):
+    def __init__(self, space, bands: dict):
         self.space = space
         self.bands = bands
-        self.ncols = space.dim if ncols is None else ncols
 
     @property
     def shape(self) -> tuple:
-        return (self.space.dim, self.ncols)
+        return (self.space.dim, self.space.dim)
 
     @property
     def dtype(self):
@@ -207,17 +207,14 @@ class BandMatrix:
         """
         return self
 
-    def rows(self, key) -> np.ndarray:
-        return self.space.rows(key)[:self.ncols]
-
     def __matmul__(self, other):
         if isinstance(other, np.ndarray):  # matvec; every sum starts from +0.0
             # row -1 (outside the truncation) lands in a spare last slot
             out = np.zeros(self.shape[0] + 1, dtype=np.result_type(self.dtype, other))
             for key, v in self.bands.items():
-                out[self.rows(key)] += v * other
+                out[self.space.rows(key)] += v * other
             return out[:-1]
-        return BandMatrix(other.space, dict(self.product_bands(other)), other.ncols)
+        return BandMatrix(other.space, dict(self.product_bands(other)))
 
     def product_bands(self, other: "BandMatrix", keys=None, scale=None):
         """The bands of (scale * self) @ other, one output key at a time, as (key, band).
@@ -240,17 +237,19 @@ class BandMatrix:
         for key, pairs in terms.items():
             band = 0.0
             for kx, ky in pairs:
-                vx = self.bands[kx][other.rows(ky)]  # row -1 where vy is 0: any value times 0
+                # row -1 where vy is 0: any value times 0
+                vx = self.bands[kx][other.space.rows(ky)]
                 if scale is not None:
                     vx = vx * scale
                 band = band + vx * other.bands[ky]
+            del vx  # not held while the consumer reduces the band
             yield key, band
 
     def _merge(self, other: "BandMatrix", op) -> "BandMatrix":
         """op per entry, a band missing on one side read as 0.0 (0 + x, x - 0, ...)."""
         keys = dict.fromkeys([*self.bands, *other.bands])
         return BandMatrix(self.space, {k: op(self.bands.get(k, 0.0), other.bands.get(k, 0.0))
-                                       for k in keys}, self.ncols)
+                                       for k in keys})
 
     def __add__(self, other: "BandMatrix") -> "BandMatrix":
         return self._merge(other, operator.add)
@@ -259,8 +258,7 @@ class BandMatrix:
         return self._merge(other, operator.sub)
 
     def __mul__(self, scalar) -> "BandMatrix":
-        return BandMatrix(self.space, {k: v * scalar for k, v in self.bands.items()},
-                          self.ncols)
+        return BandMatrix(self.space, {k: v * scalar for k, v in self.bands.items()})
 
     __rmul__ = __mul__
 
@@ -270,7 +268,7 @@ class BandMatrix:
         out = {}
         for (o, r, s, f), v in self.bands.items():
             key = (-o, -r, -s, f)
-            src = self.rows(key)
+            src = self.space.rows(key)
             out[key] = np.where(src >= 0, v.conj()[src], 0.0)
         return BandMatrix(self.space, out)
 
@@ -279,17 +277,13 @@ class BandMatrix:
         return max((float(np.abs(v).max(initial=0.0)) for v in self.bands.values()), default=0.0)
 
     def diagonal(self) -> np.ndarray:
-        return self.bands.get(DIAGONAL, np.zeros(self.ncols, dtype=self.dtype))
-
-    def columns(self, k: int) -> "BandMatrix":
-        """The column prefix [:, :k]."""
-        return BandMatrix(self.space, {key: v[:k] for key, v in self.bands.items()}, k)
+        return self.bands.get(DIAGONAL, np.zeros(self.space.dim, dtype=self.dtype))
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.dtype)
-        cols = np.arange(self.ncols)
+        cols = np.arange(self.space.dim)
         for key, v in self.bands.items():
-            rows = self.rows(key)
+            rows = self.space.rows(key)
             inside = rows >= 0
             out[rows[inside], cols[inside]] = v[inside]
         return out

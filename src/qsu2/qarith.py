@@ -64,11 +64,15 @@ def q_number(r, base: float) -> float:
     """The q-number (base^r - base^-r) / (base - base^-1).
 
     r may be a HalfInteger or a plain real.  Reduces to r as base -> 1.
+    Raises QArithError where base^r or base^-r exceeds float64.
     """
     if base <= 0 or base == 1:
         raise QArithError("q-number base must be positive and != 1, got %r" % (base,))
     r = float(r)
-    return (base ** r - base ** (-r)) / (base - 1.0 / base)
+    try:
+        return (base ** r - base ** (-r)) / (base - 1.0 / base)
+    except OverflowError:
+        raise QArithError("q-number [%g] at base %g exceeds float64" % (r, base)) from None
 
 
 def _cg_doubled(m1d: int, branch: int, ld: int, md: int, q: float) -> float:

@@ -5,7 +5,10 @@ traces span hundreds of orders of magnitude at small t).  Operator norms
 are exact: the Gram of a weight-homogeneous operator on h splits into
 short chains along the spin, one per (i, j), and each chain block is
 diagonalized densely.  No iteration and no random start, so
-the norms do not depend on a seed.
+the norms do not depend on a seed.  The commutator experiments read one
+multiplication operator of the witness per table, and [D, I_2 tensor a]
+is applied to each witness vector directly, with a acting on each spinor
+component.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import numpy as np
 
 from .qarith import HalfInteger, QArithError, half
 from .peterweyl import DIAGONAL, BandMatrix, Truncation
-from .algebra import GeneratorTable, NCPolynomial, haar_state, mult_operator, t_half
+from .algebra import GeneratorTable, NCPolynomial, haar_state, t_half
 from .dirac import DiracContext, VIndex
 
 
@@ -121,7 +124,7 @@ def shell_norms(op: BandMatrix, shells) -> np.ndarray:
     buf = np.zeros(offset[-1], dtype=gram.dtype)
     for key, v in gram.bands.items():
         col = np.flatnonzero((v != 0) & (nd <= top))  # a band is 0 where its row is -1
-        row = gram.rows(key)[col]
+        row = gram.space.rows(key)[col]
         col, row = col[nd[row] <= top], row[nd[row] <= top]
         if (chain[row] != chain[col]).any():
             raise SpectralError("Gram couples different (i, j): "
@@ -144,12 +147,6 @@ def shell_norm(op: BandMatrix, shell) -> float:
     return float(shell_norms(op, [shell])[0])
 
 
-def spinor_mult(a: NCPolynomial, table: GeneratorTable, dctx: DiracContext) -> BandMatrix:
-    """I_2 tensor (left multiplication by a), on the spinor basis."""
-    bands = {key: np.concatenate([v, v]) for key, v in mult_operator(a, table).bands.items()}
-    return BandMatrix(dctx.spinor, bands)
-
-
 def witness_polynomial(table: GeneratorTable) -> NCPolynomial:
     """The boundedness/unboundedness witness ttilde^{1/2}_{1/2,1/2} as a polynomial."""
     return NCPolynomial({"a": 1.0 / table.alpha_scalar})
@@ -165,7 +162,7 @@ def absD_commutator_series(a: NCPolynomial, shells: Sequence,
     shells_d = [half(s).doubled for s in shells]
     if any(s2 <= s1 for s1, s2 in zip(shells_d, shells_d[1:])):
         raise QArithError("shells must be strictly increasing")
-    aop = mult_operator(a, table)
+    aop = table.operator(a)
     n = BandMatrix(table.basis, {DIAGONAL: (table.basis.nd + 1) / 2.0})
     return GrowthSeries.fit([s / 2.0 for s in shells_d], shell_norms(n @ aop - aop @ n, shells))
 
@@ -173,7 +170,7 @@ def absD_commutator_series(a: NCPolynomial, shells: Sequence,
 def absD_commutator_cap(a: NCPolynomial, table: GeneratorTable) -> float:
     """Theoretical bound sqrt(2 n0 + 1) * n0 * ||a|| with n0 = (max word length)/2."""
     n0_d = a.degree()  # doubled n0: each letter shifts spin by 1/2
-    op = mult_operator(a, table)
+    op = table.operator(a)
     shell_d = table.trunc.lmax.doubled - op.shell_depth_doubled
     c = shell_norm(op, HalfInteger(shell_d))
     n0 = n0_d / 2.0
@@ -182,7 +179,14 @@ def absD_commutator_cap(a: NCPolynomial, table: GeneratorTable) -> float:
 
 def trueD_growth(a: NCPolynomial, l_list: Sequence, table: GeneratorTable,
                  dctx: DiracContext) -> GrowthSeries:
-    """Norms of [D, I_2 tensor a] on the witness vectors v^{l,+}_{l, -l-1/2}."""
+    """Norms of [D, I_2 tensor a] on the witness vectors v^{l,+}_{l, -l-1/2}.
+
+    The commutator is applied to each witness whole, with a acting on each
+    spinor component.  A witness is the single basis vector e_-(l, l, -l)
+    with coefficient exactly 1.0 (its e_+ entry would need |j - 1/2| =
+    l + 1 > l), so each value has the bits of that column of the
+    commutator.
+    """
     ls = [half(l) for l in l_list]
     if not ls:
         raise QArithError("no witness spins given: a commutator growth needs at least "
@@ -191,17 +195,16 @@ def trueD_growth(a: NCPolynomial, l_list: Sequence, table: GeneratorTable,
     if max(l.doubled for l in ls) + depth > dctx.trunc.lmax.doubled:
         raise QArithError("largest witness spin plus word depth exceeds the truncation")
     d = dctx.dirac_operator("true")
-    aop = spinor_mult(a, table, dctx)
+    aop = table.operator(a)
+    n = table.basis.dim
+
+    def a2(x):  # I_2 tensor a
+        return np.concatenate([aop @ x[:n], aop @ x[n:]])
+
     vals = []
     for l in ls:
         v = dctx.v_vector(VIndex(l, l, HalfInteger(-l.doubled - 1), +1))
-        # [D, I_2 tensor a] v from the columns v touches, one column at a time
-        out = np.zeros(len(v), dtype=v.dtype)
-        for j in np.flatnonzero(v):
-            e = np.zeros(len(v))
-            e[j] = 1.0
-            out += (d @ (aop @ e) - aop @ (d @ e)) * v[j]
-        vals.append(float(np.linalg.norm(out)))
+        vals.append(float(np.linalg.norm(d @ a2(v) - a2(d @ v))))
     return GrowthSeries.fit([float(l) for l in ls], vals)
 
 

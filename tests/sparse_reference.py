@@ -4,15 +4,17 @@ to_csr turns a BandMatrix into a canonical scipy CSR matrix, so the tests
 can check the band operators against independent sparse linear algebra.
 The CSR generator assembly and word products below are the routes the
 program used before it stored operators as bands; tests compare against
-them bit for bit.
+them bit for bit.  spinor_mult is the tiled spinor copy of a
+multiplication operator that the program applied before it let a act on
+each spinor component.
 """
 import math
 
 import numpy as np
 import scipy.sparse as sp
 
-from qsu2.algebra import cg_table
-from qsu2.peterweyl import pw_position
+from qsu2.algebra import cg_table, mult_operator
+from qsu2.peterweyl import BandMatrix, pw_position
 from qsu2.qarith import q_number
 
 
@@ -21,7 +23,7 @@ def to_csr(m) -> sp.csr_matrix:
     rows, cols, vals = [np.zeros(0, dtype=np.int64)] * 2 + [np.zeros(0, dtype=m.dtype)]
     for key, v in m.bands.items():
         keep = v != 0
-        rows = np.concatenate([rows, m.rows(key)[keep]])
+        rows = np.concatenate([rows, m.space.rows(key)[keep]])
         cols = np.concatenate([cols, np.flatnonzero(keep)])
         vals = np.concatenate([vals, v[keep]])
     return sp.csr_matrix((vals, (rows, cols)), shape=m.shape)
@@ -83,3 +85,9 @@ def csr_mult_operator(p, ops, dim) -> sp.csr_matrix:
             m = m @ ops[ch]
         out = out + coeff * m
     return out
+
+
+def spinor_mult(a, table, dctx) -> BandMatrix:
+    """I_2 tensor (left multiplication by a), on the spinor basis."""
+    bands = {key: np.concatenate([v, v]) for key, v in mult_operator(a, table).bands.items()}
+    return BandMatrix(dctx.spinor, bands)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from sparse_reference import to_csr
+from sparse_reference import spinor_mult, to_csr
 from qsu2.qarith import HalfInteger, q_number
 from qsu2.peterweyl import Truncation
 from qsu2.algebra import (GeneratorTable, NCPolynomial, haar_state, is_normal_word)
@@ -88,7 +88,7 @@ def test_04_dirac_q_relation(capfd):
 def test_05_transition_coefficients(capfd):
     table = GeneratorTable(Q, Truncation(HalfInteger(14)))
     dctx = DiracContext(Q, table.trunc, table.basis)
-    aop = spectral.spinor_mult(spectral.witness_polynomial(table), table, dctx)
+    aop = spinor_mult(spectral.witness_polynomial(table), table, dctx)
     worst = 0.0
     for ld in range(1, 13):
         for id_ in range(-ld, ld + 1, 2):

@@ -127,13 +127,28 @@ class TestMain:
          "heat: ERROR heat trace tail bound at q = 5, t = 0.001 exceeds float64"),
         (["heat", "--q", "5", "--lmax", "2000", "--t", "0.005"],
          "heat: ERROR heat trace at q = 5, t = 0.005 exceeds float64"),
-        (["validate", "--q", "0.7", "--lmax", "24"],
-         "validate: ERROR the ladder oracle needs q > 1, got q = 0.7"),
+        (["validate", "--q", "1e10", "--lmax", "24"],
+         "validate: ERROR q-number [31] at base 1e+10 exceeds float64"),
+        (["haar", "--q", "1e10", "--lmax", "62"],
+         "haar: ERROR q-number [31] at base 1e+10 exceeds float64"),
+        (["commutators", "--q", "1e-10", "--lmax", "62"],
+         "commutators: ERROR q-number [31] at base 1e-10 exceeds float64"),
+        (["modular", "--q", "1e15", "--lmax", "24"],
+         "modular: ERROR q-number [21] at base 1e+15 exceeds float64"),
     ])
     def test_legal_inputs_fail_with_a_typed_message(self, argv, message, capsys):
-        # was a bare "math range error" / "math domain error"
+        # was a bare "math range error" / "(34, 'Numerical result out of range')"
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+
+    def test_validate_below_one_writes_every_row(self, tmp_path, capsys):
+        # the two-path Haar check reaches q < 1 through SU_q(2) = SU_{1/q}(2);
+        # it was "validate: ERROR the ladder oracle needs q > 1" and no CSV
+        out = tmp_path / "validate.csv"
+        assert main(["validate", "--q", "0.7", "--lmax", "24", "--out", str(out)]) == 0
+        assert "validate: PASS (10 rows, 0 failures)" in capsys.readouterr().out
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 10 and all(",PASS," in r for r in rows)
 
     def test_heat_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "heat.csv"
@@ -258,7 +273,6 @@ class TestWorkCounts:
             return orig(p, table)
 
         monkeypatch.setattr(algebra, "mult_operator", counted)
-        monkeypatch.setattr(spectral, "mult_operator", counted)
         monkeypatch.setattr(cli, "_TABLE_MEMO", {})
         return dims
 
@@ -278,6 +292,11 @@ class TestWorkCounts:
         cli.run_modular(RunConfig(lmax_doubled=24))
         # 14 words on 3 views of dims 14 / 30 / 55; was 392
         assert len(builds) <= 42
+
+    def test_commutators_build_one_witness_operator(self, builds):
+        # the |D| series, the cap and the true-D growth share table.operator(a): was 3
+        cli.run_commutators(RunConfig(lmax_doubled=24))
+        assert len(builds) == 1
 
     def test_memo_released_with_the_table(self, monkeypatch):
         tables = []

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sparse_reference import to_csr
+from sparse_reference import spinor_mult, to_csr
 from qsu2.qarith import HalfInteger, QArithError, half, q_number
 from qsu2.peterweyl import Truncation
 from qsu2.algebra import GeneratorTable
 from qsu2.dirac import (DiracContext, VIndex, _v_entries, b_coefficient, b_minus_closed,
                         v_enumerate, validate_v_index)
-from qsu2.spectral import spinor_mult, witness_polynomial
+from qsu2.spectral import witness_polynomial
 
 Q = 1.2
 

@@ -64,11 +64,22 @@ class TestOracleHaar:
         expect = 2.0 - 3.0j / (1.0 + Q * Q)
         assert oracle_haar(p, 80, Q) == pytest.approx(expect, abs=1e-10)
 
-    @pytest.mark.parametrize("q", [0.7, 1.0])
-    def test_needs_q_above_one(self, q):
-        # the ladder amplitudes sqrt(1 - q^{-2(k+1)}) are real only for q > 1
-        with pytest.raises(QArithError, match="q > 1"):
+    @pytest.mark.parametrize("q", [1.0, 0.0, -1.5])
+    def test_rejects_q_one_and_nonpositive(self, q):
+        with pytest.raises(QArithError, match="q > 0 and q != 1"):
             oracle_haar(NCPolynomial.word("Aa"), 10, q)
+
+    @pytest.mark.parametrize("q", [0.7, 0.5])
+    def test_below_one_through_the_inverse_q(self, q):
+        # SU_q(2) = SU_{1/q}(2); the ladder amplitudes are real only for q > 1,
+        # so every word of degree <= 4 is checked against the GNS route at q
+        table = GeneratorTable(q, Truncation(HalfInteger(8)))
+        for n in range(5):
+            for w in ("".join(t) for t in itertools.product("aAgG", repeat=n)):
+                p = NCPolynomial.word(w)
+                assert abs(haar_state(p, table) - oracle_haar(p, 80, q)) < 1e-14, w
+        p = NCPolynomial({"": 2.0, "Gg": -3.0j})
+        assert oracle_haar(p, 80, q) == pytest.approx(2.0 - 3.0j / (1.0 + q * q), abs=1e-12)
 
     def test_agreement_with_gns_route(self):
         table = GeneratorTable(Q, Truncation(HalfInteger(12)))

@@ -1,0 +1,49 @@
+"""The CLI reproduces committed artifacts byte for byte.
+
+tests/golden holds the five CSVs and the stdout of `qsu2 all --lmax 16`
+and the CSV of `qsu2 commutators --lmax 40`.  A change that corrects a
+value regenerates them with those commands (--out all-ld16.csv and
+--out commutators-ld40.csv) and lists the changed cells in CHANGES.md.
+"""
+import contextlib
+import io
+import os
+
+import pytest
+
+from qsu2.cli import EXPERIMENTS, main
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def _golden(name: str) -> bytes:
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        return fh.read()
+
+
+@pytest.fixture(scope="module")
+def all_ld16(tmp_path_factory):
+    """(exit code, stdout, output directory) of one `all --lmax 16` run."""
+    out = tmp_path_factory.mktemp("all-ld16")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = main(["all", "--lmax", "16", "--out", str(out / "all-ld16.csv")])
+    return rc, stdout.getvalue(), out
+
+
+def test_all_ld16_stdout(all_ld16):
+    rc, stdout, _ = all_ld16
+    assert rc == 0
+    assert stdout.encode() == _golden("all-ld16.stdout")
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_all_ld16_csv(all_ld16, name):
+    path = all_ld16[2] / ("all-ld16_%s.csv" % name)
+    assert path.read_bytes() == _golden("all-ld16_%s.csv" % name)
+
+
+def test_commutators_ld40_csv(tmp_path, capsys):
+    out = tmp_path / "commutators-ld40.csv"
+    assert main(["commutators", "--lmax", "40", "--out", str(out)]) == 0
+    assert out.read_bytes() == _golden("commutators-ld40.csv")

@@ -50,6 +50,13 @@ class TestQNumber:
     def test_accepts_halfinteger(self):
         assert q_number(HalfInteger(3), 2) == pytest.approx(brute_q_number(1.5, 2))
 
+    @pytest.mark.parametrize("base", [1e10, 1e-10])
+    def test_overflow_is_typed(self, base):
+        # base^r (or base^-r) beyond float64 was a bare OverflowError
+        with pytest.raises(QArithError, match=r"q-number \[31\] at base .* exceeds float64"):
+            q_number(31, base)
+        assert math.isfinite(q_number(30, base))
+
     def test_invalid_base(self):
         with pytest.raises(QArithError):
             q_number(2, 1.0)

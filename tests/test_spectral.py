@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import logsumexp
 
-from sparse_reference import to_csr
+from sparse_reference import spinor_mult, to_csr
 from qsu2.qarith import HalfInteger, QArithError, q_number
 from qsu2.peterweyl import DIAGONAL, BandMatrix, Basis, Truncation, rho_weights
 from qsu2.algebra import (GeneratorTable, NCPolynomial, apply_word, haar_state,
@@ -20,7 +21,7 @@ from qsu2.spectral import (GrowthSeries, PeakOutsideTruncationError, SpectralErr
                            haar_via_heat,
                            heat_trace, heat_trace_tail, modular_check,
                            modular_generator_scaling, polynomial_norm_bound,
-                           rho_trace_functional, shell_norm, spinor_mult,
+                           rho_trace_functional, shell_norm,
                            trueD_growth, witness_polynomial)
 
 Q = 1.2
@@ -399,11 +400,6 @@ class TestModular:
 
 
 class TestCommutators:
-    def test_spinor_mult_shape_and_depth(self, table, dctx):
-        op = spinor_mult(NCPolynomial.word("ag"), table, dctx)
-        assert op.shape == (dctx.spinor.dim, dctx.spinor.dim)
-        assert op.shell_depth_doubled == 2
-
     def test_witness_is_normalized_generator(self, table):
         p = witness_polynomial(table)
         assert set(p.terms) == {"a"}
@@ -439,6 +435,48 @@ class TestCommutators:
                                                         HalfInteger(-2 * l - 1), 1)))
                for l in ls]
         assert trueD_growth(a, ls, t, d).values.tobytes() == np.array(ref).tobytes()
+
+    @staticmethod
+    def _unit_vector_growth(a, ls, t, d):
+        """The series by the earlier route: a tiled spinor copy of a, and the
+        commutator applied to each column that the witness touches."""
+        dop = d.dirac_operator("true")
+        aop = spinor_mult(a, t, d)
+        vals = []
+        for l in ls:
+            v = d.v_vector(VIndex(HalfInteger(2 * l), HalfInteger(2 * l),
+                                  HalfInteger(-2 * l - 1), 1))
+            out = np.zeros(len(v), dtype=v.dtype)
+            for j in np.flatnonzero(v):
+                e = np.zeros(len(v))
+                e[j] = 1.0
+                out += (dop @ (aop @ e) - aop @ (dop @ e)) * v[j]
+            vals.append(float(np.linalg.norm(out)))
+        return np.array(vals)
+
+    @pytest.mark.parametrize("ld, q", [(ld, q) for ld in (24, 40) for q in (1.2, 3.0, 0.7)]
+                             + [(62, 1.2)])
+    def test_trued_growth_matches_unit_vector_route_bitwise(self, ld, q):
+        t = GeneratorTable(q, Truncation(HalfInteger(ld)))
+        d = DiracContext(q, t.trunc, t.basis)
+        a = witness_polynomial(t)
+        ls = list(range(5, min(30, ld // 2 - 1) + 1))  # the CLI's witness spins
+        series = trueD_growth(a, ls, t, d)
+        assert series.values.tobytes() == self._unit_vector_growth(a, ls, t, d).tobytes()
+
+    def test_trued_growth_peak_memory(self):
+        # a on each spinor component, no tiled copy and no unit vectors: was 62.3
+        # units of one float64 array of length basis.dim at ld 40
+        t = GeneratorTable(Q, Truncation(HalfInteger(40)))
+        d = DiracContext(Q, t.trunc, t.basis)
+        a = witness_polynomial(t)
+        tracemalloc.start()
+        try:
+            trueD_growth(a, list(range(5, 20)), t, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * t.basis.dim) <= 54
 
     def test_trued_witness_guard(self, table, dctx):
         with pytest.raises(QArithError):

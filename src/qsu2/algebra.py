@@ -11,13 +11,12 @@ alpha/alpha* words through the defining relations.
 """
 from __future__ import annotations
 
-import math
 from functools import cached_property
 
 import numpy as np
 
-from .qarith import HalfInteger, _cg_doubled, q_number
-from .peterweyl import DIAGONAL, Basis, BandMatrix, Truncation, pw_position, rho_weights
+from .qarith import HalfInteger, q_number
+from .peterweyl import DIAGONAL, Basis, BandMatrix, Truncation, rho_weights
 
 LETTERS = "aAgG"
 _ADJOINT = {"a": "A", "A": "a", "g": "G", "G": "g"}
@@ -140,23 +139,52 @@ _CG_TABLES = {}  # (m1d, q) -> the largest cg_table built for them, most recent 
 _CG_TABLES_KEPT = 16
 
 
+def _q_numbers(count: int, q: float) -> np.ndarray:
+    """[r]_q for r = 0 .. count - 1, one scalar q_number each, in ascending r.
+
+    An overflow raises at the smallest r that overflows, as it did when
+    every entry called q_number itself.
+    """
+    return np.array([q_number(float(r), q) for r in range(count)])
+
+
 def cg_table(m1d: int, lmax_doubled: int, q: float) -> np.ndarray:
     """_cg_doubled(m1d, branch, ld, md, q) stored at [(1 - branch) // 2, ld, (md + ld) // 2].
 
-    One scalar call per (branch, ld, md) with |md| <= ld <= lmax_doubled;
-    unused slots (md > ld) hold 0.  No entry depends on lmax_doubled, so
-    a smaller table is the leading slice [:, :lmax_doubled + 1,
-    :lmax_doubled + 1] of the largest one built for (m1d, q); that one is
-    kept, for the _CG_TABLES_KEPT most recent (m1d, q), and shared, so the
-    array is read-only.
+    Built from the closed forms of _cg_doubled: with k = (ld + md) / 2,
+    every entry is +-q^(e/2) sqrt([r]_q / [ld + 1]_q) for integers
+    |e| <= ld + 1 and 0 <= r <= ld + 1.  Those O(lmax) scalars are
+    evaluated once each ([r]_q in ascending r, then q ** (e / 2.0)) and
+    combined with numpy's *, /, sqrt and where, which round as the scalar
+    route does: every entry has the bits of _cg_doubled, signed zeros
+    included.  Unused slots (md > ld) and weights outside the target spin
+    hold +0.0.  No entry depends on lmax_doubled, so a smaller table is
+    the leading slice [:, :lmax_doubled + 1, :lmax_doubled + 1] of the
+    largest one built for (m1d, q); that one is kept, for the
+    _CG_TABLES_KEPT most recent (m1d, q), and shared, so the array is
+    read-only.
     """
     table = _CG_TABLES.pop((m1d, q), None)
     if table is None or table.shape[1] <= lmax_doubled:
-        table = np.zeros((2, lmax_doubled + 1, lmax_doubled + 1))
-        for b, branch in enumerate((1, -1)):
-            for ld in range(lmax_doubled + 1):
-                for k in range(ld + 1):
-                    table[b, ld, k] = _cg_doubled(m1d, branch, ld, 2 * k - ld, q)
+        top = lmax_doubled + 1
+        qn = _q_numbers(top + 1, q)
+        half_powers = np.array([q ** (e / 2.0) for e in range(-top, top + 1)])
+
+        def power(e):  # q ** (e / 2.0)
+            return half_powers[e + top]
+
+        ld = np.arange(top)[:, None]
+        k = np.arange(top)
+        slot = k <= ld
+        k = np.minimum(k, ld)  # a valid index in the unused slots
+        den = qn[ld + 1]
+        if m1d == 1:  # branch +1, then -1 (which needs k <= ld - 1)
+            up = power(ld - k) * np.sqrt(qn[k + 1] / den)
+            down = np.where(k < ld, power(-k - 1) * np.sqrt(qn[ld - k] / den), 0.0)
+        else:  # branch -1 needs k >= 1
+            up = power(-k) * np.sqrt(qn[ld - k + 1] / den)
+            down = np.where(k >= 1, -power(ld - k + 1) * np.sqrt(qn[k] / den), 0.0)
+        table = np.where(slot, np.stack([up, down]), 0.0)
         table.setflags(write=False)
     _CG_TABLES[(m1d, q)] = table
     if len(_CG_TABLES) > _CG_TABLES_KEPT:
@@ -168,27 +196,39 @@ def t_half(rd: int, sd: int, basis: Basis, q: float) -> BandMatrix:
     """Left multiplication by the spin-1/2 element ttilde^{1/2}_{rd/2, sd/2} on basis.
 
     The entry taking (n, i, j) to (n + branch/2, i + rd/2, j + sd/2) is
-    C(rd, i) C(sd, j) nu(n), gathered from per-shell scalar tables; the
-    branches +1, -1 are the two bands.  Each entry is a closed form of its
-    column, so on a smaller truncation it keeps its bits.
+    (C(rd, i) C(sd, j)) nu(n); the branches +1, -1 are the two bands.  Each
+    factor is read once per shell or in-shell row and expanded: nu(n)
+    with np.repeat over the shells, C(rd, i) over the in-shell rows of
+    basis (i is constant along a row), and C(sd, j) gathered from its
+    cg_table row.  A CG coefficient is 0 exactly where its
+    target weight leaves the target spin, so an entry is kept where both
+    are nonzero and the target shell is retained; elsewhere it is +0.0.
+    Each entry is a closed form of its column, so on a smaller truncation
+    it keeps its bits.
     """
     Ld = basis.trunc.lmax.doubled
-    nd, id_, jd = basis.nd, basis.id, basis.jd
     cr = cg_table(rd, Ld, q)
     cs = cr if sd == rd else cg_table(sd, Ld, q)
+    qn = _q_numbers(Ld + 2, q)
     q2 = q_number(2, q)
+    shell_sizes = np.diff(basis.start)
+    row_width = basis.row_nd + 1
+    column = basis.along_rows(basis.row_nd * (Ld + 1))  # flat index of (2n, b) into cs[b]
     bands = {}
     for b, branch in enumerate((1, -1)):
+        lo, hi = (0, Ld) if branch == 1 else (1, Ld + 1)  # shells with 0 <= 2n + branch <= Ld
         nu = np.zeros(Ld + 1)
-        for ld in range(Ld + 1):
-            if 0 <= ld + branch <= Ld:
-                nu[ld] = math.sqrt(q2 * q_number(ld + 1, q) / q_number(ld + branch + 1, q))
-        md = nd + branch
-        c1 = cr[b, nd, (id_ + nd) // 2]
-        c2 = cs[b, nd, (jd + nd) // 2]
-        keep = ((md >= 0) & (md <= Ld) & (np.abs(id_ + rd) <= md)
-                & (np.abs(jd + sd) <= md) & (c1 != 0.0) & (c2 != 0.0))
-        bands[(branch, rd, sd, 0)] = np.where(keep, c1 * c2 * nu[nd], 0.0)
+        nu[lo:hi] = np.sqrt(q2 * qn[lo + 1:hi + 1] / qn[lo + 1 + branch:hi + 1 + branch])
+        kept = (basis.row_nd >= lo) & (basis.row_nd < hi)
+        band = np.repeat(np.where(kept, cr[b][basis.row_nd, basis.row_a], 0.0), row_width)
+        c2 = np.take(cs[b], column)
+        zero = band == 0.0
+        zero |= c2 == 0.0
+        band *= c2
+        del c2  # not held with the expanded nu
+        band *= np.repeat(nu, shell_sizes)
+        band[zero] = 0.0
+        bands[(branch, rd, sd, 0)] = band
     return BandMatrix(basis, bands)
 
 
@@ -219,19 +259,21 @@ class GeneratorTable:
         self.trunc = trunc
         self.basis = Basis(trunc)
         tpp, tmp = t_half(1, 1, self.basis, q), t_half(-1, 1, self.basis, q)
+        tpp_h = tpp.H
 
         # Scalar fit: with ca, cg > 0 and stars as adjoints, the relations
         # evaluated at the cyclic vector e0 give
         #   ca^2 * |T++ e0|^2     + cg^2 * |T-+ e0|^2      = 1
         #   ca^2 * |T++^H e0|^2   + q^2 cg^2 * |T-+ e0|^2  = 1
-        # Each vector has one nonzero entry, so the fit is the same on every
-        # truncation.
-        e0 = np.zeros(self.basis.dim)
-        e0[0] = 1.0
+        # Each vector has one nonzero entry, the column-0 entry of one band,
+        # so the fit is the same on every truncation; the norm of the
+        # column-0 entries has the bits of the norm of the vector.
+        def norm_e0(op):
+            return np.linalg.norm([v[0] for v in op.bands.values()])
+
         m = np.array([
-            [np.linalg.norm(tpp @ e0) ** 2, np.linalg.norm(tmp @ e0) ** 2],
-            [np.linalg.norm(tpp.H @ e0) ** 2,
-             q * q * np.linalg.norm(tmp @ e0) ** 2],
+            [norm_e0(tpp) ** 2, norm_e0(tmp) ** 2],
+            [norm_e0(tpp_h) ** 2, q * q * norm_e0(tmp) ** 2],
         ])
         sq = np.linalg.solve(m, np.ones(2))
         if (sq <= 0).any():
@@ -239,10 +281,13 @@ class GeneratorTable:
         self.alpha_scalar = float(np.sqrt(sq[0]))
         self.gamma_scalar = float(np.sqrt(sq[1]))
 
-        alpha = self.alpha_scalar * tpp
-        gamma = self.gamma_scalar * tmp
-        del tpp, tmp, e0  # not held while the battery runs
-        self.ops = {"a": alpha, "A": alpha.H, "g": gamma, "G": gamma.H}
+        # scaled in place, with the bits of c * T; (c T)^H = c T^H entry for
+        # entry, so alpha* is the adjoint taken above, scaled
+        for op, c in ((tpp, self.alpha_scalar), (tpp_h, self.alpha_scalar),
+                      (tmp, self.gamma_scalar)):
+            for band in op.bands.values():
+                band *= c
+        self.ops = {"a": tpp, "A": tpp_h, "g": tmp, "G": tmp.H}
         self._leading = {}
         self._diagonals = {}
         self._operators = {}
@@ -252,6 +297,11 @@ class GeneratorTable:
     def rho(self) -> np.ndarray:
         """The modular weights q^{-2i-2j} over the basis."""
         return rho_weights(self.basis, self.q)
+
+    @cached_property
+    def rho_shell_sums(self) -> np.ndarray:
+        """The sum of rho over each spin shell 2n = 0 .. lmax_doubled."""
+        return np.add.reduceat(self.rho, self.basis.start[:-1])
 
     def leading(self, deg: int) -> "GeneratorTable":
         """The table on the spins 2n <= max(deg, 2), memoized per shell.
@@ -338,7 +388,7 @@ class GeneratorTable:
         """
         q = self.q
         Ld = self.trunc.lmax.doubled
-        s = pw_position(Ld - 1, 1 - Ld, 1 - Ld)
+        s = self.basis.start[Ld - 1]
         a, A, g, G = (self.ops[ch] for ch in "aAgG")
 
         def band(x, y, key, scale=None):

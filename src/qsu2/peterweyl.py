@@ -8,11 +8,14 @@ Operators are stored as BandMatrix: every operator the program builds has
 a fixed weight on the basis (a word in the generators shifts (n, i, j) by
 at most len(word) + 1 spin offsets and one (i, j) shift), so it is kept
 as a square operator on its labels, column by column, one value per
-shift, and each target row is the closed form pw_position of the shifted
-label.  The largest spin shift over the bands is the operator's shell
-depth: the number of top spin shells whose image may be corrupted by the
-truncation.  Action on vectors supported on spins n <= lmax - depth is
-exact.
+shift.  The basis is ordered by shell and row-major inside each shell,
+so a shift sends each in-shell row of (2n + 1) labels, in order, to
+consecutive rows: the target rows come from one target per in-shell row,
+an O(lmax^2) table, run along the row, and the few labels at the ends
+of a row that leave the target shell.  The largest spin shift over the
+bands is the operator's shell depth: the number of top spin shells whose
+image may be corrupted by the truncation.  Action on vectors supported
+on spins n <= lmax - depth is exact.
 """
 from __future__ import annotations
 
@@ -58,14 +61,12 @@ class Truncation:
         return sum((nd + 1) ** 2 for nd in range(self.lmax.doubled + 1))
 
 
-def pw_position(nd, id_, jd):
-    """Closed-form position of (n, i, j) in the enumeration order, on doubled labels.
+def shell_starts(lmax_doubled: int) -> np.ndarray:
+    """Position of the first label of each shell 2n = 0 .. lmax_doubled + 1.
 
-    Shells 2m < 2n hold sum (m+1)^2 = n(n+1)(2n+1)/6 elements (n doubled);
-    inside a shell the order is row-major in ((i+n)/2, (j+n)/2).  Works
-    elementwise on integer arrays; labels are not checked.
+    Shell 2n holds (2n + 1)^2 labels, so the last entry is the dimension.
     """
-    return nd * (nd + 1) * (2 * nd + 1) // 6 + (id_ + nd) // 2 * (nd + 1) + (jd + nd) // 2
+    return np.concatenate([[0], np.cumsum(np.arange(1, lmax_doubled + 2) ** 2)])
 
 
 class LabelSpace:
@@ -75,42 +76,102 @@ class LabelSpace:
     label per column, or scalars), block (row offset of component 1), trunc
     and dim.  The column labelled (c, n, i, j) reaches (c xor f, n + o/2,
     i + r/2, j + s/2) under the key (o, r, s, f), all doubled; its row is
-    c' * block + pw_position, or -1 where the label leaves the truncation.
+    c' * block plus the position of that label in the Basis order, or -1
+    where the label leaves the truncation.
     """
 
     def rows(self, key) -> np.ndarray:
         """Rows under key, one per label: computed once per key and kept."""
         memo = self.__dict__.setdefault("_rows", {})
         if key not in memo:
-            comp, nd, id_, jd = self.labels
-            o, r, s, f = key
-            md, mi, mj = nd + o, id_ + r, jd + s
-            inside = ((md >= 0) & (md <= self.trunc.lmax.doubled)
-                      & (np.abs(mi) <= md) & (np.abs(mj) <= md))
-            memo[key] = np.where(inside, (comp ^ f) * self.block + pw_position(md, mi, mj), -1)
+            memo[key] = self._rows_of(key)
         return memo[key]
+
+    def _rows_of(self, key) -> np.ndarray:
+        """Rows under key from the labels, label by label."""
+        comp, nd, id_, jd = self.labels
+        o, r, s, f = key
+        Ld = self.trunc.lmax.doubled
+        md, mi, mj = nd + o, id_ + r, jd + s
+        inside = (md >= 0) & (md <= Ld) & (np.abs(mi) <= md) & (np.abs(mj) <= md)
+        md = np.where(inside, md, 0)
+        position = shell_starts(Ld)[md] + (mi + md) // 2 * (md + 1) + (mj + md) // 2
+        return np.where(inside, (comp ^ f) * self.block + position, -1)
 
 
 class Basis(LabelSpace):
     """Deterministic enumeration of the truncated Peter-Weyl basis.
 
-    Order: ascending 2n, then i, then j.  Index arrays are kept as doubled
-    integers for vectorized weight computations; positions follow the
-    closed form pw_position.
+    Order: ascending 2n, then i, then j.  Shell 2n starts at start[2n]
+    and is a (2n + 1) x (2n + 1) grid, row-major in the in-shell row
+    a = (i + n) and column b = (j + n).  The per-row tables row_nd
+    (doubled spin of each in-shell row), row_a (its row index) and
+    row_start (position of its first label) have O(lmax^2) entries.  The
+    doubled spin nd is kept per label; the doubled weights id and jd are
+    derived from the per-row tables on each access, so the basis holds one
+    label-length array.
     """
 
     def __init__(self, trunc: Truncation):
         self.trunc = trunc
         shells = np.arange(trunc.lmax.doubled + 1, dtype=np.int64)
-        self.nd = np.repeat(shells, (shells + 1) ** 2)
-        self.dim = len(self.nd)
-        # offset inside the shell = position minus that of (n, -n, -n)
-        row, col = np.divmod(np.arange(self.dim, dtype=np.int64)
-                             - pw_position(self.nd, -self.nd, -self.nd), self.nd + 1)
-        self.id = 2 * row - self.nd
-        self.jd = 2 * col - self.nd
-        self.labels = (0, self.nd, self.id, self.jd)
+        self.start = shell_starts(trunc.lmax.doubled)
+        self.dim = int(self.start[-1])
+        self.row_nd = np.repeat(shells, shells + 1)
+        self.row_a = np.arange(len(self.row_nd)) - np.repeat(shells * (shells + 1) // 2,
+                                                              shells + 1)
+        self.row_start = self.start[self.row_nd] + self.row_a * (self.row_nd + 1)
+        self.nd = np.repeat(self.row_nd, self.row_nd + 1)
         self.block = 0
+
+    @property
+    def id(self) -> np.ndarray:
+        """Doubled i of each label, 2 a - n."""
+        return np.repeat(2 * self.row_a - self.row_nd, self.row_nd + 1)
+
+    @property
+    def jd(self) -> np.ndarray:
+        """Doubled j of each label, 2 b - n."""
+        return self.along_rows(-self.row_nd, 2)
+
+    @property
+    def labels(self) -> tuple:
+        return (0, self.nd, self.id, self.jd)
+
+    def along_rows(self, first: np.ndarray, step: int = 1) -> np.ndarray:
+        """first[r] + step * b at column b of in-shell row r, one int64 per label.
+
+        A running sum: steps of step along each row, with a jump to first[r]
+        at the row's first label.
+        """
+        out = np.full(self.dim, step, dtype=np.int64)
+        out[0] = first[0]
+        out[self.row_start[1:]] = first[1:] - first[:-1] - step * self.row_nd[:-1]
+        return np.cumsum(out, out=out)
+
+    def _rows_of(self, key) -> np.ndarray:
+        """Rows under key from the per-row tables: one target per in-shell row, then edge cuts.
+
+        Every label of the in-shell row (n, a) moves to the row
+        (n + o/2, a + (r + o)/2) of its target shell, in the same order, so
+        the rows run along_rows from the target of each row's first label.
+        A row that lands outside starts below -dim and comes out as -1.  A
+        column b moves to b + (s + o)/2, so the same number of labels at the
+        start or the end of every row, at most the shell depth, leave the
+        target shell.
+        """
+        o, r, s, _ = key  # a Basis has one component
+        nd, a = self.row_nd, self.row_a
+        md, ma = nd + o, a + (r + o) // 2
+        inside = (md >= 0) & (md <= self.trunc.lmax.doubled) & (ma >= 0) & (ma <= md)
+        target = self.start[np.where(inside, md, 0)] + ma * (md + 1) + (s + o) // 2
+        rows = self.along_rows(np.where(inside, target, -1 - self.dim))
+        np.maximum(rows, -1, out=rows)
+        for k in range(-((s + o) // 2)):  # columns b < -(s + o)/2
+            rows[self.row_start + np.minimum(k, nd)] = -1
+        for k in range((s - o) // 2):  # columns b > n + (o - s)/2
+            rows[self.row_start + np.maximum(nd - k, 0)] = -1
+        return rows
 
     def position(self, idx: PWIndex) -> int:
         return self.position_doubled(idx.n.doubled, idx.i.doubled, idx.j.doubled)
@@ -120,7 +181,7 @@ class Basis(LabelSpace):
                 or (nd - id_) % 2 or (nd - jd) % 2):
             raise QArithError("doubled label (%d, %d, %d) is not in the truncation"
                               % (nd, id_, jd))
-        return pw_position(nd, id_, jd)
+        return int(self.start[nd]) + (id_ + nd) // 2 * (nd + 1) + (jd + nd) // 2
 
     @cached_property
     def indices(self) -> list:
@@ -158,6 +219,13 @@ def rho_weights(basis: Basis, q: float) -> np.ndarray:
 
 
 DIAGONAL = (0, 0, 0, 0)
+
+
+def _in_place(ufunc, x: np.ndarray, y):
+    """ufunc(x, y), written into x when x's dtype holds the result."""
+    if np.result_type(x, y) != x.dtype:
+        return ufunc(x, y)
+    return ufunc(x, y, out=x)
 
 
 class BandMatrix:
@@ -225,8 +293,10 @@ class BandMatrix:
         keys, if given, limits the output to those keys; no other band is
         formed.  scale multiplies each gathered band (vx[src] * scale has
         the bits of (scale * vx)[src]), so no scaled copy of self is made.
-        A consumer that reduces each band as it comes never holds the
-        whole product.
+        Each term is a fresh gather, so it is scaled, multiplied and summed
+        in place wherever its dtype holds the result: the same operations
+        in the same order, without a new array per operation.  A consumer
+        that reduces each band as it comes never holds the whole product.
         """
         terms = {}
         for ky in other.bands:
@@ -235,14 +305,16 @@ class BandMatrix:
                 if keys is None or key in keys:
                     terms.setdefault(key, []).append((kx, ky))
         for key, pairs in terms.items():
-            band = 0.0
+            band = None
             for kx, ky in pairs:
                 # row -1 where vy is 0: any value times 0
-                vx = self.bands[kx][other.space.rows(ky)]
+                term = self.bands[kx][other.space.rows(ky)]
                 if scale is not None:
-                    vx = vx * scale
-                band = band + vx * other.bands[ky]
-            del vx  # not held while the consumer reduces the band
+                    term = _in_place(np.multiply, term, scale)
+                term = _in_place(np.multiply, term, other.bands[ky])
+                band = (_in_place(np.add, term, 0.0) if band is None  # 0.0 + x, as -0.0 -> +0.0
+                        else _in_place(np.add, band, term))
+            del term  # not held while the consumer reduces the band
             yield key, band
 
     def _merge(self, other: "BandMatrix", op) -> "BandMatrix":
@@ -269,7 +341,11 @@ class BandMatrix:
         for (o, r, s, f), v in self.bands.items():
             key = (-o, -r, -s, f)
             src = self.space.rows(key)
-            out[key] = np.where(src >= 0, v.conj()[src], 0.0)
+            band = v[src]  # row -1 reads the last entry, then set to +0.0
+            if band.dtype.kind == "c":
+                np.conjugate(band, out=band)
+            band[src < 0] = 0.0
+            out[key] = band
         return BandMatrix(self.space, out)
 
     def max_abs(self) -> float:

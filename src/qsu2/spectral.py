@@ -85,8 +85,9 @@ def _chains(basis) -> tuple:
     def first_chain(s0):
         return np.where(s0 > 0, 2 * s0 * (s0 - 1) + 1, 0)
 
-    s0 = np.maximum(np.abs(basis.id), np.abs(basis.jd))
-    a, b = (basis.id + s0) // 2, (basis.jd + s0) // 2  # grid coordinates, 0 .. s0
+    id_, jd = basis.id, basis.jd
+    s0 = np.maximum(np.abs(id_), np.abs(jd))
+    a, b = (id_ + s0) // 2, (jd + s0) // 2  # grid coordinates, 0 .. s0
     border = np.where(a == 0, b, np.where(a == s0, s0 + 1 + b, 2 * s0 + 2 * a + (b == s0)))
     return (first_chain(s0) + border, basis.nd, s0,
             first_chain(np.arange(basis.trunc.lmax.doubled + 2)))
@@ -323,18 +324,22 @@ def haar_via_heat(a: NCPolynomial, t: float, table: GeneratorTable):
     if t <= 0:
         raise QArithError("t must be positive")
     q = table.q
-    basis = table.basis
+    start = table.basis.start
     Ld = table.trunc.lmax.doubled
     diag, depth = table.diagonal(a)
     heat = np.exp(-t * ((np.arange(Ld + 1) + 1) / 2.0) ** 2)  # per shell 2n
-    weights = table.rho * heat[basis.nd]
-    num = complex(np.sum(diag * weights))
+    weights = np.repeat(heat, np.diff(start))
+    weights *= table.rho  # rho * heat, entry for entry
     den = float(np.sum(weights))
+    if den == 0.0:
+        raise SpectralError("Tr(R e^{-tD^2}) at q = %g, t = %g underflows to 0 in float64"
+                            % (q, t))
+    num = complex(np.sum(diag * weights))
     ratio = num / den
 
     a_bound = polynomial_norm_bound(a, q)
     series_tail = heat_trace_tail(t, q, table.trunc) / 2.0  # per spinor component
-    corrupted = weights[basis.nd > Ld - depth].sum()
+    corrupted = weights[start[Ld - depth + 1]:].sum()  # the shells 2n > Ld - depth, in order
     tail_bound = 2.0 * (a_bound + 1.0) * (series_tail + corrupted) / den
     return ratio, tail_bound
 
@@ -348,10 +353,10 @@ def rho_trace_functional(a: NCPolynomial, multiplier: Callable[[float], float],
     Raises TailTooLargeError when the top retained shell still contributes
     more than RHO_TAIL_TOL of the trace-normalizing sum (trace-class proxy).
     """
-    basis = table.basis
     shell = np.array([multiplier(nd / 2.0) for nd in range(table.trunc.lmax.doubled + 1)])
-    weights = table.rho * shell[basis.nd]
-    shell_sums = np.bincount(basis.nd, weights=np.abs(weights))
+    weights = np.repeat(shell, np.diff(table.basis.start))
+    weights *= table.rho  # rho * B, entry for entry
+    shell_sums = np.abs(shell) * table.rho_shell_sums  # rho > 0: sum |rho B| per shell
     total = shell_sums.sum()
     if total > 0 and shell_sums[-1] > RHO_TAIL_TOL * total:
         raise TailTooLargeError(

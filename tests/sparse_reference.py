@@ -6,7 +6,9 @@ The CSR generator assembly and word products below are the routes the
 program used before it stored operators as bands; tests compare against
 them bit for bit.  spinor_mult is the tiled spinor copy of a
 multiplication operator that the program applied before it let a act on
-each spinor component.
+each spinor component.  pw_position is the cubic closed form of a label's
+position that the program used before it read positions from per-shell
+tables.
 """
 import math
 
@@ -14,8 +16,27 @@ import numpy as np
 import scipy.sparse as sp
 
 from qsu2.algebra import cg_table, mult_operator
-from qsu2.peterweyl import BandMatrix, pw_position
+from qsu2.peterweyl import BandMatrix
 from qsu2.qarith import q_number
+
+
+def pw_position(nd, id_, jd):
+    """Closed-form position of (n, i, j) in the enumeration order, on doubled labels.
+
+    Shells 2m < 2n hold sum (m+1)^2 = n(n+1)(2n+1)/6 elements (n doubled);
+    inside a shell the order is row-major in ((i+n)/2, (j+n)/2).  Works
+    elementwise on integer arrays; labels are not checked.
+    """
+    return nd * (nd + 1) * (2 * nd + 1) // 6 + (id_ + nd) // 2 * (nd + 1) + (jd + nd) // 2
+
+
+def pw_rows(basis, key):
+    """The rows of basis under the shift key (o, r, s, f) through pw_position; -1 outside."""
+    o, r, s, _ = key
+    md, mi, mj = basis.nd + o, basis.id + r, basis.jd + s
+    inside = ((md >= 0) & (md <= basis.trunc.lmax.doubled)
+              & (np.abs(mi) <= md) & (np.abs(mj) <= md))
+    return np.where(inside, pw_position(md, mi, mj), -1)
 
 
 def to_csr(m) -> sp.csr_matrix:

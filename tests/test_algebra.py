@@ -8,10 +8,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from sparse_reference import csr_generators, csr_mult_operator, to_csr
+from sparse_reference import csr_generators, csr_mult_operator, pw_position, to_csr
 from qsu2 import algebra
 from qsu2.qarith import HalfInteger, _cg_doubled, q_number
-from qsu2.peterweyl import Basis, Truncation, pw_position
+from qsu2.peterweyl import Basis, Truncation
 from qsu2.algebra import (AlgebraError, GeneratorTable, NCPolynomial, ValidationError,
                           adjoint_word, apply_word, cg_table, haar_state,
                           is_normal_word, mult_operator, normal_order, t_half)
@@ -125,6 +125,29 @@ def scalar_loop_gen_matrix(rd, sd, basis, q):
     return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
 
 
+class CountedQ(float):
+    """q that counts the scalar powers q ** x taken of it (q_number takes two)."""
+
+    powers = 0
+
+    def __pow__(self, x):
+        self.powers += 1
+        return float(self) ** x
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """[number of calls] of module.name from here on."""
+    calls = [0]
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestAssembly:
     @pytest.mark.parametrize("q", [1.2, 3.0, 0.7])
     @pytest.mark.parametrize("lmax_d", [2, 7, 16])
@@ -139,47 +162,48 @@ class TestAssembly:
                 assert new.data.dtype == ref.data.dtype
                 assert new.data.tobytes() == ref.data.tobytes(), (rd, sd)
 
+    @pytest.mark.parametrize("q", [0.5, 0.7, 1.2, 3.0])
+    def test_cg_table_matches_scalar_cg_bitwise(self, q, monkeypatch):
+        # the closed forms combined elementwise give every bit of _cg_doubled,
+        # signed zeros and the +0.0 of unused slots included
+        monkeypatch.setattr(algebra, "_CG_TABLES", {})
+        Ld = 40
+        for m1d in (1, -1):
+            table = cg_table(m1d, Ld, q)
+            ref = np.zeros((2, Ld + 1, Ld + 1))
+            for b, branch in enumerate((1, -1)):
+                for ld in range(Ld + 1):
+                    for k in range(ld + 1):
+                        ref[b, ld, k] = _cg_doubled(m1d, branch, ld, 2 * k - ld, q)
+            assert np.array_equal(table.view(np.uint64), ref.view(np.uint64)), (m1d, q)
+
     @pytest.mark.parametrize("lmax_d", [24, 40])
     def test_scalar_cg_calls_grow_like_lmax_squared(self, lmax_d, monkeypatch):
-        # a guard on work, not time: the per-element loop made 78 400 calls at
-        # lmax_doubled 24 (dim 5525); per-shell tables need O(lmax^2)
-        calls = [0]
-
-        def counted(*args):
-            calls[0] += 1
-            return _cg_doubled(*args)
-
-        monkeypatch.setattr(algebra, "_cg_doubled", counted)
+        # a guard on work, not time: the per-element loop made 78 400 CG calls at
+        # lmax_doubled 24 (dim 5525), per-shell tables 1300, each with two q-numbers
+        # and one power; a cold build now takes O(lmax) scalar q-numbers and powers
+        q = CountedQ(Q)
+        numbers = count_calls(monkeypatch, algebra, "q_number")
         monkeypatch.setattr(algebra, "_CG_TABLES", {})  # count a cold build
-        t = GeneratorTable(Q, Truncation(HalfInteger(lmax_d)))
-        assert 0 < calls[0] < t.basis.dim
-        assert calls[0] <= 6 * (lmax_d + 1) * (lmax_d + 2)
+        GeneratorTable(q, Truncation(HalfInteger(lmax_d)))
+        assert 0 < numbers[0] <= 4 * (lmax_d + 3)
+        assert 0 < q.powers <= 12 * (lmax_d + 3)  # two per q-number, plus q^(e/2)
 
     def test_cg_table_computed_once_per_arguments(self, monkeypatch):
-        # the generator matrices and the change of basis read two tables (m1 = +-1/2)
-        calls = [0]
-
-        def counted(*args):
-            calls[0] += 1
-            return _cg_doubled(*args)
-
-        monkeypatch.setattr(algebra, "_cg_doubled", counted)
+        # the generator matrices and the change of basis read two tables (m1 = +-1/2),
+        # each built once from 18 q-numbers (two powers each) and 35 powers q^(e/2);
+        # each of the two t_half calls takes 19 q-numbers for nu
         monkeypatch.setattr(algebra, "_CG_TABLES", {})
-        t = GeneratorTable(Q, Truncation(HalfInteger(16)))
-        DiracContext(Q, t.trunc, t.basis).change_of_basis
-        assert calls[0] == 2 * 2 * sum(ld + 1 for ld in range(17))
+        q = CountedQ(Q)
+        t = GeneratorTable(q, Truncation(HalfInteger(16)))
+        DiracContext(q, t.trunc, t.basis).change_of_basis
+        assert q.powers == 2 * (2 * 18 + 35) + 2 * 2 * 19
         with pytest.raises(ValueError):
             cg_table(1, 16, Q)[0, 0, 0] = 0.0
 
     def test_smaller_cg_table_is_a_slice_of_the_largest(self, monkeypatch):
         # a leading view reads the full table's scalars: no scalar call, same bits
-        calls = [0]
-
-        def counted(*args):
-            calls[0] += 1
-            return _cg_doubled(*args)
-
-        monkeypatch.setattr(algebra, "_cg_doubled", counted)
+        calls = count_calls(monkeypatch, algebra, "q_number")
         monkeypatch.setattr(algebra, "_CG_TABLES", {})
         full = cg_table(-1, 16, Q)
         before = calls[0]

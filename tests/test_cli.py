@@ -141,6 +141,20 @@ class TestMain:
         assert main(argv) == 1
         assert message in capsys.readouterr().err
 
+    def test_heat_without_a_positive_band_value_fails_its_rows(self, tmp_path, capsys):
+        # every s(t) underflows to 0 at t = 1e9: was "heat: ERROR float division by zero"
+        out = tmp_path / "heat.csv"
+        assert main(["heat", "--t", "1e9", "--lmax", "24", "--out", str(out)]) == 1
+        assert "heat band: 1 points, max/min s = n/a" in capsys.readouterr().out
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 1 and ",FAIL," in rows[0]
+
+    def test_haar_with_an_underflowing_trace_is_a_typed_error(self, capsys):
+        # Tr(R e^{-tD^2}) is 0 in float64 at t = 1e6: was "haar: ERROR complex division by zero"
+        assert main(["haar", "--t", "1e6", "--lmax", "24"]) == 1
+        assert ("haar: ERROR Tr(R e^{-tD^2}) at q = 1.2, t = 1e+06 underflows to 0 in float64"
+                in capsys.readouterr().err)
+
     def test_validate_below_one_writes_every_row(self, tmp_path, capsys):
         # the two-path Haar check reaches q < 1 through SU_q(2) = SU_{1/q}(2);
         # it was "validate: ERROR the ladder oracle needs q > 1" and no CSV
@@ -248,11 +262,12 @@ class TestMain:
         assert other == base  # every other byte identical
 
     def test_runs_load_no_scipy_module(self, tmp_path):
-        # the runtime is numpy-only: scipy is a test dependency
+        # a float64 run is numpy-only: scipy is a test dependency, and mpmath
+        # is imported only for --precision-bits above 53
         code = ("import sys, qsu2.cli\n"
                 "for argv in (['all', '--lmax', '16'], ['haar', '--lmax', '16']):\n"
                 "    assert qsu2.cli.main(argv + ['--out', %r]) == 0\n"
-                "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+                "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')])"
                 % str(tmp_path / "run.csv"))
         src = os.path.dirname(os.path.dirname(cli.__file__))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -1,9 +1,11 @@
 """The CLI reproduces committed artifacts byte for byte.
 
-tests/golden holds the five CSVs and the stdout of `qsu2 all --lmax 16`
-and the CSV of `qsu2 commutators --lmax 40`.  A change that corrects a
-value regenerates them with those commands (--out all-ld16.csv and
---out commutators-ld40.csv) and lists the changed cells in CHANGES.md.
+tests/golden holds the five CSVs and the stdout of `qsu2 all --lmax 16`,
+the CSV of `qsu2 commutators --lmax 40` and that of
+`qsu2 haar --lmax 62 --t-grid 0.5:2:4`, whose trace functionals sum
+85 344 terms.  A change that corrects a value regenerates them with those
+commands (--out all-ld16.csv, --out commutators-ld40.csv and --out
+haar-ld62.csv) and lists the changed cells in CHANGES.md.
 """
 import contextlib
 import io
@@ -47,3 +49,9 @@ def test_commutators_ld40_csv(tmp_path, capsys):
     out = tmp_path / "commutators-ld40.csv"
     assert main(["commutators", "--lmax", "40", "--out", str(out)]) == 0
     assert out.read_bytes() == _golden("commutators-ld40.csv")
+
+
+def test_haar_ld62_csv(tmp_path, capsys):
+    out = tmp_path / "haar-ld62.csv"
+    assert main(["haar", "--lmax", "62", "--t-grid", "0.5:2:4", "--out", str(out)]) == 0
+    assert out.read_bytes() == _golden("haar-ld62.csv")

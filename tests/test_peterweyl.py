@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparse_reference import pw_position, pw_rows
 from qsu2.qarith import HalfInteger, QArithError, half, q_number
-from qsu2.peterweyl import (Basis, PWIndex, Truncation, normalization_factor,
-                            pw_inner_unnormalized, pw_position, rho_weights,
-                            validate_pw_index)
+from qsu2.peterweyl import (Basis, LabelSpace, PWIndex, Truncation, normalization_factor,
+                            pw_inner_unnormalized, rho_weights, validate_pw_index)
 from qsu2.algebra import GeneratorTable, NCPolynomial, mult_operator, t_half
 from qsu2.dirac import DiracContext
 
@@ -53,6 +53,27 @@ class TestEnumeration:
         for k, label in enumerate(labels):
             assert basis.position_doubled(*label) == k
         assert np.array_equal(pw_position(basis.nd, basis.id, basis.jd), np.arange(basis.dim))
+
+    @pytest.mark.parametrize("lmax_d", [0, 1, 2, 3, 5, 16, 40])
+    def test_rows_match_the_cubic_closed_form(self, lmax_d):
+        # every generator key (depth 1) and every key of a product of two
+        # generators (depth 2), on the per-row route and on the generic one
+        basis = Basis(Truncation(HalfInteger(lmax_d)))
+        gens = [(o, r, s, 0) for o in (1, -1) for r in (1, -1) for s in (1, -1)]
+        keys = gens + [tuple(x + y for x, y in zip(k1, k2)) for k1 in gens for k2 in gens]
+        for key in dict.fromkeys(keys):
+            ref = pw_rows(basis, key)
+            assert np.array_equal(basis.rows(key), ref), key
+            assert np.array_equal(LabelSpace._rows_of(basis, key), ref), key
+
+    def test_one_label_length_array_is_kept(self):
+        # the per-row tables hold one entry per in-shell row; id and jd are derived
+        basis = Basis(Truncation(HalfInteger(24)))
+        assert len(basis.row_nd) == len(basis.row_a) == len(basis.row_start) == 25 * 26 // 2
+        assert len(basis.start) == 26 and basis.start[-1] == basis.dim
+        kept = [k for k, v in vars(basis).items()
+                if isinstance(v, np.ndarray) and len(v) == basis.dim]
+        assert kept == ["nd"]
 
     @pytest.mark.parametrize("label", [
         (8, 0, 0),    # spin 4 beyond lmax 7/2

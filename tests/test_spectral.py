@@ -236,6 +236,11 @@ class TestHaarViaHeat:
         with pytest.raises(QArithError):
             haar_via_heat(NCPolynomial.one(), -1.0, table)
 
+    def test_underflowing_trace_raises_typed_error(self, table):
+        # e^{-t/4} is 0 in float64 at t = 1e6, so Tr(R e^{-tD^2}) is too
+        with pytest.raises(SpectralError, match="t = 1e\\+06 underflows"):
+            haar_via_heat(NCPolynomial.one(), 1e6, table)
+
     def test_norm_bound(self):
         p = NCPolynomial({"ag": 2.0, "": -1.0j})
         assert polynomial_norm_bound(p, Q) == pytest.approx(3.0)
@@ -344,6 +349,15 @@ class TestRhoTraceFunctional:
         Ld = table.trunc.lmax.doubled
         assert len(seen) == Ld + 1
         assert seen == [nd / 2.0 for nd in range(Ld + 1)]
+
+    def test_tail_share_matches_the_per_label_sums(self, table):
+        # |B(n)| times the per-shell sum of rho, against the sum of |rho B| per label
+        basis = table.basis
+        for lam in (lambda n: math.exp(-n * (n + 1)), lambda n: -math.exp(-n),
+                    lambda n: 1.0):
+            shell = np.array([lam(nd / 2.0) for nd in range(table.trunc.lmax.doubled + 1)])
+            ref = np.bincount(basis.nd, weights=np.abs(table.rho * shell[basis.nd]))
+            assert np.allclose(np.abs(shell) * table.rho_shell_sums, ref, rtol=1e-13, atol=0)
 
     def test_slow_multiplier_rejected(self, table):
         with pytest.raises(TailTooLargeError):

@@ -291,6 +291,8 @@ class GeneratorTable:
         self._leading = {}
         self._diagonals = {}
         self._operators = {}
+        self._vacuum = {}
+        self._modular_vacuum = {}
         self.validate()
 
     @cached_property
@@ -371,6 +373,44 @@ class GeneratorTable:
             self._operators[key] = mult_operator(p, self)
         return self._operators[key]
 
+    def vacuum(self, word: str) -> np.ndarray:
+        """The complex vector word e0, memoized per word and read-only.
+
+        Formed as ops[word[0]] @ vacuum(word[1:]), from the longest suffix
+        already held: the matvecs of applying the word to e0 letter by
+        letter, rightmost first, in the same order, so each vector has the
+        bits of that route.  Words that share a suffix share its vector,
+        so all words of length <= k cost one matvec per distinct suffix.
+        """
+        if not self._vacuum:
+            e0 = np.zeros(self.basis.dim, dtype=complex)
+            e0[0] = 1.0
+            e0.setflags(write=False)
+            self._vacuum[""] = e0
+        k = 0
+        while word[k:] not in self._vacuum:
+            k += 1
+        vec = self._vacuum[word[k:]]
+        for i in range(k - 1, -1, -1):
+            vec = self.ops[word[i]] @ vec
+            vec.setflags(write=False)
+            self._vacuum[word[i:]] = vec
+        return vec
+
+    def modular_vacuum(self, p: "NCPolynomial") -> np.ndarray:
+        """Psi(p) e0 = rho * (mult_operator(p) @ e0), memoized by the polynomial's terms.
+
+        Psi(p) = rho p rho^{-1} and rho^{-1} e0 = e0.  The operator is
+        formed first and then applied to e0, the association that fixes
+        the bits of modular_check's defect.
+        """
+        key = tuple(p.terms.items())
+        if key not in self._modular_vacuum:
+            vec = self.rho * (self.operator(p) @ self.vacuum(""))
+            vec.setflags(write=False)
+            self._modular_vacuum[key] = vec
+        return self._modular_vacuum[key]
+
     def validate(self) -> None:
         """Run the relation battery; raise ValidationError if a residual exceeds RELATION_TOL.
 
@@ -433,26 +473,18 @@ def mult_operator(p: NCPolynomial, table: GeneratorTable) -> BandMatrix:
     return out
 
 
-def apply_word(word: str, vec: np.ndarray, table: GeneratorTable) -> np.ndarray:
-    """Apply a generator word to a coefficient vector (rightmost letter first)."""
-    for ch in reversed(word):
-        vec = table.ops[ch] @ vec
-    return vec
-
-
 def haar_state(p: NCPolynomial, table: GeneratorTable) -> complex:
     """psi(p) via the GNS matrix element at the cyclic vector.
 
     Truncation-exact whenever the word length fits inside the truncation;
-    evaluated on the leading shells that the words reach.
+    evaluated on the leading shells that the words reach, where each word
+    reads its vector w e0 from the table's vacuum memo.
     """
     Ld = table.trunc.lmax.doubled
     if p.degree() > Ld:
         raise AlgebraError("degree %d exceeds lmax; no exact value available" % p.degree())
     table = table.leading(p.degree())
-    e0 = np.zeros(table.basis.dim, dtype=complex)
-    e0[0] = 1.0
     total = 0.0 + 0.0j
     for word, coeff in p.terms.items():
-        total += coeff * apply_word(word, e0, table)[0]
+        total += coeff * table.vacuum(word)[0]
     return total

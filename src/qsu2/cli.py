@@ -161,7 +161,9 @@ def run_validate(cfg: RunConfig):
         rows.append(["algebra.relation[%s]" % exc.identity, exc.residual, 1e-9, "FAIL"])
         return rows, ["battery", "residual", "threshold", "status"]
 
-    # two-path Haar agreement on monomials of degree <= 4
+    # two-path Haar agreement on monomials of degree <= 4; the ladder cut K
+    # keeps the oracle's truncation error max(q, 1/q)^{-2(K+1)} below 1e-12
+    levels = max(80, math.ceil(math.log(1e12) / (2 * math.log(max(q, 1.0 / q)))))
     worst = 0.0
     for deg in range(5):
         for word in itertools.product("aAgG", repeat=deg):
@@ -169,7 +171,7 @@ def run_validate(cfg: RunConfig):
             if len(w) > cfg.lmax_doubled:
                 continue
             p = NCPolynomial.word(w)
-            worst = max(worst, abs(haar_state(p, table) - oracle_haar(p, 80, q)))
+            worst = max(worst, abs(haar_state(p, table) - oracle_haar(p, levels, q)))
     record("oracle.two_path_agreement", worst)
 
     return rows, ["battery", "residual", "threshold", "status"]

@@ -61,9 +61,11 @@ def oracle_haar(p: NCPolynomial, K: int, q: float) -> complex:
     """psi(p) as a weighted diagonal sum over ladder levels 0..K.
 
     Converges geometrically in K; the truncation error of the constant
-    term is max(q, 1/q)^{-2(K+1)}.  For 0 < q < 1 the word with a and A
-    swapped, each g or G scaled by 1/q, is evaluated at 1/q with the
-    coefficients kept.  q <= 0 and q = 1 raise QArithError.
+    term is max(q, 1/q)^{-2(K+1)}.  A word whose letters do not balance
+    (#a != #A or #g != #G) is exactly 0.0 and runs no ladder levels.
+    For 0 < q < 1 the word with a and A swapped, each g or G scaled by
+    1/q, is evaluated at 1/q with the coefficients kept.  q <= 0 and
+    q = 1 raise QArithError.
     """
     if not (q > 0 and q != 1):
         raise QArithError("the ladder oracle needs q > 0 and q != 1, got q = %g" % q)
@@ -75,9 +77,19 @@ def oracle_haar(p: NCPolynomial, K: int, q: float) -> complex:
     total = 0.0 + 0.0j
     for word, coeff in p.terms.items():
         acc = 0.0
-        for k in range(K + 1):
-            amp, level, winding = rep_apply(word, k, q)
-            if amp != 0.0 and level == k and winding == 0:
-                acc += q ** (-2 * k) * amp
+        if _balanced(word):
+            for k in range(K + 1):
+                amp, level, winding = rep_apply(word, k, q)
+                if amp != 0.0 and level == k and winding == 0:
+                    acc += q ** (-2 * k) * amp
         total += coeff * (1.0 - q ** -2) * acc
     return total
+
+
+def _balanced(word: str) -> bool:
+    """Whether the word has as many a as A and as many g as G.
+
+    rep_apply moves the level by #a - #A and the winding by #g - #G, so an
+    unbalanced word adds exactly 0.0 at every level.
+    """
+    return word.count("a") == word.count("A") and word.count("g") == word.count("G")

@@ -376,16 +376,10 @@ def modular_check(a: NCPolynomial, b: NCPolynomial, table: GeneratorTable) -> fl
         raise QArithError("combined word length exceeds the truncation")
     table = table.leading(a.degree() + b.degree())
     psi_ab = haar_state(a * b, table)
-    rho = table.rho
     # products of generator matrices, not words applied to e0 letter by letter:
     # the association order fixes the bits of the defect
-    op_a = table.operator(a)
-    op_b = table.operator(b)
-    e0 = np.zeros(table.basis.dim, dtype=complex)
-    e0[0] = 1.0
-    # Psi(a) = rho a rho^{-1}; rho^{-1} e0 = e0
-    v = rho * (op_a @ e0)
-    psi_bPsia = complex(np.vdot(e0, op_b @ v))
+    e0 = table.vacuum("")
+    psi_bPsia = complex(np.vdot(e0, table.operator(b) @ table.modular_vacuum(a)))
     return abs(psi_ab - psi_bPsia)
 
 

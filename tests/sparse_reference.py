@@ -8,7 +8,8 @@ them bit for bit.  spinor_mult is the tiled spinor copy of a
 multiplication operator that the program applied before it let a act on
 each spinor component.  pw_position is the cubic closed form of a label's
 position that the program used before it read positions from per-shell
-tables.
+tables.  apply_word applies a word to a vector letter by letter, the
+route haar_state took before it shared the vectors of common suffixes.
 """
 import math
 
@@ -112,3 +113,10 @@ def spinor_mult(a, table, dctx) -> BandMatrix:
     """I_2 tensor (left multiplication by a), on the spinor basis."""
     bands = {key: np.concatenate([v, v]) for key, v in mult_operator(a, table).bands.items()}
     return BandMatrix(dctx.spinor, bands)
+
+
+def apply_word(word, vec, table):
+    """Apply a generator word to a coefficient vector (rightmost letter first)."""
+    for ch in reversed(word):
+        vec = table.ops[ch] @ vec
+    return vec

@@ -8,12 +8,13 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from sparse_reference import csr_generators, csr_mult_operator, pw_position, to_csr
+from sparse_reference import (apply_word, csr_generators, csr_mult_operator, pw_position,
+                              to_csr)
 from qsu2 import algebra
 from qsu2.qarith import HalfInteger, _cg_doubled, q_number
 from qsu2.peterweyl import Basis, Truncation
 from qsu2.algebra import (AlgebraError, GeneratorTable, NCPolynomial, ValidationError,
-                          adjoint_word, apply_word, cg_table, haar_state,
+                          adjoint_word, cg_table, haar_state,
                           is_normal_word, mult_operator, normal_order, t_half)
 from qsu2.dirac import DiracContext
 from qsu2.gns_oracle import oracle_haar
@@ -263,6 +264,19 @@ class TestLeadingShells:
         new = np.array([haar_state(p, t) for p in polys])
         ref = np.array([full_dimension_haar_state(p, t) for p in polys])
         assert new.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("q", [0.7, 1.2, 3.0])
+    def test_vacuum_vectors_match_letter_by_letter_bitwise(self, q):
+        # w e0 = ops[w[0]] @ (w[1:] e0) from the memo, whichever words filled it
+        # first, has the bits of applying w letter by letter on the same view
+        for order in (ALL_WORDS_TO_4, ALL_WORDS_TO_4[::-1]):
+            view = GeneratorTable(q, Truncation(HalfInteger(24))).leading(4)
+            vecs = {w: view.vacuum(w) for w in order}
+            e0 = np.zeros(view.basis.dim, dtype=complex)
+            e0[0] = 1.0
+            for w in ALL_WORDS_TO_4:
+                assert vecs[w].tobytes() == apply_word(w, e0, view).tobytes(), w
+        assert not view.vacuum("aG").flags.writeable
 
     def test_view_is_the_leading_block(self, table):
         view = table.leading(3)

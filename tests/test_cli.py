@@ -5,9 +5,11 @@ import subprocess
 import sys
 import weakref
 
+import numpy as np
 import pytest
 
-from qsu2 import algebra, cli, spectral
+from qsu2 import algebra, cli, gns_oracle, peterweyl, spectral
+from qsu2.gns_oracle import rep_apply
 from qsu2.algebra import GeneratorTable, ValidationError
 from qsu2.qarith import QArithError
 from qsu2.cli import (EXPERIMENTS, RunConfig, build_config, main, parse_t_grid,
@@ -164,6 +166,15 @@ class TestMain:
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 10 and all(",PASS," in r for r in rows)
 
+    @pytest.mark.parametrize("q", ["0.9", "1.01", "1.1111111111111112"])
+    def test_validate_near_one_passes_every_row(self, q, tmp_path, capsys):
+        # the ladder cut follows q: with K = 80 the two-path row was 3.9e-8 at q 0.9
+        # and 0.199 at q 1.01, both FAIL
+        out = tmp_path / "validate.csv"
+        assert main(["validate", "--q", q, "--lmax", "24", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 10 and all(",PASS," in r for r in rows)
+
     def test_heat_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "heat.csv"
         rc = main(["heat", "--lmax", "16", "--out", str(out)])
@@ -307,6 +318,39 @@ class TestWorkCounts:
         cli.run_modular(RunConfig(lmax_doubled=24))
         # 14 words on 3 views of dims 14 / 30 / 55; was 392
         assert len(builds) <= 42
+
+    @pytest.fixture
+    def matvecs(self, monkeypatch):
+        """Count of BandMatrix @ ndarray products."""
+        count = [0]
+        orig = peterweyl.BandMatrix.__matmul__
+
+        def counted(self, other):
+            count[0] += isinstance(other, np.ndarray)
+            return orig(self, other)
+
+        monkeypatch.setattr(peterweyl.BandMatrix, "__matmul__", counted)
+        monkeypatch.setattr(cli, "_TABLE_MEMO", {})
+        return count
+
+    def test_validate_applies_each_suffix_once(self, matvecs, monkeypatch):
+        # one matvec per distinct suffix on the views of spins 2n <= 2, 3, 4: was 1 252;
+        # only the 41 balanced words run the ladder: was 341 * 81 = 27 621
+        levels = []
+        monkeypatch.setattr(gns_oracle, "rep_apply",
+                            lambda word, k, q: levels.append(k) or rep_apply(word, k, q))
+        cfg = RunConfig(lmax_doubled=24)
+        cli.run_validate(cfg)
+        assert matvecs[0] <= 444
+        assert len(levels) <= 3321
+        table = cli.generator_table(cfg)
+        held = [view.basis.dim for view in (table, *table._leading.values()) if view._vacuum]
+        assert held and max(held) <= 55
+
+    def test_modular_applies_each_operator_once_per_pair(self, matvecs):
+        # Psi(a) e0 once per word and view, w e0 once per suffix: was 1 008
+        cli.run_modular(RunConfig(lmax_doubled=24))
+        assert matvecs[0] <= 458
 
     def test_commutators_build_one_witness_operator(self, builds):
         # the |D| series, the cap and the true-D growth share table.operator(a): was 3

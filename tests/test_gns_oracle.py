@@ -1,14 +1,34 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsu2.qarith import HalfInteger, QArithError
 from qsu2.peterweyl import Truncation
 from qsu2.algebra import GeneratorTable, NCPolynomial, haar_state, is_normal_word
-from qsu2.gns_oracle import oracle_haar, rep_apply
+from qsu2.gns_oracle import _SWAP_ALPHA, oracle_haar, rep_apply
 
 Q = 1.3
+
+
+def uncut_oracle_haar(p, K, q):
+    """Reference: oracle_haar with every word run through all K + 1 ladder levels."""
+    if q < 1:
+        inv = 1.0 / q
+        mirrored = {w.translate(_SWAP_ALPHA): c * inv ** (w.count("g") + w.count("G"))
+                    for w, c in p.terms.items()}
+        return uncut_oracle_haar(NCPolynomial(mirrored), K, inv)
+    total = 0.0 + 0.0j
+    for word, coeff in p.terms.items():
+        acc = 0.0
+        for k in range(K + 1):
+            amp, level, winding = rep_apply(word, k, q)
+            if amp != 0.0 and level == k and winding == 0:
+                acc += q ** (-2 * k) * amp
+        total += coeff * (1.0 - q ** -2) * acc
+    return total
 
 
 class TestRepApply:
@@ -89,3 +109,17 @@ class TestOracleHaar:
         for w in words:
             p = NCPolynomial.word(w)
             assert abs(haar_state(p, table) - oracle_haar(p, 80, Q)) < 1e-10, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from([0.5, 0.7, 1.2, 3.0]), K=st.sampled_from([0, 1, 10, 80]),
+       terms=st.dictionaries(st.text(alphabet="aAgG", max_size=6),
+                             st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                                allow_infinity=False), max_size=5))
+def test_weight_cut_matches_the_uncut_ladder_bitwise(q, K, terms):
+    # an unbalanced word skips its levels but still adds coeff * (1 - q^-2) * 0.0
+    p = NCPolynomial(terms)
+    cut = np.array([oracle_haar(p, K, q)])
+    ref = np.array([uncut_oracle_haar(p, K, q)])
+    assert cut.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
+

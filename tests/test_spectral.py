@@ -8,13 +8,14 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import logsumexp
 
-from sparse_reference import spinor_mult, to_csr
+from sparse_reference import apply_word, spinor_mult, to_csr
 from qsu2.qarith import HalfInteger, QArithError, q_number
 from qsu2.peterweyl import DIAGONAL, BandMatrix, Basis, Truncation, rho_weights
-from qsu2.algebra import (GeneratorTable, NCPolynomial, apply_word, haar_state,
+from qsu2.algebra import (GeneratorTable, NCPolynomial, haar_state,
                           is_normal_word, mult_operator)
 from qsu2.dirac import DiracContext, VIndex
 from qsu2 import spectral
+from qsu2.cli import main
 from qsu2.spectral import (GrowthSeries, PeakOutsideTruncationError, SpectralError,
                            TailTooLargeError, absD_commutator_cap,
                            absD_commutator_series, asymptotic_band, band_value,
@@ -313,13 +314,16 @@ def full_operator_modular_check(a, b, table):
 
 
 def uncached_modular_check(a, b, table):
-    """Reference defect: fresh operators for each pair on the same leading view."""
+    """Reference defect: fresh operators and words applied letter by letter, on the same view."""
     table = table.leading(a.degree() + b.degree())
     e0 = np.zeros(table.basis.dim, dtype=complex)
     e0[0] = 1.0
+    psi_ab = 0.0 + 0.0j
+    for word, coeff in (a * b).terms.items():
+        psi_ab += coeff * apply_word(word, e0, table)[0]
     v = table.rho * (mult_operator(a, table) @ e0)
     psi_bPsia = complex(np.vdot(e0, mult_operator(b, table) @ v))
-    return abs(haar_state(a * b, table) - psi_bPsia)
+    return abs(psi_ab - psi_bPsia)
 
 
 def cli_modular_pairs():
@@ -398,6 +402,19 @@ class TestModular:
         assert new.tobytes() == ref.tobytes()
         assert all(view._operators for view in cached._leading.values())
         assert not any(view._operators for view in fresh._leading.values())
+
+    @pytest.mark.parametrize("q", [0.7, 3.0])
+    def test_cli_csv_matches_the_letter_by_letter_route(self, q, tmp_path, capsys):
+        # Psi(a) e0 once per word and view, w e0 once per suffix: the defects keep their bits
+        out = tmp_path / "modular.csv"
+        assert main(["modular", "--lmax", "24", "--q", repr(q), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:197]]
+        fresh = GeneratorTable(q, Truncation(HalfInteger(24)))
+        pairs = cli_modular_pairs()
+        ref = np.array([uncached_modular_check(a, b, fresh) for a, b in pairs])
+        assert [(r[0], r[1]) for r in rows] == [
+            (next(iter(a.terms)) or "1", next(iter(b.terms)) or "1") for a, b in pairs]
+        assert np.array([float(r[2]) for r in rows]).tobytes() == ref.tobytes()
 
     def test_every_table_memoizes_operators(self):
         t = GeneratorTable(Q, Truncation(HalfInteger(4)))

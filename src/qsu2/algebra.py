@@ -289,7 +289,7 @@ class GeneratorTable:
                 band *= c
         self.ops = {"a": tpp, "A": tpp_h, "g": tmp, "G": tmp.H}
         self._leading = {}
-        self._diagonals = {}
+        self._shell_sums = {}
         self._operators = {}
         self._vacuum = {}
         self._modular_vacuum = {}
@@ -321,30 +321,30 @@ class GeneratorTable:
             self._leading[nd] = GeneratorTable(self.q, Truncation(HalfInteger(nd)))
         return self._leading[nd]
 
-    def diagonal(self, p: "NCPolynomial") -> tuple:
-        """(diagonal of mult_operator(p), its doubled shell depth p.degree()), bit for bit.
+    def diagonal_shell_sums(self, p: "NCPolynomial") -> tuple:
+        """The pairs (coeff_w, S_w) for the words w of p that have a diagonal band.
 
-        Formed without the word operators: each word's operator is built
-        from all letters but the last, as mult_operator does, and only the
-        DIAGONAL band of the last product is formed.  The words are summed
-        with mult_operator's own out + coeff * m on that one band; a word
-        without a diagonal band adds nothing.  A one-entry memo keyed by the
+        S_w[n] is the sum over spin shell 2n = 0 .. lmax_doubled of
+        diag(w) * rho, the real per-shell vector that a trace
+        Tr(p rho B) with B constant on each shell reads:
+        sum_w coeff_w sum_n B(n) S_w[n].  A word without a diagonal band
+        (odd length or nonzero weight) has none and adds nothing; the word
+        1 has the bits of rho_shell_sums.  A one-entry memo keyed by the
         polynomial's terms: the trace functionals read one polynomial at
         several t before moving on.
         """
         key = tuple(p.terms.items())
-        if key not in self._diagonals:
+        if key not in self._shell_sums:
             _check_degree(p, self)
-            self._diagonals.clear()
-            diag = 0.0
+            self._shell_sums.clear()
+            sums = []
             for word, coeff in p.terms.items():
-                band = self._word_diagonal(word)
+                band = self._word_diagonal(word)  # a fresh array
                 if band is not None:
-                    diag = diag + band * coeff
-            if np.isscalar(diag):  # no diagonal band: mult_operator's dtype, complex or empty
-                diag = np.zeros(self.basis.dim, dtype=complex if p.terms else float)
-            self._diagonals[key] = (diag, p.degree())
-        return self._diagonals[key]
+                    band *= self.rho
+                    sums.append((coeff, np.add.reduceat(band, self.basis.start[:-1])))
+            self._shell_sums[key] = tuple(sums)
+        return self._shell_sums[key]
 
     def _word_diagonal(self, word: str):
         """The DIAGONAL band of the word's operator, None if it has none.

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .qarith import HalfInteger, QArithError, cg_half, q_number
+from .qarith import HalfInteger, QArithError, q_number
 from .peterweyl import Basis, Truncation, normalization_factor, pw_inner_unnormalized
-from .algebra import (GeneratorTable, NCPolynomial, ValidationError, haar_state,
-                      is_normal_word)
+from .algebra import (GeneratorTable, NCPolynomial, ValidationError, cg_table,
+                      haar_state, is_normal_word)
 from .gns_oracle import oracle_haar
 from .dirac import DiracContext
 from . import spectral
@@ -127,22 +127,20 @@ def run_validate(cfg: RunConfig):
         worst = max(worst, abs(s - q_number(nd + 1, q)) / max(1.0, abs(s)))
     record("qarith.geometric_sum", worst)
 
-    # CG column normalization and branch orthogonality
-    worst_n = worst_o = 0.0
-    for ld in range(0, 21):
-        for jd in range(-ld - 1, ld + 2, 2):
-            pairs = {}
-            for br in (1, -1):
-                up = cg_half(HalfInteger(1), br, HalfInteger(ld), HalfInteger(jd - 1), q)
-                dn = cg_half(HalfInteger(-1), br, HalfInteger(ld), HalfInteger(jd + 1), q)
-                pairs[br] = (up, dn)
-                if abs(jd) <= ld + br:
-                    worst_n = max(worst_n, abs(up * up + dn * dn - 1.0))
-            if abs(jd) <= ld - 1:
-                dot = pairs[1][0] * pairs[-1][0] + pairs[1][1] * pairs[-1][1]
-                worst_o = max(worst_o, abs(dot))
-    record("qarith.cg_normalization", worst_n)
-    record("qarith.cg_orthogonality", worst_o)
+    # CG column normalization and branch orthogonality for 2l <= 20, over the
+    # target weights jd = 2m - ld - 1, m = 0 .. ld + 1: up[b, ld, m] is
+    # C(+1/2, branch, ld, jd - 1) and dn[b, ld, m] is C(-1/2, branch, ld,
+    # jd + 1), read from the CG tables padded with +0.0 on each side for the
+    # weights outside the spin (branch +1, then -1)
+    up = np.pad(cg_table(1, 20, q), ((0, 0), (0, 0), (1, 0)))
+    dn = np.pad(cg_table(-1, 20, q), ((0, 0), (0, 0), (0, 1)))
+    ld = np.arange(21)[:, None]
+    jd = 2 * np.arange(22) - ld - 1
+    norm = np.abs(up * up + dn * dn - 1.0)
+    norm_kept = np.abs(jd) <= ld + np.array([1, -1])[:, None, None]
+    dot = np.abs(up[0] * up[1] + dn[0] * dn[1])
+    record("qarith.cg_normalization", float(norm[norm_kept].max(initial=0.0)))
+    record("qarith.cg_orthogonality", float(dot[np.abs(jd) <= ld - 1].max(initial=0.0)))
 
     # Peter-Weyl orthonormality (Gram over spins <= 5)
     worst = 0.0

@@ -214,8 +214,15 @@ def normalization_factor(idx: PWIndex, q: float) -> float:
 
 
 def rho_weights(basis: Basis, q: float) -> np.ndarray:
-    """Vector of modular weights over the enumerated basis."""
-    return q ** (-(basis.id + basis.jd).astype(float))
+    """Vector of modular weights q^{-2i-2j} over the enumerated basis.
+
+    2i + 2j takes the 4 lmax_doubled + 1 integer values e with
+    |e| <= 2 lmax_doubled; q ** -e is evaluated once per value and
+    gathered, with the bits of one power per basis label.
+    """
+    top = 2 * basis.trunc.lmax.doubled
+    powers = q ** -np.arange(-top, top + 1, dtype=float)
+    return powers[basis.id + basis.jd + top]
 
 
 DIAGONAL = (0, 0, 0, 0)

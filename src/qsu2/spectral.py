@@ -8,7 +8,10 @@ diagonalized densely.  No iteration and no random start, so
 the norms do not depend on a seed.  The commutator experiments read one
 multiplication operator of the witness per table, and [D, I_2 tensor a]
 is applied to each witness vector directly, with a acting on each spinor
-component.
+component.  The Haar trace functionals Tr(a rho B) with B constant on each
+spin shell (the heat kernel e^{-tD^2}, or any shell multiplier) are sums
+over the shells of B(n) times per-shell sums of diag(a) * rho held on the
+table: O(lmax) per call, with no array of basis length.
 """
 from __future__ import annotations
 
@@ -313,33 +316,47 @@ def polynomial_norm_bound(a: NCPolynomial, q: float) -> float:
     return float(sum(abs(c) for c in a.terms.values()))
 
 
+def _shell_trace(a: NCPolynomial, shell: np.ndarray, table: GeneratorTable) -> complex:
+    """Tr(a rho B) on h for B = shell[2n] on spin shell 2n: sum_w coeff_w sum_n B(n) S_w[n].
+
+    S_w are the table's per-shell sums of diag(w) * rho, so each call is
+    O(lmax) per word; a word without a diagonal band adds nothing.
+    """
+    num = 0j
+    for coeff, sums in table.diagonal_shell_sums(a):
+        num += coeff * float(np.sum(shell * sums))
+    return num
+
+
 def haar_via_heat(a: NCPolynomial, t: float, table: GeneratorTable):
     """The ratio Tr(a R e^{-tD^2}) / Tr(R e^{-tD^2}) and a tail bound.
 
     The ratio equals psi(a) exactly at every t > 0 in the untruncated model.
     No Dirac context is needed: D^2 = (n + 1/2)^2 on both spinor components
     of each spin shell, so the heat kernel is a function of the shell, the
-    spinor factor cancels and both traces run over h only.
+    spinor factor cancels and both traces run over h only.  Each trace is a
+    sum over the shells of the heat kernel times a per-shell sum of
+    diag(a) * rho (GeneratorTable.diagonal_shell_sums), so a call costs
+    O(lmax) once the polynomial's sums are held; the denominator reads
+    rho_shell_sums the same way, so the ratio of 1 is exactly 1.  Not
+    bitwise equal to summing over the basis; they agree to 1e-13 relative.
     """
     if t <= 0:
         raise QArithError("t must be positive")
     q = table.q
-    start = table.basis.start
     Ld = table.trunc.lmax.doubled
-    diag, depth = table.diagonal(a)
     heat = np.exp(-t * ((np.arange(Ld + 1) + 1) / 2.0) ** 2)  # per shell 2n
-    weights = np.repeat(heat, np.diff(start))
-    weights *= table.rho  # rho * heat, entry for entry
+    num = _shell_trace(a, heat, table)
+    weights = heat * table.rho_shell_sums  # Tr(R e^{-tD^2}) per shell
     den = float(np.sum(weights))
     if den == 0.0:
         raise SpectralError("Tr(R e^{-tD^2}) at q = %g, t = %g underflows to 0 in float64"
                             % (q, t))
-    num = complex(np.sum(diag * weights))
     ratio = num / den
 
     a_bound = polynomial_norm_bound(a, q)
     series_tail = heat_trace_tail(t, q, table.trunc) / 2.0  # per spinor component
-    corrupted = weights[start[Ld - depth + 1]:].sum()  # the shells 2n > Ld - depth, in order
+    corrupted = float(np.sum(weights[Ld - a.degree() + 1:]))  # the shells 2n > Ld - depth
     tail_bound = 2.0 * (a_bound + 1.0) * (series_tail + corrupted) / den
     return ratio, tail_bound
 
@@ -348,14 +365,14 @@ def rho_trace_functional(a: NCPolynomial, multiplier: Callable[[float], float],
                          table: GeneratorTable) -> complex:
     """Tr(a rho B) on h for B diagonal across spin shells: B = multiplier(n).
 
-    multiplier is evaluated once per retained shell.
+    multiplier is evaluated once per retained shell, and the trace is a sum
+    over the shells of B(n) times a per-shell sum of diag(a) * rho (see
+    haar_via_heat): O(lmax) per call once the polynomial's sums are held.
 
     Raises TailTooLargeError when the top retained shell still contributes
     more than RHO_TAIL_TOL of the trace-normalizing sum (trace-class proxy).
     """
     shell = np.array([multiplier(nd / 2.0) for nd in range(table.trunc.lmax.doubled + 1)])
-    weights = np.repeat(shell, np.diff(table.basis.start))
-    weights *= table.rho  # rho * B, entry for entry
     shell_sums = np.abs(shell) * table.rho_shell_sums  # rho > 0: sum |rho B| per shell
     total = shell_sums.sum()
     if total > 0 and shell_sums[-1] > RHO_TAIL_TOL * total:
@@ -363,8 +380,7 @@ def rho_trace_functional(a: NCPolynomial, multiplier: Callable[[float], float],
             "top shell carries %.3e of the weight (tolerance %.1e); "
             "multiplier decays too slowly for this truncation"
             % (shell_sums[-1] / total, RHO_TAIL_TOL))
-    diag, _ = table.diagonal(a)
-    return complex(np.sum(diag * weights))
+    return _shell_trace(a, shell, table)
 
 
 def modular_check(a: NCPolynomial, b: NCPolynomial, table: GeneratorTable) -> float:

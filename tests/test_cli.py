@@ -11,7 +11,7 @@ import pytest
 from qsu2 import algebra, cli, gns_oracle, peterweyl, spectral
 from qsu2.gns_oracle import rep_apply
 from qsu2.algebra import GeneratorTable, ValidationError
-from qsu2.qarith import QArithError
+from qsu2.qarith import HalfInteger, QArithError, cg_half
 from qsu2.cli import (EXPERIMENTS, RunConfig, build_config, main, parse_t_grid,
                       read_config_file)
 
@@ -174,6 +174,30 @@ class TestMain:
         assert main(["validate", "--q", q, "--lmax", "24", "--out", str(out)]) == 0
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 10 and all(",PASS," in r for r in rows)
+
+    @pytest.mark.parametrize("q", [0.05, 0.7, 1.2, 2.0, 3.0, 25.0])
+    def test_validate_cg_rows_match_the_scalar_loop_bitwise(self, q):
+        # the rows read the CG tables; the reference calls cg_half per entry
+        worst_n = worst_o = 0.0
+        for ld in range(0, 21):
+            for jd in range(-ld - 1, ld + 2, 2):
+                pairs = {}
+                for br in (1, -1):
+                    up = cg_half(HalfInteger(1), br, HalfInteger(ld), HalfInteger(jd - 1), q)
+                    dn = cg_half(HalfInteger(-1), br, HalfInteger(ld), HalfInteger(jd + 1), q)
+                    pairs[br] = (up, dn)
+                    if abs(jd) <= ld + br:
+                        worst_n = max(worst_n, abs(up * up + dn * dn - 1.0))
+                if abs(jd) <= ld - 1:
+                    dot = pairs[1][0] * pairs[-1][0] + pairs[1][1] * pairs[-1][1]
+                    worst_o = max(worst_o, abs(dot))
+        rows, _ = cli.run_validate(RunConfig(q=q, lmax_doubled=4))
+        got = {r[0]: r[1] for r in rows}
+        assert type(got["qarith.cg_normalization"]) is float
+        assert np.float64(got["qarith.cg_normalization"]).tobytes() \
+            == np.float64(worst_n).tobytes()
+        assert np.float64(got["qarith.cg_orthogonality"]).tobytes() \
+            == np.float64(worst_o).tobytes()
 
     def test_heat_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "heat.csv"

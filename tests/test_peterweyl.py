@@ -151,6 +151,16 @@ class TestRhoWeights:
         for k, idx in enumerate(basis.indices):
             assert w[k] == pytest.approx(rho_weight(idx, 1.3))
 
+    @pytest.mark.parametrize("q", [0.05, 0.7, 1.01, 1.2, 3.0, 25.0])
+    def test_gathered_powers_match_one_power_per_label_bitwise(self, q):
+        # one q ** -e per distinct e = 2i + 2j, gathered over the labels
+        for ld in range(63):
+            basis = Basis(Truncation(HalfInteger(ld)))
+            ref = q ** (-(basis.id + basis.jd).astype(float))
+            w = rho_weights(basis, q)
+            assert w.dtype == np.float64
+            assert np.array_equal(w.view(np.uint64), ref.view(np.uint64)), ld
+
 
 class TestVectorsAndOperators:
     def test_identity_and_depth_addition(self):

@@ -7,11 +7,9 @@ that extract the Haar state from spectral data.
 
 __version__ = "0.1.0"
 
-from .qarith import HalfInteger, QArithError, cg_half, half, q_number
-from .peterweyl import (Basis, PWIndex, Truncation, normalization_factor,
-                        pw_inner_unnormalized)
-from .algebra import (GeneratorTable, NCPolynomial, ValidationError, haar_state,
-                      mult_operator, normal_order)
+from .qarith import HalfInteger, QArithError, half, q_number
+from .peterweyl import Basis, Truncation
+from .algebra import GeneratorTable, NCPolynomial, ValidationError, haar_state, mult_operator
 from .gns_oracle import oracle_haar, rep_apply
 from .dirac import DiracContext, VIndex, b_coefficient, b_minus_closed
 from .spectral import (GrowthSeries, HeatTraceReport, absD_commutator_series,

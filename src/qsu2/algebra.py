@@ -115,26 +115,6 @@ def is_normal_word(word: str) -> bool:
     return not _reducible_positions(word)
 
 
-def normal_order(p: NCPolynomial, q: float, rng: np.random.Generator | None = None) -> NCPolynomial:
-    """Rewrite p to its unique normal form using the defining relations.
-
-    rng, if given, randomizes which reducible pair is rewritten first; the
-    result must not depend on it (confluence is covered by tests).
-    """
-    result = {}
-    stack = list(p.terms.items())
-    while stack:
-        word, coeff = stack.pop()
-        pos = _reducible_positions(word)
-        if not pos:
-            result[word] = result.get(word, 0) + coeff
-            continue
-        k = pos[0] if rng is None else pos[rng.integers(len(pos))]
-        for factor, repl in _RULES[word[k:k + 2]](q):
-            stack.append((word[:k] + repl + word[k + 2:], coeff * factor))
-    return NCPolynomial(result)
-
-
 _CG_TABLES = {}  # (m1d, q) -> the largest cg_table built for them, most recent last
 _CG_TABLES_KEPT = 16
 

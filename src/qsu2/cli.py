@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .qarith import HalfInteger, QArithError, q_number
-from .peterweyl import Basis, Truncation, normalization_factor, pw_inner_unnormalized
+from .peterweyl import Truncation
 from .algebra import (GeneratorTable, NCPolynomial, ValidationError, cg_table,
                       haar_state, is_normal_word)
 from .gns_oracle import oracle_haar
@@ -142,12 +142,15 @@ def run_validate(cfg: RunConfig):
     record("qarith.cg_normalization", float(norm[norm_kept].max(initial=0.0)))
     record("qarith.cg_orthogonality", float(dot[np.abs(jd) <= ld - 1].max(initial=0.0)))
 
-    # Peter-Weyl orthonormality (Gram over spins <= 5)
+    # Peter-Weyl orthonormality (Gram over spins <= 5): the unit-vector scale
+    # [2n+1]_q^{1/2} q^{-i}, squared, times <t, t> = q^{2i} / [2n+1]_q; the value
+    # does not depend on j
     worst = 0.0
-    small = Basis(Truncation(HalfInteger(min(10, cfg.lmax_doubled))))
-    for idx in small.indices:
-        g = normalization_factor(idx, q) ** 2 * pw_inner_unnormalized(idx, idx, q)
-        worst = max(worst, abs(g - 1.0))
+    for nd in range(min(10, cfg.lmax_doubled) + 1):
+        qn = q_number(nd + 1, q)
+        for id_ in range(-nd, nd + 1, 2):
+            g = (np.sqrt(qn) * q ** (-(id_ / 2.0))) ** 2 * (q ** float(id_) / qn)
+            worst = max(worst, abs(g - 1.0))
     record("peterweyl.orthonormality", worst)
 
     # algebra relation battery

@@ -19,30 +19,11 @@ on spins n <= lmax - depth is exact.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .qarith import HalfInteger, QArithError, q_number
-
-
-class PWIndex(NamedTuple):
-    """Label (n, i, j) of a Peter-Weyl basis element."""
-
-    n: HalfInteger
-    i: HalfInteger
-    j: HalfInteger
-
-
-def validate_pw_index(idx: PWIndex) -> None:
-    nd, id_, jd = idx.n.doubled, idx.i.doubled, idx.j.doubled
-    if nd < 0 or abs(id_) > nd or abs(jd) > nd:
-        raise QArithError("index out of range: %s" % (idx,))
-    if (nd - id_) % 2 or (nd - jd) % 2:
-        raise QArithError("i, j must step by 1 from -n to n: %s" % (idx,))
+from .qarith import HalfInteger, QArithError
 
 
 @dataclass(frozen=True)
@@ -54,11 +35,6 @@ class Truncation:
     def __post_init__(self):
         if self.lmax.doubled < 0:
             raise QArithError("lmax must be >= 0")
-
-    @property
-    def dimension(self) -> int:
-        # sum over 2n = 0..2*lmax of (2n+1)^2
-        return sum((nd + 1) ** 2 for nd in range(self.lmax.doubled + 1))
 
 
 def shell_starts(lmax_doubled: int) -> np.ndarray:
@@ -173,44 +149,12 @@ class Basis(LabelSpace):
             rows[self.row_start + np.maximum(nd - k, 0)] = -1
         return rows
 
-    def position(self, idx: PWIndex) -> int:
-        return self.position_doubled(idx.n.doubled, idx.i.doubled, idx.j.doubled)
-
     def position_doubled(self, nd: int, id_: int, jd: int) -> int:
         if (not 0 <= nd <= self.trunc.lmax.doubled or abs(id_) > nd or abs(jd) > nd
                 or (nd - id_) % 2 or (nd - jd) % 2):
             raise QArithError("doubled label (%d, %d, %d) is not in the truncation"
                               % (nd, id_, jd))
         return int(self.start[nd]) + (id_ + nd) // 2 * (nd + 1) + (jd + nd) // 2
-
-    @cached_property
-    def indices(self) -> list:
-        return [PWIndex(HalfInteger(int(n)), HalfInteger(int(i)), HalfInteger(int(j)))
-                for n, i, j in zip(self.nd, self.id, self.jd)]
-
-
-def pw_inner_unnormalized(a: PWIndex, b: PWIndex, q: float, side: str = "left") -> float:
-    """<t^a, t^b> = psi((t^a)* t^b) = delta * [2n+1]_q^{-1} q^{2i}.
-
-    side="right" gives the companion value psi(t^a (t^b)*) = delta *
-    [2n+1]_q^{-1} q^{-2j}.
-    """
-    validate_pw_index(a)
-    validate_pw_index(b)
-    if a != b:
-        return 0.0
-    nd = a.n.doubled
-    if side == "left":
-        return q ** float(a.i.doubled) / q_number(nd + 1, q)
-    if side == "right":
-        return q ** float(-a.j.doubled) / q_number(nd + 1, q)
-    raise QArithError("side must be 'left' or 'right'")
-
-
-def normalization_factor(idx: PWIndex, q: float) -> float:
-    """Scale turning t^n_{ij} into the unit vector: [2n+1]_q^{1/2} q^{-i}."""
-    validate_pw_index(idx)
-    return np.sqrt(q_number(idx.n.doubled + 1, q)) * q ** (-float(idx.i))
 
 
 def rho_weights(basis: Basis, q: float) -> np.ndarray:
@@ -278,7 +222,7 @@ class BandMatrix:
         """This operator itself.
 
         Read only by perfbench/worker.py, whose trace facts take op.mat.nnz;
-        the in-program stage recorder of ROADMAP item 2 removes it.
+        the in-program stage recorder of ROADMAP item 1 removes it.
         """
         return self
 
@@ -324,17 +268,11 @@ class BandMatrix:
             del term  # not held while the consumer reduces the band
             yield key, band
 
-    def _merge(self, other: "BandMatrix", op) -> "BandMatrix":
-        """op per entry, a band missing on one side read as 0.0 (0 + x, x - 0, ...)."""
-        keys = dict.fromkeys([*self.bands, *other.bands])
-        return BandMatrix(self.space, {k: op(self.bands.get(k, 0.0), other.bands.get(k, 0.0))
-                                       for k in keys})
-
     def __add__(self, other: "BandMatrix") -> "BandMatrix":
-        return self._merge(other, operator.add)
-
-    def __sub__(self, other: "BandMatrix") -> "BandMatrix":
-        return self._merge(other, operator.sub)
+        """Sum per entry, a band missing on one side read as 0.0 (0.0 + x, x + 0.0)."""
+        keys = dict.fromkeys([*self.bands, *other.bands])
+        return BandMatrix(self.space, {k: self.bands.get(k, 0.0) + other.bands.get(k, 0.0)
+                                       for k in keys})
 
     def __mul__(self, scalar) -> "BandMatrix":
         return BandMatrix(self.space, {k: v * scalar for k, v in self.bands.items()})
@@ -354,20 +292,3 @@ class BandMatrix:
             band[src < 0] = 0.0
             out[key] = band
         return BandMatrix(self.space, out)
-
-    def max_abs(self) -> float:
-        """Largest |entry|, 0.0 for an operator without entries."""
-        return max((float(np.abs(v).max(initial=0.0)) for v in self.bands.values()), default=0.0)
-
-    def diagonal(self) -> np.ndarray:
-        return self.bands.get(DIAGONAL, np.zeros(self.space.dim, dtype=self.dtype))
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.dtype)
-        cols = np.arange(self.space.dim)
-        for key, v in self.bands.items():
-            rows = self.space.rows(key)
-            inside = rows >= 0
-            out[rows[inside], cols[inside]] = v[inside]
-        return out
-

@@ -102,15 +102,3 @@ def _cg_doubled(m1d: int, branch: int, ld: int, md: int, q: float) -> float:
     if m1d == 1:
         return q ** (-(l + m + 1) / 2) * math.sqrt(q_number(l - m, q) / den)
     return -q ** ((l - m + 1) / 2) * math.sqrt(q_number(l + m, q) / den)
-
-
-def cg_half(m1, branch, l, m, q: float) -> float:
-    """Spin-1/2 q-Clebsch-Gordan coefficient C^{1/2, l, l + branch/2}_{m1, m, m+m1}.
-
-    m1 is +-1/2, branch is +1/-1 (or '+'/'-'), l and m are half-integers.
-    """
-    if branch == "+":
-        branch = 1
-    elif branch == "-":
-        branch = -1
-    return _cg_doubled(half(m1).doubled, branch, half(l).doubled, half(m).doubled, q)

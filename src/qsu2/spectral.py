@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qarith import HalfInteger, QArithError, half
-from .peterweyl import DIAGONAL, BandMatrix, Truncation
+from .peterweyl import BandMatrix, Truncation
 from .algebra import GeneratorTable, NCPolynomial, haar_state, t_half
 from .dirac import DiracContext, VIndex
 
@@ -167,8 +167,9 @@ def absD_commutator_series(a: NCPolynomial, shells: Sequence,
     if any(s2 <= s1 for s1, s2 in zip(shells_d, shells_d[1:])):
         raise QArithError("shells must be strictly increasing")
     aop = table.operator(a)
-    n = BandMatrix(table.basis, {DIAGONAL: (table.basis.nd + 1) / 2.0})
-    return GrowthSeries.fit([s / 2.0 for s in shells_d], shell_norms(n @ aop - aop @ n, shells))
+    # |D|_h is n + 1/2 on spin n, so [|D|_h, a] is a with each band of spin shift o scaled by o/2
+    comm = BandMatrix(table.basis, {k: v * (k[0] / 2.0) for k, v in aop.bands.items()})
+    return GrowthSeries.fit([s / 2.0 for s in shells_d], shell_norms(comm, shells))
 
 
 def absD_commutator_cap(a: NCPolynomial, table: GeneratorTable) -> float:
@@ -400,14 +401,17 @@ def modular_check(a: NCPolynomial, b: NCPolynomial, table: GeneratorTable) -> fl
 
 
 def modular_generator_scaling(rd: int, sd: int, table: GeneratorTable) -> float:
-    """Residual of Psi(ttilde^{1/2}_{r,s}) = q^{-2r-2s} ttilde^{1/2}_{r,s} as operators."""
-    q = table.q
-    rho = table.rho
-    m = t_half(rd, sd, table.basis, q)
-    conj = BandMatrix(table.basis, {DIAGONAL: rho}) @ m \
-        @ BandMatrix(table.basis, {DIAGONAL: 1.0 / rho})
-    diff = conj - q ** float(-rd - sd) * m
-    return diff.max_abs()
+    """Residual of Psi(ttilde^{1/2}_{r,s}) = q^{-2r-2s} ttilde^{1/2}_{r,s} as operators.
+
+    rho is diagonal, so rho m rho^{-1} scales each entry of m by rho at its
+    row over rho at its column (row -1, outside the truncation, only where
+    the entry is 0).
+    """
+    rho, inv = table.rho, 1.0 / table.rho
+    m = t_half(rd, sd, table.basis, table.q)
+    c = table.q ** float(-rd - sd)
+    return max(float(np.abs((rho[m.space.rows(k)] * v) * inv - v * c).max())
+               for k, v in m.bands.items())
 
 
 def band_value(q: float, t: float, trunc: Truncation, operator_trace: float) -> float:

@@ -11,7 +11,7 @@ import pytest
 from qsu2 import algebra, cli, gns_oracle, peterweyl, spectral
 from qsu2.gns_oracle import rep_apply
 from qsu2.algebra import GeneratorTable, ValidationError
-from qsu2.qarith import HalfInteger, QArithError, cg_half
+from qsu2.qarith import QArithError, _cg_doubled
 from qsu2.cli import (EXPERIMENTS, RunConfig, build_config, main, parse_t_grid,
                       read_config_file)
 
@@ -177,14 +177,14 @@ class TestMain:
 
     @pytest.mark.parametrize("q", [0.05, 0.7, 1.2, 2.0, 3.0, 25.0])
     def test_validate_cg_rows_match_the_scalar_loop_bitwise(self, q):
-        # the rows read the CG tables; the reference calls cg_half per entry
+        # the rows read the CG tables; the reference calls _cg_doubled per entry
         worst_n = worst_o = 0.0
         for ld in range(0, 21):
             for jd in range(-ld - 1, ld + 2, 2):
                 pairs = {}
                 for br in (1, -1):
-                    up = cg_half(HalfInteger(1), br, HalfInteger(ld), HalfInteger(jd - 1), q)
-                    dn = cg_half(HalfInteger(-1), br, HalfInteger(ld), HalfInteger(jd + 1), q)
+                    up = _cg_doubled(1, br, ld, jd - 1, q)
+                    dn = _cg_doubled(-1, br, ld, jd + 1, q)
                     pairs[br] = (up, dn)
                     if abs(jd) <= ld + br:
                         worst_n = max(worst_n, abs(up * up + dn * dn - 1.0))

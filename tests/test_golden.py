@@ -1,11 +1,14 @@
 """The CLI reproduces committed artifacts byte for byte.
 
 tests/golden holds the five CSVs and the stdout of `qsu2 all --lmax 16`,
-the CSV of `qsu2 commutators --lmax 40` and that of
+the CSV of `qsu2 commutators --lmax 40`, that of
 `qsu2 haar --lmax 62 --t-grid 0.5:2:4`, whose trace functionals sum
-85 344 terms.  A change that corrects a value regenerates them with those
-commands (--out all-ld16.csv, --out commutators-ld40.csv and --out
-haar-ld62.csv) and lists the changed cells in CHANGES.md.
+85 344 terms, and those of `qsu2 validate --lmax 24 --q 0.7` and
+`--q 3`, which fix the scalar rows away from q = 1.2.  A change that
+corrects a value regenerates them with those commands (--out all-ld16.csv,
+--out commutators-ld40.csv, --out haar-ld62.csv, --out
+validate-ld24-q0.7.csv and --out validate-ld24-q3.csv) and lists the
+changed cells in CHANGES.md.
 """
 import contextlib
 import io
@@ -55,3 +58,10 @@ def test_haar_ld62_csv(tmp_path, capsys):
     out = tmp_path / "haar-ld62.csv"
     assert main(["haar", "--lmax", "62", "--t-grid", "0.5:2:4", "--out", str(out)]) == 0
     assert out.read_bytes() == _golden("haar-ld62.csv")
+
+
+@pytest.mark.parametrize("q", ["0.7", "3"])
+def test_validate_ld24_csv(tmp_path, capsys, q):
+    out = tmp_path / ("validate-ld24-q%s.csv" % q)
+    assert main(["validate", "--lmax", "24", "--q", q, "--out", str(out)]) == 0
+    assert out.read_bytes() == _golden("validate-ld24-q%s.csv" % q)

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from qsu2.qarith import HalfInteger, QArithError, cg_half, half, q_number
+from qsu2.qarith import HalfInteger, QArithError, _cg_doubled, half, q_number
 
 
 def brute_q_number(r, q):
@@ -83,22 +83,21 @@ class TestCgHalf:
     def test_highest_weight_is_one(self):
         for q in (1.2, 2.0):
             for ld in range(0, 9):
-                l = HalfInteger(ld)
-                assert cg_half(half(0.5), "+", l, l, q) == pytest.approx(1.0, abs=1e-14)
+                assert _cg_doubled(1, 1, ld, ld, q) == pytest.approx(1.0, abs=1e-14)
 
     def test_frozen_value(self):
         # q^{-(l+m)/2} sqrt([l-m+1]_q / [2l+1]_q) at l = m = 1/2, q = 2
         expect = 2 ** -0.5 * math.sqrt(q_number(1, 2) / q_number(2, 2))
         assert expect == pytest.approx(0.4472135954999579, abs=1e-12)
-        assert cg_half(half(-0.5), "+", half(0.5), half(0.5), 2) == pytest.approx(expect)
+        assert _cg_doubled(-1, 1, 1, 1, 2) == pytest.approx(expect)
 
     def test_out_of_range_is_zero(self):
-        assert cg_half(half(0.5), "+", half(1), half(2), 1.5) == 0.0
-        assert cg_half(half(0.5), "-", half(0), half(0), 1.5) == 0.0
+        assert _cg_doubled(1, 1, 2, 4, 1.5) == 0.0
+        assert _cg_doubled(1, -1, 0, 0, 1.5) == 0.0
 
     def test_bad_m1(self):
         with pytest.raises(QArithError):
-            cg_half(half(1), "+", half(1), half(0), 1.5)
+            _cg_doubled(2, 1, 2, 0, 1.5)
 
     @pytest.mark.parametrize("q", [1.2, 2.0])
     def test_column_normalization(self, q):
@@ -108,15 +107,14 @@ class TestCgHalf:
             for branch in (1, -1):
                 jmax = ld + branch
                 for jd in range(-jmax, jmax + 1, 2):
-                    up = cg_half(half(0.5), branch, HalfInteger(ld), HalfInteger(jd - 1), q)
-                    dn = cg_half(half(-0.5), branch, HalfInteger(ld), HalfInteger(jd + 1), q)
+                    up = _cg_doubled(1, branch, ld, jd - 1, q)
+                    dn = _cg_doubled(-1, branch, ld, jd + 1, q)
                     assert up * up + dn * dn == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("q", [1.2, 2.0])
     def test_branch_orthogonality(self, q):
         for ld in range(1, 41):
             for jd in range(-(ld - 1), ld, 2):
-                dot = sum(cg_half(half(m1 / 2), 1, HalfInteger(ld), HalfInteger(jd - m1), q)
-                          * cg_half(half(m1 / 2), -1, HalfInteger(ld), HalfInteger(jd - m1), q)
+                dot = sum(_cg_doubled(m1, 1, ld, jd - m1, q) * _cg_doubled(m1, -1, ld, jd - m1, q)
                           for m1 in (1, -1))
                 assert dot == pytest.approx(0.0, abs=1e-12)

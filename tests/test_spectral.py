@@ -7,14 +7,15 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from sparse_reference import apply_word, spinor_mult, to_csr
 from qsu2.qarith import HalfInteger, QArithError, q_number
 from qsu2.peterweyl import DIAGONAL, BandMatrix, Basis, Truncation, rho_weights
 from qsu2.algebra import (GeneratorTable, NCPolynomial, haar_state,
-                          is_normal_word, mult_operator)
-from qsu2.dirac import DiracContext, VIndex
+                          is_normal_word, mult_operator, t_half)
+from qsu2.dirac import DiracContext, VIndex, b_coefficient
 from qsu2 import spectral
 from qsu2.cli import main
 from qsu2.spectral import (GrowthSeries, PeakOutsideTruncationError, SpectralError,
@@ -253,7 +254,7 @@ def full_dimension_haar_via_heat(a, t, table):
     q, basis = table.q, table.basis
     op = mult_operator(a, table)
     weights = rho_weights(basis, q) * np.exp(-t * ((basis.nd + 1) / 2.0) ** 2)
-    num = complex(np.sum(op.diagonal() * weights))
+    num = complex(np.sum(op.bands.get(DIAGONAL, 0.0) * weights))
     den = float(np.sum(weights))
     corrupted = weights[basis.nd > basis.trunc.lmax.doubled - op.shell_depth_doubled].sum()
     tail = 2.0 * (polynomial_norm_bound(a, q) + 1.0) \
@@ -309,7 +310,7 @@ class TestTraceDiagonals:
         weights = rho_weights(basis, q) * np.array(
             [lam(nd / 2.0) for nd in range(table.trunc.lmax.doubled + 1)])[basis.nd]
         for p in OBSERVABLES:
-            ref = complex(np.sum(mult_operator(p, table).diagonal() * weights))
+            ref = complex(np.sum(mult_operator(p, table).bands.get(DIAGONAL, 0.0) * weights))
             new = rho_trace_functional(p, lam, table)
             assert _agrees(new, ref), (p, new, ref)
 
@@ -444,6 +445,20 @@ class TestModular:
     def test_generator_scaling(self, table):
         for rd, sd in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             assert modular_generator_scaling(rd, sd, table) < 1e-12
+
+    @pytest.mark.parametrize("q", [0.5, 0.7, 1.2, 2.0, 3.0])
+    @pytest.mark.parametrize("ld", [2, 16, 24])
+    def test_generator_scaling_matches_the_operator_products_bitwise(self, q, ld):
+        # reference: rho m rho^{-1} as two products with diagonal operators
+        t = GeneratorTable(q, Truncation(HalfInteger(ld)))
+        rho = BandMatrix(t.basis, {DIAGONAL: t.rho})
+        rho_inv = BandMatrix(t.basis, {DIAGONAL: 1.0 / t.rho})
+        for rd, sd in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            m = t_half(rd, sd, t.basis, q)
+            conj = rho @ m @ rho_inv
+            c = q ** float(-rd - sd)
+            ref = max(float(np.abs(conj.bands[k] - v * c).max()) for k, v in m.bands.items())
+            assert modular_generator_scaling(rd, sd, t) == ref, (rd, sd)
 
     def test_defect_small(self, table):
         pairs = [("a", "A"), ("g", "G"), ("ag", "GA"), ("", "Gg")]
@@ -588,6 +603,51 @@ class TestCommutators:
     def test_trued_empty_witness_list_raises(self, table, dctx):
         with pytest.raises(QArithError, match="no witness spins"):
             trueD_growth(witness_polynomial(table), [], table, dctx)
+
+
+def b_growth(ld: int, q: float) -> float:
+    """||[D, a] v^{l,+}_{l,-l-1/2}|| for a = ttilde^{1/2}_{1/2,1/2}, from the paper's b coefficients.
+
+    a sends v^{l,+}_{ij} to the sum over m = l +- 1/2 and eps of
+    b^eps_m(i, j) v^{m,eps}_{i+1/2,j+1/2}, and D is eps (m + 1/2) on v^{m,eps},
+    so the commutator scales each term by eps (m + 1/2) - (l + 1/2).
+    """
+    l = HalfInteger(ld)
+    total = 0.0
+    for md in (ld - 1, ld + 1):
+        if md < 0:
+            continue
+        for eps in (1, -1):
+            b = b_coefficient(l, l, HalfInteger(-ld - 1), HalfInteger(md), eps, q)
+            total += b * b * (eps * (md + 1) / 2.0 - (ld + 1) / 2.0) ** 2
+    return math.sqrt(total)
+
+
+@lru_cache(maxsize=None)
+def _growth_context(q):
+    t = GeneratorTable(q, Truncation(HalfInteger(40)))
+    return t, DiracContext(q, t.trunc, t.basis)
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.sampled_from([1.2, 3.0]),
+       spins=st.lists(st.integers(0, 38), min_size=3, max_size=8, unique=True))
+def test_trued_growth_matches_the_transition_coefficients(q, spins):
+    # an independent route: the operators on one side, the four-CG formula of
+    # b^eps_m on the other; witness spins l <= 19
+    t, d = _growth_context(q)
+    spins = sorted(spins)
+    got = trueD_growth(witness_polynomial(t), [HalfInteger(ld) for ld in spins], t, d).values
+    for ld, value in zip(spins, got):
+        ref = b_growth(ld, q)
+        assert abs(value ** 2 - ref ** 2) <= 1e-14 * ref ** 2, (q, ld, value, ref)
+
+
+@pytest.mark.parametrize("l, slope", [(5, 0.928), (30, 0.815), (100, 0.801), (300, 0.797),
+                                      (1000, 0.796)])
+def test_growth_slope_converges_at_large_spin(l, slope):
+    # ||[D, a] v|| / l at q 1.2 from the b coefficients alone, far beyond any truncation
+    assert b_growth(2 * l, 1.2) / l == pytest.approx(slope, abs=5e-4)
 
 
 class TestAsymptoticBand:

@@ -94,25 +94,13 @@ class NCPolynomial:
         return "NCPolynomial(%r)" % (self.terms,)
 
 
-# Rewriting rules toward normal form.  Each reducible 2-letter factor maps
-# to a list of (coefficient-as-function-of-q, replacement word).
-_RULES = {
-    "Aa": lambda q: [(1.0, ""), (-1.0, "gG")],
-    "aA": lambda q: [(1.0, ""), (-q * q, "gG")],
-    "ga": lambda q: [(1.0 / q, "ag")],
-    "Ga": lambda q: [(1.0 / q, "aG")],
-    "gA": lambda q: [(q, "Ag")],
-    "GA": lambda q: [(q, "AG")],
-    "Gg": lambda q: [(1.0, "gG")],
-}
-
-
-def _reducible_positions(word: str) -> list:
-    return [k for k in range(len(word) - 1) if word[k:k + 2] in _RULES]
+# The reducible 2-letter factors: each one rewrites toward normal form
+# through a defining relation, so a normal word contains none of them.
+_RULES = frozenset(("Aa", "aA", "ga", "Ga", "gA", "GA", "Gg"))
 
 
 def is_normal_word(word: str) -> bool:
-    return not _reducible_positions(word)
+    return not any(word[k:k + 2] in _RULES for k in range(len(word) - 1))
 
 
 _CG_TABLES = {}  # (m1d, q) -> the largest cg_table built for them, most recent last
@@ -272,7 +260,6 @@ class GeneratorTable:
         self._shell_sums = {}
         self._operators = {}
         self._vacuum = {}
-        self._modular_vacuum = {}
         self.validate()
 
     @cached_property
@@ -345,8 +332,8 @@ class GeneratorTable:
     def operator(self, p: "NCPolynomial") -> BandMatrix:
         """mult_operator(p) on this table, memoized by the polynomial's terms.
 
-        modular_check reads it on the small tables from leading(), one
-        operator per word and table across all its pairs.
+        The commutator experiments read the witness operator through it:
+        the |D| series, the cap and the true-D growth share one build.
         """
         key = tuple(p.terms.items())
         if key not in self._operators:
@@ -377,19 +364,12 @@ class GeneratorTable:
             self._vacuum[word[i:]] = vec
         return vec
 
-    def modular_vacuum(self, p: "NCPolynomial") -> np.ndarray:
-        """Psi(p) e0 = rho * (mult_operator(p) @ e0), memoized by the polynomial's terms.
-
-        Psi(p) = rho p rho^{-1} and rho^{-1} e0 = e0.  The operator is
-        formed first and then applied to e0, the association that fixes
-        the bits of modular_check's defect.
-        """
-        key = tuple(p.terms.items())
-        if key not in self._modular_vacuum:
-            vec = self.rho * (self.operator(p) @ self.vacuum(""))
-            vec.setflags(write=False)
-            self._modular_vacuum[key] = vec
-        return self._modular_vacuum[key]
+    def vacuum_of(self, p: "NCPolynomial") -> np.ndarray:
+        """p e0: the sum over p's terms of coeff * vacuum(word), from a complex zero vector."""
+        out = np.zeros(self.basis.dim, dtype=complex)
+        for word, coeff in p.terms.items():
+            out += coeff * self.vacuum(word)
+        return out
 
     def validate(self) -> None:
         """Run the relation battery; raise ValidationError if a residual exceeds RELATION_TOL.
@@ -454,17 +434,11 @@ def mult_operator(p: NCPolynomial, table: GeneratorTable) -> BandMatrix:
 
 
 def haar_state(p: NCPolynomial, table: GeneratorTable) -> complex:
-    """psi(p) via the GNS matrix element at the cyclic vector.
+    """psi(p) = <e0, p e0>, the GNS matrix element at the cyclic vector.
 
     Truncation-exact whenever the word length fits inside the truncation;
     evaluated on the leading shells that the words reach, where each word
     reads its vector w e0 from the table's vacuum memo.
     """
-    Ld = table.trunc.lmax.doubled
-    if p.degree() > Ld:
-        raise AlgebraError("degree %d exceeds lmax; no exact value available" % p.degree())
-    table = table.leading(p.degree())
-    total = 0.0 + 0.0j
-    for word, coeff in p.terms.items():
-        total += coeff * table.vacuum(word)[0]
-    return total
+    _check_degree(p, table)
+    return complex(table.leading(p.degree()).vacuum_of(p)[0])

@@ -49,14 +49,13 @@ class SpinorBasis(LabelSpace):
         self.pw = basis
         self.trunc = basis.trunc
         self.dim = 2 * basis.dim
-        self.block = basis.dim
 
-    @cached_property
-    def labels(self) -> tuple:
-        """(component, 2n, 2i, 2j) per position; built on first use of a spinor operator."""
-        pw = self.pw
-        return (np.repeat(np.arange(2), pw.dim), np.tile(pw.nd, 2), np.tile(pw.id, 2),
-                np.tile(pw.jd, 2))
+    def _rows_of(self, key) -> np.ndarray:
+        """The Basis rows under (o, r, s), unmemoized there, moved into component c xor f."""
+        o, r, s, f = key
+        rows = self.pw._rows_of((o, r, s, 0))
+        return np.concatenate([np.where(rows < 0, -1, rows + (c ^ f) * self.pw.dim)
+                               for c in (0, 1)])
 
 
 def v_enumerate(trunc: Truncation) -> list:

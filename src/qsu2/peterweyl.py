@@ -48,12 +48,13 @@ def shell_starts(lmax_doubled: int) -> np.ndarray:
 class LabelSpace:
     """Column labels of band operators, with the row each shift key sends them to.
 
-    A subclass sets labels = (c, nd, id, jd) (component and doubled spin
-    label per column, or scalars), block (row offset of component 1), trunc
-    and dim.  The column labelled (c, n, i, j) reaches (c xor f, n + o/2,
-    i + r/2, j + s/2) under the key (o, r, s, f), all doubled; its row is
-    c' * block plus the position of that label in the Basis order, or -1
-    where the label leaves the truncation.
+    A subclass sets trunc and dim.  The column labelled (c, n, i, j)
+    reaches (c xor f, n + o/2, i + r/2, j + s/2) under the key (o, r, s, f),
+    all doubled; its row is the position of that label in the Basis order,
+    offset by the block of component c xor f, or -1 where the label leaves
+    the truncation.  Basis and the spinor basis derive their rows from the
+    Basis's per-row tables; the label-by-label _rows_of below serves the
+    coupled labels, which set labels = (c, nd, id, jd) and block.
     """
 
     def rows(self, key) -> np.ndarray:
@@ -98,7 +99,6 @@ class Basis(LabelSpace):
                                                               shells + 1)
         self.row_start = self.start[self.row_nd] + self.row_a * (self.row_nd + 1)
         self.nd = np.repeat(self.row_nd, self.row_nd + 1)
-        self.block = 0
 
     @property
     def id(self) -> np.ndarray:
@@ -109,10 +109,6 @@ class Basis(LabelSpace):
     def jd(self) -> np.ndarray:
         """Doubled j of each label, 2 b - n."""
         return self.along_rows(-self.row_nd, 2)
-
-    @property
-    def labels(self) -> tuple:
-        return (0, self.nd, self.id, self.jd)
 
     def along_rows(self, first: np.ndarray, step: int = 1) -> np.ndarray:
         """first[r] + step * b at column b of in-shell row r, one int64 per label.

@@ -6,12 +6,14 @@ are exact: the Gram of a weight-homogeneous operator on h splits into
 short chains along the spin, one per (i, j), and each chain block is
 diagonalized densely.  No iteration and no random start, so
 the norms do not depend on a seed.  The commutator experiments read one
-multiplication operator of the witness per table, and [D, I_2 tensor a]
-is applied to each witness vector directly, with a acting on each spinor
-component.  The Haar trace functionals Tr(a rho B) with B constant on each
-spin shell (the heat kernel e^{-tD^2}, or any shell multiplier) are sums
-over the shells of B(n) times per-shell sums of diag(a) * rho held on the
-table: O(lmax) per call, with no array of basis length.
+multiplication operator of the witness per table (alpha for q > 1,
+alpha* for q < 1) and apply D once per witness vector, an exact
+eigenvector of D.  The modular defect reads psi(b Psi(a)) from the
+table's vacuum vectors, with no operator product.  The Haar trace
+functionals Tr(a rho B) with B constant on each spin shell (the heat
+kernel e^{-tD^2}, or any shell multiplier) are sums over the shells of
+B(n) times per-shell sums of diag(a) * rho held on the table: O(lmax)
+per call, with no array of basis length.
 """
 from __future__ import annotations
 
@@ -152,8 +154,13 @@ def shell_norm(op: BandMatrix, shell) -> float:
 
 
 def witness_polynomial(table: GeneratorTable) -> NCPolynomial:
-    """The boundedness/unboundedness witness ttilde^{1/2}_{1/2,1/2} as a polynomial."""
-    return NCPolynomial({"a": 1.0 / table.alpha_scalar})
+    """The boundedness/unboundedness witness as a polynomial.
+
+    ttilde^{1/2}_{1/2,1/2} = alpha / alpha_scalar for q > 1, and its
+    adjoint alpha* / alpha_scalar for q < 1, the image of alpha under
+    SU_q(2) = SU_{1/q}(2) (see trueD_growth for the witness vectors).
+    """
+    return NCPolynomial({"a" if table.q > 1 else "A": 1.0 / table.alpha_scalar})
 
 
 def absD_commutator_series(a: NCPolynomial, shells: Sequence,
@@ -184,13 +191,13 @@ def absD_commutator_cap(a: NCPolynomial, table: GeneratorTable) -> float:
 
 def trueD_growth(a: NCPolynomial, l_list: Sequence, table: GeneratorTable,
                  dctx: DiracContext) -> GrowthSeries:
-    """Norms of [D, I_2 tensor a] on the witness vectors v^{l,+}_{l, -l-1/2}.
+    """Norms of [D, I_2 tensor a] on the witness vectors, one per spin l.
 
-    The commutator is applied to each witness whole, with a acting on each
-    spinor component.  A witness is the single basis vector e_-(l, l, -l)
-    with coefficient exactly 1.0 (its e_+ entry would need |j - 1/2| =
-    l + 1 > l), so each value has the bits of that column of the
-    commutator.
+    The witness is v^{l,+}_{l,-l-1/2} = e_-(l, l, -l) for q > 1 and
+    v^{l,+}_{-l,l+1/2} = e_+(l, -l, l) for q < 1: one basis vector with
+    coefficient exactly 1.0, so D v = (l + 1/2) v bit for bit, and the
+    commutator is D x - (l + 1/2) x for x = (I_2 tensor a) v, a acting on
+    each spinor component: the bits of that column of the commutator.
     """
     ls = [half(l) for l in l_list]
     if not ls:
@@ -202,14 +209,13 @@ def trueD_growth(a: NCPolynomial, l_list: Sequence, table: GeneratorTable,
     d = dctx.dirac_operator("true")
     aop = table.operator(a)
     n = table.basis.dim
-
-    def a2(x):  # I_2 tensor a
-        return np.concatenate([aop @ x[:n], aop @ x[n:]])
-
+    side = 1 if table.q > 1 else -1  # the witness corner (i, j) = side * (l, -l - 1/2)
     vals = []
     for l in ls:
-        v = dctx.v_vector(VIndex(l, l, HalfInteger(-l.doubled - 1), +1))
-        vals.append(float(np.linalg.norm(d @ a2(v) - a2(d @ v))))
+        v = dctx.v_vector(VIndex(l, HalfInteger(side * l.doubled),
+                                 HalfInteger(-side * (l.doubled + 1)), +1))
+        x = np.concatenate([aop @ v[:n], aop @ v[n:]])  # (I_2 tensor a) v
+        vals.append(float(np.linalg.norm(d @ x - (l.doubled / 2.0 + 0.5) * x)))
     return GrowthSeries.fit([float(l) for l in ls], vals)
 
 
@@ -387,17 +393,15 @@ def rho_trace_functional(a: NCPolynomial, multiplier: Callable[[float], float],
 def modular_check(a: NCPolynomial, b: NCPolynomial, table: GeneratorTable) -> float:
     """Defect |psi(ab) - psi(b Psi(a))| with Psi the modular conjugation by rho.
 
-    Evaluated on the leading shells that a and b reach from e0.
+    psi(b Psi(a)) = <b* e0, rho a e0>, because Psi(a) = rho a rho^{-1} and
+    rho^{-1} e0 = e0; both vectors come from the vacuum memo of the leading
+    shells that a and b reach from e0.
     """
     if a.degree() + b.degree() > table.trunc.lmax.doubled:
         raise QArithError("combined word length exceeds the truncation")
     table = table.leading(a.degree() + b.degree())
-    psi_ab = haar_state(a * b, table)
-    # products of generator matrices, not words applied to e0 letter by letter:
-    # the association order fixes the bits of the defect
-    e0 = table.vacuum("")
-    psi_bPsia = complex(np.vdot(e0, table.operator(b) @ table.modular_vacuum(a)))
-    return abs(psi_ab - psi_bPsia)
+    psi_bPsia = complex(np.vdot(table.vacuum_of(b.adjoint()), table.rho * table.vacuum_of(a)))
+    return abs(haar_state(a * b, table) - psi_bPsia)
 
 
 def modular_generator_scaling(rd: int, sd: int, table: GeneratorTable) -> float:

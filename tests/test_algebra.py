@@ -516,3 +516,8 @@ class TestHaarState:
         t = GeneratorTable(Q, Truncation(HalfInteger(2)))
         with pytest.raises(AlgebraError):
             haar_state(NCPolynomial.word("aaa"), t)
+
+    def test_zero_polynomial_is_zero(self):
+        t = GeneratorTable(Q, Truncation(HalfInteger(2)))
+        value = haar_state(NCPolynomial(), t)
+        assert value == 0j and isinstance(value, complex)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 
 from sparse_reference import spinor_mult, to_csr
 from qsu2.qarith import HalfInteger, QArithError, half, q_number
-from qsu2.peterweyl import Truncation
+from qsu2.peterweyl import DIAGONAL, LabelSpace, Truncation
 from qsu2.algebra import GeneratorTable
 from qsu2.dirac import (DiracContext, VIndex, _v_entries, b_coefficient, b_minus_closed,
                         v_enumerate, validate_v_index)
@@ -96,6 +97,19 @@ class TestTableDrivenAssembly:
             assert np.array_equal(d.indices, prod.indices), kind
             assert d.data.tobytes() == prod.data.tobytes(), kind
             assert c.dirac_operator(kind).nnz == prod.nnz, kind
+
+    @pytest.mark.parametrize("lmax_d", [0, 1, 2, 24])
+    def test_spinor_rows_match_the_label_by_label_route(self, lmax_d):
+        # the spinor rows are the Basis rows moved into component c xor f; the
+        # reference spells out (component, 2n, 2i, 2j) per spinor position
+        c = DiracContext(Q, Truncation(HalfInteger(lmax_d)))
+        pw = c.basis
+        labels = SimpleNamespace(
+            labels=(np.repeat(np.arange(2), pw.dim), np.tile(pw.nd, 2), np.tile(pw.id, 2),
+                    np.tile(pw.jd, 2)),
+            block=pw.dim, trunc=c.trunc, dim=c.spinor.dim)
+        for key in (DIAGONAL, (0, 0, 2, 1), (0, 0, -2, 1)):
+            assert np.array_equal(c.spinor.rows(key), LabelSpace._rows_of(labels, key)), key
 
     def test_label_arrays_follow_v_enumerate(self, ctx):
         ld, id_, jd, sign = ctx.v_doubled

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sparse_reference import pw_position, pw_rows, to_csr
 from qsu2.qarith import HalfInteger, QArithError, q_number
-from qsu2.peterweyl import Basis, LabelSpace, Truncation, rho_weights, shell_starts
+from qsu2.peterweyl import Basis, Truncation, rho_weights, shell_starts
 from qsu2.algebra import GeneratorTable, NCPolynomial, mult_operator, t_half
 from qsu2.dirac import DiracContext
 
@@ -54,14 +54,13 @@ class TestEnumeration:
     @pytest.mark.parametrize("lmax_d", [0, 1, 2, 3, 5, 16, 40])
     def test_rows_match_the_cubic_closed_form(self, lmax_d):
         # every generator key (depth 1) and every key of a product of two
-        # generators (depth 2), on the per-row route and on the generic one
+        # generators (depth 2), on the per-row route
         basis = Basis(Truncation(HalfInteger(lmax_d)))
         gens = [(o, r, s, 0) for o in (1, -1) for r in (1, -1) for s in (1, -1)]
         keys = gens + [tuple(x + y for x, y in zip(k1, k2)) for k1 in gens for k2 in gens]
         for key in dict.fromkeys(keys):
             ref = pw_rows(basis, key)
             assert np.array_equal(basis.rows(key), ref), key
-            assert np.array_equal(LabelSpace._rows_of(basis, key), ref), key
 
     def test_one_label_length_array_is_kept(self):
         # the per-row tables hold one entry per in-shell row; id and jd are derived

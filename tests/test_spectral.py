@@ -126,7 +126,7 @@ class TestShellNorm:
         d = DiracContext(q, t.trunc, t.basis)
         a = witness_polynomial(t)
         # reference: [|D|, I_2 tensor a] at spinor dimension, |D| = n + 1/2
-        spins = d.spinor.labels[1]
+        spins = np.tile(t.basis.nd, 2)
         absd_csr = sp.diags((spins + 1) / 2.0)
         a_csr = to_csr(spinor_mult(a, t, d))
         dense = (absd_csr @ a_csr - a_csr @ absd_csr).toarray()
@@ -487,12 +487,11 @@ class TestModular:
         new = np.array([modular_check(a, b, cached) for a, b in pairs])
         ref = np.array([uncached_modular_check(a, b, fresh) for a, b in pairs])
         assert new.tobytes() == ref.tobytes()
-        assert all(view._operators for view in cached._leading.values())
-        assert not any(view._operators for view in fresh._leading.values())
+        assert not any(view._operators for t in (cached, fresh) for view in t._leading.values())
 
     @pytest.mark.parametrize("q", [0.7, 3.0])
     def test_cli_csv_matches_the_letter_by_letter_route(self, q, tmp_path, capsys):
-        # Psi(a) e0 once per word and view, w e0 once per suffix: the defects keep their bits
+        # a e0 and b* e0 from the vacuum memo, w e0 once per suffix: the defects keep their bits
         out = tmp_path / "modular.csv"
         assert main(["modular", "--lmax", "24", "--q", repr(q), "--out", str(out)]) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:197]]
@@ -517,11 +516,36 @@ class TestModular:
             modular_check(NCPolynomial.word("aa"), NCPolynomial.word("AA"), t)
 
 
+def witness_label(ld: int, q: float) -> VIndex:
+    """The witness of spin l = ld/2: v^{l,+}_{l,-l-1/2} for q > 1, v^{l,+}_{-l,l+1/2} for q < 1."""
+    if q > 1:
+        return VIndex(HalfInteger(ld), HalfInteger(ld), HalfInteger(-ld - 1), 1)
+    return VIndex(HalfInteger(ld), HalfInteger(-ld), HalfInteger(ld + 1), 1)
+
+
 class TestCommutators:
     def test_witness_is_normalized_generator(self, table):
         p = witness_polynomial(table)
         assert set(p.terms) == {"a"}
         assert p.terms["a"] == pytest.approx(math.sqrt(1 + Q * Q) / Q)
+
+    def test_witness_below_one_is_the_adjoint(self):
+        t = GeneratorTable(0.7, Truncation(HalfInteger(4)))
+        assert witness_polynomial(t).terms == {"A": 1.0 / t.alpha_scalar}
+
+    @pytest.mark.parametrize("q", [0.5, 0.7, 1.2, 3.0])
+    @pytest.mark.parametrize("ld", [2, 24, 40])
+    def test_witnesses_are_exact_eigenvectors_of_d(self, q, ld):
+        # trueD_growth forms D x - (l + 1/2) x for x = (I_2 tensor a) v, which has
+        # the bits of [D, I_2 tensor a] v only if D v = (l + 1/2) v bit for bit
+        d = DiracContext(q, Truncation(HalfInteger(ld)))
+        dop = d.dirac_operator("true")
+        for l in range(ld + 1):
+            for side in (2.0, 0.5):  # both corner witnesses
+                v = d.v_vector(witness_label(l, side))
+                assert np.count_nonzero(v) == 1 and v.sum() == 1.0
+                assert np.array_equal((dop @ v).view(np.uint64),
+                                      ((l / 2.0 + 0.5) * v).view(np.uint64)), (l, side)
 
     def test_absd_series_plateaus(self, table):
         a = witness_polynomial(table)
@@ -562,8 +586,7 @@ class TestCommutators:
         aop = spinor_mult(a, t, d)
         vals = []
         for l in ls:
-            v = d.v_vector(VIndex(HalfInteger(2 * l), HalfInteger(2 * l),
-                                  HalfInteger(-2 * l - 1), 1))
+            v = d.v_vector(witness_label(2 * l, t.q))
             out = np.zeros(len(v), dtype=v.dtype)
             for j in np.flatnonzero(v):
                 e = np.zeros(len(v))

@@ -11,7 +11,7 @@ from .qarith import HalfInteger, QArithError, half, q_number
 from .peterweyl import Basis, Truncation
 from .algebra import GeneratorTable, NCPolynomial, ValidationError, haar_state, mult_operator
 from .gns_oracle import oracle_haar, rep_apply
-from .dirac import DiracContext, VIndex, b_coefficient, b_minus_closed
+from .dirac import DiracContext
 from .spectral import (GrowthSeries, HeatTraceReport, absD_commutator_series,
                        asymptotic_band, haar_via_heat, heat_trace, modular_check,
                        rho_trace_functional, shell_norm, trueD_growth)

@@ -24,7 +24,6 @@ from .peterweyl import Truncation
 from .algebra import (GeneratorTable, NCPolynomial, ValidationError, cg_table,
                       haar_state, is_normal_word)
 from .gns_oracle import oracle_haar
-from .dirac import DiracContext
 from . import spectral
 
 OBSERVABLES = ["", "a", "g", "Gg", "Aa", "aG"]  # 1, alpha, gamma, g*g, a*a, a g*
@@ -208,8 +207,7 @@ def run_commutators(cfg: RunConfig):
     series_abs = spectral.absD_commutator_series(a, shells, table)
     cap = spectral.absD_commutator_cap(a, table)
     ls = list(range(5, min(30, lmax - 1) + 1))
-    dctx = DiracContext(cfg.q, cfg.trunc, table.basis)
-    series_true = spectral.trueD_growth(a, ls, table, dctx)
+    series_true = spectral.trueD_growth(a, ls, table)
 
     plateau = abs(series_abs.values[-1] - series_abs.values[-2]) / series_abs.values[-1]
     ok_abs = plateau < 0.01 and (series_abs.values <= cap).all()

@@ -7,9 +7,10 @@ short chains along the spin, one per (i, j), and each chain block is
 diagonalized densely.  No iteration and no random start, so
 the norms do not depend on a seed.  The commutator experiments read one
 multiplication operator of the witness per table (alpha for q > 1,
-alpha* for q < 1) and apply D once per witness vector, an exact
-eigenvector of D.  The modular defect reads psi(b Psi(a)) from the
-table's vacuum vectors, with no operator product.  The Haar trace
+alpha* for q < 1); the true-D growth reads each witness vector's column
+of it and D's 2x2 blocks at the few labels that column reaches, with no
+spinor vector and no D matvec.  The modular defect reads psi(b Psi(a))
+from the table's vacuum vectors, with no operator product.  The Haar trace
 functionals Tr(a rho B) with B constant on each spin shell (the heat
 kernel e^{-tD^2}, or any shell multiplier) are sums over the shells of
 B(n) times per-shell sums of diag(a) * rho held on the table: O(lmax)
@@ -23,10 +24,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qarith import HalfInteger, QArithError, half
+from .qarith import HalfInteger, QArithError, _cg_doubled, half
 from .peterweyl import BandMatrix, Truncation
 from .algebra import GeneratorTable, NCPolynomial, haar_state, t_half
-from .dirac import DiracContext, VIndex
+from .dirac import dirac_blocks
 
 
 class SpectralError(RuntimeError):
@@ -189,33 +190,45 @@ def absD_commutator_cap(a: NCPolynomial, table: GeneratorTable) -> float:
     return math.sqrt(2 * n0 + 1) * n0 * c
 
 
-def trueD_growth(a: NCPolynomial, l_list: Sequence, table: GeneratorTable,
-                 dctx: DiracContext) -> GrowthSeries:
+def trueD_growth(a: NCPolynomial, l_list: Sequence, table: GeneratorTable) -> GrowthSeries:
     """Norms of [D, I_2 tensor a] on the witness vectors, one per spin l.
 
     The witness is v^{l,+}_{l,-l-1/2} = e_-(l, l, -l) for q > 1 and
     v^{l,+}_{-l,l+1/2} = e_+(l, -l, l) for q < 1: one basis vector with
     coefficient exactly 1.0, so D v = (l + 1/2) v bit for bit, and the
-    commutator is D x - (l + 1/2) x for x = (I_2 tensor a) v, a acting on
-    each spinor component: the bits of that column of the commutator.
+    commutator is D x - (l + 1/2) x for x = (I_2 tensor a) v.  x is the
+    witness's column of a, one entry per band, in the witness's component;
+    D keeps each entry on its label and sends it to the label of the other
+    component, so D x - (l + 1/2) x is read from D's 2x2 blocks at those
+    few labels (dirac_blocks), with no spinor vector and no D.  The norm
+    sums the squares formed first, real parts then imaginary parts, as
+    np.linalg.norm does on the spinor vector; np.linalg.norm of the few
+    entries fuses the sum in BLAS and can differ in the last bit.
     """
     ls = [half(l) for l in l_list]
     if not ls:
         raise QArithError("no witness spins given: a commutator growth needs at least "
                           "one witness spin")
-    depth = a.degree()
-    if max(l.doubled for l in ls) + depth > dctx.trunc.lmax.doubled:
+    lmax_d = table.trunc.lmax.doubled
+    if max(l.doubled for l in ls) + a.degree() > lmax_d:
         raise QArithError("largest witness spin plus word depth exceeds the truncation")
-    d = dctx.dirac_operator("true")
     aop = table.operator(a)
-    n = table.basis.dim
-    side = 1 if table.q > 1 else -1  # the witness corner (i, j) = side * (l, -l - 1/2)
+    o = np.array([key[0] for key in aop.bands])
+    s = np.array([key[2] for key in aop.bands])
+    side = 1 if table.q > 1 else -1  # the witness corner (i, j) = side * (l, -l) on h
     vals = []
     for l in ls:
-        v = dctx.v_vector(VIndex(l, HalfInteger(side * l.doubled),
-                                 HalfInteger(-side * (l.doubled + 1)), +1))
-        x = np.concatenate([aop @ v[:n], aop @ v[n:]])  # (I_2 tensor a) v
-        vals.append(float(np.linalg.norm(d @ x - (l.doubled / 2.0 + 0.5) * x)))
+        ld = l.doubled
+        c = table.basis.position_doubled(ld, side * ld, -side * ld)
+        x = (np.array([band[c] for band in aop.bands.values()])
+             * _cg_doubled(-side, 1, ld, -side * ld, table.q))
+        nonzero = x != 0  # a band is 0 where its target leaves the truncation
+        diag_p, to_m, diag_m, to_p = dirac_blocks("true", ld + o[nonzero],
+                                                  -side * ld + s[nonzero], table.q, lmax_d)
+        own, other = (diag_m, to_p) if side > 0 else (diag_p, to_m)
+        x = x[nonzero]
+        y = np.concatenate([own * x - (ld / 2.0 + 0.5) * x, other * x])
+        vals.append(math.sqrt(np.sum(y.real ** 2) + np.sum(y.imag ** 2)))
     return GrowthSeries.fit([float(l) for l in ls], vals)
 
 
@@ -313,7 +326,7 @@ def heat_trace(t: float, q: float, trunc: Truncation,
                            k_exponent=4 * math.log(max(q, 1.0 / q)) ** 2)
 
 
-def polynomial_norm_bound(a: NCPolynomial, q: float) -> float:
+def polynomial_norm_bound(a: NCPolynomial) -> float:
     """Crude operator-norm bound: sum of |coeff| times generator norm bounds.
 
     The relation alpha* alpha + gamma* gamma = 1 gives ||alpha x||^2 +
@@ -361,7 +374,7 @@ def haar_via_heat(a: NCPolynomial, t: float, table: GeneratorTable):
                             % (q, t))
     ratio = num / den
 
-    a_bound = polynomial_norm_bound(a, q)
+    a_bound = polynomial_norm_bound(a)
     series_tail = heat_trace_tail(t, q, table.trunc) / 2.0  # per spinor component
     corrupted = float(np.sum(weights[Ld - a.degree() + 1:]))  # the shells 2n > Ld - depth
     tail_bound = 2.0 * (a_bound + 1.0) * (series_tail + corrupted) / den

@@ -10,13 +10,13 @@ import math
 import numpy as np
 import pytest
 
+from dirac_reference import VIndex, b_coefficient, b_minus_closed, v_enumerate, v_vector
 from sparse_reference import spinor_mult, to_csr
 from qsu2.qarith import HalfInteger, q_number
 from qsu2.peterweyl import Truncation
 from qsu2.algebra import (GeneratorTable, NCPolynomial, haar_state, is_normal_word)
 from qsu2.gns_oracle import oracle_haar
-from qsu2.dirac import (DiracContext, VIndex, b_coefficient, b_minus_closed,
-                        v_enumerate)
+from qsu2.dirac import DiracContext
 from qsu2 import spectral
 from qsu2.cli import OBSERVABLES, main
 
@@ -43,8 +43,7 @@ def table16():
 
 @pytest.fixture(scope="module")
 def big():
-    table = GeneratorTable(Q, Truncation(HalfInteger(61)))
-    return table, DiracContext(Q, table.trunc, table.basis)
+    return GeneratorTable(Q, Truncation(HalfInteger(61)))
 
 
 def normal_monomials(max_degree):
@@ -97,16 +96,16 @@ def test_05_transition_coefficients(capfd):
                                   HalfInteger(ld + 1), -1, Q)
                 c = b_minus_closed(HalfInteger(ld), HalfInteger(id_), HalfInteger(jd), Q)
                 worst = max(worst, abs(s - c))
-                w = aop @ dctx.v_vector(
-                    VIndex(HalfInteger(ld), HalfInteger(id_), HalfInteger(jd), 1))
+                w = aop @ v_vector(
+                    dctx, VIndex(HalfInteger(ld), HalfInteger(id_), HalfInteger(jd), 1))
                 for md in (ld - 1, ld + 1):
                     if md < 0 or abs(id_ + 1) > md:
                         continue
                     for eps in (1, -1):
                         if abs(jd + 1) > md + eps:
                             continue
-                        tgt = dctx.v_vector(VIndex(HalfInteger(md), HalfInteger(id_ + 1),
-                                                   HalfInteger(jd + 1), eps))
+                        tgt = v_vector(dctx, VIndex(HalfInteger(md), HalfInteger(id_ + 1),
+                                                    HalfInteger(jd + 1), eps))
                         ref = b_coefficient(HalfInteger(ld), HalfInteger(id_),
                                             HalfInteger(jd), HalfInteger(md), eps, Q)
                         worst = max(worst, abs(float(np.real(tgt @ w)) - ref))
@@ -151,14 +150,14 @@ def test_08_modular_property(table10, capfd):
 
 
 def test_09_commutator_dichotomy(big, capfd):
-    table, dctx = big
+    table = big
     a = spectral.witness_polynomial(table)
     series_abs = spectral.absD_commutator_series(a, list(range(4, 21)), table)
     cap = spectral.absD_commutator_cap(a, table)
     plateau = abs(series_abs.values[-1] - series_abs.values[-2]) / series_abs.values[-1]
     bounded_ok = plateau < 0.01 and (series_abs.values <= cap * (1 + 1e-4)).all()
 
-    series_true = spectral.trueD_growth(a, list(range(5, 31)), table, dctx)
+    series_true = spectral.trueD_growth(a, list(range(5, 31)), table)
     per_l = series_true.values / series_true.params
     stab = abs(per_l[-1] - per_l[list(series_true.params).index(20.0)]) / per_l[-1]
     growth_ok = (series_true.slope > 0

@@ -1,16 +1,19 @@
 import math
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
+from dirac_reference import (VIndex, _v_entries, b_coefficient, b_minus_closed, v_enumerate,
+                             v_vector, validate_v_index)
 from sparse_reference import spinor_mult, to_csr
 from qsu2.qarith import HalfInteger, QArithError, half, q_number
 from qsu2.peterweyl import DIAGONAL, LabelSpace, Truncation
 from qsu2.algebra import GeneratorTable
-from qsu2.dirac import (DiracContext, VIndex, _v_entries, b_coefficient, b_minus_closed,
-                        v_enumerate, validate_v_index)
+from qsu2.dirac import DiracContext, dirac_blocks
 from qsu2.spectral import witness_polynomial
 
 Q = 1.2
@@ -56,7 +59,7 @@ def scalar_loop_change_of_basis(c):
     pos = {t: k for k, t in enumerate(zip(basis.nd.tolist(), basis.id.tolist(),
                                           basis.jd.tolist()))}
     rows, cols, vals = [], [], []
-    for col, idx in enumerate(c.v_labels):
+    for col, idx in enumerate(v_enumerate(c.trunc)):
         for (comp, key), coeff in _v_entries(idx.l.doubled, idx.i.doubled,
                                              idx.j.doubled, idx.sign, c.q):
             rows.append(comp * basis.dim + pos[key])
@@ -66,8 +69,9 @@ def scalar_loop_change_of_basis(c):
 
 
 def scalar_loop_eigenvalues(c, kind):
-    out = np.empty(len(c.v_labels))
-    for k, idx in enumerate(c.v_labels):
+    labels = v_enumerate(c.trunc)
+    out = np.empty(len(labels))
+    for k, idx in enumerate(labels):
         l = idx.l.doubled / 2.0
         if kind == "true":
             out[k] = (l + 0.5) * idx.sign
@@ -114,7 +118,27 @@ class TestTableDrivenAssembly:
     def test_label_arrays_follow_v_enumerate(self, ctx):
         ld, id_, jd, sign = ctx.v_doubled
         assert list(zip(ld.tolist(), id_.tolist(), jd.tolist(), sign.tolist())) == [
-            (v.l.doubled, v.i.doubled, v.j.doubled, v.sign) for v in ctx.v_labels]
+            (v.l.doubled, v.i.doubled, v.j.doubled, v.sign) for v in v_enumerate(ctx.trunc)]
+
+
+@lru_cache(maxsize=None)
+def _operator(q, lmax_d, kind):
+    c = DiracContext(q, Truncation(HalfInteger(lmax_d)))
+    return c.basis, c.dirac_operator(kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([0.7, 1.2, 3.0]), lmax_d=st.integers(0, 24),
+       kind=st.sampled_from(["true", "naive"]), data=st.data())
+def test_dirac_blocks_at_any_labels_have_the_bits_of_the_operator(q, lmax_d, kind, data):
+    basis, op = _operator(q, lmax_d, kind)
+    n = basis.dim
+    pos = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20)))
+    got = dirac_blocks(kind, basis.nd[pos], basis.jd[pos], q, lmax_d)
+    ref = (op.bands[DIAGONAL][pos], op.bands[(0, 0, 2, 1)][pos],
+           op.bands[DIAGONAL][n + pos], op.bands[(0, 0, -2, 1)][n + pos])
+    for block, band in zip(got, ref):
+        assert np.array_equal(block.view(np.uint64), band.view(np.uint64))
 
 
 class TestCoupledBasis:
@@ -124,44 +148,44 @@ class TestCoupledBasis:
         assert np.abs(gram - np.eye(v.shape[0])).max() < 1e-12
 
     def test_single_vector_norm(self, ctx):
-        w = ctx.v_vector(vidx(2, 1, 0.5, -1))
+        w = v_vector(ctx, vidx(2, 1, 0.5, -1))
         assert w.dtype == complex and w.shape == (ctx.spinor.dim,)
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-14)
 
     def test_extremal_vector_is_pure_component(self, ctx):
         # j = l + 1/2 in the plus family has only the e_+ component
-        w = ctx.v_vector(vidx(1.5, 0.5, 2, +1))
+        w = v_vector(ctx, vidx(1.5, 0.5, 2, +1))
         n = ctx.basis.dim
         assert np.linalg.norm(w[n:]) == 0.0
         assert np.linalg.norm(w[:n]) == pytest.approx(1.0)
 
     def test_out_of_truncation(self, ctx):
         with pytest.raises(QArithError):
-            ctx.v_vector(vidx(6, 0, 0.5, +1))
+            v_vector(ctx, vidx(6, 0, 0.5, +1))
 
 
 class TestEigenvalues:
     def test_true_eigenvalues(self, ctx):
-        for k, idx in enumerate(ctx.v_labels):
+        for k, idx in enumerate(v_enumerate(ctx.trunc)):
             expect = idx.sign * (float(idx.l) + 0.5)
             assert ctx.eigenvalues("true")[k] == expect
 
     def test_naive_frozen_value(self):
         # minus-family eigenvalue at l = 1/2, q = sqrt(2): -[3/2]_{q^2 = 2}
         c = DiracContext(math.sqrt(2.0), Truncation(HalfInteger(2)))
-        k = c.v_labels.index(vidx(0.5, 0.5, 0, -1))
+        k = v_enumerate(c.trunc).index(vidx(0.5, 0.5, 0, -1))
         val = c.eigenvalues("naive")[k]
         assert val == pytest.approx(-q_number(1.5, 2.0), abs=1e-14)
         assert val == pytest.approx(-1.6499158227686108, abs=1e-12)
 
     def test_naive_plus_family(self, ctx):
-        k = ctx.v_labels.index(vidx(1, 0, 0.5, +1))
+        k = v_enumerate(ctx.trunc).index(vidx(1, 0, 0.5, +1))
         assert ctx.eigenvalues("naive")[k] == pytest.approx(q_number(1, Q * Q))
 
     def test_eigenvector_property(self, ctx):
         d = ctx.dirac_operator("true")
         for label in (vidx(0.5, 0.5, 1, +1), vidx(3, -2, 1.5, -1)):
-            w = ctx.v_vector(label)
+            w = v_vector(ctx, label)
             lam = label.sign * (float(label.l) + 0.5)
             assert np.abs(d @ w - lam * w).max() < 1e-12
 
@@ -199,16 +223,16 @@ class TestBCoefficients:
         for ld in range(1, 10):
             for id_ in range(-ld, ld + 1, 2):
                 for jd in range(-ld - 1, ld + 2, 2):
-                    w = aop @ dctx.v_vector(vidx(ld / 2, id_ / 2, jd / 2, +1))
+                    w = aop @ v_vector(dctx, vidx(ld / 2, id_ / 2, jd / 2, +1))
                     for md in (ld - 1, ld + 1):
                         if md < 0 or abs(id_ + 1) > md:
                             continue
                         for eps in (1, -1):
                             if abs(jd + 1) > md + eps:
                                 continue
-                            tgt = dctx.v_vector(VIndex(HalfInteger(md),
-                                                       HalfInteger(id_ + 1),
-                                                       HalfInteger(jd + 1), eps))
+                            tgt = v_vector(dctx, VIndex(HalfInteger(md),
+                                                        HalfInteger(id_ + 1),
+                                                        HalfInteger(jd + 1), eps))
                             got = float(np.real(tgt @ w))
                             ref = b_coefficient(HalfInteger(ld), HalfInteger(id_),
                                                 HalfInteger(jd), HalfInteger(md), eps, Q)

@@ -10,12 +10,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
+from dirac_reference import VIndex, b_coefficient, v_vector
 from sparse_reference import apply_word, spinor_mult, to_csr
-from qsu2.qarith import HalfInteger, QArithError, q_number
+from qsu2.qarith import HalfInteger, QArithError, _cg_doubled, q_number
 from qsu2.peterweyl import DIAGONAL, BandMatrix, Basis, Truncation, rho_weights
 from qsu2.algebra import (GeneratorTable, NCPolynomial, haar_state,
                           is_normal_word, mult_operator, t_half)
-from qsu2.dirac import DiracContext, VIndex, b_coefficient
+from qsu2.dirac import DiracContext
 from qsu2 import spectral
 from qsu2.cli import main
 from qsu2.spectral import (GrowthSeries, PeakOutsideTruncationError, SpectralError,
@@ -33,11 +34,6 @@ Q = 1.2
 @pytest.fixture(scope="module")
 def table():
     return GeneratorTable(Q, Truncation(HalfInteger(20)))
-
-
-@pytest.fixture(scope="module")
-def dctx(table):
-    return DiracContext(Q, table.trunc, table.basis)
 
 
 class TestGrowthSeries:
@@ -246,7 +242,7 @@ class TestHaarViaHeat:
 
     def test_norm_bound(self):
         p = NCPolynomial({"ag": 2.0, "": -1.0j})
-        assert polynomial_norm_bound(p, Q) == pytest.approx(3.0)
+        assert polynomial_norm_bound(p) == pytest.approx(3.0)
 
 
 def full_dimension_haar_via_heat(a, t, table):
@@ -257,7 +253,7 @@ def full_dimension_haar_via_heat(a, t, table):
     num = complex(np.sum(op.bands.get(DIAGONAL, 0.0) * weights))
     den = float(np.sum(weights))
     corrupted = weights[basis.nd > basis.trunc.lmax.doubled - op.shell_depth_doubled].sum()
-    tail = 2.0 * (polynomial_norm_bound(a, q) + 1.0) \
+    tail = 2.0 * (polynomial_norm_bound(a) + 1.0) \
         * (heat_trace_tail(t, q, table.trunc) / 2.0 + corrupted) / den
     return num / den, tail
 
@@ -542,7 +538,7 @@ class TestCommutators:
         dop = d.dirac_operator("true")
         for l in range(ld + 1):
             for side in (2.0, 0.5):  # both corner witnesses
-                v = d.v_vector(witness_label(l, side))
+                v = v_vector(d, witness_label(l, side))
                 assert np.count_nonzero(v) == 1 and v.sum() == 1.0
                 assert np.array_equal((dop @ v).view(np.uint64),
                                       ((l / 2.0 + 0.5) * v).view(np.uint64)), (l, side)
@@ -558,8 +554,8 @@ class TestCommutators:
             absD_commutator_series(witness_polynomial(table),
                                    [HalfInteger(4), HalfInteger(4)], table)
 
-    def test_trued_growth_positive_slope(self, table, dctx):
-        series = trueD_growth(witness_polynomial(table), list(range(3, 9)), table, dctx)
+    def test_trued_growth_positive_slope(self, table):
+        series = trueD_growth(witness_polynomial(table), list(range(3, 9)), table)
         assert series.slope > 0
         assert series.fit_residual / series.values.mean() < 0.05
 
@@ -573,10 +569,10 @@ class TestCommutators:
         dmat = v @ sp.diags(d.eigenvalues("true")) @ v.T
         amat = to_csr(spinor_mult(a, t, d))
         comm = dmat @ amat - amat @ dmat
-        ref = [np.linalg.norm(comm @ d.v_vector(VIndex(HalfInteger(2 * l), HalfInteger(2 * l),
-                                                        HalfInteger(-2 * l - 1), 1)))
+        ref = [np.linalg.norm(comm @ v_vector(d, VIndex(HalfInteger(2 * l), HalfInteger(2 * l),
+                                                         HalfInteger(-2 * l - 1), 1)))
                for l in ls]
-        assert trueD_growth(a, ls, t, d).values.tobytes() == np.array(ref).tobytes()
+        assert trueD_growth(a, ls, t).values.tobytes() == np.array(ref).tobytes()
 
     @staticmethod
     def _unit_vector_growth(a, ls, t, d):
@@ -586,7 +582,7 @@ class TestCommutators:
         aop = spinor_mult(a, t, d)
         vals = []
         for l in ls:
-            v = d.v_vector(witness_label(2 * l, t.q))
+            v = v_vector(d, witness_label(2 * l, t.q))
             out = np.zeros(len(v), dtype=v.dtype)
             for j in np.flatnonzero(v):
                 e = np.zeros(len(v))
@@ -595,37 +591,46 @@ class TestCommutators:
             vals.append(float(np.linalg.norm(out)))
         return np.array(vals)
 
-    @pytest.mark.parametrize("ld, q", [(ld, q) for ld in (24, 40) for q in (1.2, 3.0, 0.7)]
-                             + [(62, 1.2)])
+    @pytest.mark.parametrize("ld, q", [(ld, q) for ld in (24, 40)
+                                       for q in (1.2, 3.0, 0.7, 0.5, 0.99, 1.01, 2.0)]
+                             + [(62, 1.2), (62, 0.7), (62, 3.0)])
     def test_trued_growth_matches_unit_vector_route_bitwise(self, ld, q):
         t = GeneratorTable(q, Truncation(HalfInteger(ld)))
         d = DiracContext(q, t.trunc, t.basis)
         a = witness_polynomial(t)
         ls = list(range(5, min(30, ld // 2 - 1) + 1))  # the CLI's witness spins
-        series = trueD_growth(a, ls, t, d)
+        series = trueD_growth(a, ls, t)
         assert series.values.tobytes() == self._unit_vector_growth(a, ls, t, d).tobytes()
 
+    @pytest.mark.parametrize("q", [0.3, 0.7, 0.99, 1.01, 1.2, 3.0])
+    def test_witness_coefficient_is_one(self, q):
+        # trueD_growth takes the witness's column of a times this coefficient;
+        # at 1.0 exactly, that column has the bits of (I_2 tensor a) v
+        coeffs = np.array([_cg_doubled(-side, 1, ld, -side * ld, q)
+                           for ld in range(201) for side in (1, -1)])
+        assert np.array_equal(coeffs.view(np.uint64), np.ones(len(coeffs)).view(np.uint64))
+
     def test_trued_growth_peak_memory(self):
-        # a on each spinor component, no tiled copy and no unit vectors: was 62.3
-        # units of one float64 array of length basis.dim at ld 40
+        # a few entries per witness, no spinor vector: was 62.3, then 54 units
+        # of one float64 array of length basis.dim at ld 40
         t = GeneratorTable(Q, Truncation(HalfInteger(40)))
-        d = DiracContext(Q, t.trunc, t.basis)
         a = witness_polynomial(t)
+        t.operator(a)  # held on the table, shared with the |D| series and the cap
         tracemalloc.start()
         try:
-            trueD_growth(a, list(range(5, 20)), t, d)
+            trueD_growth(a, list(range(5, 20)), t)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / (8 * t.basis.dim) <= 54
+        assert peak / (8 * t.basis.dim) < 1
 
-    def test_trued_witness_guard(self, table, dctx):
+    def test_trued_witness_guard(self, table):
         with pytest.raises(QArithError):
-            trueD_growth(witness_polynomial(table), [5, 10], table, dctx)
+            trueD_growth(witness_polynomial(table), [5, 10], table)
 
-    def test_trued_empty_witness_list_raises(self, table, dctx):
+    def test_trued_empty_witness_list_raises(self, table):
         with pytest.raises(QArithError, match="no witness spins"):
-            trueD_growth(witness_polynomial(table), [], table, dctx)
+            trueD_growth(witness_polynomial(table), [], table)
 
 
 def b_growth(ld: int, q: float) -> float:
@@ -648,8 +653,7 @@ def b_growth(ld: int, q: float) -> float:
 
 @lru_cache(maxsize=None)
 def _growth_context(q):
-    t = GeneratorTable(q, Truncation(HalfInteger(40)))
-    return t, DiracContext(q, t.trunc, t.basis)
+    return GeneratorTable(q, Truncation(HalfInteger(40)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -658,9 +662,9 @@ def _growth_context(q):
 def test_trued_growth_matches_the_transition_coefficients(q, spins):
     # an independent route: the operators on one side, the four-CG formula of
     # b^eps_m on the other; witness spins l <= 19
-    t, d = _growth_context(q)
+    t = _growth_context(q)
     spins = sorted(spins)
-    got = trueD_growth(witness_polynomial(t), [HalfInteger(ld) for ld in spins], t, d).values
+    got = trueD_growth(witness_polynomial(t), [HalfInteger(ld) for ld in spins], t).values
     for ld, value in zip(spins, got):
         ref = b_growth(ld, q)
         assert abs(value ** 2 - ref ** 2) <= 1e-14 * ref ** 2, (q, ld, value, ref)

@@ -11,6 +11,7 @@ alpha/alpha* words through the defining relations.
 """
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -201,20 +202,19 @@ def t_half(rd: int, sd: int, basis: Basis, q: float) -> BandMatrix:
 
 
 class GeneratorTable:
-    """The four generator operators on a truncation, with fitted scalars.
+    """The four generator operators on a truncation, in closed form.
 
-    The proportionality constants tying alpha and gamma to the normalized
-    spin-1/2 basis elements are solved from two scalar consequences of the
-    defining relations at the cyclic vector (both scalars taken positive);
-    the starred generators are the matrix adjoints.  The fitted
-    identification, stable across q, comes out as
+    alpha and gamma are fixed multiples of the normalized spin-1/2 basis
+    elements, and the starred generators are the matrix adjoints:
 
         alpha  = q (1+q^2)^{-1/2} * ttilde^{1/2}_{+1/2,+1/2}
         gamma  =   (1+q^2)^{-1/2} * ttilde^{1/2}_{-1/2,+1/2}
 
-    which differs from the textbook corepresentation matrix only by the
-    sign automorphism gamma -> -gamma.  The full relation battery is run on
-    construction and its residuals are kept; a failure raises
+    This differs from the textbook corepresentation matrix only by the
+    sign automorphism gamma -> -gamma.  The scalars are the positive
+    solution of alpha* alpha + gamma* gamma = 1 and alpha alpha* +
+    q^2 gamma* gamma = 1 at the cyclic vector.  The full relation battery
+    is run on construction and its residuals are kept; a failure raises
     ValidationError.
     """
 
@@ -222,32 +222,14 @@ class GeneratorTable:
 
     def __init__(self, q: float, trunc: Truncation):
         if trunc.lmax.doubled < 2:
-            raise AlgebraError("need lmax >= 1 to fit generator scalars")
+            raise AlgebraError("need lmax >= 1 for the relation battery's safe columns")
         self.q = q
         self.trunc = trunc
         self.basis = Basis(trunc)
         tpp, tmp = t_half(1, 1, self.basis, q), t_half(-1, 1, self.basis, q)
         tpp_h = tpp.H
-
-        # Scalar fit: with ca, cg > 0 and stars as adjoints, the relations
-        # evaluated at the cyclic vector e0 give
-        #   ca^2 * |T++ e0|^2     + cg^2 * |T-+ e0|^2      = 1
-        #   ca^2 * |T++^H e0|^2   + q^2 cg^2 * |T-+ e0|^2  = 1
-        # Each vector has one nonzero entry, the column-0 entry of one band,
-        # so the fit is the same on every truncation; the norm of the
-        # column-0 entries has the bits of the norm of the vector.
-        def norm_e0(op):
-            return np.linalg.norm([v[0] for v in op.bands.values()])
-
-        m = np.array([
-            [norm_e0(tpp) ** 2, norm_e0(tmp) ** 2],
-            [norm_e0(tpp_h) ** 2, q * q * norm_e0(tmp) ** 2],
-        ])
-        sq = np.linalg.solve(m, np.ones(2))
-        if (sq <= 0).any():
-            raise ValidationError("scalar-fit", float(abs(sq).min()))
-        self.alpha_scalar = float(np.sqrt(sq[0]))
-        self.gamma_scalar = float(np.sqrt(sq[1]))
+        self.alpha_scalar = q / math.sqrt(1.0 + q * q)
+        self.gamma_scalar = 1.0 / math.sqrt(1.0 + q * q)
 
         # scaled in place, with the bits of c * T; (c T)^H = c T^H entry for
         # entry, so alpha* is the adjoint taken above, scaled
@@ -279,7 +261,7 @@ class GeneratorTable:
         matrix element <e0, w e0> computed on the smaller table takes the
         same terms, in the same order, as on this one.  The smaller table is
         an ordinary GeneratorTable: its generators are the leading blocks
-        of these, bit for bit, and its fitted scalars are these.
+        of these, bit for bit, and its scalars are these.
         """
         nd = max(deg, 2)
         if nd >= self.trunc.lmax.doubled:
@@ -333,7 +315,7 @@ class GeneratorTable:
         """mult_operator(p) on this table, memoized by the polynomial's terms.
 
         The commutator experiments read the witness operator through it:
-        the |D| series, the cap and the true-D growth share one build.
+        the |D| series and the true-D growth share one build.
         """
         key = tuple(p.terms.items())
         if key not in self._operators:

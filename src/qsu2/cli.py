@@ -205,7 +205,7 @@ def run_commutators(cfg: RunConfig):
     lmax = cfg.lmax_doubled // 2
     shells = [HalfInteger(2 * s) for s in range(4, min(20, lmax - 1) + 1)]
     series_abs = spectral.absD_commutator_series(a, shells, table)
-    cap = spectral.absD_commutator_cap(a, table)
+    cap = spectral.absD_commutator_cap(a)
     ls = list(range(5, min(30, lmax - 1) + 1))
     series_true = spectral.trueD_growth(a, ls, table)
 
@@ -332,20 +332,14 @@ def build_config(args) -> RunConfig:
     env_bits = os.environ.get("QSU2_PRECISION_BITS")
     if env_bits:
         values["precision_bits"] = int(env_bits)
-    if "t_grid" in values and values["t_grid"]:
-        t_grid = parse_t_grid(values["t_grid"], values.get("t_log", False))
-    elif "t" in values and values["t"] is not None:
-        t_grid = [values["t"]]
-    else:
-        t_grid = [0.5, 1.0, 2.0]
-    return RunConfig(q=values.get("q", 1.2),
-                     lmax_doubled=values.get("lmax", 24),
-                     t_grid=t_grid,
-                     tolerance=values.get("tol", 1e-8),
-                     seed=values.get("seed", 1234),
-                     precision_bits=values.get("precision_bits", 53),
-                     out=values.get("out", ""),
-                     format=values.get("format", "csv"))
+    fields = {"q": "q", "lmax": "lmax_doubled", "tol": "tolerance", "seed": "seed",
+              "precision_bits": "precision_bits", "out": "out", "format": "format"}
+    kwargs = {name: values[key] for key, name in fields.items() if key in values}
+    if values.get("t_grid"):
+        kwargs["t_grid"] = parse_t_grid(values["t_grid"], values.get("t_log", False))
+    elif values.get("t") is not None:
+        kwargs["t_grid"] = [values["t"]]
+    return RunConfig(**kwargs)  # RunConfig holds the one copy of each default
 
 
 def main(argv=None) -> int:

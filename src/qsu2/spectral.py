@@ -7,9 +7,9 @@ short chains along the spin, one per (i, j), and each chain block is
 diagonalized densely.  No iteration and no random start, so
 the norms do not depend on a seed.  The commutator experiments read one
 multiplication operator of the witness per table (alpha for q > 1,
-alpha* for q < 1); the true-D growth reads each witness vector's column
-of it and D's 2x2 blocks at the few labels that column reaches, with no
-spinor vector and no D matvec.  The modular defect reads psi(b Psi(a))
+alpha* for q < 1), and cap the |D| commutator in closed form; the true-D
+growth reads each witness vector's column of it and D's 2x2 blocks at
+the few labels that column reaches, with no spinor vector and no D matvec.  The modular defect reads psi(b Psi(a))
 from the table's vacuum vectors, with no operator product.  The Haar trace
 functionals Tr(a rho B) with B constant on each spin shell (the heat
 kernel e^{-tD^2}, or any shell multiplier) are sums over the shells of
@@ -150,7 +150,10 @@ def shell_norms(op: BandMatrix, shells) -> np.ndarray:
 
 
 def shell_norm(op: BandMatrix, shell) -> float:
-    """Largest singular value of op restricted to vectors on spins <= shell; see shell_norms."""
+    """Largest singular value of op restricted to vectors on spins <= shell; see shell_norms.
+
+    No program path calls it; the tests read it, and perfbench/worker.py counts it.
+    """
     return float(shell_norms(op, [shell])[0])
 
 
@@ -180,14 +183,16 @@ def absD_commutator_series(a: NCPolynomial, shells: Sequence,
     return GrowthSeries.fit([s / 2.0 for s in shells_d], shell_norms(comm, shells))
 
 
-def absD_commutator_cap(a: NCPolynomial, table: GeneratorTable) -> float:
-    """Theoretical bound sqrt(2 n0 + 1) * n0 * ||a|| with n0 = (max word length)/2."""
-    n0_d = a.degree()  # doubled n0: each letter shifts spin by 1/2
-    op = table.operator(a)
-    shell_d = table.trunc.lmax.doubled - op.shell_depth_doubled
-    c = shell_norm(op, HalfInteger(shell_d))
-    n0 = n0_d / 2.0
-    return math.sqrt(2 * n0 + 1) * n0 * c
+def absD_commutator_cap(a: NCPolynomial) -> float:
+    """The bound sqrt(2 n0 + 1) * n0 * ||a|| on ||[|D|, a]||, n0 = (max word length) / 2.
+
+    ||a|| is polynomial_norm_bound(a), exact for the witness c alpha (or
+    c alpha*), whose norm is |c|.  A closed form, so no operator is built;
+    sqrt(2 n0 + 1) n0 times the shell norm of a on the safe shells
+    approaches it from below as lmax grows.
+    """
+    n0 = a.degree() / 2.0  # each letter shifts spin by 1/2
+    return math.sqrt(2 * n0 + 1) * n0 * polynomial_norm_bound(a)
 
 
 def trueD_growth(a: NCPolynomial, l_list: Sequence, table: GeneratorTable) -> GrowthSeries:
@@ -327,11 +332,13 @@ def heat_trace(t: float, q: float, trunc: Truncation,
 
 
 def polynomial_norm_bound(a: NCPolynomial) -> float:
-    """Crude operator-norm bound: sum of |coeff| times generator norm bounds.
+    """Operator-norm bound: the sum of |coeff| over the words of a.
 
     The relation alpha* alpha + gamma* gamma = 1 gives ||alpha x||^2 +
     ||gamma x||^2 = ||x||^2 for every vector x, so ||alpha||, ||gamma|| <= 1,
     the starred generators have the same norms, and a word has norm <= 1.
+    Exact for c alpha and c alpha*: ||alpha|| = 1 in C(SU_q(2)), because the
+    spectrum of gamma* gamma = 1 - alpha* alpha accumulates at 0.
     """
     return float(sum(abs(c) for c in a.terms.values()))
 

@@ -10,6 +10,8 @@ each spinor component.  pw_position is the cubic closed form of a label's
 position that the program used before it read positions from per-shell
 tables.  apply_word applies a word to a vector letter by letter, the
 route haar_state took before it shared the vectors of common suffixes.
+csr_fitted_scalars is the fit of the generator scalars at the cyclic
+vector that the program made before it took them in closed form.
 """
 import math
 
@@ -83,8 +85,13 @@ def csr_gen_matrix(rd, sd, basis, q) -> sp.csr_matrix:
     return pairs_to_csr(rows, vals, keep, (basis.dim, basis.dim))
 
 
-def csr_generators(q, basis) -> tuple:
-    """((alpha scalar, gamma scalar), {letter: CSR generator}) by the CSR route."""
+def csr_fitted_scalars(q, basis) -> tuple:
+    """(alpha scalar, gamma scalar) fitted at the cyclic vector e0 by the CSR route.
+
+    With both scalars positive and the stars as adjoints, the relations
+    alpha* alpha + gamma* gamma = 1 and alpha alpha* + q^2 gamma* gamma = 1
+    at e0 are a 2x2 linear system in their squares.
+    """
     tpp, tmp = csr_gen_matrix(1, 1, basis, q), csr_gen_matrix(-1, 1, basis, q)
     e0 = np.zeros(basis.dim)
     e0[0] = 1.0
@@ -93,9 +100,14 @@ def csr_generators(q, basis) -> tuple:
         [np.linalg.norm(tpp.conj().T @ e0) ** 2, q * q * np.linalg.norm(tmp @ e0) ** 2],
     ])
     ca, cg = np.sqrt(np.linalg.solve(m, np.ones(2)))
-    a, g = ca * tpp, cg * tmp
-    return (float(ca), float(cg)), {"a": a, "A": a.conj().T.tocsr(),
-                                    "g": g, "G": g.conj().T.tocsr()}
+    return float(ca), float(cg)
+
+
+def csr_generators(q, basis) -> tuple:
+    """((alpha scalar, gamma scalar), {letter: CSR generator}), scaled by the closed forms."""
+    ca, cg = q / math.sqrt(1.0 + q * q), 1.0 / math.sqrt(1.0 + q * q)
+    a, g = ca * csr_gen_matrix(1, 1, basis, q), cg * csr_gen_matrix(-1, 1, basis, q)
+    return (ca, cg), {"a": a, "A": a.conj().T.tocsr(), "g": g, "G": g.conj().T.tocsr()}
 
 
 def csr_mult_operator(p, ops, dim) -> sp.csr_matrix:

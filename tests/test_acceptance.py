@@ -153,7 +153,7 @@ def test_09_commutator_dichotomy(big, capfd):
     table = big
     a = spectral.witness_polynomial(table)
     series_abs = spectral.absD_commutator_series(a, list(range(4, 21)), table)
-    cap = spectral.absD_commutator_cap(a, table)
+    cap = spectral.absD_commutator_cap(a)
     plateau = abs(series_abs.values[-1] - series_abs.values[-2]) / series_abs.values[-1]
     bounded_ok = plateau < 0.01 and (series_abs.values <= cap * (1 + 1e-4)).all()
 

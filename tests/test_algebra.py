@@ -8,8 +8,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from sparse_reference import (apply_word, csr_generators, csr_mult_operator, pw_position,
-                              to_csr)
+from sparse_reference import (apply_word, csr_fitted_scalars, csr_generators,
+                              csr_mult_operator, pw_position, to_csr)
 from qsu2 import algebra
 from qsu2.qarith import HalfInteger, _cg_doubled, q_number
 from qsu2.peterweyl import DIAGONAL, Basis, Truncation
@@ -58,8 +58,8 @@ class TestGeneratorTable:
             assert res < 1e-10, name
 
     def test_scalars_match_closed_form(self, table):
-        assert table.alpha_scalar == pytest.approx(Q / np.sqrt(1 + Q * Q), rel=1e-12)
-        assert table.gamma_scalar == pytest.approx(1 / np.sqrt(1 + Q * Q), rel=1e-12)
+        assert table.alpha_scalar == Q / np.sqrt(1 + Q * Q)
+        assert table.gamma_scalar == 1 / np.sqrt(1 + Q * Q)
 
     def test_cyclic_vector_maps_to_basis_element(self, table):
         e0 = np.zeros(table.basis.dim)
@@ -295,8 +295,8 @@ def _full_table(q, ld):
 @given(q=st.sampled_from([0.05, 0.7, 1.01, 1.2, 3.0, 25.0]), ld=st.integers(3, 33),
        data=st.data())
 def test_smaller_table_is_the_leading_block_bitwise(q, ld, data):
-    # every band entry is a closed form of its column and the scalar fit reads
-    # one-entry vectors, so the table on fewer shells is the leading block
+    # every band entry is a closed form of its column and the scalars are
+    # closed forms of q, so the table on fewer shells is the leading block
     nd = data.draw(st.integers(2, ld - 1), label="nd")
     full = _full_table(q, ld)
     view = GeneratorTable(q, Truncation(HalfInteger(nd)))
@@ -473,6 +473,8 @@ class TestBandProducts:
         t = GeneratorTable(q, Truncation(HalfInteger(16)))
         scalars, ops = csr_generators(q, t.basis)
         assert (t.alpha_scalar, t.gamma_scalar) == scalars
+        # the fit at e0 is the independent route to the closed forms
+        assert csr_fitted_scalars(q, t.basis) == pytest.approx(scalars, rel=1e-12, abs=0)
         polys = [NCPolynomial.word(w) for w in ALL_WORDS_TO_4]
         polys += [NCPolynomial({"": 0.5, "Gg": -1.0, "aAgG": 2.0j, "AAaa": 0.25}),
                   NCPolynomial({"ag": 1.0, "G": 0.5j, "gG": -3.0})]

@@ -95,6 +95,10 @@ class TestPrecedence:
         args.t = 0.7
         assert build_config(args).t_grid == [0.7]
 
+    def test_no_flags_give_the_dataclass_defaults(self, monkeypatch):
+        monkeypatch.delenv("QSU2_PRECISION_BITS", raising=False)
+        assert build_config(self._Args()) == RunConfig()
+
 
 class TestExperiments:
     def test_registry(self):
@@ -117,6 +121,12 @@ class TestMain:
 
     def test_config_error_exit_code(self):
         assert main(["heat", "--q", "1.0"]) == 2
+
+    @pytest.mark.parametrize("q", ["1.000001", "0.999999"])
+    @pytest.mark.parametrize("command", ["haar", "commutators", "modular"])
+    def test_passes_next_to_q_one(self, command, q, capsys):
+        # the fitted scalars lost 1.6e-10 in the battery at 1 + 1e-6; the closed forms do not
+        assert main([command, "--q", q, "--lmax", "24"]) == 0
 
     @pytest.mark.parametrize("lmax", ["6", "8"])
     def test_commutators_without_shells_report_the_empty_list(self, lmax, capsys):
@@ -390,9 +400,26 @@ class TestWorkCounts:
         assert matvecs[0] == 0
 
     def test_commutators_build_one_witness_operator(self, builds):
-        # the |D| series, the cap and the true-D growth share table.operator(a): was 3
+        # the |D| series and the true-D growth share table.operator(a), and the
+        # cap is a closed form: was 3
         cli.run_commutators(RunConfig(lmax_doubled=24))
         assert len(builds) == 1
+
+    def test_commutators_take_shell_norms_only_for_the_series(self, monkeypatch):
+        # the cap is a closed form: it took a shell norm over every safe shell,
+        # up to lmax_doubled - 1 = 61 here
+        calls = []
+        orig = spectral.shell_norms
+
+        def counted(op, shells):
+            calls.append(shells)
+            return orig(op, shells)
+
+        monkeypatch.setattr(spectral, "shell_norms", counted)
+        monkeypatch.setattr(cli, "_TABLE_MEMO", {})
+        cli.run_commutators(RunConfig(lmax_doubled=62))
+        assert len(calls) == 1
+        assert max(s.doubled for s in calls[0]) <= 40
 
     def test_memo_released_with_the_table(self, monkeypatch):
         tables = []

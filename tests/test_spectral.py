@@ -137,8 +137,23 @@ class TestShellNorm:
         op = mult_operator(a, t)
         ref = np.linalg.norm(to_csr(op).toarray()[:, t.basis.nd <= ld - 1], 2)
         assert shell_norm(op, HalfInteger(ld - 1)) == pytest.approx(ref, rel=1e-12, abs=0)
-        assert absD_commutator_cap(a, t) == pytest.approx(
-            math.sqrt(2) * 0.5 * ref, rel=1e-12, abs=0)
+        # the cap is the closed form, and the truncated norm stays under it
+        cap = absD_commutator_cap(a)
+        assert cap == math.sqrt(2) / 2 * (1.0 / t.alpha_scalar)
+        assert cap >= math.sqrt(2) / 2 * ref * (1 - 1e-12)
+
+    @pytest.mark.parametrize("q", [0.7, 1.2, 3.0])
+    @pytest.mark.parametrize("ld", [16, 40, 120])
+    def test_cap_bounds_and_is_approached_by_the_truncated_norm(self, ld, q):
+        # sqrt(2 n0 + 1) n0 ||a|| on the safe shells, n0 = 1/2, rises to the cap:
+        # 4.5e-4 below it at (1.2, 16), 7.1e-8 at (1.2, 40)
+        t = GeneratorTable(q, Truncation(HalfInteger(ld)))
+        a = witness_polynomial(t)
+        truncated = math.sqrt(2) / 2 * shell_norm(t.operator(a), HalfInteger(ld - 1))
+        cap = absD_commutator_cap(a)
+        assert truncated <= cap * (1 + 1e-14)
+        if ld >= 40:
+            assert cap - truncated < 1e-6 * cap
 
 
 class TestHeatTrace:
@@ -656,17 +671,19 @@ def _growth_context(q):
     return GeneratorTable(q, Truncation(HalfInteger(40)))
 
 
-@settings(max_examples=30, deadline=None)
-@given(q=st.sampled_from([1.2, 3.0]),
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([0.5, 0.7, 1.2, 3.0]),
        spins=st.lists(st.integers(0, 38), min_size=3, max_size=8, unique=True))
 def test_trued_growth_matches_the_transition_coefficients(q, spins):
     # an independent route: the operators on one side, the four-CG formula of
-    # b^eps_m on the other; witness spins l <= 19
+    # b^eps_m on the other; witness spins l <= 19.  Below 1, SU_q(2) = SU_{1/q}(2):
+    # the witness alpha* / alpha_scalar(q) grows as alpha / alpha_scalar(1/q) at
+    # 1/q, scaled by alpha_scalar(1/q) / alpha_scalar(q) = 1/q
     t = _growth_context(q)
     spins = sorted(spins)
     got = trueD_growth(witness_polynomial(t), [HalfInteger(ld) for ld in spins], t).values
     for ld, value in zip(spins, got):
-        ref = b_growth(ld, q)
+        ref = b_growth(ld, q) if q > 1 else b_growth(ld, 1 / q) / q
         assert abs(value ** 2 - ref ** 2) <= 1e-14 * ref ** 2, (q, ld, value, ref)
 
 

@@ -173,7 +173,8 @@ def t_half(rd: int, sd: int, basis: Basis, q: float) -> BandMatrix:
     target weight leaves the target spin, so an entry is kept where both
     are nonzero and the target shell is retained; elsewhere it is +0.0.
     Each entry is a closed form of its column, so on a smaller truncation
-    it keeps its bits.
+    it keeps its bits.  The bands are formed one column block of the basis
+    at a time, from the per-row tables of its shells.
     """
     Ld = basis.trunc.lmax.doubled
     cr = cg_table(rd, Ld, q)
@@ -181,23 +182,27 @@ def t_half(rd: int, sd: int, basis: Basis, q: float) -> BandMatrix:
     qn = _q_numbers(Ld + 2, q)
     q2 = q_number(2, q)
     shell_sizes = np.diff(basis.start)
-    row_width = basis.row_nd + 1
-    column = basis.along_rows(basis.row_nd * (Ld + 1))  # flat index of (2n, b) into cs[b]
     bands = {}
     for b, branch in enumerate((1, -1)):
         lo, hi = (0, Ld) if branch == 1 else (1, Ld + 1)  # shells with 0 <= 2n + branch <= Ld
         nu = np.zeros(Ld + 1)
         nu[lo:hi] = np.sqrt(q2 * qn[lo + 1:hi + 1] / qn[lo + 1 + branch:hi + 1 + branch])
-        kept = (basis.row_nd >= lo) & (basis.row_nd < hi)
-        band = np.repeat(np.where(kept, cr[b][basis.row_nd, basis.row_a], 0.0), row_width)
-        c2 = np.take(cs[b], column)
-        zero = band == 0.0
-        zero |= c2 == 0.0
-        band *= c2
-        del c2  # not held with the expanded nu
-        band *= np.repeat(nu, shell_sizes)
-        band[zero] = 0.0
-        bands[(branch, rd, sd, 0)] = band
+        out = np.empty(basis.dim)
+        for block in basis.column_blocks():
+            n0, n1 = block.shells
+            rows = basis.in_shell_rows(block.shells)
+            row_nd = basis.row_nd[rows]
+            kept = (row_nd >= lo) & (row_nd < hi)
+            band = np.repeat(np.where(kept, cr[b][row_nd, basis.row_a[rows]], 0.0), row_nd + 1)
+            # C(sd, j) at the flat index of (2n, b) into cs[b]
+            c2 = np.take(cs[b], basis.along_rows(row_nd * (Ld + 1), 1, block.shells))
+            zero = band == 0.0
+            zero |= c2 == 0.0
+            band *= c2
+            band *= np.repeat(nu[n0:n1], shell_sizes[n0:n1])
+            band[zero] = 0.0
+            out[block.cols] = band
+        bands[(branch, rd, sd, 0)] = out
     return BandMatrix(basis, bands)
 
 
@@ -278,9 +283,10 @@ class GeneratorTable:
         Tr(p rho B) with B constant on each shell reads:
         sum_w coeff_w sum_n B(n) S_w[n].  A word without a diagonal band
         (odd length or nonzero weight) has none and adds nothing; the word
-        1 has the bits of rho_shell_sums.  A one-entry memo keyed by the
-        polynomial's terms: the trace functionals read one polynomial at
-        several t before moving on.
+        1 has the bits of rho_shell_sums.  Each block of the diagonal is
+        reduced per shell as it is formed, so no whole band is held.  A
+        one-entry memo keyed by the polynomial's terms: the trace
+        functionals read one polynomial at several t before moving on.
         """
         key = tuple(p.terms.items())
         if key not in self._shell_sums:
@@ -288,28 +294,36 @@ class GeneratorTable:
             self._shell_sums.clear()
             sums = []
             for word, coeff in p.terms.items():
-                band = self._word_diagonal(word)  # a fresh array
-                if band is not None:
-                    band *= self.rho
-                    sums.append((coeff, np.add.reduceat(band, self.basis.start[:-1])))
+                parts = []
+                for block, band in self._word_diagonal(word):  # fresh arrays
+                    band *= self.rho[block.cols]
+                    n0, n1 = block.shells
+                    parts.append(np.add.reduceat(band, self.basis.start[n0:n1] - block.lo))
+                if parts:
+                    sums.append((coeff, np.concatenate(parts)))
             self._shell_sums[key] = tuple(sums)
         return self._shell_sums[key]
 
     def _word_diagonal(self, word: str):
-        """The DIAGONAL band of the word's operator, None if it has none.
+        """The DIAGONAL band of the word's operator, as (block, band) per column block.
 
-        Each letter shifts the spin by 1/2 up or down, so a word of odd
-        length has no diagonal band.
+        Yields nothing if the word has none: each letter shifts the spin by
+        1/2 up or down, so a word of odd length has none.  All letters but
+        the last form one operator, left-folded as in mult_operator; only
+        the last product is formed block by block.
         """
         if len(word) % 2:
-            return None
+            return
+        blocks = self.basis.column_blocks()
         if not word:
-            return np.ones(self.basis.dim)
+            yield from ((block, np.ones(block.size)) for block in blocks)
+            return
         m = self.ops[word[0]]
-        for ch in word[1:-1]:  # left fold, as in mult_operator
+        for ch in word[1:-1]:
             m = m @ self.ops[ch]
-        return next((band for _, band in m.product_bands(self.ops[word[-1]], (DIAGONAL,))),
-                    None)
+        for block in blocks:
+            for _, band in m.product_bands(self.ops[word[-1]], (DIAGONAL,), block=block):
+                yield block, band
 
     def operator(self, p: "NCPolynomial") -> BandMatrix:
         """mult_operator(p) on this table, memoized by the polynomial's terms.
@@ -358,39 +372,45 @@ class GeneratorTable:
 
         residuals keeps the largest residual of each defining relation on
         the safe columns.  A relation is a word of length 2 (depth 1), exact
-        on the spins 2n <= 2 lmax - 2: the column prefix [0, s).  Each
-        residual band is formed over all columns and reduced on that prefix
-        as it is formed, so no product, residual or scaled generator is
-        held whole; a product band at column c reads only column c of its
-        right factor.  Both sides of a relation are words of length 2 and
-        one weight, so they share their band keys: the left product streams
-        them and the right one is formed at the same key.  A scaled side,
-        q^2 G g or q g a, scales its gathered bands, with the bits of
-        scaling G or g first.
+        on the spins 2n <= 2 lmax - 2: the column prefix [0, s).  The
+        battery runs one column block of those shells at a time (a basis of
+        one block runs on all of its columns and reads the prefix); each
+        residual band is formed in place over the block's columns and
+        reduced as it is formed, a running maximum per band key, so no
+        product, residual or scaled generator is held whole, and the rows
+        of a block are computed once for all five relations.  A product
+        band at column c reads only column c of its right factor.  Both
+        sides of a relation are words of length 2 and one weight, so they
+        share their band keys: the left product streams them and the right
+        one is formed at the same key.  A scaled side, q^2 G g or q g a,
+        scales its gathered bands, with the bits of scaling G or g first.
         """
         q = self.q
         Ld = self.trunc.lmax.doubled
         s = self.basis.start[Ld - 1]
         a, A, g, G = (self.ops[ch] for ch in "aAgG")
 
-        def band(x, y, key, scale=None):
-            return next((v for _, v in x.product_bands(y, (key,), scale)), 0.0)
-
-        def one(key):
-            return 1.0 if key == DIAGONAL else 0.0
-
-        # relation -> (left product, the band of the residual at a key given the left band)
+        # relation -> (left product, (add or subtract, right product, its scale), constant)
         rel = {
-            "A a + G g = 1": ((A, a), lambda k, v: v + band(G, g, k) - one(k)),
-            "a A + q^2 G g = 1": ((a, A), lambda k, v: v + band(G, g, k, q * q) - one(k)),
-            "G g = g G": ((G, g), lambda k, v: v - band(g, G, k)),
-            "a g = q g a": ((a, g), lambda k, v: v - band(g, a, k, q)),
-            "a G = q G a": ((a, G), lambda k, v: v - band(G, a, k, q)),
+            "A a + G g = 1": ((A, a), (np.add, G, g, None), 1.0),
+            "a A + q^2 G g = 1": ((a, A), (np.add, G, g, q * q), 1.0),
+            "G g = g G": ((G, g), (np.subtract, g, G, None), 0.0),
+            "a g = q g a": ((a, g), (np.subtract, g, a, q), 0.0),
+            "a G = q G a": ((a, G), (np.subtract, G, a, q), 0.0),
         }
-        self.residuals = {
-            name: max((float(np.abs(residual(k, v)[:s]).max(initial=0.0))
-                       for k, v in x.product_bands(y)), default=0.0)
-            for name, ((x, y), residual) in rel.items()}
+        largest = {name: {} for name in rel}  # relation -> band key -> largest residual
+        for block in self.basis.column_blocks(Ld - 1):
+            for name, ((x, y), (side, rx, ry, scale), constant) in rel.items():
+                for k, v in x.product_bands(y, block=block):  # v is fresh: the residual in place
+                    side(v, next((u for _, u in rx.product_bands(ry, (k,), scale, block)), 0.0),
+                         out=v)
+                    if k == DIAGONAL:
+                        v -= constant
+                    r = np.abs(v, out=v)[:s - block.lo].max(initial=0.0)
+                    # np.maximum keeps a NaN, as the max over a whole band does
+                    largest[name][k] = np.maximum(largest[name].get(k, 0.0), r)
+        self.residuals = {name: max(map(float, per_key.values()), default=0.0)
+                          for name, per_key in largest.items()}
         worst = max(self.residuals, key=self.residuals.get)
         if self.residuals[worst] > self.RELATION_TOL:
             raise ValidationError(worst, self.residuals[worst])

@@ -15,7 +15,9 @@ an O(lmax^2) table, run along the row, and the few labels at the ends
 of a row that leave the target shell.  The largest spin shift over the
 bands is the operator's shell depth: the number of top spin shells whose
 image may be corrupted by the truncation.  Action on vectors supported
-on spins n <= lmax - depth is exact.
+on spins n <= lmax - depth is exact.  A route that only copies or
+reduces bands goes one column block of whole shells at a time and reads
+the rows of that block alone, so no row index of every label is kept.
 """
 from __future__ import annotations
 
@@ -45,6 +47,35 @@ def shell_starts(lmax_doubled: int) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(np.arange(1, lmax_doubled + 2) ** 2)])
 
 
+BLOCK_LABELS = 1 << 14  # labels per column block: whole shells, more only for one shell
+
+
+class ColumnBlock:
+    """The columns lo .. hi of a space, with their rows under each key.
+
+    On a Basis the block holds whole spin shells, n0 <= 2n < n1 (shells).
+    rows(key) is space.rows(key)[cols]: a block over the whole space reads
+    the space's memo; any other block computes the rows of its own shells
+    from the Basis's per-row tables, once per key, and keeps them only as
+    long as the block is held.
+    """
+
+    def __init__(self, space, lo: int, hi: int, shells=None):
+        self.space = space
+        self.lo = lo
+        self.size = hi - lo
+        self.cols = slice(lo, hi)
+        self.shells = shells
+        self._rows = {}
+
+    def rows(self, key) -> np.ndarray:
+        if self.size == self.space.dim:
+            return self.space.rows(key)
+        if key not in self._rows:
+            self._rows[key] = self.space._rows_of(key, self.shells)
+        return self._rows[key]
+
+
 class LabelSpace:
     """Column labels of band operators, with the row each shift key sends them to.
 
@@ -58,11 +89,19 @@ class LabelSpace:
     """
 
     def rows(self, key) -> np.ndarray:
-        """Rows under key, one per label: computed once per key and kept."""
+        """Rows under key, one per label: computed once per key and kept.
+
+        The routes that stream over column_blocks read ColumnBlock.rows,
+        which reads this memo only for a block over the whole space.
+        """
         memo = self.__dict__.setdefault("_rows", {})
         if key not in memo:
             memo[key] = self._rows_of(key)
         return memo[key]
+
+    def column_blocks(self):
+        """The column blocks that tile the space: here one, over every column."""
+        yield ColumnBlock(self, 0, self.dim)
 
     def _rows_of(self, key) -> np.ndarray:
         """Rows under key from the labels, label by label."""
@@ -84,9 +123,8 @@ class Basis(LabelSpace):
     a = (i + n) and column b = (j + n).  The per-row tables row_nd
     (doubled spin of each in-shell row), row_a (its row index) and
     row_start (position of its first label) have O(lmax^2) entries.  The
-    doubled spin nd is kept per label; the doubled weights id and jd are
-    derived from the per-row tables on each access, so the basis holds one
-    label-length array.
+    doubled labels nd, id and jd are derived from them on each access, so
+    the basis keeps no label-length array.
     """
 
     def __init__(self, trunc: Truncation):
@@ -98,7 +136,11 @@ class Basis(LabelSpace):
         self.row_a = np.arange(len(self.row_nd)) - np.repeat(shells * (shells + 1) // 2,
                                                               shells + 1)
         self.row_start = self.start[self.row_nd] + self.row_a * (self.row_nd + 1)
-        self.nd = np.repeat(self.row_nd, self.row_nd + 1)
+
+    @property
+    def nd(self) -> np.ndarray:
+        """Doubled spin of each label."""
+        return np.repeat(self.row_nd, self.row_nd + 1)
 
     @property
     def id(self) -> np.ndarray:
@@ -110,40 +152,84 @@ class Basis(LabelSpace):
         """Doubled j of each label, 2 b - n."""
         return self.along_rows(-self.row_nd, 2)
 
-    def along_rows(self, first: np.ndarray, step: int = 1) -> np.ndarray:
+    def column_blocks(self, n1=None):
+        """Column blocks of whole shells 2n < n1 (every shell by default), in order.
+
+        A block holds at most BLOCK_LABELS labels, or one shell that has
+        more.  A basis of at most BLOCK_LABELS labels is one block over all
+        of its columns, whatever n1, so its rows are read from the memo.
+        """
+        top = self.trunc.lmax.doubled + 1
+        if self.dim <= BLOCK_LABELS:
+            yield ColumnBlock(self, 0, self.dim, (0, top))
+            return
+        n1 = top if n1 is None else n1
+        n0 = 0
+        while n0 < n1:
+            n = n0 + 1
+            while n < n1 and self.start[n + 1] - self.start[n0] <= BLOCK_LABELS:
+                n += 1
+            yield ColumnBlock(self, int(self.start[n0]), int(self.start[n]), (n0, n))
+            n0 = n
+
+    def in_shell_rows(self, shells=None) -> slice:
+        """The entries of the per-row tables for the shells n0 <= 2n < n1 (all by default)."""
+        n0, n1 = shells or (0, self.trunc.lmax.doubled + 1)
+        return slice(n0 * (n0 + 1) // 2, n1 * (n1 + 1) // 2)
+
+    def along_rows(self, first: np.ndarray, step: int = 1, shells=None) -> np.ndarray:
         """first[r] + step * b at column b of in-shell row r, one int64 per label.
 
-        A running sum: steps of step along each row, with a jump to first[r]
-        at the row's first label.
+        first has one entry per in-shell row of the shells n0 <= 2n < n1
+        (all shells by default), and the result one per label of those
+        shells: step * p at position p, plus first[r] - step * p0 expanded
+        over row r, whose first label is at p0.
         """
-        out = np.full(self.dim, step, dtype=np.int64)
-        out[0] = first[0]
-        out[self.row_start[1:]] = first[1:] - first[:-1] - step * self.row_nd[:-1]
-        return np.cumsum(out, out=out)
+        rows = self.in_shell_rows(shells)
+        nd, row_start = self.row_nd[rows], self.row_start[rows]
+        out = np.arange(step * row_start[0], step * self.start[nd[-1] + 1], step, dtype=np.int64)
+        out += np.repeat(first - step * row_start, nd + 1)
+        return out
 
-    def _rows_of(self, key) -> np.ndarray:
-        """Rows under key from the per-row tables: one target per in-shell row, then edge cuts.
+    def _row_targets(self, key) -> np.ndarray:
+        """The row under key of each in-shell row's first label; below -dim where the row leaves.
 
         Every label of the in-shell row (n, a) moves to the row
-        (n + o/2, a + (r + o)/2) of its target shell, in the same order, so
-        the rows run along_rows from the target of each row's first label.
-        A row that lands outside starts below -dim and comes out as -1.  A
-        column b moves to b + (s + o)/2, so the same number of labels at the
-        start or the end of every row, at most the shell depth, leave the
-        target shell.
+        (n + o/2, a + (r + o)/2) of its target shell, in the same order.
+        One entry per in-shell row, computed once per key and kept.
         """
-        o, r, s, _ = key  # a Basis has one component
-        nd, a = self.row_nd, self.row_a
-        md, ma = nd + o, a + (r + o) // 2
-        inside = (md >= 0) & (md <= self.trunc.lmax.doubled) & (ma >= 0) & (ma <= md)
-        target = self.start[np.where(inside, md, 0)] + ma * (md + 1) + (s + o) // 2
-        rows = self.along_rows(np.where(inside, target, -1 - self.dim))
-        np.maximum(rows, -1, out=rows)
+        memo = self.__dict__.setdefault("_targets", {})
+        if key not in memo:
+            o, r, s, _ = key  # a Basis has one component
+            nd, a = self.row_nd, self.row_a
+            md, ma = nd + o, a + (r + o) // 2
+            inside = (md >= 0) & (md <= self.trunc.lmax.doubled) & (ma >= 0) & (ma <= md)
+            target = self.start[np.where(inside, md, 0)] + ma * (md + 1) + (s + o) // 2
+            memo[key] = np.where(inside, target, -1 - self.dim)
+        return memo[key]
+
+    def _rows_of(self, key, shells=None) -> np.ndarray:
+        """Rows under key of the shells n0 <= 2n < n1 (all by default), from their per-row tables.
+
+        The labels of an in-shell row run along_rows from the row of its
+        first label (_row_targets); a row that lands outside starts below
+        -dim and comes out as -1.  A column b moves to b + (s + o)/2, so the
+        same number of labels at the start or the end of every row, at most
+        the shell depth, leave the target shell.  The rows of some shells
+        are the slice of the rows of all, formed from the per-row tables of
+        those shells only.
+        """
+        o, _, s, _ = key
+        rows = self.in_shell_rows(shells)
+        nd = self.row_nd[rows]
+        row_start = self.row_start[rows] - self.row_start[rows.start]
+        out = self.along_rows(self._row_targets(key)[rows], 1, shells)
+        np.maximum(out, -1, out=out)
         for k in range(-((s + o) // 2)):  # columns b < -(s + o)/2
-            rows[self.row_start + np.minimum(k, nd)] = -1
+            out[row_start + np.minimum(k, nd)] = -1
         for k in range((s - o) // 2):  # columns b > n + (o - s)/2
-            rows[self.row_start + np.maximum(nd - k, 0)] = -1
-        return rows
+            out[row_start + np.maximum(nd - k, 0)] = -1
+        return out
 
     def position_doubled(self, nd: int, id_: int, jd: int) -> int:
         if (not 0 <= nd <= self.trunc.lmax.doubled or abs(id_) > nd or abs(jd) > nd
@@ -158,11 +244,18 @@ def rho_weights(basis: Basis, q: float) -> np.ndarray:
 
     2i + 2j takes the 4 lmax_doubled + 1 integer values e with
     |e| <= 2 lmax_doubled; q ** -e is evaluated once per value and
-    gathered, with the bits of one power per basis label.
+    gathered, with the bits of one power per basis label.  Along an
+    in-shell row, 2i + 2j runs from 2i - 2n in steps of 2; the indices are
+    formed one column block at a time.
     """
     top = 2 * basis.trunc.lmax.doubled
     powers = q ** -np.arange(-top, top + 1, dtype=float)
-    return powers[basis.id + basis.jd + top]
+    first = 2 * (basis.row_a - basis.row_nd) + top  # 2i - 2n + top at b = 0
+    out = np.empty(basis.dim)
+    for block in basis.column_blocks():
+        rows = basis.in_shell_rows(block.shells)
+        out[block.cols] = powers[basis.along_rows(first[rows], 2, block.shells)]
+    return out
 
 
 DIAGONAL = (0, 0, 0, 0)
@@ -231,7 +324,7 @@ class BandMatrix:
             return out[:-1]
         return BandMatrix(other.space, dict(self.product_bands(other)))
 
-    def product_bands(self, other: "BandMatrix", keys=None, scale=None):
+    def product_bands(self, other: "BandMatrix", keys=None, scale=None, block=None):
         """The bands of (scale * self) @ other, one output key at a time, as (key, band).
 
         Band kx + ky collects self's band kx gathered at the rows of other's
@@ -240,11 +333,16 @@ class BandMatrix:
         keys, if given, limits the output to those keys; no other band is
         formed.  scale multiplies each gathered band (vx[src] * scale has
         the bits of (scale * vx)[src]), so no scaled copy of self is made.
-        Each term is a fresh gather, so it is scaled, multiplied and summed
-        in place wherever its dtype holds the result: the same operations
-        in the same order, without a new array per operation.  A consumer
-        that reduces each band as it comes never holds the whole product.
+        block, a ColumnBlock of other's space, limits the bands to its
+        columns, which read only those columns of other: each entry has the
+        bits of the whole product's.  Each term is a fresh gather, so it is
+        scaled, multiplied and summed in place wherever its dtype holds the
+        result: the same operations in the same order, without a new array
+        per operation.  A consumer that reduces each band as it comes, one
+        block at a time, never holds a whole product band.
         """
+        rows = other.space.rows if block is None else block.rows
+        cols = slice(None) if block is None else block.cols
         terms = {}
         for ky in other.bands:
             for kx in self.bands:
@@ -255,10 +353,10 @@ class BandMatrix:
             band = None
             for kx, ky in pairs:
                 # row -1 where vy is 0: any value times 0
-                term = self.bands[kx][other.space.rows(ky)]
+                term = self.bands[kx][rows(ky)]
                 if scale is not None:
                     term = _in_place(np.multiply, term, scale)
-                term = _in_place(np.multiply, term, other.bands[ky])
+                term = _in_place(np.multiply, term, other.bands[ky][cols])
                 band = (_in_place(np.add, term, 0.0) if band is None  # 0.0 + x, as -0.0 -> +0.0
                         else _in_place(np.add, band, term))
             del term  # not held while the consumer reduces the band
@@ -277,14 +375,20 @@ class BandMatrix:
 
     @property
     def H(self) -> "BandMatrix":
-        """Conjugate transpose: band (o, r, s, f) becomes (-o, -r, -s, f)."""
-        out = {}
-        for (o, r, s, f), v in self.bands.items():
-            key = (-o, -r, -s, f)
-            src = self.space.rows(key)
-            band = v[src]  # row -1 reads the last entry, then set to +0.0
-            if band.dtype.kind == "c":
-                np.conjugate(band, out=band)
-            band[src < 0] = 0.0
-            out[key] = band
+        """Conjugate transpose: band (o, r, s, f) becomes (-o, -r, -s, f).
+
+        Formed one column block of the space at a time, from the rows of
+        that block, each block written into its slice of the new bands.
+        """
+        out = {(-o, -r, -s, f): np.empty(self.space.dim, dtype=v.dtype)
+               for (o, r, s, f), v in self.bands.items()}
+        for block in self.space.column_blocks():
+            for (o, r, s, f), v in self.bands.items():
+                key = (-o, -r, -s, f)
+                src = block.rows(key)
+                band = v[src]  # row -1 reads the last entry, then set to +0.0
+                if band.dtype.kind == "c":
+                    np.conjugate(band, out=band)
+                band[src < 0] = 0.0
+                out[key][block.cols] = band
         return BandMatrix(self.space, out)

@@ -12,6 +12,9 @@ tables.  apply_word applies a word to a vector letter by letter, the
 route haar_state took before it shared the vectors of common suffixes.
 csr_fitted_scalars is the fit of the generator scalars at the cyclic
 vector that the program made before it took them in closed form.
+whole_array_residuals is the relation battery as the program ran it
+before it went one column block at a time: every residual band formed
+over all columns.
 """
 import math
 
@@ -19,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from qsu2.algebra import cg_table, mult_operator
-from qsu2.peterweyl import BandMatrix
+from qsu2.peterweyl import DIAGONAL, BandMatrix
 from qsu2.qarith import q_number
 
 
@@ -132,3 +135,32 @@ def apply_word(word, vec, table):
     for ch in reversed(word):
         vec = table.ops[ch] @ vec
     return vec
+
+
+def whole_array_residuals(table) -> dict:
+    """The largest residual of each defining relation on the safe columns, from whole bands.
+
+    Each residual band is formed over all columns, from the rows memo, and
+    reduced on the safe prefix [0, s) of the spins 2n <= 2 lmax - 2.
+    """
+    q = table.q
+    Ld = table.trunc.lmax.doubled
+    s = table.basis.start[Ld - 1]
+    a, A, g, G = (table.ops[ch] for ch in "aAgG")
+
+    def band(x, y, key, scale=None):
+        return next((v for _, v in x.product_bands(y, (key,), scale)), 0.0)
+
+    def one(key):
+        return 1.0 if key == DIAGONAL else 0.0
+
+    rel = {
+        "A a + G g = 1": ((A, a), lambda k, v: v + band(G, g, k) - one(k)),
+        "a A + q^2 G g = 1": ((a, A), lambda k, v: v + band(G, g, k, q * q) - one(k)),
+        "G g = g G": ((G, g), lambda k, v: v - band(g, G, k)),
+        "a g = q g a": ((a, g), lambda k, v: v - band(g, a, k, q)),
+        "a G = q G a": ((a, G), lambda k, v: v - band(G, a, k, q)),
+    }
+    return {name: max((float(np.abs(residual(k, v)[:s]).max(initial=0.0))
+                       for k, v in x.product_bands(y)), default=0.0)
+            for name, ((x, y), residual) in rel.items()}

@@ -421,6 +421,39 @@ class TestWorkCounts:
         assert len(calls) == 1
         assert max(s.doubled for s in calls[0]) <= 40
 
+    @pytest.fixture
+    def row_builds(self, monkeypatch):
+        """(basis, key, shells) of each row index a Basis computes; shells None for all labels."""
+        calls = []
+        orig = peterweyl.Basis._rows_of
+
+        def counted(self, key, shells=None):
+            calls.append((self, key, shells))
+            return orig(self, key, shells)
+
+        monkeypatch.setattr(peterweyl.Basis, "_rows_of", counted)
+        monkeypatch.setattr(cli, "_TABLE_MEMO", {})
+        return calls
+
+    def test_one_block_bases_compute_each_row_index_once(self, row_builds, tmp_path, capsys):
+        # every basis here is one column block, whose rows are the memo: 35 row
+        # indices over 35 (basis, key) pairs; block rows computed beside the
+        # memo made 53 + 38
+        assert main(["all", "--lmax", "24", "--out", str(tmp_path / "run.csv")]) == 0
+        pairs = [(id(basis), key) for basis, key, _ in row_builds]
+        assert pairs and len(pairs) == len(set(pairs))
+        assert all(shells is None for *_, shells in row_builds)
+
+    def test_large_bases_compute_rows_per_block_only(self, row_builds, tmp_path, capsys):
+        # at dim 85 344 the battery, the adjoints and the trace diagonals read
+        # the rows of one column block at a time, and no rows memo is kept
+        assert main(["haar", "--lmax", "62", "--out", str(tmp_path / "run.csv")]) == 0
+        large = [(basis, shells) for basis, _, shells in row_builds if basis.dim == 85344]
+        assert large and all(shells is not None for _, shells in large)
+        for basis, (n0, n1) in large:
+            assert basis.start[n1] - basis.start[n0] <= peterweyl.BLOCK_LABELS or n1 == n0 + 1
+            assert not basis.__dict__.get("_rows")
+
     def test_memo_released_with_the_table(self, monkeypatch):
         tables = []
         init = algebra.GeneratorTable.__init__

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sparse_reference import pw_position, pw_rows, to_csr
 from qsu2.qarith import HalfInteger, QArithError, q_number
-from qsu2.peterweyl import Basis, Truncation, rho_weights, shell_starts
+from qsu2.peterweyl import BLOCK_LABELS, Basis, Truncation, rho_weights, shell_starts
 from qsu2.algebra import GeneratorTable, NCPolynomial, mult_operator, t_half
 from qsu2.dirac import DiracContext
 
@@ -62,14 +62,34 @@ class TestEnumeration:
             ref = pw_rows(basis, key)
             assert np.array_equal(basis.rows(key), ref), key
 
-    def test_one_label_length_array_is_kept(self):
-        # the per-row tables hold one entry per in-shell row; id and jd are derived
+    @pytest.mark.parametrize("lmax_d", [0, 2, 35, 36, 40, 62, 130])
+    def test_column_blocks_tile_whole_shells(self, lmax_d):
+        # in order, over whole shells, at most BLOCK_LABELS labels or one shell;
+        # a basis of one block is one block over all columns, whatever n1
+        basis = Basis(Truncation(HalfInteger(lmax_d)))
+        for n1 in (None, lmax_d - 1):
+            blocks = list(basis.column_blocks(n1))
+            if basis.dim <= BLOCK_LABELS:
+                assert [(b.lo, b.size, b.shells) for b in blocks] == [(0, basis.dim,
+                                                                      (0, lmax_d + 1))]
+                continue
+            top = lmax_d + 1 if n1 is None else n1
+            assert blocks[0].shells[0] == 0 and blocks[-1].shells[1] == top
+            for b, after in zip(blocks, blocks[1:]):
+                assert b.shells[1] == after.shells[0]
+            for b in blocks:
+                n0, n = b.shells
+                assert (b.lo, b.lo + b.size) == (basis.start[n0], basis.start[n])
+                assert b.size <= BLOCK_LABELS or n == n0 + 1
+
+    def test_no_label_length_array_is_kept(self):
+        # the per-row tables hold one entry per in-shell row; nd, id and jd are derived
         basis = Basis(Truncation(HalfInteger(24)))
         assert len(basis.row_nd) == len(basis.row_a) == len(basis.row_start) == 25 * 26 // 2
         assert len(basis.start) == 26 and basis.start[-1] == basis.dim
         kept = [k for k, v in vars(basis).items()
                 if isinstance(v, np.ndarray) and len(v) == basis.dim]
-        assert kept == ["nd"]
+        assert kept == []
 
     @pytest.mark.parametrize("label", [
         (8, 0, 0),    # spin 4 beyond lmax 7/2
@@ -87,6 +107,36 @@ class TestEnumeration:
     def test_negative_lmax_rejected(self):
         with pytest.raises(QArithError):
             Truncation(HalfInteger(-1))
+
+
+_GENERATOR_KEYS = [(o, r, s, 0) for o in (1, -1) for r in (1, -1) for s in (1, -1)]
+
+
+def _gram_keys():
+    """The band keys of op^H op for the four generators, as shell_norms forms its Gram."""
+    t = GeneratorTable(1.2, Truncation(HalfInteger(4)))
+    return sorted({k for op in t.ops.values() for k in (op.H @ op).bands})
+
+
+@lru_cache(maxsize=None)
+def _basis(lmax_d):
+    return Basis(Truncation(HalfInteger(lmax_d)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(lmax_d=st.integers(0, 40), key=st.sampled_from(_GENERATOR_KEYS + _gram_keys()),
+       data=st.data())
+def test_shell_rows_are_the_slice_of_the_rows(lmax_d, key, data):
+    # the rows of the shells n0 <= 2n < n1, from their per-row tables, are the
+    # same integers as that slice of the rows of all labels
+    basis = _basis(lmax_d)
+    n0 = data.draw(st.integers(0, lmax_d), label="n0")
+    n1 = data.draw(st.integers(n0 + 1, lmax_d + 1), label="n1")
+    cols = slice(basis.start[n0], basis.start[n1])
+    rows = basis._rows_of(key, (n0, n1))
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, basis.rows(key)[cols])
+    assert np.array_equal(rows, pw_rows(basis, key)[cols])
 
 
 class TestRhoWeights:

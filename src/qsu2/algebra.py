@@ -12,7 +12,7 @@ alpha/alpha* words through the defining relations.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -104,10 +104,6 @@ def is_normal_word(word: str) -> bool:
     return not any(word[k:k + 2] in _RULES for k in range(len(word) - 1))
 
 
-_CG_TABLES = {}  # (m1d, q) -> the largest cg_table built for them, most recent last
-_CG_TABLES_KEPT = 16
-
-
 def _q_numbers(count: int, q: float) -> np.ndarray:
     """[r]_q for r = 0 .. count - 1, one scalar q_number each, in ascending r.
 
@@ -117,6 +113,7 @@ def _q_numbers(count: int, q: float) -> np.ndarray:
     return np.array([q_number(float(r), q) for r in range(count)])
 
 
+@lru_cache(maxsize=16)
 def cg_table(m1d: int, lmax_doubled: int, q: float) -> np.ndarray:
     """_cg_doubled(m1d, branch, ld, md, q) stored at [(1 - branch) // 2, ld, (md + ld) // 2].
 
@@ -127,38 +124,31 @@ def cg_table(m1d: int, lmax_doubled: int, q: float) -> np.ndarray:
     combined with numpy's *, /, sqrt and where, which round as the scalar
     route does: every entry has the bits of _cg_doubled, signed zeros
     included.  Unused slots (md > ld) and weights outside the target spin
-    hold +0.0.  No entry depends on lmax_doubled, so a smaller table is
-    the leading slice [:, :lmax_doubled + 1, :lmax_doubled + 1] of the
-    largest one built for (m1d, q); that one is kept, for the
-    _CG_TABLES_KEPT most recent (m1d, q), and shared, so the array is
-    read-only.
+    hold +0.0.  No entry depends on lmax_doubled, so a smaller table has
+    the bits of the leading slice of a larger one.  The 16 most recent
+    tables are kept and shared, so the array is read-only.
     """
-    table = _CG_TABLES.pop((m1d, q), None)
-    if table is None or table.shape[1] <= lmax_doubled:
-        top = lmax_doubled + 1
-        qn = _q_numbers(top + 1, q)
-        half_powers = np.array([q ** (e / 2.0) for e in range(-top, top + 1)])
+    top = lmax_doubled + 1
+    qn = _q_numbers(top + 1, q)
+    half_powers = np.array([q ** (e / 2.0) for e in range(-top, top + 1)])
 
-        def power(e):  # q ** (e / 2.0)
-            return half_powers[e + top]
+    def power(e):  # q ** (e / 2.0)
+        return half_powers[e + top]
 
-        ld = np.arange(top)[:, None]
-        k = np.arange(top)
-        slot = k <= ld
-        k = np.minimum(k, ld)  # a valid index in the unused slots
-        den = qn[ld + 1]
-        if m1d == 1:  # branch +1, then -1 (which needs k <= ld - 1)
-            up = power(ld - k) * np.sqrt(qn[k + 1] / den)
-            down = np.where(k < ld, power(-k - 1) * np.sqrt(qn[ld - k] / den), 0.0)
-        else:  # branch -1 needs k >= 1
-            up = power(-k) * np.sqrt(qn[ld - k + 1] / den)
-            down = np.where(k >= 1, -power(ld - k + 1) * np.sqrt(qn[k] / den), 0.0)
-        table = np.where(slot, np.stack([up, down]), 0.0)
-        table.setflags(write=False)
-    _CG_TABLES[(m1d, q)] = table
-    if len(_CG_TABLES) > _CG_TABLES_KEPT:
-        del _CG_TABLES[next(iter(_CG_TABLES))]
-    return table[:, :lmax_doubled + 1, :lmax_doubled + 1]
+    ld = np.arange(top)[:, None]
+    k = np.arange(top)
+    slot = k <= ld
+    k = np.minimum(k, ld)  # a valid index in the unused slots
+    den = qn[ld + 1]
+    if m1d == 1:  # branch +1, then -1 (which needs k <= ld - 1)
+        up = power(ld - k) * np.sqrt(qn[k + 1] / den)
+        down = np.where(k < ld, power(-k - 1) * np.sqrt(qn[ld - k] / den), 0.0)
+    else:  # branch -1 needs k >= 1
+        up = power(-k) * np.sqrt(qn[ld - k + 1] / den)
+        down = np.where(k >= 1, -power(ld - k + 1) * np.sqrt(qn[k] / den), 0.0)
+    table = np.where(slot, np.stack([up, down]), 0.0)
+    table.setflags(write=False)
+    return table
 
 
 def t_half(rd: int, sd: int, basis: Basis, q: float) -> BandMatrix:
@@ -245,7 +235,6 @@ class GeneratorTable:
         self.ops = {"a": tpp, "A": tpp_h, "g": tmp, "G": tmp.H}
         self._leading = {}
         self._shell_sums = {}
-        self._operators = {}
         self._vacuum = {}
         self.validate()
 
@@ -324,17 +313,6 @@ class GeneratorTable:
         for block in blocks:
             for _, band in m.product_bands(self.ops[word[-1]], (DIAGONAL,), block=block):
                 yield block, band
-
-    def operator(self, p: "NCPolynomial") -> BandMatrix:
-        """mult_operator(p) on this table, memoized by the polynomial's terms.
-
-        The commutator experiments read the witness operator through it:
-        the |D| series and the true-D growth share one build.
-        """
-        key = tuple(p.terms.items())
-        if key not in self._operators:
-            self._operators[key] = mult_operator(p, self)
-        return self._operators[key]
 
     def vacuum(self, word: str) -> np.ndarray:
         """The complex vector word e0, memoized per word and read-only.
@@ -426,13 +404,14 @@ def mult_operator(p: NCPolynomial, table: GeneratorTable) -> BandMatrix:
     """The left-multiplication operator of p on the truncated GNS space."""
     _check_degree(p, table)
     basis = table.basis
-    out = BandMatrix(basis, {})
+    bands = {}
     for word, coeff in p.terms.items():
         m = table.ops[word[0]] if word else BandMatrix(basis, {DIAGONAL: np.ones(basis.dim)})
         for ch in word[1:]:  # left fold: each entry sums at most two products
             m = m @ table.ops[ch]
-        out = out + coeff * m
-    return out
+        for k, v in m.bands.items():  # each sum starts from +0.0, as in CSR arithmetic
+            bands[k] = bands.get(k, 0.0) + coeff * v
+    return BandMatrix(basis, bands)
 
 
 def haar_state(p: NCPolynomial, table: GeneratorTable) -> complex:

@@ -9,6 +9,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -22,7 +23,7 @@ from . import __version__
 from .qarith import HalfInteger, QArithError, q_number
 from .peterweyl import Truncation
 from .algebra import (GeneratorTable, NCPolynomial, ValidationError, cg_table,
-                      haar_state, is_normal_word)
+                      haar_state, is_normal_word, mult_operator)
 from .gns_oracle import oracle_haar
 from . import spectral
 
@@ -41,14 +42,14 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.q <= 0 or self.q == 1:
-            raise QArithError("config: q must be > 0 and != 1")
+        if not math.isfinite(self.q) or self.q <= 0 or self.q == 1:
+            raise QArithError("config: q must be finite, > 0 and != 1")
         if self.lmax_doubled < 0:
             raise QArithError("config: lmax_doubled must be >= 0")
-        if any(t <= 0 for t in self.t_grid):
-            raise QArithError("config: t values must be > 0")
-        if self.tolerance <= 0:
-            raise QArithError("config: tolerance must be > 0")
+        if not all(math.isfinite(t) and t > 0 for t in self.t_grid):
+            raise QArithError("config: t values must be finite and > 0")
+        if not math.isfinite(self.tolerance) or self.tolerance <= 0:
+            raise QArithError("config: tolerance must be finite and > 0")
         if self.format not in ("csv", "json"):
             raise QArithError("config: format must be csv or json")
 
@@ -90,22 +91,15 @@ def _word_label(w: str) -> str:
 
 # ---------------------------------------------------------------- experiments
 
-_TABLE_MEMO = {}
+@functools.lru_cache(maxsize=1)
+def generator_table(q: float, lmax_doubled: int) -> GeneratorTable:
+    """The validated GeneratorTable at (q, lmax_doubled), shared by the experiments of one run.
 
-
-def generator_table(cfg: RunConfig) -> GeneratorTable:
-    """The validated GeneratorTable of cfg, shared by the experiments of one run.
-
-    A one-entry memo keyed by (q, lmax_doubled), so `all` builds it once;
-    main() empties it when the invocation ends.  A ValidationError
+    Kept for the most recent arguments, so `all` builds it once; main()
+    clears the cache when the invocation ends.  A ValidationError
     propagates and nothing is stored.
     """
-    key = (cfg.q, cfg.lmax_doubled)
-    if key not in _TABLE_MEMO:
-        table = GeneratorTable(cfg.q, cfg.trunc)
-        _TABLE_MEMO.clear()
-        _TABLE_MEMO[key] = table
-    return _TABLE_MEMO[key]
+    return GeneratorTable(q, Truncation(HalfInteger(lmax_doubled)))
 
 
 def _rho_multiplier(n: float) -> float:
@@ -154,11 +148,12 @@ def run_validate(cfg: RunConfig):
 
     # algebra relation battery
     try:
-        table = generator_table(cfg)
+        table = generator_table(cfg.q, cfg.lmax_doubled)
         for name, residual in table.residuals.items():
             record("algebra.relation[%s]" % name, residual)
-    except ValidationError as exc:
-        rows.append(["algebra.relation[%s]" % exc.identity, exc.residual, 1e-9, "FAIL"])
+    except ValidationError as exc:  # the table enforces RELATION_TOL, not the rows' 1e-9
+        rows.append(["algebra.relation[%s]" % exc.identity, exc.residual,
+                     GeneratorTable.RELATION_TOL, "FAIL"])
         return rows, ["battery", "residual", "threshold", "status"]
 
     # two-path Haar agreement on monomials of degree <= 4; the ladder cut K
@@ -178,7 +173,7 @@ def run_validate(cfg: RunConfig):
 
 
 def run_haar(cfg: RunConfig):
-    table = generator_table(cfg)
+    table = generator_table(cfg.q, cfg.lmax_doubled)
     phi1 = spectral.rho_trace_functional(NCPolynomial.one(), _rho_multiplier, table)
     rows = []
     for w in OBSERVABLES:
@@ -200,14 +195,15 @@ def run_haar(cfg: RunConfig):
 
 
 def run_commutators(cfg: RunConfig):
-    table = generator_table(cfg)
+    table = generator_table(cfg.q, cfg.lmax_doubled)
     a = spectral.witness_polynomial(table)
+    aop = mult_operator(a, table)  # read by the |D| series and the true-D growth
     lmax = cfg.lmax_doubled // 2
     shells = [HalfInteger(2 * s) for s in range(4, min(20, lmax - 1) + 1)]
-    series_abs = spectral.absD_commutator_series(a, shells, table)
+    series_abs = spectral.absD_commutator_series(aop, shells)
     cap = spectral.absD_commutator_cap(a)
     ls = list(range(5, min(30, lmax - 1) + 1))
-    series_true = spectral.trueD_growth(a, ls, table)
+    series_true = spectral.trueD_growth(aop, ls, cfg.q)
 
     plateau = abs(series_abs.values[-1] - series_abs.values[-2]) / series_abs.values[-1]
     ok_abs = plateau < 0.01 and (series_abs.values <= cap).all()
@@ -253,7 +249,7 @@ def run_heat(cfg: RunConfig):
 
 
 def run_modular(cfg: RunConfig):
-    table = generator_table(cfg)
+    table = generator_table(cfg.q, cfg.lmax_doubled)
     words = [w for n in range(3) for w in
              ("".join(t) for t in itertools.product("aAgG", repeat=n))
              if is_normal_word(w)]
@@ -394,7 +390,7 @@ def main(argv=None) -> int:
                     out = "%s_%s%s" % (root, name, ext or ".csv")
                 write_rows(out, cfg.format, cols, rows, cfg.provenance())
     finally:
-        _TABLE_MEMO.clear()  # the shared table lives for one invocation
+        generator_table.cache_clear()  # the shared table lives for one invocation
     return 1 if overall_fail else 0
 
 

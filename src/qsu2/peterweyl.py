@@ -362,17 +362,6 @@ class BandMatrix:
             del term  # not held while the consumer reduces the band
             yield key, band
 
-    def __add__(self, other: "BandMatrix") -> "BandMatrix":
-        """Sum per entry, a band missing on one side read as 0.0 (0.0 + x, x + 0.0)."""
-        keys = dict.fromkeys([*self.bands, *other.bands])
-        return BandMatrix(self.space, {k: self.bands.get(k, 0.0) + other.bands.get(k, 0.0)
-                                       for k in keys})
-
-    def __mul__(self, scalar) -> "BandMatrix":
-        return BandMatrix(self.space, {k: v * scalar for k, v in self.bands.items()})
-
-    __rmul__ = __mul__
-
     @property
     def H(self) -> "BandMatrix":
         """Conjugate transpose: band (o, r, s, f) becomes (-o, -r, -s, f).

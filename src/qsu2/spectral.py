@@ -5,11 +5,13 @@ traces span hundreds of orders of magnitude at small t).  Operator norms
 are exact: the Gram of a weight-homogeneous operator on h splits into
 short chains along the spin, one per (i, j), and each chain block is
 diagonalized densely.  No iteration and no random start, so
-the norms do not depend on a seed.  The commutator experiments read one
-multiplication operator of the witness per table (alpha for q > 1,
-alpha* for q < 1), and cap the |D| commutator in closed form; the true-D
+the norms do not depend on a seed.  The commutator experiments take the
+multiplication operator of the witness (alpha for q > 1, alpha* for
+q < 1), built once by the caller and passed to the |D| series and the
+true-D growth, and cap the |D| commutator in closed form; the true-D
 growth reads each witness vector's column of it and D's 2x2 blocks at
-the few labels that column reaches, with no spinor vector and no D matvec.  The modular defect reads psi(b Psi(a))
+the few labels that column reaches, with no spinor vector and no D
+matvec.  The modular defect reads psi(b Psi(a))
 from the table's vacuum vectors, with no operator product.  The Haar trace
 functionals Tr(a rho B) with B constant on each spin shell (the heat
 kernel e^{-tD^2}, or any shell multiplier) are sums over the shells of
@@ -167,9 +169,8 @@ def witness_polynomial(table: GeneratorTable) -> NCPolynomial:
     return NCPolynomial({"a" if table.q > 1 else "A": 1.0 / table.alpha_scalar})
 
 
-def absD_commutator_series(a: NCPolynomial, shells: Sequence,
-                           table: GeneratorTable) -> GrowthSeries:
-    """Shell norms of [|D|, I_2 tensor a]; bounded, so the series plateaus.
+def absD_commutator_series(aop: BandMatrix, shells: Sequence) -> GrowthSeries:
+    """Shell norms of [|D|, I_2 tensor a], a's operator on h being aop; the series plateaus.
 
     |D| is n + 1/2 on both spinor components, so the commutator is
     I_2 tensor [|D|_h, a] and has the norms of its one-component block.
@@ -177,9 +178,8 @@ def absD_commutator_series(a: NCPolynomial, shells: Sequence,
     shells_d = [half(s).doubled for s in shells]
     if any(s2 <= s1 for s1, s2 in zip(shells_d, shells_d[1:])):
         raise QArithError("shells must be strictly increasing")
-    aop = table.operator(a)
     # |D|_h is n + 1/2 on spin n, so [|D|_h, a] is a with each band of spin shift o scaled by o/2
-    comm = BandMatrix(table.basis, {k: v * (k[0] / 2.0) for k, v in aop.bands.items()})
+    comm = BandMatrix(aop.space, {k: v * (k[0] / 2.0) for k, v in aop.bands.items()})
     return GrowthSeries.fit([s / 2.0 for s in shells_d], shell_norms(comm, shells))
 
 
@@ -195,8 +195,8 @@ def absD_commutator_cap(a: NCPolynomial) -> float:
     return math.sqrt(2 * n0 + 1) * n0 * polynomial_norm_bound(a)
 
 
-def trueD_growth(a: NCPolynomial, l_list: Sequence, table: GeneratorTable) -> GrowthSeries:
-    """Norms of [D, I_2 tensor a] on the witness vectors, one per spin l.
+def trueD_growth(aop: BandMatrix, l_list: Sequence, q: float) -> GrowthSeries:
+    """Norms of [D, I_2 tensor a] on the witness vectors, one per spin l; aop is a on h.
 
     The witness is v^{l,+}_{l,-l-1/2} = e_-(l, l, -l) for q > 1 and
     v^{l,+}_{-l,l+1/2} = e_+(l, -l, l) for q < 1: one basis vector with
@@ -214,22 +214,21 @@ def trueD_growth(a: NCPolynomial, l_list: Sequence, table: GeneratorTable) -> Gr
     if not ls:
         raise QArithError("no witness spins given: a commutator growth needs at least "
                           "one witness spin")
-    lmax_d = table.trunc.lmax.doubled
-    if max(l.doubled for l in ls) + a.degree() > lmax_d:
+    lmax_d = aop.space.trunc.lmax.doubled
+    if max(l.doubled for l in ls) + aop.shell_depth_doubled > lmax_d:
         raise QArithError("largest witness spin plus word depth exceeds the truncation")
-    aop = table.operator(a)
     o = np.array([key[0] for key in aop.bands])
     s = np.array([key[2] for key in aop.bands])
-    side = 1 if table.q > 1 else -1  # the witness corner (i, j) = side * (l, -l) on h
+    side = 1 if q > 1 else -1  # the witness corner (i, j) = side * (l, -l) on h
     vals = []
     for l in ls:
         ld = l.doubled
-        c = table.basis.position_doubled(ld, side * ld, -side * ld)
+        c = aop.space.position_doubled(ld, side * ld, -side * ld)
         x = (np.array([band[c] for band in aop.bands.values()])
-             * _cg_doubled(-side, 1, ld, -side * ld, table.q))
+             * _cg_doubled(-side, 1, ld, -side * ld, q))
         nonzero = x != 0  # a band is 0 where its target leaves the truncation
         diag_p, to_m, diag_m, to_p = dirac_blocks("true", ld + o[nonzero],
-                                                  -side * ld + s[nonzero], table.q, lmax_d)
+                                                  -side * ld + s[nonzero], q, lmax_d)
         own, other = (diag_m, to_p) if side > 0 else (diag_p, to_m)
         x = x[nonzero]
         y = np.concatenate([own * x - (ld / 2.0 + 0.5) * x, other * x])
@@ -273,11 +272,13 @@ def _beyond_float64(what: str, q: float, t: float) -> SpectralError:
 
 
 def heat_trace_tail(t: float, q: float, trunc: Truncation) -> float:
-    """Upper bound on the spins dropped from Tr(R e^{-t D^2}) by the truncation.
+    """Integral estimate of the spins dropped from Tr(R e^{-t D^2}) by the truncation.
 
-    Integral comparison: 2 * integral over x >= 2*lmax+1 of
-    [x+1]_q^2 e^{-t((x+1)/2)^2} dx, evaluated in closed form with erfc.
-    Raises SpectralError where the bound exceeds float64 (small t, large q).
+    2 * integral over x >= 2*lmax+1 of [x+1]_q^2 e^{-t((x+1)/2)^2} dx,
+    evaluated in closed form with erfc.  Not an upper bound: the integral
+    from the first dropped term of a decreasing summand is below the sum,
+    and it underflows to 0.0 while the tail is positive.  Raises
+    SpectralError where the estimate exceeds float64 (small t, large q).
     """
     b = max(q, 1.0 / q)
     lnb = math.log(b)
@@ -356,7 +357,7 @@ def _shell_trace(a: NCPolynomial, shell: np.ndarray, table: GeneratorTable) -> c
 
 
 def haar_via_heat(a: NCPolynomial, t: float, table: GeneratorTable):
-    """The ratio Tr(a R e^{-tD^2}) / Tr(R e^{-tD^2}) and a tail bound.
+    """The ratio Tr(a R e^{-tD^2}) / Tr(R e^{-tD^2}) and a tail estimate (see heat_trace_tail).
 
     The ratio equals psi(a) exactly at every t > 0 in the untruncated model.
     No Dirac context is needed: D^2 = (n + 1/2)^2 on both spinor components

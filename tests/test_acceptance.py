@@ -14,7 +14,8 @@ from dirac_reference import VIndex, b_coefficient, b_minus_closed, v_enumerate, 
 from sparse_reference import spinor_mult, to_csr
 from qsu2.qarith import HalfInteger, q_number
 from qsu2.peterweyl import Truncation
-from qsu2.algebra import (GeneratorTable, NCPolynomial, haar_state, is_normal_word)
+from qsu2.algebra import (GeneratorTable, NCPolynomial, haar_state, is_normal_word,
+                          mult_operator)
 from qsu2.gns_oracle import oracle_haar
 from qsu2.dirac import DiracContext
 from qsu2 import spectral
@@ -152,12 +153,13 @@ def test_08_modular_property(table10, capfd):
 def test_09_commutator_dichotomy(big, capfd):
     table = big
     a = spectral.witness_polynomial(table)
-    series_abs = spectral.absD_commutator_series(a, list(range(4, 21)), table)
+    aop = mult_operator(a, table)
+    series_abs = spectral.absD_commutator_series(aop, list(range(4, 21)))
     cap = spectral.absD_commutator_cap(a)
     plateau = abs(series_abs.values[-1] - series_abs.values[-2]) / series_abs.values[-1]
     bounded_ok = plateau < 0.01 and (series_abs.values <= cap * (1 + 1e-4)).all()
 
-    series_true = spectral.trueD_growth(a, list(range(5, 31)), table)
+    series_true = spectral.trueD_growth(aop, list(range(5, 31)), table.q)
     per_l = series_true.values / series_true.params
     stab = abs(per_l[-1] - per_l[list(series_true.params).index(20.0)]) / per_l[-1]
     growth_ok = (series_true.slope > 0

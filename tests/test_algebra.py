@@ -143,10 +143,9 @@ class TestAssembly:
                 assert new.data.tobytes() == ref.data.tobytes(), (rd, sd)
 
     @pytest.mark.parametrize("q", [0.5, 0.7, 1.2, 3.0])
-    def test_cg_table_matches_scalar_cg_bitwise(self, q, monkeypatch):
+    def test_cg_table_matches_scalar_cg_bitwise(self, q):
         # the closed forms combined elementwise give every bit of _cg_doubled,
         # signed zeros and the +0.0 of unused slots included
-        monkeypatch.setattr(algebra, "_CG_TABLES", {})
         Ld = 40
         for m1d in (1, -1):
             table = cg_table(m1d, Ld, q)
@@ -164,16 +163,16 @@ class TestAssembly:
         # and one power; a cold build now takes O(lmax) scalar q-numbers and powers
         q = CountedQ(Q)
         numbers = count_calls(monkeypatch, algebra, "q_number")
-        monkeypatch.setattr(algebra, "_CG_TABLES", {})  # count a cold build
+        cg_table.cache_clear()  # count a cold build
         GeneratorTable(q, Truncation(HalfInteger(lmax_d)))
         assert 0 < numbers[0] <= 4 * (lmax_d + 3)
         assert 0 < q.powers <= 12 * (lmax_d + 3)  # two per q-number, plus q^(e/2)
 
-    def test_cg_table_computed_once_per_arguments(self, monkeypatch):
+    def test_cg_table_computed_once_per_arguments(self):
         # the generator matrices and the change of basis read two tables (m1 = +-1/2),
         # each built once from 18 q-numbers (two powers each) and 35 powers q^(e/2);
         # each of the two t_half calls takes 19 q-numbers for nu
-        monkeypatch.setattr(algebra, "_CG_TABLES", {})
+        cg_table.cache_clear()
         q = CountedQ(Q)
         t = GeneratorTable(q, Truncation(HalfInteger(16)))
         DiracContext(q, t.trunc, t.basis).change_of_basis
@@ -181,25 +180,24 @@ class TestAssembly:
         with pytest.raises(ValueError):
             cg_table(1, 16, Q)[0, 0, 0] = 0.0
 
-    def test_smaller_cg_table_is_a_slice_of_the_largest(self, monkeypatch):
-        # a leading view reads the full table's scalars: no scalar call, same bits
-        calls = count_calls(monkeypatch, algebra, "q_number")
-        monkeypatch.setattr(algebra, "_CG_TABLES", {})
+    def test_smaller_cg_table_is_a_slice_of_the_largest(self):
+        # no entry depends on lmax_doubled: a leading view's table has the bits
+        # of the leading slice of the full one
         full = cg_table(-1, 16, Q)
-        before = calls[0]
         small = cg_table(-1, 5, Q)
-        assert calls[0] == before and np.shares_memory(small, full)
-        monkeypatch.setattr(algebra, "_CG_TABLES", {})
-        assert small.tobytes() == cg_table(-1, 5, Q).tobytes()
+        assert small.tobytes() == full[:, :6, :6].tobytes()
         with pytest.raises(ValueError):
             small[0, 0, 0] = 0.0
 
-    def test_cg_tables_kept_are_bounded(self, monkeypatch):
-        monkeypatch.setattr(algebra, "_CG_TABLES", {})
-        for k in range(algebra._CG_TABLES_KEPT + 3):
+    def test_cg_tables_kept_are_bounded(self):
+        cg_table.cache_clear()
+        kept = cg_table.cache_info().maxsize
+        for k in range(kept + 3):
             cg_table(1, 2, 1.5 + k)
-        assert len(algebra._CG_TABLES) == algebra._CG_TABLES_KEPT
-        assert (1, 1.5) not in algebra._CG_TABLES  # the least recent went first
+        assert cg_table.cache_info().currsize == kept
+        before = cg_table.cache_info().misses
+        cg_table(1, 2, 1.5)  # the least recent went first
+        assert cg_table.cache_info().misses == before + 1
 
 
 def full_dimension_haar_state(p, table):

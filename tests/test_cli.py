@@ -16,6 +16,14 @@ from qsu2.cli import (EXPERIMENTS, RunConfig, build_config, main, parse_t_grid,
                       read_config_file)
 
 
+@pytest.fixture(autouse=True)
+def no_kept_table():
+    """Each test starts and ends with no generator table kept by cli.generator_table."""
+    cli.generator_table.cache_clear()
+    yield
+    cli.generator_table.cache_clear()
+
+
 class TestParsing:
     def test_t_grid_linear(self):
         assert parse_t_grid("1:3:3") == pytest.approx([1.0, 2.0, 3.0])
@@ -121,6 +129,16 @@ class TestMain:
 
     def test_config_error_exit_code(self):
         assert main(["heat", "--q", "1.0"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["haar", "--q", "nan"], ["haar", "--q", "inf"], ["heat", "--t", "nan"],
+        ["haar", "--tol", "nan"], ["validate", "--q", "nan"],
+    ])
+    def test_non_finite_values_are_configuration_errors(self, argv, capsys):
+        # each exited 1: "tail bound at q = nan exceeds float64", 24 FAIL rows
+        # at tol nan, "cannot convert float NaN to integer" in validate
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("q", ["1.000001", "0.999999"])
     @pytest.mark.parametrize("command", ["haar", "commutators", "modular"])
@@ -252,10 +270,9 @@ class TestMain:
             init(self, q, trunc)
 
         monkeypatch.setattr(GeneratorTable, "__init__", counting_init)
-        monkeypatch.setattr(cli, "_TABLE_MEMO", {})
         assert main(["all", "--lmax", "16"]) == 0
         assert builds == [16, 2, 3, 4]
-        assert cli._TABLE_MEMO == {}  # nothing outlives the invocation
+        assert cli.generator_table.cache_info().currsize == 0  # nothing outlives the invocation
         assert main(["all", "--lmax", "16"]) == 0
         assert builds == [16, 2, 3, 4] * 2
 
@@ -273,7 +290,6 @@ class TestMain:
 
         monkeypatch.setattr(GeneratorTable, "__init__", counting_init)
         monkeypatch.setattr(GeneratorTable, "validate", counting_validate)
-        monkeypatch.setattr(cli, "_TABLE_MEMO", {})
         rows, _ = cli.run_validate(RunConfig(lmax_doubled=8))
         assert [t.trunc.lmax.doubled for t in built] == [8, 2, 3, 4]
         assert validated == built  # tables compare by identity
@@ -281,15 +297,25 @@ class TestMain:
         assert relation_rows == {"algebra.relation[%s]" % name: residual
                                  for name, residual in built[0].residuals.items()}
 
-    def test_validation_failure_is_a_fail_row(self, monkeypatch):
+    @staticmethod
+    def _failed_battery_row(monkeypatch, residual):
         def failing_validate(self):
-            raise ValidationError("G g = g G", 1.0)
+            raise ValidationError("G g = g G", residual)
 
         monkeypatch.setattr(GeneratorTable, "validate", failing_validate)
-        monkeypatch.setattr(cli, "_TABLE_MEMO", {})
         rows, _ = cli.run_validate(RunConfig(lmax_doubled=8))
-        assert rows[-1] == ["algebra.relation[G g = g G]", 1.0, 1e-9, "FAIL"]
-        assert cli._TABLE_MEMO == {}
+        assert cli.generator_table.cache_info().currsize == 0
+        return rows[-1]
+
+    def test_validation_failure_is_a_fail_row(self, monkeypatch):
+        assert self._failed_battery_row(monkeypatch, 1.0) \
+            == ["algebra.relation[G g = g G]", 1.0, GeneratorTable.RELATION_TOL, "FAIL"]
+
+    def test_validation_failure_shows_the_enforced_threshold(self, monkeypatch):
+        # the row read threshold 1e-9, so a residual of 5e-10 was below it and FAIL
+        assert GeneratorTable.RELATION_TOL == 1e-10
+        assert self._failed_battery_row(monkeypatch, 5e-10) \
+            == ["algebra.relation[G g = g G]", 5e-10, 1e-10, "FAIL"]
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -341,14 +367,14 @@ class TestWorkCounts:
             return orig(p, table)
 
         monkeypatch.setattr(algebra, "mult_operator", counted)
-        monkeypatch.setattr(cli, "_TABLE_MEMO", {})
+        monkeypatch.setattr(cli, "mult_operator", counted)
         return dims
 
     def test_haar_builds_no_full_operator(self, builds):
         # the trace functionals read only the diagonal band: was 31, then 6
         cfg = RunConfig(lmax_doubled=24, t_grid=[0.5, 1.0, 1.5, 2.0])
         cli.run_haar(cfg)
-        assert cli.generator_table(cfg).basis.dim not in builds
+        assert cli.generator_table(cfg.q, cfg.lmax_doubled).basis.dim not in builds
 
     def test_modular_builds_no_full_operator(self, builds):
         cfg = RunConfig(lmax_doubled=24)
@@ -367,7 +393,6 @@ class TestWorkCounts:
             return orig(self, other)
 
         monkeypatch.setattr(peterweyl.BandMatrix, "__matmul__", counted)
-        monkeypatch.setattr(cli, "_TABLE_MEMO", {})
         return count
 
     def test_validate_applies_each_suffix_once(self, matvecs, monkeypatch):
@@ -380,7 +405,7 @@ class TestWorkCounts:
         cli.run_validate(cfg)
         assert matvecs[0] <= 444
         assert len(levels) <= 3321
-        table = cli.generator_table(cfg)
+        table = cli.generator_table(cfg.q, cfg.lmax_doubled)
         held = [view.basis.dim for view in (table, *table._leading.values()) if view._vacuum]
         assert held and max(held) <= 55
 
@@ -400,8 +425,8 @@ class TestWorkCounts:
         assert matvecs[0] == 0
 
     def test_commutators_build_one_witness_operator(self, builds):
-        # the |D| series and the true-D growth share table.operator(a), and the
-        # cap is a closed form: was 3
+        # run_commutators passes one operator of a to the |D| series and the
+        # true-D growth, and the cap is a closed form: was 3
         cli.run_commutators(RunConfig(lmax_doubled=24))
         assert len(builds) == 1
 
@@ -416,7 +441,6 @@ class TestWorkCounts:
             return orig(op, shells)
 
         monkeypatch.setattr(spectral, "shell_norms", counted)
-        monkeypatch.setattr(cli, "_TABLE_MEMO", {})
         cli.run_commutators(RunConfig(lmax_doubled=62))
         assert len(calls) == 1
         assert max(s.doubled for s in calls[0]) <= 40
@@ -432,7 +456,6 @@ class TestWorkCounts:
             return orig(self, key, shells)
 
         monkeypatch.setattr(peterweyl.Basis, "_rows_of", counted)
-        monkeypatch.setattr(cli, "_TABLE_MEMO", {})
         return calls
 
     def test_one_block_bases_compute_each_row_index_once(self, row_builds, tmp_path, capsys):
@@ -463,9 +486,8 @@ class TestWorkCounts:
             init(self, q, trunc)
 
         monkeypatch.setattr(algebra.GeneratorTable, "__init__", recording)
-        monkeypatch.setattr(cli, "_TABLE_MEMO", {})
         assert main(["haar", "--lmax", "16"]) == 0
-        assert tables and cli._TABLE_MEMO == {}
+        assert tables and cli.generator_table.cache_info().currsize == 0
         gc.collect()
         assert all(ref() is None for ref in tables)
 

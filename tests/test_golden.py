@@ -1,12 +1,15 @@
 """The CLI reproduces committed artifacts byte for byte.
 
 tests/golden holds the five CSVs and the stdout of `qsu2 all --lmax 16`,
-the CSV of `qsu2 commutators --lmax 40`, that of
-`qsu2 haar --lmax 62 --t-grid 0.5:2:4`, whose trace functionals sum
-85 344 terms, and those of `qsu2 validate --lmax 24 --q 0.7` and
-`--q 3`, which fix the scalar rows away from q = 1.2.  A change that
-corrects a value regenerates them with those commands (--out all-ld16.csv,
---out commutators-ld40.csv, --out haar-ld62.csv, --out
+the CSV of `qsu2 commutators --lmax 40`, those of `qsu2 commutators
+--lmax <ld> --q <q>` at q 0.7, 1.2 and 3 by ld 24 and 62 and at q 1.2,
+ld 120, which fix the witness, the |D| series and the cap on both sides
+of q = 1, that of `qsu2 haar --lmax 62 --t-grid 0.5:2:4`, whose trace
+functionals sum 85 344 terms, and those of `qsu2 validate --lmax 24
+--q 0.7` and `--q 3`, which fix the scalar rows away from q = 1.2.  A
+change that corrects a value regenerates them with those commands
+(--out all-ld16.csv, --out commutators-ld40.csv, --out
+commutators-ld<ld>-q<q>.csv, --out haar-ld62.csv, --out
 validate-ld24-q0.7.csv and --out validate-ld24-q3.csv) and lists the
 changed cells in CHANGES.md.
 """
@@ -52,6 +55,15 @@ def test_commutators_ld40_csv(tmp_path, capsys):
     out = tmp_path / "commutators-ld40.csv"
     assert main(["commutators", "--lmax", "40", "--out", str(out)]) == 0
     assert out.read_bytes() == _golden("commutators-ld40.csv")
+
+
+@pytest.mark.parametrize("ld, q", [(ld, q) for ld in ("24", "62") for q in ("0.7", "1.2", "3")]
+                         + [("120", "1.2")])
+def test_commutators_csv_over_q_and_lmax(tmp_path, capsys, ld, q):
+    name = "commutators-ld%s-q%s.csv" % (ld, q)
+    out = tmp_path / name
+    assert main(["commutators", "--lmax", ld, "--q", q, "--out", str(out)]) == 0
+    assert out.read_bytes() == _golden(name)
 
 
 def test_haar_ld62_csv(tmp_path, capsys):

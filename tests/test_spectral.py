@@ -80,7 +80,7 @@ class TestShellNorm:
         # alpha + gamma: two weights, so its Gram couples (i, j) with (i - 2, j);
         # depth 1, so shell 3 is the largest that passes the depth guard at ld 4
         t = GeneratorTable(Q, Truncation(HalfInteger(4)))
-        m = t.ops["a"] + t.ops["g"]
+        m = mult_operator(NCPolynomial({"a": 1.0, "g": 1.0}), t)
         assert m.shell_depth_doubled == 1
         with pytest.raises(SpectralError):
             shell_norm(m, HalfInteger(3))
@@ -129,7 +129,7 @@ class TestShellNorm:
         # the shells run_commutators picks, and the first three
         cli_shells = [2 * s for s in range(4, min(20, ld // 2 - 1) + 1)]
         shells = sorted({0, 1, 2, *cli_shells})
-        series = absD_commutator_series(a, [HalfInteger(s) for s in shells], t)
+        series = absD_commutator_series(mult_operator(a, t), [HalfInteger(s) for s in shells])
         for s, from_series in zip(shells, series.values):
             ref = np.linalg.norm(dense[:, spins <= s], 2)
             assert from_series == pytest.approx(ref, rel=1e-12, abs=0)
@@ -149,7 +149,7 @@ class TestShellNorm:
         # 4.5e-4 below it at (1.2, 16), 7.1e-8 at (1.2, 40)
         t = GeneratorTable(q, Truncation(HalfInteger(ld)))
         a = witness_polynomial(t)
-        truncated = math.sqrt(2) / 2 * shell_norm(t.operator(a), HalfInteger(ld - 1))
+        truncated = math.sqrt(2) / 2 * shell_norm(mult_operator(a, t), HalfInteger(ld - 1))
         cap = absD_commutator_cap(a)
         assert truncated <= cap * (1 + 1e-14)
         if ld >= 40:
@@ -498,7 +498,6 @@ class TestModular:
         new = np.array([modular_check(a, b, cached) for a, b in pairs])
         ref = np.array([uncached_modular_check(a, b, fresh) for a, b in pairs])
         assert new.tobytes() == ref.tobytes()
-        assert not any(view._operators for t in (cached, fresh) for view in t._leading.values())
 
     @pytest.mark.parametrize("q", [0.7, 3.0])
     def test_cli_csv_matches_the_letter_by_letter_route(self, q, tmp_path, capsys):
@@ -512,14 +511,6 @@ class TestModular:
         assert [(r[0], r[1]) for r in rows] == [
             (next(iter(a.terms)) or "1", next(iter(b.terms)) or "1") for a, b in pairs]
         assert np.array([float(r[2]) for r in rows]).tobytes() == ref.tobytes()
-
-    def test_every_table_memoizes_operators(self):
-        t = GeneratorTable(Q, Truncation(HalfInteger(4)))
-        p = NCPolynomial.word("aG")
-        assert t.leading(4) is t
-        assert t.operator(p) is t.operator(p)
-        view = t.leading(2)
-        assert view.operator(p) is view.operator(p) is not t.operator(p)
 
     def test_degree_guard(self):
         t = GeneratorTable(Q, Truncation(HalfInteger(2)))
@@ -560,17 +551,19 @@ class TestCommutators:
 
     def test_absd_series_plateaus(self, table):
         a = witness_polynomial(table)
-        series = absD_commutator_series(a, [HalfInteger(2 * s) for s in (4, 6, 8, 9)], table)
+        series = absD_commutator_series(mult_operator(a, table),
+                                        [HalfInteger(2 * s) for s in (4, 6, 8, 9)])
         assert (np.diff(series.values) >= -1e-4).all()
         assert abs(series.values[-1] - series.values[-2]) < 0.02 * series.values[-1]
 
     def test_shells_must_increase(self, table):
         with pytest.raises(QArithError):
-            absD_commutator_series(witness_polynomial(table),
-                                   [HalfInteger(4), HalfInteger(4)], table)
+            absD_commutator_series(mult_operator(witness_polynomial(table), table),
+                                   [HalfInteger(4), HalfInteger(4)])
 
     def test_trued_growth_positive_slope(self, table):
-        series = trueD_growth(witness_polynomial(table), list(range(3, 9)), table)
+        series = trueD_growth(mult_operator(witness_polynomial(table), table),
+                              list(range(3, 9)), table.q)
         assert series.slope > 0
         assert series.fit_residual / series.values.mean() < 0.05
 
@@ -587,7 +580,8 @@ class TestCommutators:
         ref = [np.linalg.norm(comm @ v_vector(d, VIndex(HalfInteger(2 * l), HalfInteger(2 * l),
                                                          HalfInteger(-2 * l - 1), 1)))
                for l in ls]
-        assert trueD_growth(a, ls, t).values.tobytes() == np.array(ref).tobytes()
+        got = trueD_growth(mult_operator(a, t), ls, Q).values
+        assert got.tobytes() == np.array(ref).tobytes()
 
     @staticmethod
     def _unit_vector_growth(a, ls, t, d):
@@ -614,7 +608,7 @@ class TestCommutators:
         d = DiracContext(q, t.trunc, t.basis)
         a = witness_polynomial(t)
         ls = list(range(5, min(30, ld // 2 - 1) + 1))  # the CLI's witness spins
-        series = trueD_growth(a, ls, t)
+        series = trueD_growth(mult_operator(a, t), ls, q)
         assert series.values.tobytes() == self._unit_vector_growth(a, ls, t, d).tobytes()
 
     @pytest.mark.parametrize("q", [0.3, 0.7, 0.99, 1.01, 1.2, 3.0])
@@ -629,11 +623,10 @@ class TestCommutators:
         # a few entries per witness, no spinor vector: was 62.3, then 54 units
         # of one float64 array of length basis.dim at ld 40
         t = GeneratorTable(Q, Truncation(HalfInteger(40)))
-        a = witness_polynomial(t)
-        t.operator(a)  # held on the table, shared with the |D| series and the cap
+        aop = mult_operator(witness_polynomial(t), t)  # built by the caller, as in the CLI
         tracemalloc.start()
         try:
-            trueD_growth(a, list(range(5, 20)), t)
+            trueD_growth(aop, list(range(5, 20)), Q)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -641,11 +634,11 @@ class TestCommutators:
 
     def test_trued_witness_guard(self, table):
         with pytest.raises(QArithError):
-            trueD_growth(witness_polynomial(table), [5, 10], table)
+            trueD_growth(mult_operator(witness_polynomial(table), table), [5, 10], table.q)
 
     def test_trued_empty_witness_list_raises(self, table):
         with pytest.raises(QArithError, match="no witness spins"):
-            trueD_growth(witness_polynomial(table), [], table)
+            trueD_growth(mult_operator(witness_polynomial(table), table), [], Q)
 
 
 def b_growth(ld: int, q: float) -> float:
@@ -681,7 +674,8 @@ def test_trued_growth_matches_the_transition_coefficients(q, spins):
     # 1/q, scaled by alpha_scalar(1/q) / alpha_scalar(q) = 1/q
     t = _growth_context(q)
     spins = sorted(spins)
-    got = trueD_growth(witness_polynomial(t), [HalfInteger(ld) for ld in spins], t).values
+    got = trueD_growth(mult_operator(witness_polynomial(t), t),
+                       [HalfInteger(ld) for ld in spins], q).values
     for ld, value in zip(spins, got):
         ref = b_growth(ld, q) if q > 1 else b_growth(ld, 1 / q) / q
         assert abs(value ** 2 - ref ** 2) <= 1e-14 * ref ** 2, (q, ld, value, ref)

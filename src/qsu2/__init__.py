@@ -7,7 +7,7 @@ that extract the Haar state from spectral data.
 
 __version__ = "0.1.0"
 
-from .qarith import HalfInteger, QArithError, half, q_number
+from .qarith import HalfInteger, QArithError, q_number
 from .peterweyl import Basis, Truncation
 from .algebra import GeneratorTable, NCPolynomial, ValidationError, haar_state, mult_operator
 from .gns_oracle import oracle_haar, rep_apply

@@ -41,7 +41,7 @@ def adjoint_word(word: str) -> str:
 
 
 class NCPolynomial:
-    """A finite complex combination of words in the four generators."""
+    """A finite combination of words in the four generators; a real coefficient stays real."""
 
     def __init__(self, terms: dict | None = None):
         self.terms = {}
@@ -50,7 +50,7 @@ class NCPolynomial:
                 if any(ch not in LETTERS for ch in w):
                     raise AlgebraError("bad letter in word %r" % w)
                 if c != 0:
-                    self.terms[w] = self.terms.get(w, 0) + complex(c)
+                    self.terms[w] = self.terms.get(w, 0) + c
         self.terms = {w: c for w, c in self.terms.items() if c != 0}
 
     @classmethod
@@ -346,7 +346,7 @@ class GeneratorTable:
         return out
 
     def validate(self) -> None:
-        """Run the relation battery; raise ValidationError if a residual exceeds RELATION_TOL.
+        """Run the relation battery; raise ValidationError unless each residual is <= RELATION_TOL.
 
         residuals keeps the largest residual of each defining relation on
         the safe columns.  A relation is a word of length 2 (depth 1), exact
@@ -387,10 +387,11 @@ class GeneratorTable:
                     r = np.abs(v, out=v)[:s - block.lo].max(initial=0.0)
                     # np.maximum keeps a NaN, as the max over a whole band does
                     largest[name][k] = np.maximum(largest[name].get(k, 0.0), r)
-        self.residuals = {name: max(map(float, per_key.values()), default=0.0)
-                          for name, per_key in largest.items()}
-        worst = max(self.residuals, key=self.residuals.get)
-        if self.residuals[worst] > self.RELATION_TOL:
+        self.residuals = {name: float(np.max(list(per_key.values()), initial=0.0))
+                          for name, per_key in largest.items()}  # np.max keeps a NaN
+        # a NaN residual ranks as the worst, and fails
+        worst = max(self.residuals, key=lambda k: np.nan_to_num(self.residuals[k], nan=np.inf))
+        if not self.residuals[worst] <= self.RELATION_TOL:
             raise ValidationError(worst, self.residuals[worst])
 
 
@@ -401,7 +402,7 @@ def _check_degree(p: NCPolynomial, table: GeneratorTable) -> None:
 
 
 def mult_operator(p: NCPolynomial, table: GeneratorTable) -> BandMatrix:
-    """The left-multiplication operator of p on the truncated GNS space."""
+    """The left-multiplication operator of p on the truncated GNS space; real for real p."""
     _check_degree(p, table)
     basis = table.basis
     bands = {}

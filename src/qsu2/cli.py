@@ -52,6 +52,8 @@ class RunConfig:
             raise QArithError("config: tolerance must be finite and > 0")
         if self.format not in ("csv", "json"):
             raise QArithError("config: format must be csv or json")
+        if self.precision_bits < 53:
+            raise QArithError("config: precision_bits must be >= 53 (float64)")
 
     @property
     def trunc(self) -> Truncation:
@@ -146,12 +148,12 @@ def run_validate(cfg: RunConfig):
             worst = max(worst, abs(g - 1.0))
     record("peterweyl.orthonormality", worst)
 
-    # algebra relation battery
+    # algebra relation battery, at the threshold that the table enforces
     try:
         table = generator_table(cfg.q, cfg.lmax_doubled)
         for name, residual in table.residuals.items():
-            record("algebra.relation[%s]" % name, residual)
-    except ValidationError as exc:  # the table enforces RELATION_TOL, not the rows' 1e-9
+            record("algebra.relation[%s]" % name, residual, GeneratorTable.RELATION_TOL)
+    except ValidationError as exc:
         rows.append(["algebra.relation[%s]" % exc.identity, exc.residual,
                      GeneratorTable.RELATION_TOL, "FAIL"])
         return rows, ["battery", "residual", "threshold", "status"]
@@ -199,10 +201,10 @@ def run_commutators(cfg: RunConfig):
     a = spectral.witness_polynomial(table)
     aop = mult_operator(a, table)  # read by the |D| series and the true-D growth
     lmax = cfg.lmax_doubled // 2
-    shells = [HalfInteger(2 * s) for s in range(4, min(20, lmax - 1) + 1)]
+    shells = [2 * s for s in range(4, min(20, lmax - 1) + 1)]
     series_abs = spectral.absD_commutator_series(aop, shells)
     cap = spectral.absD_commutator_cap(a)
-    ls = list(range(5, min(30, lmax - 1) + 1))
+    ls = [2 * l for l in range(5, min(30, lmax - 1) + 1)]
     series_true = spectral.trueD_growth(aop, ls, cfg.q)
 
     plateau = abs(series_abs.values[-1] - series_abs.values[-2]) / series_abs.values[-1]
@@ -319,15 +321,15 @@ def build_config(args) -> RunConfig:
         for key, val in raw.items():
             if key not in casts:
                 raise QArithError("unknown config key %r" % key)
-            values[key] = casts[key](val)
+            try:
+                values[key] = casts[key](val)
+            except ValueError:
+                raise QArithError("config key %r: cannot read %r" % (key, val)) from None
     for key in ("q", "lmax", "tol", "seed", "precision_bits", "out", "format", "t",
                 "t_grid", "t_log"):
         arg = getattr(args, key.replace("-", "_"), None)
         if arg is not None:
             values[key] = arg
-    env_bits = os.environ.get("QSU2_PRECISION_BITS")
-    if env_bits:
-        values["precision_bits"] = int(env_bits)
     fields = {"q": "q", "lmax": "lmax_doubled", "tol": "tolerance", "seed": "seed",
               "precision_bits": "precision_bits", "out": "out", "format": "format"}
     kwargs = {name: values[key] for key, name in fields.items() if key in values}

@@ -1,7 +1,8 @@
-"""Exact half-integer arithmetic, q-numbers and spin-1/2 q-Clebsch-Gordan coefficients.
+"""Doubled-integer spin labels, q-numbers and spin-1/2 q-Clebsch-Gordan coefficients.
 
-Spin and weight labels live on the half-integer grid.  They are stored as
-doubled integers so that index arithmetic never touches floating point.
+Spin and weight labels live on the half-integer grid.  They are passed as
+doubled integers, so index arithmetic never touches floating point;
+HalfInteger holds one where a type is stored (Truncation.lmax).
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ class QArithError(ValueError):
     """Invalid parameter for a q-arithmetic operation."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class HalfInteger:
     """A number of the form doubled/2 with doubled an exact integer."""
 
@@ -23,47 +24,15 @@ class HalfInteger:
         if not isinstance(self.doubled, int):
             raise QArithError("HalfInteger stores a doubled integer, got %r" % (self.doubled,))
 
-    @property
-    def is_integral(self) -> bool:
-        return self.doubled % 2 == 0
-
-    def __add__(self, other: "HalfInteger") -> "HalfInteger":
-        return HalfInteger(self.doubled + other.doubled)
-
-    def __sub__(self, other: "HalfInteger") -> "HalfInteger":
-        return HalfInteger(self.doubled - other.doubled)
-
-    def __neg__(self) -> "HalfInteger":
-        return HalfInteger(-self.doubled)
-
-    def __abs__(self) -> "HalfInteger":
-        return HalfInteger(abs(self.doubled))
-
-    def __float__(self) -> float:
-        return self.doubled / 2.0
-
     def __str__(self) -> str:
-        if self.is_integral:
+        if self.doubled % 2 == 0:
             return str(self.doubled // 2)
         return "%d/2" % self.doubled
 
 
-def half(x) -> HalfInteger:
-    """Coerce x (HalfInteger, int, or exact multiple of 1/2) to a HalfInteger."""
-    if isinstance(x, HalfInteger):
-        return x
-    if isinstance(x, int):
-        return HalfInteger(2 * x)
-    d = 2 * x
-    if not math.isfinite(d) or float(d) != int(d):
-        raise QArithError("%r is not on the half-integer grid" % (x,))
-    return HalfInteger(int(d))
+def q_number(r: float, base: float) -> float:
+    """The q-number (base^r - base^-r) / (base - base^-1); reduces to r as base -> 1.
 
-
-def q_number(r, base: float) -> float:
-    """The q-number (base^r - base^-r) / (base - base^-1).
-
-    r may be a HalfInteger or a plain real.  Reduces to r as base -> 1.
     Raises QArithError where base^r or base^-r exceeds float64.
     """
     if base <= 0 or base == 1:

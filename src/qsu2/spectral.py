@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qarith import HalfInteger, QArithError, _cg_doubled, half
-from .peterweyl import BandMatrix, Truncation
+from .qarith import HalfInteger, QArithError, _cg_doubled
+from .peterweyl import BandMatrix, Basis, Truncation
 from .algebra import GeneratorTable, NCPolynomial, haar_state, t_half
 from .dirac import dirac_blocks
 
@@ -101,18 +101,19 @@ def _chains(basis) -> tuple:
             first_chain(np.arange(basis.trunc.lmax.doubled + 2)))
 
 
-def shell_norms(op: BandMatrix, shells) -> np.ndarray:
-    """Largest singular values of op on h restricted to vectors on spins <= each shell.
+def shell_norms(op: BandMatrix, shells_d: Sequence[int]) -> np.ndarray:
+    """Largest singular values of op on h restricted to vectors on doubled spins <= each shell.
 
     Exact, with no iteration: the Gram of op on the retained columns is
     block diagonal over the chains of _chains, and restricting to spins
-    <= shell keeps the leading block of each chain, ordered by spin.
+    <= shell keeps the leading block of each chain, ordered by spin.  The
+    spins <= top are the first P columns, and the Gram is formed on them
+    only, one column block at a time, with the bits of the whole product.
     Chains with the same first spin have the same block length, so each
     (first spin, shell) is one batched eigvalsh; the norm is the square
     root of the largest eigenvalue.  Raises SpectralError if a nonzero
     Gram entry couples two chains, i.e. op is not weight-graded.
     """
-    shells_d = [half(s).doubled for s in shells]
     if not shells_d:
         raise QArithError("no shells given: a shell norm needs at least one spin shell")
     top = max(shells_d)
@@ -121,26 +122,27 @@ def shell_norms(op: BandMatrix, shells) -> np.ndarray:
     if top + depth_d > lmax_d:
         raise QArithError("shell %s + depth %s exceeds lmax %s: restriction not exact"
                           % (HalfInteger(top), HalfInteger(depth_d), HalfInteger(lmax_d)))
-    chain, nd, s0, first = _chains(op.space)
-    if op.dtype.kind == "c" and not any(v.imag.any() for v in op.bands.values()):
-        op = BandMatrix(op.space, {k: v.real for k, v in op.bands.items()})  # halves the blocks
-    gram = op.H @ op
+    chain, nd, s0, first = _chains(Basis(Truncation(HalfInteger(top))))
+    P = len(nd)
     # the chains of first spin s hold blocks of side length[s], stored one
     # after the other in a flat buffer from offset[s]; no padding
     length = (top - np.arange(top + 1)) // 2 + 1
-    offset = np.concatenate([[0], np.cumsum(np.diff(first[:top + 2]) * length ** 2)])
+    offset = np.concatenate([[0], np.cumsum(np.diff(first) * length ** 2)])
     pos = (nd - s0) // 2  # place of a column along its chain
-    buf = np.zeros(offset[-1], dtype=gram.dtype)
-    for key, v in gram.bands.items():
-        col = np.flatnonzero((v != 0) & (nd <= top))  # a band is 0 where its row is -1
-        row = gram.space.rows(key)[col]
-        col, row = col[nd[row] <= top], row[nd[row] <= top]
-        if (chain[row] != chain[col]).any():
-            raise SpectralError("Gram couples different (i, j): "
-                                "operator is not weight-graded")
-        r = s0[row]
-        buf[offset[r] + ((chain[row] - first[r]) * length[r] + pos[row]) * length[r]
-            + pos[col]] = v[col]
+    buf = np.zeros(offset[-1], dtype=op.dtype)
+    op_h = op.H
+    for block in op.space.column_blocks(top + 1):
+        for key, v in op_h.product_bands(op, block=block):
+            col = np.flatnonzero(v[:P - block.lo])  # a band is 0 where its row is -1
+            row = block.rows(key)[col]
+            col, row = col[row < P], row[row < P]
+            v, col = v[col], col + block.lo
+            if (chain[row] != chain[col]).any():
+                raise SpectralError("Gram couples different (i, j): "
+                                    "operator is not weight-graded")
+            r = s0[row]
+            buf[offset[r] + ((chain[row] - first[r]) * length[r] + pos[row]) * length[r]
+                + pos[col]] = v
     best = np.zeros(len(shells_d))
     for s in range(top + 1):
         blocks = buf[offset[s]:offset[s + 1]].reshape(-1, length[s], length[s])
@@ -151,12 +153,12 @@ def shell_norms(op: BandMatrix, shells) -> np.ndarray:
     return np.sqrt(best)
 
 
-def shell_norm(op: BandMatrix, shell) -> float:
-    """Largest singular value of op restricted to vectors on spins <= shell; see shell_norms.
+def shell_norm(op: BandMatrix, shell_d: int) -> float:
+    """Largest singular value of op restricted to vectors on doubled spins <= shell_d.
 
     No program path calls it; the tests read it, and perfbench/worker.py counts it.
     """
-    return float(shell_norms(op, [shell])[0])
+    return float(shell_norms(op, [shell_d])[0])
 
 
 def witness_polynomial(table: GeneratorTable) -> NCPolynomial:
@@ -169,18 +171,17 @@ def witness_polynomial(table: GeneratorTable) -> NCPolynomial:
     return NCPolynomial({"a" if table.q > 1 else "A": 1.0 / table.alpha_scalar})
 
 
-def absD_commutator_series(aop: BandMatrix, shells: Sequence) -> GrowthSeries:
-    """Shell norms of [|D|, I_2 tensor a], a's operator on h being aop; the series plateaus.
+def absD_commutator_series(aop: BandMatrix, shells_d: Sequence[int]) -> GrowthSeries:
+    """Shell norms of [|D|, I_2 tensor a] on doubled spins <= each shell; the series plateaus.
 
-    |D| is n + 1/2 on both spinor components, so the commutator is
-    I_2 tensor [|D|_h, a] and has the norms of its one-component block.
+    aop is a on h.  |D| is n + 1/2 on both spinor components, so the commutator
+    is I_2 tensor [|D|_h, a] and has the norms of its one-component block.
     """
-    shells_d = [half(s).doubled for s in shells]
     if any(s2 <= s1 for s1, s2 in zip(shells_d, shells_d[1:])):
         raise QArithError("shells must be strictly increasing")
     # |D|_h is n + 1/2 on spin n, so [|D|_h, a] is a with each band of spin shift o scaled by o/2
     comm = BandMatrix(aop.space, {k: v * (k[0] / 2.0) for k, v in aop.bands.items()})
-    return GrowthSeries.fit([s / 2.0 for s in shells_d], shell_norms(comm, shells))
+    return GrowthSeries.fit([s / 2.0 for s in shells_d], shell_norms(comm, shells_d))
 
 
 def absD_commutator_cap(a: NCPolynomial) -> float:
@@ -195,8 +196,8 @@ def absD_commutator_cap(a: NCPolynomial) -> float:
     return math.sqrt(2 * n0 + 1) * n0 * polynomial_norm_bound(a)
 
 
-def trueD_growth(aop: BandMatrix, l_list: Sequence, q: float) -> GrowthSeries:
-    """Norms of [D, I_2 tensor a] on the witness vectors, one per spin l; aop is a on h.
+def trueD_growth(aop: BandMatrix, l_list_d: Sequence[int], q: float) -> GrowthSeries:
+    """Norms of [D, I_2 tensor a] on the witness vectors, one per doubled spin; aop is a on h.
 
     The witness is v^{l,+}_{l,-l-1/2} = e_-(l, l, -l) for q > 1 and
     v^{l,+}_{-l,l+1/2} = e_+(l, -l, l) for q < 1: one basis vector with
@@ -210,19 +211,17 @@ def trueD_growth(aop: BandMatrix, l_list: Sequence, q: float) -> GrowthSeries:
     np.linalg.norm does on the spinor vector; np.linalg.norm of the few
     entries fuses the sum in BLAS and can differ in the last bit.
     """
-    ls = [half(l) for l in l_list]
-    if not ls:
+    if not l_list_d:
         raise QArithError("no witness spins given: a commutator growth needs at least "
                           "one witness spin")
     lmax_d = aop.space.trunc.lmax.doubled
-    if max(l.doubled for l in ls) + aop.shell_depth_doubled > lmax_d:
+    if max(l_list_d) + aop.shell_depth_doubled > lmax_d:
         raise QArithError("largest witness spin plus word depth exceeds the truncation")
     o = np.array([key[0] for key in aop.bands])
     s = np.array([key[2] for key in aop.bands])
     side = 1 if q > 1 else -1  # the witness corner (i, j) = side * (l, -l) on h
     vals = []
-    for l in ls:
-        ld = l.doubled
+    for ld in l_list_d:
         c = aop.space.position_doubled(ld, side * ld, -side * ld)
         x = (np.array([band[c] for band in aop.bands.values()])
              * _cg_doubled(-side, 1, ld, -side * ld, q))
@@ -233,7 +232,7 @@ def trueD_growth(aop: BandMatrix, l_list: Sequence, q: float) -> GrowthSeries:
         x = x[nonzero]
         y = np.concatenate([own * x - (ld / 2.0 + 0.5) * x, other * x])
         vals.append(math.sqrt(np.sum(y.real ** 2) + np.sum(y.imag ** 2)))
-    return GrowthSeries.fit([float(l) for l in ls], vals)
+    return GrowthSeries.fit([ld / 2.0 for ld in l_list_d], vals)
 
 
 def _log_qnumber(m: float, q: float) -> float:

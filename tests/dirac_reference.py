@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qsu2.qarith import HalfInteger, QArithError, _cg_doubled, half, q_number
+from qsu2.qarith import HalfInteger, QArithError, _cg_doubled, q_number
 
 
 class VIndex(NamedTuple):
@@ -76,13 +76,14 @@ def v_vector(dctx, idx: VIndex) -> np.ndarray:
     return v
 
 
-def b_coefficient(l, i, j, m, eps: int, q: float) -> float:
+def b_coefficient(l: HalfInteger, i: HalfInteger, j: HalfInteger, m: HalfInteger, eps: int,
+                  q: float) -> float:
     """Transition coefficient b^eps_m(i, j) of multiplication by ttilde^{1/2}_{1/2,1/2}.
 
     Computed from the four-CG sum formula; m must be l - 1/2 or l + 1/2,
     eps = +1 or -1 selects the sign of the target coupled family.
     """
-    ld, id_, jd, md = half(l).doubled, half(i).doubled, half(j).doubled, half(m).doubled
+    ld, id_, jd, md = l.doubled, i.doubled, j.doubled, m.doubled
     if md not in (ld - 1, ld + 1):
         raise QArithError("m must be l +- 1/2")
     if eps not in (1, -1):
@@ -98,9 +99,9 @@ def b_coefficient(l, i, j, m, eps: int, q: float) -> float:
     return total * nu
 
 
-def b_minus_closed(l, i, j, q: float) -> float:
+def b_minus_closed(l: HalfInteger, i: HalfInteger, j: HalfInteger, q: float) -> float:
     """Closed form of b^-_{l+1/2}(i, j)."""
-    ld, id_, jd = half(l).doubled, half(i).doubled, half(j).doubled
+    ld, id_, jd = l.doubled, i.doubled, j.doubled
     lf, jf = ld / 2.0, jd / 2.0
     pref = (q ** ((lf - 3 * jf - 0.5) / 2)
             * math.sqrt(q_number(lf - jf + 0.5, q))

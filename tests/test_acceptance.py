@@ -154,12 +154,12 @@ def test_09_commutator_dichotomy(big, capfd):
     table = big
     a = spectral.witness_polynomial(table)
     aop = mult_operator(a, table)
-    series_abs = spectral.absD_commutator_series(aop, list(range(4, 21)))
+    series_abs = spectral.absD_commutator_series(aop, list(range(8, 41, 2)))
     cap = spectral.absD_commutator_cap(a)
     plateau = abs(series_abs.values[-1] - series_abs.values[-2]) / series_abs.values[-1]
     bounded_ok = plateau < 0.01 and (series_abs.values <= cap * (1 + 1e-4)).all()
 
-    series_true = spectral.trueD_growth(aop, list(range(5, 31)), table.q)
+    series_true = spectral.trueD_growth(aop, list(range(10, 61, 2)), table.q)
     per_l = series_true.values / series_true.params
     stab = abs(per_l[-1] - per_l[list(series_true.params).index(20.0)]) / per_l[-1]
     growth_ok = (series_true.slope > 0

@@ -340,6 +340,17 @@ class TestRelationBattery:
         assert max(full_column_residuals(t).values()) < GeneratorTable.RELATION_TOL
         t.validate()
 
+    @pytest.mark.parametrize("band", [0, 1])
+    @pytest.mark.parametrize("letter", list("aAgG"))
+    def test_nan_in_a_safe_column_raises(self, letter, band):
+        # nan > RELATION_TOL is False, and the max over band keys kept or dropped
+        # a NaN by key order: none of the 8 generator bands raised
+        t = GeneratorTable(Q, Truncation(HalfInteger(8)))
+        list(t.ops[letter].bands.values())[band][3] = np.nan
+        with pytest.raises(ValidationError) as info:
+            t.validate()
+        assert math.isnan(info.value.residual) and math.isnan(max(t.residuals.values()))
+
     @pytest.mark.parametrize("q", [0.7, 1.2, 3.0])
     @pytest.mark.parametrize("lmax_d", [2, 16, 40, 62])
     def test_residuals_match_the_whole_array_battery_bitwise(self, lmax_d, q):

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -93,18 +94,14 @@ class TestPrecedence:
         assert cfg.q == 2.0
         assert cfg.lmax_doubled == 10
 
-    def test_env_overrides_precision(self, monkeypatch):
-        monkeypatch.setenv("QSU2_PRECISION_BITS", "96")
-        cfg = build_config(self._Args())
-        assert cfg.precision_bits == 96
-
     def test_t_single_value(self):
         args = self._Args()
         args.t = 0.7
         assert build_config(args).t_grid == [0.7]
 
     def test_no_flags_give_the_dataclass_defaults(self, monkeypatch):
-        monkeypatch.delenv("QSU2_PRECISION_BITS", raising=False)
+        # no environment variable is read: QSU2_PRECISION_BITS overrode every flag
+        monkeypatch.setenv("QSU2_PRECISION_BITS", "96")
         assert build_config(self._Args()) == RunConfig()
 
 
@@ -138,6 +135,19 @@ class TestMain:
         # each exited 1: "tail bound at q = nan exceeds float64", 24 FAIL rows
         # at tol nan, "cannot convert float NaN to integer" in validate
         assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, argv", [
+        ("q = abc\n", []), ("lmax = abc\n", []), ("precision_bits = 40\n", []),
+        ("", ["--precision-bits", "0"]), ("", ["--precision-bits", "-3"]),
+        ("", ["--precision-bits", "52"]),
+    ])
+    def test_bad_values_are_configuration_errors(self, config, argv, tmp_path, capsys):
+        # a config value that does not cast ended in a ValueError traceback (exit 1);
+        # a precision below float64's ran in float64 and wrote the value into every row
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        assert main(["heat", "--config", str(path)] + argv) == 2
         assert "configuration error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("q", ["1.000001", "0.999999"])
@@ -311,6 +321,20 @@ class TestMain:
         assert self._failed_battery_row(monkeypatch, 1.0) \
             == ["algebra.relation[G g = g G]", 1.0, GeneratorTable.RELATION_TOL, "FAIL"]
 
+    def test_nan_battery_residual_is_a_fail_row(self, monkeypatch):
+        # a NaN residual passed the battery, and its relation row read nan, FAIL
+        validate = GeneratorTable.validate
+
+        def poisoned(self):
+            next(iter(self.ops["g"].bands.values()))[3] = np.nan
+            validate(self)
+
+        monkeypatch.setattr(GeneratorTable, "validate", poisoned)
+        rows, _ = cli.run_validate(RunConfig(lmax_doubled=8))
+        name, residual, *rest = rows[-1]
+        assert name.startswith("algebra.relation[") and math.isnan(residual)
+        assert rest == [GeneratorTable.RELATION_TOL, "FAIL"]
+
     def test_validation_failure_shows_the_enforced_threshold(self, monkeypatch):
         # the row read threshold 1e-9, so a residual of 5e-10 was below it and FAIL
         assert GeneratorTable.RELATION_TOL == 1e-10
@@ -443,7 +467,7 @@ class TestWorkCounts:
         monkeypatch.setattr(spectral, "shell_norms", counted)
         cli.run_commutators(RunConfig(lmax_doubled=62))
         assert len(calls) == 1
-        assert max(s.doubled for s in calls[0]) <= 40
+        assert max(calls[0]) <= 40
 
     @pytest.fixture
     def row_builds(self, monkeypatch):

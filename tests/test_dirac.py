@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from dirac_reference import (VIndex, _v_entries, b_coefficient, b_minus_closed, v_enumerate,
                              v_vector, validate_v_index)
 from sparse_reference import spinor_mult, to_csr
-from qsu2.qarith import HalfInteger, QArithError, half, q_number
+from qsu2.qarith import HalfInteger, QArithError, q_number
 from qsu2.peterweyl import DIAGONAL, LabelSpace, Truncation
 from qsu2.algebra import GeneratorTable
 from qsu2.dirac import DiracContext, dirac_blocks
@@ -25,7 +25,8 @@ def ctx():
 
 
 def vidx(l, i, j, sign):
-    return VIndex(half(l), half(i), half(j), sign)
+    """The label of spins l, i, j, each a multiple of 1/2."""
+    return VIndex(*(HalfInteger(int(2 * x)) for x in (l, i, j)), sign)
 
 
 class TestLabels:
@@ -167,7 +168,7 @@ class TestCoupledBasis:
 class TestEigenvalues:
     def test_true_eigenvalues(self, ctx):
         for k, idx in enumerate(v_enumerate(ctx.trunc)):
-            expect = idx.sign * (float(idx.l) + 0.5)
+            expect = idx.sign * (idx.l.doubled / 2.0 + 0.5)
             assert ctx.eigenvalues("true")[k] == expect
 
     def test_naive_frozen_value(self):
@@ -186,7 +187,7 @@ class TestEigenvalues:
         d = ctx.dirac_operator("true")
         for label in (vidx(0.5, 0.5, 1, +1), vidx(3, -2, 1.5, -1)):
             w = v_vector(ctx, label)
-            lam = label.sign * (float(label.l) + 0.5)
+            lam = label.sign * (label.l.doubled / 2.0 + 0.5)
             assert np.abs(d @ w - lam * w).max() < 1e-12
 
     def test_absd_consistent_with_true_spectrum(self, ctx):
@@ -240,9 +241,9 @@ class TestBCoefficients:
 
     def test_guards(self):
         with pytest.raises(QArithError):
-            b_coefficient(1, 0, 0.5, 2, 1, Q)
+            b_coefficient(HalfInteger(2), HalfInteger(0), HalfInteger(1), HalfInteger(4), 1, Q)
         with pytest.raises(QArithError):
-            b_coefficient(1, 0, 0.5, 1.5, 2, Q)
+            b_coefficient(HalfInteger(2), HalfInteger(0), HalfInteger(1), HalfInteger(3), 2, Q)
 
     def test_witness_entry_approaches_constant(self):
         # |b^-_{l+1/2}(l, -l-1/2)| tends to a nonzero limit: the source of

@@ -2,9 +2,10 @@
 
 tests/golden holds the five CSVs and the stdout of `qsu2 all --lmax 16`,
 the CSV of `qsu2 commutators --lmax 40`, those of `qsu2 commutators
---lmax <ld> --q <q>` at q 0.7, 1.2 and 3 by ld 24 and 62 and at q 1.2,
-ld 120, which fix the witness, the |D| series and the cap on both sides
-of q = 1, that of `qsu2 haar --lmax 62 --t-grid 0.5:2:4`, whose trace
+--lmax <ld> --q <q>` at q 0.7, 1.2 and 3 by ld 24, 62 and 120 and at q
+0.7 and 3, ld 40, which fix the witness, the |D| series and the cap on
+both sides of q = 1 (at ld 40 and above the normed shells span several
+column blocks), that of `qsu2 haar --lmax 62 --t-grid 0.5:2:4`, whose trace
 functionals sum 85 344 terms, and those of `qsu2 validate --lmax 24
 --q 0.7` and `--q 3`, which fix the scalar rows away from q = 1.2.  A
 change that corrects a value regenerates them with those commands
@@ -58,6 +59,7 @@ def test_commutators_ld40_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("ld, q", [(ld, q) for ld in ("24", "62") for q in ("0.7", "1.2", "3")]
+                         + [(ld, q) for ld in ("40", "120") for q in ("0.7", "3")]
                          + [("120", "1.2")])
 def test_commutators_csv_over_q_and_lmax(tmp_path, capsys, ld, q):
     name = "commutators-ld%s-q%s.csv" % (ld, q)

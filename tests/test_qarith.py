@@ -3,39 +3,17 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from qsu2.qarith import HalfInteger, QArithError, _cg_doubled, half, q_number
-
-
-def brute_q_number(r, q):
-    # independent oracle: direct evaluation of the defining quotient
-    return (q ** r - q ** (-r)) / (q - q ** -1)
+from qsu2.qarith import HalfInteger, QArithError, _cg_doubled, q_number
 
 
 class TestHalfInteger:
-    def test_integral(self):
-        assert HalfInteger(4).is_integral
-        assert not HalfInteger(3).is_integral
-
-    @given(st.integers(-1000, 1000), st.integers(-1000, 1000))
-    def test_ring_ops_exact(self, a, b):
-        x, y = HalfInteger(a), HalfInteger(b)
-        assert (x + y).doubled == a + b
-        assert (x - y).doubled == a - b
-        assert (-x).doubled == -a
-        assert float(x) == a / 2
-
-    def test_half_coercion(self):
-        assert half(3) == HalfInteger(6)
-        assert half(0.5) == HalfInteger(1)
-        assert half(HalfInteger(7)) == HalfInteger(7)
-        for bad in (0.3, float("inf"), float("-inf"), float("nan")):
-            with pytest.raises(QArithError):
-                half(bad)
-
-    def test_ordering(self):
-        assert HalfInteger(1) < HalfInteger(2)
+    def test_str(self):
         assert str(HalfInteger(3)) == "3/2"
         assert str(HalfInteger(4)) == "2"
+
+    def test_stores_a_doubled_integer(self):
+        with pytest.raises(QArithError):
+            HalfInteger(1.0)
 
 
 class TestQNumber:
@@ -46,9 +24,6 @@ class TestQNumber:
 
     def test_direct_value(self):
         assert q_number(2, 2) == pytest.approx(2.5, abs=1e-15)
-
-    def test_accepts_halfinteger(self):
-        assert q_number(HalfInteger(3), 2) == pytest.approx(brute_q_number(1.5, 2))
 
     @pytest.mark.parametrize("base", [1e10, 1e-10])
     def test_overflow_is_typed(self, base):

@@ -21,6 +21,7 @@ from .peterweyl import DIAGONAL, Basis, BandMatrix, Truncation, rho_weights
 
 LETTERS = "aAgG"
 _ADJOINT = {"a": "A", "A": "a", "g": "G", "G": "g"}
+_WEIGHT = {"a": (1, 1), "A": (-1, -1), "g": (-1, 1), "G": (1, -1)}  # shifts of (2i, 2j)
 
 
 class AlgebraError(ValueError):
@@ -151,49 +152,169 @@ def cg_table(m1d: int, lmax_doubled: int, q: float) -> np.ndarray:
     return table
 
 
-def t_half(rd: int, sd: int, basis: Basis, q: float) -> BandMatrix:
-    """Left multiplication by the spin-1/2 element ttilde^{1/2}_{rd/2, sd/2} on basis.
+class Generator(BandMatrix):
+    """ttilde^{1/2}_{rd/2, sd/2} times scale on a Basis, or its adjoint, as per-shell factors.
 
     The entry taking (n, i, j) to (n + branch/2, i + rd/2, j + sd/2) is
-    (C(rd, i) C(sd, j)) nu(n); the branches +1, -1 are the two bands.  Each
-    factor is read once per shell or in-shell row and expanded: nu(n)
-    with np.repeat over the shells, C(rd, i) over the in-shell rows of
-    basis (i is constant along a row), and C(sd, j) gathered from its
-    cg_table row.  A CG coefficient is 0 exactly where its
-    target weight leaves the target spin, so an entry is kept where both
-    are nonzero and the target shell is retained; elsewhere it is +0.0.
-    Each entry is a closed form of its column, so on a smaller truncation
-    it keeps its bits.  The bands are formed one column block of the basis
-    at a time, from the per-row tables of its shells.
+    ((C(rd, i) C(sd, j)) nu(n)) scale, one band per branch +1, -1, so the
+    band over spin shell n is an outer product of a row factor and a column
+    factor, times nu(n), times scale.  factors are (c1, c2, nu), indexed by
+    branch and 1 + shell: c1 the cg_table rows of rd, +0.0 on the shells
+    whose branch leaves the truncation, c2 those of sd, and nu; each padded
+    with +0.0 on every side.  O(lmax^2) numbers in all.  The adjoint (H)
+    holds the same factors read at the transposed label: its column
+    (n, i, j) holds the entry of the column (n - branch/2, i - rd/2,
+    j - sd/2), with the band keys negated.  A CG coefficient is 0 exactly
+    where its target weight leaves the target spin, so an entry is +0.0
+    where either factor is 0 (a label outside the truncation reads the
+    padding), and ((c1 c2) nu) scale elsewhere.
+
+    form(shells) is the one band former.  bands, the whole operator, is
+    kept on a basis of one column block and formed for each caller on any
+    other, so a table on several blocks holds no array of basis length.
+    bands_over(block, shells) forms the bands over some shells around a
+    column block once per block and keeps them on the block; the shells
+    it shares with the range formed on the block before are copied.
+    """
+
+    dtype = np.dtype(float)
+    shell_depth_doubled = 1
+    WIDE = 40  # labels a row from which form takes a shell on its own
+
+    def __init__(self, basis: Basis, rd: int, sd: int, factors: tuple, scale: float,
+                 adjoint: bool = False):
+        self.space = basis
+        self.rd, self.sd = rd, sd
+        self.factors = factors
+        self.scale = scale
+        self.adjoint = adjoint
+        self._bands = None
+
+    @property
+    def H(self) -> "Generator":
+        return Generator(self.space, self.rd, self.sd, self.factors, self.scale, not self.adjoint)
+
+    @property
+    def bands(self) -> dict:
+        if self._bands is not None:
+            return self._bands
+        bands = self.form((0, self.space.trunc.lmax.doubled + 1))
+        if self.space.one_block:
+            self._bands = bands
+        return bands
+
+    def bands_over(self, block, shells) -> tuple:
+        if block.size == self.space.dim:
+            return 0, self.bands
+        if (self, shells) not in block.memo:
+            block.memo[self, shells] = self._form_after(block.prev, shells)
+        return int(self.space.start[shells[0]]), block.memo[self, shells]
+
+    def _form_after(self, prev, shells) -> dict:
+        """form(shells), with the shells shared with the range formed on the block prev copied.
+
+        Consecutive windows share the shells at the edge between their
+        blocks: two of the three when a block is one shell.  The range
+        formed on prev is released once copied.
+        """
+        n0, n1 = shells
+        old = next((k for k in (prev.memo if prev else ()) if k[0] is self
+                    and k[1][0] <= n0 < k[1][1] <= n1), None)
+        if old is None:
+            return self.form(shells)
+        (p0, p1), old = old[1], prev.memo.pop(old)
+        start = self.space.start
+        shared = start[p1] - start[n0]
+        bands = {key: np.empty(start[n1] - start[n0]) for key in old}
+        for key, band in bands.items():
+            band[:shared] = old[key][start[n0] - start[p0]:]
+        if p1 < n1:
+            self.form((p1, n1), [band[shared:] for band in bands.values()])
+        return bands
+
+    def form(self, shells, out=None) -> dict:
+        """The bands over the labels of the shells n0 <= 2n < n1, in the order of the branches.
+
+        out, if given, holds the two arrays to write them into.
+
+        A shell narrower than WIDE labels a row goes with the other narrow
+        ones, label by label: the row factor repeated along each in-shell
+        row times the column factor gathered along it, times nu repeated
+        over the shell, with +0.0 wherever a factor is 0.  A wider shell
+        goes on its own: the outer product of its row and column factors,
+        times nu, then +0.0 in the rows and columns whose factor is 0.  Both
+        take ((c1 c2) nu) and then, over the whole range, scale: the same
+        operations in the same order.
+        """
+        basis = self.space
+        start = basis.start
+        n0, n1 = shells
+        m = min(max(n0, self.WIDE - 1), n1)  # the narrow shells are n0 <= 2n < m
+        lo = int(start[n0])
+        pos = (start[n0:n1 + 1] - lo).tolist()  # each shell's first label in the range
+        c1, c2, nu = self.factors
+        slots = c1.shape[2]
+        rows = basis.in_shell_rows((n0, m))
+        nd, a = basis.row_nd[rows], basis.row_a[rows]
+        at = np.arange(slots) - 1  # the row (column) that each padded slot holds
+        width = np.arange(m + 1, n1 + 1)[:, None]
+        bands = {}
+        for b, o in enumerate((1, -1)):
+            # the column (n, i, j) holds the entry of the column (n, i, j) - (d, 2 da, 2 db)/2
+            d, da, db = (o, (self.rd + o) // 2, (self.sd + o) // 2) if self.adjoint else (0, 0, 0)
+            band = np.empty(pos[-1]) if out is None else out[b]
+            if m > n0:
+                narrow = np.repeat(c1[b][nd - d + 1, a + 1 - da], nd + 1)
+                col = np.take(c2[b], basis.along_rows((nd - d + 1) * slots + 1 - db, 1, (n0, m)))
+                zero = narrow == 0.0
+                zero |= col == 0.0
+                narrow *= col
+                narrow *= np.repeat(nu[b, n0 - d + 1:m - d + 1], np.diff(start[n0:m + 1]))
+                narrow[zero] = 0.0
+                band[:pos[m - n0]] = narrow
+            if n1 > m:
+                src = slice(m - d + 1, n1 - d + 1)  # the padded factors of the wide shells
+                r1, r2, nub = c1[b, src], c2[b, src], nu[b, src].tolist()
+                pw = pos[m - n0:]
+                for k, w in enumerate(range(m + 1, n1 + 1)):
+                    shell = band[pw[k]:pw[k + 1]].reshape(w, w)
+                    np.multiply.outer(r1[k, 1 - da:w + 1 - da], r2[k, 1 - db:w + 1 - db],
+                                      out=shell)
+                    np.multiply(shell, nub[k], out=shell)
+                # the (shell, row) and (shell, column) of each 0 factor
+                for k, r in zip(*np.nonzero((r1 == 0.0) & (at >= -da) & (at < width - da))):
+                    w = m + k + 1
+                    band[pw[k] + (r - 1 + da) * w:pw[k] + (r + da) * w] = 0.0
+                for k, c in zip(*np.nonzero((r2 == 0.0) & (at >= -db) & (at < width - db))):
+                    band[pw[k] + c - 1 + db:pw[k + 1]:m + k + 1] = 0.0
+            band *= self.scale
+            key = (-o, -self.rd, -self.sd, 0) if self.adjoint else (o, self.rd, self.sd, 0)
+            bands[key] = band
+        return bands
+
+
+def t_half(rd: int, sd: int, basis: Basis, q: float, scale: float = 1.0) -> Generator:
+    """Left multiplication by scale times the spin-1/2 element ttilde^{1/2}_{rd/2, sd/2} on basis.
+
+    The entry taking (n, i, j) to (n + branch/2, i + rd/2, j + sd/2) is
+    ((C(rd, i) C(sd, j)) nu(n)) scale; the branches +1, -1 are the two
+    bands.  Returned as its per-shell factors (see Generator), which form
+    the bands over any range of shells.  Each entry is a closed form of its
+    column, so on a smaller truncation it keeps its bits.
     """
     Ld = basis.trunc.lmax.doubled
     cr = cg_table(rd, Ld, q)
     cs = cr if sd == rd else cg_table(sd, Ld, q)
     qn = _q_numbers(Ld + 2, q)
     q2 = q_number(2, q)
-    shell_sizes = np.diff(basis.start)
-    bands = {}
+    (c1, c2), nu = np.zeros((2, 2, Ld + 3, Ld + 3)), np.zeros((2, Ld + 3))
+    c1[:, 1:-1, 1:-1], c2[:, 1:-1, 1:-1] = cr, cs
     for b, branch in enumerate((1, -1)):
         lo, hi = (0, Ld) if branch == 1 else (1, Ld + 1)  # shells with 0 <= 2n + branch <= Ld
-        nu = np.zeros(Ld + 1)
-        nu[lo:hi] = np.sqrt(q2 * qn[lo + 1:hi + 1] / qn[lo + 1 + branch:hi + 1 + branch])
-        out = np.empty(basis.dim)
-        for block in basis.column_blocks():
-            n0, n1 = block.shells
-            rows = basis.in_shell_rows(block.shells)
-            row_nd = basis.row_nd[rows]
-            kept = (row_nd >= lo) & (row_nd < hi)
-            band = np.repeat(np.where(kept, cr[b][row_nd, basis.row_a[rows]], 0.0), row_nd + 1)
-            # C(sd, j) at the flat index of (2n, b) into cs[b]
-            c2 = np.take(cs[b], basis.along_rows(row_nd * (Ld + 1), 1, block.shells))
-            zero = band == 0.0
-            zero |= c2 == 0.0
-            band *= c2
-            band *= np.repeat(nu[n0:n1], shell_sizes[n0:n1])
-            band[zero] = 0.0
-            out[block.cols] = band
-        bands[(branch, rd, sd, 0)] = out
-    return BandMatrix(basis, bands)
+        c1[b, 1 + (Ld if branch == 1 else 0)] = 0.0
+        nu[b, lo + 1:hi + 1] = np.sqrt(q2 * qn[lo + 1:hi + 1]
+                                       / qn[lo + 1 + branch:hi + 1 + branch])
+    return Generator(basis, rd, sd, (c1, c2, nu), scale)
 
 
 class GeneratorTable:
@@ -208,7 +329,13 @@ class GeneratorTable:
     This differs from the textbook corepresentation matrix only by the
     sign automorphism gamma -> -gamma.  The scalars are the positive
     solution of alpha* alpha + gamma* gamma = 1 and alpha alpha* +
-    q^2 gamma* gamma = 1 at the cyclic vector.  The full relation battery
+    q^2 gamma* gamma = 1 at the cyclic vector.  Each generator is held as
+    its per-shell factors (Generator): the two cg_table rows, nu per shell
+    and its scalar, O(lmax^2) numbers.  On a basis of several column blocks
+    each consumer (the relation battery, the diagonals and the per-shell
+    sums of rho) forms the bands and rho it reads one block at a time, so
+    the table holds no array of basis length; on a basis of one block the
+    whole bands and rho are kept once formed.  The full relation battery
     is run on construction and its residuals are kept; a failure raises
     ValidationError.
     """
@@ -221,32 +348,42 @@ class GeneratorTable:
         self.q = q
         self.trunc = trunc
         self.basis = Basis(trunc)
-        tpp, tmp = t_half(1, 1, self.basis, q), t_half(-1, 1, self.basis, q)
-        tpp_h = tpp.H
         self.alpha_scalar = q / math.sqrt(1.0 + q * q)
         self.gamma_scalar = 1.0 / math.sqrt(1.0 + q * q)
-
-        # scaled in place, with the bits of c * T; (c T)^H = c T^H entry for
-        # entry, so alpha* is the adjoint taken above, scaled
-        for op, c in ((tpp, self.alpha_scalar), (tpp_h, self.alpha_scalar),
-                      (tmp, self.gamma_scalar)):
-            for band in op.bands.values():
-                band *= c
-        self.ops = {"a": tpp, "A": tpp_h, "g": tmp, "G": tmp.H}
+        a = t_half(1, 1, self.basis, q, self.alpha_scalar)
+        g = t_half(-1, 1, self.basis, q, self.gamma_scalar)
+        self.ops = {"a": a, "A": a.H, "g": g, "G": g.H}
+        self._rho = None
         self._leading = {}
         self._shell_sums = {}
         self._vacuum = {}
         self.validate()
 
-    @cached_property
+    def rho_over(self, shells) -> np.ndarray:
+        """The modular weights q^{-2i-2j} over the labels of the shells n0 <= 2n < n1.
+
+        Formed by rho_weights for the caller, except over every shell of a
+        basis of one column block, where rho is kept once formed.
+        """
+        if not (self.basis.one_block and tuple(shells) == (0, self.trunc.lmax.doubled + 1)):
+            return rho_weights(self.basis, self.q, shells)
+        if self._rho is None:
+            self._rho = rho_weights(self.basis, self.q)
+        return self._rho
+
+    @property
     def rho(self) -> np.ndarray:
-        """The modular weights q^{-2i-2j} over the basis."""
-        return rho_weights(self.basis, self.q)
+        """The modular weights q^{-2i-2j} over the basis (see rho_over)."""
+        return self.rho_over((0, self.trunc.lmax.doubled + 1))
 
     @cached_property
     def rho_shell_sums(self) -> np.ndarray:
-        """The sum of rho over each spin shell 2n = 0 .. lmax_doubled."""
-        return np.add.reduceat(self.rho, self.basis.start[:-1])
+        """The sum of rho over each spin shell 2n = 0 .. lmax_doubled, a column block at a time."""
+        start = self.basis.start
+        return np.concatenate([
+            np.add.reduceat(self.rho_over(block.shells),
+                            start[block.shells[0]:block.shells[1]] - block.lo)
+            for block in self.basis.column_blocks()])
 
     def leading(self, deg: int) -> "GeneratorTable":
         """The table on the spins 2n <= max(deg, 2), memoized per shell.
@@ -272,7 +409,7 @@ class GeneratorTable:
         Tr(p rho B) with B constant on each shell reads:
         sum_w coeff_w sum_n B(n) S_w[n].  A word without a diagonal band
         (odd length or nonzero weight) has none and adds nothing; the word
-        1 has the bits of rho_shell_sums.  Each block of the diagonal is
+        1 reads rho_shell_sums.  Each block of the diagonal is
         reduced per shell as it is formed, so no whole band is held.  A
         one-entry memo keyed by the polynomial's terms: the trace
         functionals read one polynomial at several t before moving on.
@@ -283,9 +420,12 @@ class GeneratorTable:
             self._shell_sums.clear()
             sums = []
             for word, coeff in p.terms.items():
+                if not word:  # diag(1) rho is rho
+                    sums.append((coeff, self.rho_shell_sums))
+                    continue
                 parts = []
                 for block, band in self._word_diagonal(word):  # fresh arrays
-                    band *= self.rho[block.cols]
+                    band *= self.rho_over(block.shells)
                     n0, n1 = block.shells
                     parts.append(np.add.reduceat(band, self.basis.start[n0:n1] - block.lo))
                 if parts:
@@ -297,22 +437,40 @@ class GeneratorTable:
         """The DIAGONAL band of the word's operator, as (block, band) per column block.
 
         Yields nothing if the word has none: each letter shifts the spin by
-        1/2 up or down, so a word of odd length has none.  All letters but
-        the last form one operator, left-folded as in mult_operator; only
-        the last product is formed block by block.
+        1/2 up or down, so a word of odd length has none, and each shifts
+        (i, j) by its weight, so a word of nonzero weight has none.  All
+        letters but the last form one operator X, left-folded as in
+        mult_operator.  The
+        diagonal of X Y at a column sums, over Y's keys k in order from
+        +0.0, Y's entry times X's entry in the row that k reaches: the entry
+        of X^H's band k at that column, with its bits (for a word of two
+        letters X^H is a generator of the table).  So each block reads X^H
+        and Y over its own shells only.
         """
-        if len(word) % 2:
+        if len(word) % 2 or any(sum(_WEIGHT[ch][k] for ch in word) for k in (0, 1)):
             return
         blocks = self.basis.column_blocks()
         if not word:
             yield from ((block, np.ones(block.size)) for block in blocks)
             return
-        m = self.ops[word[0]]
+        x = self.ops[word[0]]
         for ch in word[1:-1]:
-            m = m @ self.ops[ch]
+            x = x @ self.ops[ch]
+        xh = self.ops[_ADJOINT[word[0]]] if len(word) == 2 else x.H
+        y = self.ops[word[-1]]
         for block in blocks:
-            for _, band in m.product_bands(self.ops[word[-1]], (DIAGONAL,), block=block):
-                yield block, band
+            lx, xb = xh.bands_over(block, block.shells)
+            ly, yb = y.bands_over(block, block.shells)
+            band = None
+            for k in yb:
+                if k in xb:
+                    term = (xb[k][block.lo - lx:block.lo - lx + block.size]
+                            * yb[k][block.lo - ly:block.lo - ly + block.size])
+                    band = term + 0.0 if band is None else np.add(band, term, out=band)
+            if band is None:  # no key of Y meets one of X^H
+                return
+            del term  # not held while the consumer reduces the band
+            yield block, band
 
     def vacuum(self, word: str) -> np.ndarray:
         """The complex vector word e0, memoized per word and read-only.

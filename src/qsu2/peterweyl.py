@@ -18,6 +18,9 @@ image may be corrupted by the truncation.  Action on vectors supported
 on spins n <= lmax - depth is exact.  A route that only copies or
 reduces bands goes one column block of whole shells at a time and reads
 the rows of that block alone, so no row index of every label is kept.
+An operator held as per-shell factors (the generators) forms its bands
+over the shells that such a block reads: bands_over, with the block's
+window for the left factor of a product.
 """
 from __future__ import annotations
 
@@ -53,11 +56,18 @@ BLOCK_LABELS = 1 << 14  # labels per column block: whole shells, more only for o
 class ColumnBlock:
     """The columns lo .. hi of a space, with their rows under each key.
 
-    On a Basis the block holds whole spin shells, n0 <= 2n < n1 (shells).
-    rows(key) is space.rows(key)[cols]: a block over the whole space reads
-    the space's memo; any other block computes the rows of its own shells
-    from the Basis's per-row tables, once per key, and keeps them only as
-    long as the block is held.
+    On a Basis the block holds whole spin shells, n0 <= 2n < n1 (shells),
+    and its window is those shells with one more on each side, within the
+    truncation: the shells that the rows of a generator, an operator of
+    shell depth 1, reach from the block.  rows(key) is
+    space.rows(key)[cols]: a block over the whole space reads the space's
+    memo; any other block computes the rows of its own shells from the
+    Basis's per-row tables, once per key, and keeps them only as long as
+    the block is held.  rows(key, lo) are
+    those rows less lo, the rows in an array whose first label is at lo;
+    -1 stays -1.  memo holds what a consumer forms once per block, and
+    prev is the block before this one in column_blocks, with its memo but
+    not its rows, until the next block comes.
     """
 
     def __init__(self, space, lo: int, hi: int, shells=None):
@@ -66,14 +76,18 @@ class ColumnBlock:
         self.size = hi - lo
         self.cols = slice(lo, hi)
         self.shells = shells
+        if shells is not None:
+            self.window = (max(shells[0] - 1, 0), min(shells[1] + 1, space.trunc.lmax.doubled + 1))
         self._rows = {}
+        self.memo = {}
+        self.prev = None
 
-    def rows(self, key) -> np.ndarray:
-        if self.size == self.space.dim:
+    def rows(self, key, lo: int = 0) -> np.ndarray:
+        if self.size == self.space.dim:  # lo is 0: an array over the whole space
             return self.space.rows(key)
-        if key not in self._rows:
-            self._rows[key] = self.space._rows_of(key, self.shells)
-        return self._rows[key]
+        if (key, lo) not in self._rows:
+            self._rows[key, lo] = self.space._rows_of(key, self.shells, lo)
+        return self._rows[key, lo]
 
 
 class LabelSpace:
@@ -152,25 +166,35 @@ class Basis(LabelSpace):
         """Doubled j of each label, 2 b - n."""
         return self.along_rows(-self.row_nd, 2)
 
+    @property
+    def one_block(self) -> bool:
+        """Whether the basis is one column block: at most BLOCK_LABELS labels."""
+        return self.dim <= BLOCK_LABELS
+
     def column_blocks(self, n1=None):
         """Column blocks of whole shells 2n < n1 (every shell by default), in order.
 
         A block holds at most BLOCK_LABELS labels, or one shell that has
-        more.  A basis of at most BLOCK_LABELS labels is one block over all
-        of its columns, whatever n1, so its rows are read from the memo.
+        more.  A basis of one block is one block over all of its columns,
+        whatever n1, so its rows are read from the memo.
         """
         top = self.trunc.lmax.doubled + 1
-        if self.dim <= BLOCK_LABELS:
+        if self.one_block:
             yield ColumnBlock(self, 0, self.dim, (0, top))
             return
         n1 = top if n1 is None else n1
-        n0 = 0
+        n0, prev = 0, None
         while n0 < n1:
             n = n0 + 1
             while n < n1 and self.start[n + 1] - self.start[n0] <= BLOCK_LABELS:
                 n += 1
-            yield ColumnBlock(self, int(self.start[n0]), int(self.start[n]), (n0, n))
-            n0 = n
+            block = ColumnBlock(self, int(self.start[n0]), int(self.start[n]), (n0, n))
+            if prev is not None:
+                prev.prev = None
+                prev._rows.clear()
+                block.prev = prev
+            yield block
+            n0, prev = n, block
 
     def in_shell_rows(self, shells=None) -> slice:
         """The entries of the per-row tables for the shells n0 <= 2n < n1 (all by default)."""
@@ -208,8 +232,8 @@ class Basis(LabelSpace):
             memo[key] = np.where(inside, target, -1 - self.dim)
         return memo[key]
 
-    def _rows_of(self, key, shells=None) -> np.ndarray:
-        """Rows under key of the shells n0 <= 2n < n1 (all by default), from their per-row tables.
+    def _rows_of(self, key, shells=None, lo: int = 0) -> np.ndarray:
+        """Rows under key, less lo, of the shells n0 <= 2n < n1 (all by default), per row table.
 
         The labels of an in-shell row run along_rows from the row of its
         first label (_row_targets); a row that lands outside starts below
@@ -217,13 +241,14 @@ class Basis(LabelSpace):
         same number of labels at the start or the end of every row, at most
         the shell depth, leave the target shell.  The rows of some shells
         are the slice of the rows of all, formed from the per-row tables of
-        those shells only.
+        those shells only.  lo is taken from the row of each in-shell row's
+        first label; a row inside is at least lo, so only -1 is negative.
         """
         o, _, s, _ = key
         rows = self.in_shell_rows(shells)
         nd = self.row_nd[rows]
         row_start = self.row_start[rows] - self.row_start[rows.start]
-        out = self.along_rows(self._row_targets(key)[rows], 1, shells)
+        out = self.along_rows(self._row_targets(key)[rows] - lo, 1, shells)
         np.maximum(out, -1, out=out)
         for k in range(-((s + o) // 2)):  # columns b < -(s + o)/2
             out[row_start + np.minimum(k, nd)] = -1
@@ -239,23 +264,20 @@ class Basis(LabelSpace):
         return int(self.start[nd]) + (id_ + nd) // 2 * (nd + 1) + (jd + nd) // 2
 
 
-def rho_weights(basis: Basis, q: float) -> np.ndarray:
-    """Vector of modular weights q^{-2i-2j} over the enumerated basis.
+def rho_weights(basis: Basis, q: float, shells=None) -> np.ndarray:
+    """Modular weights q^{-2i-2j} over the labels of the shells n0 <= 2n < n1 (all by default).
 
     2i + 2j takes the 4 lmax_doubled + 1 integer values e with
     |e| <= 2 lmax_doubled; q ** -e is evaluated once per value and
     gathered, with the bits of one power per basis label.  Along an
-    in-shell row, 2i + 2j runs from 2i - 2n in steps of 2; the indices are
-    formed one column block at a time.
+    in-shell row, 2i + 2j runs from 2i - 2n in steps of 2.  A consumer on
+    several column blocks forms the weights of one block at a time.
     """
     top = 2 * basis.trunc.lmax.doubled
     powers = q ** -np.arange(-top, top + 1, dtype=float)
-    first = 2 * (basis.row_a - basis.row_nd) + top  # 2i - 2n + top at b = 0
-    out = np.empty(basis.dim)
-    for block in basis.column_blocks():
-        rows = basis.in_shell_rows(block.shells)
-        out[block.cols] = powers[basis.along_rows(first[rows], 2, block.shells)]
-    return out
+    rows = basis.in_shell_rows(shells)
+    first = 2 * (basis.row_a[rows] - basis.row_nd[rows]) + top  # 2i - 2n + top at b = 0
+    return powers[basis.along_rows(first, 2, shells)]
 
 
 DIAGONAL = (0, 0, 0, 0)
@@ -324,6 +346,15 @@ class BandMatrix:
             return out[:-1]
         return BandMatrix(other.space, dict(self.product_bands(other)))
 
+    def bands_over(self, block: ColumnBlock, shells) -> tuple:
+        """(lo, bands): bands over a range of labels, from position lo, holding the shells n0..n1.
+
+        The shells are n0 <= 2n < n1.  Here the bands themselves, from
+        position 0; an operator held as factors forms its bands over those
+        shells instead.
+        """
+        return 0, self.bands
+
     def product_bands(self, other: "BandMatrix", keys=None, scale=None, block=None):
         """The bands of (scale * self) @ other, one output key at a time, as (key, band).
 
@@ -334,29 +365,40 @@ class BandMatrix:
         formed.  scale multiplies each gathered band (vx[src] * scale has
         the bits of (scale * vx)[src]), so no scaled copy of self is made.
         block, a ColumnBlock of other's space, limits the bands to its
-        columns, which read only those columns of other: each entry has the
-        bits of the whole product's.  Each term is a fresh gather, so it is
-        scaled, multiplied and summed in place wherever its dtype holds the
-        result: the same operations in the same order, without a new array
-        per operation.  A consumer that reduces each band as it comes, one
-        block at a time, never holds a whole product band.
+        columns, which read only those columns of other and the rows they
+        reach of self: both come from bands_over(block, block.window), and
+        other's shell depth is at most 1 where self is held as factors.
+        Each entry has
+        the bits of the whole product's: a row -1 (outside the truncation)
+        reads the last entry of self's range, a finite value times a 0 of
+        other, so the term is a zero that leaves the sum's bits alone.
+        Each term is a fresh gather, so it is scaled, multiplied and summed
+        in place wherever its dtype holds the result: the same operations
+        in the same order, without a new array per operation.  A consumer
+        that reduces each band as it comes, one block at a time, never
+        holds a whole product band.
         """
-        rows = other.space.rows if block is None else block.rows
-        cols = slice(None) if block is None else block.cols
+        if block is None:
+            xb, yb, rows, cols = self.bands, other.bands, other.space.rows, slice(None)
+        else:
+            lo, xb = self.bands_over(block, block.window)
+            ly, yb = other.bands_over(block, block.window)
+            rows = lambda key: block.rows(key, lo)
+            cols = slice(block.lo - ly, block.lo - ly + block.size)
         terms = {}
-        for ky in other.bands:
-            for kx in self.bands:
+        for ky in yb:
+            for kx in xb:
                 key = (kx[0] + ky[0], kx[1] + ky[1], kx[2] + ky[2], kx[3] ^ ky[3])
                 if keys is None or key in keys:
                     terms.setdefault(key, []).append((kx, ky))
         for key, pairs in terms.items():
             band = None
             for kx, ky in pairs:
-                # row -1 where vy is 0: any value times 0
-                term = self.bands[kx][rows(ky)]
+                # row -1 where vy is 0: any finite value times 0
+                term = xb[kx][rows(ky)]
                 if scale is not None:
                     term = _in_place(np.multiply, term, scale)
-                term = _in_place(np.multiply, term, other.bands[ky][cols])
+                term = _in_place(np.multiply, term, yb[ky][cols])
                 band = (_in_place(np.add, term, 0.0) if band is None  # 0.0 + x, as -0.0 -> +0.0
                         else _in_place(np.add, band, term))
             del term  # not held while the consumer reduces the band

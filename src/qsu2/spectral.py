@@ -429,13 +429,22 @@ def modular_generator_scaling(rd: int, sd: int, table: GeneratorTable) -> float:
 
     rho is diagonal, so rho m rho^{-1} scales each entry of m by rho at its
     row over rho at its column (row -1, outside the truncation, only where
-    the entry is 0).
+    the entry is 0).  Reduced one column block at a time: the bands of m
+    and rho over the block's window, which holds the rows of its columns.
     """
-    rho, inv = table.rho, 1.0 / table.rho
     m = t_half(rd, sd, table.basis, table.q)
     c = table.q ** float(-rd - sd)
-    return max(float(np.abs((rho[m.space.rows(k)] * v) * inv - v * c).max())
-               for k, v in m.bands.items())
+    worst = 0.0
+    for block in table.basis.column_blocks():
+        lo, bands = m.bands_over(block, block.window)
+        rho = table.rho_over(block.window)
+        cols = slice(block.lo - lo, block.lo - lo + block.size)
+        inv = 1.0 / rho[cols]
+        for k, v in bands.items():
+            v = v[cols]
+            # np.maximum keeps a NaN, as the max over a whole band does
+            worst = np.maximum(worst, np.abs((rho[block.rows(k, lo)] * v) * inv - v * c).max())
+    return float(worst)
 
 
 def band_value(q: float, t: float, trunc: Truncation, operator_trace: float) -> float:

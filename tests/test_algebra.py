@@ -8,9 +8,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from test_peterweyl import reachable_arrays
 from sparse_reference import (apply_word, csr_fitted_scalars, csr_generators,
                               csr_mult_operator, pw_position, to_csr, whole_array_residuals)
-from qsu2 import algebra
+from qsu2 import algebra, cli, spectral
 from qsu2.qarith import HalfInteger, _cg_doubled, q_number
 from qsu2.peterweyl import BLOCK_LABELS, DIAGONAL, Basis, Truncation
 from qsu2.algebra import (AlgebraError, GeneratorTable, NCPolynomial, ValidationError,
@@ -362,17 +363,29 @@ class TestRelationBattery:
                 == np.array(list(ref.values())).tobytes())
 
     @pytest.mark.parametrize("where", ["end of a block", "start of a block", "last safe shell"])
-    def test_perturbed_column_at_a_block_edge_raises(self, where):
+    def test_perturbed_column_at_a_block_edge_raises(self, where, monkeypatch):
         # one alpha entry moved by 1e-6 at the last column of the first block,
         # the first column of the second, or the last safe column: each is
-        # found, with the residuals of the whole-array battery bit for bit
+        # found, with the residuals of the whole-array battery bit for bit.
+        # The table holds alpha as factors, so the entry is moved in every
+        # band that alpha forms, over any range of shells
         t = GeneratorTable(Q, Truncation(HalfInteger(40)))
         blocks = list(t.basis.column_blocks(39))  # the safe shells 2n <= 38
         assert len(blocks) == 2 and blocks[-1].cols.stop == t.basis.start[39]
         col = {"end of a block": blocks[0].cols.stop - 1, "start of a block": blocks[1].lo,
                "last safe shell": blocks[1].cols.stop - 1}[where]
-        band = next(v for v in t.ops["a"].bands.values() if v[col] != 0)
-        band[col] += 1e-6
+        alpha = t.ops["a"]
+        key = next(k for k, v in alpha.bands.items() if v[col] != 0)
+        form = alpha.form
+
+        def perturbed(shells, out=None):
+            bands = form(shells, out)
+            lo, hi = t.basis.start[shells[0]], t.basis.start[shells[1]]
+            if lo <= col < hi:
+                bands[key][col - lo] += 1e-6
+            return bands
+
+        monkeypatch.setattr(alpha, "form", perturbed)
         with pytest.raises(ValidationError):
             t.validate()
         assert t.residuals == whole_array_residuals(t)
@@ -472,13 +485,17 @@ def test_safe_columns_are_exact_across_truncations(q, terms, ld, extra):
 
 
 class TestTransientMemory:
-    """Guards on memory, not time, at ld 40 (dim 23 821, two column blocks).
+    """Guards on memory, not time, on bases of several column blocks (ld 40, 62, 80).
 
-    Measured with tracemalloc in units of one float64 array of length
-    basis.dim: the table retains 8.75 units (its 8 generator bands), and
-    its build peaks 7.6 units above that, the rows of one column block for
-    the 8 generator keys (16 206 labels here) and the product bands of the
-    battery over that block.
+    Measured with tracemalloc.  A table holds its generators as per-shell
+    factors and keeps no array of basis length, rho included: it retains
+    about 108 (lmax_doubled + 3)^2 bytes at ld 40, 62 and 80 (its factors,
+    the basis's per-row tables and row targets), where it retained 8.75
+    float64 arrays of basis length (its 8 generator bands) before.  Its
+    build forms the bands of one column block's window at a time, with the
+    rows of that block: 2.6 MB over the retained table at ld 40, 3.0 MB at
+    ld 80.  `haar --lmax 62` peaks at 3.26 MiB of heap (7.24 MiB when the
+    table held its bands and rho).
     """
 
     @staticmethod
@@ -493,32 +510,61 @@ class TestTransientMemory:
         return result, current, peak
 
     def test_build_peak_over_the_retained_table(self):
-        # no row memo and no label-length array besides the bands: the table
-        # retained 17.5 units, with 3 units over it, when it kept its rows
-        t, current, peak = self._traced(lambda: GeneratorTable(Q, Truncation(HalfInteger(40))))
-        unit = 8 * t.basis.dim
-        assert current / unit <= 9
-        assert (peak - current) / unit <= 8
+        # the table retains its factors and the basis's per-row tables, O(lmax^2);
+        # it retained 8.75 units of a basis-length float64 array with its bands
+        for lmax_d in (40, 80):
+            _full_table(Q, lmax_d)  # the CG tables are shared by every table: build them first
+            t, current, peak = self._traced(
+                lambda: GeneratorTable(Q, Truncation(HalfInteger(lmax_d))))
+            assert len(list(t.basis.column_blocks())) >= 2
+            assert current <= 120 * (lmax_d + 3) ** 2, lmax_d
+            assert peak - current <= 8 * 18 * (BLOCK_LABELS + 2 * (lmax_d + 1) ** 2), lmax_d
 
     def test_build_transient_is_one_block_whatever_the_size(self):
-        # the transient is per column block: at ld 80 (dim 180 441) it is no
-        # larger in bytes than at ld 40, up to one float64 band of a block
+        # the transient is per column block: the bands of the block's window (the
+        # block and one shell on each side) and the rows of the block.  At ld 80
+        # (dim 180 441) it is no larger in bytes than at ld 40 (dim 23 821), up
+        # to 8 generator bands over the larger shells at the window's edges
         transient = {}
         for lmax_d in (40, 80):
             _, current, peak = self._traced(
                 lambda: GeneratorTable(Q, Truncation(HalfInteger(lmax_d))))
             transient[lmax_d] = peak - current
-        assert transient[80] <= transient[40] + 8 * BLOCK_LABELS
+        assert transient[80] <= transient[40] + 8 * 8 * 2 * (81 ** 2 - 41 ** 2)
 
     def test_diagonal_of_a_degree_2_word(self):
-        # one band of the last product over one column block at a time,
-        # reduced per shell: was 15 units with the word operator, then 2 to 3
-        # units with the whole band of the last product
-        t = _full_table(Q, 40)
-        t.rho  # held by the table once any trace has been taken
-        for w in ("Gg", "Aa", "aG"):
-            _, _, peak = self._traced(lambda: t.diagonal_shell_sums(NCPolynomial.word(w)))
-            assert peak / (8 * t.basis.dim) <= 4, w
+        # the bands of the last letter and of the first one's adjoint over one
+        # column block at a time, their product and rho over the block, reduced
+        # per shell: was 15 units of a basis-length array with the word
+        # operator, then 2 to 3 units with the whole band of the last product
+        for lmax_d in (40, 80):
+            t = _full_table(Q, lmax_d)
+            for w in ("Gg", "Aa", "aG"):
+                _, _, peak = self._traced(lambda: t.diagonal_shell_sums(NCPolynomial.word(w)))
+                assert peak <= 8 * 8 * BLOCK_LABELS, (lmax_d, w)
+
+    def test_no_label_length_array_is_reachable_after_the_haar_functionals(self):
+        # every trace functional of `haar` on a table of two column blocks;
+        # the Haar states read the leading views, which the table holds
+        t = GeneratorTable(Q, Truncation(HalfInteger(40)))
+        lam = lambda n: math.exp(-n * (n + 1))
+        spectral.rho_trace_functional(NCPolynomial.one(), lam, t)
+        for w in cli.OBSERVABLES:
+            p = NCPolynomial.word(w)
+            haar_state(p, t)
+            for t_ in (0.5, 1.0, 2.0):
+                spectral.haar_via_heat(p, t_, t)
+            spectral.rho_trace_functional(p, lam, t)
+        sizes = [v.size for v in reachable_arrays(t)]
+        assert sizes and max(sizes) < t.basis.dim
+
+    def test_haar_heap_peak(self, tmp_path):
+        # the benchmark's haar-ld62 run, in process
+        argv = ["haar", "--q", "1.2", "--lmax", "62", "--t-grid", "0.5:2:4",
+                "--out", str(tmp_path / "haar.csv")]
+        rc, _, peak = self._traced(lambda: cli.main(argv))
+        assert rc == 0
+        assert peak <= 3.5 * 2 ** 20
 
 
 class TestBandProducts:

@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import math
@@ -475,9 +476,9 @@ class TestWorkCounts:
         calls = []
         orig = peterweyl.Basis._rows_of
 
-        def counted(self, key, shells=None):
+        def counted(self, key, shells=None, lo=0):
             calls.append((self, key, shells))
-            return orig(self, key, shells)
+            return orig(self, key, shells, lo)
 
         monkeypatch.setattr(peterweyl.Basis, "_rows_of", counted)
         return calls
@@ -527,3 +528,166 @@ class TestWorkCounts:
         rows, _ = cli.run_heat(RunConfig(lmax_doubled=16, t_grid=[2.0, 0.5, 1.0]))
         assert calls == [0.5, 1.0, 2.0]
         assert [r[0] for r in rows] == calls
+
+
+def _run(argv, tmp_path) -> tuple:
+    """(exit code, rows of the written CSV as dicts) of main(argv)."""
+    out = tmp_path / "run.csv"
+    rc = main(argv + ["--out", str(out)])
+    with open(out) as fh:
+        return rc, list(csv.DictReader(fh))
+
+
+class TestVerdictsFail:
+    """Each PASS predicate of the CLI, driven to its wrong side by the spectral result it reads.
+
+    The neighbouring rows of the same run keep PASS, so each test reads
+    one predicate.
+    """
+
+    @pytest.fixture
+    def absd_series(self, monkeypatch):
+        """Record the |D| series of a commutators run; the last one is kept in a list."""
+        seen = []
+        series = spectral.absD_commutator_series
+
+        def recording(*args):
+            seen.append(series(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(spectral, "absD_commutator_series", recording)
+        return seen
+
+    @pytest.mark.parametrize("factor, status", [(1.0, "PASS"), (1.0 - 1e-9, "FAIL")])
+    def test_commutators_cap(self, factor, status, absd_series, monkeypatch, tmp_path, capsys):
+        # the largest |D| norm equal to the cap passes (values <= cap); just above it fails
+        monkeypatch.setattr(spectral, "absD_commutator_cap",
+                            lambda a: float(absd_series[-1].values.max()) * factor)
+        rc, rows = _run(["commutators", "--lmax", "24"], tmp_path)
+        assert rc == (1 if status == "FAIL" else 0)
+        assert {r["status"] for r in rows if r["norm_absD"]} == {status}
+        assert {r["status"] for r in rows if r["norm_trueD"]} == {"PASS"}
+
+    def test_commutators_plateau(self, monkeypatch, tmp_path, capsys):
+        # the last norm 3% below the one before it: no plateau, still below the cap
+        series = spectral.absD_commutator_series
+
+        def no_plateau(*args):
+            s = series(*args)
+            return spectral.GrowthSeries.fit(s.params, np.append(s.values[:-1],
+                                                                 0.97 * s.values[-2]))
+
+        monkeypatch.setattr(spectral, "absD_commutator_series", no_plateau)
+        rc, rows = _run(["commutators", "--lmax", "24"], tmp_path)
+        assert rc == 1
+        assert {r["status"] for r in rows if r["norm_absD"]} == {"FAIL"}
+        assert {r["status"] for r in rows if r["norm_trueD"]} == {"PASS"}
+
+    def test_commutators_slope(self, monkeypatch, tmp_path, capsys):
+        # the true-D norms in reverse: a decreasing series, slope < 0
+        growth = spectral.trueD_growth
+
+        def decreasing(*args):
+            s = growth(*args)
+            return spectral.GrowthSeries.fit(s.params, s.values[::-1])
+
+        monkeypatch.setattr(spectral, "trueD_growth", decreasing)
+        rc, rows = _run(["commutators", "--lmax", "24"], tmp_path)
+        assert rc == 1
+        assert {r["status"] for r in rows if r["norm_trueD"]} == {"FAIL"}
+        assert {r["status"] for r in rows if r["norm_absD"]} == {"PASS"}
+
+    @pytest.mark.parametrize("name, value, failing", [
+        ("modular_check", 1e-9, "defect"),  # defect < 1e-9
+        ("modular_generator_scaling", 1e-12, "scaling"),  # residual < 1e-12
+    ])
+    def test_modular(self, name, value, failing, monkeypatch, tmp_path, capsys):
+        # the scaling rows' first cell, Psi(t[r,s]), holds a comma: read the
+        # status as the sixth cell from the end, before the provenance columns
+        monkeypatch.setattr(spectral, name, lambda *args: value)
+        out = tmp_path / "modular.csv"
+        assert main(["modular", "--lmax", "16", "--out", str(out)]) == 1
+        for line in out.read_text().splitlines()[1:]:
+            kind = "scaling" if ",scaling," in line else "defect"
+            assert line.split(",")[-6] == ("FAIL" if kind == failing else "PASS"), line
+
+    def test_haar_abs_error(self, monkeypatch, tmp_path, capsys):
+        # each heat ratio moved by twice the tolerance (1e-8)
+        via_heat = spectral.haar_via_heat
+
+        def moved(p, t, table):
+            ratio, tail = via_heat(p, t, table)
+            return ratio + 2e-8, tail
+
+        monkeypatch.setattr(spectral, "haar_via_heat", moved)
+        rc, rows = _run(["haar", "--lmax", "24"], tmp_path)
+        assert rc == 1
+        for r in rows:
+            assert r["status"] == ("FAIL" if r["method"] == "heat" else "PASS"), r
+
+    def test_heat_spread(self, monkeypatch, tmp_path, capsys):
+        # s(t) of 1, 2 and 5 over the default grid: max/min = 5 is not below 5
+        s_band = {0.5: 1.0, 1.0: 2.0, 2.0: 5.0}
+        monkeypatch.setattr(spectral, "band_value", lambda q, t, trunc, trace: s_band[t])
+        rc, rows = _run(["heat", "--lmax", "24"], tmp_path)
+        assert rc == 1
+        assert [r["status"] for r in rows] == ["FAIL"] * 3
+        assert "max/min s = 5.0000" in capsys.readouterr().out
+
+
+class TestQInversion:
+    """SU_q(2) = SU_{1/q}(2): the CLI at q and at 1/q, compared cell by cell.
+
+    The Peter-Weyl route computes q < 1 directly, so each comparison checks
+    it against the route at q > 1.
+    """
+
+    @pytest.mark.parametrize("q", [1.25, 3.0])
+    def test_heat_values_are_byte_identical(self, q, tmp_path, capsys):
+        cells = []
+        for x in (q, 1 / q):
+            rc, rows = _run(["heat", "--q", repr(x), "--lmax", "62"], tmp_path)
+            assert rc == 0
+            cells.append([[r[k] for k in ("t", "operator_trace", "closed_sum", "tail_bound",
+                                          "k_exponent", "s_band", "status")] for r in rows])
+        assert cells[0] == cells[1]
+
+    @pytest.mark.parametrize("q", [1.25, 3.0])
+    def test_haar_swaps_alpha_and_gamma(self, q, tmp_path, capsys):
+        # psi(a* a) at q is psi(g* g) at 1/q, and the reverse
+        psi = []
+        for x in (q, 1 / q):
+            rc, rows = _run(["haar", "--q", repr(x), "--lmax", "62"], tmp_path)
+            assert rc == 0
+            psi.append({r["observable"]: float(r["psi_reference"]) for r in rows})
+        assert abs(psi[0]["Aa"] - psi[1]["Gg"]) <= 1e-15
+        assert abs(psi[0]["Gg"] - psi[1]["Aa"]) <= 1e-15
+
+    @pytest.mark.parametrize("q", [1.25, 3.0])
+    def test_commutator_norms_scale_by_q(self, q, tmp_path, capsys):
+        # the witness at 1/q is alpha* / alpha_scalar(1/q), q times the one at q
+        runs = []
+        for x in (q, 1 / q):
+            rc, rows = _run(["commutators", "--q", repr(x), "--lmax", "40"], tmp_path)
+            assert rc == 0
+            runs.append(rows)
+        assert len(runs[0]) == len(runs[1]) > 0
+        for r, r_inv in zip(*runs):
+            for k in ("norm_trueD", "norm_absD", "cap"):
+                assert bool(r[k]) == bool(r_inv[k])
+                if r[k]:
+                    assert float(r_inv[k]) == pytest.approx(q * float(r[k]), rel=1e-14, abs=0)
+
+
+def test_perfbench_trace_reads_a_table_of_two_blocks(tmp_path):
+    # perfbench/worker.py trace counts the generators' nnz through op.mat.nnz;
+    # at ld 40 the table holds them as factors, on two column blocks
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    result = tmp_path / "trace.json"
+    subprocess.run([sys.executable, os.path.join(root, "perfbench", "worker.py"), "trace",
+                    str(result), "haar", "--q", "1.2", "--lmax", "40", "--t-grid", "0.5:2:4",
+                    "--out", str(tmp_path / "haar.csv")],
+                   cwd=root, check=True, capture_output=True)
+    out = json.loads(result.read_text())
+    assert out["rc"] == 0
+    assert out["facts"]["algebra.gen_nnz"] == 177120

@@ -91,6 +91,20 @@ class TestEnumeration:
                 if isinstance(v, np.ndarray) and len(v) == basis.dim]
         assert kept == []
 
+    def test_no_label_length_array_is_kept_by_a_table_of_several_blocks(self):
+        # the generators are per-shell factors, rho is formed per column block,
+        # and the leading views that the Haar states read are small
+        t = GeneratorTable(1.2, Truncation(HalfInteger(40)))
+        assert len(list(t.basis.column_blocks())) == 2
+        t.rho_shell_sums
+        for w in ("", "Gg", "Aa", "aG"):
+            t.diagonal_shell_sums(NCPolynomial.word(w))
+        sizes = [v.size for v in reachable_arrays(t)]
+        assert sizes and max(sizes) < t.basis.dim
+        # the whole of alpha or rho is formed for the caller and not kept
+        assert t.ops["a"].bands[(1, 1, 1, 0)].size == t.rho.size == t.basis.dim
+        assert max(v.size for v in reachable_arrays(t)) < t.basis.dim
+
     @pytest.mark.parametrize("label", [
         (8, 0, 0),    # spin 4 beyond lmax 7/2
         (-1, 0, 0),   # negative spin
@@ -107,6 +121,31 @@ class TestEnumeration:
     def test_negative_lmax_rejected(self):
         with pytest.raises(QArithError):
             Truncation(HalfInteger(-1))
+
+
+def reachable_arrays(root) -> list:
+    """Every ndarray reachable from root through containers and qsu2 objects' attributes.
+
+    A view is followed to the array it views.
+    """
+    seen, stack, found = set(), [root], []
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            found.append(x)
+            if x.base is not None:
+                stack.append(x.base)
+        elif isinstance(x, dict):
+            stack.extend(x.keys())
+            stack.extend(x.values())
+        elif isinstance(x, (list, tuple, set, frozenset)):
+            stack.extend(x)
+        elif type(x).__module__.startswith("qsu2") and hasattr(x, "__dict__"):
+            stack.extend(vars(x).values())
+    return found
 
 
 _GENERATOR_KEYS = [(o, r, s, 0) for o in (1, -1) for r in (1, -1) for s in (1, -1)]

@@ -381,7 +381,8 @@ class TestTraceDiagonals:
             for t_ in (0.5, 1.0, 2.0):
                 haar_via_heat(p, t_, t)
             rho_trace_functional(p, lam, t)
-        assert built == [w for p in OBSERVABLES for w in p.terms]
+        # the word 1 reads rho_shell_sums, with the bits of diag(1) rho
+        assert built == [w for p in OBSERVABLES for w in p.terms if w]
 
 
 def full_operator_modular_check(a, b, table):

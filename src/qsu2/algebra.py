@@ -11,17 +11,17 @@ alpha/alpha* words through the defining relations.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .qarith import HalfInteger, q_number
-from .peterweyl import DIAGONAL, Basis, BandMatrix, Truncation, rho_weights
+from .peterweyl import DIAGONAL, Basis, BandMatrix, Truncation
 
 LETTERS = "aAgG"
 _ADJOINT = {"a": "A", "A": "a", "g": "G", "G": "g"}
-_WEIGHT = {"a": (1, 1), "A": (-1, -1), "g": (-1, 1), "G": (1, -1)}  # shifts of (2i, 2j)
 
 
 class AlgebraError(ValueError):
@@ -169,12 +169,13 @@ class Generator(BandMatrix):
     where either factor is 0 (a label outside the truncation reads the
     padding), and ((c1 c2) nu) scale elsewhere.
 
-    form(shells) is the one band former.  bands, the whole operator, is
-    kept on a basis of one column block and formed for each caller on any
-    other, so a table on several blocks holds no array of basis length.
-    bands_over(block, shells) forms the bands over some shells around a
-    column block once per block and keeps them on the block; the shells
-    it shares with the range formed on the block before are copied.
+    form(shells) is the one band former.  bands_over(block, shells) forms
+    the bands over some shells around a column block once per block, in
+    the block's memo, copying the shells shared with the range formed on
+    the block before; bands, the whole operator, are those over every
+    shell on the first block: kept on a basis of one block, formed for each
+    caller on any other.  The memo is keyed by the Generator, so a
+    throwaway one forms its bands with form.
     """
 
     dtype = np.dtype(float)
@@ -188,7 +189,6 @@ class Generator(BandMatrix):
         self.factors = factors
         self.scale = scale
         self.adjoint = adjoint
-        self._bands = None
 
     @property
     def H(self) -> "Generator":
@@ -196,19 +196,26 @@ class Generator(BandMatrix):
 
     @property
     def bands(self) -> dict:
-        if self._bands is not None:
-            return self._bands
-        bands = self.form((0, self.space.trunc.lmax.doubled + 1))
-        if self.space.one_block:
-            self._bands = bands
-        return bands
+        block = next(iter(self.space.column_blocks()))
+        return self.bands_over(block, self.space.shells)[1]
 
     def bands_over(self, block, shells) -> tuple:
-        if block.size == self.space.dim:
-            return 0, self.bands
-        if (self, shells) not in block.memo:
-            block.memo[self, shells] = self._form_after(block.prev, shells)
-        return int(self.space.start[shells[0]]), block.memo[self, shells]
+        lo_bands = block.memo.get((self, shells))
+        if lo_bands is None:
+            lo_bands = block.memo[self, shells] = (int(self.space.start[shells[0]]),
+                                                   self._form_after(block.prev, shells))
+        return lo_bands
+
+    def step(self, b: int) -> tuple:
+        """The shift (2n, a, b) of a label under the band of branch index b (branch +1, -1).
+
+        a = i + n is the in-shell row and b = j + n the column.  The factors
+        of the entry are read at the column's label, or, on the adjoint, at
+        the label it reaches.
+        """
+        o = (1, -1)[b]
+        shift = (o, (self.rd + o) // 2, (self.sd + o) // 2)
+        return tuple(-x for x in shift) if self.adjoint else shift
 
     def _form_after(self, prev, shells) -> dict:
         """form(shells), with the shells shared with the range formed on the block prev copied.
@@ -222,7 +229,7 @@ class Generator(BandMatrix):
                     and k[1][0] <= n0 < k[1][1] <= n1), None)
         if old is None:
             return self.form(shells)
-        (p0, p1), old = old[1], prev.memo.pop(old)
+        (p0, p1), (_, old) = old[1], prev.memo.pop(old)
         start = self.space.start
         shared = start[p1] - start[n0]
         bands = {key: np.empty(start[n1] - start[n0]) for key in old}
@@ -331,13 +338,13 @@ class GeneratorTable:
     solution of alpha* alpha + gamma* gamma = 1 and alpha alpha* +
     q^2 gamma* gamma = 1 at the cyclic vector.  Each generator is held as
     its per-shell factors (Generator): the two cg_table rows, nu per shell
-    and its scalar, O(lmax^2) numbers.  On a basis of several column blocks
-    each consumer (the relation battery, the diagonals and the per-shell
-    sums of rho) forms the bands and rho it reads one block at a time, so
-    the table holds no array of basis length; on a basis of one block the
-    whole bands and rho are kept once formed.  The full relation battery
-    is run on construction and its residuals are kept; a failure raises
-    ValidationError.
+    and its scalar, O(lmax^2) numbers.  The relation battery forms the
+    bands it reads one column block at a time, so on a basis of several
+    blocks the table holds no array of basis length; a basis of one block
+    keeps them on its block.  The trace diagonals are sums over spin paths
+    of the factors themselves (shell_sums), O(lmax^2) numbers per path.
+    The full relation battery is run on construction and its residuals
+    are kept; a failure raises ValidationError.
     """
 
     RELATION_TOL = 1e-10
@@ -353,37 +360,15 @@ class GeneratorTable:
         a = t_half(1, 1, self.basis, q, self.alpha_scalar)
         g = t_half(-1, 1, self.basis, q, self.gamma_scalar)
         self.ops = {"a": a, "A": a.H, "g": g, "G": g.H}
-        self._rho = None
         self._leading = {}
         self._shell_sums = {}
         self._vacuum = {}
         self.validate()
 
-    def rho_over(self, shells) -> np.ndarray:
-        """The modular weights q^{-2i-2j} over the labels of the shells n0 <= 2n < n1.
-
-        Formed by rho_weights for the caller, except over every shell of a
-        basis of one column block, where rho is kept once formed.
-        """
-        if not (self.basis.one_block and tuple(shells) == (0, self.trunc.lmax.doubled + 1)):
-            return rho_weights(self.basis, self.q, shells)
-        if self._rho is None:
-            self._rho = rho_weights(self.basis, self.q)
-        return self._rho
-
-    @property
-    def rho(self) -> np.ndarray:
-        """The modular weights q^{-2i-2j} over the basis (see rho_over)."""
-        return self.rho_over((0, self.trunc.lmax.doubled + 1))
-
     @cached_property
     def rho_shell_sums(self) -> np.ndarray:
-        """The sum of rho over each spin shell 2n = 0 .. lmax_doubled, a column block at a time."""
-        start = self.basis.start
-        return np.concatenate([
-            np.add.reduceat(self.rho_over(block.shells),
-                            start[block.shells[0]:block.shells[1]] - block.lo)
-            for block in self.basis.column_blocks()])
+        """The sum of rho over each spin shell 2n = 0 .. lmax_doubled: shell_sums of the word 1."""
+        return self.shell_sums("")
 
     def leading(self, deg: int) -> "GeneratorTable":
         """The table on the spins 2n <= max(deg, 2), memoized per shell.
@@ -408,69 +393,64 @@ class GeneratorTable:
         diag(w) * rho, the real per-shell vector that a trace
         Tr(p rho B) with B constant on each shell reads:
         sum_w coeff_w sum_n B(n) S_w[n].  A word without a diagonal band
-        (odd length or nonzero weight) has none and adds nothing; the word
-        1 reads rho_shell_sums.  Each block of the diagonal is
-        reduced per shell as it is formed, so no whole band is held.  A
-        one-entry memo keyed by the polynomial's terms: the trace
-        functionals read one polynomial at several t before moving on.
+        (odd length or nonzero weight) has none and adds nothing.  Each S_w
+        is shell_sums(w), O(lmax^2) numbers per spin path.  A one-entry memo
+        keyed by the polynomial's terms: the trace functionals read one
+        polynomial at several t before moving on.
         """
         key = tuple(p.terms.items())
         if key not in self._shell_sums:
             _check_degree(p, self)
+            sums = ((coeff, self.shell_sums(word)) for word, coeff in p.terms.items())
             self._shell_sums.clear()
-            sums = []
-            for word, coeff in p.terms.items():
-                if not word:  # diag(1) rho is rho
-                    sums.append((coeff, self.rho_shell_sums))
-                    continue
-                parts = []
-                for block, band in self._word_diagonal(word):  # fresh arrays
-                    band *= self.rho_over(block.shells)
-                    n0, n1 = block.shells
-                    parts.append(np.add.reduceat(band, self.basis.start[n0:n1] - block.lo))
-                if parts:
-                    sums.append((coeff, np.concatenate(parts)))
-            self._shell_sums[key] = tuple(sums)
+            self._shell_sums[key] = tuple((c, v) for c, v in sums if v is not None)
         return self._shell_sums[key]
 
-    def _word_diagonal(self, word: str):
-        """The DIAGONAL band of the word's operator, as (block, band) per column block.
+    def shell_sums(self, word: str):
+        """S_w per shell (see diagonal_shell_sums), summed over the word's spin paths; or None.
 
-        Yields nothing if the word has none: each letter shifts the spin by
-        1/2 up or down, so a word of odd length has none, and each shifts
-        (i, j) by its weight, so a word of nonzero weight has none.  All
-        letters but the last form one operator X, left-folded as in
-        mult_operator.  The
-        diagonal of X Y at a column sums, over Y's keys k in order from
-        +0.0, Y's entry times X's entry in the row that k reaches: the entry
-        of X^H's band k at that column, with its bits (for a word of two
-        letters X^H is a generator of the table).  So each block reads X^H
-        and Y over its own shells only.
+        A path is one branch per letter that brings every label back to
+        itself; a word has a diagonal band only if some path does.  Along a
+        branch a label's entry is ((c1 c2) nu) scale, c1 read at its row, c2
+        at its column and nu at its shell (Generator.step), and rho is
+        q^{-2i} q^{-2j}, so a path adds prod(nu) prod(scale) (sum_i q^{-2i}
+        prod c1) (sum_j q^{-2j} prod c2) per shell, for every shell at once
+        from slices of the factors padded with len(word) zeros: O(lmax^2).
+        A label that leaves the truncation reads a 0 factor where it leaves,
+        so the corrupted top shells are those of the truncated product.  Not
+        the bits of diag(w) * rho reduced per shell; within 1e-13 relative.
         """
-        if len(word) % 2 or any(sum(_WEIGHT[ch][k] for ch in word) for k in (0, 1)):
-            return
-        blocks = self.basis.column_blocks()
-        if not word:
-            yield from ((block, np.ones(block.size)) for block in blocks)
-            return
-        x = self.ops[word[0]]
-        for ch in word[1:-1]:
-            x = x @ self.ops[ch]
-        xh = self.ops[_ADJOINT[word[0]]] if len(word) == 2 else x.H
-        y = self.ops[word[-1]]
-        for block in blocks:
-            lx, xb = xh.bands_over(block, block.shells)
-            ly, yb = y.bands_over(block, block.shells)
-            band = None
-            for k in yb:
-                if k in xb:
-                    term = (xb[k][block.lo - lx:block.lo - lx + block.size]
-                            * yb[k][block.lo - ly:block.lo - ly + block.size])
-                    band = term + 0.0 if band is None else np.add(band, term, out=band)
-            if band is None:  # no key of Y meets one of X^H
-                return
-            del term  # not held while the consumer reduces the band
-            yield block, band
+        Ld, k = self.trunc.lmax.doubled, len(word)
+        ops = [self.ops[ch] for ch in reversed(word)]  # the rightmost letter acts first
+        paths = []  # the branch sequences that bring each label back to itself
+        for path in itertools.product((0, 1), repeat=k):
+            steps = [op.step(b) for op, b in zip(ops, path)]
+            if not any(map(sum, zip(*steps))):
+                paths.append((path, steps))
+        if not paths:
+            return None
+        n = np.arange(Ld + 1)
+        powers = self.q ** -np.arange(-Ld, Ld + 1, dtype=float)
+        # q^{-2i} at the shell 2n (axis 0) and row a = i + n (axis 1), 0 beyond the shell
+        weight = np.where(n <= n[:, None], powers[np.minimum(2 * n - n[:, None], Ld) + Ld], 0.0)
+        padded = {op: [_pad(f, k) for f in op.factors] for op in set(ops)}
+        sums = None
+        for path, steps in paths:
+            at, c1, c2, nu, scale = (0, 0, 0), 1.0, 1.0, 1.0, 1.0  # at: the label's shift
+            for op, b, step in zip(ops, path, steps):
+                moved = tuple(x + d for x, d in zip(at, step))
+                # the padded slots of the shells (rows, columns) 0 .. Ld shifted by the read's
+                shell, row, col = (slice(k + 1 + x, k + 2 + x + Ld)
+                                   for x in (moved if op.adjoint else at))
+                f1, f2, fnu = padded[op]
+                c1 = c1 * f1[b, shell, row]
+                c2 = c2 * f2[b, shell, col]
+                nu = nu * fnu[b, shell]
+                scale *= op.scale
+                at = moved
+            term = nu * scale * np.sum(weight * c1, axis=1) * np.sum(weight * c2, axis=1)
+            sums = term if sums is None else sums + term
+        return sums
 
     def vacuum(self, word: str) -> np.ndarray:
         """The complex vector word e0, memoized per word and read-only.
@@ -537,8 +517,8 @@ class GeneratorTable:
         largest = {name: {} for name in rel}  # relation -> band key -> largest residual
         for block in self.basis.column_blocks(Ld - 1):
             for name, ((x, y), (side, rx, ry, scale), constant) in rel.items():
-                for k, v in x.product_bands(y, block=block):  # v is fresh: the residual in place
-                    side(v, next((u for _, u in rx.product_bands(ry, (k,), scale, block)), 0.0),
+                for k, v in x.product_bands(y, block):  # v is fresh: the residual in place
+                    side(v, next((u for _, u in rx.product_bands(ry, block, (k,), scale)), 0.0),
                          out=v)
                     if k == DIAGONAL:
                         v -= constant
@@ -551,6 +531,13 @@ class GeneratorTable:
         worst = max(self.residuals, key=lambda k: np.nan_to_num(self.residuals[k], nan=np.inf))
         if not self.residuals[worst] <= self.RELATION_TOL:
             raise ValidationError(worst, self.residuals[worst])
+
+
+def _pad(f: np.ndarray, k: int) -> np.ndarray:
+    """f with k more zeros on each side of every axis but the first (the branch)."""
+    out = np.zeros(f.shape[:1] + tuple(d + 2 * k for d in f.shape[1:]))
+    out[(slice(None),) + tuple(slice(k, k + d) for d in f.shape[1:])] = f
+    return out
 
 
 def _check_degree(p: NCPolynomial, table: GeneratorTable) -> None:

@@ -29,8 +29,8 @@ class SpinorBasis(LabelSpace):
         self.trunc = basis.trunc
         self.dim = 2 * basis.dim
 
-    def _rows_of(self, key) -> np.ndarray:
-        """The Basis rows under (o, r, s), unmemoized there, moved into component c xor f."""
+    def _rows_of(self, key, shells=None, lo: int = 0) -> np.ndarray:
+        """The Basis rows under (o, r, s), moved into component c xor f; one block: lo is 0."""
         o, r, s, f = key
         rows = self.pw._rows_of((o, r, s, 0))
         return np.concatenate([np.where(rows < 0, -1, rows + (c ^ f) * self.pw.dim)

@@ -15,16 +15,18 @@ an O(lmax^2) table, run along the row, and the few labels at the ends
 of a row that leave the target shell.  The largest spin shift over the
 bands is the operator's shell depth: the number of top spin shells whose
 image may be corrupted by the truncation.  Action on vectors supported
-on spins n <= lmax - depth is exact.  A route that only copies or
-reduces bands goes one column block of whole shells at a time and reads
-the rows of that block alone, so no row index of every label is kept.
-An operator held as per-shell factors (the generators) forms its bands
-over the shells that such a block reads: bands_over, with the block's
-window for the left factor of a product.
+on spins n <= lmax - depth is exact.  Every route over bands (matvec,
+product, adjoint) goes one column block of whole shells at a time and
+reads the rows of that block alone, so no row index of every label is
+kept beyond a basis of one block.  An operator held as per-shell factors
+(the generators) forms its bands over the shells that such a block
+reads: bands_over, with the block's window for the left factor of a
+product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,20 +56,21 @@ BLOCK_LABELS = 1 << 14  # labels per column block: whole shells, more only for o
 
 
 class ColumnBlock:
-    """The columns lo .. hi of a space, with their rows under each key.
+    """The columns lo .. hi of a space, with what is formed over them once per block.
 
     On a Basis the block holds whole spin shells, n0 <= 2n < n1 (shells),
     and its window is those shells with one more on each side, within the
     truncation: the shells that the rows of a generator, an operator of
-    shell depth 1, reach from the block.  rows(key) is
-    space.rows(key)[cols]: a block over the whole space reads the space's
-    memo; any other block computes the rows of its own shells from the
-    Basis's per-row tables, once per key, and keeps them only as long as
-    the block is held.  rows(key, lo) are
-    those rows less lo, the rows in an array whose first label is at lo;
-    -1 stays -1.  memo holds what a consumer forms once per block, and
-    prev is the block before this one in column_blocks, with its memo but
-    not its rows, until the next block comes.
+    shell depth 1, reach from the block; inner is the block's columns
+    within the labels of its window.  rows(key, lo) are the rows of its
+    columns under key, less lo (the rows in an array whose first label is
+    at lo; -1 stays -1), computed from the space's per-row tables once per
+    key and lo.  memo holds the rest that a consumer forms once per block:
+    generator bands (Generator.bands_over) and rho over the window (rho).
+    What a block holds lives as long as the block: a space of one block
+    keeps that block, so its rows, bands and rho are formed once; the
+    blocks of a larger Basis come one at a time, and prev is the block
+    before this one, with its memo but not its rows, until the next comes.
     """
 
     def __init__(self, space, lo: int, hi: int, shells=None):
@@ -75,19 +78,26 @@ class ColumnBlock:
         self.lo = lo
         self.size = hi - lo
         self.cols = slice(lo, hi)
-        self.shells = shells
+        self.shells = self.window = shells
         if shells is not None:
             self.window = (max(shells[0] - 1, 0), min(shells[1] + 1, space.trunc.lmax.doubled + 1))
+            first = int(space.start[self.window[0]])
+            self.inner = slice(lo - first, hi - first)
         self._rows = {}
         self.memo = {}
         self.prev = None
 
     def rows(self, key, lo: int = 0) -> np.ndarray:
-        if self.size == self.space.dim:  # lo is 0: an array over the whole space
-            return self.space.rows(key)
-        if (key, lo) not in self._rows:
-            self._rows[key, lo] = self.space._rows_of(key, self.shells, lo)
-        return self._rows[key, lo]
+        rows = self._rows.get((key, lo))
+        if rows is None:
+            rows = self._rows[key, lo] = self.space._rows_of(key, self.shells, lo)
+        return rows
+
+    def rho(self, q: float) -> np.ndarray:
+        """rho_weights over the window, formed once per block."""
+        if ("rho", q) not in self.memo:
+            self.memo["rho", q] = rho_weights(self.space, q, self.window)
+        return self.memo["rho", q]
 
 
 class LabelSpace:
@@ -102,23 +112,19 @@ class LabelSpace:
     coupled labels, which set labels = (c, nd, id, jd) and block.
     """
 
-    def rows(self, key) -> np.ndarray:
-        """Rows under key, one per label: computed once per key and kept.
-
-        The routes that stream over column_blocks read ColumnBlock.rows,
-        which reads this memo only for a block over the whole space.
-        """
-        memo = self.__dict__.setdefault("_rows", {})
-        if key not in memo:
-            memo[key] = self._rows_of(key)
-        return memo[key]
+    shells = None  # on a Basis, every spin shell: (0, lmax_doubled + 1)
 
     def column_blocks(self):
-        """The column blocks that tile the space: here one, over every column."""
-        yield ColumnBlock(self, 0, self.dim)
+        """The column blocks that tile the space: here one, over every column, kept (whole)."""
+        return (self.whole,)
 
-    def _rows_of(self, key) -> np.ndarray:
-        """Rows under key from the labels, label by label."""
+    @cached_property
+    def whole(self) -> ColumnBlock:
+        """The one column block over every column (and shell), kept with the space."""
+        return ColumnBlock(self, 0, self.dim, self.shells)
+
+    def _rows_of(self, key, shells=None, lo: int = 0) -> np.ndarray:
+        """Rows under key from the labels, label by label; one block: lo is 0."""
         comp, nd, id_, jd = self.labels
         o, r, s, f = key
         Ld = self.trunc.lmax.doubled
@@ -138,17 +144,18 @@ class Basis(LabelSpace):
     (doubled spin of each in-shell row), row_a (its row index) and
     row_start (position of its first label) have O(lmax^2) entries.  The
     doubled labels nd, id and jd are derived from them on each access, so
-    the basis keeps no label-length array.
+    the basis keeps no label-length array.  shells is every spin shell,
+    (0, lmax_doubled + 1).
     """
 
     def __init__(self, trunc: Truncation):
         self.trunc = trunc
-        shells = np.arange(trunc.lmax.doubled + 1, dtype=np.int64)
+        nd = np.arange(trunc.lmax.doubled + 1, dtype=np.int64)
         self.start = shell_starts(trunc.lmax.doubled)
         self.dim = int(self.start[-1])
-        self.row_nd = np.repeat(shells, shells + 1)
-        self.row_a = np.arange(len(self.row_nd)) - np.repeat(shells * (shells + 1) // 2,
-                                                              shells + 1)
+        self.shells = (0, trunc.lmax.doubled + 1)
+        self.row_nd = np.repeat(nd, nd + 1)
+        self.row_a = np.arange(len(self.row_nd)) - np.repeat(nd * (nd + 1) // 2, nd + 1)
         self.row_start = self.start[self.row_nd] + self.row_a * (self.row_nd + 1)
 
     @property
@@ -166,23 +173,19 @@ class Basis(LabelSpace):
         """Doubled j of each label, 2 b - n."""
         return self.along_rows(-self.row_nd, 2)
 
-    @property
-    def one_block(self) -> bool:
-        """Whether the basis is one column block: at most BLOCK_LABELS labels."""
-        return self.dim <= BLOCK_LABELS
-
     def column_blocks(self, n1=None):
         """Column blocks of whole shells 2n < n1 (every shell by default), in order.
 
         A block holds at most BLOCK_LABELS labels, or one shell that has
-        more.  A basis of one block is one block over all of its columns,
-        whatever n1, so its rows are read from the memo.
+        more.  A basis of at most BLOCK_LABELS labels is one block, whole,
+        whatever n1: the block it keeps, so what that block holds is formed
+        once per basis.  This is the one place that tells the two apart; the
+        blocks of a larger basis are made one at a time.
         """
-        top = self.trunc.lmax.doubled + 1
-        if self.one_block:
-            yield ColumnBlock(self, 0, self.dim, (0, top))
-            return
-        n1 = top if n1 is None else n1
+        return (self.whole,) if self.dim <= BLOCK_LABELS else self._blocks(n1)
+
+    def _blocks(self, n1):
+        n1 = self.shells[1] if n1 is None else n1
         n0, prev = 0, None
         while n0 < n1:
             n = n0 + 1
@@ -198,7 +201,7 @@ class Basis(LabelSpace):
 
     def in_shell_rows(self, shells=None) -> slice:
         """The entries of the per-row tables for the shells n0 <= 2n < n1 (all by default)."""
-        n0, n1 = shells or (0, self.trunc.lmax.doubled + 1)
+        n0, n1 = shells or self.shells
         return slice(n0 * (n0 + 1) // 2, n1 * (n1 + 1) // 2)
 
     def along_rows(self, first: np.ndarray, step: int = 1, shells=None) -> np.ndarray:
@@ -338,13 +341,26 @@ class BandMatrix:
         return self
 
     def __matmul__(self, other):
-        if isinstance(other, np.ndarray):  # matvec; every sum starts from +0.0
-            # row -1 (outside the truncation) lands in a spare last slot
+        """A matvec, or the product of two operators, both through column_blocks.
+
+        The matvec goes keys outer and blocks inner, so each entry sums its
+        keys' terms in key order from +0.0; row -1 (outside the truncation)
+        lands in a spare last slot.  A product's bands are written block by
+        block, each entry summed as product_bands sums it.
+        """
+        if isinstance(other, np.ndarray):
             out = np.zeros(self.shape[0] + 1, dtype=np.result_type(self.dtype, other))
             for key, v in self.bands.items():
-                out[self.space.rows(key)] += v * other
+                for block in self.space.column_blocks():
+                    out[block.rows(key)] += v[block.cols] * other[block.cols]
             return out[:-1]
-        return BandMatrix(other.space, dict(self.product_bands(other)))
+        bands = {}
+        for block in other.space.column_blocks():
+            for key, band in self.product_bands(other, block):
+                if key not in bands:
+                    bands[key] = np.empty(other.space.dim, dtype=band.dtype)
+                bands[key][block.cols] = band
+        return BandMatrix(other.space, bands)
 
     def bands_over(self, block: ColumnBlock, shells) -> tuple:
         """(lo, bands): bands over a range of labels, from position lo, holding the shells n0..n1.
@@ -355,36 +371,30 @@ class BandMatrix:
         """
         return 0, self.bands
 
-    def product_bands(self, other: "BandMatrix", keys=None, scale=None, block=None):
-        """The bands of (scale * self) @ other, one output key at a time, as (key, band).
+    def product_bands(self, other: "BandMatrix", block: ColumnBlock, keys=None, scale=None):
+        """The bands of (scale * self) @ other over a column block, a key at a time: (key, band).
 
-        Band kx + ky collects self's band kx gathered at the rows of other's
-        band ky.  A key's terms are summed from +0.0 with ky outer and kx
-        inner, and keys come in the order they first appear in that loop.
-        keys, if given, limits the output to those keys; no other band is
-        formed.  scale multiplies each gathered band (vx[src] * scale has
-        the bits of (scale * vx)[src]), so no scaled copy of self is made.
-        block, a ColumnBlock of other's space, limits the bands to its
-        columns, which read only those columns of other and the rows they
-        reach of self: both come from bands_over(block, block.window), and
-        other's shell depth is at most 1 where self is held as factors.
-        Each entry has
+        block is a ColumnBlock of other's space.  Band kx + ky collects
+        self's band kx gathered at the rows of other's band ky.  A key's
+        terms are summed from +0.0 with ky outer and kx inner, and keys come
+        in the order they first appear in that loop.  keys, if given, limits
+        the output to those keys; no other band is formed.  scale multiplies
+        each gathered band (vx[src] * scale has the bits of (scale *
+        vx)[src]), so no scaled copy of self is made.  The block's columns
+        read only those columns of other and the rows they reach of self:
+        both come from bands_over(block, block.window), and other's shell
+        depth is at most 1 where self is held as factors.  Each entry has
         the bits of the whole product's: a row -1 (outside the truncation)
         reads the last entry of self's range, a finite value times a 0 of
         other, so the term is a zero that leaves the sum's bits alone.
         Each term is a fresh gather, so it is scaled, multiplied and summed
         in place wherever its dtype holds the result: the same operations
         in the same order, without a new array per operation.  A consumer
-        that reduces each band as it comes, one block at a time, never
-        holds a whole product band.
+        that reduces each band as it comes never holds a whole product band.
         """
-        if block is None:
-            xb, yb, rows, cols = self.bands, other.bands, other.space.rows, slice(None)
-        else:
-            lo, xb = self.bands_over(block, block.window)
-            ly, yb = other.bands_over(block, block.window)
-            rows = lambda key: block.rows(key, lo)
-            cols = slice(block.lo - ly, block.lo - ly + block.size)
+        lo, xb = self.bands_over(block, block.window)
+        ly, yb = other.bands_over(block, block.window)
+        cols = slice(block.lo - ly, block.lo - ly + block.size)
         terms = {}
         for ky in yb:
             for kx in xb:
@@ -395,7 +405,7 @@ class BandMatrix:
             band = None
             for kx, ky in pairs:
                 # row -1 where vy is 0: any finite value times 0
-                term = xb[kx][rows(ky)]
+                term = xb[kx][block.rows(ky, lo)]
                 if scale is not None:
                     term = _in_place(np.multiply, term, scale)
                 term = _in_place(np.multiply, term, yb[ky][cols])

@@ -132,7 +132,7 @@ def shell_norms(op: BandMatrix, shells_d: Sequence[int]) -> np.ndarray:
     buf = np.zeros(offset[-1], dtype=op.dtype)
     op_h = op.H
     for block in op.space.column_blocks(top + 1):
-        for key, v in op_h.product_bands(op, block=block):
+        for key, v in op_h.product_bands(op, block):
             col = np.flatnonzero(v[:P - block.lo])  # a band is 0 where its row is -1
             row = block.rows(key)[col]
             col, row = col[row < P], row[row < P]
@@ -420,31 +420,32 @@ def modular_check(a: NCPolynomial, b: NCPolynomial, table: GeneratorTable) -> fl
     if a.degree() + b.degree() > table.trunc.lmax.doubled:
         raise QArithError("combined word length exceeds the truncation")
     table = table.leading(a.degree() + b.degree())
-    psi_bPsia = complex(np.vdot(table.vacuum_of(b.adjoint()), table.rho * table.vacuum_of(a)))
+    rho = np.concatenate([block.rho(table.q)[block.inner] for block in table.basis.column_blocks()])
+    psi_bPsia = complex(np.vdot(table.vacuum_of(b.adjoint()), rho * table.vacuum_of(a)))
     return abs(haar_state(a * b, table) - psi_bPsia)
 
 
 def modular_generator_scaling(rd: int, sd: int, table: GeneratorTable) -> float:
-    """Residual of Psi(ttilde^{1/2}_{r,s}) = q^{-2r-2s} ttilde^{1/2}_{r,s} as operators.
+    """Residual of Psi(ttilde^{1/2}_{r,s}) = c ttilde^{1/2}_{r,s} as operators, relative to c.
 
-    rho is diagonal, so rho m rho^{-1} scales each entry of m by rho at its
-    row over rho at its column (row -1, outside the truncation, only where
-    the entry is 0).  Reduced one column block at a time: the bands of m
-    and rho over the block's window, which holds the rows of its columns.
+    c = q^{-2r-2s}, whose size the rounding of each entry takes.  rho is
+    diagonal, so rho m rho^{-1} scales each entry of m by rho at its row
+    over rho at its column (row -1, outside the truncation, only where the
+    entry is 0).  Reduced one column block at a time: the bands of m,
+    formed over the block's window and not kept, and rho over the window.
     """
     m = t_half(rd, sd, table.basis, table.q)
     c = table.q ** float(-rd - sd)
     worst = 0.0
     for block in table.basis.column_blocks():
-        lo, bands = m.bands_over(block, block.window)
-        rho = table.rho_over(block.window)
-        cols = slice(block.lo - lo, block.lo - lo + block.size)
-        inv = 1.0 / rho[cols]
-        for k, v in bands.items():
-            v = v[cols]
+        lo = int(table.basis.start[block.window[0]])
+        rho = block.rho(table.q)
+        inv = 1.0 / rho[block.inner]
+        for k, v in m.form(block.window).items():
+            v = v[block.inner]
             # np.maximum keeps a NaN, as the max over a whole band does
             worst = np.maximum(worst, np.abs((rho[block.rows(k, lo)] * v) * inv - v * c).max())
-    return float(worst)
+    return float(worst / c)
 
 
 def band_value(q: float, t: float, trunc: Truncation, operator_trace: float) -> float:

@@ -14,7 +14,10 @@ csr_fitted_scalars is the fit of the generator scalars at the cyclic
 vector that the program made before it took them in closed form.
 whole_array_residuals is the relation battery as the program ran it
 before it went one column block at a time: every residual band formed
-over all columns.
+over all columns by whole_product_bands, the product over all columns at
+once.  streamed_shell_sums is the per-shell sum of diag(w) * rho as the
+program formed it before it summed over spin paths: the diagonal band of
+each word's last product, one column block at a time, times rho.
 """
 import math
 
@@ -22,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from qsu2.algebra import cg_table, mult_operator
-from qsu2.peterweyl import DIAGONAL, BandMatrix
+from qsu2.peterweyl import DIAGONAL, BandMatrix, rho_weights
 from qsu2.qarith import q_number
 
 
@@ -50,7 +53,7 @@ def to_csr(m) -> sp.csr_matrix:
     rows, cols, vals = [np.zeros(0, dtype=np.int64)] * 2 + [np.zeros(0, dtype=m.dtype)]
     for key, v in m.bands.items():
         keep = v != 0
-        rows = np.concatenate([rows, m.space.rows(key)[keep]])
+        rows = np.concatenate([rows, m.space._rows_of(key)[keep]])
         cols = np.concatenate([cols, np.flatnonzero(keep)])
         vals = np.concatenate([vals, v[keep]])
     return sp.csr_matrix((vals, (rows, cols)), shape=m.shape)
@@ -137,6 +140,59 @@ def apply_word(word, vec, table):
     return vec
 
 
+def whole_product_bands(x, y, keys=None, scale=None):
+    """The bands of (scale * x) @ y over all columns at once, as (key, band).
+
+    Band kx + ky collects x's band kx gathered at the rows of y's band ky,
+    summed from +0.0 with ky outer and kx inner; keys limits the output.
+    """
+    terms = {}
+    for ky in y.bands:
+        for kx in x.bands:
+            key = (kx[0] + ky[0], kx[1] + ky[1], kx[2] + ky[2], kx[3] ^ ky[3])
+            if keys is None or key in keys:
+                terms.setdefault(key, []).append((kx, ky))
+    for key, pairs in terms.items():
+        band = 0.0
+        for kx, ky in pairs:
+            term = x.bands[kx][y.space._rows_of(ky)]  # row -1 where y's band is 0
+            if scale is not None:
+                term = term * scale
+            band = band + term * y.bands[ky]
+        yield key, band
+
+
+def streamed_shell_sums(table, word):
+    """S_w per shell: diag(w) * rho reduced per shell, one column block at a time; None if none.
+
+    All letters but the last form one operator X, left-folded as in
+    mult_operator; the diagonal of X Y at a column sums, over Y's keys in
+    order from +0.0, Y's entry times the entry of X^H's band at that key.
+    """
+    if len(word) % 2 or not word:
+        return table.rho_shell_sums if not word else None
+    x = table.ops[word[0]]
+    for ch in word[1:-1]:
+        x = x @ table.ops[ch]
+    xh, y = x.H, table.ops[word[-1]]
+    start = table.basis.start
+    parts = []
+    for block in table.basis.column_blocks():
+        lx, xb = xh.bands_over(block, block.shells)
+        ly, yb = y.bands_over(block, block.shells)
+        band = None
+        for k in yb:
+            if k in xb:
+                term = (xb[k][block.lo - lx:block.lo - lx + block.size]
+                        * yb[k][block.lo - ly:block.lo - ly + block.size])
+                band = term + 0.0 if band is None else band + term
+        if band is None:
+            return None
+        band = band * rho_weights(table.basis, table.q, block.shells)
+        parts.append(np.add.reduceat(band, start[block.shells[0]:block.shells[1]] - block.lo))
+    return np.concatenate(parts)
+
+
 def whole_array_residuals(table) -> dict:
     """The largest residual of each defining relation on the safe columns, from whole bands.
 
@@ -149,7 +205,7 @@ def whole_array_residuals(table) -> dict:
     a, A, g, G = (table.ops[ch] for ch in "aAgG")
 
     def band(x, y, key, scale=None):
-        return next((v for _, v in x.product_bands(y, (key,), scale)), 0.0)
+        return next((v for _, v in whole_product_bands(x, y, (key,), scale)), 0.0)
 
     def one(key):
         return 1.0 if key == DIAGONAL else 0.0
@@ -162,5 +218,5 @@ def whole_array_residuals(table) -> dict:
         "a G = q G a": ((a, G), lambda k, v: v - band(G, a, k, q)),
     }
     return {name: max((float(np.abs(residual(k, v)[:s]).max(initial=0.0))
-                       for k, v in x.product_bands(y)), default=0.0)
+                       for k, v in whole_product_bands(x, y)), default=0.0)
             for name, ((x, y), residual) in rel.items()}

@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from test_peterweyl import reachable_arrays
 from sparse_reference import (apply_word, csr_fitted_scalars, csr_generators,
-                              csr_mult_operator, pw_position, to_csr, whole_array_residuals)
+                              csr_mult_operator, pw_position, streamed_shell_sums, to_csr,
+                              whole_array_residuals)
 from qsu2 import algebra, cli, spectral
 from qsu2.qarith import HalfInteger, _cg_doubled, q_number
-from qsu2.peterweyl import BLOCK_LABELS, DIAGONAL, Basis, Truncation
+from qsu2.peterweyl import BLOCK_LABELS, DIAGONAL, Basis, Truncation, rho_weights
 from qsu2.algebra import (AlgebraError, GeneratorTable, NCPolynomial, ValidationError,
                           adjoint_word, cg_table, haar_state,
                           is_normal_word, mult_operator, t_half)
@@ -265,7 +266,7 @@ class TestLeadingShells:
         for ch, op in table.ops.items():
             assert view.ops[ch].shell_depth_doubled == op.shell_depth_doubled
             assert abs(to_csr(view.ops[ch]) - to_csr(op)[:k, :k]).nnz == 0
-        assert np.array_equal(view.rho, table.rho[:k])
+        assert np.array_equal(rho_weights(view.basis, Q), rho_weights(table.basis, Q)[:k])
 
     def test_view_memoized_without_a_table_build(self, monkeypatch):
         # a view is one table build per distinct shell; a repeated call builds nothing
@@ -304,7 +305,7 @@ def test_smaller_table_is_the_leading_block_bitwise(q, ld, data):
     for ch, op in full.ops.items():
         assert view.ops[ch].bands.keys() == op.bands.keys()
         for key, v in op.bands.items():
-            block = np.where(view.basis.rows(key) >= 0, v[:k], 0.0)
+            block = np.where(view.basis._rows_of(key) >= 0, v[:k], 0.0)
             assert view.ops[ch].bands[key].tobytes() == block.tobytes(), (ch, key)
     # the view's safe columns are safe columns of the full table, with the same
     # entries: a view never fails a battery that the full table passes
@@ -434,22 +435,47 @@ class TestMultOperator:
 WORDS_TO_4 = st.text(alphabet="aAgG", max_size=4)
 
 
+def _shell_sums_agree(new, ref, rel=1e-13):
+    """Both None, or equal in length and within rel of ref on every shell (0 where ref is 0)."""
+    if ref is None or new is None:
+        return ref is None and new is None
+    return len(new) == len(ref) and bool(np.all(np.abs(new - ref) <= rel * np.abs(ref)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(q=st.sampled_from([0.7, 1.2, 3.0]), ld=st.sampled_from([4, 7, 16, 40]), word=WORDS_TO_4)
-def test_diagonal_is_the_diagonal_of_mult_operator_bitwise(q, ld, word):
-    # only the diagonal band of the word's last product is formed, one column
-    # block at a time (ld 40 has two); odd words and words of nonzero weight
-    # have none
+def test_shell_sums_are_the_diagonal_of_mult_operator(q, ld, word):
+    # the sums over spin paths against diag(w) * rho of the word's operator,
+    # reduced per shell; odd words and words of nonzero weight have no
+    # diagonal band and no path
     t = _full_table(q, ld)
     op = mult_operator(NCPolynomial.word(word), t)  # coefficient 1 + 0j
-    parts = list(t._word_diagonal(word))
-    if not parts:
-        assert DIAGONAL not in op.bands, word
-    else:
-        band = np.concatenate([v for _, v in parts])
-        assert band.dtype == np.float64
-        assert band.tobytes() == op.bands[DIAGONAL].real.tobytes(), word
+    ref = None
+    if DIAGONAL in op.bands:
         assert not op.bands[DIAGONAL].imag.any()
+        ref = np.bincount(t.basis.nd, weights=op.bands[DIAGONAL].real * rho_weights(t.basis, q))
+    assert _shell_sums_agree(t.shell_sums(word), ref), word
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([0.5, 0.7, 1.2, 3.0]), ld=st.sampled_from([2, 4, 7, 16, 40, 62]),
+       word=WORDS_TO_4)
+def test_shell_sums_match_the_streamed_route(q, ld, word):
+    # every shell, the corrupted top shells included, against the diagonal
+    # band of the word's last product formed one column block at a time
+    # (ld 40 and 62 have several) and reduced per shell with rho
+    t = _full_table(q, ld)
+    if len(word) <= ld:
+        assert _shell_sums_agree(t.shell_sums(word), streamed_shell_sums(t, word)), word
+
+
+@pytest.mark.parametrize("q", [0.05, 20.0])
+def test_shell_sums_are_finite_where_the_streamed_route_is(q):
+    # at ld 62 rho spans q^{+-124}; the path sums take it as q^{-2i} q^{-2j}
+    t = _full_table(q, 62)
+    for word in ("", "Aa", "gG", "aAgG", "AAaa"):
+        ref = streamed_shell_sums(t, word)
+        assert np.isfinite(ref).all() and np.isfinite(t.shell_sums(word)).all(), word
 
 
 def test_diagonal_degree_beyond_truncation_raises():
@@ -533,15 +559,15 @@ class TestTransientMemory:
         assert transient[80] <= transient[40] + 8 * 8 * 2 * (81 ** 2 - 41 ** 2)
 
     def test_diagonal_of_a_degree_2_word(self):
-        # the bands of the last letter and of the first one's adjoint over one
-        # column block at a time, their product and rho over the block, reduced
-        # per shell: was 15 units of a basis-length array with the word
-        # operator, then 2 to 3 units with the whole band of the last product
+        # sums over spin paths of the padded factors, O(lmax^2): was 15 units of
+        # a basis-length array with the word operator, then 2 to 3 units with
+        # the whole band of the last product, then the bands of one column
+        # block (8 * 8 * BLOCK_LABELS bytes)
         for lmax_d in (40, 80):
             t = _full_table(Q, lmax_d)
             for w in ("Gg", "Aa", "aG"):
                 _, _, peak = self._traced(lambda: t.diagonal_shell_sums(NCPolynomial.word(w)))
-                assert peak <= 8 * 8 * BLOCK_LABELS, (lmax_d, w)
+                assert peak <= 16 * 8 * (lmax_d + 7) ** 2, (lmax_d, w)
 
     def test_no_label_length_array_is_reachable_after_the_haar_functionals(self):
         # every trace functional of `haar` on a table of two column blocks;

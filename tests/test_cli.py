@@ -3,17 +3,22 @@ import gc
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsu2 import algebra, cli, dirac, gns_oracle, peterweyl, spectral
 from qsu2.gns_oracle import rep_apply
-from qsu2.algebra import GeneratorTable, ValidationError
-from qsu2.qarith import QArithError, _cg_doubled
+from qsu2.algebra import GeneratorTable, NCPolynomial, ValidationError, haar_state
+from qsu2.peterweyl import Truncation
+from qsu2.qarith import HalfInteger, QArithError, _cg_doubled
+from qsu2.spectral import haar_via_heat
 from qsu2.cli import (EXPERIMENTS, RunConfig, build_config, main, parse_t_grid,
                       read_config_file)
 
@@ -484,13 +489,13 @@ class TestWorkCounts:
         return calls
 
     def test_one_block_bases_compute_each_row_index_once(self, row_builds, tmp_path, capsys):
-        # every basis here is one column block, whose rows are the memo: 35 row
-        # indices over 35 (basis, key) pairs; block rows computed beside the
-        # memo made 53 + 38
+        # every basis here is one column block, which the basis keeps with its
+        # rows: 35 row indices over 35 (basis, key) pairs, each over every shell;
+        # block rows computed beside a whole-space memo made 53 + 38
         assert main(["all", "--lmax", "24", "--out", str(tmp_path / "run.csv")]) == 0
         pairs = [(id(basis), key) for basis, key, _ in row_builds]
         assert pairs and len(pairs) == len(set(pairs))
-        assert all(shells is None for *_, shells in row_builds)
+        assert all(shells == (0, basis.trunc.lmax.doubled + 1) for basis, _, shells in row_builds)
 
     def test_large_bases_compute_rows_per_block_only(self, row_builds, tmp_path, capsys):
         # at dim 85 344 the battery, the adjoints and the trace diagonals read
@@ -677,6 +682,69 @@ class TestQInversion:
                 assert bool(r[k]) == bool(r_inv[k])
                 if r[k]:
                     assert float(r_inv[k]) == pytest.approx(q * float(r[k]), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("q", ["0.05", "17", "50"])
+def test_modular_scaling_passes_far_from_q_1(q, tmp_path, capsys):
+    # Psi(t[r,s]) = c t[r,s] with c = q^{-2r-2s} up to 2500: the residual is
+    # relative to c, as its rounding scales with c (absolute, these failed).
+    # The scaling rows' first cell holds a comma: the status is the sixth
+    # cell from the end
+    out = tmp_path / "modular.csv"
+    assert main(["modular", "--q", q, "--lmax", "8", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()[1:]
+    assert sum(",scaling," in line for line in lines) == 4
+    assert {line.split(",")[-6] for line in lines} == {"PASS"}
+
+
+def _mirrored(p: NCPolynomial, q: float) -> NCPolynomial:
+    """oracle_haar's map of p at 1/q to q: a and A swapped, each g or G scaled by q."""
+    swap = str.maketrans("aA", "Aa")
+    return NCPolynomial({w.translate(swap): c * q ** (w.count("g") + w.count("G"))
+                         for w, c in p.terms.items()})
+
+
+Q_INVERSION_POLYNOMIALS = (
+    [NCPolynomial.word(w) for w in cli.OBSERVABLES + ["aAgG", "GgAa", "AAaa"]]
+    + [NCPolynomial({"Gg": 0.5, "aA": -1.0j, "": 2.0, "aGAg": 0.25})])
+
+
+@settings(max_examples=5, deadline=None)
+@given(q=st.floats(1.05, 5.0), ld=st.sampled_from([8, 16, 24, 40]))
+def test_q_inversion_property(q, ld):
+    # SU_q(2) = SU_{1/q}(2), experiment by experiment; the Peter-Weyl route at
+    # 1/q < 1 is checked against the one at q > 1.  q is taken as 1 / (1 / q),
+    # so that 1 / (1/q) is q in float64 as well
+    q = 1 / (1 / q)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        runs = {}
+        for cmd in ("heat", "commutators", "modular") if ld >= 16 else ("heat", "modular"):
+            for x in (q, 1 / q):
+                runs[cmd, x] = _run([cmd, "--q", repr(x), "--lmax", str(ld)], tmp)
+        # every defect and scaling row below its threshold at both
+        assert runs["modular", q][0] == runs["modular", 1 / q][0] == 0
+        # heat reads q through max(q, 1/q), the same float at both: equal value cells
+        keys = ("t", "operator_trace", "closed_sum", "tail_bound", "k_exponent", "s_band")
+        heat = [[[r[k] for k in keys] for r in runs["heat", x][1]] for x in (q, 1 / q)]
+        assert heat[0] == heat[1]
+        # commutators: the witness at 1/q is q times the one at q
+        if ld >= 16:
+            (rc, rows), (rc_inv, rows_inv) = runs["commutators", q], runs["commutators", 1 / q]
+            assert rc == rc_inv and len(rows) == len(rows_inv) > 0
+            for r, r_inv in zip(rows, rows_inv):
+                for k in ("norm_trueD", "norm_absD", "cap"):
+                    assert bool(r[k]) == bool(r_inv[k])
+                    if r[k]:
+                        assert float(r_inv[k]) == pytest.approx(q * float(r[k]), rel=1e-14, abs=0)
+    # the Haar state and the heat ratio of p at 1/q are those of its mirror at q
+    table, table_inv = (GeneratorTable(x, Truncation(HalfInteger(ld))) for x in (q, 1 / q))
+    for p in Q_INVERSION_POLYNOMIALS:
+        values = [(haar_state(p, table_inv), haar_state(_mirrored(p, q), table))]
+        values += [(haar_via_heat(p, t, table_inv)[0], haar_via_heat(_mirrored(p, q), t, table)[0])
+                   for t in (0.5, 1.0, 2.0)]
+        for x_inv, x in values:
+            assert abs(x_inv - x) <= 1e-13 * max(1.0, abs(x)), (p, x_inv, x)
 
 
 def test_perfbench_trace_reads_a_table_of_two_blocks(tmp_path):

@@ -114,7 +114,7 @@ class TestTableDrivenAssembly:
                     np.tile(pw.jd, 2)),
             block=pw.dim, trunc=c.trunc, dim=c.spinor.dim)
         for key in (DIAGONAL, (0, 0, 2, 1), (0, 0, -2, 1)):
-            assert np.array_equal(c.spinor.rows(key), LabelSpace._rows_of(labels, key)), key
+            assert np.array_equal(c.spinor._rows_of(key), LabelSpace._rows_of(labels, key)), key
 
     def test_label_arrays_follow_v_enumerate(self, ctx):
         ld, id_, jd, sign = ctx.v_doubled

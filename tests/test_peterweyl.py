@@ -9,6 +9,7 @@ from qsu2.qarith import HalfInteger, QArithError, q_number
 from qsu2.peterweyl import BLOCK_LABELS, Basis, Truncation, rho_weights, shell_starts
 from qsu2.algebra import GeneratorTable, NCPolynomial, mult_operator, t_half
 from qsu2.dirac import DiracContext
+from qsu2.spectral import modular_generator_scaling
 
 
 def doubled_labels(basis: Basis) -> list:
@@ -60,7 +61,7 @@ class TestEnumeration:
         keys = gens + [tuple(x + y for x, y in zip(k1, k2)) for k1 in gens for k2 in gens]
         for key in dict.fromkeys(keys):
             ref = pw_rows(basis, key)
-            assert np.array_equal(basis.rows(key), ref), key
+            assert np.array_equal(basis._rows_of(key), ref), key
 
     @pytest.mark.parametrize("lmax_d", [0, 2, 35, 36, 40, 62, 130])
     def test_column_blocks_tile_whole_shells(self, lmax_d):
@@ -101,8 +102,10 @@ class TestEnumeration:
             t.diagonal_shell_sums(NCPolynomial.word(w))
         sizes = [v.size for v in reachable_arrays(t)]
         assert sizes and max(sizes) < t.basis.dim
-        # the whole of alpha or rho is formed for the caller and not kept
-        assert t.ops["a"].bands[(1, 1, 1, 0)].size == t.rho.size == t.basis.dim
+        # the whole of alpha, and the bands and rho of the modular scaling, are
+        # formed for the caller and not kept
+        assert t.ops["a"].bands[(1, 1, 1, 0)].size == t.basis.dim
+        assert modular_generator_scaling(1, 1, t) < 1e-12
         assert max(v.size for v in reachable_arrays(t)) < t.basis.dim
 
     @pytest.mark.parametrize("label", [
@@ -174,7 +177,7 @@ def test_shell_rows_are_the_slice_of_the_rows(lmax_d, key, data):
     cols = slice(basis.start[n0], basis.start[n1])
     rows = basis._rows_of(key, (n0, n1))
     assert rows.dtype == np.int64
-    assert np.array_equal(rows, basis.rows(key)[cols])
+    assert np.array_equal(rows, basis._rows_of(key)[cols])
     assert np.array_equal(rows, pw_rows(basis, key)[cols])
 
 

@@ -369,20 +369,21 @@ class TestTraceDiagonals:
     def test_one_diagonal_build_per_polynomial(self, monkeypatch):
         t = GeneratorTable(Q, Truncation(HalfInteger(12)))
         built = []
-        word_diagonal = GeneratorTable._word_diagonal
+        shell_sums = GeneratorTable.shell_sums
 
         def counted(table, word):
             built.append(word)
-            return word_diagonal(table, word)
+            return shell_sums(table, word)
 
-        monkeypatch.setattr(GeneratorTable, "_word_diagonal", counted)
+        monkeypatch.setattr(GeneratorTable, "shell_sums", counted)
         lam = lambda n: math.exp(-n * (n + 1))
         for p in OBSERVABLES:
             for t_ in (0.5, 1.0, 2.0):
                 haar_via_heat(p, t_, t)
             rho_trace_functional(p, lam, t)
-        # the word 1 reads rho_shell_sums, with the bits of diag(1) rho
-        assert built == [w for p in OBSERVABLES for w in p.terms if w]
+        # once per word of each polynomial, and once for rho_shell_sums (the word 1)
+        words = [w for p in OBSERVABLES for w in p.terms]
+        assert built == words[:1] + [""] + words[1:]
 
 
 def full_operator_modular_check(a, b, table):
@@ -406,7 +407,7 @@ def uncached_modular_check(a, b, table):
     psi_ab = 0.0 + 0.0j
     for word, coeff in (a * b).terms.items():
         psi_ab += coeff * apply_word(word, e0, table)[0]
-    v = table.rho * (mult_operator(a, table) @ e0)
+    v = rho_weights(table.basis, table.q) * (mult_operator(a, table) @ e0)
     psi_bPsia = complex(np.vdot(e0, mult_operator(b, table) @ v))
     return abs(psi_ab - psi_bPsia)
 
@@ -445,7 +446,8 @@ class TestRhoTraceFunctional:
         for lam in (lambda n: math.exp(-n * (n + 1)), lambda n: -math.exp(-n),
                     lambda n: 1.0):
             shell = np.array([lam(nd / 2.0) for nd in range(table.trunc.lmax.doubled + 1)])
-            ref = np.bincount(basis.nd, weights=np.abs(table.rho * shell[basis.nd]))
+            rho = rho_weights(basis, table.q)
+            ref = np.bincount(basis.nd, weights=np.abs(rho * shell[basis.nd]))
             assert np.allclose(np.abs(shell) * table.rho_shell_sums, ref, rtol=1e-13, atol=0)
 
     def test_slow_multiplier_rejected(self, table):
@@ -461,16 +463,17 @@ class TestModular:
     @pytest.mark.parametrize("q", [0.5, 0.7, 1.2, 2.0, 3.0])
     @pytest.mark.parametrize("ld", [2, 16, 24])
     def test_generator_scaling_matches_the_operator_products_bitwise(self, q, ld):
-        # reference: rho m rho^{-1} as two products with diagonal operators
+        # reference: rho m rho^{-1} as two products with diagonal operators,
+        # the largest entry of |rho m rho^{-1} - c m| relative to c
         t = GeneratorTable(q, Truncation(HalfInteger(ld)))
-        rho = BandMatrix(t.basis, {DIAGONAL: t.rho})
-        rho_inv = BandMatrix(t.basis, {DIAGONAL: 1.0 / t.rho})
+        rho = BandMatrix(t.basis, {DIAGONAL: rho_weights(t.basis, q)})
+        rho_inv = BandMatrix(t.basis, {DIAGONAL: 1.0 / rho_weights(t.basis, q)})
         for rd, sd in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             m = t_half(rd, sd, t.basis, q)
             conj = rho @ m @ rho_inv
             c = q ** float(-rd - sd)
             ref = max(float(np.abs(conj.bands[k] - v * c).max()) for k, v in m.bands.items())
-            assert modular_generator_scaling(rd, sd, t) == ref, (rd, sd)
+            assert modular_generator_scaling(rd, sd, t) == ref / c, (rd, sd)
 
     def test_defect_small(self, table):
         pairs = [("a", "A"), ("g", "G"), ("ag", "GA"), ("", "Gg")]

@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .qarith import HalfInteger, QArithError, q_number
 from .peterweyl import Basis, Truncation
 from .algebra import GeneratorTable, NCPolynomial, ValidationError, haar_state, mult_operator
-from .gns_oracle import oracle_haar, rep_apply
+from .gns_oracle import oracle_haar
 from .dirac import DiracContext
 from .spectral import (GrowthSeries, HeatTraceReport, absD_commutator_series,
                        asymptotic_band, haar_via_heat, heat_trace, modular_check,

@@ -371,20 +371,23 @@ class GeneratorTable:
         return self.shell_sums("")
 
     def leading(self, deg: int) -> "GeneratorTable":
-        """The table on the spins 2n <= max(deg, 2), memoized per shell.
+        """The smallest held table on the spins 2n <= nd, nd >= max(deg, 2); built if none.
 
         A word of length <= deg moves e0 only within those spins, so every
-        matrix element <e0, w e0> computed on the smaller table takes the
-        same terms, in the same order, as on this one.  The smaller table is
-        an ordinary GeneratorTable: its generators are the leading blocks
-        of these, bit for bit, and its scalars are these.
+        matrix element <e0, w e0> on the smaller table (a view) takes the
+        same terms, in the same order, as on this one, whichever nd serves.
+        A view is an ordinary GeneratorTable, the leading block of this one
+        bit for bit, and serves itself: a batch that asks first for the
+        view of its longest word builds one view.
         """
         nd = max(deg, 2)
-        if nd >= self.trunc.lmax.doubled:
+        if nd >= self.trunc.lmax.doubled or self._leading is None:
             return self
-        if nd not in self._leading:
+        held = min((n for n in self._leading if n >= nd), default=nd)
+        if held not in self._leading:
             self._leading[nd] = GeneratorTable(self.q, Truncation(HalfInteger(nd)))
-        return self._leading[nd]
+            self._leading[nd]._leading = None  # a view serves itself
+        return self._leading[held]
 
     def diagonal_shell_sums(self, p: "NCPolynomial") -> tuple:
         """The pairs (coeff_w, S_w) for the words w of p that have a diagonal band.
@@ -453,34 +456,42 @@ class GeneratorTable:
         return sums
 
     def vacuum(self, word: str) -> np.ndarray:
-        """The complex vector word e0, memoized per word and read-only.
+        """The complex vector word e0, read-only, from the memo that fill_vacuum fills."""
+        if word not in self._vacuum:
+            self.fill_vacuum((word,))
+        return self._vacuum[word]
 
-        Formed as ops[word[0]] @ vacuum(word[1:]), from the longest suffix
-        already held: the matvecs of applying the word to e0 letter by
-        letter, rightmost first, in the same order, so each vector has the
-        bits of that route.  Words that share a suffix share its vector,
-        so all words of length <= k cost one matvec per distinct suffix.
+    def fill_vacuum(self, words) -> None:
+        """Memoize w e0 for each word and each of its suffixes, one word length at a time.
+
+        The suffixes not yet held are formed shortest first, those of one
+        length and first letter by one 2-D matvec, ops[letter] @ the vectors
+        one letter shorter as columns.  Each column has the bits of its 1-D
+        matvec, so each vector has the bits of applying its word to e0
+        letter by letter, whichever words filled the memo; all words of
+        length <= k cost 4 k matvecs.
         """
-        if not self._vacuum:
+        held = self._vacuum
+        if not held:
             e0 = np.zeros(self.basis.dim, dtype=complex)
             e0[0] = 1.0
             e0.setflags(write=False)
-            self._vacuum[""] = e0
-        k = 0
-        while word[k:] not in self._vacuum:
-            k += 1
-        vec = self._vacuum[word[k:]]
-        for i in range(k - 1, -1, -1):
-            vec = self.ops[word[i]] @ vec
-            vec.setflags(write=False)
-            self._vacuum[word[i:]] = vec
-        return vec
+            held[""] = e0
+        todo = {w[k:] for w in words if w not in held for k in range(len(w))} - held.keys()
+        for n in sorted({len(w) for w in todo}):
+            layer = sorted(w for w in todo if len(w) == n)
+            for ch, group in itertools.groupby(layer, key=lambda w: w[0]):
+                group = list(group)
+                vecs = self.ops[ch] @ np.stack([held[w[1:]] for w in group], axis=1)
+                vecs.setflags(write=False)
+                held.update(zip(group, vecs.T))
 
     def vacuum_of(self, p: "NCPolynomial") -> np.ndarray:
         """p e0: the sum over p's terms of coeff * vacuum(word), from a complex zero vector."""
+        self.fill_vacuum(p.terms)
         out = np.zeros(self.basis.dim, dtype=complex)
         for word, coeff in p.terms.items():
-            out += coeff * self.vacuum(word)
+            out += coeff * self._vacuum[word]
         return out
 
     def validate(self) -> None:

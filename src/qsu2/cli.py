@@ -161,14 +161,13 @@ def run_validate(cfg: RunConfig):
     # two-path Haar agreement on monomials of degree <= 4; the ladder cut K
     # keeps the oracle's truncation error max(q, 1/q)^{-2(K+1)} below 1e-12
     levels = max(80, math.ceil(math.log(1e12) / (2 * math.log(max(q, 1.0 / q)))))
+    words = ["".join(w) for deg in range(min(4, cfg.lmax_doubled) + 1)
+             for w in itertools.product("aAgG", repeat=deg)]
+    table.leading(len(words[-1])).fill_vacuum(words)  # one view, a word length at a time
     worst = 0.0
-    for deg in range(5):
-        for word in itertools.product("aAgG", repeat=deg):
-            w = "".join(word)
-            if len(w) > cfg.lmax_doubled:
-                continue
-            p = NCPolynomial.word(w)
-            worst = max(worst, abs(haar_state(p, table) - oracle_haar(p, levels, q)))
+    for w in words:
+        p = NCPolynomial.word(w)
+        worst = max(worst, abs(haar_state(p, table) - oracle_haar(p, levels, q)))
     record("oracle.two_path_agreement", worst)
 
     return rows, ["battery", "residual", "threshold", "status"]
@@ -255,11 +254,10 @@ def run_modular(cfg: RunConfig):
     words = [w for n in range(3) for w in
              ("".join(t) for t in itertools.product("aAgG", repeat=n))
              if is_normal_word(w)]
+    polys = [NCPolynomial.word(w) for w in words]
     rows = []
-    for wa in words:
-        for wb in words:
-            defect = spectral.modular_check(NCPolynomial.word(wa),
-                                            NCPolynomial.word(wb), table)
+    for wa, defects in zip(words, spectral.modular_defects(polys, polys, table)):
+        for wb, defect in zip(words, defects):
             rows.append([_word_label(wa), _word_label(wb), defect,
                          "PASS" if defect < 1e-9 else "FAIL"])
     for rd, sd in ((1, 1), (1, -1), (-1, 1), (-1, -1)):

@@ -16,45 +16,65 @@ relations at 1/q, (alpha*, gamma/q) satisfies them at q.
 """
 from __future__ import annotations
 
-import math
+from functools import lru_cache
+
+import numpy as np
 
 from .algebra import NCPolynomial
 from .qarith import QArithError
 
 _SWAP_ALPHA = str.maketrans("aA", "Aa")
 
+LADDER_LEVELS = 1 << 14  # ladder levels per pass: whole passes, the running sum carried between
+_STEP = 64  # the level ranges of the power tables start and end at multiples of _STEP
 
-def rep_apply(word: str, k: int, q: float):
-    """Apply a generator word (rightmost letter first) to ladder level k at q > 1.
 
-    Returns (amplitude, k', winding).  An annihilated state comes back with
-    amplitude exactly 0.0.
+@lru_cache(maxsize=32)
+def _powers(q: float, lo: int, hi: int) -> np.ndarray:
+    """q ** -k (row 0) and q ** (-2 k) (row 1) for the levels lo <= k < hi, read-only.
+
+    Each entry is one scalar Python power, whose bits np.power does not
+    always have.  The 32 most recent ranges are kept; a pass of a word of
+    up to _STEP letters reads the range of its levels rounded out to
+    multiples of _STEP, so the words of a battery share the ranges.
     """
-    if k < 0:
-        raise ValueError("level must be nonnegative")
-    amp = 1.0
-    level = k
-    winding = 0
-    for ch in reversed(word):
-        if ch == "a":
-            amp *= math.sqrt(1.0 - q ** (-2 * (level + 1)))
-            level += 1
-        elif ch == "A":
-            if level == 0:
-                return 0.0, k, winding
-            amp *= math.sqrt(1.0 - q ** (-2 * level))
-            level -= 1
-        elif ch == "g":
-            amp *= q ** (-(level + 1))
-            winding += 1
-        elif ch == "G":
-            amp *= q ** (-(level + 1))
-            winding -= 1
-        else:
-            raise ValueError("unknown letter %r" % ch)
-        if amp == 0.0:
-            return 0.0, k, winding
-    return amp, level, winding
+    out = np.array([[q ** -k for k in range(lo, hi)], [q ** (-2 * k) for k in range(lo, hi)]])
+    out.setflags(write=False)
+    return out
+
+
+def _ladder_sum(word: str, K: int, q: float) -> float:
+    """sum_k q^{-2k} amp_k over the levels k = 0..K of a balanced word, at q > 1.
+
+    amp_k brings level k back to itself, the letters applied rightmost
+    first (see the module docstring), in passes of LADDER_LEVELS levels,
+    one numpy pass per letter.  alpha* at level 0 multiplies by
+    sqrt(1 - q^0) = 0 and keeps the level at 0, so an annihilated level
+    stays exactly 0 (no factor exceeds 1).  The terms are summed in level
+    order from 0.0, the sum carried from pass to pass: the bits of the
+    scalar ladder, level by level.
+    """
+    total = 0.0
+    for k0 in range(0, K + 1, LADDER_LEVELS):
+        k1 = min(k0 + LADDER_LEVELS, K + 1)
+        # the levels m that the pass reaches, k0 - len(word) <= m <= k1 + len(word), rounded out
+        lo = max(k0 - len(word), 0) // _STEP * _STEP
+        p1, p2 = _powers(q, lo, -(-(k1 + len(word) + 1) // _STEP) * _STEP)
+        level = np.arange(k0 - lo, k1 - lo)  # less lo
+        amp = np.ones(k1 - k0)
+        for ch in reversed(word):
+            if ch == "a":
+                amp *= np.sqrt(1.0 - p2[level + 1])
+                level += 1
+            elif ch == "A":
+                amp *= np.sqrt(1.0 - p2[level])
+                np.maximum(level - 1, 0, out=level)
+            else:
+                amp *= p1[level + 1]
+        terms = p2[k0 - lo:k1 - lo] * amp
+        terms[0] += total
+        total = float(np.cumsum(terms)[-1])
+    return total
 
 
 def oracle_haar(p: NCPolynomial, K: int, q: float) -> complex:
@@ -76,20 +96,11 @@ def oracle_haar(p: NCPolynomial, K: int, q: float) -> complex:
         return oracle_haar(NCPolynomial(mirrored), K, inv)
     total = 0.0 + 0.0j
     for word, coeff in p.terms.items():
-        acc = 0.0
-        if _balanced(word):
-            for k in range(K + 1):
-                amp, level, winding = rep_apply(word, k, q)
-                if amp != 0.0 and level == k and winding == 0:
-                    acc += q ** (-2 * k) * amp
+        acc = _ladder_sum(word, K, q) if _balanced(word) else 0.0
         total += coeff * (1.0 - q ** -2) * acc
     return total
 
 
 def _balanced(word: str) -> bool:
-    """Whether the word has as many a as A and as many g as G.
-
-    rep_apply moves the level by #a - #A and the winding by #g - #G, so an
-    unbalanced word adds exactly 0.0 at every level.
-    """
+    """Whether #a = #A and #g = #G: else the ladder adds exactly 0.0 at every level."""
     return word.count("a") == word.count("A") and word.count("g") == word.count("G")

@@ -345,12 +345,16 @@ class BandMatrix:
 
         The matvec goes keys outer and blocks inner, so each entry sums its
         keys' terms in key order from +0.0; row -1 (outside the truncation)
-        lands in a spare last slot.  A product's bands are written block by
-        block, each entry summed as product_bands sums it.
+        lands in a spare last slot.  A 2-D array is a batch of vectors, its
+        columns: each band multiplies every column elementwise, so each
+        column has the bits of its 1-D matvec.  A product's bands are
+        written block by block, each entry summed as product_bands sums it.
         """
         if isinstance(other, np.ndarray):
-            out = np.zeros(self.shape[0] + 1, dtype=np.result_type(self.dtype, other))
+            out = np.zeros((self.shape[0] + 1,) + other.shape[1:],
+                           dtype=np.result_type(self.dtype, other))
             for key, v in self.bands.items():
+                v = v.reshape(v.shape + (1,) * (other.ndim - 1))  # one factor per row of other
                 for block in self.space.column_blocks():
                     out[block.rows(key)] += v[block.cols] * other[block.cols]
             return out[:-1]

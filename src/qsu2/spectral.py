@@ -11,8 +11,8 @@ q < 1), built once by the caller and passed to the |D| series and the
 true-D growth, and cap the |D| commutator in closed form; the true-D
 growth reads each witness vector's column of it and D's 2x2 blocks at
 the few labels that column reaches, with no spinor vector and no D
-matvec.  The modular defect reads psi(b Psi(a))
-from the table's vacuum vectors, with no operator product.  The Haar trace
+matvec.  The modular defects read psi(ab) and psi(b Psi(a)) from the
+vacuum vectors of one leading view, with no operator product.  The Haar trace
 functionals Tr(a rho B) with B constant on each spin shell (the heat
 kernel e^{-tD^2}, or any shell multiplier) are sums over the shells of
 B(n) times per-shell sums of diag(a) * rho held on the table: O(lmax)
@@ -28,7 +28,7 @@ import numpy as np
 
 from .qarith import HalfInteger, QArithError, _cg_doubled
 from .peterweyl import BandMatrix, Basis, Truncation
-from .algebra import GeneratorTable, NCPolynomial, haar_state, t_half
+from .algebra import GeneratorTable, NCPolynomial, t_half
 from .dirac import dirac_blocks
 
 
@@ -410,19 +410,35 @@ def rho_trace_functional(a: NCPolynomial, multiplier: Callable[[float], float],
     return _shell_trace(a, shell, table)
 
 
-def modular_check(a: NCPolynomial, b: NCPolynomial, table: GeneratorTable) -> float:
-    """Defect |psi(ab) - psi(b Psi(a))| with Psi the modular conjugation by rho.
+def modular_defects(a_list: Sequence[NCPolynomial], b_list: Sequence[NCPolynomial],
+                    table: GeneratorTable) -> list:
+    """|psi(ab) - psi(b Psi(a))| for each a of a_list (rows) and b of b_list (columns).
 
-    psi(b Psi(a)) = <b* e0, rho a e0>, because Psi(a) = rho a rho^{-1} and
-    rho^{-1} e0 = e0; both vectors come from the vacuum memo of the leading
-    shells that a and b reach from e0.
+    Psi is the modular conjugation by rho: psi(b Psi(a)) = <b* e0, rho a
+    e0>, as rho^{-1} e0 = e0.  The vectors come from the vacuum memo of the
+    leading view that the longest ab reaches, filled for all words at once:
+    rho a e0 and b* e0 once per polynomial, then per pair one np.vdot and
+    psi(ab), the sum over word pairs of c_a c_b (w_a w_b e0)[0] from 0.
     """
-    if a.degree() + b.degree() > table.trunc.lmax.doubled:
+    deg = max(a.degree() for a in a_list) + max(b.degree() for b in b_list)
+    if deg > table.trunc.lmax.doubled:
         raise QArithError("combined word length exceeds the truncation")
-    table = table.leading(a.degree() + b.degree())
-    rho = np.concatenate([block.rho(table.q)[block.inner] for block in table.basis.column_blocks()])
-    psi_bPsia = complex(np.vdot(table.vacuum_of(b.adjoint()), rho * table.vacuum_of(a)))
-    return abs(haar_state(a * b, table) - psi_bPsia)
+    view = table.leading(deg)
+    b_adj = [b.adjoint() for b in b_list]
+    view.fill_vacuum([wa + wb for a in a_list for wa in a.terms for b in b_list for wb in b.terms]
+                     + [w for p in (*a_list, *b_adj) for w in p.terms])
+    rho = np.concatenate([block.rho(view.q)[block.inner] for block in view.basis.column_blocks()])
+    rho_a = [rho * view.vacuum_of(a) for a in a_list]
+    b_star = [view.vacuum_of(b) for b in b_adj]
+    return [[abs(complex(sum(ca * cb * view.vacuum(wa + wb)[0] for wa, ca in a.terms.items()
+                             for wb, cb in b.terms.items()))
+                 - complex(np.vdot(vb, va))) for b, vb in zip(b_list, b_star)]
+            for a, va in zip(a_list, rho_a)]
+
+
+def modular_check(a: NCPolynomial, b: NCPolynomial, table: GeneratorTable) -> float:
+    """Defect |psi(ab) - psi(b Psi(a))| of one pair: modular_defects([a], [b], table)."""
+    return modular_defects([a], [b], table)[0][0]
 
 
 def modular_generator_scaling(rd: int, sd: int, table: GeneratorTable) -> float:

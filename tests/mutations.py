@@ -55,6 +55,13 @@ MUTATIONS = {
                             "if self.adjoint else shift"),
     "modular-scaling-absolute": ("src/qsu2/spectral.py", "return float(worst / c)",
                                  "return float(worst)"),
+    # the ladder over all levels, the vacuum memo a word length at a time, the per-word defects
+    "ladder-last-level": ("src/qsu2/gns_oracle.py", "k1 = min(k0 + LADDER_LEVELS, K + 1)",
+                          "k1 = min(k0 + LADDER_LEVELS, K)"),
+    "vacuum-neighbour-column": ("src/qsu2/algebra.py", "held.update(zip(group, vecs.T))",
+                                "held.update(zip(group, np.roll(vecs, 1, axis=1).T))"),
+    "modular-b-not-adjoint": ("src/qsu2/spectral.py", "b_adj = [b.adjoint() for b in b_list]",
+                              "b_adj = list(b_list)"),
 }
 
 

@@ -14,7 +14,7 @@ from sparse_reference import (apply_word, csr_fitted_scalars, csr_generators,
                               whole_array_residuals)
 from qsu2 import algebra, cli, spectral
 from qsu2.qarith import HalfInteger, _cg_doubled, q_number
-from qsu2.peterweyl import BLOCK_LABELS, DIAGONAL, Basis, Truncation, rho_weights
+from qsu2.peterweyl import BLOCK_LABELS, DIAGONAL, Basis, BandMatrix, Truncation, rho_weights
 from qsu2.algebra import (AlgebraError, GeneratorTable, NCPolynomial, ValidationError,
                           adjoint_word, cg_table, haar_state,
                           is_normal_word, mult_operator, t_half)
@@ -284,6 +284,55 @@ class TestLeadingShells:
         assert t.leading(4) is t.leading(4) is not t.leading(2)
         assert t.leading(10) is t and t.leading(12) is t
         assert builds == [2, 4]
+
+
+@pytest.mark.parametrize("ld", [2, 4, 16, 40])
+def test_batched_matvec_columns_match_one_vector_matvecs_bitwise(ld):
+    # a 2-D matvec multiplies each band into every column: each column has the
+    # bits of its 1-D matvec; ld 40 is two column blocks
+    t = _full_table(Q, ld)
+    assert len(list(t.basis.column_blocks())) == (2 if ld == 40 else 1)
+    rng = np.random.default_rng(ld)
+    vecs = rng.standard_normal((t.basis.dim, 5)) + 1j * rng.standard_normal((t.basis.dim, 5))
+    vecs[:, 0] = 0.0
+    vecs[0, 0] = 1.0  # e0
+    ops = list(t.ops.values()) + [mult_operator(NCPolynomial({"aG": 1.5j, "Aa": -2.0}), t)]
+    for op in ops:
+        batch = op @ vecs
+        assert batch.shape == vecs.shape
+        for c in range(vecs.shape[1]):
+            assert batch[:, c].tobytes() == (op @ vecs[:, c].copy()).tobytes(), c
+
+
+@pytest.mark.parametrize("q", [0.7, 1.2])
+def test_vacuum_fills_a_word_length_per_matvec(q, monkeypatch):
+    # the 341 words of up to 4 letters: 4 matvecs per length, one per first
+    # letter, and each vector read-only with the bits of the letter-by-letter route
+    view = GeneratorTable(q, Truncation(HalfInteger(24))).leading(4)
+    count = [0]
+    matmul = BandMatrix.__matmul__
+    monkeypatch.setattr(BandMatrix, "__matmul__",
+                        lambda op, other: count.__setitem__(0, count[0] + 1) or matmul(op, other))
+    view.fill_vacuum(ALL_WORDS_TO_4[::-1])
+    vecs = {w: view.vacuum(w) for w in ALL_WORDS_TO_4}  # memo reads
+    assert count[0] == 16
+    e0 = np.zeros(view.basis.dim, dtype=complex)
+    e0[0] = 1.0
+    for w, vec in vecs.items():
+        assert vec.tobytes() == apply_word(w, e0, view).tobytes(), w
+        assert not vec.flags.writeable
+
+
+def test_a_view_serves_itself():
+    # a held view large enough serves any shorter word, and a view asks no view
+    # of its own: no table is built below the first view asked for
+    t = GeneratorTable(Q, Truncation(HalfInteger(10)))
+    view = t.leading(4)
+    assert t.leading(2) is t.leading(3) is view
+    assert view.leading(2) is view.leading(4) is view
+    assert view._leading is None
+    six = t.leading(6)
+    assert six is not view and t.leading(5) is six and t.leading(3) is view  # the smallest
 
 
 @lru_cache(maxsize=8)

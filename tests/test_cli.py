@@ -1,5 +1,6 @@
 import csv
 import gc
+import itertools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsu2 import algebra, cli, dirac, gns_oracle, peterweyl, spectral
-from qsu2.gns_oracle import rep_apply
+from qsu2.gns_oracle import oracle_haar
 from qsu2.algebra import GeneratorTable, NCPolynomial, ValidationError, haar_state
 from qsu2.peterweyl import Truncation
 from qsu2.qarith import HalfInteger, QArithError, _cg_doubled
@@ -218,10 +219,11 @@ class TestMain:
         assert main(["commutators", "--q", q, "--lmax", "40", "--out", str(out)]) == 0
         assert "commutators: PASS (31 rows, 0 failures)" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("q", ["0.9", "1.01", "1.1111111111111112"])
+    @pytest.mark.parametrize("q", ["0.9", "1.01", "1.1111111111111112", "1.0001", "0.9999"])
     def test_validate_near_one_passes_every_row(self, q, tmp_path, capsys):
         # the ladder cut follows q: with K = 80 the two-path row was 3.9e-8 at q 0.9
-        # and 0.199 at q 1.01, both FAIL
+        # and 0.199 at q 1.01, both FAIL; at q 1.0001 the cut is K = 138 163 levels,
+        # which the passes over all levels run in well under a second (was 10 s)
         out = tmp_path / "validate.csv"
         assert main(["validate", "--q", q, "--lmax", "24", "--out", str(out)]) == 0
         rows = out.read_text().splitlines()[1:]
@@ -276,8 +278,9 @@ class TestMain:
             assert (tmp_path / ("run_%s.csv" % name)).exists()
 
     def test_all_builds_one_generator_table(self, monkeypatch, capsys):
-        # one table on the run's truncation, shared by the experiments, plus one
-        # per leading view that the Haar functionals reach (spins 2n <= 2, 3, 4)
+        # one table on the run's truncation, shared by the experiments, plus the
+        # leading view of validate's longest word (spins 2n <= 4), which serves
+        # every Haar state of the run: was one view per spin 2n <= 2, 3, 4
         builds = []
         init = GeneratorTable.__init__
 
@@ -287,10 +290,10 @@ class TestMain:
 
         monkeypatch.setattr(GeneratorTable, "__init__", counting_init)
         assert main(["all", "--lmax", "16"]) == 0
-        assert builds == [16, 2, 3, 4]
+        assert builds == [16, 4]
         assert cli.generator_table.cache_info().currsize == 0  # nothing outlives the invocation
         assert main(["all", "--lmax", "16"]) == 0
-        assert builds == [16, 2, 3, 4] * 2
+        assert builds == [16, 4] * 2
 
     def test_validate_runs_the_battery_once_per_table(self, monkeypatch):
         built, validated = [], []
@@ -307,7 +310,7 @@ class TestMain:
         monkeypatch.setattr(GeneratorTable, "__init__", counting_init)
         monkeypatch.setattr(GeneratorTable, "validate", counting_validate)
         rows, _ = cli.run_validate(RunConfig(lmax_doubled=8))
-        assert [t.trunc.lmax.doubled for t in built] == [8, 2, 3, 4]
+        assert [t.trunc.lmax.doubled for t in built] == [8, 4]  # was 8, 2, 3, 4
         assert validated == built  # tables compare by identity
         relation_rows = {r[0]: r[1] for r in rows if r[0].startswith("algebra.relation")}
         assert relation_rows == {"algebra.relation[%s]" % name: residual
@@ -426,23 +429,26 @@ class TestWorkCounts:
         return count
 
     def test_validate_applies_each_suffix_once(self, matvecs, monkeypatch):
-        # one matvec per distinct suffix on the views of spins 2n <= 2, 3, 4: was 1 252;
-        # only the 41 balanced words run the ladder: was 341 * 81 = 27 621
-        levels = []
-        monkeypatch.setattr(gns_oracle, "rep_apply",
-                            lambda word, k, q: levels.append(k) or rep_apply(word, k, q))
+        # the words of one length and first letter in one matvec, on the view of
+        # spins 2n <= 4: was 1 252, then 444 (one per suffix on three views);
+        # only the 41 balanced words run the ladder, each once over all levels
+        ladders = []
+        ladder_sum = gns_oracle._ladder_sum
+        monkeypatch.setattr(gns_oracle, "_ladder_sum",
+                            lambda word, K, q: ladders.append(word) or ladder_sum(word, K, q))
         cfg = RunConfig(lmax_doubled=24)
         cli.run_validate(cfg)
-        assert matvecs[0] <= 444
-        assert len(levels) <= 3321
+        assert matvecs[0] <= 16
+        assert len(ladders) == len(set(ladders)) == 41
         table = cli.generator_table(cfg.q, cfg.lmax_doubled)
         held = [view.basis.dim for view in (table, *table._leading.values()) if view._vacuum]
         assert held and max(held) <= 55
 
     def test_modular_applies_each_operator_once_per_pair(self, matvecs):
-        # w e0 once per suffix and view, for the words of a, b* and ab: was 1 008, then 458
+        # w e0 for the words of a, b* and ab on one view, a word length and first
+        # letter per matvec: was 1 008, then 458, then 230
         cli.run_modular(RunConfig(lmax_doubled=24))
-        assert matvecs[0] <= 230
+        assert matvecs[0] <= 16
 
     def test_commutators_make_no_matvec_and_no_spinor_picture(self, matvecs, monkeypatch):
         # each witness reads its column of a and D's 2x2 blocks at a few labels:
@@ -603,13 +609,15 @@ class TestVerdictsFail:
         assert {r["status"] for r in rows if r["norm_absD"]} == {"PASS"}
 
     @pytest.mark.parametrize("name, value, failing", [
-        ("modular_check", 1e-9, "defect"),  # defect < 1e-9
+        ("modular_defects", 1e-9, "defect"),  # defect < 1e-9, every pair
         ("modular_generator_scaling", 1e-12, "scaling"),  # residual < 1e-12
     ])
     def test_modular(self, name, value, failing, monkeypatch, tmp_path, capsys):
         # the scaling rows' first cell, Psi(t[r,s]), holds a comma: read the
         # status as the sixth cell from the end, before the provenance columns
-        monkeypatch.setattr(spectral, name, lambda *args: value)
+        fake = (lambda a, b, table: [[value] * len(b)] * len(a)) if name == "modular_defects" \
+            else (lambda *args: value)
+        monkeypatch.setattr(spectral, name, fake)
         out = tmp_path / "modular.csv"
         assert main(["modular", "--lmax", "16", "--out", str(out)]) == 1
         for line in out.read_text().splitlines()[1:]:
@@ -719,11 +727,15 @@ def test_q_inversion_property(q, ld):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         runs = {}
-        for cmd in ("heat", "commutators", "modular") if ld >= 16 else ("heat", "modular"):
+        cmds = ("heat", "commutators", "modular", "validate") if ld >= 16 else (
+            "heat", "modular", "validate")
+        for cmd in cmds:
             for x in (q, 1 / q):
                 runs[cmd, x] = _run([cmd, "--q", repr(x), "--lmax", str(ld)], tmp)
-        # every defect and scaling row below its threshold at both
+        # every defect and scaling row below its threshold at both, and every validate row
         assert runs["modular", q][0] == runs["modular", 1 / q][0] == 0
+        assert runs["validate", q][0] == runs["validate", 1 / q][0] == 0
+        assert {r["status"] for x in (q, 1 / q) for r in runs["validate", x][1]} == {"PASS"}
         # heat reads q through max(q, 1/q), the same float at both: equal value cells
         keys = ("t", "operator_trace", "closed_sum", "tail_bound", "k_exponent", "s_band")
         heat = [[[r[k] for k in keys] for r in runs["heat", x][1]] for x in (q, 1 / q)]
@@ -739,6 +751,13 @@ def test_q_inversion_property(q, ld):
                         assert float(r_inv[k]) == pytest.approx(q * float(r[k]), rel=1e-14, abs=0)
     # the Haar state and the heat ratio of p at 1/q are those of its mirror at q
     table, table_inv = (GeneratorTable(x, Truncation(HalfInteger(ld))) for x in (q, 1 / q))
+    # validate's two paths across the symmetry: the ladder at 1/q of each word's
+    # mirror against the Peter-Weyl route at q, with a cut whose error
+    # q^{-2(K+1)} is below 1e-16
+    K = math.ceil(math.log(1e16) / (2 * math.log(q)))
+    for w in ("".join(t) for n in range(5) for t in itertools.product("aAgG", repeat=n)):
+        p = NCPolynomial.word(w)
+        assert abs(oracle_haar(_mirrored(p, 1 / q), K, 1 / q) - haar_state(p, table)) <= 1e-14, w
     for p in Q_INVERSION_POLYNOMIALS:
         values = [(haar_state(p, table_inv), haar_state(_mirrored(p, q), table))]
         values += [(haar_via_heat(p, t, table_inv)[0], haar_via_heat(_mirrored(p, q), t, table)[0])

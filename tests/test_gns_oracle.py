@@ -8,9 +8,45 @@ from hypothesis import given, settings, strategies as st
 from qsu2.qarith import HalfInteger, QArithError
 from qsu2.peterweyl import Truncation
 from qsu2.algebra import GeneratorTable, NCPolynomial, haar_state, is_normal_word
-from qsu2.gns_oracle import _SWAP_ALPHA, oracle_haar, rep_apply
+from qsu2 import gns_oracle
+from qsu2.gns_oracle import _SWAP_ALPHA, oracle_haar
 
 Q = 1.3
+
+
+def rep_apply(word: str, k: int, q: float):
+    """Reference: apply a generator word (rightmost letter first) to ladder level k at q > 1.
+
+    Returns (amplitude, k', winding).  An annihilated state comes back with
+    amplitude exactly 0.0.  One level at a time, each power a scalar
+    Python power: the route that oracle_haar's passes over all levels
+    keep the bits of.
+    """
+    if k < 0:
+        raise ValueError("level must be nonnegative")
+    amp = 1.0
+    level = k
+    winding = 0
+    for ch in reversed(word):
+        if ch == "a":
+            amp *= math.sqrt(1.0 - q ** (-2 * (level + 1)))
+            level += 1
+        elif ch == "A":
+            if level == 0:
+                return 0.0, k, winding
+            amp *= math.sqrt(1.0 - q ** (-2 * level))
+            level -= 1
+        elif ch == "g":
+            amp *= q ** (-(level + 1))
+            winding += 1
+        elif ch == "G":
+            amp *= q ** (-(level + 1))
+            winding -= 1
+        else:
+            raise ValueError("unknown letter %r" % ch)
+        if amp == 0.0:
+            return 0.0, k, winding
+    return amp, level, winding
 
 
 def uncut_oracle_haar(p, K, q):
@@ -123,3 +159,46 @@ def test_weight_cut_matches_the_uncut_ladder_bitwise(q, K, terms):
     ref = np.array([uncut_oracle_haar(p, K, q)])
     assert cut.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
 
+
+
+def _bits(x: complex) -> list:
+    return np.array([x]).view(np.uint64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(word=st.text(alphabet="aAgG", max_size=6),
+       q=st.sampled_from([0.05, 0.5, 0.7, 1.01, 1.0001, 1.2, 1.3, 3.0, 25.0]),
+       K=st.sampled_from([0, 1, 10, 80]))
+def test_ladder_passes_match_the_scalar_ladder_bitwise(word, q, K):
+    # every level of a word in numpy passes, powers from a table of scalar
+    # powers and the levels summed in order: the bits of rep_apply level by level
+    p = NCPolynomial.word(word)
+    assert _bits(oracle_haar(p, K, q)) == _bits(uncut_oracle_haar(p, K, q))
+
+
+@pytest.mark.parametrize("q", [0.7, 1.2])
+@pytest.mark.parametrize("K", [0, 1, 10, 80])
+def test_ladder_of_a_complex_polynomial_matches_the_scalar_ladder_bitwise(q, K):
+    p = NCPolynomial({"": 0.5 - 1.5j, "Gg": 2.0 + 0.25j, "aAgG": -1.0j, "AAaa": 0.75,
+                      "gAaG": 1.0 + 1.0j, "ag": 3.0})
+    assert _bits(oracle_haar(p, K, q)) == _bits(uncut_oracle_haar(p, K, q))
+
+
+def test_passes_carry_the_running_sum_bitwise(monkeypatch):
+    # passes of 7 levels (K = 100 takes 15, the last of 3 levels) give the bits
+    # of one pass over every level: the running sum is carried, not restarted
+    words = ["", "Aa", "aA", "Gg", "aAgG", "AAaa", "gAaG", "AgaG", "aaAA"]
+    cases = [(w, K, q) for w in words for K in (0, 6, 7, 8, 100) for q in (0.7, 1.01, 1.2)]
+    one = [_bits(oracle_haar(NCPolynomial.word(w), K, q)) for w, K, q in cases]
+    monkeypatch.setattr(gns_oracle, "LADDER_LEVELS", 7)
+    assert [_bits(oracle_haar(NCPolynomial.word(w), K, q)) for w, K, q in cases] == one
+
+
+def test_near_one_cut_matches_the_scalar_ladder_bitwise():
+    # q = 1.0001 runs validate's cut K = 138 163 in 9 passes: the bits of the scalar ladder
+    q = 1.0001
+    K = max(80, math.ceil(math.log(1e12) / (2 * math.log(q))))
+    assert K == 138163
+    for w in ("Gg", "aAgG"):
+        p = NCPolynomial.word(w)
+        assert _bits(oracle_haar(p, K, q)) == _bits(uncut_oracle_haar(p, K, q)), w

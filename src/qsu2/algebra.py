@@ -403,7 +403,7 @@ class GeneratorTable:
         """
         key = tuple(p.terms.items())
         if key not in self._shell_sums:
-            _check_degree(p, self)
+            _check_degree(p.degree(), self)
             sums = ((coeff, self.shell_sums(word)) for word, coeff in p.terms.items())
             self._shell_sums.clear()
             self._shell_sums[key] = tuple((c, v) for c, v in sums if v is not None)
@@ -551,15 +551,15 @@ def _pad(f: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _check_degree(p: NCPolynomial, table: GeneratorTable) -> None:
-    if p.degree() > table.trunc.lmax.doubled:
+def _check_degree(degree: int, table: GeneratorTable) -> None:
+    if degree > table.trunc.lmax.doubled:
         raise AlgebraError("word length %d leaves no safe shell at lmax = %s"
-                           % (p.degree(), table.trunc.lmax))
+                           % (degree, table.trunc.lmax))
 
 
 def mult_operator(p: NCPolynomial, table: GeneratorTable) -> BandMatrix:
     """The left-multiplication operator of p on the truncated GNS space; real for real p."""
-    _check_degree(p, table)
+    _check_degree(p.degree(), table)
     basis = table.basis
     bands = {}
     for word, coeff in p.terms.items():
@@ -578,5 +578,17 @@ def haar_state(p: NCPolynomial, table: GeneratorTable) -> complex:
     evaluated on the leading shells that the words reach, where each word
     reads its vector w e0 from the table's vacuum memo.
     """
-    _check_degree(p, table)
+    _check_degree(p.degree(), table)
     return complex(table.leading(p.degree()).vacuum_of(p)[0])
+
+
+def haar_states(words, table: GeneratorTable) -> list:
+    """haar_state(NCPolynomial.word(w), table) for each word w, its bits: one view, one fill.
+
+    Each psi(w) is vacuum(w)[0] added to +0.0, as vacuum_of sums from a zero vector.
+    """
+    deg = max(map(len, words), default=0)
+    _check_degree(deg, table)
+    view = table.leading(deg)
+    view.fill_vacuum(words)
+    return (np.array([view.vacuum(w)[0] for w in words], dtype=complex) + 0.0).tolist()

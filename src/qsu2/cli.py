@@ -23,8 +23,8 @@ from . import __version__
 from .qarith import HalfInteger, QArithError, q_number
 from .peterweyl import Truncation
 from .algebra import (GeneratorTable, NCPolynomial, ValidationError, cg_table,
-                      haar_state, is_normal_word, mult_operator)
-from .gns_oracle import oracle_haar
+                      haar_states, is_normal_word, mult_operator)
+from .gns_oracle import oracle_haar_words
 from . import spectral
 
 OBSERVABLES = ["", "a", "g", "Gg", "Aa", "aG"]  # 1, alpha, gamma, g*g, a*a, a g*
@@ -73,12 +73,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _csv_cell(x) -> str:
+    """_fmt(x); in double quotes, each inner one doubled, if it holds a comma, quote or newline."""
+    text = _fmt(x)
+    return '"%s"' % text.replace('"', '""') if any(c in text for c in ',"\n') else text
+
+
 def write_rows(path: str, fmt: str, columns: list, rows: list, provenance: dict) -> None:
     cols = columns + list(provenance)
     full = [list(r) + [provenance[k] for k in provenance] for r in rows]
     if fmt == "csv":
-        lines = [",".join(cols)]
-        lines += [",".join(_fmt(x) for x in r) for r in full]
+        lines = [",".join(map(_csv_cell, r)) for r in [cols] + full]
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps([dict(zip(cols, [(_fmt(x) if isinstance(x, (float, complex)) else x)
@@ -163,11 +168,9 @@ def run_validate(cfg: RunConfig):
     levels = max(80, math.ceil(math.log(1e12) / (2 * math.log(max(q, 1.0 / q)))))
     words = ["".join(w) for deg in range(min(4, cfg.lmax_doubled) + 1)
              for w in itertools.product("aAgG", repeat=deg)]
-    table.leading(len(words[-1])).fill_vacuum(words)  # one view, a word length at a time
     worst = 0.0
-    for w in words:
-        p = NCPolynomial.word(w)
-        worst = max(worst, abs(haar_state(p, table) - oracle_haar(p, levels, q)))
+    for gns, ladder in zip(haar_states(words, table), oracle_haar_words(words, levels, q)):
+        worst = max(worst, abs(gns - ladder))
     record("oracle.two_path_agreement", worst)
 
     return rows, ["battery", "residual", "threshold", "status"]
@@ -177,9 +180,8 @@ def run_haar(cfg: RunConfig):
     table = generator_table(cfg.q, cfg.lmax_doubled)
     phi1 = spectral.rho_trace_functional(NCPolynomial.one(), _rho_multiplier, table)
     rows = []
-    for w in OBSERVABLES:
+    for w, psi in zip(OBSERVABLES, haar_states(OBSERVABLES, table)):
         p = NCPolynomial.word(w)
-        psi = haar_state(p, table)
         for t in cfg.t_grid:
             ratio, tail = spectral.haar_via_heat(p, t, table)
             err = abs(ratio - psi)
@@ -338,31 +340,29 @@ def build_config(args) -> RunConfig:
     return RunConfig(**kwargs)  # RunConfig holds the one copy of each default
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="qsu2",
         description="Numerical spectral geometry of SU_q(2): Haar state from "
                     "heat traces, Dirac commutators, modular structure.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in list(EXPERIMENTS) + ["all"]:
-        p = sub.add_parser(name)
-        p.add_argument("--q", type=float, default=None)
-        p.add_argument("--lmax", type=int, default=None,
-                       help="largest retained spin, as a doubled integer")
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--t-grid", dest="t_grid", type=str, default=None,
-                       help="start:stop:count")
-        p.add_argument("--t-log", dest="t_log", action="store_true", default=None,
-                       help="log-space the t grid")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--precision-bits", dest="precision_bits", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", type=str, choices=("csv", "json"), default=None)
-        p.add_argument("--config", type=str, default=None)
-    args = parser.parse_args(argv)
+    parser.add_argument("command", choices=list(EXPERIMENTS) + ["all"])
+    parser.add_argument("--q", type=float)
+    parser.add_argument("--lmax", type=int, help="largest retained spin, as a doubled integer")
+    parser.add_argument("--t", type=float)
+    parser.add_argument("--t-grid", help="start:stop:count")
+    parser.add_argument("--t-log", action="store_true", default=None, help="log-space the t grid")
+    parser.add_argument("--tol", type=float)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--precision-bits", type=int)
+    parser.add_argument("--out")
+    parser.add_argument("--format", choices=("csv", "json"))
+    parser.add_argument("--config")
+    return parser.parse_args(argv)
 
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     try:
         cfg = build_config(args)
     except (QArithError, OSError) as exc:

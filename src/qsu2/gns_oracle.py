@@ -43,38 +43,54 @@ def _powers(q: float, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _ladder_sum(word: str, K: int, q: float) -> float:
-    """sum_k q^{-2k} amp_k over the levels k = 0..K of a balanced word, at q > 1.
+def _ladder_sums(words, K: int, q: float) -> dict:
+    """{w: sum_k q^{-2k} amp_k over the levels k = 0..K} for the balanced words w, at q > 1.
 
     amp_k brings level k back to itself, the letters applied rightmost
-    first (see the module docstring), in passes of LADDER_LEVELS levels,
-    one numpy pass per letter.  alpha* at level 0 multiplies by
-    sqrt(1 - q^0) = 0 and keeps the level at 0, so an annihilated level
-    stays exactly 0 (no factor exceeds 1).  The terms are summed in level
-    order from 0.0, the sum carried from pass to pass: the bits of the
-    scalar ladder, level by level.
+    first (see the module docstring).  Each pass of LADDER_LEVELS levels
+    reads one power table, which reaches the longest word's levels, and
+    runs every word on it, one numpy pass per letter.  alpha* at level 0
+    multiplies by sqrt(1 - q^0) = 0 and keeps the level at 0, so an
+    annihilated level stays exactly 0 (no factor exceeds 1).  Each word's
+    terms are summed in level order from 0.0, its sum carried from pass to
+    pass: the bits of the scalar ladder, level by level.  A word with
+    #a != #A or #g != #G adds exactly 0.0 at every level and is left out.
     """
-    total = 0.0
-    for k0 in range(0, K + 1, LADDER_LEVELS):
+    totals = {w: 0.0 for w in words
+              if w.count("a") == w.count("A") and w.count("g") == w.count("G")}
+    reach = max(map(len, totals), default=0)
+    for k0 in range(0, K + 1, LADDER_LEVELS) if totals else ():
         k1 = min(k0 + LADDER_LEVELS, K + 1)
-        # the levels m that the pass reaches, k0 - len(word) <= m <= k1 + len(word), rounded out
-        lo = max(k0 - len(word), 0) // _STEP * _STEP
-        p1, p2 = _powers(q, lo, -(-(k1 + len(word) + 1) // _STEP) * _STEP)
-        level = np.arange(k0 - lo, k1 - lo)  # less lo
-        amp = np.ones(k1 - k0)
-        for ch in reversed(word):
-            if ch == "a":
-                amp *= np.sqrt(1.0 - p2[level + 1])
-                level += 1
-            elif ch == "A":
-                amp *= np.sqrt(1.0 - p2[level])
-                np.maximum(level - 1, 0, out=level)
-            else:
-                amp *= p1[level + 1]
-        terms = p2[k0 - lo:k1 - lo] * amp
-        terms[0] += total
-        total = float(np.cumsum(terms)[-1])
-    return total
+        # the levels m that the pass reaches, k0 - reach <= m <= k1 + reach, rounded out
+        lo = max(k0 - reach, 0) // _STEP * _STEP
+        p1, p2 = _powers(q, lo, -(-(k1 + reach + 1) // _STEP) * _STEP)
+        for word, total in totals.items():
+            level = np.arange(k0 - lo, k1 - lo)  # less lo
+            amp = np.ones(k1 - k0)
+            for ch in reversed(word):
+                if ch == "a":
+                    amp *= np.sqrt(1.0 - p2[level + 1])
+                    level += 1
+                elif ch == "A":
+                    amp *= np.sqrt(1.0 - p2[level])
+                    np.maximum(level - 1, 0, out=level)
+                else:
+                    amp *= p1[level + 1]
+            terms = p2[k0 - lo:k1 - lo] * amp
+            terms[0] += total
+            totals[word] = float(np.cumsum(terms)[-1])
+    return totals
+
+
+def _weighted_sums(terms, K: int, q: float) -> list:
+    """coeff * (1 - q^-2) * the ladder sum of each (word, coeff) pair, at q or, below 1, at 1/q."""
+    if not (q > 0 and q != 1):
+        raise QArithError("the ladder oracle needs q > 0 and q != 1, got q = %g" % q)
+    if q < 1:  # SU_q(2) = SU_{1/q}(2): a and A swapped, each g or G scaled by 1/q
+        terms, q = [(w.translate(_SWAP_ALPHA), c * (1.0 / q) ** (w.count("g") + w.count("G")))
+                    for w, c in terms], 1.0 / q
+    sums = _ladder_sums([w for w, _ in terms], K, q)
+    return [coeff * (1.0 - q ** -2) * sums.get(word, 0.0) for word, coeff in terms]
 
 
 def oracle_haar(p: NCPolynomial, K: int, q: float) -> complex:
@@ -87,20 +103,12 @@ def oracle_haar(p: NCPolynomial, K: int, q: float) -> complex:
     1/q, is evaluated at 1/q with the coefficients kept.  q <= 0 and
     q = 1 raise QArithError.
     """
-    if not (q > 0 and q != 1):
-        raise QArithError("the ladder oracle needs q > 0 and q != 1, got q = %g" % q)
-    if q < 1:
-        inv = 1.0 / q
-        mirrored = {w.translate(_SWAP_ALPHA): c * inv ** (w.count("g") + w.count("G"))
-                    for w, c in p.terms.items()}
-        return oracle_haar(NCPolynomial(mirrored), K, inv)
     total = 0.0 + 0.0j
-    for word, coeff in p.terms.items():
-        acc = _ladder_sum(word, K, q) if _balanced(word) else 0.0
-        total += coeff * (1.0 - q ** -2) * acc
+    for term in _weighted_sums(p.terms.items(), K, q):
+        total += term
     return total
 
 
-def _balanced(word: str) -> bool:
-    """Whether #a = #A and #g = #G: else the ladder adds exactly 0.0 at every level."""
-    return word.count("a") == word.count("A") and word.count("g") == word.count("G")
+def oracle_haar_words(words, K: int, q: float) -> list:
+    """oracle_haar(NCPolynomial.word(w), K, q) for each word w, its bits: one ladder run for all."""
+    return [0.0 + 0.0j + term for term in _weighted_sums([(w, 1.0) for w in words], K, q)]

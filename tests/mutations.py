@@ -62,6 +62,12 @@ MUTATIONS = {
                                 "held.update(zip(group, np.roll(vecs, 1, axis=1).T))"),
     "modular-b-not-adjoint": ("src/qsu2/spectral.py", "b_adj = [b.adjoint() for b in b_list]",
                               "b_adj = list(b_list)"),
+    # validate's two routes, each read once for all its words
+    "validate-psi-with-itself": ("src/qsu2/cli.py", "worst = max(worst, abs(gns - ladder))",
+                                 "worst = max(worst, abs(gns - gns))"),
+    "ladder-shortest-offset": ("src/qsu2/gns_oracle.py",
+                               "lo = max(k0 - reach, 0) // _STEP * _STEP",
+                               "lo = max(k0 - min(map(len, totals)), 0) // _STEP * _STEP"),
 }
 
 

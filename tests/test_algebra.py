@@ -16,7 +16,7 @@ from qsu2 import algebra, cli, spectral
 from qsu2.qarith import HalfInteger, _cg_doubled, q_number
 from qsu2.peterweyl import BLOCK_LABELS, DIAGONAL, Basis, BandMatrix, Truncation, rho_weights
 from qsu2.algebra import (AlgebraError, GeneratorTable, NCPolynomial, ValidationError,
-                          adjoint_word, cg_table, haar_state,
+                          adjoint_word, cg_table, haar_state, haar_states,
                           is_normal_word, mult_operator, t_half)
 from qsu2.dirac import DiracContext
 from qsu2.gns_oracle import oracle_haar
@@ -699,3 +699,26 @@ class TestHaarState:
         t = GeneratorTable(Q, Truncation(HalfInteger(2)))
         value = haar_state(NCPolynomial(), t)
         assert value == 0j and isinstance(value, complex)
+
+
+@pytest.mark.parametrize("q", [0.7, 1.2])
+@pytest.mark.parametrize("lmax_d", [2, 4, 16, 24])
+def test_haar_states_match_haar_state_bitwise(lmax_d, q):
+    # one view of the longest word and one fill for all the words of up to 4
+    # letters (up to 2 at ld 2), each on a table of its own: the bits of
+    # haar_state word by word, the zeros +0.0 as vacuum_of sums them
+    words = ["".join(t) for n in range(min(4, lmax_d) + 1)
+             for t in itertools.product("aAgG", repeat=n)]
+    trunc = Truncation(HalfInteger(lmax_d))
+    batch = haar_states(words, GeneratorTable(q, trunc))
+    table = GeneratorTable(q, trunc)
+    single = [haar_state(NCPolynomial.word(w), table) for w in words]
+    assert all(isinstance(x, complex) for x in batch)
+    assert np.array(batch).view(np.uint64).tolist() == np.array(single).view(np.uint64).tolist()
+
+
+def test_haar_states_degree_guard():
+    t = GeneratorTable(Q, Truncation(HalfInteger(2)))
+    assert haar_states([], t) == []
+    with pytest.raises(AlgebraError):
+        haar_states(["", "aaa"], t)

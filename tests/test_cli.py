@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import itertools
@@ -58,6 +59,78 @@ class TestParsing:
         p.write_text("q 1.5\n")
         with pytest.raises(QArithError):
             read_config_file(str(p))
+
+
+def subcommand_parser():
+    """Reference: the parser of one subcommand per experiment, each declaring every option."""
+    parser = argparse.ArgumentParser(prog="qsu2")
+    parser.add_argument("--version", action="version", version=cli.__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in list(EXPERIMENTS) + ["all"]:
+        p = sub.add_parser(name)
+        p.add_argument("--q", type=float, default=None)
+        p.add_argument("--lmax", type=int, default=None)
+        p.add_argument("--t", type=float, default=None)
+        p.add_argument("--t-grid", dest="t_grid", type=str, default=None)
+        p.add_argument("--t-log", dest="t_log", action="store_true", default=None)
+        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--precision-bits", dest="precision_bits", type=int, default=None)
+        p.add_argument("--out", type=str, default=None)
+        p.add_argument("--format", type=str, choices=("csv", "json"), default=None)
+        p.add_argument("--config", type=str, default=None)
+    return parser
+
+
+class TestArgv:
+    """One parser, with the command as a positional: the namespaces of the subcommand tree."""
+
+    # the forms of the README's command-line section and of the tests' main() calls
+    FORMS = [
+        ["validate", "--q", "1.2", "--lmax", "24"],
+        ["haar", "--lmax", "32", "--t-grid", "0.5:2:4", "--out", "haar.csv"],
+        ["commutators", "--lmax", "40", "--seed", "1234", "--out", "comm.csv"],
+        ["heat", "--t-grid", "0.05:0.5:12", "--t-log", "--lmax", "62", "--out", "heat.csv"],
+        ["modular", "--lmax", "16", "--format", "json", "--out", "modular.json"],
+        ["all", "--lmax", "24", "--out", "run.csv"],
+        ["heat", "--q", "1.0"], ["haar", "--q", "nan"], ["haar", "--tol", "nan"],
+        ["heat", "--t", "1e9", "--lmax", "24", "--out", "heat.csv"],
+        ["heat", "--q", "5", "--lmax", "2000", "--t", "0.005"],
+        ["commutators", "--q", "1e-10", "--lmax", "62"],
+        ["all", "--lmax", "16", "--seed", "1234", "--out", "all.csv"],
+        ["modular", "--lmax", "8", "--out", "m.json", "--format", "json"],
+        ["heat", "--lmax", "400", "--t-grid", "0.01:0.5:24", "--t-log",
+         "--precision-bits", "113"],
+        ["validate", "--lmax", "24", "--q", "0.7", "--out", "v.csv"],
+        ["heat", "--precision-bits", "52"], ["haar", "--lmax", "16"],
+    ]
+
+    @pytest.mark.parametrize("argv", FORMS, ids=" ".join)
+    def test_same_namespace_and_config_as_the_subcommand_tree(self, argv):
+        new, old = cli.parse_args(argv), subcommand_parser().parse_args(argv)
+        assert repr(sorted(vars(new).items())) == repr(sorted(vars(old).items()))  # nan too
+        try:
+            assert build_config(new) == build_config(old)
+        except QArithError:
+            with pytest.raises(QArithError):
+                build_config(old)
+
+    def test_config_file_form(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("q = 1.5\nlmax = 10\nt_grid = 0.5:2:4\nt_log = true\n")
+        argv = ["heat", "--config", str(path), "--q", "2"]
+        new, old = cli.parse_args(argv), subcommand_parser().parse_args(argv)
+        assert build_config(new) == build_config(old) == RunConfig(
+            q=2.0, lmax_doubled=10, t_grid=parse_t_grid("0.5:2:4", True))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["heat", "--bogus", "1"], ["heat", "--q", "abc"], ["heat", "extra"],
+        ["heat", "--format", "xml"], ["haar", "--lmax", "1.5"], ["haar", "validate"],
+    ])
+    def test_bad_command_or_option_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
 
 
 class TestRunConfig:
@@ -431,15 +504,19 @@ class TestWorkCounts:
     def test_validate_applies_each_suffix_once(self, matvecs, monkeypatch):
         # the words of one length and first letter in one matvec, on the view of
         # spins 2n <= 4: was 1 252, then 444 (one per suffix on three views);
-        # only the 41 balanced words run the ladder, each once over all levels
+        # only the 41 balanced words run the ladder, all in one run over the levels
         ladders = []
-        ladder_sum = gns_oracle._ladder_sum
-        monkeypatch.setattr(gns_oracle, "_ladder_sum",
-                            lambda word, K, q: ladders.append(word) or ladder_sum(word, K, q))
+        ladder_sums = gns_oracle._ladder_sums
+
+        def recording(words, K, q):
+            ladders.append(ladder_sums(words, K, q))
+            return ladders[-1]
+
+        monkeypatch.setattr(gns_oracle, "_ladder_sums", recording)
         cfg = RunConfig(lmax_doubled=24)
         cli.run_validate(cfg)
         assert matvecs[0] <= 16
-        assert len(ladders) == len(set(ladders)) == 41
+        assert len(ladders) == 1 and len(ladders[0]) == 41
         table = cli.generator_table(cfg.q, cfg.lmax_doubled)
         held = [view.basis.dim for view in (table, *table._leading.values()) if view._vacuum]
         assert held and max(held) <= 55
@@ -613,16 +690,29 @@ class TestVerdictsFail:
         ("modular_generator_scaling", 1e-12, "scaling"),  # residual < 1e-12
     ])
     def test_modular(self, name, value, failing, monkeypatch, tmp_path, capsys):
-        # the scaling rows' first cell, Psi(t[r,s]), holds a comma: read the
-        # status as the sixth cell from the end, before the provenance columns
+        # the scaling rows' first cell, Psi(t[r,s]), holds a comma and is quoted
         fake = (lambda a, b, table: [[value] * len(b)] * len(a)) if name == "modular_defects" \
             else (lambda *args: value)
         monkeypatch.setattr(spectral, name, fake)
-        out = tmp_path / "modular.csv"
-        assert main(["modular", "--lmax", "16", "--out", str(out)]) == 1
-        for line in out.read_text().splitlines()[1:]:
-            kind = "scaling" if ",scaling," in line else "defect"
-            assert line.split(",")[-6] == ("FAIL" if kind == failing else "PASS"), line
+        rc, rows = _run(["modular", "--lmax", "16"], tmp_path)
+        assert rc == 1
+        assert sum(r["a"].startswith("Psi(t[") for r in rows) == 4
+        for r in rows:
+            kind = "scaling" if r["b"] == "scaling" else "defect"
+            assert r["status"] == ("FAIL" if kind == failing else "PASS"), r
+            assert r["version"] == cli.__version__, r
+
+    @pytest.mark.parametrize("shift, status", [(0.0, "PASS"), (2e-9, "FAIL")])
+    def test_validate_two_path_agreement(self, shift, status, monkeypatch, tmp_path, capsys):
+        # the ladder route moved off the GNS route by twice the threshold (1e-9)
+        ladder = cli.oracle_haar_words
+        monkeypatch.setattr(cli, "oracle_haar_words",
+                            lambda words, K, q: [x + shift for x in ladder(words, K, q)])
+        rc, rows = _run(["validate", "--lmax", "8"], tmp_path)
+        assert rc == (1 if status == "FAIL" else 0)
+        for r in rows:
+            assert r["status"] == (status if r["battery"] == "oracle.two_path_agreement"
+                                   else "PASS"), r
 
     def test_haar_abs_error(self, monkeypatch, tmp_path, capsys):
         # each heat ratio moved by twice the tolerance (1e-8)

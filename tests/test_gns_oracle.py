@@ -202,3 +202,32 @@ def test_near_one_cut_matches_the_scalar_ladder_bitwise():
     for w in ("Gg", "aAgG"):
         p = NCPolynomial.word(w)
         assert _bits(oracle_haar(p, K, q)) == _bits(uncut_oracle_haar(p, K, q)), w
+
+
+WORDS_UP_TO_6 = ["".join(t) for n in range(7) for t in itertools.product("aAgG", repeat=n)]
+
+
+@pytest.mark.parametrize("q", [0.3, 0.7, 0.99, 1.0001, 1.2, 3.0, 17.0])
+@pytest.mark.parametrize("K", [0, 1, 10, 80, 20000])
+def test_words_share_the_ladder_run_bitwise(q, K):
+    # every word of up to 6 letters in one run over the levels, each with its
+    # own running total: the bits of oracle_haar word by word (K = 20 000
+    # takes two passes, whose power table reaches the longest word's levels)
+    batch = gns_oracle.oracle_haar_words(WORDS_UP_TO_6, K, q)
+    single = [oracle_haar(NCPolynomial.word(w), K, q) for w in WORDS_UP_TO_6]
+    assert [_bits(x) for x in batch] == [_bits(x) for x in single]
+
+
+@pytest.mark.parametrize("words", [["Aa"], WORDS_UP_TO_6[:341]])
+def test_each_pass_reads_one_power_table(words):
+    # K + 1 = 3 LADDER_LEVELS levels: three passes, one table each, whatever the words
+    gns_oracle._powers.cache_clear()
+    gns_oracle.oracle_haar_words(words, 3 * gns_oracle.LADDER_LEVELS - 1, 1.2)
+    info = gns_oracle._powers.cache_info()
+    assert (info.misses, info.hits) == (3, 0)
+
+
+def test_unbalanced_words_read_no_power_table():
+    gns_oracle._powers.cache_clear()
+    assert gns_oracle.oracle_haar_words(["a", "gA", "ggG"], 80, 1.2) == [0j, 0j, 0j]
+    assert gns_oracle._powers.cache_info().misses == 0

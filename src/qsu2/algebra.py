@@ -169,13 +169,13 @@ class Generator(BandMatrix):
     where either factor is 0 (a label outside the truncation reads the
     padding), and ((c1 c2) nu) scale elsewhere.
 
-    form(shells) is the one band former.  bands_over(block, shells) forms
-    the bands over some shells around a column block once per block, in
-    the block's memo, copying the shells shared with the range formed on
-    the block before; bands, the whole operator, are those over every
-    shell on the first block: kept on a basis of one block, formed for each
-    caller on any other.  The memo is keyed by the Generator, so a
-    throwaway one forms its bands with form.
+    form(shells) is the band former over labels, and grid(shells, out) the
+    relation battery's, over a zero-padded grid of shells.
+    bands_over(block, shells) forms the bands over some shells around a
+    column block once per block, in the block's memo; bands, the whole
+    operator, are those over every shell on the first block: kept on a
+    basis of one block, formed for each caller on any other.  The memo is
+    keyed by the Generator, so a throwaway one forms its bands with form.
     """
 
     dtype = np.dtype(float)
@@ -203,7 +203,7 @@ class Generator(BandMatrix):
         lo_bands = block.memo.get((self, shells))
         if lo_bands is None:
             lo_bands = block.memo[self, shells] = (int(self.space.start[shells[0]]),
-                                                   self._form_after(block.prev, shells))
+                                                   self.form(shells))
         return lo_bands
 
     def step(self, b: int) -> tuple:
@@ -217,32 +217,44 @@ class Generator(BandMatrix):
         shift = (o, (self.rd + o) // 2, (self.sd + o) // 2)
         return tuple(-x for x in shift) if self.adjoint else shift
 
-    def _form_after(self, prev, shells) -> dict:
-        """form(shells), with the shells shared with the range formed on the block prev copied.
+    def grid(self, shells, out) -> dict:
+        """The bands over the shells n0 - 1 <= 2n <= n1 on a zero-padded grid, in out[0], out[1].
 
-        Consecutive windows share the shells at the edge between their
-        blocks: two of the three when a block is one shell.  The range
-        formed on prev is released once copied.
+        Shell 2n of the grid is w x w cells, w = n1 + 2, its in-shell rows
+        and columns -1 .. w - 2 row-major, so the cell (2n, a, b) is at
+        ((2n - n0 + 1) w + a + 1) w + b + 1 of a flat band.  A cell outside
+        its shell (a row or a column -1 or beyond 2n, or the shell -1) is 0.
+        Each cell is ((c1 c2) nu) scale, the factors read as form reads
+        them, so a band holds the bits of form's at each label, up to the
+        sign of a zero.  Both branches go at once.  Keyed as form's.
         """
         n0, n1 = shells
-        old = next((k for k in (prev.memo if prev else ()) if k[0] is self
-                    and k[1][0] <= n0 < k[1][1] <= n1), None)
-        if old is None:
-            return self.form(shells)
-        (p0, p1), (_, old) = old[1], prev.memo.pop(old)
-        start = self.space.start
-        shared = start[p1] - start[n0]
-        bands = {key: np.empty(start[n1] - start[n0]) for key in old}
-        for key, band in bands.items():
-            band[:shared] = old[key][start[n0] - start[p0]:]
-        if p1 < n1:
-            self.form((p1, n1), [band[shared:] for band in bands.values()])
-        return bands
+        w, m = n1 + 2, n1 - n0 + 2  # m: the grid's shells
+        c1, c2, nu = self.factors
+        # the row (0) and column (1) factors of each branch and grid shell, and nu
+        rc, nus = np.zeros((2, 2, m, w)), np.zeros((2, m))
+        keys = []
+        for b, o in enumerate((1, -1)):
+            # the column (n, i, j) holds the entry of the column (n, i, j) - (d, 2 da, 2 db)/2
+            d, da, db = (o, (self.rd + o) // 2, (self.sd + o) // 2) if self.adjoint else (0, 0, 0)
+            s = n0 - d  # the padded slot of the grid's first shell; -1 reads as 0
+            k = max(-s, 0)
+            nus[b, k:] = nu[b, s + k:s + m]
+            for f, x, r in ((c1, da, rc[0, b]), (c2, db, rc[1, b])):
+                r[k:, max(x, 0):] = f[b, s + k:s + m, max(x, 0) - x:w - x]  # row -1 at slot -x
+            keys.append((-o, -self.rd, -self.sd, 0) if self.adjoint else (o, self.rd, self.sd, 0))
+        at = np.arange(-1, w - 1)
+        rc *= (at >= 0) & (at <= np.arange(n0 - 1, n1 + 1)[:, None])  # 0 outside the shell
+        size = m * w * w
+        np.multiply(rc[0, :, :, :, None], rc[1, :, :, None, :],
+                    out=out[:, :size].reshape(2, m, w, w))
+        flat = out[:, :size].reshape(2, m, w * w)
+        flat *= nus[:, :, None]
+        flat *= self.scale
+        return {key: out[b, :size] for b, key in enumerate(keys)}
 
-    def form(self, shells, out=None) -> dict:
+    def form(self, shells) -> dict:
         """The bands over the labels of the shells n0 <= 2n < n1, in the order of the branches.
-
-        out, if given, holds the two arrays to write them into.
 
         A shell narrower than WIDE labels a row goes with the other narrow
         ones, label by label: the row factor repeated along each in-shell
@@ -269,7 +281,7 @@ class Generator(BandMatrix):
         for b, o in enumerate((1, -1)):
             # the column (n, i, j) holds the entry of the column (n, i, j) - (d, 2 da, 2 db)/2
             d, da, db = (o, (self.rd + o) // 2, (self.sd + o) // 2) if self.adjoint else (0, 0, 0)
-            band = np.empty(pos[-1]) if out is None else out[b]
+            band = np.empty(pos[-1])
             if m > n0:
                 narrow = np.repeat(c1[b][nd - d + 1, a + 1 - da], nd + 1)
                 col = np.take(c2[b], basis.along_rows((nd - d + 1) * slots + 1 - db, 1, (n0, m)))
@@ -339,10 +351,11 @@ class GeneratorTable:
     q^2 gamma* gamma = 1 at the cyclic vector.  Each generator is held as
     its per-shell factors (Generator): the two cg_table rows, nu per shell
     and its scalar, O(lmax^2) numbers.  The relation battery forms the
-    bands it reads one column block at a time, so on a basis of several
-    blocks the table holds no array of basis length; a basis of one block
-    keeps them on its block.  The trace diagonals are sums over spin paths
-    of the factors themselves (shell_sums), O(lmax^2) numbers per path.
+    bands it reads on a grid of a few shells at a time and keeps none, so
+    the table holds no array of basis length; whole bands, once formed on
+    a basis of one column block, are kept on its block.  The trace
+    diagonals are sums over spin paths of the factors themselves
+    (shell_sums), O(lmax^2) numbers per path.
     The full relation battery is run on construction and its residuals
     are kept; a failure raises ValidationError.
     """
@@ -499,22 +512,19 @@ class GeneratorTable:
 
         residuals keeps the largest residual of each defining relation on
         the safe columns.  A relation is a word of length 2 (depth 1), exact
-        on the spins 2n <= 2 lmax - 2: the column prefix [0, s).  The
-        battery runs one column block of those shells at a time (a basis of
-        one block runs on all of its columns and reads the prefix); each
-        residual band is formed in place over the block's columns and
-        reduced as it is formed, a running maximum per band key, so no
-        product, residual or scaled generator is held whole, and the rows
-        of a block are computed once for all five relations.  A product
-        band at column c reads only column c of its right factor.  Both
-        sides of a relation are words of length 2 and one weight, so they
-        share their band keys: the left product streams them and the right
-        one is formed at the same key.  A scaled side, q^2 G g or q g a,
-        scales its gathered bands, with the bits of scaling G or g first.
+        on the spins 2n <= 2 lmax - 2.  The battery runs on chunks of those
+        shells (_grid_chunks): each generator band is formed once per chunk
+        on a grid of its shells and one more on each side (Generator.grid),
+        and a product term at a shift reads that band at a constant offset,
+        a slice (_grid_products).  Both sides of a relation are words of
+        length 2 and one weight, so they share their band keys: the left
+        product streams them and the right one is formed at the same key.
+        A cell outside its shell is 0 in every band, so its residual is 0
+        but on the diagonal key, whose constant is subtracted in the shells
+        only.  The windows and buffers are allocated once, for the largest
+        chunk, and each residual band is reduced as it is formed.
         """
         q = self.q
-        Ld = self.trunc.lmax.doubled
-        s = self.basis.start[Ld - 1]
         a, A, g, G = (self.ops[ch] for ch in "aAgG")
 
         # relation -> (left product, (add or subtract, right product, its scale), constant)
@@ -525,23 +535,90 @@ class GeneratorTable:
             "a g = q g a": ((a, g), (np.subtract, g, a, q), 0.0),
             "a G = q G a": ((a, G), (np.subtract, G, a, q), 0.0),
         }
-        largest = {name: {} for name in rel}  # relation -> band key -> largest residual
-        for block in self.basis.column_blocks(Ld - 1):
+        chunks = _grid_chunks(self.trunc.lmax.doubled - 1)
+        cells = max((n1 - n0 + 2) * (n1 + 2) ** 2 for n0, n1 in chunks)
+        windows = {op: np.empty((2, cells)) for op in (a, A, g, G)}
+        left, right, term = np.empty((3, max((n1 - n0) * (n1 + 2) ** 2 for n0, n1 in chunks)))
+        worst = dict.fromkeys(rel, 0.0)
+        for n0, n1 in chunks:
+            w = n1 + 2
+            bands = {op: op.grid((n0, n1), out) for op, out in windows.items()}
+            # the cells (n0, 0, 0) .. (n1 - 1, n1 - 1, n1 - 1) of the chunk's shells; every
+            # shift of one in shell, row and column stays inside the grid
+            cols = slice(w * w + w + 1, (n1 - n0 + 1) * w * w - w - 1)
+            rows = np.arange(-1, w - 1) <= np.arange(n0, n1)[:, None]  # row -1 is outside
+            rows[:, 0] = False
+            inside = (rows[:, :, None] & rows[:, None, :]).reshape(-1)[w + 1:cols.stop - w * w]
             for name, ((x, y), (side, rx, ry, scale), constant) in rel.items():
-                for k, v in x.product_bands(y, block):  # v is fresh: the residual in place
-                    side(v, next((u for _, u in rx.product_bands(ry, block, (k,), scale)), 0.0),
-                         out=v)
+                for k, v in _grid_products(bands[x], bands[y], w, cols, left, term):
+                    u = next((u for _, u in _grid_products(bands[rx], bands[ry], w, cols, right,
+                                                           term, (k,), scale)), 0.0)
+                    side(v, u, out=v)
                     if k == DIAGONAL:
-                        v -= constant
-                    r = np.abs(v, out=v)[:s - block.lo].max(initial=0.0)
+                        np.subtract(v, constant, out=v, where=inside)
                     # np.maximum keeps a NaN, as the max over a whole band does
-                    largest[name][k] = np.maximum(largest[name].get(k, 0.0), r)
-        self.residuals = {name: float(np.max(list(per_key.values()), initial=0.0))
-                          for name, per_key in largest.items()}  # np.max keeps a NaN
+                    worst[name] = np.maximum(worst[name], np.abs(v, out=v).max())
+        self.residuals = {name: float(r) for name, r in worst.items()}
         # a NaN residual ranks as the worst, and fails
         worst = max(self.residuals, key=lambda k: np.nan_to_num(self.residuals[k], nan=np.inf))
         if not self.residuals[worst] <= self.RELATION_TOL:
             raise ValidationError(worst, self.residuals[worst])
+
+
+GRID_CELLS = 1 << 14  # cells per chunk of the relation battery's grid: whole shells, more for one
+
+
+def _grid_chunks(n1: int) -> list:
+    """The chunks (n0, n) of whole shells 2n < n1, in order, for the battery's grid.
+
+    A chunk's grid holds its shells and one more on each side, each
+    (n + 2) x (n + 2) cells: at most GRID_CELLS, or one shell that takes more.
+    """
+    chunks, n0 = [], 0
+    while n0 < n1:
+        n = n0 + 1
+        while n < n1 and (n - n0 + 3) * (n + 3) ** 2 <= GRID_CELLS:
+            n += 1
+        chunks.append((n0, n))
+        n0 = n
+    return chunks
+
+
+def _grid_products(xb: dict, yb: dict, w: int, cols: slice, band: np.ndarray, term: np.ndarray,
+                   keys=None, scale=None):
+    """The bands of (scale * x) @ y over the grid cells cols, a key at a time, into band.
+
+    xb and yb are the grids of Generator.grid, of width w.  Band kx + ky
+    collects x's band kx at the cell its row is: ky's shift (o, r, s) is the
+    offset o w^2 + (r + o)/2 w + (s + o)/2.  As in BandMatrix.product_bands,
+    a key's terms are summed with ky outer and kx inner, scale multiplies
+    x's slice before the multiply (the bits of scaling x first), and keys
+    come in the order they first appear in that loop; keys, if given,
+    limits the output to those keys.  The first term is the band itself,
+    which differs from +0.0 plus it only in the sign of a zero.  term is
+    scratch space; both are overwritten at each key.
+    """
+    terms = {}
+    for ky in yb:
+        for kx in xb:
+            key = (kx[0] + ky[0], kx[1] + ky[1], kx[2] + ky[2], kx[3] ^ ky[3])
+            if keys is None or key in keys:
+                terms.setdefault(key, []).append((kx, ky))
+    n = cols.stop - cols.start
+    band, term = band[:n], term[:n]
+    for key, pairs in terms.items():
+        for k, (kx, ky) in enumerate(pairs):
+            o, r, s, _ = ky
+            at = cols.start + o * w * w + (r + o) // 2 * w + (s + o) // 2
+            out = term if k else band
+            if scale is None:
+                np.multiply(xb[kx][at:at + n], yb[ky][cols], out=out)
+            else:
+                np.multiply(xb[kx][at:at + n], scale, out=out)
+                out *= yb[ky][cols]
+            if k:
+                band += term
+        yield key, band
 
 
 def _pad(f: np.ndarray, k: int) -> np.ndarray:

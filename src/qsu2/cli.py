@@ -80,12 +80,19 @@ def _csv_cell(x) -> str:
 
 
 def write_rows(path: str, fmt: str, columns: list, rows: list, provenance: dict) -> None:
+    """Write rows, each followed by the provenance cells, as CSV or JSON to path.
+
+    The CSV tail of provenance cells is the same on every row, so it is
+    formatted once per file.
+    """
     cols = columns + list(provenance)
-    full = [list(r) + [provenance[k] for k in provenance] for r in rows]
     if fmt == "csv":
-        lines = [",".join(map(_csv_cell, r)) for r in [cols] + full]
+        tail = "".join("," + _csv_cell(v) for v in provenance.values())
+        lines = [",".join(map(_csv_cell, cols))]
+        lines += [",".join(map(_csv_cell, r)) + tail for r in rows]
         text = "\n".join(lines) + "\n"
     else:
+        full = [list(r) + list(provenance.values()) for r in rows]
         text = json.dumps([dict(zip(cols, [(_fmt(x) if isinstance(x, (float, complex)) else x)
                                            for x in r])) for r in full], indent=2) + "\n"
     with open(path, "w") as fh:

@@ -21,7 +21,8 @@ reads the rows of that block alone, so no row index of every label is
 kept beyond a basis of one block.  An operator held as per-shell factors
 (the generators) forms its bands over the shells that such a block
 reads: bands_over, with the block's window for the left factor of a
-product.
+product.  The relation battery on the generators reads no rows and no
+column block: it runs on a grid of whole shells of its own (algebra).
 """
 from __future__ import annotations
 
@@ -69,8 +70,7 @@ class ColumnBlock:
     generator bands (Generator.bands_over) and rho over the window (rho).
     What a block holds lives as long as the block: a space of one block
     keeps that block, so its rows, bands and rho are formed once; the
-    blocks of a larger Basis come one at a time, and prev is the block
-    before this one, with its memo but not its rows, until the next comes.
+    blocks of a larger Basis come one at a time.
     """
 
     def __init__(self, space, lo: int, hi: int, shells=None):
@@ -85,7 +85,6 @@ class ColumnBlock:
             self.inner = slice(lo - first, hi - first)
         self._rows = {}
         self.memo = {}
-        self.prev = None
 
     def rows(self, key, lo: int = 0) -> np.ndarray:
         rows = self._rows.get((key, lo))
@@ -186,18 +185,13 @@ class Basis(LabelSpace):
 
     def _blocks(self, n1):
         n1 = self.shells[1] if n1 is None else n1
-        n0, prev = 0, None
+        n0 = 0
         while n0 < n1:
             n = n0 + 1
             while n < n1 and self.start[n + 1] - self.start[n0] <= BLOCK_LABELS:
                 n += 1
-            block = ColumnBlock(self, int(self.start[n0]), int(self.start[n]), (n0, n))
-            if prev is not None:
-                prev.prev = None
-                prev._rows.clear()
-                block.prev = prev
-            yield block
-            n0, prev = n, block
+            yield ColumnBlock(self, int(self.start[n0]), int(self.start[n]), (n0, n))
+            n0 = n
 
     def in_shell_rows(self, shells=None) -> slice:
         """The entries of the per-row tables for the shells n0 <= 2n < n1 (all by default)."""
@@ -375,26 +369,23 @@ class BandMatrix:
         """
         return 0, self.bands
 
-    def product_bands(self, other: "BandMatrix", block: ColumnBlock, keys=None, scale=None):
-        """The bands of (scale * self) @ other over a column block, a key at a time: (key, band).
+    def product_bands(self, other: "BandMatrix", block: ColumnBlock):
+        """The bands of self @ other over a column block, a key at a time: (key, band).
 
         block is a ColumnBlock of other's space.  Band kx + ky collects
         self's band kx gathered at the rows of other's band ky.  A key's
         terms are summed from +0.0 with ky outer and kx inner, and keys come
-        in the order they first appear in that loop.  keys, if given, limits
-        the output to those keys; no other band is formed.  scale multiplies
-        each gathered band (vx[src] * scale has the bits of (scale *
-        vx)[src]), so no scaled copy of self is made.  The block's columns
+        in the order they first appear in that loop.  The block's columns
         read only those columns of other and the rows they reach of self:
         both come from bands_over(block, block.window), and other's shell
         depth is at most 1 where self is held as factors.  Each entry has
         the bits of the whole product's: a row -1 (outside the truncation)
         reads the last entry of self's range, a finite value times a 0 of
         other, so the term is a zero that leaves the sum's bits alone.
-        Each term is a fresh gather, so it is scaled, multiplied and summed
-        in place wherever its dtype holds the result: the same operations
-        in the same order, without a new array per operation.  A consumer
-        that reduces each band as it comes never holds a whole product band.
+        Each term is a fresh gather, so it is multiplied and summed in place
+        wherever its dtype holds the result: the same operations in the same
+        order, without a new array per operation.  A consumer that reduces
+        each band as it comes never holds a whole product band.
         """
         lo, xb = self.bands_over(block, block.window)
         ly, yb = other.bands_over(block, block.window)
@@ -403,16 +394,12 @@ class BandMatrix:
         for ky in yb:
             for kx in xb:
                 key = (kx[0] + ky[0], kx[1] + ky[1], kx[2] + ky[2], kx[3] ^ ky[3])
-                if keys is None or key in keys:
-                    terms.setdefault(key, []).append((kx, ky))
+                terms.setdefault(key, []).append((kx, ky))
         for key, pairs in terms.items():
             band = None
             for kx, ky in pairs:
                 # row -1 where vy is 0: any finite value times 0
-                term = xb[kx][block.rows(ky, lo)]
-                if scale is not None:
-                    term = _in_place(np.multiply, term, scale)
-                term = _in_place(np.multiply, term, yb[ky][cols])
+                term = _in_place(np.multiply, xb[kx][block.rows(ky, lo)], yb[ky][cols])
                 band = (_in_place(np.add, term, 0.0) if band is None  # 0.0 + x, as -0.0 -> +0.0
                         else _in_place(np.add, band, term))
             del term  # not held while the consumer reduces the band

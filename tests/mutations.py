@@ -68,6 +68,17 @@ MUTATIONS = {
     "ladder-shortest-offset": ("src/qsu2/gns_oracle.py",
                                "lo = max(k0 - reach, 0) // _STEP * _STEP",
                                "lo = max(k0 - min(map(len, totals)), 0) // _STEP * _STEP"),
+    # the relation battery on its shell grid
+    "battery-no-diagonal-constant": ("src/qsu2/algebra.py",
+                                     "np.subtract(v, constant, out=v, where=inside)",
+                                     "np.subtract(v, 0.0, out=v, where=inside)"),
+    "battery-safe-shells-one-further": ("src/qsu2/algebra.py",
+                                        "chunks = _grid_chunks(self.trunc.lmax.doubled - 1)",
+                                        "chunks = _grid_chunks(self.trunc.lmax.doubled)"),
+    "grid-shift-row-off-by-one": ("src/qsu2/algebra.py",
+                                  "at = cols.start + o * w * w + (r + o) // 2 * w + (s + o) // 2",
+                                  "at = cols.start + o * w * w + ((r + o) // 2 - (ky == (1, 1, 1, 0)))"
+                                  " * w + (s + o) // 2"),
 }
 
 
@@ -87,7 +98,7 @@ def mutate(tree: str, path: str, line: str, replacement: str) -> bool:
 
 
 def run(name: str) -> str:
-    """CAUGHT (with the first failing test), SURVIVED or STALE."""
+    """CAUGHT (with the first failing or erroring test), SURVIVED or STALE."""
     path, line, replacement = MUTATIONS[name]
     with tempfile.TemporaryDirectory() as tmp:
         for part in ("src", "tests", "perfbench"):
@@ -103,7 +114,7 @@ def run(name: str) -> str:
                               env=dict(os.environ, PYTHONPATH=os.path.join(tmp, "src")))
     if done.returncode == 0:
         return "SURVIVED"
-    failed = [text for text in done.stdout.splitlines() if text.startswith("FAILED")]
+    failed = [text for text in done.stdout.splitlines() if text.startswith(("FAILED", "ERROR"))]
     return "CAUGHT by " + (failed[0].split()[1] if failed else "exit %d" % done.returncode)
 
 

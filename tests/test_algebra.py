@@ -371,74 +371,126 @@ class TestRelationBattery:
             assert t.residuals == full_column_residuals(t)
 
     @staticmethod
-    def _perturbed(column_shell):
-        """A validated ld 7 table, then one nonzero entry of alpha moved by 1e-6."""
-        t = GeneratorTable(Q, Truncation(HalfInteger(7)))
-        for band in t.ops["a"].bands.values():
-            k = np.flatnonzero((t.basis.nd == column_shell) & (band != 0))
-            if k.size:
-                band[k[0]] += 1e-6
-                return t
+    def _perturbed(column_shell, monkeypatch):
+        """A validated ld 7 table, then one nonzero entry of alpha moved by 1e-6.
 
-    def test_perturbed_safe_column_raises(self):
-        t = self._perturbed(5)  # 2n = lmax_doubled - 2: the last safe shell
+        The entry is the first nonzero one in a column of the shell, and it
+        is moved in every band that alpha forms (perturb_band).
+        """
+        t = GeneratorTable(Q, Truncation(HalfInteger(7)))
+        alpha = t.ops["a"]
+        key, col = next((k, int(np.flatnonzero((t.basis.nd == column_shell) & (v != 0))[0]))
+                        for k, v in alpha.form(t.basis.shells).items()
+                        if ((t.basis.nd == column_shell) & (v != 0)).any())
+        perturb_band(monkeypatch, alpha, key, col, lambda v: v + 1e-6)
+        return t
+
+    def test_perturbed_safe_column_raises(self, monkeypatch):
+        t = self._perturbed(5, monkeypatch)  # 2n = lmax_doubled - 2: the last safe shell
         assert max(full_column_residuals(t).values()) > GeneratorTable.RELATION_TOL
         with pytest.raises(ValidationError):
             t.validate()
 
-    def test_perturbed_column_beyond_prefix_ignored(self):
-        t = self._perturbed(7)  # the top shell is never a safe column
+    def test_perturbed_column_beyond_prefix_ignored(self, monkeypatch):
+        t = self._perturbed(7, monkeypatch)  # the top shell is never a safe column
         assert max(full_column_residuals(t).values()) < GeneratorTable.RELATION_TOL
         t.validate()
 
     @pytest.mark.parametrize("band", [0, 1])
     @pytest.mark.parametrize("letter", list("aAgG"))
-    def test_nan_in_a_safe_column_raises(self, letter, band):
+    def test_nan_in_a_safe_column_raises(self, letter, band, monkeypatch):
         # nan > RELATION_TOL is False, and the max over band keys kept or dropped
         # a NaN by key order: none of the 8 generator bands raised
         t = GeneratorTable(Q, Truncation(HalfInteger(8)))
-        list(t.ops[letter].bands.values())[band][3] = np.nan
+        op = t.ops[letter]
+        perturb_band(monkeypatch, op, list(op.form(t.basis.shells))[band], 3, lambda v: np.nan)
         with pytest.raises(ValidationError) as info:
             t.validate()
         assert math.isnan(info.value.residual) and math.isnan(max(t.residuals.values()))
 
-    @pytest.mark.parametrize("q", [0.7, 1.2, 3.0])
-    @pytest.mark.parametrize("lmax_d", [2, 16, 40, 62])
+    @pytest.mark.parametrize("q", [0.05, 0.7, 1.0001, 1.2, 3.0, 20.0])
+    @pytest.mark.parametrize("lmax_d", [2, 16, 40, 62, 120])
     def test_residuals_match_the_whole_array_battery_bitwise(self, lmax_d, q):
-        # ld 40 and 62 run in several column blocks, ld 2 and 16 in one
+        # ld 2 and 16 run in one chunk of the battery's grid, 40, 62 and 120 in several
         t = GeneratorTable(q, Truncation(HalfInteger(lmax_d)))
         ref = whole_array_residuals(t)
         assert list(t.residuals) == list(ref)
         assert (np.array(list(t.residuals.values())).tobytes()
                 == np.array(list(ref.values())).tobytes())
 
+    @pytest.mark.parametrize("lmax_d", [2, 7, 62])
+    def test_grid_windows_hold_the_bands_and_zero_elsewhere(self, lmax_d):
+        # each chunk's window holds form's band at every label of its shells,
+        # up to the sign of a zero, and 0 in every cell outside a shell, which
+        # is why the battery may reduce a residual over every cell of a chunk
+        t = GeneratorTable(Q, Truncation(HalfInteger(lmax_d)))
+        chunks = algebra._grid_chunks(lmax_d - 1)
+        out = np.empty((2, max((n1 - n0 + 2) * (n1 + 2) ** 2 for n0, n1 in chunks)))
+        for op in t.ops.values():
+            for n0, n1 in chunks:
+                w, lo = n1 + 2, max(n0 - 1, 0)
+                bands = op.form((lo, n1 + 1))
+                grid = op.grid((n0, n1), out)
+                assert list(grid) == list(bands)
+                for key, band in bands.items():
+                    cells = grid[key].reshape(n1 - n0 + 2, w, w)
+                    expected = np.zeros_like(cells)
+                    for nd in range(lo, n1 + 1):
+                        at = t.basis.start[nd] - t.basis.start[lo]
+                        expected[nd - n0 + 1, 1:nd + 2, 1:nd + 2] = \
+                            band[at:at + (nd + 1) ** 2].reshape(nd + 1, nd + 1)
+                    assert np.array_equal(cells, expected), (op.rd, op.adjoint, key, n0)
+
     @pytest.mark.parametrize("where", ["end of a block", "start of a block", "last safe shell"])
     def test_perturbed_column_at_a_block_edge_raises(self, where, monkeypatch):
-        # one alpha entry moved by 1e-6 at the last column of the first block,
-        # the first column of the second, or the last safe column: each is
-        # found, with the residuals of the whole-array battery bit for bit.
-        # The table holds alpha as factors, so the entry is moved in every
-        # band that alpha forms, over any range of shells
-        t = GeneratorTable(Q, Truncation(HalfInteger(40)))
-        blocks = list(t.basis.column_blocks(39))  # the safe shells 2n <= 38
-        assert len(blocks) == 2 and blocks[-1].cols.stop == t.basis.start[39]
-        col = {"end of a block": blocks[0].cols.stop - 1, "start of a block": blocks[1].lo,
-               "last safe shell": blocks[1].cols.stop - 1}[where]
+        # one alpha entry moved by 1e-6 at the last column of the first chunk of
+        # the battery's grid, the first column of the second, or the last safe
+        # column: each is found, with the residuals of the whole-array battery
+        # bit for bit.  The entry is moved in every band that alpha forms
+        t = GeneratorTable(Q, Truncation(HalfInteger(62)))
+        chunks = algebra._grid_chunks(61)  # the safe shells 2n <= 60
+        assert len(chunks) >= 3 and chunks[-1][1] == 61
+        start = t.basis.start
+        col = {"end of a block": start[chunks[0][1]] - 1, "start of a block": start[chunks[1][0]],
+               "last safe shell": start[61] - 1}[where]
         alpha = t.ops["a"]
         key = next(k for k, v in alpha.bands.items() if v[col] != 0)
-        form = alpha.form
-
-        def perturbed(shells, out=None):
-            bands = form(shells, out)
-            lo, hi = t.basis.start[shells[0]], t.basis.start[shells[1]]
-            if lo <= col < hi:
-                bands[key][col - lo] += 1e-6
-            return bands
-
-        monkeypatch.setattr(alpha, "form", perturbed)
+        perturb_band(monkeypatch, alpha, key, int(col), lambda v: v + 1e-6)
         with pytest.raises(ValidationError):
             t.validate()
         assert t.residuals == whole_array_residuals(t)
+
+
+def perturb_band(monkeypatch, op, key, col, change):
+    """Patch op so that its band key holds change(v) in place of v at the column col.
+
+    Both band formers are patched: Generator.grid, whose windows the relation
+    battery reads, and Generator.form, whose bands the references read.
+    """
+    basis = op.space
+    nd = int(basis.nd[col])
+    at = col - int(basis.start[nd])
+    a, b = divmod(at, nd + 1)
+    grid, form = op.grid, op.form
+
+    def perturbed_grid(shells, out):
+        bands = grid(shells, out)
+        n0, n1 = shells
+        if n0 - 1 <= nd <= n1:
+            w = n1 + 2
+            cell = ((nd - n0 + 1) * w + a + 1) * w + b + 1
+            bands[key][cell] = change(bands[key][cell])
+        return bands
+
+    def perturbed_form(shells):
+        bands = form(shells)
+        lo, hi = basis.start[shells[0]], basis.start[shells[1]]
+        if lo <= col < hi:
+            bands[key][col - lo] = change(bands[key][col - lo])
+        return bands
+
+    monkeypatch.setattr(op, "grid", perturbed_grid)
+    monkeypatch.setattr(op, "form", perturbed_form)
 
 
 class TestMultOperator:
@@ -564,13 +616,15 @@ class TestTransientMemory:
 
     Measured with tracemalloc.  A table holds its generators as per-shell
     factors and keeps no array of basis length, rho included: it retains
-    about 108 (lmax_doubled + 3)^2 bytes at ld 40, 62 and 80 (its factors,
-    the basis's per-row tables and row targets), where it retained 8.75
-    float64 arrays of basis length (its 8 generator bands) before.  Its
-    build forms the bands of one column block's window at a time, with the
-    rows of that block: 2.6 MB over the retained table at ld 40, 3.0 MB at
-    ld 80.  `haar --lmax 62` peaks at 3.26 MiB of heap (7.24 MiB when the
-    table held its bands and rho).
+    about 78 (lmax_doubled + 3)^2 bytes at ld 40 and 80 (its factors and
+    the basis's per-row tables), where it retained 8.75 float64 arrays of
+    basis length (its 8 generator bands) before.  Its build forms the bands
+    on the relation battery's grid, one chunk of shells at a time, in
+    windows allocated once for the largest chunk: 1.7 MB over the retained
+    table at ld 40, 2.1 MB at ld 80 (2.6 and 3.0 MB when it went one column
+    block at a time, with the rows of the block).  `haar --lmax 62` peaks
+    at 2.30 MiB of heap (3.26 MiB with the battery over column blocks, 7.24
+    MiB when the table held its bands and rho).
     """
 
     @staticmethod
@@ -596,10 +650,10 @@ class TestTransientMemory:
             assert peak - current <= 8 * 18 * (BLOCK_LABELS + 2 * (lmax_d + 1) ** 2), lmax_d
 
     def test_build_transient_is_one_block_whatever_the_size(self):
-        # the transient is per column block: the bands of the block's window (the
-        # block and one shell on each side) and the rows of the block.  At ld 80
-        # (dim 180 441) it is no larger in bytes than at ld 40 (dim 23 821), up
-        # to 8 generator bands over the larger shells at the window's edges
+        # the transient is per chunk of the battery's grid: 8 generator windows and
+        # 3 buffers, each of at most GRID_CELLS cells or one shell and its two
+        # neighbours.  At ld 80 (dim 180 441) it is no larger in bytes than at
+        # ld 40 (dim 23 821), up to 8 generator bands over the larger shells
         transient = {}
         for lmax_d in (40, 80):
             _, current, peak = self._traced(

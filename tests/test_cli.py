@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_algebra import perturb_band
 from qsu2 import algebra, cli, dirac, gns_oracle, peterweyl, spectral
 from qsu2.gns_oracle import oracle_haar
 from qsu2.algebra import GeneratorTable, NCPolynomial, ValidationError, haar_state
@@ -408,7 +409,8 @@ class TestMain:
         validate = GeneratorTable.validate
 
         def poisoned(self):
-            next(iter(self.ops["g"].bands.values()))[3] = np.nan
+            g = self.ops["g"]  # a NaN in the column 3 of g's first band, in every band g forms
+            perturb_band(monkeypatch, g, next(iter(g.form(g.space.shells))), 3, lambda v: np.nan)
             validate(self)
 
         monkeypatch.setattr(GeneratorTable, "validate", poisoned)
@@ -573,22 +575,29 @@ class TestWorkCounts:
 
     def test_one_block_bases_compute_each_row_index_once(self, row_builds, tmp_path, capsys):
         # every basis here is one column block, which the basis keeps with its
-        # rows: 35 row indices over 35 (basis, key) pairs, each over every shell;
-        # block rows computed beside a whole-space memo made 53 + 38
+        # rows: 19 row indices over 19 (basis, key) pairs, each over every shell
+        # (35 when the relation battery read rows too); block rows computed
+        # beside a whole-space memo made 53 + 38
         assert main(["all", "--lmax", "24", "--out", str(tmp_path / "run.csv")]) == 0
         pairs = [(id(basis), key) for basis, key, _ in row_builds]
         assert pairs and len(pairs) == len(set(pairs))
         assert all(shells == (0, basis.trunc.lmax.doubled + 1) for basis, _, shells in row_builds)
 
-    def test_large_bases_compute_rows_per_block_only(self, row_builds, tmp_path, capsys):
-        # at dim 85 344 the battery, the adjoints and the trace diagonals read
-        # the rows of one column block at a time, and no rows memo is kept
+    def test_large_bases_compute_no_row_index(self, row_builds, monkeypatch, tmp_path, capsys):
+        # at dim 85 344 the battery reads shifted slices of its shell grid, and
+        # the trace diagonals and the Haar states read per-shell factors or the
+        # small leading views: no row index of that basis is computed
+        dims = []
+        init = peterweyl.Basis.__init__
+
+        def recording(self, trunc):
+            init(self, trunc)
+            dims.append(self.dim)
+
+        monkeypatch.setattr(peterweyl.Basis, "__init__", recording)
         assert main(["haar", "--lmax", "62", "--out", str(tmp_path / "run.csv")]) == 0
-        large = [(basis, shells) for basis, _, shells in row_builds if basis.dim == 85344]
-        assert large and all(shells is not None for _, shells in large)
-        for basis, (n0, n1) in large:
-            assert basis.start[n1] - basis.start[n0] <= peterweyl.BLOCK_LABELS or n1 == n0 + 1
-            assert not basis.__dict__.get("_rows")
+        assert 85344 in dims
+        assert [key for basis, key, _ in row_builds if basis.dim == 85344] == []
 
     def test_memo_released_with_the_table(self, monkeypatch):
         tables = []

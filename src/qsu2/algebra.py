@@ -106,11 +106,8 @@ def is_normal_word(word: str) -> bool:
 
 
 def _q_numbers(count: int, q: float) -> np.ndarray:
-    """[r]_q for r = 0 .. count - 1, one scalar q_number each, in ascending r.
-
-    An overflow raises at the smallest r that overflows, as it did when
-    every entry called q_number itself.
-    """
+    """[r]_q for r = 0 .. count - 1, one scalar q_number each in ascending r (an overflow raises
+    at the smallest r that overflows)."""
     return np.array([q_number(float(r), q) for r in range(count)])
 
 
@@ -118,16 +115,14 @@ def _q_numbers(count: int, q: float) -> np.ndarray:
 def cg_table(m1d: int, lmax_doubled: int, q: float) -> np.ndarray:
     """_cg_doubled(m1d, branch, ld, md, q) stored at [(1 - branch) // 2, ld, (md + ld) // 2].
 
-    Built from the closed forms of _cg_doubled: with k = (ld + md) / 2,
-    every entry is +-q^(e/2) sqrt([r]_q / [ld + 1]_q) for integers
-    |e| <= ld + 1 and 0 <= r <= ld + 1.  Those O(lmax) scalars are
-    evaluated once each ([r]_q in ascending r, then q ** (e / 2.0)) and
-    combined with numpy's *, /, sqrt and where, which round as the scalar
-    route does: every entry has the bits of _cg_doubled, signed zeros
-    included.  Unused slots (md > ld) and weights outside the target spin
-    hold +0.0.  No entry depends on lmax_doubled, so a smaller table has
-    the bits of the leading slice of a larger one.  The 16 most recent
-    tables are kept and shared, so the array is read-only.
+    Every entry is +-q^(e/2) sqrt([r]_q / [ld + 1]_q), |e|, r <= ld + 1
+    (the closed forms of _cg_doubled, k = (ld + md) / 2): those O(lmax)
+    scalars are evaluated once each ([r]_q in ascending r, then q ** (e /
+    2.0)) and combined with numpy's *, /, sqrt and where, which round as
+    the scalar route does: the bits of _cg_doubled, signed zeros included.
+    Unused slots (md > ld) and weights outside the target spin hold +0.0.
+    No entry depends on lmax_doubled: a smaller table is the leading slice
+    of a larger one.  The 16 most recent are kept and shared, read-only.
     """
     top = lmax_doubled + 1
     qn = _q_numbers(top + 1, q)
@@ -156,26 +151,22 @@ class Generator(BandMatrix):
     """ttilde^{1/2}_{rd/2, sd/2} times scale on a Basis, or its adjoint, as per-shell factors.
 
     The entry taking (n, i, j) to (n + branch/2, i + rd/2, j + sd/2) is
-    ((C(rd, i) C(sd, j)) nu(n)) scale, one band per branch +1, -1, so the
-    band over spin shell n is an outer product of a row factor and a column
-    factor, times nu(n), times scale.  factors are (c1, c2, nu), indexed by
-    branch and 1 + shell: c1 the cg_table rows of rd, +0.0 on the shells
-    whose branch leaves the truncation, c2 those of sd, and nu; each padded
-    with +0.0 on every side.  O(lmax^2) numbers in all.  The adjoint (H)
-    holds the same factors read at the transposed label: its column
-    (n, i, j) holds the entry of the column (n - branch/2, i - rd/2,
-    j - sd/2), with the band keys negated.  A CG coefficient is 0 exactly
-    where its target weight leaves the target spin, so an entry is +0.0
-    where either factor is 0 (a label outside the truncation reads the
-    padding), and ((c1 c2) nu) scale elsewhere.
+    ((C(rd, i) C(sd, j)) nu(n)) scale, one band per branch +1, -1: over a
+    shell, an outer product of a row and a column factor, times nu, times
+    scale.  factors are (c1, c2, nu), indexed by branch and 1 + shell: the
+    cg_table rows of rd (+0.0 on the shells whose branch leaves the
+    truncation) and of sd, and nu, each padded with +0.0: O(lmax^2) numbers.
+    The adjoint (H) reads the same factors at the transposed label, the
+    column (n - branch/2, i - rd/2, j - sd/2), its keys negated.  A CG
+    coefficient is 0 exactly where its target weight leaves the target
+    spin, so an entry is +0.0 where a factor is 0 (a label outside the
+    truncation reads the padding), and ((c1 c2) nu) scale elsewhere.
 
-    form(shells) is the band former over labels, and grid(shells, out) the
-    relation battery's, over a zero-padded grid of shells.
-    bands_over(block, shells) forms the bands over some shells around a
-    column block once per block, in the block's memo; bands, the whole
-    operator, are those over every shell on the first block: kept on a
-    basis of one block, formed for each caller on any other.  The memo is
-    keyed by the Generator, so a throwaway one forms its bands with form.
+    form(shells) forms the bands over labels; grid, an unstarred one's over
+    the relation battery's grid.  bands_over(block, shells) forms those
+    around a column block once, in the block's memo (keyed by the
+    Generator); bands, over every shell on the first block, are kept on a
+    basis of one block and formed for each caller on any other.
     """
 
     dtype = np.dtype(float)
@@ -206,64 +197,48 @@ class Generator(BandMatrix):
                                                    self.form(shells))
         return lo_bands
 
-    def step(self, b: int) -> tuple:
-        """The shift (2n, a, b) of a label under the band of branch index b (branch +1, -1).
+    def key(self, b: int) -> tuple:
+        """The band key (o, rd, sd, 0) of branch index b (o = +1, -1), negated on the adjoint."""
+        o = (1, -1)[b]
+        return (-o, -self.rd, -self.sd, 0) if self.adjoint else (o, self.rd, self.sd, 0)
 
-        a = i + n is the in-shell row and b = j + n the column.  The factors
-        of the entry are read at the column's label, or, on the adjoint, at
-        the label it reaches.
+    def step(self, b: int) -> tuple:
+        """The shift (2n, a, b), a = i + n, b = j + n, of a label under the band of branch index b.
+
+        The entry's factors are at the column's label, or, on the adjoint, at
+        the label it reaches: where the battery reads a starred band.
         """
         o = (1, -1)[b]
         shift = (o, (self.rd + o) // 2, (self.sd + o) // 2)
         return tuple(-x for x in shift) if self.adjoint else shift
 
-    def grid(self, shells, out) -> dict:
-        """The bands over the shells n0 - 1 <= 2n <= n1 on a zero-padded grid, in out[0], out[1].
+    def grid(self, shells, w: int, out) -> None:
+        """The bands of this unstarred generator on the shells n0 <= 2n < n1, into out[0], out[1].
 
-        Shell 2n of the grid is w x w cells, w = n1 + 2, its in-shell rows
-        and columns -1 .. w - 2 row-major, so the cell (2n, a, b) is at
-        ((2n - n0 + 1) w + a + 1) w + b + 1 of a flat band.  A cell outside
-        its shell (a row or a column -1 or beyond 2n, or the shell -1) is 0.
-        Each cell is ((c1 c2) nu) scale, the factors read as form reads
-        them, so a band holds the bits of form's at each label, up to the
-        sign of a zero.  Both branches go at once.  Keyed as form's.
+        The cell (2n, a, b) is at ((2n - n0) w + a + 1) w + b + 1: w x w
+        cells a shell, its rows and columns -1 .. w - 2.  Each cell is
+        ((c1 c2) nu) scale, the factors read at its label as form reads them:
+        the bits of form's band, up to the sign of a zero, and 0 outside the
+        shell (row or column -1, or a weight beyond the shell).
         """
         n0, n1 = shells
-        w, m = n1 + 2, n1 - n0 + 2  # m: the grid's shells
         c1, c2, nu = self.factors
-        # the row (0) and column (1) factors of each branch and grid shell, and nu
-        rc, nus = np.zeros((2, 2, m, w)), np.zeros((2, m))
-        keys = []
-        for b, o in enumerate((1, -1)):
-            # the column (n, i, j) holds the entry of the column (n, i, j) - (d, 2 da, 2 db)/2
-            d, da, db = (o, (self.rd + o) // 2, (self.sd + o) // 2) if self.adjoint else (0, 0, 0)
-            s = n0 - d  # the padded slot of the grid's first shell; -1 reads as 0
-            k = max(-s, 0)
-            nus[b, k:] = nu[b, s + k:s + m]
-            for f, x, r in ((c1, da, rc[0, b]), (c2, db, rc[1, b])):
-                r[k:, max(x, 0):] = f[b, s + k:s + m, max(x, 0) - x:w - x]  # row -1 at slot -x
-            keys.append((-o, -self.rd, -self.sd, 0) if self.adjoint else (o, self.rd, self.sd, 0))
-        at = np.arange(-1, w - 1)
-        rc *= (at >= 0) & (at <= np.arange(n0 - 1, n1 + 1)[:, None])  # 0 outside the shell
-        size = m * w * w
-        np.multiply(rc[0, :, :, :, None], rc[1, :, :, None, :],
-                    out=out[:, :size].reshape(2, m, w, w))
-        flat = out[:, :size].reshape(2, m, w * w)
-        flat *= nus[:, :, None]
+        s = slice(n0 + 1, n1 + 1)  # the padded slots of the shells
+        cells = out[:, :(n1 - n0) * w * w].reshape(2, n1 - n0, w, w)
+        np.multiply(c1[:, s, :w, None], c2[:, s, None, :w], out=cells)
+        flat = cells.reshape(2, n1 - n0, w * w)
+        flat *= nu[:, s, None]
         flat *= self.scale
-        return {key: out[b, :size] for b, key in enumerate(keys)}
 
     def form(self, shells) -> dict:
         """The bands over the labels of the shells n0 <= 2n < n1, in the order of the branches.
 
-        A shell narrower than WIDE labels a row goes with the other narrow
-        ones, label by label: the row factor repeated along each in-shell
-        row times the column factor gathered along it, times nu repeated
-        over the shell, with +0.0 wherever a factor is 0.  A wider shell
-        goes on its own: the outer product of its row and column factors,
-        times nu, then +0.0 in the rows and columns whose factor is 0.  Both
-        take ((c1 c2) nu) and then, over the whole range, scale: the same
-        operations in the same order.
+        The shells narrower than WIDE labels a row go together, label by
+        label: the row factor repeated along each row times the column factor
+        gathered along it, times nu, +0.0 wherever a factor is 0.  A wider
+        shell goes on its own: the outer product of its factors, times nu,
+        then +0.0 in the rows and columns whose factor is 0.  Both take
+        ((c1 c2) nu), then scale over the whole range: the same operations.
         """
         basis = self.space
         start = basis.start
@@ -307,8 +282,7 @@ class Generator(BandMatrix):
                 for k, c in zip(*np.nonzero((r2 == 0.0) & (at >= -db) & (at < width - db))):
                     band[pw[k] + c - 1 + db:pw[k + 1]:m + k + 1] = 0.0
             band *= self.scale
-            key = (-o, -self.rd, -self.sd, 0) if self.adjoint else (o, self.rd, self.sd, 0)
-            bands[key] = band
+            bands[self.key(b)] = band
         return bands
 
 
@@ -350,14 +324,12 @@ class GeneratorTable:
     solution of alpha* alpha + gamma* gamma = 1 and alpha alpha* +
     q^2 gamma* gamma = 1 at the cyclic vector.  Each generator is held as
     its per-shell factors (Generator): the two cg_table rows, nu per shell
-    and its scalar, O(lmax^2) numbers.  The relation battery forms the
-    bands it reads on a grid of a few shells at a time and keeps none, so
-    the table holds no array of basis length; whole bands, once formed on
-    a basis of one column block, are kept on its block.  The trace
-    diagonals are sums over spin paths of the factors themselves
-    (shell_sums), O(lmax^2) numbers per path.
-    The full relation battery is run on construction and its residuals
-    are kept; a failure raises ValidationError.
+    and its scalar, O(lmax^2) numbers.  The relation battery, run on
+    construction (validate), forms only alpha's and gamma's bands, each
+    shell once, on a grid of a few shells at a time, and keeps none: the
+    table holds no array of basis length; whole bands, once formed on a
+    basis of one column block, are kept on its block.  The trace diagonals
+    are sums over spin paths of the factors (shell_sums).
     """
 
     RELATION_TOL = 1e-10
@@ -386,12 +358,11 @@ class GeneratorTable:
     def leading(self, deg: int) -> "GeneratorTable":
         """The smallest held table on the spins 2n <= nd, nd >= max(deg, 2); built if none.
 
-        A word of length <= deg moves e0 only within those spins, so every
-        matrix element <e0, w e0> on the smaller table (a view) takes the
-        same terms, in the same order, as on this one, whichever nd serves.
-        A view is an ordinary GeneratorTable, the leading block of this one
-        bit for bit, and serves itself: a batch that asks first for the
-        view of its longest word builds one view.
+        A word of length <= deg moves e0 only within those spins, so each
+        <e0, w e0> on the smaller table (a view: an ordinary GeneratorTable,
+        the leading block of this one bit for bit) takes the same terms in
+        the same order, whichever nd serves.  A view serves itself: a batch
+        that asks first for the view of its longest word builds one view.
         """
         nd = max(deg, 2)
         if nd >= self.trunc.lmax.doubled or self._leading is None:
@@ -405,14 +376,12 @@ class GeneratorTable:
     def diagonal_shell_sums(self, p: "NCPolynomial") -> tuple:
         """The pairs (coeff_w, S_w) for the words w of p that have a diagonal band.
 
-        S_w[n] is the sum over spin shell 2n = 0 .. lmax_doubled of
-        diag(w) * rho, the real per-shell vector that a trace
-        Tr(p rho B) with B constant on each shell reads:
-        sum_w coeff_w sum_n B(n) S_w[n].  A word without a diagonal band
-        (odd length or nonzero weight) has none and adds nothing.  Each S_w
-        is shell_sums(w), O(lmax^2) numbers per spin path.  A one-entry memo
-        keyed by the polynomial's terms: the trace functionals read one
-        polynomial at several t before moving on.
+        S_w[n], the sum over spin shell 2n of diag(w) * rho (shell_sums(w)),
+        is what a trace Tr(p rho B) with B constant on each shell reads:
+        sum_w coeff_w sum_n B(n) S_w[n].  A word without a diagonal band (odd
+        length or nonzero weight) adds nothing.  A one-entry memo keyed by the
+        polynomial's terms: the trace functionals read one polynomial at
+        several t before moving on.
         """
         key = tuple(p.terms.items())
         if key not in self._shell_sums:
@@ -427,14 +396,13 @@ class GeneratorTable:
 
         A path is one branch per letter that brings every label back to
         itself; a word has a diagonal band only if some path does.  Along a
-        branch a label's entry is ((c1 c2) nu) scale, c1 read at its row, c2
-        at its column and nu at its shell (Generator.step), and rho is
-        q^{-2i} q^{-2j}, so a path adds prod(nu) prod(scale) (sum_i q^{-2i}
-        prod c1) (sum_j q^{-2j} prod c2) per shell, for every shell at once
-        from slices of the factors padded with len(word) zeros: O(lmax^2).
-        A label that leaves the truncation reads a 0 factor where it leaves,
-        so the corrupted top shells are those of the truncated product.  Not
-        the bits of diag(w) * rho reduced per shell; within 1e-13 relative.
+        branch a label's entry is ((c1 c2) nu) scale, c1 at its row, c2 at
+        its column, nu at its shell (Generator.step), and rho is q^{-2i}
+        q^{-2j}: a path adds prod(nu) prod(scale) (sum_i q^{-2i} prod c1)
+        (sum_j q^{-2j} prod c2) per shell, all shells at once from the factors
+        padded with len(word) zeros, O(lmax^2).  A label leaving the truncation
+        reads a 0 factor there: the corrupted top shells are the truncated
+        product's.  Within 1e-13 relative of diag(w) * rho reduced per shell.
         """
         Ld, k = self.trunc.lmax.doubled, len(word)
         ops = [self.ops[ch] for ch in reversed(word)]  # the rightmost letter acts first
@@ -478,11 +446,10 @@ class GeneratorTable:
         """Memoize w e0 for each word and each of its suffixes, one word length at a time.
 
         The suffixes not yet held are formed shortest first, those of one
-        length and first letter by one 2-D matvec, ops[letter] @ the vectors
-        one letter shorter as columns.  Each column has the bits of its 1-D
-        matvec, so each vector has the bits of applying its word to e0
-        letter by letter, whichever words filled the memo; all words of
-        length <= k cost 4 k matvecs.
+        length and first letter by one 2-D matvec (ops[letter] @ the vectors
+        one letter shorter, as columns): each has the bits of applying its
+        word to e0 letter by letter, whichever words filled the memo; all
+        words of length <= k cost 4 k matvecs.
         """
         held = self._vacuum
         if not held:
@@ -510,115 +477,151 @@ class GeneratorTable:
     def validate(self) -> None:
         """Run the relation battery; raise ValidationError unless each residual is <= RELATION_TOL.
 
-        residuals keeps the largest residual of each defining relation on
-        the safe columns.  A relation is a word of length 2 (depth 1), exact
-        on the spins 2n <= 2 lmax - 2.  The battery runs on chunks of those
-        shells (_grid_chunks): each generator band is formed once per chunk
-        on a grid of its shells and one more on each side (Generator.grid),
-        and a product term at a shift reads that band at a constant offset,
-        a slice (_grid_products).  Both sides of a relation are words of
-        length 2 and one weight, so they share their band keys: the left
-        product streams them and the right one is formed at the same key.
-        A cell outside its shell is 0 in every band, so its residual is 0
-        but on the diagonal key, whose constant is subtracted in the shells
-        only.  The windows and buffers are allocated once, for the largest
-        chunk, and each residual band is reduced as it is formed.
+        residuals keeps each relation's largest residual on the safe spins
+        2n <= 2 lmax - 2, over chunks of shells (_grid_chunks) on a grid of
+        alpha's and gamma's bands only, each shell formed once (_grid_windows),
+        by the term plan of _battery_plan.  "A a + G g = 1" and "G g = g G" (as
+        |g G - G g|, its bits) read one G g band per key and skip the o < 0
+        off-diagonal key: unscaled and self-adjoint, each safe cell of it holds
+        the products of one of the o > 0 key, factors swapped.  "a A + q^2 G g
+        = 1" keeps both: (q^2 u) v and (q^2 v) u can differ in the last bit.
         """
-        q = self.q
-        a, A, g, G = (self.ops[ch] for ch in "aAgG")
-
-        # relation -> (left product, (add or subtract, right product, its scale), constant)
-        rel = {
-            "A a + G g = 1": ((A, a), (np.add, G, g, None), 1.0),
-            "a A + q^2 G g = 1": ((a, A), (np.add, G, g, q * q), 1.0),
-            "G g = g G": ((G, g), (np.subtract, g, G, None), 0.0),
-            "a g = q g a": ((a, g), (np.subtract, g, a, q), 0.0),
-            "a G = q G a": ((a, G), (np.subtract, G, a, q), 0.0),
-        }
+        names, plan = _battery_plan()
+        scales = (None, self.q, self.q * self.q)  # by the power of q that scales a right product
         chunks = _grid_chunks(self.trunc.lmax.doubled - 1)
-        cells = max((n1 - n0 + 2) * (n1 + 2) ** 2 for n0, n1 in chunks)
-        windows = {op: np.empty((2, cells)) for op in (a, A, g, G)}
-        left, right, term = np.empty((3, max((n1 - n0) * (n1 + 2) ** 2 for n0, n1 in chunks)))
-        worst = dict.fromkeys(rel, 0.0)
-        for n0, n1 in chunks:
-            w = n1 + 2
-            bands = {op: op.grid((n0, n1), out) for op, out in windows.items()}
-            # the cells (n0, 0, 0) .. (n1 - 1, n1 - 1, n1 - 1) of the chunk's shells; every
-            # shift of one in shell, row and column stays inside the grid
-            cols = slice(w * w + w + 1, (n1 - n0 + 1) * w * w - w - 1)
-            rows = np.arange(-1, w - 1) <= np.arange(n0, n1)[:, None]  # row -1 is outside
-            rows[:, 0] = False
-            inside = (rows[:, :, None] & rows[:, None, :]).reshape(-1)[w + 1:cols.stop - w * w]
-            for name, ((x, y), (side, rx, ry, scale), constant) in rel.items():
-                for k, v in _grid_products(bands[x], bands[y], w, cols, left, term):
-                    u = next((u for _, u in _grid_products(bands[rx], bands[ry], w, cols, right,
-                                                           term, (k,), scale)), 0.0)
-                    side(v, u, out=v)
-                    if k == DIAGONAL:
-                        np.subtract(v, constant, out=v, where=inside)
-                    # np.maximum keeps a NaN, as the max over a whole band does
-                    worst[name] = np.maximum(worst[name], np.abs(v, out=v).max())
-        self.residuals = {name: float(r) for name, r in worst.items()}
-        # a NaN residual ranks as the worst, and fails
-        worst = max(self.residuals, key=lambda k: np.nan_to_num(self.residuals[k], nan=np.inf))
-        if not self.residuals[worst] <= self.RELATION_TOL:
-            raise ValidationError(worst, self.residuals[worst])
+        buffers = np.empty((3, max(_span(n0, n1)[2] for n0, n1 in chunks)))
+        worst = {name: [0.0] for name in names}
+        for (n0, n1), grid in _grid_windows((self.ops["a"], self.ops["g"]), chunks):
+            w, start, n = _span(n0, n1)
+            left, right, term = buffers[:, :n]
+            at = np.arange(-1, w - 1)  # the rows of each shell, then the cells from (n0, 0, 0)
+            rows = (at >= 0) & (at <= np.arange(n0, n1)[:, None])
+            inside = (rows[:, :, None] & rows[:, None, :]).reshape(-1)[w + 1:w + 1 + n]
+            read = lambda band, s: grid[band, start + (s[0] * w + s[1]) * w + s[2]:][:n]
+
+            def product(terms, band, scale=None):  # ky outer, kx inner: the first term is the band
+                for k, (xb, sx, yb, sy) in enumerate(terms):
+                    out = term if k else band
+                    np.multiply(read(xb, sx), read(yb, sy) if scale is None else scale, out=out)
+                    if scale is not None:  # the bits of scaling x first
+                        out *= read(yb, sy)
+                    if k:
+                        band += term
+                return band
+
+            for (_, _, power), keys in plan.items():
+                for key, (terms, members) in keys.items():
+                    u = product(terms, right, scales[power])
+                    for name, lterms, side, one in members:
+                        v = side(product(lterms, left), u, out=left)
+                        if key == DIAGONAL and one:  # v - 1 in the shells, v - 0 (its bits) outside
+                            np.subtract(v, inside, out=v)
+                        worst[name].append(np.abs(v, out=v).max())
+        # np.max keeps a NaN, as the max over a whole band does; a NaN ranks as the worst, and fails
+        res = self.residuals = {name: float(np.max(r)) for name, r in worst.items()}
+        worst = max(res, key=lambda k: (math.isnan(res[k]), res[k]))
+        if not res[worst] <= self.RELATION_TOL:
+            raise ValidationError(worst, res[worst])
 
 
-GRID_CELLS = 1 << 14  # cells per chunk of the relation battery's grid: whole shells, more for one
+# a chunk: at most GRID_CELLS cells a band, SPAN_CELLS product cells (1.2 MiB in all), or one
+# shell; its cost: CHUNK_COST product cells, and CARRY_COST shells for each shell it carries
+GRID_CELLS, SPAN_CELLS, CHUNK_COST, CARRY_COST = 7 << 12, 7 << 11, 4000, 0.1
 
 
-def _grid_chunks(n1: int) -> list:
-    """The chunks (n0, n) of whole shells 2n < n1, in order, for the battery's grid.
+def _span(n0: int, n1: int) -> tuple:
+    """(w, start, n): a chunk's grid width and its cells (n0, 0, 0) .. (n1 - 1, n1 - 1, n1 - 1)."""
+    w = n1 + 3
+    return w, (2 * w + 1) * w + 1, ((n1 - n0 - 1) * w + n1 - 1) * w + n1
 
-    A chunk's grid holds its shells and one more on each side, each
-    (n + 2) x (n + 2) cells: at most GRID_CELLS, or one shell that takes more.
-    """
-    chunks, n0 = [], 0
-    while n0 < n1:
-        n = n0 + 1
-        while n < n1 and (n - n0 + 3) * (n + 3) ** 2 <= GRID_CELLS:
-            n += 1
-        chunks.append((n0, n))
-        n0 = n
+
+def _grid_chunks(n: int) -> list:
+    """The chunks (n0, n1) of whole shells 2n < n, in order, of the least cost in all: a chunk
+    costs CHUNK_COST + (n1 - n0 + 4 CARRY_COST) w^2, w = n1 + 3 (its shells, w x w cells each,
+    formed and multiplied, and the 4 it carries on)."""
+    best, start = [0.0], [0]  # the least cost of the shells below each 2n, and its last chunk
+    for n1 in range(1, n + 1):
+        w2 = (n1 + 3) ** 2  # a chunk ending at n1 takes k shells at most, one at least
+        k = max(min(GRID_CELLS // w2 - 4, (SPAN_CELLS - _span(n1 - 1, n1)[2]) // w2 + 1, n1), 1)
+        costs = [best[n1 - j] + j * w2 for j in range(1, k + 1)]
+        j = costs.index(min(costs))
+        best.append(costs[j] + CHUNK_COST + 4 * CARRY_COST * w2)
+        start.append(n1 - j - 1)
+    chunks = [(start[n], n)]
+    while chunks[0][0]:
+        chunks.insert(0, (start[chunks[0][0]], chunks[0][0]))
     return chunks
 
 
-def _grid_products(xb: dict, yb: dict, w: int, cols: slice, band: np.ndarray, term: np.ndarray,
-                   keys=None, scale=None):
-    """The bands of (scale * x) @ y over the grid cells cols, a key at a time, into band.
+def _grid_windows(gens, chunks):
+    """Yield (chunk, grid) per chunk: grid[2 k + b] the band of branch index b of gens[k].
 
-    xb and yb are the grids of Generator.grid, of width w.  Band kx + ky
-    collects x's band kx at the cell its row is: ky's shift (o, r, s) is the
-    offset o w^2 + (r + o)/2 w + (s + o)/2.  As in BandMatrix.product_bands,
-    a key's terms are summed with ky outer and kx inner, scale multiplies
-    x's slice before the multiply (the bits of scaling x first), and keys
-    come in the order they first appear in that loop; keys, if given,
-    limits the output to those keys.  The first term is the band itself,
-    which differs from +0.0 plus it only in the sign of a zero.  term is
-    scratch space; both are overwritten at each key.
+    A grid, at the end of one window, holds the shells n0 - 2 .. n1 + 1 of
+    Generator.grid (zero below shell 0) at w = n1 + 3, the cell (2n, a, b) at
+    ((2n - n0 + 2) w + a + 1) w + b + 1.  A chunk copies the 4 shells it shares
+    with the last into its wider rows (0 in the new cells) and forms the rest.
     """
-    terms = {}
-    for ky in yb:
-        for kx in xb:
-            key = (kx[0] + ky[0], kx[1] + ky[1], kx[2] + ky[2], kx[3] ^ ky[3])
-            if keys is None or key in keys:
-                terms.setdefault(key, []).append((kx, ky))
-    n = cols.stop - cols.start
-    band, term = band[:n], term[:n]
-    for key, pairs in terms.items():
-        for k, (kx, ky) in enumerate(pairs):
-            o, r, s, _ = ky
-            at = cols.start + o * w * w + (r + o) // 2 * w + (s + o) // 2
-            out = term if k else band
-            if scale is None:
-                np.multiply(xb[kx][at:at + n], yb[ky][cols], out=out)
-            else:
-                np.multiply(xb[kx][at:at + n], scale, out=out)
-                out *= yb[ky][cols]
-            if k:
-                band += term
-        yield key, band
+    size = max((n1 - n0 + 4) * (n1 + 3) ** 2 for n0, n1 in chunks)
+    window, width = np.zeros((2 * len(gens), size)), 0
+    for n0, n1 in chunks:
+        w, m = n1 + 3, n1 - n0 + 4
+        grid = window[:, size - m * w * w:]
+        for band in window if width else ():
+            new = band[size - m * w * w:size - (m - 4) * w * w].reshape(4, w, w)
+            old = band[size - 4 * width * width:].reshape(4, width, width)
+            for i in range(4):  # lowest first: no shell lands on one not yet copied
+                new[i, :width, :width] = old[i]
+            new[:, width:] = new[:, :width, width:] = 0.0
+        lo = n0 + 2 if width else 0
+        for k, op in enumerate(gens):
+            op.grid((lo, n1 + 2), w, grid[2 * k:2 * k + 2, (lo - n0 + 2) * w * w:])
+        width = w
+        yield (n0, n1), grid
+
+
+@lru_cache(maxsize=1)
+def _battery_plan() -> tuple:
+    """(relations, plan): right product -> key -> (its terms, [(relation, left terms, side, = 1)]).
+
+    A term of x @ y is (x's band, shift, y's band, shift) on the grids of
+    _grid_windows((alpha, gamma), ...): band kx + ky reads x's band kx at
+    the row that y's band ky reaches, y's Generator.step; a starred band,
+    its unstarred one at its own step from there (the transposed label).
+    Terms go ky outer, kx inner, as in BandMatrix.product_bands.  Built once
+    from stand-in generators (no space, no factors), whose band keys and
+    steps are every table's; a right product carries the power of q that
+    scales it (0: unscaled).
+    """
+    a, g = Generator(None, 1, 1, None, 1.0), Generator(None, -1, 1, None, 1.0)
+    A, G, band = a.H, g.H, {a.rd: 0, g.rd: 2}  # alpha's two branch bands, then gamma's
+
+    def product(x, y):
+        terms = {}
+        for by, bx in itertools.product((0, 1), repeat=2):
+            sy = y.step(by)
+            sx = tuple(map(sum, zip(sy, x.step(bx)))) if x.adjoint else sy
+            terms.setdefault(tuple(map(sum, zip(x.key(bx), y.key(by)))), []).append(
+                (band[x.rd] + bx, sx, band[y.rd] + by, sy if y.adjoint else (0,) * 3))
+        return terms
+
+    # relation -> (left product, add or subtract, right product and its power of q, = 1 (not 0))
+    rel = {
+        "A a + G g = 1": ((A, a), np.add, (G, g, 0), True),
+        "a A + q^2 G g = 1": ((a, A), np.add, (G, g, 2), True),
+        "G g = g G": ((g, G), np.subtract, (G, g, 0), False),
+        "a g = q g a": ((a, g), np.subtract, (g, a, 1), False),
+        "a G = q G a": ((a, G), np.subtract, (G, a, 1), False),
+    }
+    starred = lambda x, y: x.rd == y.rd and x.adjoint != y.adjoint  # x = y*
+    plan = {}
+    for name, ((x, y), side, (rx, ry, power), one) in rel.items():
+        mirrored = not power and starred(x, y) and starred(rx, ry)
+        left = product(x, y)  # both sides are words of length 2 and one weight: the same keys
+        for key, terms in product(rx, ry).items():
+            if not (mirrored and key[0] < 0):
+                plan.setdefault((rx, ry, power), {}).setdefault(key, (terms, []))[1].append(
+                    (name, left[key], side, one))
+    return tuple(rel), plan
 
 
 def _pad(f: np.ndarray, k: int) -> np.ndarray:

@@ -343,49 +343,46 @@ def polynomial_norm_bound(a: NCPolynomial) -> float:
     return float(sum(abs(c) for c in a.terms.values()))
 
 
-def _shell_trace(a: NCPolynomial, shell: np.ndarray, table: GeneratorTable) -> complex:
-    """Tr(a rho B) on h for B = shell[2n] on spin shell 2n: sum_w coeff_w sum_n B(n) S_w[n].
+def _shell_trace(a: NCPolynomial, shell: np.ndarray, table: GeneratorTable):
+    """Tr(a rho B) on h for B = shell[..., 2n] on spin shell 2n: sum_w coeff_w sum_n B(n) S_w[n].
 
-    S_w are the table's per-shell sums of diag(w) * rho, so each call is
-    O(lmax) per word; a word without a diagonal band adds nothing.
+    S_w are the table's per-shell sums of diag(w) * rho: O(lmax) per word and
+    row of shell, each a row sum; a word without a diagonal band adds nothing.
     """
-    num = 0j
+    num = np.zeros(shell.shape[:-1], dtype=complex)
     for coeff, sums in table.diagonal_shell_sums(a):
-        num += coeff * float(np.sum(shell * sums))
+        num += coeff * np.sum(shell * sums, axis=-1)
     return num
 
 
-def haar_via_heat(a: NCPolynomial, t: float, table: GeneratorTable):
-    """The ratio Tr(a R e^{-tD^2}) / Tr(R e^{-tD^2}) and a tail estimate (see heat_trace_tail).
+def haar_via_heat(a: NCPolynomial, t, table: GeneratorTable):
+    """The ratios Tr(a R e^{-tD^2}) / Tr(R e^{-tD^2}) and tail estimates (heat_trace_tail).
 
-    The ratio equals psi(a) exactly at every t > 0 in the untruncated model.
-    No Dirac context is needed: D^2 = (n + 1/2)^2 on both spinor components
-    of each spin shell, so the heat kernel is a function of the shell, the
-    spinor factor cancels and both traces run over h only.  Each trace is a
-    sum over the shells of the heat kernel times a per-shell sum of
-    diag(a) * rho (GeneratorTable.diagonal_shell_sums), so a call costs
-    O(lmax) once the polynomial's sums are held; the denominator reads
-    rho_shell_sums the same way, so the ratio of 1 is exactly 1.  Not
-    bitwise equal to summing over the basis; they agree to 1e-13 relative.
+    t is a list of t, or one t (a grid of one): lists of complex and float,
+    or one of each.  The ratio is psi(a) at every t > 0 in the untruncated
+    model.  D^2 = (n + 1/2)^2 on both spinor components of each spin shell,
+    so each trace is a row sum over h of the (t x shell) heat kernel times a
+    per-shell sum of diag(a) * rho (GeneratorTable.diagonal_shell_sums), the
+    denominator of rho_shell_sums, so the ratio of 1 is exactly 1.  Within
+    1e-13 relative of the sum over the basis, not bit for bit.
     """
-    if t <= 0:
+    ts = np.array(t, dtype=float).reshape(-1)
+    if (ts <= 0).any():
         raise QArithError("t must be positive")
-    q = table.q
-    Ld = table.trunc.lmax.doubled
-    heat = np.exp(-t * ((np.arange(Ld + 1) + 1) / 2.0) ** 2)  # per shell 2n
+    q, Ld = table.q, table.trunc.lmax.doubled
+    heat = np.exp(-ts[:, None] * ((np.arange(Ld + 1) + 1) / 2.0) ** 2)  # per t and shell 2n
     num = _shell_trace(a, heat, table)
-    weights = heat * table.rho_shell_sums  # Tr(R e^{-tD^2}) per shell
-    den = float(np.sum(weights))
-    if den == 0.0:
+    weights = heat * table.rho_shell_sums  # Tr(R e^{-tD^2}) per t and shell
+    den = np.sum(weights, axis=1)
+    if not den.all():
         raise SpectralError("Tr(R e^{-tD^2}) at q = %g, t = %g underflows to 0 in float64"
-                            % (q, t))
-    ratio = num / den
-
+                            % (q, ts[den == 0.0][0]))
     a_bound = polynomial_norm_bound(a)
-    series_tail = heat_trace_tail(t, q, table.trunc) / 2.0  # per spinor component
-    corrupted = float(np.sum(weights[Ld - a.degree() + 1:]))  # the shells 2n > Ld - depth
-    tail_bound = 2.0 * (a_bound + 1.0) * (series_tail + corrupted) / den
-    return ratio, tail_bound
+    series_tail = np.array([heat_trace_tail(x, q, table.trunc) for x in ts]) / 2.0  # a spinor
+    corrupted = np.sum(weights[:, Ld - a.degree() + 1:], axis=1)  # the shells 2n > Ld - depth
+    tail_bound = (2.0 * (a_bound + 1.0) * (series_tail + corrupted) / den).tolist()
+    ratio = [n / d for n, d in zip(num.tolist(), den.tolist())]  # Python's complex / float
+    return (ratio, tail_bound) if np.ndim(t) else (ratio[0], tail_bound[0])
 
 
 def rho_trace_functional(a: NCPolynomial, multiplier: Callable[[float], float],
@@ -407,7 +404,7 @@ def rho_trace_functional(a: NCPolynomial, multiplier: Callable[[float], float],
             "top shell carries %.3e of the weight (tolerance %.1e); "
             "multiplier decays too slowly for this truncation"
             % (shell_sums[-1] / total, RHO_TAIL_TOL))
-    return _shell_trace(a, shell, table)
+    return complex(_shell_trace(a, shell, table))
 
 
 def modular_defects(a_list: Sequence[NCPolynomial], b_list: Sequence[NCPolynomial],

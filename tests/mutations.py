@@ -36,12 +36,14 @@ MUTATIONS = {
     "heat-spread": ("src/qsu2/cli.py", "ok = spread is not None and spread < 5", "ok = True"),
     # the promises behind them
     "tail-direction": ("src/qsu2/spectral.py",
-                       "tail_bound = 2.0 * (a_bound + 1.0) * (series_tail + corrupted) / den",
-                       "tail_bound = 2.0 * (a_bound + 1.0) * (series_tail - corrupted) / den"),
+                       "tail_bound = (2.0 * (a_bound + 1.0) * (series_tail + corrupted) / den)"
+                       ".tolist()",
+                       "tail_bound = (2.0 * (a_bound + 1.0) * (series_tail - corrupted) / den)"
+                       ".tolist()"),
     "corrupted-shells": ("src/qsu2/spectral.py",
-                         "corrupted = float(np.sum(weights[Ld - a.degree() + 1:]))"
+                         "corrupted = np.sum(weights[:, Ld - a.degree() + 1:], axis=1)"
                          "  # the shells 2n > Ld - depth",
-                         "corrupted = float(np.sum(weights[Ld - a.degree() + 2:]))"),
+                         "corrupted = np.sum(weights[:, Ld - a.degree() + 2:], axis=1)"),
     "safe-shell-depth": ("src/qsu2/algebra.py", "nd = max(deg, 2)", "nd = max(deg - 1, 2)"),
     "rho-sign": ("src/qsu2/peterweyl.py",
                  "powers = q ** -np.arange(-top, top + 1, dtype=float)",
@@ -69,16 +71,25 @@ MUTATIONS = {
                                "lo = max(k0 - reach, 0) // _STEP * _STEP",
                                "lo = max(k0 - min(map(len, totals)), 0) // _STEP * _STEP"),
     # the relation battery on its shell grid
-    "battery-no-diagonal-constant": ("src/qsu2/algebra.py",
-                                     "np.subtract(v, constant, out=v, where=inside)",
-                                     "np.subtract(v, 0.0, out=v, where=inside)"),
+    "battery-no-diagonal-constant": ("src/qsu2/algebra.py", "np.subtract(v, inside, out=v)",
+                                     "np.subtract(v, 0.0, out=v)"),
     "battery-safe-shells-one-further": ("src/qsu2/algebra.py",
                                         "chunks = _grid_chunks(self.trunc.lmax.doubled - 1)",
                                         "chunks = _grid_chunks(self.trunc.lmax.doubled)"),
     "grid-shift-row-off-by-one": ("src/qsu2/algebra.py",
-                                  "at = cols.start + o * w * w + (r + o) // 2 * w + (s + o) // 2",
-                                  "at = cols.start + o * w * w + ((r + o) // 2 - (ky == (1, 1, 1, 0)))"
-                                  " * w + (s + o) // 2"),
+                                  "read = lambda band, s: grid[band, start + (s[0] * w + s[1]) * w"
+                                  " + s[2]:][:n]",
+                                  "read = lambda band, s: grid[band, start + (s[0] * w + s[1]"
+                                  " - (s == (1, 1, 1))) * w + s[2]:][:n]"),
+    # the battery's shared and skipped keys, and the starred bands read from the unstarred
+    "mirror-skip-drops-the-o>0-key": ("src/qsu2/algebra.py",
+                                      "if not (mirrored and key[0] < 0):",
+                                      "if not (mirrored and key[0] > 0):"),
+    "starred-band-at-negated-offset": ("src/qsu2/algebra.py",
+                                       "sx = tuple(map(sum, zip(sy, x.step(bx))))"
+                                       " if x.adjoint else sy",
+                                       "sx = tuple(u - v for u, v in zip(sy, x.step(bx)))"
+                                       " if x.adjoint else sy"),
 }
 
 

@@ -409,8 +409,9 @@ class TestMain:
         validate = GeneratorTable.validate
 
         def poisoned(self):
-            g = self.ops["g"]  # a NaN in the column 3 of g's first band, in every band g forms
-            perturb_band(monkeypatch, g, next(iter(g.form(g.space.shells))), 3, lambda v: np.nan)
+            # a NaN in the column 3 of g's first band, in every band g and g* form
+            key = next(iter(self.ops["g"].form(self.basis.shells)))
+            perturb_band(monkeypatch, self, "g", key, 3, lambda v: np.nan)
             validate(self)
 
         monkeypatch.setattr(GeneratorTable, "validate", poisoned)
@@ -418,6 +419,17 @@ class TestMain:
         name, residual, *rest = rows[-1]
         assert name.startswith("algebra.relation[") and math.isnan(residual)
         assert rest == [GeneratorTable.RELATION_TOL, "FAIL"]
+
+    def test_residual_at_the_tolerance_is_a_pass_row(self, monkeypatch, tmp_path):
+        # the table passes a residual <= RELATION_TOL, which haar accepted, but its
+        # relation row read FAIL at residual == threshold, and validate exited 1
+        largest = max(GeneratorTable(1.2, Truncation(HalfInteger(8))).residuals.values())
+        monkeypatch.setattr(GeneratorTable, "RELATION_TOL", largest)
+        rc, rows = _run(["validate", "--q", "1.2", "--lmax", "8"], tmp_path)
+        relations = [r for r in rows if r["battery"].startswith("algebra.relation[")]
+        assert rc == 0 and len(relations) == 5
+        assert all(r["status"] == "PASS" for r in relations)
+        assert any(float(r["residual"]) == largest == float(r["threshold"]) for r in relations)
 
     def test_validation_failure_shows_the_enforced_threshold(self, monkeypatch):
         # the row read threshold 1e-9, so a residual of 5e-10 was below it and FAIL
@@ -729,7 +741,7 @@ class TestVerdictsFail:
 
         def moved(p, t, table):
             ratio, tail = via_heat(p, t, table)
-            return ratio + 2e-8, tail
+            return [r + 2e-8 for r in ratio], tail
 
         monkeypatch.setattr(spectral, "haar_via_heat", moved)
         rc, rows = _run(["haar", "--lmax", "24"], tmp_path)

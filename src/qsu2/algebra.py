@@ -162,11 +162,10 @@ class Generator(BandMatrix):
     spin, so an entry is +0.0 where a factor is 0 (a label outside the
     truncation reads the padding), and ((c1 c2) nu) scale elsewhere.
 
-    form(shells) forms the bands over labels; grid, an unstarred one's over
-    the relation battery's grid.  bands_over(block, shells) forms those
-    around a column block once, in the block's memo (keyed by the
-    Generator); bands, over every shell on the first block, are kept on a
-    basis of one block and formed for each caller on any other.
+    form(shells) forms the bands over labels, and bands those over every
+    label, for each caller, kept by none; grid, an unstarred one's over a
+    grid of whole shells, where a label shift is a flat offset: the
+    relation battery's and the modular scaling's.
     """
 
     dtype = np.dtype(float)
@@ -187,15 +186,7 @@ class Generator(BandMatrix):
 
     @property
     def bands(self) -> dict:
-        block = next(iter(self.space.column_blocks()))
-        return self.bands_over(block, self.space.shells)[1]
-
-    def bands_over(self, block, shells) -> tuple:
-        lo_bands = block.memo.get((self, shells))
-        if lo_bands is None:
-            lo_bands = block.memo[self, shells] = (int(self.space.start[shells[0]]),
-                                                   self.form(shells))
-        return lo_bands
+        return self.form(self.space.shells)
 
     def key(self, b: int) -> tuple:
         """The band key (o, rd, sd, 0) of branch index b (o = +1, -1), negated on the adjoint."""
@@ -327,9 +318,8 @@ class GeneratorTable:
     and its scalar, O(lmax^2) numbers.  The relation battery, run on
     construction (validate), forms only alpha's and gamma's bands, each
     shell once, on a grid of a few shells at a time, and keeps none: the
-    table holds no array of basis length; whole bands, once formed on a
-    basis of one column block, are kept on its block.  The trace diagonals
-    are sums over spin paths of the factors (shell_sums).
+    table holds no array of basis length.  The trace diagonals are sums
+    over spin paths of the factors (shell_sums).
     """
 
     RELATION_TOL = 1e-10
@@ -447,9 +437,9 @@ class GeneratorTable:
 
         The suffixes not yet held are formed shortest first, those of one
         length and first letter by one 2-D matvec (ops[letter] @ the vectors
-        one letter shorter, as columns): each has the bits of applying its
-        word to e0 letter by letter, whichever words filled the memo; all
-        words of length <= k cost 4 k matvecs.
+        one letter shorter, as columns, its bands formed once per fill): each
+        has the bits of applying its word to e0 letter by letter, whichever
+        words filled the memo; all words of length <= k cost 4 k matvecs.
         """
         held = self._vacuum
         if not held:
@@ -458,11 +448,12 @@ class GeneratorTable:
             e0.setflags(write=False)
             held[""] = e0
         todo = {w[k:] for w in words if w not in held for k in range(len(w))} - held.keys()
+        ops = {ch: BandMatrix(self.basis, self.ops[ch].bands) for ch in {w[0] for w in todo}}
         for n in sorted({len(w) for w in todo}):
             layer = sorted(w for w in todo if len(w) == n)
             for ch, group in itertools.groupby(layer, key=lambda w: w[0]):
                 group = list(group)
-                vecs = self.ops[ch] @ np.stack([held[w[1:]] for w in group], axis=1)
+                vecs = ops[ch] @ np.stack([held[w[1:]] for w in group], axis=1)
                 vecs.setflags(write=False)
                 held.update(zip(group, vecs.T))
 
@@ -535,10 +526,11 @@ def _span(n0: int, n1: int) -> tuple:
     return w, (2 * w + 1) * w + 1, ((n1 - n0 - 1) * w + n1 - 1) * w + n1
 
 
-def _grid_chunks(n: int) -> list:
+@lru_cache(maxsize=8)
+def _grid_chunks(n: int) -> tuple:
     """The chunks (n0, n1) of whole shells 2n < n, in order, of the least cost in all: a chunk
     costs CHUNK_COST + (n1 - n0 + 4 CARRY_COST) w^2, w = n1 + 3 (its shells, w x w cells each,
-    formed and multiplied, and the 4 it carries on)."""
+    formed and multiplied, and the 4 it carries on).  The 8 most recent plans are kept."""
     best, start = [0.0], [0]  # the least cost of the shells below each 2n, and its last chunk
     for n1 in range(1, n + 1):
         w2 = (n1 + 3) ** 2  # a chunk ending at n1 takes k shells at most, one at least
@@ -550,7 +542,7 @@ def _grid_chunks(n: int) -> list:
     chunks = [(start[n], n)]
     while chunks[0][0]:
         chunks.insert(0, (start[chunks[0][0]], chunks[0][0]))
-    return chunks
+    return tuple(chunks)
 
 
 def _grid_windows(gens, chunks):

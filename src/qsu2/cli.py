@@ -269,8 +269,7 @@ def run_modular(cfg: RunConfig):
         for wb, defect in zip(words, defects):
             rows.append([_word_label(wa), _word_label(wb), defect,
                          "PASS" if defect < 1e-9 else "FAIL"])
-    for rd, sd in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        res = spectral.modular_generator_scaling(rd, sd, table)
+    for (rd, sd), res in spectral.modular_generator_scaling(table).items():
         rows.append(["Psi(t[%d,%d])" % (rd, sd), "scaling", res,
                      "PASS" if res < 1e-12 else "FAIL"])
     cols = ["a", "b", "defect", "status"]

@@ -27,14 +27,15 @@ class SpinorBasis(LabelSpace):
     def __init__(self, basis: Basis):
         self.pw = basis
         self.trunc = basis.trunc
+        self.block = basis.dim
         self.dim = 2 * basis.dim
 
-    def _rows_of(self, key, shells=None, lo: int = 0) -> np.ndarray:
-        """The Basis rows under (o, r, s), moved into component c xor f; one block: lo is 0."""
-        o, r, s, f = key
-        rows = self.pw._rows_of((o, r, s, 0))
-        return np.concatenate([np.where(rows < 0, -1, rows + (c ^ f) * self.pw.dim)
-                               for c in (0, 1)])
+    @property
+    def labels(self) -> tuple:
+        """(component, 2n, 2i, 2j) per position: the Basis labels, once per component."""
+        pw = self.pw
+        return (np.repeat(np.arange(2), pw.dim), np.tile(pw.nd, 2), np.tile(pw.id, 2),
+                np.tile(pw.jd, 2))
 
 
 def _coefficient(table: np.ndarray, sign, ld, md) -> np.ndarray:

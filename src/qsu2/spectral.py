@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qarith import HalfInteger, QArithError, _cg_doubled
-from .peterweyl import BandMatrix, Basis, Truncation
-from .algebra import GeneratorTable, NCPolynomial, t_half
+from .peterweyl import BandMatrix, Basis, Truncation, rho_powers, rho_weights
+from .algebra import GeneratorTable, NCPolynomial, _grid_chunks, t_half
 from .dirac import dirac_blocks
 
 
@@ -107,8 +107,9 @@ def shell_norms(op: BandMatrix, shells_d: Sequence[int]) -> np.ndarray:
     Exact, with no iteration: the Gram of op on the retained columns is
     block diagonal over the chains of _chains, and restricting to spins
     <= shell keeps the leading block of each chain, ordered by spin.  The
-    spins <= top are the first P columns, and the Gram is formed on them
-    only, one column block at a time, with the bits of the whole product.
+    spins <= top are the first P columns, and they reach only the spins
+    <= top + depth: op is cut to those leading shells, a Basis of its own,
+    where the Gram of the first P columns has the bits of the whole one.
     Chains with the same first spin have the same block length, so each
     (first spin, shell) is one batched eigvalsh; the norm is the square
     root of the largest eigenvalue.  Raises SpectralError if a nonzero
@@ -122,6 +123,9 @@ def shell_norms(op: BandMatrix, shells_d: Sequence[int]) -> np.ndarray:
     if top + depth_d > lmax_d:
         raise QArithError("shell %s + depth %s exceeds lmax %s: restriction not exact"
                           % (HalfInteger(top), HalfInteger(depth_d), HalfInteger(lmax_d)))
+    lead = Basis(Truncation(HalfInteger(top + depth_d)))
+    op = BandMatrix(lead, {k: np.where(lead._rows_of(k) >= 0, v[:lead.dim], 0.0)
+                           for k, v in op.bands.items()})
     chain, nd, s0, first = _chains(Basis(Truncation(HalfInteger(top))))
     P = len(nd)
     # the chains of first spin s hold blocks of side length[s], stored one
@@ -130,19 +134,16 @@ def shell_norms(op: BandMatrix, shells_d: Sequence[int]) -> np.ndarray:
     offset = np.concatenate([[0], np.cumsum(np.diff(first) * length ** 2)])
     pos = (nd - s0) // 2  # place of a column along its chain
     buf = np.zeros(offset[-1], dtype=op.dtype)
-    op_h = op.H
-    for block in op.space.column_blocks(top + 1):
-        for key, v in op_h.product_bands(op, block):
-            col = np.flatnonzero(v[:P - block.lo])  # a band is 0 where its row is -1
-            row = block.rows(key)[col]
-            col, row = col[row < P], row[row < P]
-            v, col = v[col], col + block.lo
-            if (chain[row] != chain[col]).any():
-                raise SpectralError("Gram couples different (i, j): "
-                                    "operator is not weight-graded")
-            r = s0[row]
-            buf[offset[r] + ((chain[row] - first[r]) * length[r] + pos[row]) * length[r]
-                + pos[col]] = v
+    for key, v in op.H.product_bands(op):
+        col = np.flatnonzero(v[:P])  # a band is 0 where its row is -1
+        row = lead._rows_of(key)[col]
+        col, row = col[row < P], row[row < P]
+        if (chain[row] != chain[col]).any():
+            raise SpectralError("Gram couples different (i, j): "
+                                "operator is not weight-graded")
+        r = s0[row]
+        buf[offset[r] + ((chain[row] - first[r]) * length[r] + pos[row]) * length[r]
+            + pos[col]] = v[col]
     best = np.zeros(len(shells_d))
     for s in range(top + 1):
         blocks = buf[offset[s]:offset[s + 1]].reshape(-1, length[s], length[s])
@@ -424,7 +425,7 @@ def modular_defects(a_list: Sequence[NCPolynomial], b_list: Sequence[NCPolynomia
     b_adj = [b.adjoint() for b in b_list]
     view.fill_vacuum([wa + wb for a in a_list for wa in a.terms for b in b_list for wb in b.terms]
                      + [w for p in (*a_list, *b_adj) for w in p.terms])
-    rho = np.concatenate([block.rho(view.q)[block.inner] for block in view.basis.column_blocks()])
+    rho = rho_weights(view.basis, view.q)
     rho_a = [rho * view.vacuum_of(a) for a in a_list]
     b_star = [view.vacuum_of(b) for b in b_adj]
     return [[abs(complex(sum(ca * cb * view.vacuum(wa + wb)[0] for wa, ca in a.terms.items()
@@ -438,27 +439,44 @@ def modular_check(a: NCPolynomial, b: NCPolynomial, table: GeneratorTable) -> fl
     return modular_defects([a], [b], table)[0][0]
 
 
-def modular_generator_scaling(rd: int, sd: int, table: GeneratorTable) -> float:
+def modular_generator_scaling(table: GeneratorTable) -> dict:
     """Residual of Psi(ttilde^{1/2}_{r,s}) = c ttilde^{1/2}_{r,s} as operators, relative to c.
 
+    One per (rd, sd), in the order (1, 1), (1, -1), (-1, 1), (-1, -1).
     c = q^{-2r-2s}, whose size the rounding of each entry takes.  rho is
     diagonal, so rho m rho^{-1} scales each entry of m by rho at its row
-    over rho at its column (row -1, outside the truncation, only where the
-    entry is 0).  Reduced one column block at a time: the bands of m,
-    formed over the block's window and not kept, and rho over the window.
+    over rho at its column.  m is formed on the shell grid of the relation
+    battery (Generator.grid over _grid_chunks), where the column (2n, a, b)
+    has the weight e = 2i + 2j = 2a + 2b - 2n and its row e + rd + sd: both
+    rho are read from one power table (rho_powers), clipped to it in the
+    cells where m is 0.  The weights of a chunk serve all four generators.
+    Raises SpectralError where that table is not finite and nonzero.
     """
-    m = t_half(rd, sd, table.basis, table.q)
-    c = table.q ** float(-rd - sd)
-    worst = 0.0
-    for block in table.basis.column_blocks():
-        lo = int(table.basis.start[block.window[0]])
-        rho = block.rho(table.q)
-        inv = 1.0 / rho[block.inner]
-        for k, v in m.form(block.window).items():
-            v = v[block.inner]
+    q, Ld = table.q, table.trunc.lmax.doubled
+    with np.errstate(over="ignore"):
+        powers = rho_powers(q, Ld)
+    if not (np.isfinite(powers).all() and powers.all()):
+        raise SpectralError("the weights q^{-2i-2j} at q = %g, lmax_doubled = %d are not "
+                            "finite and nonzero in float64" % (q, Ld))
+    inverse = 1.0 / powers
+    gens = {(rd, sd): (t_half(rd, sd, table.basis, q), q ** float(-rd - sd))
+            for rd, sd in ((1, 1), (1, -1), (-1, 1), (-1, -1))}
+    worst = dict.fromkeys(gens, 0.0)
+    chunks = _grid_chunks(Ld + 1)
+    cells = np.empty((2, max((n1 - n0) * (n1 + 2) ** 2 for n0, n1 in chunks)))
+    for n0, n1 in chunks:
+        w = n1 + 2
+        at = np.arange(-1, w - 1)  # the rows (columns) of a shell on the grid
+        e = 2 * (at[:, None] + at - np.arange(n0, n1)[:, None, None]) + 2 * Ld  # e + 2 Ld
+        inv = inverse.take(e, mode="clip")
+        rho = {r: powers.take(e + r, mode="clip") for r in (2, 0, -2)}  # at the row, by rd + sd
+        for (rd, sd), (m, c) in gens.items():
+            m.grid((n0, n1), w, cells)
+            v = cells[:, :e.size].reshape((2,) + e.shape)
             # np.maximum keeps a NaN, as the max over a whole band does
-            worst = np.maximum(worst, np.abs((rho[block.rows(k, lo)] * v) * inv - v * c).max())
-    return float(worst / c)
+            worst[rd, sd] = np.maximum(worst[rd, sd],
+                                       np.abs((rho[rd + sd] * v) * inv - v * c).max())
+    return {k: float(worst[k] / c) for k, (_, c) in gens.items()}
 
 
 def band_value(q: float, t: float, trunc: Truncation, operator_trace: float) -> float:

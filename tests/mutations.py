@@ -46,8 +46,8 @@ MUTATIONS = {
                          "corrupted = np.sum(weights[:, Ld - a.degree() + 2:], axis=1)"),
     "safe-shell-depth": ("src/qsu2/algebra.py", "nd = max(deg, 2)", "nd = max(deg - 1, 2)"),
     "rho-sign": ("src/qsu2/peterweyl.py",
-                 "powers = q ** -np.arange(-top, top + 1, dtype=float)",
-                 "powers = q ** np.arange(-top, top + 1, dtype=float)"),
+                 "return q ** -np.arange(-top, top + 1, dtype=float)",
+                 "return q ** np.arange(-top, top + 1, dtype=float)"),
     # the Haar shell sums over spin paths and the relative modular scaling
     "drop-a-path": ("src/qsu2/algebra.py", "for path, steps in paths:",
                     "for path, steps in paths[1:]:"),
@@ -55,8 +55,9 @@ MUTATIONS = {
                             "return tuple(-x for x in shift) if self.adjoint else shift",
                             "return (shift[0],) + tuple(-x for x in shift[1:]) "
                             "if self.adjoint else shift"),
-    "modular-scaling-absolute": ("src/qsu2/spectral.py", "return float(worst / c)",
-                                 "return float(worst)"),
+    "modular-scaling-absolute": ("src/qsu2/spectral.py",
+                                 "return {k: float(worst[k] / c) for k, (_, c) in gens.items()}",
+                                 "return {k: float(worst[k]) for k in gens}"),
     # the ladder over all levels, the vacuum memo a word length at a time, the per-word defects
     "ladder-last-level": ("src/qsu2/gns_oracle.py", "k1 = min(k0 + LADDER_LEVELS, K + 1)",
                           "k1 = min(k0 + LADDER_LEVELS, K)"),
@@ -90,6 +91,16 @@ MUTATIONS = {
                                        " if x.adjoint else sy",
                                        "sx = tuple(u - v for u, v in zip(sy, x.step(bx)))"
                                        " if x.adjoint else sy"),
+    # the modular scaling on the shell grid and the shell norms on their leading shells
+    "scaling-row-weight-off-by-one": ("src/qsu2/spectral.py",
+                                      "rho = {r: powers.take(e + r, mode=\"clip\")"
+                                      " for r in (2, 0, -2)}  # at the row, by rd + sd",
+                                      "rho = {r: powers.take(e + r + 2, mode=\"clip\")"
+                                      " for r in (2, 0, -2)}"),
+    "series-leading-space-one-shell-short": ("src/qsu2/spectral.py",
+                                             "lead = Basis(Truncation(HalfInteger(top + depth_d)))",
+                                             "lead = Basis(Truncation(HalfInteger(top + depth_d"
+                                             " - 1)))"),
 }
 
 

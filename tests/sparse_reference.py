@@ -13,18 +13,23 @@ route haar_state took before it shared the vectors of common suffixes.
 csr_fitted_scalars is the fit of the generator scalars at the cyclic
 vector that the program made before it took them in closed form.
 whole_array_residuals is the relation battery as the program ran it
-before it went one column block at a time: every residual band formed
-over all columns by whole_product_bands, the product over all columns at
-once.  streamed_shell_sums is the per-shell sum of diag(w) * rho as the
-program formed it before it summed over spin paths: the diagonal band of
-each word's last product, one column block at a time, times rho.
+before it ran on a shell grid: every residual band formed over all
+columns by whole_product_bands, the product over all columns at once.
+streamed_shell_sums is the per-shell sum of diag(w) * rho as the program
+formed it before it summed over spin paths: the diagonal band of each
+word's last product times rho.  whole_array_scaling is the modular
+scaling residual of a generator as the program formed it before it ran
+on the shell grid: rho at each band's rows over rho at its columns.
+full_dimension_shell_norms are the shell norms from the Gram over every
+column, as the program formed it before it cut the operator to its
+leading shells.
 """
 import math
 
 import numpy as np
 import scipy.sparse as sp
 
-from qsu2.algebra import cg_table, mult_operator
+from qsu2.algebra import cg_table, mult_operator, t_half
 from qsu2.peterweyl import DIAGONAL, BandMatrix, rho_weights
 from qsu2.qarith import q_number
 
@@ -163,7 +168,7 @@ def whole_product_bands(x, y, keys=None, scale=None):
 
 
 def streamed_shell_sums(table, word):
-    """S_w per shell: diag(w) * rho reduced per shell, one column block at a time; None if none.
+    """S_w per shell: diag(w) * rho reduced per shell; None if w has no diagonal band.
 
     All letters but the last form one operator X, left-folded as in
     mult_operator; the diagonal of X Y at a column sums, over Y's keys in
@@ -174,23 +179,63 @@ def streamed_shell_sums(table, word):
     x = table.ops[word[0]]
     for ch in word[1:-1]:
         x = x @ table.ops[ch]
-    xh, y = x.H, table.ops[word[-1]]
-    start = table.basis.start
-    parts = []
-    for block in table.basis.column_blocks():
-        lx, xb = xh.bands_over(block, block.shells)
-        ly, yb = y.bands_over(block, block.shells)
-        band = None
-        for k in yb:
-            if k in xb:
-                term = (xb[k][block.lo - lx:block.lo - lx + block.size]
-                        * yb[k][block.lo - ly:block.lo - ly + block.size])
-                band = term + 0.0 if band is None else band + term
-        if band is None:
-            return None
-        band = band * rho_weights(table.basis, table.q, block.shells)
-        parts.append(np.add.reduceat(band, start[block.shells[0]:block.shells[1]] - block.lo))
-    return np.concatenate(parts)
+    xb, yb = x.H.bands, table.ops[word[-1]].bands
+    band = None
+    for k in yb:
+        if k in xb:
+            term = xb[k] * yb[k]
+            band = term + 0.0 if band is None else band + term
+    if band is None:
+        return None
+    return np.add.reduceat(band * rho_weights(table.basis, table.q), table.basis.start[:-1])
+
+
+def whole_array_scaling(rd, sd, table) -> float:
+    """The largest |(rho[row] m) / rho[col] - c m| over the bands of m = ttilde^{1/2}_{r,s}, over c.
+
+    c = q^{-2r-2s}; rho at the row of each entry is gathered from rho over
+    every label at the band's rows, read at the last label where the row
+    leaves the truncation (there m is 0).
+    """
+    m = t_half(rd, sd, table.basis, table.q)
+    c = table.q ** float(-rd - sd)
+    rho = rho_weights(table.basis, table.q)
+    inv = 1.0 / rho
+    worst = 0.0
+    for k, v in m.bands.items():
+        worst = np.maximum(worst, np.abs((rho[m.space._rows_of(k)] * v) * inv - v * c).max())
+    return float(worst / c)
+
+
+def full_dimension_shell_norms(op, shells_d):
+    """shell_norms(op, shells_d) from the Gram of op over every column of its space.
+
+    The Gram's bands are whole_product_bands(op.H, op); the block of the
+    chain (i, j) holds, at (p, p'), the entry from its p'-th spin to its
+    p-th, read from the band of spin shift 2 (p - p') at the column of
+    spin p'.  Each block is kept to the spins <= shell, and chains of one
+    first spin go through one batched eigvalsh.
+    """
+    basis = op.space
+    gram = dict(whole_product_bands(op.H, op))
+    assert all(k[1:] == (0, 0, 0) for k in gram), "the operator is not weight-graded"
+    top = max(shells_d)
+    best = np.zeros(len(shells_d))
+    for s0 in range(top + 1):  # chains of first doubled spin s0: |2i|, |2j| <= s0, one of them = s0
+        ij = [(i, j) for i in range(-s0, s0 + 1, 2) for j in range(-s0, s0 + 1, 2)
+              if max(abs(i), abs(j)) == s0]
+        spins = np.arange(s0, top + 1, 2)
+        at = np.array([[basis.position_doubled(n, i, j) for n in spins] for i, j in ij])
+        blocks = np.zeros((len(ij), len(spins), len(spins)), dtype=op.dtype)
+        for (o, _, _, _), band in gram.items():
+            d = o // 2
+            for p in range(max(0, -d), min(len(spins), len(spins) - d)):
+                blocks[:, p + d, p] = band[at[:, p]] + 0.0
+        for k, shell in enumerate(shells_d):
+            kept = (shell - s0) // 2 + 1
+            if kept > 0:
+                best[k] = max(best[k], np.linalg.eigvalsh(blocks[:, :kept, :kept])[:, -1].max())
+    return np.sqrt(best)
 
 
 def whole_array_residuals(table) -> dict:

@@ -14,7 +14,7 @@ from sparse_reference import (apply_word, csr_fitted_scalars, csr_generators,
                               whole_array_residuals)
 from qsu2 import algebra, cli, spectral
 from qsu2.qarith import HalfInteger, _cg_doubled, q_number
-from qsu2.peterweyl import BLOCK_LABELS, DIAGONAL, Basis, BandMatrix, Truncation, rho_weights
+from qsu2.peterweyl import DIAGONAL, Basis, BandMatrix, Truncation, rho_weights
 from qsu2.algebra import (AlgebraError, Generator, GeneratorTable, NCPolynomial,
                           ValidationError, adjoint_word, cg_table, haar_state, haar_states,
                           is_normal_word, mult_operator, t_half)
@@ -289,9 +289,8 @@ class TestLeadingShells:
 @pytest.mark.parametrize("ld", [2, 4, 16, 40])
 def test_batched_matvec_columns_match_one_vector_matvecs_bitwise(ld):
     # a 2-D matvec multiplies each band into every column: each column has the
-    # bits of its 1-D matvec; ld 40 is two column blocks
+    # bits of its 1-D matvec
     t = _full_table(Q, ld)
-    assert len(list(t.basis.column_blocks())) == (2 if ld == 40 else 1)
     rng = np.random.default_rng(ld)
     vecs = rng.standard_normal((t.basis.dim, 5)) + 1j * rng.standard_normal((t.basis.dim, 5))
     vecs[:, 0] = 0.0
@@ -617,8 +616,7 @@ def test_shell_sums_are_the_diagonal_of_mult_operator(q, ld, word):
        word=WORDS_TO_4)
 def test_shell_sums_match_the_streamed_route(q, ld, word):
     # every shell, the corrupted top shells included, against the diagonal
-    # band of the word's last product formed one column block at a time
-    # (ld 40 and 62 have several) and reduced per shell with rho
+    # band of the word's last product, reduced per shell with rho
     t = _full_table(q, ld)
     if len(word) <= ld:
         assert _shell_sums_agree(t.shell_sums(word), streamed_shell_sums(t, word)), word
@@ -666,7 +664,7 @@ def test_safe_columns_are_exact_across_truncations(q, terms, ld, extra):
 
 
 class TestTransientMemory:
-    """Guards on memory, not time, on bases of several column blocks (ld 40, 62, 80).
+    """Guards on memory, not time, on large bases (ld 40, 62, 80).
 
     Measured with tracemalloc.  A table holds its generators as per-shell
     factors and keeps no array of basis length, rho included: it retains
@@ -696,14 +694,18 @@ class TestTransientMemory:
 
     def test_build_peak_over_the_retained_table(self):
         # the table retains its factors and the basis's per-row tables, O(lmax^2);
-        # it retained 8.75 units of a basis-length float64 array with its bands
+        # it retained 8.75 units of a basis-length float64 array with its bands.
+        # The build's transient is the battery's: a window of 4 bands of at most
+        # GRID_CELLS cells or one shell and its 4 neighbours, and 3 buffers of at
+        # most SPAN_CELLS cells or one shell, twice over for a product's temporaries
         for lmax_d in (40, 80):
             _full_table(Q, lmax_d)  # the CG tables are shared by every table: build them first
             t, current, peak = self._traced(
                 lambda: GeneratorTable(Q, Truncation(HalfInteger(lmax_d))))
-            assert len(list(t.basis.column_blocks())) >= 2
+            w2 = (lmax_d + 2) ** 2
             assert current <= 120 * (lmax_d + 3) ** 2, lmax_d
-            assert peak - current <= 8 * 18 * (BLOCK_LABELS + 2 * (lmax_d + 1) ** 2), lmax_d
+            assert peak - current <= 8 * 2 * (4 * max(algebra.GRID_CELLS, 5 * w2)
+                                               + 3 * max(algebra.SPAN_CELLS, w2)), lmax_d
 
     def test_build_transient_is_one_block_whatever_the_size(self):
         # the transient is per chunk of the battery's grid: a window of 4 bands and
@@ -721,7 +723,7 @@ class TestTransientMemory:
         # sums over spin paths of the padded factors, O(lmax^2): was 15 units of
         # a basis-length array with the word operator, then 2 to 3 units with
         # the whole band of the last product, then the bands of one column
-        # block (8 * 8 * BLOCK_LABELS bytes)
+        # block of 2^14 labels (8 * 8 * 2^14 bytes)
         for lmax_d in (40, 80):
             t = _full_table(Q, lmax_d)
             for w in ("Gg", "Aa", "aG"):
@@ -729,8 +731,8 @@ class TestTransientMemory:
                 assert peak <= 16 * 8 * (lmax_d + 7) ** 2, (lmax_d, w)
 
     def test_no_label_length_array_is_reachable_after_the_haar_functionals(self):
-        # every trace functional of `haar` on a table of two column blocks;
-        # the Haar states read the leading views, which the table holds
+        # every trace functional of `haar` on a table of dim 23 821; the Haar
+        # states read the leading views, which the table holds
         t = GeneratorTable(Q, Truncation(HalfInteger(40)))
         lam = lambda n: math.exp(-n * (n + 1))
         spectral.rho_trace_functional(NCPolynomial.one(), lam, t)

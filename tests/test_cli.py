@@ -574,31 +574,33 @@ class TestWorkCounts:
 
     @pytest.fixture
     def row_builds(self, monkeypatch):
-        """(basis, key, shells) of each row index a Basis computes; shells None for all labels."""
+        """(space, key) of each row index a space computes: a call whose key it does not hold."""
         calls = []
-        orig = peterweyl.Basis._rows_of
+        orig = peterweyl.LabelSpace._rows_of
 
-        def counted(self, key, shells=None, lo=0):
-            calls.append((self, key, shells))
-            return orig(self, key, shells, lo)
+        def counted(self, key):
+            if key not in vars(self).get("_rows", {}):
+                calls.append((self, key))
+            return orig(self, key)
 
-        monkeypatch.setattr(peterweyl.Basis, "_rows_of", counted)
+        monkeypatch.setattr(peterweyl.LabelSpace, "_rows_of", counted)
         return calls
 
     def test_one_block_bases_compute_each_row_index_once(self, row_builds, tmp_path, capsys):
-        # every basis here is one column block, which the basis keeps with its
-        # rows: 19 row indices over 19 (basis, key) pairs, each over every shell
-        # (35 when the relation battery read rows too); block rows computed
-        # beside a whole-space memo made 53 + 38
+        # each space keeps the rows it computes, one index per (space, key): 19
+        # over the views and the leading shells of the |D| series (35 when the
+        # relation battery read rows too); block rows computed beside a
+        # whole-space memo made 53 + 38
         assert main(["all", "--lmax", "24", "--out", str(tmp_path / "run.csv")]) == 0
-        pairs = [(id(basis), key) for basis, key, _ in row_builds]
+        pairs = [(id(space), key) for space, key in row_builds]
         assert pairs and len(pairs) == len(set(pairs))
-        assert all(shells == (0, basis.trunc.lmax.doubled + 1) for basis, _, shells in row_builds)
 
     def test_large_bases_compute_no_row_index(self, row_builds, monkeypatch, tmp_path, capsys):
-        # at dim 85 344 the battery reads shifted slices of its shell grid, and
-        # the trace diagonals and the Haar states read per-shell factors or the
-        # small leading views: no row index of that basis is computed
+        # at dim 85 344 the battery and the modular scaling read shifted slices
+        # of their shell grid, the trace diagonals and the Haar states read
+        # per-shell factors or the small leading views, and the |D| series reads
+        # the 25 585 labels of its leading shells: no row index of that basis is
+        # computed.  commutators and modular computed them over column blocks
         dims = []
         init = peterweyl.Basis.__init__
 
@@ -607,9 +609,14 @@ class TestWorkCounts:
             dims.append(self.dim)
 
         monkeypatch.setattr(peterweyl.Basis, "__init__", recording)
-        assert main(["haar", "--lmax", "62", "--out", str(tmp_path / "run.csv")]) == 0
-        assert 85344 in dims
-        assert [key for basis, key, _ in row_builds if basis.dim == 85344] == []
+        for command in ("haar", "commutators", "modular"):
+            dims.clear()
+            row_builds.clear()
+            assert main([command, "--lmax", "62", "--out", str(tmp_path / "run.csv")]) == 0
+            assert 85344 in dims, command
+            assert [key for space, key in row_builds if space.dim == 85344] == [], command
+            if command == "commutators":
+                assert {space.dim for space, _ in row_builds} == {25585}
 
     def test_memo_released_with_the_table(self, monkeypatch):
         tables = []
@@ -713,7 +720,7 @@ class TestVerdictsFail:
     def test_modular(self, name, value, failing, monkeypatch, tmp_path, capsys):
         # the scaling rows' first cell, Psi(t[r,s]), holds a comma and is quoted
         fake = (lambda a, b, table: [[value] * len(b)] * len(a)) if name == "modular_defects" \
-            else (lambda *args: value)
+            else (lambda table: dict.fromkeys([(1, 1), (1, -1), (-1, 1), (-1, -1)], value))
         monkeypatch.setattr(spectral, name, fake)
         rc, rows = _run(["modular", "--lmax", "16"], tmp_path)
         assert rc == 1
@@ -879,7 +886,7 @@ def test_q_inversion_property(q, ld):
 
 def test_perfbench_trace_reads_a_table_of_two_blocks(tmp_path):
     # perfbench/worker.py trace counts the generators' nnz through op.mat.nnz;
-    # at ld 40 the table holds them as factors, on two column blocks
+    # at ld 40 (dim 23 821) the table holds them as per-shell factors
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     result = tmp_path / "trace.json"
     subprocess.run([sys.executable, os.path.join(root, "perfbench", "worker.py"), "trace",

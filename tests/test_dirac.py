@@ -1,6 +1,5 @@
 import math
 from functools import lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from dirac_reference import (VIndex, _v_entries, b_coefficient, b_minus_closed, v_enumerate,
                              v_vector, validate_v_index)
-from sparse_reference import spinor_mult, to_csr
+from sparse_reference import pw_rows, spinor_mult, to_csr
 from qsu2.qarith import HalfInteger, QArithError, q_number
-from qsu2.peterweyl import DIAGONAL, LabelSpace, Truncation
+from qsu2.peterweyl import DIAGONAL, Truncation
 from qsu2.algebra import GeneratorTable
 from qsu2.dirac import DiracContext, dirac_blocks
 from qsu2.spectral import witness_polynomial
@@ -106,15 +105,14 @@ class TestTableDrivenAssembly:
     @pytest.mark.parametrize("lmax_d", [0, 1, 2, 24])
     def test_spinor_rows_match_the_label_by_label_route(self, lmax_d):
         # the spinor rows are the Basis rows moved into component c xor f; the
-        # reference spells out (component, 2n, 2i, 2j) per spinor position
+        # reference takes the Basis rows from the cubic closed form of a position
         c = DiracContext(Q, Truncation(HalfInteger(lmax_d)))
         pw = c.basis
-        labels = SimpleNamespace(
-            labels=(np.repeat(np.arange(2), pw.dim), np.tile(pw.nd, 2), np.tile(pw.id, 2),
-                    np.tile(pw.jd, 2)),
-            block=pw.dim, trunc=c.trunc, dim=c.spinor.dim)
-        for key in (DIAGONAL, (0, 0, 2, 1), (0, 0, -2, 1)):
-            assert np.array_equal(c.spinor._rows_of(key), LabelSpace._rows_of(labels, key)), key
+        for key in (DIAGONAL, (0, 0, 2, 1), (0, 0, -2, 1), (1, 1, -1, 0), (-1, -1, 1, 1)):
+            rows = pw_rows(pw, key)
+            ref = np.concatenate([np.where(rows < 0, -1, rows + (comp ^ key[3]) * pw.dim)
+                                  for comp in (0, 1)])
+            assert np.array_equal(c.spinor._rows_of(key), ref), key
 
     def test_label_arrays_follow_v_enumerate(self, ctx):
         ld, id_, jd, sign = ctx.v_doubled

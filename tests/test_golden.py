@@ -4,15 +4,17 @@ tests/golden holds the five CSVs and the stdout of `qsu2 all --lmax 16`,
 the CSV of `qsu2 commutators --lmax 40`, those of `qsu2 commutators
 --lmax <ld> --q <q>` at q 0.7, 1.2 and 3 by ld 24, 62 and 120 and at q
 0.7 and 3, ld 40, which fix the witness, the |D| series and the cap on
-both sides of q = 1 (at ld 40 and above the normed shells span several
-column blocks), that of `qsu2 haar --lmax 62 --t-grid 0.5:2:4`, whose trace
-functionals sum 85 344 terms, and those of `qsu2 validate --lmax 24
---q 0.7` and `--q 3`, which fix the scalar rows away from q = 1.2.  A
-change that corrects a value regenerates them with those commands
-(--out all-ld16.csv, --out commutators-ld40.csv, --out
+both sides of q = 1 (from ld 24 up the series runs on leading shells
+short of the table's), that of `qsu2 haar --lmax 62 --t-grid 0.5:2:4`,
+whose trace functionals sum 85 344 terms, those of `qsu2 validate --lmax
+24 --q 0.7` and `--q 3`, which fix the scalar rows away from q = 1.2, and
+those of `qsu2 modular --lmax 62 --q 0.7` and `--q 3`, whose generator
+scaling runs over several chunks of the shell grid.  A change that
+corrects a value regenerates them with those commands (--out
+all-ld16.csv, --out commutators-ld40.csv, --out
 commutators-ld<ld>-q<q>.csv, --out haar-ld62.csv, --out
-validate-ld24-q0.7.csv and --out validate-ld24-q3.csv) and lists the
-changed cells in CHANGES.md.
+validate-ld24-q0.7.csv, --out validate-ld24-q3.csv and --out
+modular-ld62-q<q>.csv) and lists the changed cells in CHANGES.md.
 """
 import contextlib
 import io
@@ -79,3 +81,10 @@ def test_validate_ld24_csv(tmp_path, capsys, q):
     out = tmp_path / ("validate-ld24-q%s.csv" % q)
     assert main(["validate", "--lmax", "24", "--q", q, "--out", str(out)]) == 0
     assert out.read_bytes() == _golden("validate-ld24-q%s.csv" % q)
+
+
+@pytest.mark.parametrize("q", ["0.7", "3"])
+def test_modular_ld62_csv(tmp_path, capsys, q):
+    out = tmp_path / ("modular-ld62-q%s.csv" % q)
+    assert main(["modular", "--lmax", "62", "--q", q, "--out", str(out)]) == 0
+    assert out.read_bytes() == _golden("modular-ld62-q%s.csv" % q)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sparse_reference import pw_position, pw_rows, to_csr
 from qsu2.qarith import HalfInteger, QArithError, q_number
-from qsu2.peterweyl import BLOCK_LABELS, Basis, Truncation, rho_weights, shell_starts
+from qsu2.peterweyl import Basis, Truncation, rho_weights, shell_starts
 from qsu2.algebra import GeneratorTable, NCPolynomial, mult_operator, t_half
 from qsu2.dirac import DiracContext
 from qsu2.spectral import modular_generator_scaling
@@ -63,26 +63,6 @@ class TestEnumeration:
             ref = pw_rows(basis, key)
             assert np.array_equal(basis._rows_of(key), ref), key
 
-    @pytest.mark.parametrize("lmax_d", [0, 2, 35, 36, 40, 62, 130])
-    def test_column_blocks_tile_whole_shells(self, lmax_d):
-        # in order, over whole shells, at most BLOCK_LABELS labels or one shell;
-        # a basis of one block is one block over all columns, whatever n1
-        basis = Basis(Truncation(HalfInteger(lmax_d)))
-        for n1 in (None, lmax_d - 1):
-            blocks = list(basis.column_blocks(n1))
-            if basis.dim <= BLOCK_LABELS:
-                assert [(b.lo, b.size, b.shells) for b in blocks] == [(0, basis.dim,
-                                                                      (0, lmax_d + 1))]
-                continue
-            top = lmax_d + 1 if n1 is None else n1
-            assert blocks[0].shells[0] == 0 and blocks[-1].shells[1] == top
-            for b, after in zip(blocks, blocks[1:]):
-                assert b.shells[1] == after.shells[0]
-            for b in blocks:
-                n0, n = b.shells
-                assert (b.lo, b.lo + b.size) == (basis.start[n0], basis.start[n])
-                assert b.size <= BLOCK_LABELS or n == n0 + 1
-
     def test_no_label_length_array_is_kept(self):
         # the per-row tables hold one entry per in-shell row; nd, id and jd are derived
         basis = Basis(Truncation(HalfInteger(24)))
@@ -93,19 +73,19 @@ class TestEnumeration:
         assert kept == []
 
     def test_no_label_length_array_is_kept_by_a_table_of_several_blocks(self):
-        # the generators are per-shell factors, rho is formed per column block,
-        # and the leading views that the Haar states read are small
+        # ld 40 was two column blocks: the generators are per-shell factors, the
+        # modular scaling runs on the shell grid, and the leading views that the
+        # Haar states read are small
         t = GeneratorTable(1.2, Truncation(HalfInteger(40)))
-        assert len(list(t.basis.column_blocks())) == 2
         t.rho_shell_sums
         for w in ("", "Gg", "Aa", "aG"):
             t.diagonal_shell_sums(NCPolynomial.word(w))
         sizes = [v.size for v in reachable_arrays(t)]
         assert sizes and max(sizes) < t.basis.dim
-        # the whole of alpha, and the bands and rho of the modular scaling, are
+        # the whole of alpha, and the grids and rho of the modular scaling, are
         # formed for the caller and not kept
         assert t.ops["a"].bands[(1, 1, 1, 0)].size == t.basis.dim
-        assert modular_generator_scaling(1, 1, t) < 1e-12
+        assert max(modular_generator_scaling(t).values()) < 1e-12
         assert max(v.size for v in reachable_arrays(t)) < t.basis.dim
 
     @pytest.mark.parametrize("label", [
@@ -149,39 +129,6 @@ def reachable_arrays(root) -> list:
         elif type(x).__module__.startswith("qsu2") and hasattr(x, "__dict__"):
             stack.extend(vars(x).values())
     return found
-
-
-_GENERATOR_KEYS = [(o, r, s, 0) for o in (1, -1) for r in (1, -1) for s in (1, -1)]
-
-
-def _gram_keys():
-    """The band keys of op^H op for the four generators, as shell_norms forms its Gram."""
-    t = GeneratorTable(1.2, Truncation(HalfInteger(4)))
-    return sorted({k for op in t.ops.values() for k in (op.H @ op).bands})
-
-
-@lru_cache(maxsize=None)
-def _basis(lmax_d):
-    return Basis(Truncation(HalfInteger(lmax_d)))
-
-
-# the keys are drawn from a strategy built on first use, so that collecting this module
-# (and test_algebra, which imports it) builds no GeneratorTable: a battery fault fails a test
-@settings(max_examples=120, deadline=None)
-@given(lmax_d=st.integers(0, 40), key=st.deferred(lambda: st.sampled_from(_GENERATOR_KEYS
-                                                                         + _gram_keys())),
-       data=st.data())
-def test_shell_rows_are_the_slice_of_the_rows(lmax_d, key, data):
-    # the rows of the shells n0 <= 2n < n1, from their per-row tables, are the
-    # same integers as that slice of the rows of all labels
-    basis = _basis(lmax_d)
-    n0 = data.draw(st.integers(0, lmax_d), label="n0")
-    n1 = data.draw(st.integers(n0 + 1, lmax_d + 1), label="n1")
-    cols = slice(basis.start[n0], basis.start[n1])
-    rows = basis._rows_of(key, (n0, n1))
-    assert rows.dtype == np.int64
-    assert np.array_equal(rows, basis._rows_of(key)[cols])
-    assert np.array_equal(rows, pw_rows(basis, key)[cols])
 
 
 class TestRhoWeights:

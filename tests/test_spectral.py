@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from dirac_reference import VIndex, b_coefficient, v_vector
-from sparse_reference import apply_word, spinor_mult, to_csr
+from sparse_reference import (apply_word, full_dimension_shell_norms, spinor_mult, to_csr,
+                              whole_array_scaling)
 from qsu2.qarith import HalfInteger, QArithError, _cg_doubled, q_number
 from qsu2.peterweyl import DIAGONAL, BandMatrix, Basis, Truncation, rho_weights
 from qsu2.algebra import (GeneratorTable, NCPolynomial, haar_state,
@@ -141,6 +142,21 @@ class TestShellNorm:
         cap = absD_commutator_cap(a)
         assert cap == math.sqrt(2) / 2 * (1.0 / t.alpha_scalar)
         assert cap >= math.sqrt(2) / 2 * ref * (1 - 1e-12)
+
+    @pytest.mark.parametrize("q", [0.7, 1.2, 3.0])
+    @pytest.mark.parametrize("ld", [24, 62, 120])
+    def test_series_on_the_leading_shells_matches_the_full_dimension_route_bitwise(self, ld, q):
+        # the CLI's series: the commutator cut to the spins <= top + 1, against
+        # its Gram over every column of the table's basis
+        t = GeneratorTable(q, Truncation(HalfInteger(ld)))
+        aop = mult_operator(witness_polynomial(t), t)
+        shells = [2 * s for s in range(4, min(20, ld // 2 - 1) + 1)]
+        series = absD_commutator_series(aop, shells)
+        comm = BandMatrix(t.basis, {k: v * (k[0] / 2.0) for k, v in aop.bands.items()})
+        ref = GrowthSeries.fit([s / 2.0 for s in shells], full_dimension_shell_norms(comm, shells))
+        assert series.values.tobytes() == ref.values.tobytes()
+        assert (series.slope, series.intercept, series.fit_residual) == \
+            (ref.slope, ref.intercept, ref.fit_residual)
 
     @pytest.mark.parametrize("q", [0.7, 1.2, 3.0])
     @pytest.mark.parametrize("ld", [16, 40, 120])
@@ -457,8 +473,9 @@ class TestRhoTraceFunctional:
 
 class TestModular:
     def test_generator_scaling(self, table):
-        for rd, sd in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            assert modular_generator_scaling(rd, sd, table) < 1e-12
+        res = modular_generator_scaling(table)
+        assert list(res) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        assert max(res.values()) < 1e-12
 
     @pytest.mark.parametrize("q", [0.5, 0.7, 1.2, 2.0, 3.0])
     @pytest.mark.parametrize("ld", [2, 16, 24])
@@ -468,12 +485,47 @@ class TestModular:
         t = GeneratorTable(q, Truncation(HalfInteger(ld)))
         rho = BandMatrix(t.basis, {DIAGONAL: rho_weights(t.basis, q)})
         rho_inv = BandMatrix(t.basis, {DIAGONAL: 1.0 / rho_weights(t.basis, q)})
+        res = modular_generator_scaling(t)
         for rd, sd in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             m = t_half(rd, sd, t.basis, q)
             conj = rho @ m @ rho_inv
             c = q ** float(-rd - sd)
             ref = max(float(np.abs(conj.bands[k] - v * c).max()) for k, v in m.bands.items())
-            assert modular_generator_scaling(rd, sd, t) == ref / c, (rd, sd)
+            assert res[rd, sd] == ref / c, (rd, sd)
+
+    @pytest.mark.parametrize("q", [0.05, 0.7, 1.0001, 1.2, 3.0, 20.0])
+    @pytest.mark.parametrize("ld", [2, 3, 7, 16, 24, 40, 62, 120])
+    def test_grid_scaling_matches_the_whole_array_route_bitwise(self, ld, q):
+        # the shell grid reads rho at e + rd + sd from one power table; the
+        # reference gathers rho over every label at each band's rows.  Where
+        # q^{2 ld} leaves float64 (q 0.05 and 20 at ld 120) the reference is NaN,
+        # and the grid route raises instead
+        t = GeneratorTable(q, Truncation(HalfInteger(ld)))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            powers = q ** -np.arange(-2 * ld, 2 * ld + 1, dtype=float)
+            ref = {(rd, sd): whole_array_scaling(rd, sd, t)
+                   for rd, sd in ((1, 1), (1, -1), (-1, 1), (-1, -1))}
+        if not (np.isfinite(powers).all() and powers.all()):
+            assert any(math.isnan(x) for x in ref.values())
+            with pytest.raises(SpectralError, match="q = %g, lmax_doubled = %d" % (q, ld)):
+                modular_generator_scaling(t)
+            return
+        res = modular_generator_scaling(t)
+        assert list(res) == list(ref)
+        assert np.array(list(res.values())).tobytes() == np.array(list(ref.values())).tobytes()
+
+    @pytest.mark.parametrize("q, ld, rc", [("20", "120", 1), ("0.05", "120", 1), ("300", "62", 0)])
+    def test_scaling_at_the_edge_of_float64(self, tmp_path, capsys, q, ld, rc):
+        # rho = q^{-2i-2j} needs q^{2 ld}: at ld 120 the table builds but the
+        # weights overflow, where the four scaling rows read NaN; now the run is an
+        # error with no rows.  300^124 is finite
+        out = tmp_path / "modular.csv"
+        assert main(["modular", "--q", q, "--lmax", ld, "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith("modular: ERROR ")
+            assert "q = %s, lmax_doubled = %s" % (q, ld) in err
+        assert out.exists() == (rc == 0)
 
     def test_defect_small(self, table):
         pairs = [("a", "A"), ("g", "G"), ("ag", "GA"), ("", "Gg")]

@@ -157,20 +157,19 @@ class Generator(BandMatrix):
     cg_table rows of rd (+0.0 on the shells whose branch leaves the
     truncation) and of sd, and nu, each padded with +0.0: O(lmax^2) numbers.
     The adjoint (H) reads the same factors at the transposed label, the
-    column (n - branch/2, i - rd/2, j - sd/2), its keys negated.  A CG
+    column (n - branch/2, i - rd/2, j - sd/2) (step), its keys negated.  A CG
     coefficient is 0 exactly where its target weight leaves the target
     spin, so an entry is +0.0 where a factor is 0 (a label outside the
     truncation reads the padding), and ((c1 c2) nu) scale elsewhere.
 
-    form(shells) forms the bands over labels, and bands those over every
-    label, for each caller, kept by none; grid, an unstarred one's over a
-    grid of whole shells, where a label shift is a flat offset: the
-    relation battery's and the modular scaling's.
+    grid is the one place an entry is formed: the unstarred generator's
+    bands over a grid of whole shells, where a label shift is a flat
+    offset, as the relation battery and the modular scaling read them.
+    bands reads its labels from that grid, for each caller, kept by none.
     """
 
     dtype = np.dtype(float)
     shell_depth_doubled = 1
-    WIDE = 40  # labels a row from which form takes a shell on its own
 
     def __init__(self, basis: Basis, rd: int, sd: int, factors: tuple, scale: float,
                  adjoint: bool = False):
@@ -186,7 +185,29 @@ class Generator(BandMatrix):
 
     @property
     def bands(self) -> dict:
-        return self.form(self.space.shells)
+        """The bands over every label, in the order of the branches, read from grid.
+
+        Shells go a chunk n0 <= 2n < n1 at a time (_grid_chunks), gridded at
+        w = n1 + 2: shell 2n's labels are its cells [1:n+2, 1:n+2].  A starred
+        band reads them at its step (the transposed label, as the battery
+        does), from a grid one shell wider on each side.  Each value is
+        copied as cells + 0.0, so a zero is +0.0 whatever its factors' signs.
+        """
+        start = self.space.start
+        chunks = _grid_chunks(self.space.trunc.lmax.doubled + 1)
+        pad = int(self.adjoint)  # the shells a starred read reaches beyond its chunk
+        cells = np.empty((2, max((n1 - n0 + 2 * pad) * (n1 + 2) ** 2 for n0, n1 in chunks)))
+        bands = {self.key(b): np.empty(self.space.dim) for b in (0, 1)}
+        for n0, n1 in chunks:
+            w, lo = n1 + 2, n0 - pad
+            self.grid((lo, n1 + pad), w, cells)
+            grid = cells[:, :(n1 + pad - lo) * w * w].reshape(2, -1, w, w)
+            for b, band in enumerate(bands.values()):
+                ds, dr, dc = self.step(b) if self.adjoint else (0, 0, 0)
+                for n in range(n0, n1):
+                    shell = grid[b, n - lo + ds, 1 + dr:n + 2 + dr, 1 + dc:n + 2 + dc]
+                    np.add(shell, 0.0, out=band[start[n]:start[n + 1]].reshape(n + 1, n + 1))
+        return bands
 
     def key(self, b: int) -> tuple:
         """The band key (o, rd, sd, 0) of branch index b (o = +1, -1), negated on the adjoint."""
@@ -204,13 +225,14 @@ class Generator(BandMatrix):
         return tuple(-x for x in shift) if self.adjoint else shift
 
     def grid(self, shells, w: int, out) -> None:
-        """The bands of this unstarred generator on the shells n0 <= 2n < n1, into out[0], out[1].
+        """The unstarred bands of these factors on the shells n0 <= 2n < n1, into out[0], out[1].
 
         The cell (2n, a, b) is at ((2n - n0) w + a + 1) w + b + 1: w x w
         cells a shell, its rows and columns -1 .. w - 2.  Each cell is
-        ((c1 c2) nu) scale, the factors read at its label as form reads them:
-        the bits of form's band, up to the sign of a zero, and 0 outside the
-        shell (row or column -1, or a weight beyond the shell).
+        ((c1 c2) nu) scale, the factors read at its label, and 0 outside the
+        shell (row or column -1, a weight beyond the shell, or a shell -1 or
+        beyond the truncation, whose padded factors are 0).  A starred
+        generator grids the unstarred one it is the adjoint of.
         """
         n0, n1 = shells
         c1, c2, nu = self.factors
@@ -221,70 +243,16 @@ class Generator(BandMatrix):
         flat *= nu[:, s, None]
         flat *= self.scale
 
-    def form(self, shells) -> dict:
-        """The bands over the labels of the shells n0 <= 2n < n1, in the order of the branches.
-
-        The shells narrower than WIDE labels a row go together, label by
-        label: the row factor repeated along each row times the column factor
-        gathered along it, times nu, +0.0 wherever a factor is 0.  A wider
-        shell goes on its own: the outer product of its factors, times nu,
-        then +0.0 in the rows and columns whose factor is 0.  Both take
-        ((c1 c2) nu), then scale over the whole range: the same operations.
-        """
-        basis = self.space
-        start = basis.start
-        n0, n1 = shells
-        m = min(max(n0, self.WIDE - 1), n1)  # the narrow shells are n0 <= 2n < m
-        lo = int(start[n0])
-        pos = (start[n0:n1 + 1] - lo).tolist()  # each shell's first label in the range
-        c1, c2, nu = self.factors
-        slots = c1.shape[2]
-        rows = basis.in_shell_rows((n0, m))
-        nd, a = basis.row_nd[rows], basis.row_a[rows]
-        at = np.arange(slots) - 1  # the row (column) that each padded slot holds
-        width = np.arange(m + 1, n1 + 1)[:, None]
-        bands = {}
-        for b, o in enumerate((1, -1)):
-            # the column (n, i, j) holds the entry of the column (n, i, j) - (d, 2 da, 2 db)/2
-            d, da, db = (o, (self.rd + o) // 2, (self.sd + o) // 2) if self.adjoint else (0, 0, 0)
-            band = np.empty(pos[-1])
-            if m > n0:
-                narrow = np.repeat(c1[b][nd - d + 1, a + 1 - da], nd + 1)
-                col = np.take(c2[b], basis.along_rows((nd - d + 1) * slots + 1 - db, 1, (n0, m)))
-                zero = narrow == 0.0
-                zero |= col == 0.0
-                narrow *= col
-                narrow *= np.repeat(nu[b, n0 - d + 1:m - d + 1], np.diff(start[n0:m + 1]))
-                narrow[zero] = 0.0
-                band[:pos[m - n0]] = narrow
-            if n1 > m:
-                src = slice(m - d + 1, n1 - d + 1)  # the padded factors of the wide shells
-                r1, r2, nub = c1[b, src], c2[b, src], nu[b, src].tolist()
-                pw = pos[m - n0:]
-                for k, w in enumerate(range(m + 1, n1 + 1)):
-                    shell = band[pw[k]:pw[k + 1]].reshape(w, w)
-                    np.multiply.outer(r1[k, 1 - da:w + 1 - da], r2[k, 1 - db:w + 1 - db],
-                                      out=shell)
-                    np.multiply(shell, nub[k], out=shell)
-                # the (shell, row) and (shell, column) of each 0 factor
-                for k, r in zip(*np.nonzero((r1 == 0.0) & (at >= -da) & (at < width - da))):
-                    w = m + k + 1
-                    band[pw[k] + (r - 1 + da) * w:pw[k] + (r + da) * w] = 0.0
-                for k, c in zip(*np.nonzero((r2 == 0.0) & (at >= -db) & (at < width - db))):
-                    band[pw[k] + c - 1 + db:pw[k + 1]:m + k + 1] = 0.0
-            band *= self.scale
-            bands[self.key(b)] = band
-        return bands
-
 
 def t_half(rd: int, sd: int, basis: Basis, q: float, scale: float = 1.0) -> Generator:
     """Left multiplication by scale times the spin-1/2 element ttilde^{1/2}_{rd/2, sd/2} on basis.
 
     The entry taking (n, i, j) to (n + branch/2, i + rd/2, j + sd/2) is
     ((C(rd, i) C(sd, j)) nu(n)) scale; the branches +1, -1 are the two
-    bands.  Returned as its per-shell factors (see Generator), which form
-    the bands over any range of shells.  Each entry is a closed form of its
-    column, so on a smaller truncation it keeps its bits.
+    bands.  Returned as its per-shell factors (see Generator), from which
+    Generator.grid forms the bands over any range of shells.  Each entry is
+    a closed form of its column, so on a smaller truncation it keeps its
+    bits.
     """
     Ld = basis.trunc.lmax.doubled
     cr = cg_table(rd, Ld, q)

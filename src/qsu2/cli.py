@@ -207,12 +207,14 @@ def run_haar(cfg: RunConfig):
 def run_commutators(cfg: RunConfig):
     table = generator_table(cfg.q, cfg.lmax_doubled)
     a = spectral.witness_polynomial(table)
-    aop = mult_operator(a, table)  # read by the |D| series and the true-D growth
-    lmax = cfg.lmax_doubled // 2
-    shells = [2 * s for s in range(4, min(20, lmax - 1) + 1)]
+    lmax, top_shell, top_l = cfg.lmax_doubled // 2, 20, 30  # the series' and witnesses' caps
+    # the |D| series and the true-D growth read a at spins <= max(top) + 1/2, so it is
+    # formed on the leading view of spins <= max(top) + 1 (the table itself if smaller)
+    aop = mult_operator(a, table.leading(2 * max(top_shell, top_l) + 2))
+    shells = [2 * s for s in range(4, min(top_shell, lmax - 1) + 1)]
     series_abs = spectral.absD_commutator_series(aop, shells)
     cap = spectral.absD_commutator_cap(a)
-    ls = [2 * l for l in range(5, min(30, lmax - 1) + 1)]
+    ls = [2 * l for l in range(5, min(top_l, lmax - 1) + 1)]
     series_true = spectral.trueD_growth(aop, ls, cfg.q)
 
     plateau = abs(series_abs.values[-1] - series_abs.values[-2]) / series_abs.values[-1]

@@ -17,7 +17,9 @@ its labels in closed form (LabelSpace._rows_of).  They serve small spaces:
 the leading views that the vacuum vectors live on and the leading shells
 of a shell norm.  The consumers on a large basis read no rows: the
 relation battery and the modular scaling run on a grid of whole shells
-(algebra.Generator.grid), and the Haar traces on per-shell sums.
+(algebra.Generator.grid, the one place a generator's entry is formed,
+whose cells Generator.bands copies to the labels), and the Haar traces
+on per-shell sums.
 """
 from __future__ import annotations
 
@@ -81,8 +83,8 @@ class Basis(LabelSpace):
     (doubled spin of each in-shell row), row_a (its row index) and
     row_start (position of its first label) have O(lmax^2) entries.  The
     doubled labels nd, id and jd are derived from them on each access, so
-    the basis keeps no label-length array.  shells is every spin shell,
-    (0, lmax_doubled + 1).  Its labels have one component (c = 0).
+    the basis keeps no label-length array.  Its labels have one component
+    (c = 0).
     """
 
     def __init__(self, trunc: Truncation):
@@ -90,7 +92,6 @@ class Basis(LabelSpace):
         nd = np.arange(trunc.lmax.doubled + 1, dtype=np.int64)
         self.start = shell_starts(trunc.lmax.doubled)
         self.dim = self.block = int(self.start[-1])
-        self.shells = (0, trunc.lmax.doubled + 1)
         self.row_nd = np.repeat(nd, nd + 1)
         self.row_a = np.arange(len(self.row_nd)) - np.repeat(nd * (nd + 1) // 2, nd + 1)
         self.row_start = self.start[self.row_nd] + self.row_a * (self.row_nd + 1)
@@ -114,23 +115,15 @@ class Basis(LabelSpace):
         """Doubled j of each label, 2 b - n."""
         return self.along_rows(-self.row_nd, 2)
 
-    def in_shell_rows(self, shells=None) -> slice:
-        """The entries of the per-row tables for the shells n0 <= 2n < n1 (all by default)."""
-        n0, n1 = shells or self.shells
-        return slice(n0 * (n0 + 1) // 2, n1 * (n1 + 1) // 2)
-
-    def along_rows(self, first: np.ndarray, step: int = 1, shells=None) -> np.ndarray:
+    def along_rows(self, first: np.ndarray, step: int = 1) -> np.ndarray:
         """first[r] + step * b at column b of in-shell row r, one int64 per label.
 
-        first has one entry per in-shell row of the shells n0 <= 2n < n1
-        (all shells by default), and the result one per label of those
-        shells: step * p at position p, plus first[r] - step * p0 expanded
-        over row r, whose first label is at p0.
+        first has one entry per in-shell row, and the result one per label:
+        step * p at position p, plus first[r] - step * p0 expanded over row
+        r, whose first label is at p0.
         """
-        rows = self.in_shell_rows(shells)
-        nd, row_start = self.row_nd[rows], self.row_start[rows]
-        out = np.arange(step * row_start[0], step * self.start[nd[-1] + 1], step, dtype=np.int64)
-        out += np.repeat(first - step * row_start, nd + 1)
+        out = np.arange(0, step * self.dim, step, dtype=np.int64)
+        out += np.repeat(first - step * self.row_start, self.row_nd + 1)
         return out
 
     def position_doubled(self, nd: int, id_: int, jd: int) -> int:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .qarith import HalfInteger, QArithError, _cg_doubled
 from .peterweyl import BandMatrix, Basis, Truncation, rho_powers, rho_weights
-from .algebra import GeneratorTable, NCPolynomial, _grid_chunks, t_half
+from .algebra import Generator, GeneratorTable, NCPolynomial, _grid_chunks, t_half
 from .dirac import dirac_blocks
 
 
@@ -459,7 +459,10 @@ def modular_generator_scaling(table: GeneratorTable) -> dict:
         raise SpectralError("the weights q^{-2i-2j} at q = %g, lmax_doubled = %d are not "
                             "finite and nonzero in float64" % (q, Ld))
     inverse = 1.0 / powers
-    gens = {(rd, sd): (t_half(rd, sd, table.basis, q), q ** float(-rd - sd))
+    # (1, 1) and (-1, 1) are alpha and gamma at scale 1: their factors are the table's
+    held = {(1, 1): table.ops["a"].factors, (-1, 1): table.ops["g"].factors}
+    gens = {(rd, sd): (Generator(table.basis, rd, sd, held[rd, sd], 1.0) if (rd, sd) in held
+                       else t_half(rd, sd, table.basis, q), q ** float(-rd - sd))
             for rd, sd in ((1, 1), (1, -1), (-1, 1), (-1, -1))}
     worst = dict.fromkeys(gens, 0.0)
     chunks = _grid_chunks(Ld + 1)

@@ -101,6 +101,13 @@ MUTATIONS = {
                                              "lead = Basis(Truncation(HalfInteger(top + depth_d)))",
                                              "lead = Basis(Truncation(HalfInteger(top + depth_d"
                                              " - 1)))"),
+    # the bands read from the grid: a starred band at its step, every zero +0.0
+    "bands-starred-read-unshifted": ("src/qsu2/algebra.py",
+                                     "ds, dr, dc = self.step(b) if self.adjoint else (0, 0, 0)",
+                                     "ds, dr, dc = (0, 0, 0)"),
+    "bands-signed-zero": ("src/qsu2/algebra.py",
+                          "np.add(shell, 0.0, out=band[start[n]:start[n + 1]].reshape(n + 1, n + 1))",
+                          "band[start[n]:start[n + 1]].reshape(n + 1, n + 1)[:] = shell"),
 }
 
 

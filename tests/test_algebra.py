@@ -85,13 +85,11 @@ def scalar_loop_gen_matrix(rd, sd, basis, q):
     """Reference assembly: one scalar CG evaluation per basis element and branch,
     positions from a dict over the enumeration."""
     Ld = basis.trunc.lmax.doubled
-    pos = {t: k for k, t in enumerate(zip(basis.nd.tolist(), basis.id.tolist(),
-                                          basis.jd.tolist()))}
+    labels = list(zip(basis.nd.tolist(), basis.id.tolist(), basis.jd.tolist()))
+    pos = {t: k for k, t in enumerate(labels)}
     rows, cols, vals = [], [], []
     q2 = q_number(2, q)
-    for k in range(basis.dim):
-        ld = int(basis.nd[k])
-        id_, jd = int(basis.id[k]), int(basis.jd[k])
+    for k, (ld, id_, jd) in enumerate(labels):
         for branch in (1, -1):
             md = ld + branch
             if md < 0 or md > Ld or abs(id_ + rd) > md or abs(jd + sd) > md:
@@ -132,17 +130,28 @@ def count_calls(monkeypatch, module, name) -> list:
 
 class TestAssembly:
     @pytest.mark.parametrize("q", [1.2, 3.0, 0.7])
-    @pytest.mark.parametrize("lmax_d", [2, 7, 16])
+    @pytest.mark.parametrize("lmax_d", [2, 7, 16, 41])
     def test_table_driven_matches_scalar_loop_bitwise(self, lmax_d, q):
+        # ld 41 has shells of 40 labels a row and more, and several chunks of the
+        # grid that the bands are read from
         basis = Basis(Truncation(HalfInteger(lmax_d)))
+        cols = np.arange(basis.dim)
         for rd in (1, -1):
             for sd in (1, -1):
-                new = to_csr(t_half(rd, sd, basis, q))
+                gen = t_half(rd, sd, basis, q)
+                new = to_csr(gen)
                 ref = scalar_loop_gen_matrix(rd, sd, basis, q)
                 assert np.array_equal(new.indptr, ref.indptr)
                 assert np.array_equal(new.indices, ref.indices)
                 assert new.data.dtype == ref.data.dtype
                 assert new.data.tobytes() == ref.data.tobytes(), (rd, sd)
+                # the starred bands hold the transpose's entry at each band's row,
+                # every zero +0.0, at a row inside the truncation or not
+                ref_t = ref.T.tocsr()
+                for key, band in gen.H.bands.items():
+                    rows = basis._rows_of(key)
+                    expected = np.where(rows >= 0, ref_t[np.maximum(rows, 0), cols].A1, 0.0)
+                    assert band.tobytes() == expected.tobytes(), (rd, sd, key)
 
     @pytest.mark.parametrize("q", [0.5, 0.7, 1.2, 3.0])
     def test_cg_table_matches_scalar_cg_bitwise(self, q):
@@ -379,7 +388,7 @@ class TestRelationBattery:
         """
         t = GeneratorTable(Q, Truncation(HalfInteger(7)))
         key, col = next((k, int(np.flatnonzero((t.basis.nd == column_shell) & (v != 0))[0]))
-                        for k, v in t.ops["a"].form(t.basis.shells).items()
+                        for k, v in t.ops["a"].bands.items()
                         if ((t.basis.nd == column_shell) & (v != 0)).any())
         perturb_band(monkeypatch, t, "a", key, col, lambda v: v + 1e-6)
         return t
@@ -406,7 +415,7 @@ class TestRelationBattery:
         # band, that entry is the unstarred one at the transposed label, which
         # the battery reads at the adjoint offset
         t = GeneratorTable(Q, Truncation(HalfInteger(8)))
-        key, v = list(t.ops[letter].form(t.basis.shells).items())[band]
+        key, v = list(t.ops[letter].bands.items())[band]
         col = int(np.flatnonzero((t.basis.nd == 1) & (v != 0))[0])
         perturb_band(monkeypatch, t, letter, key, col, lambda v: np.nan)
         with pytest.raises(ValidationError) as info:
@@ -425,14 +434,16 @@ class TestRelationBattery:
 
     @pytest.mark.parametrize("lmax_d", [2, 7, 62])
     def test_grid_windows_hold_the_bands_and_zero_elsewhere(self, lmax_d):
-        # each chunk's grid holds form's bands of alpha and gamma at every label of
-        # its shells, up to the sign of a zero, carried or formed, and 0 in every
-        # other cell, which is why the battery may reduce a residual over every
-        # cell of a chunk; alpha* and gamma* read at the adjoint offset hold their
-        # own bands at every label of the chunk's shells
+        # each window of the battery, its shells carried from the window before
+        # or formed, holds at every label of its shells alpha's and gamma's bands,
+        # which Generator.bands reads from fresh grids on a chunk plan of its own,
+        # up to the sign of a zero, and 0 in every other cell, which is why the
+        # battery may reduce a residual over every cell of a chunk; read at the
+        # adjoint offset, it holds alpha*'s and gamma*'s bands, which
+        # Generator.bands reads at that offset from a grid one shell wider
         t = GeneratorTable(Q, Truncation(HalfInteger(lmax_d)))
         start, ops = t.basis.start, t.ops
-        bands = {ch: ops[ch].form(t.basis.shells) for ch in "aAgG"}
+        bands = {ch: ops[ch].bands for ch in "aAgG"}
         chunks = algebra._grid_chunks(lmax_d - 1)
         for (n0, n1), grid in algebra._grid_windows((ops["a"], ops["g"]), chunks):
             w, m = n1 + 3, n1 - n0 + 4
@@ -508,42 +519,26 @@ def perturb_band(monkeypatch, table, letter, key, col, change):
     A starred band holds the unstarred generator's entries at the transposed
     labels, so the fault is one entry of alpha or gamma: the band key at the
     column col, or, for a starred letter, the band -key at the label that
-    col reaches.  It is made where each former reads that entry:
-    Generator.grid of the unstarred generator, whose windows the relation
-    battery reads, and Generator.form of both, whose bands the references
-    read.
+    col reaches.  It is made where every entry is formed, Generator.grid of
+    both letters (a starred one grids the unstarred): the relation battery's
+    windows, both letters' bands and the references that read them see it.
     """
     basis = table.basis
     label = np.array([basis.nd[col], basis.id[col], basis.jd[col]])
     if letter.isupper():
         label, key = label + key[:3], tuple(-k for k in key[:3]) + (0,)
-    op, star = table.ops[letter.lower()], table.ops[letter.upper()]
     nd, i, j = (int(x) for x in label)
     row, column = (i + nd) // 2, (j + nd) // 2  # in-shell, as on the grid
-    grid, form, star_form = op.grid, op.form, star.form
+    grid = Generator.grid
 
-    def perturbed_grid(shells, w, out):
-        grid(shells, w, out)
+    def perturbed_grid(op, shells, w, out):
+        grid(op, shells, w, out)
         if shells[0] <= nd < shells[1]:
             cell = ((nd - shells[0]) * w + row + 1) * w + column + 1
             out[(1 - key[0]) // 2, cell] = change(out[(1 - key[0]) // 2, cell])
 
-    def perturbed(form, key, label):
-        inside = 0 <= label[0] <= basis.trunc.lmax.doubled and max(abs(label[1:])) <= label[0]
-        at = int(pw_position(*label)) if inside else -1
-
-        def patched(shells):
-            bands = form(shells)
-            lo, hi = basis.start[shells[0]], basis.start[shells[1]]
-            if lo <= at < hi:
-                bands[key][at - lo] = change(bands[key][at - lo])
-            return bands
-        return patched
-
-    monkeypatch.setattr(op, "grid", perturbed_grid)
-    monkeypatch.setattr(op, "form", perturbed(form, key, label))
-    monkeypatch.setattr(star, "form", perturbed(star_form, tuple(-k for k in key[:3]) + (0,),
-                                                label + key[:3]))
+    for op in (table.ops[letter.lower()], table.ops[letter.upper()]):
+        monkeypatch.setattr(op, "grid", perturbed_grid.__get__(op))
 
 
 class TestMultOperator:

@@ -410,7 +410,7 @@ class TestMain:
 
         def poisoned(self):
             # a NaN in the column 3 of g's first band, in every band g and g* form
-            key = next(iter(self.ops["g"].form(self.basis.shells)))
+            key = next(iter(self.ops["g"].bands))
             perturb_band(monkeypatch, self, "g", key, 3, lambda v: np.nan)
             validate(self)
 
@@ -571,6 +571,22 @@ class TestWorkCounts:
         cli.run_commutators(RunConfig(lmax_doubled=62))
         assert len(calls) == 1
         assert max(calls[0]) <= 40
+
+    def test_commutators_form_no_band_beyond_the_view_of_their_spins(self, monkeypatch):
+        # the witness operator is formed on the leading view of spins 2n <= 62,
+        # which holds every spin the series and the witnesses read: it was formed
+        # over the table's 597 861 labels at lmax_doubled 120
+        lengths = []
+        bands = algebra.Generator.bands
+
+        def counted(op):
+            formed = bands.fget(op)
+            lengths.extend(len(v) for v in formed.values())
+            return formed
+
+        monkeypatch.setattr(algebra.Generator, "bands", property(counted))
+        cli.run_commutators(RunConfig(lmax_doubled=120))
+        assert lengths and max(lengths) <= 85344
 
     @pytest.fixture
     def row_builds(self, monkeypatch):

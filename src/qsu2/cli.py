@@ -76,7 +76,7 @@ def _fmt(x) -> str:
 def _csv_cell(x) -> str:
     """_fmt(x); in double quotes, each inner one doubled, if it holds a comma, quote or newline."""
     text = _fmt(x)
-    return '"%s"' % text.replace('"', '""') if any(c in text for c in ',"\n') else text
+    return '"%s"' % text.replace('"', '""') if "," in text or '"' in text or "\n" in text else text
 
 
 def write_rows(path: str, fmt: str, columns: list, rows: list, provenance: dict) -> None:

@@ -3,20 +3,23 @@
 All heavy series are accumulated in log space (the summands of the heat
 traces span hundreds of orders of magnitude at small t).  Operator norms
 are exact: the Gram of a weight-homogeneous operator on h splits into
-short chains along the spin, one per (i, j), and each chain block is
-diagonalized densely.  No iteration and no random start, so
-the norms do not depend on a seed.  The commutator experiments take the
-multiplication operator of the witness (alpha for q > 1, alpha* for
-q < 1), built once by the caller and passed to the |D| series and the
-true-D growth, and cap the |D| commutator in closed form; the true-D
-growth reads each witness vector's column of it and D's 2x2 blocks at
-the few labels that column reaches, with no spinor vector and no D
-matvec.  The modular defects read psi(ab) and psi(b Psi(a)) from the
-vacuum vectors of one leading view, with no operator product.  The Haar trace
-functionals Tr(a rho B) with B constant on each spin shell (the heat
-kernel e^{-tD^2}, or any shell multiplier) are sums over the shells of
-B(n) times per-shell sums of diag(a) * rho held on the table: O(lmax)
-per call, with no array of basis length.
+short chains along the spin, one per (i, j), and the chain blocks that
+can hold the norm are diagonalized densely, one eigvalsh per block side:
+a chain whose Gershgorin bound falls below the largest diagonal entry is
+skipped, with the bits of diagonalizing them all.  No iteration and no
+random start, so the norms do not depend on a seed.  The commutator
+experiments take the multiplication operator of the witness (alpha for
+q > 1, alpha* for q < 1), built once by the caller and passed to the |D|
+series and the true-D growth, and cap the |D| commutator in closed form;
+the true-D growth reads each witness vector's column of it and D's 2x2
+blocks at the few labels those columns reach, in one dirac_blocks call,
+with no spinor vector and no D matvec.  The modular defects read psi(ab)
+and psi(b Psi(a)) from the vacuum vectors of one leading view, with no
+operator product.  The Haar trace functionals Tr(a rho B) with B
+constant on each spin shell (the heat kernel e^{-tD^2}, or any shell
+multiplier) are sums over the shells of B(n) times per-shell sums of
+diag(a) * rho held on the table: O(lmax) per call, with no array of
+basis length.
 """
 from __future__ import annotations
 
@@ -45,6 +48,7 @@ class PeakOutsideTruncationError(SpectralError):
 
 
 RHO_TAIL_TOL = 1e-6  # largest share of rho_trace_functional's weight on the top shell
+CHAIN_MARGIN = 1e-8  # relative gap below which shell_norms still diagonalizes a chain
 
 
 @dataclass
@@ -110,9 +114,22 @@ def shell_norms(op: BandMatrix, shells_d: Sequence[int]) -> np.ndarray:
     spins <= top are the first P columns, and they reach only the spins
     <= top + depth: op is cut to those leading shells, a Basis of its own,
     where the Gram of the first P columns has the bits of the whole one.
-    Chains with the same first spin have the same block length, so each
-    (first spin, shell) is one batched eigvalsh; the norm is the square
-    root of the largest eigenvalue.  Raises SpectralError if a nonzero
+    The norm is the square root of the largest eigenvalue over the chains.
+
+    Only the chains that can hold it are diagonalized.  While the Gram is
+    scattered, each row's absolute sum is kept: by Gershgorin, a chain's
+    leading block at a shell has no eigenvalue above the largest full-row
+    sum among its labels on spins <= shell.  Each diagonal entry is a
+    Rayleigh quotient, so the largest one on spins <= shell is at most that
+    shell's largest eigenvalue.  A chain is skipped only when its bound is
+    below (1 - CHAIN_MARGIN) times that; eigvalsh is backward stable to a
+    few n eps of a block's norm, far inside the margin, so a skipped
+    chain's computed eigenvalue stays below the computed maximum and every
+    norm keeps the bits of diagonalizing all chains.  A shell with a
+    non-finite entry in its rows skips none.  The live leading blocks of one
+    side go through one eigvalsh, gathered from the flat buffer by one
+    index.  As over all chains, the eigenvalues of one first spin and
+    shell count only when none is NaN.  Raises SpectralError if a nonzero
     Gram entry couples two chains, i.e. op is not weight-graded.
     """
     if not shells_d:
@@ -126,14 +143,17 @@ def shell_norms(op: BandMatrix, shells_d: Sequence[int]) -> np.ndarray:
     lead = Basis(Truncation(HalfInteger(top + depth_d)))
     op = BandMatrix(lead, {k: np.where(lead._rows_of(k) >= 0, v[:lead.dim], 0.0)
                            for k, v in op.bands.items()})
-    chain, nd, s0, first = _chains(Basis(Truncation(HalfInteger(top))))
+    normed = Basis(Truncation(HalfInteger(top)))
+    chain, nd, s0, first = _chains(normed)
     P = len(nd)
     # the chains of first spin s hold blocks of side length[s], stored one
     # after the other in a flat buffer from offset[s]; no padding
     length = (top - np.arange(top + 1)) // 2 + 1
     offset = np.concatenate([[0], np.cumsum(np.diff(first) * length ** 2)])
     pos = (nd - s0) // 2  # place of a column along its chain
+    at = offset[s0] + ((chain - first[s0]) * length[s0] + pos) * length[s0]  # its row's start
     buf = np.zeros(offset[-1], dtype=op.dtype)
+    rowsum = np.zeros(P)
     for key, v in op.H.product_bands(op):
         col = np.flatnonzero(v[:P])  # a band is 0 where its row is -1
         row = lead._rows_of(key)[col]
@@ -141,17 +161,32 @@ def shell_norms(op: BandMatrix, shells_d: Sequence[int]) -> np.ndarray:
         if (chain[row] != chain[col]).any():
             raise SpectralError("Gram couples different (i, j): "
                                 "operator is not weight-graded")
-        r = s0[row]
-        buf[offset[r] + ((chain[row] - first[r]) * length[r] + pos[row]) * length[r]
-            + pos[col]] = v[col]
-    best = np.zeros(len(shells_d))
-    for s in range(top + 1):
-        blocks = buf[offset[s]:offset[s + 1]].reshape(-1, length[s], length[s])
-        for k, shell in enumerate(shells_d):
-            kept = (shell - s) // 2 + 1
-            if kept > 0:
-                best[k] = max(best[k], np.linalg.eigvalsh(blocks[:, :kept, :kept])[:, -1].max())
-    return np.sqrt(best)
+        buf[at[row] + pos[col]] = v[col]
+        np.add.at(rowsum, row, np.abs(v[col]))  # indexed as buf is
+    # the bound of each chain at each place along it, over the places up to it
+    upper = np.zeros((first[-1], length[0]))
+    upper[chain, pos] = rowsum
+    np.maximum.accumulate(upper, axis=1, out=upper)
+    lower = np.where(np.isfinite(rowsum), buf[at + pos].real, np.nan)
+    lower = np.maximum.accumulate(lower)[normed.start[np.add(shells_d, 1)] - 1]
+    chain_s0 = np.repeat(np.arange(top + 1), np.diff(first))
+    kept = (np.asarray(shells_d) - chain_s0[:, None]) // 2 + 1  # by chain and shell
+    c, k = np.nonzero(kept > 0)
+    kept = kept[c, k]
+    live = ~(upper[c, kept - 1] < (1 - CHAIN_MARGIN) * lower[k])  # a NaN bound is live
+    order = np.flatnonzero(live)[np.argsort(kept[live])]  # the blocks of one side together
+    c, k, kept = c[order], k[order], kept[order]
+    rows = np.zeros((first[-1], length[0]), dtype=at.dtype)  # where each row of a chain starts
+    rows[chain, pos] = at
+    count = np.bincount(kept)
+    end = np.cumsum(count)
+    window = np.lib.stride_tricks.sliding_window_view
+    tops = [np.linalg.eigvalsh(window(buf, g)[rows[c[end[g] - count[g]:end[g]], :g]])[:, -1]
+            for g in np.flatnonzero(count)]
+    best = np.full((top + 1, len(shells_d)), -np.inf)  # by first spin and shell
+    np.maximum.at(best, (chain_s0[c], k), np.concatenate(tops))
+    best = np.fmax.reduce(best)  # a first spin whose maximum is NaN is passed over
+    return np.sqrt(np.where(best > 0, best, 0.0))
 
 
 def shell_norm(op: BandMatrix, shell_d: int) -> float:
@@ -207,7 +242,8 @@ def trueD_growth(aop: BandMatrix, l_list_d: Sequence[int], q: float) -> GrowthSe
     witness's column of a, one entry per band, in the witness's component;
     D keeps each entry on its label and sends it to the label of the other
     component, so D x - (l + 1/2) x is read from D's 2x2 blocks at those
-    few labels (dirac_blocks), with no spinor vector and no D.  The norm
+    few labels (one dirac_blocks call over every witness's labels), with
+    no spinor vector and no D.  The norm
     sums the squares formed first, real parts then imaginary parts, as
     np.linalg.norm does on the spinor vector; np.linalg.norm of the few
     entries fuses the sum in BLAS and can differ in the last bit.
@@ -221,17 +257,23 @@ def trueD_growth(aop: BandMatrix, l_list_d: Sequence[int], q: float) -> GrowthSe
     o = np.array([key[0] for key in aop.bands])
     s = np.array([key[2] for key in aop.bands])
     side = 1 if q > 1 else -1  # the witness corner (i, j) = side * (l, -l) on h
-    vals = []
+    xs, nd, jd = [], [], []
     for ld in l_list_d:
         c = aop.space.position_doubled(ld, side * ld, -side * ld)
         x = (np.array([band[c] for band in aop.bands.values()])
              * _cg_doubled(-side, 1, ld, -side * ld, q))
         nonzero = x != 0  # a band is 0 where its target leaves the truncation
-        diag_p, to_m, diag_m, to_p = dirac_blocks("true", ld + o[nonzero],
-                                                  -side * ld + s[nonzero], q, lmax_d)
-        own, other = (diag_m, to_p) if side > 0 else (diag_p, to_m)
-        x = x[nonzero]
-        y = np.concatenate([own * x - (ld / 2.0 + 0.5) * x, other * x])
+        xs.append(x[nonzero])
+        nd.append(ld + o[nonzero])
+        jd.append(-side * ld + s[nonzero])
+    # one call for every witness's labels: a subset of labels has the bits of the whole
+    diag_p, to_m, diag_m, to_p = dirac_blocks("true", np.concatenate(nd), np.concatenate(jd),
+                                              q, lmax_d)
+    own, other = (diag_m, to_p) if side > 0 else (diag_p, to_m)
+    cuts = np.cumsum([len(x) for x in xs])[:-1]
+    vals = []
+    for ld, x, d, e in zip(l_list_d, xs, np.split(own, cuts), np.split(other, cuts)):
+        y = np.concatenate([d * x - (ld / 2.0 + 0.5) * x, e * x])
         vals.append(math.sqrt(np.sum(y.real ** 2) + np.sum(y.imag ** 2)))
     return GrowthSeries.fit([ld / 2.0 for ld in l_list_d], vals)
 

@@ -101,6 +101,17 @@ MUTATIONS = {
                                              "lead = Basis(Truncation(HalfInteger(top + depth_d)))",
                                              "lead = Basis(Truncation(HalfInteger(top + depth_d"
                                              " - 1)))"),
+    # the shell norms diagonalize only the chains whose bound reaches the shell's lower bound
+    "chain-margin-dropped": ("src/qsu2/spectral.py",
+                             "live = ~(upper[c, kept - 1] < (1 - CHAIN_MARGIN) * lower[k])"
+                             "  # a NaN bound is live",
+                             "live = ~(upper[c, kept - 1] < lower[k])"),
+    "chain-nan-bound-prunable": ("src/qsu2/spectral.py",
+                                 "live = ~(upper[c, kept - 1] < (1 - CHAIN_MARGIN) * lower[k])"
+                                 "  # a NaN bound is live",
+                                 "live = upper[c, kept - 1] >= (1 - CHAIN_MARGIN) * lower[k]"),
+    "chain-bound-from-diagonal": ("src/qsu2/spectral.py", "upper[chain, pos] = rowsum",
+                                  "upper[chain, pos] = buf[at + pos].real"),
     # the bands read from the grid: a starred band at its step, every zero +0.0
     "bands-starred-read-unshifted": ("src/qsu2/algebra.py",
                                      "ds, dr, dc = self.step(b) if self.adjoint else (0, 0, 0)",

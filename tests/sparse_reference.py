@@ -22,7 +22,9 @@ scaling residual of a generator as the program formed it before it ran
 on the shell grid: rho at each band's rows over rho at its columns.
 full_dimension_shell_norms are the shell norms from the Gram over every
 column, as the program formed it before it cut the operator to its
-leading shells.
+leading shells.  all_chains_shell_norms are the shell norms on the
+leading shells with every chain diagonalized, as the program formed them
+before it skipped the chains that cannot hold the norm.
 """
 import math
 
@@ -30,8 +32,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from qsu2.algebra import cg_table, mult_operator, t_half
-from qsu2.peterweyl import DIAGONAL, BandMatrix, rho_weights
-from qsu2.qarith import q_number
+from qsu2.peterweyl import DIAGONAL, BandMatrix, Basis, Truncation, rho_weights
+from qsu2.qarith import HalfInteger, q_number
+from qsu2.spectral import SpectralError, _chains
 
 
 def pw_position(nd, id_, jd):
@@ -233,6 +236,46 @@ def full_dimension_shell_norms(op, shells_d):
                 blocks[:, p + d, p] = band[at[:, p]] + 0.0
         for k, shell in enumerate(shells_d):
             kept = (shell - s0) // 2 + 1
+            if kept > 0:
+                best[k] = max(best[k], np.linalg.eigvalsh(blocks[:, :kept, :kept])[:, -1].max())
+    return np.sqrt(best)
+
+
+def all_chains_shell_norms(op, shells_d):
+    """shell_norms(op, shells_d) with the leading block of every chain diagonalized.
+
+    The operator is cut to the shells up to the top one plus its depth,
+    and its Gram on the first P columns is scattered into the flat buffer
+    of chain blocks; then each (first spin, shell) is one batched eigvalsh
+    over all chains of that first spin, and a batch's maximum counts when
+    it exceeds the running one (so a NaN batch is passed over).
+    """
+    top = max(shells_d)
+    depth_d = op.shell_depth_doubled
+    lead = Basis(Truncation(HalfInteger(top + depth_d)))
+    op = BandMatrix(lead, {k: np.where(lead._rows_of(k) >= 0, v[:lead.dim], 0.0)
+                           for k, v in op.bands.items()})
+    chain, nd, s0, first = _chains(Basis(Truncation(HalfInteger(top))))
+    P = len(nd)
+    length = (top - np.arange(top + 1)) // 2 + 1
+    offset = np.concatenate([[0], np.cumsum(np.diff(first) * length ** 2)])
+    pos = (nd - s0) // 2
+    buf = np.zeros(offset[-1], dtype=op.dtype)
+    for key, v in op.H.product_bands(op):
+        col = np.flatnonzero(v[:P])
+        row = lead._rows_of(key)[col]
+        col, row = col[row < P], row[row < P]
+        if (chain[row] != chain[col]).any():
+            raise SpectralError("Gram couples different (i, j): "
+                                "operator is not weight-graded")
+        r = s0[row]
+        buf[offset[r] + ((chain[row] - first[r]) * length[r] + pos[row]) * length[r]
+            + pos[col]] = v[col]
+    best = np.zeros(len(shells_d))
+    for s in range(top + 1):
+        blocks = buf[offset[s]:offset[s + 1]].reshape(-1, length[s], length[s])
+        for k, shell in enumerate(shells_d):
+            kept = (shell - s) // 2 + 1
             if kept > 0:
                 best[k] = max(best[k], np.linalg.eigvalsh(blocks[:, :kept, :kept])[:, -1].max())
     return np.sqrt(best)

@@ -473,6 +473,17 @@ class TestMain:
                               env=dict(os.environ, PYTHONPATH=src), check=True)
         assert proc.stdout.strip().splitlines()[-1] == "[]"
 
+    def test_all_leaves_numpy_ma_unloaded(self, tmp_path):
+        # numpy.ma costs about 9 ms to import in a fresh process, and np.unique
+        # imports it on its first call: no path of a run may reach it
+        code = ("import sys, qsu2.cli\n"
+                "assert qsu2.cli.main(['all', '--lmax', '24', '--out', %r]) == 0\n"
+                "print('numpy.ma' in sys.modules)" % str(tmp_path / "run.csv"))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert proc.stdout.strip().splitlines()[-1] == "False"
+
 
 class TestWorkCounts:
     """Guards on work, not time: how large the operators are that each experiment builds."""

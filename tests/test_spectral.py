@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from dirac_reference import VIndex, b_coefficient, v_vector
-from sparse_reference import (apply_word, full_dimension_shell_norms, spinor_mult, to_csr,
-                              whole_array_scaling)
+from sparse_reference import (all_chains_shell_norms, apply_word, full_dimension_shell_norms,
+                              spinor_mult, to_csr, whole_array_scaling)
 from qsu2.qarith import HalfInteger, QArithError, _cg_doubled, q_number
 from qsu2.peterweyl import DIAGONAL, BandMatrix, Basis, Truncation, rho_weights
 from qsu2.algebra import (GeneratorTable, NCPolynomial, haar_state,
@@ -170,6 +170,125 @@ class TestShellNorm:
         assert truncated <= cap * (1 + 1e-14)
         if ld >= 40:
             assert cap - truncated < 1e-6 * cap
+
+
+def _random_graded(space, bands, dtype, seed):
+    """Random values of dtype on the nonzero entries of bands: weight-graded like them."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for key, v in bands.items():
+        r = rng.standard_normal(len(v)) + (1j * rng.standard_normal(len(v))
+                                           if dtype is complex else 0)
+        out[key] = np.where(v != 0, r, 0).astype(dtype)
+    return BandMatrix(space, out)
+
+
+def _outcome(f, *args):
+    """The bytes f returns, or the type of what it raises."""
+    try:
+        return f(*args).tobytes()
+    except Exception as exc:  # the outcome compared is the exception's type
+        return type(exc)
+
+
+class TestChainPruning:
+    """shell_norms diagonalizes only the chains that can hold the norm, with the bits of all."""
+
+    @pytest.mark.parametrize("q", [0.05, 0.7, 1.0001, 1.2, 3.0, 20.0])
+    @pytest.mark.parametrize("ld", [24, 62, 120])
+    def test_cli_shells_match_all_chains_bitwise(self, ld, q):
+        t = GeneratorTable(q, Truncation(HalfInteger(ld)))
+        aop = mult_operator(witness_polynomial(t), t.leading(min(ld, 62)))
+        comm = BandMatrix(aop.space, {k: v * (k[0] / 2.0) for k, v in aop.bands.items()})
+        shells = [2 * s for s in range(4, min(20, ld // 2 - 1) + 1)]
+        got = spectral.shell_norms(comm, shells)
+        assert got.tobytes() == all_chains_shell_norms(comm, shells).tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("ch", ["a", "G", "aG"])
+    def test_random_graded_operators_match_all_chains_bitwise(self, ch, dtype):
+        t = GeneratorTable(Q, Truncation(HalfInteger(14)))
+        op = _random_graded(t.basis, mult_operator(NCPolynomial.word(ch), t).bands, dtype, 7)
+        shells = list(range(0, 15 - op.shell_depth_doubled))
+        got = spectral.shell_norms(op, shells)
+        assert got.tobytes() == all_chains_shell_norms(op, shells).tobytes()
+
+    def test_spinor_operator_matches_all_chains_bitwise(self):
+        t = GeneratorTable(Q, Truncation(HalfInteger(12)))
+        d = DiracContext(Q, t.trunc, t.basis)
+        m = spinor_mult(witness_polynomial(t), t, d)
+        op = _random_graded(d.spinor, m.bands, complex, 11)
+        shells = [0, 3, 6, 9, 11]
+        got = spectral.shell_norms(op, shells)
+        assert got.tobytes() == all_chains_shell_norms(op, shells).tobytes()
+
+    def test_chain_with_small_diagonal_and_large_off_diagonal(self):
+        # on alpha's two bands every Gram chain is tridiagonal; with all entries 1
+        # a long chain has diagonal <= 2 and an eigenvalue near 4, so its diagonal
+        # lies below the single label of the top shell's corner chain, set to 3:
+        # only the row sums bound the long chain above that
+        t = GeneratorTable(Q, Truncation(HalfInteger(14)))
+        top = 13
+        bands = {k: (v != 0).astype(float) for k, v in t.ops["a"].bands.items()}
+        corner = t.basis.position_doubled(top, top, top)
+        for v in bands.values():
+            if v[corner]:
+                v[corner] = math.sqrt(3.0 / sum(b[corner] != 0 for b in bands.values()))
+        op = BandMatrix(t.basis, bands)
+        got = spectral.shell_norms(op, [top])
+        assert got.tobytes() == all_chains_shell_norms(op, [top]).tobytes()
+        assert got[0] ** 2 > 3.5  # held by a chain whose diagonal is at most 2
+
+    # the first four raise LinAlgError, (12, 12, 12) passes over a NaN batch, and
+    # (13, 13, 13) is read past the truncation and raises SpectralError
+    @pytest.mark.parametrize("where", [(0, 0, 0), (6, 2, -4), (9, 9, -9), (11, 1, 1),
+                                       (12, 12, 12), (13, 13, 13)])
+    def test_nan_entry_gives_the_outcome_of_all_chains(self, where):
+        t = GeneratorTable(Q, Truncation(HalfInteger(14)))
+        op = _random_graded(t.basis, t.ops["a"].bands, float, 3)
+        c = t.basis.position_doubled(*where)
+        next(v for v in op.bands.values() if v[c])[c] = np.nan
+        shells = [0, 2, 5, 9, 12, 13]
+        with np.errstate(invalid="ignore"):
+            assert _outcome(spectral.shell_norms, op, shells) == \
+                _outcome(all_chains_shell_norms, op, shells)
+
+    def test_chain_inside_the_margin_is_diagonalized(self, monkeypatch):
+        # a diagonal operator: each chain's bound is its own largest entry, and
+        # the largest one overall, 1, is the lower bound; the chain (0, 0) at
+        # 1 - 1e-9 of it is diagonalized, the chain (2, 0) at 1 - 1e-7 is not
+        basis = Basis(Truncation(HalfInteger(6)))
+        vals = np.where(basis.id == 0, np.where(basis.jd == 0, 1 - 1e-9, 1.0), 1.0)
+        vals = np.where((basis.id == 2) & (basis.jd == 0), 1 - 1e-7, vals)
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(blocks):
+            seen.extend(np.diagonal(blocks, axis1=1, axis2=2).ravel().tolist())
+            return eigvalsh(blocks)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        op = BandMatrix(basis, {DIAGONAL: np.sqrt(vals)})
+        assert spectral.shell_norms(op, [6]).tobytes() == np.array([1.0]).tobytes()
+        assert np.sqrt(1 - 1e-9) ** 2 in seen
+        assert np.sqrt(1 - 1e-7) ** 2 not in seen
+
+    def test_cli_series_diagonalizes_a_tenth_of_the_blocks(self, monkeypatch):
+        # at ld 24, q 1.2 the CLI's 8 shells hold 4 184 leading blocks, once 128 eigvalsh calls
+        t = GeneratorTable(1.2, Truncation(HalfInteger(24)))
+        aop = mult_operator(witness_polynomial(t), t)
+        shells = [2 * s for s in range(4, 11 + 1)]
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(b):
+            calls.append(b.shape)
+            return eigvalsh(b)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        absD_commutator_series(aop, shells)
+        assert len(calls) <= 12
+        assert sum(shape[0] for shape in calls) < 0.1 * 4184
 
 
 class TestHeatTrace:

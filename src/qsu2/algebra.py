@@ -8,6 +8,10 @@ A word is a string of letters, read left to right as an operator product
 (so the rightmost letter acts first on a vector).  Normal form puts the
 alpha-letters first, then gammas, then gamma-stars, and eliminates mixed
 alpha/alpha* words through the defining relations.
+
+A generator is held as its per-shell factors, C(i) C(j) nu(n): the CG
+tables and nu of one cached builder per truncation (generator_tables),
+which every generator and the Dirac blocks of that truncation read in place.
 """
 from __future__ import annotations
 
@@ -105,27 +109,23 @@ def is_normal_word(word: str) -> bool:
     return not any(word[k:k + 2] in _RULES for k in range(len(word) - 1))
 
 
-def _q_numbers(count: int, q: float) -> np.ndarray:
-    """[r]_q for r = 0 .. count - 1, one scalar q_number each in ascending r (an overflow raises
-    at the smallest r that overflows)."""
-    return np.array([q_number(float(r), q) for r in range(count)])
+@lru_cache(maxsize=8)
+def generator_tables(lmax_doubled: int, q: float) -> tuple:
+    """(cg, nu): the per-shell factors of the generators on the spins 2n <= lmax_doubled.
 
-
-@lru_cache(maxsize=16)
-def cg_table(m1d: int, lmax_doubled: int, q: float) -> np.ndarray:
-    """_cg_doubled(m1d, branch, ld, md, q) stored at [(1 - branch) // 2, ld, (md + ld) // 2].
-
-    Every entry is +-q^(e/2) sqrt([r]_q / [ld + 1]_q), |e|, r <= ld + 1
-    (the closed forms of _cg_doubled, k = (ld + md) / 2): those O(lmax)
-    scalars are evaluated once each ([r]_q in ascending r, then q ** (e /
-    2.0)) and combined with numpy's *, /, sqrt and where, which round as
-    the scalar route does: the bits of _cg_doubled, signed zeros included.
-    Unused slots (md > ld) and weights outside the target spin hold +0.0.
-    No entry depends on lmax_doubled: a smaller table is the leading slice
-    of a larger one.  The 16 most recent are kept and shared, read-only.
+    cg[(1 - m1d) // 2, (1 - branch) // 2, ld + 1, (md + ld) // 2 + 1] is
+    _cg_doubled(m1d, branch, ld, md, q), between +0.0 slots before and after
+    each spin and weight (the layout Generator.grid reads); nu[(1 - branch)
+    // 2, 2n + 1] is sqrt([2]_q [2n + 1]_q / [2n + 1 + branch]_q), +0.0 where
+    2n + branch leaves the truncation.  [r]_q, r <= max(ld + 1, 2), in
+    ascending r (an overflow raises at the smallest), and q ** (e / 2.0),
+    |e| <= ld + 1, are evaluated once each and combined with numpy's *, /,
+    sqrt and where, which round as the scalar route does: the bits of
+    _cg_doubled, signed zeros included.  Unused slots (md > ld) hold +0.0,
+    so no CG entry depends on lmax_doubled.  The 8 most recent are kept.
     """
     top = lmax_doubled + 1
-    qn = _q_numbers(top + 1, q)
+    qn = np.array([q_number(float(r), q) for r in range(max(top + 1, 3))])  # [2]_q for nu
     half_powers = np.array([q ** (e / 2.0) for e in range(-top, top + 1)])
 
     def power(e):  # q ** (e / 2.0)
@@ -136,15 +136,19 @@ def cg_table(m1d: int, lmax_doubled: int, q: float) -> np.ndarray:
     slot = k <= ld
     k = np.minimum(k, ld)  # a valid index in the unused slots
     den = qn[ld + 1]
-    if m1d == 1:  # branch +1, then -1 (which needs k <= ld - 1)
-        up = power(ld - k) * np.sqrt(qn[k + 1] / den)
-        down = np.where(k < ld, power(-k - 1) * np.sqrt(qn[ld - k] / den), 0.0)
-    else:  # branch -1 needs k >= 1
-        up = power(-k) * np.sqrt(qn[ld - k + 1] / den)
-        down = np.where(k >= 1, -power(ld - k + 1) * np.sqrt(qn[k] / den), 0.0)
-    table = np.where(slot, np.stack([up, down]), 0.0)
-    table.setflags(write=False)
-    return table
+    cg, nu = np.zeros((2, 2, top + 2, top + 2)), np.zeros((2, top + 2))
+    # branch +1, then -1, which needs k <= ld - 1 for m1 = 1/2 and k >= 1 for m1 = -1/2
+    cg[0, :, 1:-1, 1:-1] = np.where(slot, np.stack([
+        power(ld - k) * np.sqrt(qn[k + 1] / den),
+        np.where(k < ld, power(-k - 1) * np.sqrt(qn[ld - k] / den), 0.0)]), 0.0)
+    cg[1, :, 1:-1, 1:-1] = np.where(slot, np.stack([
+        power(-k) * np.sqrt(qn[ld - k + 1] / den),
+        np.where(k >= 1, -power(ld - k + 1) * np.sqrt(qn[k] / den), 0.0)]), 0.0)
+    nu[0, 1:top] = np.sqrt(qn[2] * qn[1:top] / qn[2:top + 1])
+    nu[1, 2:top + 1] = np.sqrt(qn[2] * qn[2:top + 1] / qn[1:top])
+    cg.setflags(write=False)
+    nu.setflags(write=False)
+    return cg, nu
 
 
 class Generator(BandMatrix):
@@ -154,8 +158,9 @@ class Generator(BandMatrix):
     ((C(rd, i) C(sd, j)) nu(n)) scale, one band per branch +1, -1: over a
     shell, an outer product of a row and a column factor, times nu, times
     scale.  factors are (c1, c2, nu), indexed by branch and 1 + shell: the
-    cg_table rows of rd (+0.0 on the shells whose branch leaves the
-    truncation) and of sd, and nu, each padded with +0.0: O(lmax^2) numbers.
+    CG tables of rd and sd and nu (+0.0 on the shells whose branch leaves
+    the truncation), each padded with +0.0: O(lmax^2) numbers, the
+    generator_tables that every generator of the truncation shares.
     The adjoint (H) reads the same factors at the transposed label, the
     column (n - branch/2, i - rd/2, j - sd/2) (step), its keys negated.  A CG
     coefficient is 0 exactly where its target weight leaves the target
@@ -249,24 +254,13 @@ def t_half(rd: int, sd: int, basis: Basis, q: float, scale: float = 1.0) -> Gene
 
     The entry taking (n, i, j) to (n + branch/2, i + rd/2, j + sd/2) is
     ((C(rd, i) C(sd, j)) nu(n)) scale; the branches +1, -1 are the two
-    bands.  Returned as its per-shell factors (see Generator), from which
-    Generator.grid forms the bands over any range of shells.  Each entry is
-    a closed form of its column, so on a smaller truncation it keeps its
-    bits.
+    bands.  Returned as its per-shell factors (see Generator), the shared
+    generator_tables of the truncation, from which Generator.grid forms the
+    bands over any range of shells.  Each entry is a closed form of its
+    column, so on a smaller truncation it keeps its bits.
     """
-    Ld = basis.trunc.lmax.doubled
-    cr = cg_table(rd, Ld, q)
-    cs = cr if sd == rd else cg_table(sd, Ld, q)
-    qn = _q_numbers(Ld + 2, q)
-    q2 = q_number(2, q)
-    (c1, c2), nu = np.zeros((2, 2, Ld + 3, Ld + 3)), np.zeros((2, Ld + 3))
-    c1[:, 1:-1, 1:-1], c2[:, 1:-1, 1:-1] = cr, cs
-    for b, branch in enumerate((1, -1)):
-        lo, hi = (0, Ld) if branch == 1 else (1, Ld + 1)  # shells with 0 <= 2n + branch <= Ld
-        c1[b, 1 + (Ld if branch == 1 else 0)] = 0.0
-        nu[b, lo + 1:hi + 1] = np.sqrt(q2 * qn[lo + 1:hi + 1]
-                                       / qn[lo + 1 + branch:hi + 1 + branch])
-    return Generator(basis, rd, sd, (c1, c2, nu), scale)
+    cg, nu = generator_tables(basis.trunc.lmax.doubled, q)
+    return Generator(basis, rd, sd, (cg[(1 - rd) // 2], cg[(1 - sd) // 2], nu), scale)
 
 
 class GeneratorTable:
@@ -282,8 +276,8 @@ class GeneratorTable:
     sign automorphism gamma -> -gamma.  The scalars are the positive
     solution of alpha* alpha + gamma* gamma = 1 and alpha alpha* +
     q^2 gamma* gamma = 1 at the cyclic vector.  Each generator is held as
-    its per-shell factors (Generator): the two cg_table rows, nu per shell
-    and its scalar, O(lmax^2) numbers.  The relation battery, run on
+    its per-shell factors (Generator): the truncation's generator_tables and
+    its scalar, O(lmax^2) numbers.  The relation battery, run on
     construction (validate), forms only alpha's and gamma's bands, each
     shell once, on a grid of a few shells at a time, and keeps none: the
     table holds no array of basis length.  The trace diagonals are sums

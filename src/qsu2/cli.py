@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__
 from .qarith import HalfInteger, QArithError, q_number
 from .peterweyl import Truncation
-from .algebra import (GeneratorTable, NCPolynomial, ValidationError, cg_table,
+from .algebra import (GeneratorTable, NCPolynomial, ValidationError, generator_tables,
                       haar_states, is_normal_word, mult_operator)
-from .gns_oracle import oracle_haar_words
+from .gns_oracle import ladder_cut, oracle_haar_words
 from . import spectral
 
 OBSERVABLES = ["", "a", "g", "Gg", "Aa", "aG"]  # 1, alpha, gamma, g*g, a*a, a g*
@@ -105,12 +105,13 @@ def _word_label(w: str) -> str:
 
 # ---------------------------------------------------------------- experiments
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def generator_table(q: float, lmax_doubled: int) -> GeneratorTable:
     """The validated GeneratorTable at (q, lmax_doubled), shared by the experiments of one run.
 
-    Kept for the most recent arguments, so `all` builds it once; main()
-    clears the cache when the invocation ends.  A ValidationError
+    Kept for the two most recent arguments, so `all` builds the run's table
+    once and, above lmax_doubled 62, the smaller one of `commutators` once;
+    main() clears the cache when the invocation ends.  A ValidationError
     propagates and nothing is stored.
     """
     return GeneratorTable(q, Truncation(HalfInteger(lmax_doubled)))
@@ -137,10 +138,10 @@ def run_validate(cfg: RunConfig):
     # CG column normalization and branch orthogonality for 2l <= 20, over the
     # target weights jd = 2m - ld - 1, m = 0 .. ld + 1: up[b, ld, m] is
     # C(+1/2, branch, ld, jd - 1) and dn[b, ld, m] is C(-1/2, branch, ld,
-    # jd + 1), read from the CG tables padded with +0.0 on each side for the
+    # jd + 1), slices of the CG tables, whose padding holds +0.0 for the
     # weights outside the spin (branch +1, then -1)
-    up = np.pad(cg_table(1, 20, q), ((0, 0), (0, 0), (1, 0)))
-    dn = np.pad(cg_table(-1, 20, q), ((0, 0), (0, 0), (0, 1)))
+    cg = generator_tables(20, q)[0]
+    up, dn = cg[0, :, 1:-1, :-1], cg[1, :, 1:-1, 1:]
     ld = np.arange(21)[:, None]
     jd = 2 * np.arange(22) - ld - 1
     norm = np.abs(up * up + dn * dn - 1.0)
@@ -171,9 +172,8 @@ def run_validate(cfg: RunConfig):
                      GeneratorTable.RELATION_TOL, "FAIL"])
         return rows, ["battery", "residual", "threshold", "status"]
 
-    # two-path Haar agreement on monomials of degree <= 4; the ladder cut K
-    # keeps the oracle's truncation error max(q, 1/q)^{-2(K+1)} below 1e-12
-    levels = max(80, math.ceil(math.log(1e12) / (2 * math.log(max(q, 1.0 / q)))))
+    # two-path Haar agreement on monomials of degree <= 4, the ladder at its cut
+    levels = ladder_cut(q)
     words = ["".join(w) for deg in range(min(4, cfg.lmax_doubled) + 1)
              for w in itertools.product("aAgG", repeat=deg)]
     worst = 0.0
@@ -205,12 +205,12 @@ def run_haar(cfg: RunConfig):
 
 
 def run_commutators(cfg: RunConfig):
-    table = generator_table(cfg.q, cfg.lmax_doubled)
-    a = spectral.witness_polynomial(table)
     lmax, top_shell, top_l = cfg.lmax_doubled // 2, 20, 30  # the series' and witnesses' caps
-    # the |D| series and the true-D growth read a at spins <= max(top) + 1/2, so it is
-    # formed on the leading view of spins <= max(top) + 1 (the table itself if smaller)
-    aop = mult_operator(a, table.leading(2 * max(top_shell, top_l) + 2))
+    # the |D| series and the true-D growth read a at spins <= max(top) + 1/2, so the
+    # table is built, and its battery run, on the spins <= max(top) + 1 at most
+    table = generator_table(cfg.q, min(cfg.lmax_doubled, 2 * max(top_shell, top_l) + 2))
+    a = spectral.witness_polynomial(table)
+    aop = mult_operator(a, table)
     shells = [2 * s for s in range(4, min(top_shell, lmax - 1) + 1)]
     series_abs = spectral.absD_commutator_series(aop, shells)
     cap = spectral.absD_commutator_cap(a)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .qarith import QArithError, q_number
 from .peterweyl import DIAGONAL, Basis, BandMatrix, LabelSpace, Truncation
-from .algebra import cg_table
+from .algebra import generator_tables
 
 
 class SpinorBasis(LabelSpace):
@@ -39,9 +39,8 @@ class SpinorBasis(LabelSpace):
 
 
 def _coefficient(table: np.ndarray, sign, ld, md) -> np.ndarray:
-    """C(m1; l, m) on branch sign, read from a cg_table row of m1; 0 where |m| > l."""
-    inside = np.abs(md) <= ld
-    return np.where(inside, table[(1 - sign) // 2, ld, np.where(inside, (md + ld) // 2, 0)], 0.0)
+    """C(m1; l, m) on branch sign from the padded CG table of m1: +0.0 for l < |m| <= l + 2."""
+    return table[(1 - sign) // 2, ld + 1, (md + ld) // 2 + 1]
 
 
 class _CoupledLabels(LabelSpace):
@@ -84,20 +83,17 @@ def dirac_blocks(kind: str, nd, jd, q: float, lmax_doubled: int) -> tuple:
     elementwise, so the values at any subset of labels have the bits of
     the whole.  Labels need 0 <= nd <= lmax_doubled and |jd| <= nd.
     """
-    up, down = cg_table(1, lmax_doubled, q), cg_table(-1, lmax_doubled, q)
+    up, down = generator_tables(lmax_doubled, q)[0]
     diag_p = diag_m = to_m = to_p = 0.0
     for sign in (1, -1):
         ev = _spectrum(kind, nd, sign, q, lmax_doubled)
-        # e_+ (n, i, j) is the e_+ entry of the coupled vectors at j + 1/2
-        exists = np.abs(jd + 1) <= nd + sign
-        a = np.where(exists, _coefficient(up, sign, nd, jd), 0.0)
-        b = np.where(exists, _coefficient(down, sign, nd, jd + 2), 0.0)
+        # e_+ (n, i, j) is the e_+ entry of the coupled vectors at j + 1/2, which is a
+        # zero of the table where no such vector exists (as at j - 1/2 below)
+        a, b = _coefficient(up, sign, nd, jd), _coefficient(down, sign, nd, jd + 2)
         diag_p = diag_p + (a * ev) * a
         to_m = to_m + (b * ev) * a
         # e_- (n, i, j) is the e_- entry of the coupled vectors at j - 1/2
-        exists = np.abs(jd - 1) <= nd + sign
-        a = np.where(exists, _coefficient(up, sign, nd, jd - 2), 0.0)
-        b = np.where(exists, _coefficient(down, sign, nd, jd), 0.0)
+        a, b = _coefficient(up, sign, nd, jd - 2), _coefficient(down, sign, nd, jd)
         diag_m = diag_m + (b * ev) * b
         to_p = to_p + (a * ev) * b
     return diag_p, to_m, diag_m, to_p
@@ -140,8 +136,8 @@ class DiracContext:
         per-shell scalar tables; the components e_+, e_- are its two bands.
         """
         ld, id_, jd, sign = self.v_doubled
-        bands = {(0, 0, -m1d, comp): _coefficient(cg_table(m1d, self.trunc.lmax.doubled, self.q),
-                                                  sign, ld, jd - m1d)
+        cg = generator_tables(self.trunc.lmax.doubled, self.q)[0]
+        bands = {(0, 0, -m1d, comp): _coefficient(cg[comp], sign, ld, jd - m1d)
                  for comp, m1d in enumerate((1, -1))}
         columns = _CoupledLabels(self, (0, ld, id_, jd))
         return BandMatrix(columns, bands)

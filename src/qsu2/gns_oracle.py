@@ -16,6 +16,7 @@ relations at 1/q, (alpha*, gamma/q) satisfies them at q.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -91,6 +92,12 @@ def _weighted_sums(terms, K: int, q: float) -> list:
                     for w, c in terms], 1.0 / q
     sums = _ladder_sums([w for w, _ in terms], K, q)
     return [coeff * (1.0 - q ** -2) * sums.get(word, 0.0) for word, coeff in terms]
+
+
+def ladder_cut(q: float) -> int:
+    """validate's levels K = max(80, ceil(ln(2e12) / (2 ln b))), b = max(q, 1/q): a truncation
+    error b^{-2(K+1)} below 5e-13, half of 1e-12, leaves the rest for the rounding of K terms."""
+    return max(80, math.ceil(math.log(2e12) / (2 * math.log(max(q, 1.0 / q)))))
 
 
 def oracle_haar(p: NCPolynomial, K: int, q: float) -> complex:

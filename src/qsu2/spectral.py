@@ -15,11 +15,12 @@ the true-D growth reads each witness vector's column of it and D's 2x2
 blocks at the few labels those columns reach, in one dirac_blocks call,
 with no spinor vector and no D matvec.  The modular defects read psi(ab)
 and psi(b Psi(a)) from the vacuum vectors of one leading view, with no
-operator product.  The Haar trace functionals Tr(a rho B) with B
-constant on each spin shell (the heat kernel e^{-tD^2}, or any shell
-multiplier) are sums over the shells of B(n) times per-shell sums of
-diag(a) * rho held on the table: O(lmax) per call, with no array of
-basis length.
+operator product; the generator scaling forms the four ttilde^{1/2}_{r,s}
+from the truncation's shared generator tables.  The Haar trace
+functionals Tr(a rho B) with B constant on each spin shell (the heat
+kernel e^{-tD^2}, or any shell multiplier) are sums over the shells of
+B(n) times per-shell sums of diag(a) * rho held on the table: O(lmax)
+per call, with no array of basis length.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .qarith import HalfInteger, QArithError, _cg_doubled
 from .peterweyl import BandMatrix, Basis, Truncation, rho_powers, rho_weights
-from .algebra import Generator, GeneratorTable, NCPolynomial, _grid_chunks, t_half
+from .algebra import GeneratorTable, NCPolynomial, _grid_chunks, t_half
 from .dirac import dirac_blocks
 
 
@@ -491,8 +492,9 @@ def modular_generator_scaling(table: GeneratorTable) -> dict:
     battery (Generator.grid over _grid_chunks), where the column (2n, a, b)
     has the weight e = 2i + 2j = 2a + 2b - 2n and its row e + rd + sd: both
     rho are read from one power table (rho_powers), clipped to it in the
-    cells where m is 0.  The weights of a chunk serve all four generators.
-    Raises SpectralError where that table is not finite and nonzero.
+    cells where m is 0.  The weights of a chunk serve all four generators,
+    and the four read the truncation's generator_tables, as alpha and gamma
+    do.  Raises SpectralError where that table is not finite and nonzero.
     """
     q, Ld = table.q, table.trunc.lmax.doubled
     with np.errstate(over="ignore"):
@@ -501,10 +503,7 @@ def modular_generator_scaling(table: GeneratorTable) -> dict:
         raise SpectralError("the weights q^{-2i-2j} at q = %g, lmax_doubled = %d are not "
                             "finite and nonzero in float64" % (q, Ld))
     inverse = 1.0 / powers
-    # (1, 1) and (-1, 1) are alpha and gamma at scale 1: their factors are the table's
-    held = {(1, 1): table.ops["a"].factors, (-1, 1): table.ops["g"].factors}
-    gens = {(rd, sd): (Generator(table.basis, rd, sd, held[rd, sd], 1.0) if (rd, sd) in held
-                       else t_half(rd, sd, table.basis, q), q ** float(-rd - sd))
+    gens = {(rd, sd): (t_half(rd, sd, table.basis, q), q ** float(-rd - sd))
             for rd, sd in ((1, 1), (1, -1), (-1, 1), (-1, -1))}
     worst = dict.fromkeys(gens, 0.0)
     chunks = _grid_chunks(Ld + 1)

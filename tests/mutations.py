@@ -119,6 +119,16 @@ MUTATIONS = {
     "bands-signed-zero": ("src/qsu2/algebra.py",
                           "np.add(shell, 0.0, out=band[start[n]:start[n + 1]].reshape(n + 1, n + 1))",
                           "band[start[n]:start[n + 1]].reshape(n + 1, n + 1)[:] = shell"),
+    # the shared generator tables, and the one table that commutators builds
+    "nu-branch-minus-one-shell-short": ("src/qsu2/algebra.py",
+                                        "nu[1, 2:top + 1] = np.sqrt(qn[2] * qn[2:top + 1]"
+                                        " / qn[1:top])",
+                                        "nu[1, 2:top] = np.sqrt(qn[2] * qn[2:top] / qn[1:top - 1])"),
+    "commutators-table-capped-at-60": ("src/qsu2/cli.py",
+                                       "table = generator_table(cfg.q, min(cfg.lmax_doubled,"
+                                       " 2 * max(top_shell, top_l) + 2))",
+                                       "table = generator_table(cfg.q, min(cfg.lmax_doubled,"
+                                       " 2 * max(top_shell, top_l)))"),
 }
 
 

@@ -31,7 +31,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from qsu2.algebra import cg_table, mult_operator, t_half
+from qsu2.algebra import generator_tables, mult_operator, t_half
 from qsu2.peterweyl import DIAGONAL, BandMatrix, Basis, Truncation, rho_weights
 from qsu2.qarith import HalfInteger, q_number
 from qsu2.spectral import SpectralError, _chains
@@ -80,8 +80,8 @@ def csr_gen_matrix(rd, sd, basis, q) -> sp.csr_matrix:
     """The generator matrix ttilde^{1/2}_{rd/2, sd/2} assembled through pairs_to_csr."""
     Ld = basis.trunc.lmax.doubled
     nd, id_, jd = basis.nd, basis.id, basis.jd
-    cr = cg_table(rd, Ld, q)
-    cs = cr if sd == rd else cg_table(sd, Ld, q)
+    cg = generator_tables(Ld, q)[0][:, :, 1:-1, 1:-1]  # the padding cut off
+    cr, cs = cg[(1 - rd) // 2], cg[(1 - sd) // 2]
     q2 = q_number(2, q)
     rows, vals, keep = [], [], []
     for b, branch in enumerate((1, -1)):

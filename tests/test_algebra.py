@@ -12,14 +12,14 @@ from test_peterweyl import reachable_arrays
 from sparse_reference import (apply_word, csr_fitted_scalars, csr_generators,
                               csr_mult_operator, pw_position, streamed_shell_sums, to_csr,
                               whole_array_residuals)
-from qsu2 import algebra, cli, spectral
+from qsu2 import algebra, cli, dirac, spectral
 from qsu2.qarith import HalfInteger, _cg_doubled, q_number
 from qsu2.peterweyl import DIAGONAL, Basis, BandMatrix, Truncation, rho_weights
 from qsu2.algebra import (AlgebraError, Generator, GeneratorTable, NCPolynomial,
-                          ValidationError, adjoint_word, cg_table, haar_state, haar_states,
+                          ValidationError, adjoint_word, generator_tables, haar_state, haar_states,
                           is_normal_word, mult_operator, t_half)
-from qsu2.dirac import DiracContext
-from qsu2.gns_oracle import oracle_haar, oracle_haar_words
+from qsu2.dirac import DiracContext, dirac_blocks
+from qsu2.gns_oracle import ladder_cut, oracle_haar, oracle_haar_words
 
 Q = 1.2
 
@@ -156,59 +156,86 @@ class TestAssembly:
     @pytest.mark.parametrize("q", [0.5, 0.7, 1.2, 3.0])
     def test_cg_table_matches_scalar_cg_bitwise(self, q):
         # the closed forms combined elementwise give every bit of _cg_doubled,
-        # signed zeros and the +0.0 of unused slots included
+        # signed zeros and the +0.0 of unused slots and of the padding included;
+        # nu has the bits of the scalar nu of scalar_loop_gen_matrix, and +0.0 on
+        # the shells whose branch leaves the truncation
         Ld = 40
-        for m1d in (1, -1):
-            table = cg_table(m1d, Ld, q)
-            ref = np.zeros((2, Ld + 1, Ld + 1))
+        cg, nu = generator_tables(Ld, q)
+        ref = np.zeros((2, 2, Ld + 3, Ld + 3))
+        for m, m1d in enumerate((1, -1)):
             for b, branch in enumerate((1, -1)):
                 for ld in range(Ld + 1):
                     for k in range(ld + 1):
-                        ref[b, ld, k] = _cg_doubled(m1d, branch, ld, 2 * k - ld, q)
-            assert np.array_equal(table.view(np.uint64), ref.view(np.uint64)), (m1d, q)
+                        ref[m, b, ld + 1, k + 1] = _cg_doubled(m1d, branch, ld, 2 * k - ld, q)
+        assert np.array_equal(cg.view(np.uint64), ref.view(np.uint64)), q
+        q2 = q_number(2, q)
+        ref = np.zeros((2, Ld + 3))
+        for b, branch in enumerate((1, -1)):
+            for ld in range(Ld + 1):
+                if 0 <= ld + branch <= Ld:
+                    ref[b, ld + 1] = math.sqrt(q2 * q_number(ld + 1, q)
+                                               / q_number(ld + branch + 1, q))
+        assert np.array_equal(nu.view(np.uint64), ref.view(np.uint64)), q
 
     @pytest.mark.parametrize("lmax_d", [24, 40])
     def test_scalar_cg_calls_grow_like_lmax_squared(self, lmax_d, monkeypatch):
         # a guard on work, not time: the per-element loop made 78 400 CG calls at
         # lmax_doubled 24 (dim 5525), per-shell tables 1300, each with two q-numbers
-        # and one power; a cold build now takes O(lmax) scalar q-numbers and powers
+        # and one power; a cold build now takes [r]_q for r = 0 .. lmax_d + 1 once
+        # each (two powers apiece) and q^(e/2) for |e| <= lmax_d + 1: was at most
+        # 4 (lmax_d + 3) q-numbers, one vector for each CG table and each generator
         q = CountedQ(Q)
         numbers = count_calls(monkeypatch, algebra, "q_number")
-        cg_table.cache_clear()  # count a cold build
+        generator_tables.cache_clear()  # count a cold build
         GeneratorTable(q, Truncation(HalfInteger(lmax_d)))
-        assert 0 < numbers[0] <= 4 * (lmax_d + 3)
-        assert 0 < q.powers <= 12 * (lmax_d + 3)  # two per q-number, plus q^(e/2)
+        assert numbers[0] == lmax_d + 2
+        assert q.powers == 2 * (lmax_d + 2) + 2 * lmax_d + 3
+
+    @pytest.mark.parametrize("lmax_d", [2, 16, 62])
+    def test_table_and_true_blocks_share_one_q_number_vector(self, lmax_d, monkeypatch):
+        # the generator factors and D's 2x2 blocks read the same cached tables
+        numbers = count_calls(monkeypatch, algebra, "q_number")
+        dirac_numbers = count_calls(monkeypatch, dirac, "q_number")
+        generator_tables.cache_clear()
+        t = GeneratorTable(Q, Truncation(HalfInteger(lmax_d)))
+        dirac_blocks("true", t.basis.nd, t.basis.jd, Q, lmax_d)
+        assert 0 < numbers[0] + dirac_numbers[0] <= lmax_d + 3
 
     def test_cg_table_computed_once_per_arguments(self):
-        # the generator matrices and the change of basis read two tables (m1 = +-1/2),
-        # each built once from 18 q-numbers (two powers each) and 35 powers q^(e/2);
-        # each of the two t_half calls takes 19 q-numbers for nu
-        cg_table.cache_clear()
+        # the generator factors, the change of basis and D's blocks read one set of
+        # tables, built once from 18 q-numbers (two powers each) and 35 powers
+        # q^(e/2): was two CG tables of that cost and 19 q-numbers per generator
+        generator_tables.cache_clear()
         q = CountedQ(Q)
         t = GeneratorTable(q, Truncation(HalfInteger(16)))
         DiracContext(q, t.trunc, t.basis).change_of_basis
-        assert q.powers == 2 * (2 * 18 + 35) + 2 * 2 * 19
-        with pytest.raises(ValueError):
-            cg_table(1, 16, Q)[0, 0, 0] = 0.0
+        dirac_blocks("true", t.basis.nd, t.basis.jd, q, 16)
+        assert q.powers == 2 * 18 + 35
+        cg, nu = generator_tables(16, Q)
+        for op, m in ((t.ops["a"], 0), (t.ops["g"], 1)):  # shared, not copied
+            c1, c2, f = op.factors
+            assert c1.base is cg and c2.base is cg and f is nu
+            assert c1.tobytes() == cg[m].tobytes() and c2.tobytes() == cg[0].tobytes()
+        for f in (cg, nu):
+            with pytest.raises(ValueError):
+                f[0, 0] = 1.0
 
     def test_smaller_cg_table_is_a_slice_of_the_largest(self):
-        # no entry depends on lmax_doubled: a leading view's table has the bits
+        # no CG entry depends on lmax_doubled: a leading view's table has the bits
         # of the leading slice of the full one
-        full = cg_table(-1, 16, Q)
-        small = cg_table(-1, 5, Q)
-        assert small.tobytes() == full[:, :6, :6].tobytes()
-        with pytest.raises(ValueError):
-            small[0, 0, 0] = 0.0
+        full = generator_tables(16, Q)[0]
+        small = generator_tables(5, Q)[0]
+        assert small[:, :, 1:-1, 1:-1].tobytes() == full[:, :, 1:7, 1:7].tobytes()
 
     def test_cg_tables_kept_are_bounded(self):
-        cg_table.cache_clear()
-        kept = cg_table.cache_info().maxsize
+        generator_tables.cache_clear()
+        kept = generator_tables.cache_info().maxsize
         for k in range(kept + 3):
-            cg_table(1, 2, 1.5 + k)
-        assert cg_table.cache_info().currsize == kept
-        before = cg_table.cache_info().misses
-        cg_table(1, 2, 1.5)  # the least recent went first
-        assert cg_table.cache_info().misses == before + 1
+            generator_tables(2, 1.5 + k)
+        assert generator_tables.cache_info().currsize == kept
+        before = generator_tables.cache_info().misses
+        generator_tables(2, 1.5)  # the least recent went first
+        assert generator_tables.cache_info().misses == before + 1
 
 
 def full_dimension_haar_state(p, table):
@@ -844,8 +871,8 @@ def _closed_forms(q, k) -> dict:
 
 
 def _ladder_levels(q) -> int:
-    """validate's ladder cut: K = max(80, ln 1e12 / (2 ln max(q, 1/q)))."""
-    return max(80, math.ceil(math.log(1e12) / (2 * abs(math.log(q)))))
+    """validate's ladder cut, gns_oracle.ladder_cut: it leaves half of 1e-12 for rounding."""
+    return ladder_cut(q)
 
 
 @settings(deadline=None)
@@ -877,10 +904,10 @@ def test_haar_state_matches_its_closed_forms(q, k, extra, word):
         assert near_1 or abs(oracle - expected) <= 1e-12, (w, oracle, expected)
 
 
-@pytest.mark.parametrize("q", [pytest.param(1 - 1e-4, marks=pytest.mark.xfail(
-    strict=True, reason="validate's ladder cut leaves a truncation error of about 1e-12: "
-    "psi(a* a) misses its closed form by 1.06e-12 at q 0.9999 (0.90e-12 at 1.0001)")), 1 + 1e-4])
+@pytest.mark.parametrize("q", [1 - 1e-4, 1 + 1e-4])
 def test_ladder_oracle_at_validates_cut_near_q_1_matches_the_closed_forms(q):
+    # a cut at a truncation error of 1e-12 left psi(a* a) 1.06e-12 off its closed
+    # form at q 0.9999 (0.90e-12 at 1.0001): the rounding of K terms took the rest
     forms = _closed_forms(q, 6)
     ladder = oracle_haar_words(list(forms), _ladder_levels(q), q)
     assert all(abs(v - forms[w]) <= 1e-12 for w, v in zip(forms, ladder)), ladder

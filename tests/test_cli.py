@@ -296,7 +296,7 @@ class TestMain:
     @pytest.mark.parametrize("q", ["0.9", "1.01", "1.1111111111111112", "1.0001", "0.9999"])
     def test_validate_near_one_passes_every_row(self, q, tmp_path, capsys):
         # the ladder cut follows q: with K = 80 the two-path row was 3.9e-8 at q 0.9
-        # and 0.199 at q 1.01, both FAIL; at q 1.0001 the cut is K = 138 163 levels,
+        # and 0.199 at q 1.01, both FAIL; at q 1.0001 the cut is K = 141 628 levels,
         # which the passes over all levels run in well under a second (was 10 s)
         out = tmp_path / "validate.csv"
         assert main(["validate", "--q", q, "--lmax", "24", "--out", str(out)]) == 0
@@ -584,9 +584,9 @@ class TestWorkCounts:
         assert max(calls[0]) <= 40
 
     def test_commutators_form_no_band_beyond_the_view_of_their_spins(self, monkeypatch):
-        # the witness operator is formed on the leading view of spins 2n <= 62,
-        # which holds every spin the series and the witnesses read: it was formed
-        # over the table's 597 861 labels at lmax_doubled 120
+        # the witness operator is formed on the table of spins 2n <= 62, which
+        # holds every spin the series and the witnesses read: it was formed over
+        # the table's 597 861 labels at lmax_doubled 120
         lengths = []
         bands = algebra.Generator.bands
 
@@ -598,6 +598,32 @@ class TestWorkCounts:
         monkeypatch.setattr(algebra.Generator, "bands", property(counted))
         cli.run_commutators(RunConfig(lmax_doubled=120))
         assert lengths and max(lengths) <= 85344
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """lmax_doubled of each GeneratorTable built, views included."""
+        built = []
+        init = GeneratorTable.__init__
+
+        def counted(self, q, trunc):
+            built.append(trunc.lmax.doubled)
+            init(self, q, trunc)
+
+        monkeypatch.setattr(GeneratorTable, "__init__", counted)
+        return built
+
+    def test_commutators_build_only_the_table_of_their_spins(self, tables):
+        # the table of spins 2n <= 62 is built and its battery run, and no other:
+        # was the run's table at 120, then its leading view at 62
+        assert main(["commutators", "--lmax", "120"]) == 0
+        assert tables == [62]
+
+    def test_all_builds_each_table_once(self, tables):
+        # validate, haar and modular share the run's table and its view of spins
+        # 2n <= 4; commutators takes the table at 62, and the two tables kept by
+        # cli.generator_table spare modular a second build at 120
+        assert main(["all", "--lmax", "120"]) == 0
+        assert tables == [120, 4, 62]
 
     @pytest.fixture
     def row_builds(self, monkeypatch):

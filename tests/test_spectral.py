@@ -330,6 +330,20 @@ class TestHeatTrace:
             bound = heat_trace_tail(t, Q, small)
             assert 0 <= dropped <= bound
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the integral from the first "
+                       "dropped term of a decreasing summand is below the sum it estimates")
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_tail_bound_dominates_the_exact_dropped_sum(self, t):
+        # the sibling above compares with heat_trace(ld 60) - heat_trace(ld 20), which
+        # is exactly 0.0 in float64 at these t; the dropped sum 2 sum_{m >= 22} [m]_q^2
+        # e^{-t m^2 / 4} at 200 bits is 2.4e-22, 1.3e-48 and 3.6e-101, against a
+        # bound of 4.6e-23, 1.2e-49 and 1.7e-102 (m < 400 holds every digit)
+        with mpmath.workprec(200):
+            q, T = mpmath.mpf(Q), mpmath.mpf(t)
+            exact = 2 * mpmath.fsum(((q ** m - q ** -m) / (q - 1 / q)) ** 2
+                                    * mpmath.exp(-T * m * m / 4) for m in range(22, 400))
+        assert heat_trace_tail(t, Q, Truncation(HalfInteger(20))) >= exact
+
     def test_tail_matches_mpmath_closed_form(self):
         # the same closed form at 200 bits; 1e-12 covers rounding the arguments of
         # exp and erfc (|argument| up to a few hundred) in float64
@@ -730,6 +744,24 @@ class TestCommutators:
                                         [2 * s for s in (4, 6, 8, 9)])
         assert (np.diff(series.values) >= -1e-4).all()
         assert abs(series.values[-1] - series.values[-2]) < 0.02 * series.values[-1]
+
+    @settings(deadline=None, max_examples=20)
+    @given(q=st.floats(0.05, 20).filter(lambda q: abs(math.log(q)) >= 1e-3),
+           ld=st.sampled_from([24, 40, 62]))
+    def test_absd_series_approaches_half_the_witness_norm(self, q, ld):
+        # ||[|D|, a]|| = ||a|| / 2 for the witness a, ||a|| = 1 / alpha_scalar: the
+        # unitary i^{2n} on spin shell n takes a to i (a_+ - a_-), while [|D|, a] is
+        # (a_+ - a_-) / 2.  The shell norms of the CLI's series close in from below
+        # by about b^{-4} a shell, b = max(q, 1/q): each within 8 ulps above, and the
+        # top shell s within 1e-12 wherever b^{-4s} < 1e-13 (300 examples: at most
+        # 4.0 ulps above, and a top-shell gap of at most 8.6e-15)
+        t = GeneratorTable(q, Truncation(HalfInteger(ld)))
+        half = 0.5 / t.alpha_scalar
+        shells = [2 * s for s in range(4, min(20, ld // 2 - 1) + 1)]
+        norms = absD_commutator_series(mult_operator(witness_polynomial(t), t), shells).values
+        assert (norms <= half * (1 + 8 * np.finfo(float).eps)).all(), (norms, half)
+        if max(q, 1 / q) ** (-2 * shells[-1]) < 1e-13:
+            assert abs(norms[-1] - half) <= 1e-12 * half, (norms[-1], half)
 
     def test_shells_must_increase(self, table):
         with pytest.raises(QArithError):

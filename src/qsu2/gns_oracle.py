@@ -13,11 +13,13 @@ battery against the Peter-Weyl route in the tests.
 The amplitudes are real only for q > 1.  For 0 < q < 1 the oracle goes
 through SU_q(2) = SU_{1/q}(2): when (alpha, gamma) satisfies the
 relations at 1/q, (alpha*, gamma/q) satisfies them at q.
+
+Each pass of LADDER_LEVELS levels forms its own table of the powers q^{-k}
+and q^{-2k} and drops it when it ends: nothing is kept between calls.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,44 +29,39 @@ from .qarith import QArithError
 _SWAP_ALPHA = str.maketrans("aA", "Aa")
 
 LADDER_LEVELS = 1 << 14  # ladder levels per pass: whole passes, the running sum carried between
-_STEP = 64  # the level ranges of the power tables start and end at multiples of _STEP
 
 
-@lru_cache(maxsize=32)
 def _powers(q: float, lo: int, hi: int) -> np.ndarray:
-    """q ** -k (row 0) and q ** (-2 k) (row 1) for the levels lo <= k < hi, read-only.
+    """q ** -k (row 0) and q ** (-2 k) (row 1) for the levels lo <= k < hi.
 
     Each entry is one scalar Python power, whose bits np.power does not
-    always have.  The 32 most recent ranges are kept; a pass of a word of
-    up to _STEP letters reads the range of its levels rounded out to
-    multiples of _STEP, so the words of a battery share the ranges.
+    always have.
     """
-    out = np.array([[q ** -k for k in range(lo, hi)], [q ** (-2 * k) for k in range(lo, hi)]])
-    out.setflags(write=False)
-    return out
+    return np.array([[q ** -k for k in range(lo, hi)], [q ** (-2 * k) for k in range(lo, hi)]])
 
 
 def _ladder_sums(words, K: int, q: float) -> dict:
     """{w: sum_k q^{-2k} amp_k over the levels k = 0..K} for the balanced words w, at q > 1.
 
     amp_k brings level k back to itself, the letters applied rightmost
-    first (see the module docstring).  Each pass of LADDER_LEVELS levels
-    reads one power table, which reaches the longest word's levels, and
-    runs every word on it, one numpy pass per letter.  alpha* at level 0
-    multiplies by sqrt(1 - q^0) = 0 and keeps the level at 0, so an
-    annihilated level stays exactly 0 (no factor exceeds 1).  Each word's
-    terms are summed in level order from 0.0, its sum carried from pass to
-    pass: the bits of the scalar ladder, level by level.  A word with
-    #a != #A or #g != #G adds exactly 0.0 at every level and is left out.
+    first (see the module docstring).  Each pass over the levels
+    k0 <= k < k1, LADDER_LEVELS of them, forms one power table for the
+    levels k0 - reach .. k1 + reach, its own widened by the longest word's
+    length on each side, runs every word on it, one numpy pass per letter,
+    and drops it.  alpha* at level 0 multiplies by sqrt(1 - q^0) = 0 and
+    keeps the level at 0, so an annihilated level stays exactly 0 (no
+    factor exceeds 1).  Each word's terms are summed in level order from
+    0.0, its sum carried from pass to pass: the bits of the scalar ladder,
+    level by level.  A word with #a != #A or #g != #G adds exactly 0.0 at
+    every level and is left out.
     """
     totals = {w: 0.0 for w in words
               if w.count("a") == w.count("A") and w.count("g") == w.count("G")}
     reach = max(map(len, totals), default=0)
     for k0 in range(0, K + 1, LADDER_LEVELS) if totals else ():
         k1 = min(k0 + LADDER_LEVELS, K + 1)
-        # the levels m that the pass reaches, k0 - reach <= m <= k1 + reach, rounded out
-        lo = max(k0 - reach, 0) // _STEP * _STEP
-        p1, p2 = _powers(q, lo, -(-(k1 + reach + 1) // _STEP) * _STEP)
+        lo = max(k0 - reach, 0)
+        p1, p2 = _powers(q, lo, k1 + reach + 1)
         for word, total in totals.items():
             level = np.arange(k0 - lo, k1 - lo)  # less lo
             amp = np.ones(k1 - k0)

@@ -68,9 +68,11 @@ MUTATIONS = {
     # validate's two routes, each read once for all its words
     "validate-psi-with-itself": ("src/qsu2/cli.py", "worst = max(worst, abs(gns - ladder))",
                                  "worst = max(worst, abs(gns - gns))"),
-    "ladder-shortest-offset": ("src/qsu2/gns_oracle.py",
-                               "lo = max(k0 - reach, 0) // _STEP * _STEP",
-                               "lo = max(k0 - min(map(len, totals)), 0) // _STEP * _STEP"),
+    "ladder-shortest-offset": ("src/qsu2/gns_oracle.py", "lo = max(k0 - reach, 0)",
+                               "lo = max(k0 - min(map(len, totals)), 0)"),
+    "ladder-powers-one-level-short": ("src/qsu2/gns_oracle.py",
+                                      "p1, p2 = _powers(q, lo, k1 + reach + 1)",
+                                      "p1, p2 = _powers(q, lo, k1 + reach)"),
     # the relation battery on its shell grid
     "battery-no-diagonal-constant": ("src/qsu2/algebra.py", "np.subtract(v, inside, out=v)",
                                      "np.subtract(v, 0.0, out=v)"),

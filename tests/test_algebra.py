@@ -51,6 +51,11 @@ class TestNormalOrder:
         assert p.adjoint().terms == {"GA": 2.0}
         assert p.degree() == 2
 
+    @pytest.mark.parametrize("word", ["x", "aB", "g "])
+    def test_bad_letter_raises(self, word):
+        with pytest.raises(AlgebraError, match="bad letter in word %r" % word):
+            NCPolynomial({word: 1.0})
+
 
 class TestGeneratorTable:
     @pytest.mark.parametrize("q", [1.2, 2.0])

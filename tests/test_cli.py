@@ -221,7 +221,7 @@ class TestMain:
     @pytest.mark.parametrize("config, argv", [
         ("q = abc\n", []), ("lmax = abc\n", []), ("precision_bits = 40\n", []),
         ("", ["--precision-bits", "0"]), ("", ["--precision-bits", "-3"]),
-        ("", ["--precision-bits", "52"]),
+        ("", ["--precision-bits", "52"]), ("bogus = 1\n", []),
     ])
     def test_bad_values_are_configuration_errors(self, config, argv, tmp_path, capsys):
         # a config value that does not cast ended in a ValueError traceback (exit 1);
@@ -229,7 +229,10 @@ class TestMain:
         path = tmp_path / "run.cfg"
         path.write_text(config)
         assert main(["heat", "--config", str(path)] + argv) == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        if config.startswith("bogus"):
+            assert "configuration error: unknown config key 'bogus'" in err
 
     @pytest.mark.parametrize("q", ["1.000001", "0.999999"])
     @pytest.mark.parametrize("command", ["haar", "commutators", "modular"])
@@ -256,6 +259,7 @@ class TestMain:
          "commutators: ERROR q-number [31] at base 1e-10 exceeds float64"),
         (["modular", "--q", "1e15", "--lmax", "24"],
          "modular: ERROR q-number [21] at base 1e+15 exceeds float64"),
+        (["haar", "--lmax", "1"], "haar: ERROR need lmax >= 1 for the relation battery's"),
     ])
     def test_legal_inputs_fail_with_a_typed_message(self, argv, message, capsys):
         # was a bare "math range error" / "(34, 'Numerical result out of range')"
@@ -343,6 +347,17 @@ class TestMain:
         assert rc == 0
         rows = json.loads(out.read_text())
         assert rows and all(r["status"] == "PASS" for r in rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_complex_cell_keeps_both_parts(self, fmt, tmp_path):
+        # every float part at 17 significant digits, the imaginary part signed
+        out = tmp_path / ("rows." + fmt)
+        cli.write_rows(str(out), fmt, ["value"], [[0.1 - 2.5e-300j], [-1.0 + 0.0j]], {"q": 1.2})
+        cells = ["0.10000000000000001-2.5e-300j", "-1+0j"]
+        if fmt == "csv":
+            assert out.read_text().splitlines() == ["value,q"] + [c + ",1.2" for c in cells]
+        else:
+            assert json.loads(out.read_text()) == [{"value": c, "q": "1.2"} for c in cells]
 
     def test_all_suffixes_outputs(self, tmp_path):
         out = tmp_path / "run.csv"

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,16 +220,41 @@ def test_words_share_the_ladder_run_bitwise(q, K):
     assert [_bits(x) for x in batch] == [_bits(x) for x in single]
 
 
+def _counted_powers(monkeypatch) -> list:
+    """The (lo, hi) of each power table the oracle forms from now on."""
+    ranges, powers = [], gns_oracle._powers
+    monkeypatch.setattr(gns_oracle, "_powers",
+                        lambda q, lo, hi: ranges.append((lo, hi)) or powers(q, lo, hi))
+    return ranges
+
+
 @pytest.mark.parametrize("words", [["Aa"], WORDS_UP_TO_6[:341]])
-def test_each_pass_reads_one_power_table(words):
-    # K + 1 = 3 LADDER_LEVELS levels: three passes, one table each, whatever the words
-    gns_oracle._powers.cache_clear()
+def test_each_pass_reads_one_power_table(words, monkeypatch):
+    # K + 1 = 3 LADDER_LEVELS levels: three passes, one table each, whatever the
+    # words, over the pass's levels widened by the longest word on each side
+    ranges = _counted_powers(monkeypatch)
     gns_oracle.oracle_haar_words(words, 3 * gns_oracle.LADDER_LEVELS - 1, 1.2)
-    info = gns_oracle._powers.cache_info()
-    assert (info.misses, info.hits) == (3, 0)
+    n, reach = gns_oracle.LADDER_LEVELS, max(map(len, words))
+    assert ranges == [(max(k0 - reach, 0), k0 + n + reach + 1) for k0 in (0, n, 2 * n)]
 
 
-def test_unbalanced_words_read_no_power_table():
-    gns_oracle._powers.cache_clear()
+def test_unbalanced_words_read_no_power_table(monkeypatch):
+    ranges = _counted_powers(monkeypatch)
     assert gns_oracle.oracle_haar_words(["a", "gA", "ggG"], 80, 1.2) == [0j, 0j, 0j]
-    assert gns_oracle._powers.cache_info().misses == 0
+    assert ranges == []
+
+
+def test_no_power_table_outlives_a_call():
+    # three passes of 341 words form three tables of about 256 KiB each; what
+    # is left after the call is its list of results, not the tables
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        psi = gns_oracle.oracle_haar_words(WORDS_UP_TO_6[:341], 3 * gns_oracle.LADDER_LEVELS - 1,
+                                           1.37)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(psi) == 341 and grown < 64 * 1024

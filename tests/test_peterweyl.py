@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sparse_reference import pw_position, pw_rows, to_csr
 from qsu2.qarith import HalfInteger, QArithError, q_number
+from qsu2 import peterweyl
 from qsu2.peterweyl import Basis, Truncation, rho_weights, shell_starts
 from qsu2.algebra import GeneratorTable, NCPolynomial, mult_operator, t_half
 from qsu2.dirac import DiracContext
@@ -189,6 +190,22 @@ class TestVectorsAndOperators:
         outl = large.ops["a"] @ vl
         for k, label in enumerate(doubled_labels(small.basis)):
             assert outs[k] == pytest.approx(outl[large.basis.position_doubled(*label)], abs=1e-15)
+
+
+def test_real_and_complex_operator_products_match_csr(monkeypatch):
+    # a real band times a complex one does not fit the real band's dtype, so
+    # _in_place forms the result anew; either order has the CSR product's bits
+    t = GeneratorTable(1.2, Truncation(HalfInteger(8)))
+    x = mult_operator(NCPolynomial({"a": 1, "g": 1}), t)
+    y = mult_operator(NCPolynomial({"aG": 1.5j, "Aa": -2.0}), t)
+    assert (x.dtype, y.dtype) == (np.float64, np.complex128)
+    promoted, in_place = [], peterweyl._in_place
+    monkeypatch.setattr(peterweyl, "_in_place", lambda ufunc, u, v: promoted.append(
+        np.result_type(u, v) != u.dtype) or in_place(ufunc, u, v))
+    for left, right in ((x, y), (y, x)):
+        promoted.clear()
+        assert (to_csr(left @ right) != to_csr(left) @ to_csr(right)).nnz == 0
+        assert any(promoted)
 
 
 @lru_cache(maxsize=None)

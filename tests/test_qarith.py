@@ -74,6 +74,11 @@ class TestCgHalf:
         with pytest.raises(QArithError):
             _cg_doubled(2, 1, 2, 0, 1.5)
 
+    @pytest.mark.parametrize("branch", [0, 2, -3])
+    def test_bad_branch(self, branch):
+        with pytest.raises(QArithError, match="branch must be"):
+            _cg_doubled(1, branch, 2, 0, 1.5)
+
     @pytest.mark.parametrize("q", [1.2, 2.0])
     def test_column_normalization(self, q):
         # brute-force check of q^{l-j+1/2}[l+j+1/2] + q^{-(l+j+1/2)}[l-j+1/2] = [2l+1]

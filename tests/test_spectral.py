@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings, strategies as st, target
 from scipy.special import logsumexp
 
 from dirac_reference import VIndex, b_coefficient, v_vector
@@ -291,6 +291,18 @@ class TestChainPruning:
         assert sum(shape[0] for shape in calls) < 0.1 * 4184
 
 
+def _heat_direct_sums(q: float, ld: int, t: float) -> tuple:
+    """The heat series at 200 bits, m = 1 .. ld + 1: operator_trace's and closed_sum's.
+
+    (2 sum_m [m]_q^2 e^{-t m^2 / 4}, sum_m [m]_q^2 e^{-t (m+1)^2 / 4}).
+    """
+    with mpmath.workprec(200):
+        qm, T = mpmath.mpf(q), mpmath.mpf(t)
+        sq = [((qm ** m - qm ** -m) / (qm - 1 / qm)) ** 2 for m in range(1, ld + 2)]
+        return (2 * mpmath.fsum(s * mpmath.exp(-T * m * m / 4) for m, s in enumerate(sq, 1)),
+                mpmath.fsum(s * mpmath.exp(-T * (m + 1) ** 2 / 4) for m, s in enumerate(sq, 1)))
+
+
 class TestHeatTrace:
     def test_rejects_nonpositive_t(self):
         with pytest.raises(QArithError):
@@ -343,6 +355,23 @@ class TestHeatTrace:
             exact = 2 * mpmath.fsum(((q ** m - q ** -m) / (q - 1 / q)) ** 2
                                     * mpmath.exp(-T * m * m / 4) for m in range(22, 400))
         assert heat_trace_tail(t, Q, Truncation(HalfInteger(20))) >= exact
+
+    @settings(deadline=None, max_examples=20)
+    @given(q=st.floats(0.3, 5.0).filter(lambda q: abs(math.log(q)) >= 1e-3),
+           ld=st.integers(0, 120), t=st.floats(0.02, 5.0))
+    def test_traces_match_the_direct_sums_at_200_bits(self, q, ld, t):
+        # operator_trace = 2 sum_{m <= ld+1} [m]_q^2 e^{-t m^2 / 4} and closed_sum =
+        # sum_{m <= ld+1} [m]_q^2 e^{-t (m+1)^2 / 4}, each term at 200 bits
+        ref = _heat_direct_sums(q, ld, t)
+        try:
+            rep = heat_trace(t, q, Truncation(HalfInteger(ld)))
+        except SpectralError:
+            assert max(ref) > np.finfo(float).max
+            return
+        for name, want in zip(("operator_trace", "closed_sum"), ref):
+            gap = float(abs(getattr(rep, name) - want) / want)
+            target(gap, label=name)
+            assert gap <= 1e-13, name
 
     def test_tail_matches_mpmath_closed_form(self):
         # the same closed form at 200 bits; 1e-12 covers rounding the arguments of

@@ -12,6 +12,9 @@ alpha/alpha* words through the defining relations.
 A generator is held as its per-shell factors, C(i) C(j) nu(n): the CG
 tables and nu of one cached builder per truncation (generator_tables),
 which every generator and the Dirac blocks of that truncation read in place.
+A table runs one relation battery, and keeps the vacuum vectors w e0 that
+the Haar states read on a Basis of the leading spins its words reach, the
+table's own generators placed there.
 """
 from __future__ import annotations
 
@@ -297,33 +300,14 @@ class GeneratorTable:
         a = t_half(1, 1, self.basis, q, self.alpha_scalar)
         g = t_half(-1, 1, self.basis, q, self.gamma_scalar)
         self.ops = {"a": a, "A": a.H, "g": g, "G": g.H}
-        self._leading = {}
         self._shell_sums = {}
-        self._vacuum = {}
+        self.vacuum_basis, self._vacuum = None, {}  # the memo's leading spins, from the first fill
         self.validate()
 
     @cached_property
     def rho_shell_sums(self) -> np.ndarray:
         """The sum of rho over each spin shell 2n = 0 .. lmax_doubled: shell_sums of the word 1."""
         return self.shell_sums("")
-
-    def leading(self, deg: int) -> "GeneratorTable":
-        """The smallest held table on the spins 2n <= nd, nd >= max(deg, 2); built if none.
-
-        A word of length <= deg moves e0 only within those spins, so each
-        <e0, w e0> on the smaller table (a view: an ordinary GeneratorTable,
-        the leading block of this one bit for bit) takes the same terms in
-        the same order, whichever nd serves.  A view serves itself: a batch
-        that asks first for the view of its longest word builds one view.
-        """
-        nd = max(deg, 2)
-        if nd >= self.trunc.lmax.doubled or self._leading is None:
-            return self
-        held = min((n for n in self._leading if n >= nd), default=nd)
-        if held not in self._leading:
-            self._leading[nd] = GeneratorTable(self.q, Truncation(HalfInteger(nd)))
-            self._leading[nd]._leading = None  # a view serves itself
-        return self._leading[held]
 
     def diagonal_shell_sums(self, p: "NCPolynomial") -> tuple:
         """The pairs (coeff_w, S_w) for the words w of p that have a diagonal band.
@@ -397,20 +381,33 @@ class GeneratorTable:
     def fill_vacuum(self, words) -> None:
         """Memoize w e0 for each word and each of its suffixes, one word length at a time.
 
-        The suffixes not yet held are formed shortest first, those of one
-        length and first letter by one 2-D matvec (ops[letter] @ the vectors
-        one letter shorter, as columns, its bands formed once per fill): each
-        has the bits of applying its word to e0 letter by letter, whichever
-        words filled the memo; all words of length <= k cost 4 k matvecs.
+        A word of length <= nd never takes e0 beyond the spins 2n <= nd, so the
+        memo lives on vacuum_basis, those spins for nd = min(max(2, longest
+        word), lmax_doubled): a shorter word reads the held basis, a longer
+        one starts the memo again on its own.  There the generators are the
+        table's factors, and an entry that leaves the basis (row -1) is
+        dropped by the matvec.  The suffixes not yet held are formed shortest
+        first, those of one length and first letter by one 2-D matvec (the
+        vectors one letter shorter as columns): each has the bits of applying
+        its word to e0 letter by letter on a table of the spins 2n <= nd,
+        whichever words filled the memo; all words of length <= k cost 4 k
+        matvecs.
         """
-        held = self._vacuum
-        if not held:
-            e0 = np.zeros(self.basis.dim, dtype=complex)
+        Ld = self.trunc.lmax.doubled
+        nd = min(max(2, max(map(len, words), default=0)), Ld)
+        if self.vacuum_basis is None or self.vacuum_basis.trunc.lmax.doubled < nd:
+            basis = self.basis if nd == Ld else Basis(Truncation(HalfInteger(nd)))
+            e0 = np.zeros(basis.dim, dtype=complex)
             e0[0] = 1.0
             e0.setflags(write=False)
-            held[""] = e0
+            self.vacuum_basis, self._vacuum = basis, {"": e0}
+        basis, held = self.vacuum_basis, self._vacuum
         todo = {w[k:] for w in words if w not in held for k in range(len(w))} - held.keys()
-        ops = {ch: BandMatrix(self.basis, self.ops[ch].bands) for ch in {w[0] for w in todo}}
+        ops = {}
+        for ch in {w[0] for w in todo}:
+            op = self.ops[ch]
+            gen = Generator(basis, op.rd, op.sd, op.factors, op.scale, op.adjoint)
+            ops[ch] = BandMatrix(basis, gen.bands)
         for n in sorted({len(w) for w in todo}):
             layer = sorted(w for w in todo if len(w) == n)
             for ch, group in itertools.groupby(layer, key=lambda w: w[0]):
@@ -422,7 +419,7 @@ class GeneratorTable:
     def vacuum_of(self, p: "NCPolynomial") -> np.ndarray:
         """p e0: the sum over p's terms of coeff * vacuum(word), from a complex zero vector."""
         self.fill_vacuum(p.terms)
-        out = np.zeros(self.basis.dim, dtype=complex)
+        out = np.zeros(self.vacuum_basis.dim, dtype=complex)
         for word, coeff in p.terms.items():
             out += coeff * self._vacuum[word]
         return out
@@ -533,7 +530,6 @@ def _grid_windows(gens, chunks):
         yield (n0, n1), grid
 
 
-@lru_cache(maxsize=1)
 def _battery_plan() -> tuple:
     """(relations, plan): right product -> key -> (its terms, [(relation, left terms, side, = 1)]).
 
@@ -542,9 +538,9 @@ def _battery_plan() -> tuple:
     the row that y's band ky reaches, y's Generator.step; a starred band,
     its unstarred one at its own step from there (the transposed label).
     Terms go ky outer, kx inner, as in BandMatrix.product_bands.  Built once
-    from stand-in generators (no space, no factors), whose band keys and
-    steps are every table's; a right product carries the power of q that
-    scales it (0: unscaled).
+    per battery from stand-in generators (no space, no factors), whose band
+    keys and steps are every table's; a right product carries the power of
+    q that scales it (0: unscaled).
     """
     a, g = Generator(None, 1, 1, None, 1.0), Generator(None, -1, 1, None, 1.0)
     A, G, band = a.H, g.H, {a.rd: 0, g.rd: 2}  # alpha's two branch bands, then gamma's
@@ -609,20 +605,18 @@ def haar_state(p: NCPolynomial, table: GeneratorTable) -> complex:
     """psi(p) = <e0, p e0>, the GNS matrix element at the cyclic vector.
 
     Truncation-exact whenever the word length fits inside the truncation;
-    evaluated on the leading shells that the words reach, where each word
-    reads its vector w e0 from the table's vacuum memo.
+    each word reads its vector w e0 from the table's vacuum memo, on the
+    leading spins that the words reach.
     """
     _check_degree(p.degree(), table)
-    return complex(table.leading(p.degree()).vacuum_of(p)[0])
+    return complex(table.vacuum_of(p)[0])
 
 
 def haar_states(words, table: GeneratorTable) -> list:
-    """haar_state(NCPolynomial.word(w), table) for each word w, its bits: one view, one fill.
+    """haar_state(NCPolynomial.word(w), table) for each word w, its bits: one fill for all.
 
     Each psi(w) is vacuum(w)[0] added to +0.0, as vacuum_of sums from a zero vector.
     """
-    deg = max(map(len, words), default=0)
-    _check_degree(deg, table)
-    view = table.leading(deg)
-    view.fill_vacuum(words)
-    return (np.array([view.vacuum(w)[0] for w in words], dtype=complex) + 0.0).tolist()
+    _check_degree(max(map(len, words), default=0), table)
+    table.fill_vacuum(words)
+    return (np.array([table.vacuum(w)[0] for w in words], dtype=complex) + 0.0).tolist()

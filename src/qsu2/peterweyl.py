@@ -14,7 +14,7 @@ truncation.  Action on vectors supported on spins n <= lmax - depth is
 exact.  The routes over bands (matvec, product, adjoint) read the row of
 each column under a shift key, which a space computes once per key from
 its labels in closed form (LabelSpace._rows_of).  They serve small spaces:
-the leading views that the vacuum vectors live on and the leading shells
+the leading spins that the vacuum vectors live on and the leading shells
 of a shell norm.  The consumers on a large basis read no rows: the
 relation battery and the modular scaling run on a grid of whole shells
 (algebra.Generator.grid, the one place a generator's entry is formed,

@@ -14,13 +14,14 @@ series and the true-D growth, and cap the |D| commutator in closed form;
 the true-D growth reads each witness vector's column of it and D's 2x2
 blocks at the few labels those columns reach, in one dirac_blocks call,
 with no spinor vector and no D matvec.  The modular defects read psi(ab)
-and psi(b Psi(a)) from the vacuum vectors of one leading view, with no
-operator product; the generator scaling forms the four ttilde^{1/2}_{r,s}
-from the truncation's shared generator tables.  The Haar trace
-functionals Tr(a rho B) with B constant on each spin shell (the heat
-kernel e^{-tD^2}, or any shell multiplier) are sums over the shells of
-B(n) times per-shell sums of diag(a) * rho held on the table: O(lmax)
-per call, with no array of basis length.
+and psi(b Psi(a)) from the table's vacuum vectors, on the leading spins
+that the longest product reaches, with no operator product; the
+generator scaling forms the four ttilde^{1/2}_{r,s} from the
+truncation's shared generator tables.  The Haar trace functionals
+Tr(a rho B) with B constant on each spin shell (the heat kernel
+e^{-tD^2}, or any shell multiplier) are sums over the shells of B(n)
+times per-shell sums of diag(a) * rho held on the table: O(lmax) per
+call, with no array of basis length.
 """
 from __future__ import annotations
 
@@ -456,22 +457,22 @@ def modular_defects(a_list: Sequence[NCPolynomial], b_list: Sequence[NCPolynomia
     """|psi(ab) - psi(b Psi(a))| for each a of a_list (rows) and b of b_list (columns).
 
     Psi is the modular conjugation by rho: psi(b Psi(a)) = <b* e0, rho a
-    e0>, as rho^{-1} e0 = e0.  The vectors come from the vacuum memo of the
-    leading view that the longest ab reaches, filled for all words at once:
-    rho a e0 and b* e0 once per polynomial, then per pair one np.vdot and
-    psi(ab), the sum over word pairs of c_a c_b (w_a w_b e0)[0] from 0.
+    e0>, as rho^{-1} e0 = e0.  The vectors come from the table's vacuum
+    memo, on the leading spins that the longest ab reaches, filled for all
+    words at once: rho a e0 and b* e0 once per polynomial, then per pair one
+    np.vdot and psi(ab), the sum over word pairs of c_a c_b (w_a w_b e0)[0]
+    from 0.
     """
     deg = max(a.degree() for a in a_list) + max(b.degree() for b in b_list)
     if deg > table.trunc.lmax.doubled:
         raise QArithError("combined word length exceeds the truncation")
-    view = table.leading(deg)
     b_adj = [b.adjoint() for b in b_list]
-    view.fill_vacuum([wa + wb for a in a_list for wa in a.terms for b in b_list for wb in b.terms]
-                     + [w for p in (*a_list, *b_adj) for w in p.terms])
-    rho = rho_weights(view.basis, view.q)
-    rho_a = [rho * view.vacuum_of(a) for a in a_list]
-    b_star = [view.vacuum_of(b) for b in b_adj]
-    return [[abs(complex(sum(ca * cb * view.vacuum(wa + wb)[0] for wa, ca in a.terms.items()
+    table.fill_vacuum([wa + wb for a in a_list for wa in a.terms for b in b_list for wb in b.terms]
+                      + [w for p in (*a_list, *b_adj) for w in p.terms])
+    rho = rho_weights(table.vacuum_basis, table.q)
+    rho_a = [rho * table.vacuum_of(a) for a in a_list]
+    b_star = [table.vacuum_of(b) for b in b_adj]
+    return [[abs(complex(sum(ca * cb * table.vacuum(wa + wb)[0] for wa, ca in a.terms.items()
                              for wb, cb in b.terms.items()))
                  - complex(np.vdot(vb, va))) for b, vb in zip(b_list, b_star)]
             for a, va in zip(a_list, rho_a)]

@@ -44,7 +44,9 @@ MUTATIONS = {
                          "corrupted = np.sum(weights[:, Ld - a.degree() + 1:], axis=1)"
                          "  # the shells 2n > Ld - depth",
                          "corrupted = np.sum(weights[:, Ld - a.degree() + 2:], axis=1)"),
-    "safe-shell-depth": ("src/qsu2/algebra.py", "nd = max(deg, 2)", "nd = max(deg - 1, 2)"),
+    "safe-shell-depth": ("src/qsu2/algebra.py",
+                         "nd = min(max(2, max(map(len, words), default=0)), Ld)",
+                         "nd = min(max(2, max(map(len, words), default=0) - 1), Ld)"),
     "rho-sign": ("src/qsu2/peterweyl.py",
                  "return q ** -np.arange(-top, top + 1, dtype=float)",
                  "return q ** np.arange(-top, top + 1, dtype=float)"),
@@ -63,6 +65,10 @@ MUTATIONS = {
                           "k1 = min(k0 + LADDER_LEVELS, K)"),
     "vacuum-neighbour-column": ("src/qsu2/algebra.py", "held.update(zip(group, vecs.T))",
                                 "held.update(zip(group, np.roll(vecs, 1, axis=1).T))"),
+    "vacuum-basis-kept-for-a-longer-word": ("src/qsu2/algebra.py",
+                                            "if self.vacuum_basis is None or"
+                                            " self.vacuum_basis.trunc.lmax.doubled < nd:",
+                                            "if self.vacuum_basis is None:"),
     "modular-b-not-adjoint": ("src/qsu2/spectral.py", "b_adj = [b.adjoint() for b in b_list]",
                               "b_adj = list(b_list)"),
     # validate's two routes, each read once for all its words

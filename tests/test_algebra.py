@@ -51,6 +51,24 @@ class TestNormalOrder:
         assert p.adjoint().terms == {"GA": 2.0}
         assert p.degree() == 2
 
+    def test_equality_compares_the_terms(self):
+        p = NCPolynomial({"ag": 2.0, "G": 0.5j})
+        assert p == NCPolynomial({"G": 0.5j, "ag": 2.0})  # the terms, in any order
+        assert p == NCPolynomial.word("ag", 2.0) + NCPolynomial.word("G", 0.5j)
+        assert p != NCPolynomial({"ag": 2.0})
+        assert p != NCPolynomial({"ag": 2.0, "G": -0.5j})
+        assert NCPolynomial() == NCPolynomial({"a": 0.0})  # zero terms are dropped
+        assert [p == other for other in (p.terms, "ag", None)] == [False] * 3
+
+    def test_repr_shows_the_terms(self):
+        assert repr(NCPolynomial({"ag": 2.0, "G": 0.5j})) == "NCPolynomial({'ag': 2.0, 'G': 0.5j})"
+        assert repr(NCPolynomial()) == "NCPolynomial({})"
+
+    def test_unhashable(self):
+        # __eq__ compares the terms, a mutable dict, so no hash is defined
+        with pytest.raises(TypeError):
+            hash(NCPolynomial.word("a"))
+
     @pytest.mark.parametrize("word", ["x", "aB", "g "])
     def test_bad_letter_raises(self, word):
         with pytest.raises(AlgebraError, match="bad letter in word %r" % word):
@@ -226,8 +244,8 @@ class TestAssembly:
                 f[0, 0] = 1.0
 
     def test_smaller_cg_table_is_a_slice_of_the_largest(self):
-        # no CG entry depends on lmax_doubled: a leading view's table has the bits
-        # of the leading slice of the full one
+        # no CG entry depends on lmax_doubled: a smaller table has the bits of the
+        # leading slice of the full one
         full = generator_tables(16, Q)[0]
         small = generator_tables(5, Q)[0]
         assert small[:, :, 1:-1, 1:-1].tobytes() == full[:, :, 1:7, 1:7].tobytes()
@@ -288,29 +306,51 @@ class TestLeadingShells:
     @pytest.mark.parametrize("q", [0.7, 1.2, 3.0])
     def test_vacuum_vectors_match_letter_by_letter_bitwise(self, q):
         # w e0 = ops[w[0]] @ (w[1:] e0) from the memo, whichever words filled it
-        # first, has the bits of applying w letter by letter on the same view
-        for order in (ALL_WORDS_TO_4, ALL_WORDS_TO_4[::-1]):
-            view = GeneratorTable(q, Truncation(HalfInteger(24))).leading(4)
-            vecs = {w: view.vacuum(w) for w in order}
-            e0 = np.zeros(view.basis.dim, dtype=complex)
+        # first, has the bits of applying w letter by letter on a table built at
+        # the spins of the vacuum basis: in ascending order the memo starts again
+        # at 3 and 4 letters, and each vector read has the bits of that basis
+        tables = {nd: GeneratorTable(q, Truncation(HalfInteger(nd))) for nd in (2, 3, 4)}
+
+        def letter_by_letter(w, nd):
+            e0 = np.zeros(tables[nd].basis.dim, dtype=complex)
             e0[0] = 1.0
+            return apply_word(w, e0, tables[nd])
+
+        for order in (ALL_WORDS_TO_4, ALL_WORDS_TO_4[::-1]):
+            t = GeneratorTable(q, Truncation(HalfInteger(24)))
+            for w in order:
+                vec, nd = t.vacuum(w), t.vacuum_basis.trunc.lmax.doubled
+                assert vec.tobytes() == letter_by_letter(w, nd).tobytes(), w
+            assert t.vacuum_basis.trunc.lmax.doubled == 4
             for w in ALL_WORDS_TO_4:
-                assert vecs[w].tobytes() == apply_word(w, e0, view).tobytes(), w
-        assert not view.vacuum("aG").flags.writeable
+                assert t.vacuum(w).tobytes() == letter_by_letter(w, 4).tobytes(), w
+        assert not t.vacuum("aG").flags.writeable
 
-    def test_view_is_the_leading_block(self, table):
-        view = table.leading(3)
-        k = pw_position(4, -4, -4)
-        assert view.trunc.lmax.doubled == 3 and view.basis.dim == k
-        assert (view.alpha_scalar, view.gamma_scalar) == (table.alpha_scalar,
-                                                          table.gamma_scalar)
-        for ch, op in table.ops.items():
-            assert view.ops[ch].shell_depth_doubled == op.shell_depth_doubled
-            assert abs(to_csr(view.ops[ch]) - to_csr(op)[:k, :k]).nnz == 0
-        assert np.array_equal(rho_weights(view.basis, Q), rho_weights(table.basis, Q)[:k])
+    def test_vacuum_generators_are_the_leading_block(self, monkeypatch):
+        # the generators that fill the memo on the spins 2n <= 3 are the table's,
+        # placed on that basis: in CSR, the leading block of each, once the
+        # entries that leave the basis (row -1) are dropped
+        t = GeneratorTable(Q, Truncation(HalfInteger(16)))
+        used, matmul = [], BandMatrix.__matmul__
+        monkeypatch.setattr(BandMatrix, "__matmul__",
+                            lambda op, other: used.append(op) or matmul(op, other))
+        t.fill_vacuum(["aAg", "AgG", "gGa", "Gag"])
+        basis, k = t.vacuum_basis, pw_position(4, -4, -4)
+        assert basis.trunc.lmax.doubled == 3 and basis.dim == k
+        letters = [next(ch for ch, op in t.ops.items() if op.key(0) in m.bands) for m in used]
+        assert sorted(set(letters)) == sorted("aAgG")
+        for ch, m in zip(letters, used):
+            full = t.ops[ch]
+            assert m.space is basis and m.shell_depth_doubled == full.shell_depth_doubled
+            inside = BandMatrix(basis, {key: np.where(basis._rows_of(key) >= 0, v, 0.0)
+                                        for key, v in m.bands.items()})
+            assert abs(to_csr(inside) - to_csr(full)[:k, :k]).nnz == 0, ch
+        assert np.array_equal(rho_weights(basis, Q), rho_weights(t.basis, Q)[:k])
 
-    def test_view_memoized_without_a_table_build(self, monkeypatch):
-        # a view is one table build per distinct shell; a repeated call builds nothing
+    def test_vacuum_basis_is_reused_and_grows_without_a_table_build(self, monkeypatch):
+        # a held basis large enough serves any shorter word; a longer word starts
+        # the memo again on the spins 2n <= its length (2 at least, the table's
+        # own basis at most); the vacuum route builds no GeneratorTable
         t = GeneratorTable(Q, Truncation(HalfInteger(10)))
         builds = []
         init = GeneratorTable.__init__
@@ -320,11 +360,18 @@ class TestLeadingShells:
             init(self, q, trunc)
 
         monkeypatch.setattr(GeneratorTable, "__init__", counting_init)
-        assert t.leading(0) is t.leading(1) is t.leading(2)  # spins 2n <= 2 at least
-        assert t.leading(2).trunc.lmax.doubled == 2
-        assert t.leading(4) is t.leading(4) is not t.leading(2)
-        assert t.leading(10) is t and t.leading(12) is t
-        assert builds == [2, 4]
+        assert t.vacuum_basis is None
+        bases = []
+        for words in ([], ["a"], ["aA", ""], ["aAgG"], ["g"], ["aAg"], ["aAgGaA"], ["Gg"],
+                      ["a" * 10], ["a" * 12], [""]):
+            t.fill_vacuum(words)
+            bases.append(t.vacuum_basis)
+            if words == ["aAgG"]:  # started again: the words of the smaller basis are gone
+                assert set(t._vacuum) == {"", "G", "gG", "AgG", "aAgG"}
+        assert [b.trunc.lmax.doubled for b in bases] == [2, 2, 2, 4, 4, 4, 6, 6, 10, 10, 10]
+        assert bases[0] is bases[2] and bases[3] is bases[5] and bases[6] is bases[7]
+        assert bases[8] is bases[10] is t.basis
+        assert builds == []
 
 
 @pytest.mark.parametrize("ld", [2, 4, 16, 40])
@@ -347,32 +394,23 @@ def test_batched_matvec_columns_match_one_vector_matvecs_bitwise(ld):
 @pytest.mark.parametrize("q", [0.7, 1.2])
 def test_vacuum_fills_a_word_length_per_matvec(q, monkeypatch):
     # the 341 words of up to 4 letters: 4 matvecs per length, one per first
-    # letter, and each vector read-only with the bits of the letter-by-letter route
-    view = GeneratorTable(q, Truncation(HalfInteger(24))).leading(4)
+    # letter, and each vector read-only with the bits of the letter-by-letter
+    # route on a table of the spins 2n <= 4
+    t = GeneratorTable(q, Truncation(HalfInteger(24)))
+    small = GeneratorTable(q, Truncation(HalfInteger(4)))
     count = [0]
     matmul = BandMatrix.__matmul__
     monkeypatch.setattr(BandMatrix, "__matmul__",
                         lambda op, other: count.__setitem__(0, count[0] + 1) or matmul(op, other))
-    view.fill_vacuum(ALL_WORDS_TO_4[::-1])
-    vecs = {w: view.vacuum(w) for w in ALL_WORDS_TO_4}  # memo reads
+    t.fill_vacuum(ALL_WORDS_TO_4[::-1])
+    vecs = {w: t.vacuum(w) for w in ALL_WORDS_TO_4}  # memo reads
     assert count[0] == 16
-    e0 = np.zeros(view.basis.dim, dtype=complex)
+    assert t.vacuum_basis.dim == small.basis.dim
+    e0 = np.zeros(small.basis.dim, dtype=complex)
     e0[0] = 1.0
     for w, vec in vecs.items():
-        assert vec.tobytes() == apply_word(w, e0, view).tobytes(), w
+        assert vec.tobytes() == apply_word(w, e0, small).tobytes(), w
         assert not vec.flags.writeable
-
-
-def test_a_view_serves_itself():
-    # a held view large enough serves any shorter word, and a view asks no view
-    # of its own: no table is built below the first view asked for
-    t = GeneratorTable(Q, Truncation(HalfInteger(10)))
-    view = t.leading(4)
-    assert t.leading(2) is t.leading(3) is view
-    assert view.leading(2) is view.leading(4) is view
-    assert view._leading is None
-    six = t.leading(6)
-    assert six is not view and t.leading(5) is six and t.leading(3) is view  # the smallest
 
 
 @lru_cache(maxsize=8)
@@ -759,7 +797,7 @@ class TestTransientMemory:
 
     def test_no_label_length_array_is_reachable_after_the_haar_functionals(self):
         # every trace functional of `haar` on a table of dim 23 821; the Haar
-        # states read the leading views, which the table holds
+        # states read the vacuum memo, which the table holds on its leading spins
         t = GeneratorTable(Q, Truncation(HalfInteger(40)))
         lam = lambda n: math.exp(-n * (n + 1))
         spectral.rho_trace_functional(NCPolynomial.one(), lam, t)
@@ -843,9 +881,10 @@ class TestHaarState:
 @pytest.mark.parametrize("q", [0.7, 1.2])
 @pytest.mark.parametrize("lmax_d", [2, 4, 16, 24])
 def test_haar_states_match_haar_state_bitwise(lmax_d, q):
-    # one view of the longest word and one fill for all the words of up to 4
-    # letters (up to 2 at ld 2), each on a table of its own: the bits of
-    # haar_state word by word, the zeros +0.0 as vacuum_of sums them
+    # one fill for all the words of up to 4 letters (up to 2 at ld 2), on the
+    # vacuum basis of the longest, against haar_state word by word on a table
+    # of its own, whose basis grows with the words: the same bits, the zeros
+    # +0.0 as vacuum_of sums them
     words = ["".join(t) for n in range(min(4, lmax_d) + 1)
              for t in itertools.product("aAgG", repeat=n)]
     trunc = Truncation(HalfInteger(lmax_d))

@@ -367,9 +367,9 @@ class TestMain:
             assert (tmp_path / ("run_%s.csv" % name)).exists()
 
     def test_all_builds_one_generator_table(self, monkeypatch, capsys):
-        # one table on the run's truncation, shared by the experiments, plus the
-        # leading view of validate's longest word (spins 2n <= 4), which serves
-        # every Haar state of the run: was one view per spin 2n <= 2, 3, 4
+        # one table on the run's truncation, shared by the experiments; its
+        # vacuum memo serves every Haar state of the run on the spins 2n <= 4:
+        # was a view table per spin 2n <= 2, 3, 4, then one view at 4
         builds = []
         init = GeneratorTable.__init__
 
@@ -379,10 +379,10 @@ class TestMain:
 
         monkeypatch.setattr(GeneratorTable, "__init__", counting_init)
         assert main(["all", "--lmax", "16"]) == 0
-        assert builds == [16, 4]
+        assert builds == [16]
         assert cli.generator_table.cache_info().currsize == 0  # nothing outlives the invocation
         assert main(["all", "--lmax", "16"]) == 0
-        assert builds == [16, 4] * 2
+        assert builds == [16] * 2
 
     def test_validate_runs_the_battery_once_per_table(self, monkeypatch):
         built, validated = [], []
@@ -399,7 +399,7 @@ class TestMain:
         monkeypatch.setattr(GeneratorTable, "__init__", counting_init)
         monkeypatch.setattr(GeneratorTable, "validate", counting_validate)
         rows, _ = cli.run_validate(RunConfig(lmax_doubled=8))
-        assert [t.trunc.lmax.doubled for t in built] == [8, 4]  # was 8, 2, 3, 4
+        assert [t.trunc.lmax.doubled for t in built] == [8]  # was 8, 2, 3, 4, then 8, 4
         assert validated == built  # tables compare by identity
         relation_rows = {r[0]: r[1] for r in rows if r[0].startswith("algebra.relation")}
         assert relation_rows == {"algebra.relation[%s]" % name: residual
@@ -542,8 +542,8 @@ class TestWorkCounts:
         return count
 
     def test_validate_applies_each_suffix_once(self, matvecs, monkeypatch):
-        # the words of one length and first letter in one matvec, on the view of
-        # spins 2n <= 4: was 1 252, then 444 (one per suffix on three views);
+        # the words of one length and first letter in one matvec, on the vacuum
+        # basis of spins 2n <= 4: was 1 252, then 444 (one per suffix on three views);
         # only the 41 balanced words run the ladder, all in one run over the levels
         ladders = []
         ladder_sums = gns_oracle._ladder_sums
@@ -558,11 +558,10 @@ class TestWorkCounts:
         assert matvecs[0] <= 16
         assert len(ladders) == 1 and len(ladders[0]) == 41
         table = cli.generator_table(cfg.q, cfg.lmax_doubled)
-        held = [view.basis.dim for view in (table, *table._leading.values()) if view._vacuum]
-        assert held and max(held) <= 55
+        assert table.vacuum_basis.dim <= 55
 
     def test_modular_applies_each_operator_once_per_pair(self, matvecs):
-        # w e0 for the words of a, b* and ab on one view, a word length and first
+        # w e0 for the words of a, b* and ab on one basis, a word length and first
         # letter per matvec: was 1 008, then 458, then 230
         cli.run_modular(RunConfig(lmax_doubled=24))
         assert matvecs[0] <= 16
@@ -616,7 +615,7 @@ class TestWorkCounts:
 
     @pytest.fixture
     def tables(self, monkeypatch):
-        """lmax_doubled of each GeneratorTable built, views included."""
+        """lmax_doubled of each GeneratorTable built."""
         built = []
         init = GeneratorTable.__init__
 
@@ -634,11 +633,21 @@ class TestWorkCounts:
         assert tables == [62]
 
     def test_all_builds_each_table_once(self, tables):
-        # validate, haar and modular share the run's table and its view of spins
-        # 2n <= 4; commutators takes the table at 62, and the two tables kept by
-        # cli.generator_table spare modular a second build at 120
+        # validate, haar and modular share the run's table and its vacuum memo;
+        # commutators takes the table at 62, and the two tables kept by
+        # cli.generator_table spare modular a second build at 120: was 120, 4, 62
         assert main(["all", "--lmax", "120"]) == 0
-        assert tables == [120, 4, 62]
+        assert tables == [120, 62]
+
+    def test_haar_builds_one_table_and_runs_one_battery(self, tables, monkeypatch):
+        # the Haar states read the vacuum memo of the run's table: was 62, 2,
+        # the second a view table with a relation battery of its own
+        validated = []
+        validate = GeneratorTable.validate
+        monkeypatch.setattr(GeneratorTable, "validate",
+                            lambda self: validated.append(self) or validate(self))
+        assert main(["haar", "--lmax", "62"]) == 0
+        assert tables == [62] and len(validated) == 1
 
     @pytest.fixture
     def row_builds(self, monkeypatch):
@@ -656,7 +665,7 @@ class TestWorkCounts:
 
     def test_one_block_bases_compute_each_row_index_once(self, row_builds, tmp_path, capsys):
         # each space keeps the rows it computes, one index per (space, key): 19
-        # over the views and the leading shells of the |D| series (35 when the
+        # over the vacuum basis and the leading shells of the |D| series (35 when the
         # relation battery read rows too); block rows computed beside a
         # whole-space memo made 53 + 38
         assert main(["all", "--lmax", "24", "--out", str(tmp_path / "run.csv")]) == 0
@@ -666,7 +675,7 @@ class TestWorkCounts:
     def test_large_bases_compute_no_row_index(self, row_builds, monkeypatch, tmp_path, capsys):
         # at dim 85 344 the battery and the modular scaling read shifted slices
         # of their shell grid, the trace diagonals and the Haar states read
-        # per-shell factors or the small leading views, and the |D| series reads
+        # per-shell factors or the small vacuum basis, and the |D| series reads
         # the 25 585 labels of its leading shells: no row index of that basis is
         # computed.  commutators and modular computed them over column blocks
         dims = []

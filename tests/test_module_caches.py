@@ -61,8 +61,8 @@ def test_every_kept_memo_is_reused_by_a_run(monkeypatch):
     modules = [importlib.import_module("qsu2." + p.stem) for p in MODULES if p.stem != "__init__"]
     memos = {"%s.%s" % (m.__name__, name): fn for m in modules for name, fn in vars(m).items()
              if hasattr(fn, "cache_info") and fn.__module__ == m.__name__}
-    assert sorted(memos) == ["qsu2.algebra._battery_plan", "qsu2.algebra._grid_chunks",
-                             "qsu2.algebra.generator_tables", "qsu2.cli.generator_table"]
+    assert sorted(memos) == ["qsu2.algebra._grid_chunks", "qsu2.algebra.generator_tables",
+                             "qsu2.cli.generator_table"]
     for fn in memos.values():
         fn.cache_clear()
     seen = {}

@@ -197,8 +197,9 @@ class TestChainPruning:
     @pytest.mark.parametrize("q", [0.05, 0.7, 1.0001, 1.2, 3.0, 20.0])
     @pytest.mark.parametrize("ld", [24, 62, 120])
     def test_cli_shells_match_all_chains_bitwise(self, ld, q):
-        t = GeneratorTable(q, Truncation(HalfInteger(ld)))
-        aop = mult_operator(witness_polynomial(t), t.leading(min(ld, 62)))
+        # the table of run_commutators, on the spins 2n <= min(ld, 62)
+        t = GeneratorTable(q, Truncation(HalfInteger(min(ld, 62))))
+        aop = mult_operator(witness_polynomial(t), t)
         comm = BandMatrix(aop.space, {k: v * (k[0] / 2.0) for k, v in aop.bands.items()})
         shells = [2 * s for s in range(4, min(20, ld // 2 - 1) + 1)]
         got = spectral.shell_norms(comm, shells)
@@ -578,8 +579,10 @@ def full_operator_modular_check(a, b, table):
 
 
 def uncached_modular_check(a, b, table):
-    """Reference defect: fresh operators and words applied letter by letter, on the same view."""
-    table = table.leading(a.degree() + b.degree())
+    """Reference defect: fresh operators and words applied letter by letter, on a table of the
+    spins 2n <= a.degree() + b.degree() (2 at least), those the vacuum vectors reach."""
+    nd = min(max(a.degree() + b.degree(), 2), table.trunc.lmax.doubled)
+    table = GeneratorTable(table.q, Truncation(HalfInteger(nd)))
     e0 = np.zeros(table.basis.dim, dtype=complex)
     e0[0] = 1.0
     psi_ab = 0.0 + 0.0j

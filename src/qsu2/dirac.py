@@ -2,7 +2,10 @@
 
 The spinor space is C^2 tensor h; a coefficient vector is a plain array,
 the concatenation (e_+ block, e_- block) over the enumerated Peter-Weyl
-basis.
+basis.  Its labels, the Basis labels once per component, form a
+LabelSpace (DiracContext.spinor) on first read; the change of basis is a
+BandMatrix whose columns are the coupled labels and whose rows are spinor
+positions.
 The coupled vectors v^{l,+-}_{ij} diagonalize both the naive operator
 (q-integer eigenvalues) and the true one (linear eigenvalues +-(l+1/2));
 |D| is diagonal already in the product basis with eigenvalue n + 1/2.
@@ -21,40 +24,9 @@ from .peterweyl import DIAGONAL, Basis, BandMatrix, LabelSpace, Truncation
 from .algebra import generator_tables
 
 
-class SpinorBasis(LabelSpace):
-    """Product basis of C^2 tensor h: index = component * dim + pw position."""
-
-    def __init__(self, basis: Basis):
-        self.pw = basis
-        self.trunc = basis.trunc
-        self.block = basis.dim
-        self.dim = 2 * basis.dim
-
-    @property
-    def labels(self) -> tuple:
-        """(component, 2n, 2i, 2j) per position: the Basis labels, once per component."""
-        pw = self.pw
-        return (np.repeat(np.arange(2), pw.dim), np.tile(pw.nd, 2), np.tile(pw.id, 2),
-                np.tile(pw.jd, 2))
-
-
 def _coefficient(table: np.ndarray, sign, ld, md) -> np.ndarray:
     """C(m1; l, m) on branch sign from the padded CG table of m1: +0.0 for l < |m| <= l + 2."""
     return table[(1 - sign) // 2, ld + 1, (md + ld) // 2 + 1]
-
-
-class _CoupledLabels(LabelSpace):
-    """The coupled labels (l, i, j) as the column space of the change of basis.
-
-    Rows are spinor positions, so a band (0, 0, s, c) sends the column
-    v^{l,sign}_{ij} to component c at the product label (l, i, j + s/2).
-    """
-
-    def __init__(self, dctx: "DiracContext", labels: tuple):
-        self.labels = labels
-        self.trunc = dctx.trunc
-        self.block = dctx.basis.dim
-        self.dim = dctx.spinor.dim
 
 
 def _spectrum(kind: str, ld, sign, q: float, lmax_doubled: int):
@@ -106,7 +78,17 @@ class DiracContext:
         self.q = q
         self.trunc = trunc
         self.basis = basis if basis is not None else Basis(trunc)
-        self.spinor = SpinorBasis(self.basis)
+
+    @cached_property
+    def spinor(self) -> LabelSpace:
+        """Product basis of C^2 tensor h: index = component * dim + Peter-Weyl position.
+
+        Its labels are the Basis labels, once per component.
+        """
+        _, nd, id_, jd = self.basis.labels
+        dim = self.basis.dim
+        labels = (np.repeat(np.arange(2), dim), np.tile(nd, 2), np.tile(id_, 2), np.tile(jd, 2))
+        return LabelSpace(labels, self.trunc, dim, 2 * dim)
 
     @cached_property
     def v_doubled(self) -> tuple:
@@ -139,7 +121,9 @@ class DiracContext:
         cg = generator_tables(self.trunc.lmax.doubled, self.q)[0]
         bands = {(0, 0, -m1d, comp): _coefficient(cg[comp], sign, ld, jd - m1d)
                  for comp, m1d in enumerate((1, -1))}
-        columns = _CoupledLabels(self, (0, ld, id_, jd))
+        # rows are spinor positions, so a band (0, 0, s, c) sends the column
+        # v^{l,sign}_{ij} to component c at the product label (l, i, j + s/2)
+        columns = LabelSpace((0, ld, id_, jd), self.trunc, self.basis.dim, 2 * self.basis.dim)
         return BandMatrix(columns, bands)
 
     def eigenvalues(self, kind: str) -> np.ndarray:

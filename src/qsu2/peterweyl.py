@@ -13,17 +13,19 @@ depth: the number of top spin shells whose image may be corrupted by the
 truncation.  Action on vectors supported on spins n <= lmax - depth is
 exact.  The routes over bands (matvec, product, adjoint) read the row of
 each column under a shift key, which a space computes once per key from
-its labels in closed form (LabelSpace._rows_of).  They serve small spaces:
-the leading spins that the vacuum vectors live on and the leading shells
-of a shell norm.  The consumers on a large basis read no rows: the
-relation battery and the modular scaling run on a grid of whole shells
-(algebra.Generator.grid, the one place a generator's entry is formed,
-whose cells Generator.bands copies to the labels), and the Haar traces
-on per-shell sums.
+its labels in closed form (LabelSpace._rows_of).  A LabelSpace is given
+its labels; a Basis derives them from their positions on first read.
+The routes serve small spaces only: the leading spins that the vacuum
+vectors live on and the leading shells of a shell norm.  The consumers
+on a large basis read no rows and no labels: the relation battery and
+the modular scaling run on a grid of whole shells (algebra.Generator.grid,
+the one place a generator's entry is formed, whose cells Generator.bands
+copies to the labels), and the Haar traces on per-shell sums.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,12 +54,18 @@ def shell_starts(lmax_doubled: int) -> np.ndarray:
 class LabelSpace:
     """Column labels of band operators, with the row each shift key sends them to.
 
-    A subclass sets trunc, dim, block and labels = (c, nd, id, jd): the
-    column labelled (c, n, i, j) reaches (c xor f, n + o/2, i + r/2, j + s/2)
-    under the key (o, r, s, f), all doubled.  Its row is the position of
-    that label in the Basis order, offset by block times the component
-    c xor f, or -1 where the label leaves the truncation.
+    labels = (c, nd, id, jd), one entry per column, all doubled: the column
+    labelled (c, n, i, j) reaches (c xor f, n + o/2, i + r/2, j + s/2) under
+    the key (o, r, s, f).  Its row is the position of that label in the
+    Basis order of trunc, offset by block times the component c xor f, or -1
+    where the label leaves the truncation.  dim is the number of rows.
     """
+
+    def __init__(self, labels: tuple, trunc: Truncation, block: int, dim: int):
+        self.labels = labels
+        self.trunc = trunc
+        self.block = block
+        self.dim = dim
 
     def _rows_of(self, key) -> np.ndarray:
         """The row of every column under key, from the labels in closed form; once per key."""
@@ -79,52 +87,43 @@ class Basis(LabelSpace):
 
     Order: ascending 2n, then i, then j.  Shell 2n starts at start[2n]
     and is a (2n + 1) x (2n + 1) grid, row-major in the in-shell row
-    a = (i + n) and column b = (j + n).  The per-row tables row_nd
-    (doubled spin of each in-shell row), row_a (its row index) and
-    row_start (position of its first label) have O(lmax^2) entries.  The
-    doubled labels nd, id and jd are derived from them on each access, so
-    the basis keeps no label-length array.  Its labels have one component
-    (c = 0).
+    a = (i + n) and column b = (j + n).  A basis is described by its
+    O(lmax) shell starts.  Its labels, with one component (c = 0), are
+    derived from their positions in closed form on first read and kept,
+    read-only: only small spaces read them (the leading spins of the vacuum
+    vectors, the leading shells of a shell norm), so a large basis holds no
+    label-length array.
     """
 
     def __init__(self, trunc: Truncation):
         self.trunc = trunc
-        nd = np.arange(trunc.lmax.doubled + 1, dtype=np.int64)
         self.start = shell_starts(trunc.lmax.doubled)
         self.dim = self.block = int(self.start[-1])
-        self.row_nd = np.repeat(nd, nd + 1)
-        self.row_a = np.arange(len(self.row_nd)) - np.repeat(nd * (nd + 1) // 2, nd + 1)
-        self.row_start = self.start[self.row_nd] + self.row_a * (self.row_nd + 1)
 
-    @property
+    @cached_property
     def labels(self) -> tuple:
-        return 0, self.nd, self.id, self.jd
+        """(0, 2n, 2i, 2j) per position: 2i = 2a - 2n and 2j = 2b - 2n in its shell's grid."""
+        nd = np.repeat(np.arange(self.trunc.lmax.doubled + 1), np.diff(self.start))
+        a, b = np.divmod(np.arange(self.dim) - self.start[nd], nd + 1)
+        labels = nd, 2 * a - nd, 2 * b - nd
+        for v in labels:
+            v.flags.writeable = False
+        return (0,) + labels
 
     @property
     def nd(self) -> np.ndarray:
         """Doubled spin of each label."""
-        return np.repeat(self.row_nd, self.row_nd + 1)
+        return self.labels[1]
 
     @property
     def id(self) -> np.ndarray:
-        """Doubled i of each label, 2 a - n."""
-        return np.repeat(2 * self.row_a - self.row_nd, self.row_nd + 1)
+        """Doubled i of each label."""
+        return self.labels[2]
 
     @property
     def jd(self) -> np.ndarray:
-        """Doubled j of each label, 2 b - n."""
-        return self.along_rows(-self.row_nd, 2)
-
-    def along_rows(self, first: np.ndarray, step: int = 1) -> np.ndarray:
-        """first[r] + step * b at column b of in-shell row r, one int64 per label.
-
-        first has one entry per in-shell row, and the result one per label:
-        step * p at position p, plus first[r] - step * p0 expanded over row
-        r, whose first label is at p0.
-        """
-        out = np.arange(0, step * self.dim, step, dtype=np.int64)
-        out += np.repeat(first - step * self.row_start, self.row_nd + 1)
-        return out
+        """Doubled j of each label."""
+        return self.labels[3]
 
     def position_doubled(self, nd: int, id_: int, jd: int) -> int:
         if (not 0 <= nd <= self.trunc.lmax.doubled or abs(id_) > nd or abs(jd) > nd
@@ -145,21 +144,14 @@ def rho_weights(basis: Basis, q: float) -> np.ndarray:
 
     2i + 2j takes the 4 lmax_doubled + 1 integer values e with
     |e| <= 2 lmax_doubled; q ** -e is evaluated once per value (rho_powers)
-    and gathered, with the bits of one power per basis label.  Along an
-    in-shell row, 2i + 2j runs from 2i - 2n in steps of 2.
+    and gathered at e + 2 lmax_doubled, with the bits of one power per
+    basis label.
     """
-    first = 2 * (basis.row_a - basis.row_nd + basis.trunc.lmax.doubled)  # 2i - 2n + top at b = 0
-    return rho_powers(q, basis.trunc.lmax.doubled)[basis.along_rows(first, 2)]
+    Ld = basis.trunc.lmax.doubled
+    return rho_powers(q, Ld)[basis.id + basis.jd + 2 * Ld]
 
 
 DIAGONAL = (0, 0, 0, 0)
-
-
-def _in_place(ufunc, x: np.ndarray, y):
-    """ufunc(x, y), written into x when x's dtype holds the result."""
-    if np.result_type(x, y) != x.dtype:
-        return ufunc(x, y)
-    return ufunc(x, y, out=x)
 
 
 class BandMatrix:
@@ -235,11 +227,8 @@ class BandMatrix:
         inner, and keys come in the order they first appear in that loop.
         A row -1 (outside the truncation) reads the last entry of self's
         band, a finite value times a 0 of other, so the term is a zero that
-        leaves the sum's bits alone.  Each term is a fresh gather, so it is
-        multiplied and summed in place wherever its dtype holds the result:
-        the same operations in the same order, without a new array per
-        operation.  A consumer that reduces each band as it comes never
-        holds a whole product.
+        leaves the sum's bits alone.  A consumer that reduces each band as it
+        comes never holds a whole product.
         """
         xb, yb = self.bands, other.bands
         terms = {}
@@ -251,10 +240,8 @@ class BandMatrix:
             band = None
             for kx, ky in pairs:
                 # row -1 where vy is 0: any finite value times 0
-                term = _in_place(np.multiply, xb[kx][other.space._rows_of(ky)], yb[ky])
-                band = (_in_place(np.add, term, 0.0) if band is None  # 0.0 + x, as -0.0 -> +0.0
-                        else _in_place(np.add, band, term))
-            del term  # not held while the consumer reduces the band
+                term = xb[kx][other.space._rows_of(ky)] * yb[ky]
+                band = 0.0 + term if band is None else band + term  # 0.0 + x: -0.0 -> +0.0
             yield key, band
 
     @property

@@ -84,27 +84,25 @@ class HeatTraceReport:
     k_exponent: float
 
 
-def _chains(basis) -> tuple:
-    """Chain numbering of a Basis.
+def _chains(id_, jd, top) -> tuple:
+    """Chain numbering of the leading labels (id_, jd) of a Basis, on doubled spins <= top.
 
     A chain is a fixed (i, j): a weight-homogeneous operator shifts i and j
     by constants, so its Gram couples only columns of one chain.  Along a
     chain the spin runs up in unit steps from its first spin
     s0 = max(|i|, |j|).  Chains are numbered by s0 first: the 4 s0 labels
     with first spin s0 (one for s0 = 0) are the border of the
-    (s0 + 1) x (s0 + 1) grid of (i, j).  Returns (chain, doubled spin,
-    doubled first spin) per basis position, and first[s], the first chain
-    with first spin s, for s = 0 .. 2 lmax + 1.
+    (s0 + 1) x (s0 + 1) grid of (i, j).  Returns (chain, doubled first
+    spin) per basis position, and first[s], the first chain with first
+    spin s, for s = 0 .. top + 1.
     """
     def first_chain(s0):
         return np.where(s0 > 0, 2 * s0 * (s0 - 1) + 1, 0)
 
-    id_, jd = basis.id, basis.jd
     s0 = np.maximum(np.abs(id_), np.abs(jd))
     a, b = (id_ + s0) // 2, (jd + s0) // 2  # grid coordinates, 0 .. s0
     border = np.where(a == 0, b, np.where(a == s0, s0 + 1 + b, 2 * s0 + 2 * a + (b == s0)))
-    return (first_chain(s0) + border, basis.nd, s0,
-            first_chain(np.arange(basis.trunc.lmax.doubled + 2)))
+    return first_chain(s0) + border, s0, first_chain(np.arange(top + 2))
 
 
 def shell_norms(op: BandMatrix, shells_d: Sequence[int]) -> np.ndarray:
@@ -115,7 +113,8 @@ def shell_norms(op: BandMatrix, shells_d: Sequence[int]) -> np.ndarray:
     <= shell keeps the leading block of each chain, ordered by spin.  The
     spins <= top are the first P columns, and they reach only the spins
     <= top + depth: op is cut to those leading shells, a Basis of its own,
-    where the Gram of the first P columns has the bits of the whole one.
+    where the Gram of the first P columns has the bits of the whole one
+    and the chains are numbered on views of its first P labels.
     The norm is the square root of the largest eigenvalue over the chains.
 
     Only the chains that can hold it are diagonalized.  While the Gram is
@@ -145,9 +144,9 @@ def shell_norms(op: BandMatrix, shells_d: Sequence[int]) -> np.ndarray:
     lead = Basis(Truncation(HalfInteger(top + depth_d)))
     op = BandMatrix(lead, {k: np.where(lead._rows_of(k) >= 0, v[:lead.dim], 0.0)
                            for k, v in op.bands.items()})
-    normed = Basis(Truncation(HalfInteger(top)))
-    chain, nd, s0, first = _chains(normed)
-    P = len(nd)
+    P = int(lead.start[top + 1])  # the columns on spins <= top lead the basis
+    nd, id_, jd = (v[:P] for v in lead.labels[1:])  # views, no second copy
+    chain, s0, first = _chains(id_, jd, top)
     # the chains of first spin s hold blocks of side length[s], stored one
     # after the other in a flat buffer from offset[s]; no padding
     length = (top - np.arange(top + 1)) // 2 + 1
@@ -170,7 +169,7 @@ def shell_norms(op: BandMatrix, shells_d: Sequence[int]) -> np.ndarray:
     upper[chain, pos] = rowsum
     np.maximum.accumulate(upper, axis=1, out=upper)
     lower = np.where(np.isfinite(rowsum), buf[at + pos].real, np.nan)
-    lower = np.maximum.accumulate(lower)[normed.start[np.add(shells_d, 1)] - 1]
+    lower = np.maximum.accumulate(lower)[lead.start[np.add(shells_d, 1)] - 1]
     chain_s0 = np.repeat(np.arange(top + 1), np.diff(first))
     kept = (np.asarray(shells_d) - chain_s0[:, None]) // 2 + 1  # by chain and shell
     c, k = np.nonzero(kept > 0)

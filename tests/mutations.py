@@ -50,6 +50,13 @@ MUTATIONS = {
     "rho-sign": ("src/qsu2/peterweyl.py",
                  "return q ** -np.arange(-top, top + 1, dtype=float)",
                  "return q ** np.arange(-top, top + 1, dtype=float)"),
+    # the Basis labels, derived once from their positions, and the weights gathered at them
+    "label-order": ("src/qsu2/peterweyl.py",
+                    "a, b = np.divmod(np.arange(self.dim) - self.start[nd], nd + 1)",
+                    "b, a = np.divmod(np.arange(self.dim) - self.start[nd], nd + 1)"),
+    "rho-weight-index": ("src/qsu2/peterweyl.py",
+                         "return rho_powers(q, Ld)[basis.id + basis.jd + 2 * Ld]",
+                         "return rho_powers(q, Ld)[basis.id - basis.jd + 2 * Ld]"),
     # the Haar shell sums over spin paths and the relative modular scaling
     "drop-a-path": ("src/qsu2/algebra.py", "for path, steps in paths:",
                     "for path, steps in paths[1:]:"),

@@ -255,8 +255,9 @@ def all_chains_shell_norms(op, shells_d):
     lead = Basis(Truncation(HalfInteger(top + depth_d)))
     op = BandMatrix(lead, {k: np.where(lead._rows_of(k) >= 0, v[:lead.dim], 0.0)
                            for k, v in op.bands.items()})
-    chain, nd, s0, first = _chains(Basis(Truncation(HalfInteger(top))))
-    P = len(nd)
+    normed = Basis(Truncation(HalfInteger(top)))
+    nd, P = normed.nd, normed.dim
+    chain, s0, first = _chains(normed.id, normed.jd, top)
     length = (top - np.arange(top + 1)) // 2 + 1
     offset = np.concatenate([[0], np.cumsum(np.diff(first) * length ** 2)])
     pos = (nd - s0) // 2

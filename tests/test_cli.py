@@ -695,6 +695,20 @@ class TestWorkCounts:
             if command == "commutators":
                 assert {space.dim for space, _ in row_builds} == {25585}
 
+    @pytest.mark.parametrize("argv", [["all", "--lmax", "24"], ["haar", "--lmax", "62"],
+                                      ["commutators", "--q", "0.7", "--lmax", "62"],
+                                      ["all", "--lmax", "120"], ["modular", "--lmax", "40"]])
+    def test_no_table_basis_derives_its_labels(self, argv, monkeypatch, tmp_path, capsys):
+        # a Basis keeps its labels once read: the tables' bases are never read
+        # label by label, as the rows are formed on the small vacuum and leading
+        # shell bases only
+        built = []
+        init = GeneratorTable.__init__
+        monkeypatch.setattr(GeneratorTable, "__init__",
+                            lambda self, q, trunc: built.append(self) or init(self, q, trunc))
+        main(argv + ["--out", str(tmp_path / "run.csv")])
+        assert built and [t.basis.dim for t in built if "labels" in vars(t.basis)] == []
+
     def test_memo_released_with_the_table(self, monkeypatch):
         tables = []
         init = algebra.GeneratorTable.__init__

@@ -114,6 +114,17 @@ class TestTableDrivenAssembly:
                                   for comp in (0, 1)])
             assert np.array_equal(c.spinor._rows_of(key), ref), key
 
+    def test_spinor_labels_are_formed_when_read(self):
+        # a context forms neither the Basis labels nor their spinor tiling until spinor is read
+        c = DiracContext(Q, Truncation(HalfInteger(6)))
+        assert "spinor" not in vars(c) and "labels" not in vars(c.basis)
+        comp, nd, id_, jd = c.spinor.labels
+        assert c.spinor is c.spinor and (c.spinor.block, c.spinor.dim) == (c.basis.dim,
+                                                                          2 * c.basis.dim)
+        assert np.array_equal(comp, np.repeat([0, 1], c.basis.dim))
+        for mine, pw in zip((nd, id_, jd), (c.basis.nd, c.basis.id, c.basis.jd)):
+            assert np.array_equal(mine, np.tile(pw, 2))
+
     def test_label_arrays_follow_v_enumerate(self, ctx):
         ld, id_, jd, sign = ctx.v_doubled
         assert list(zip(ld.tolist(), id_.tolist(), jd.tolist(), sign.tolist())) == [
